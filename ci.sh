@@ -18,6 +18,14 @@ cargo build --release --workspace
 echo "== test =="
 cargo test -q --workspace
 
+echo "== benchmark smoke (the repo benchmark still builds against this tree and passes) =="
+# benchmark/ is a package of its own that pins part of the public API
+# (facade builder, fabric::rel, frames, the TCP mesh, node_main). Build
+# it into the workspace's target dir and run every workload once, so
+# an API break fails here rather than in the benchmark run.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml \
+  --target-dir target -- --smoke >/dev/null
+
 echo "== lint (plan verifier + CompLL dataflow, full matrix) =="
 # Runs hipress-lint over every strategy x algorithm x cluster-size
 # task graph plus all shipped CompLL programs; any diagnostic fails.

@@ -40,11 +40,29 @@ pub const VERSION: u16 = 1;
 /// become a multi-gigabyte allocation).
 pub const MAX_FRAME_BYTES: u64 = 256 * 1024 * 1024;
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// The FNV-1a offset basis every digest in the workspace starts from.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01B3;
 
-fn fnv(h: u64, word: u64) -> u64 {
+/// One FNV-1a step folding a whole 64-bit word (not a byte): one
+/// xor-multiply per 8 payload bytes keeps checksumming multi-megabyte
+/// gradients off the critical path, and the multiply still diffuses a
+/// single flipped bit anywhere in the word. The one fold every
+/// checksum in the workspace (frames, envelopes, checker
+/// fingerprints) is built from.
+pub fn fnv(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds `bytes` into `h` eight at a time (little-endian words, the
+/// tail zero-padded).
+pub fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = fnv(h, u64::from_le_bytes(word));
+    }
+    h
 }
 
 /// What a frame carries.
@@ -135,12 +153,7 @@ impl Frame {
         h = fnv(h, u64::from(self.src));
         h = fnv(h, self.seq);
         h = fnv(h, self.payload.len() as u64);
-        for chunk in self.payload.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            h = fnv(h, u64::from_le_bytes(word));
-        }
-        h
+        fnv_bytes(h, &self.payload)
     }
 
     /// True when the carried checksum matches the recomputed digest —
@@ -260,6 +273,24 @@ impl Frame {
     pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         w.write_all(&self.encode())?;
         w.flush()
+    }
+}
+
+impl crate::rel::Sealed for Frame {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn attempt(&self) -> u32 {
+        self.attempt
+    }
+
+    fn bump(&mut self) {
+        self.attempt += 1;
+    }
+
+    fn verify(&self) -> bool {
+        Frame::verify(self)
     }
 }
 

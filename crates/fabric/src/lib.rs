@@ -8,8 +8,7 @@
 //!
 //! * [`ChannelFabric`]: the original in-process transport,
 //!   `std::sync::mpsc` channels moving messages by value. No
-//!   serialization, no framing — the fast path the thread engine has
-//!   always run on.
+//!   serialization, no framing — what every threaded run is on.
 //! * [`TcpLink`] (built by [`tcp::connect_mesh`]): a full mesh of
 //!   loopback TCP streams between real OS processes. Messages
 //!   serialize through the [`WireMsg`] codec into checksummed,
@@ -35,7 +34,7 @@ mod channel;
 pub use channel::{ChannelFabric, ChannelLink};
 pub use codec::{DecodeError, Reader, Writer};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
-pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
+pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict, Sealed};
 pub use tcp::TcpLink;
 
 use std::fmt;

@@ -1,25 +1,87 @@
-//! Per-link reliability over frames: bounded retransmission with
+//! The per-link reliability machine: bounded retransmission with
 //! exponential backoff on the send side, verify-then-dedup on the
 //! receive side, heartbeats on idle links.
 //!
-//! This is the chaos envelope protocol promoted to the framing layer:
-//! the same seq/ack/nack/retry discipline the in-process
-//! fault-tolerant runtime runs over channels, restated over
-//! [`Frame`]s so the socket fabric (and anything else that moves
-//! frames) gets it for free. TCP already retransmits lost segments,
-//! but it cannot detect payload corruption above the transport or
-//! survive a deliberately faulty link in tests — the frame layer's
-//! checksums and nacks can, and the discipline is what the chaos
-//! fabric exercises deterministically.
+//! There is exactly one of these in the workspace. [`RelTx`] /
+//! [`RelRx`] are generic over the item they track — anything
+//! [`Sealed`] with a sequence number, an attempt counter and a
+//! checksum — so the socket fabric runs them over [`Frame`]s, the
+//! in-process fault-tolerant runtime runs them over its envelopes,
+//! and `hipress-verify` exhausts the very same state machines. TCP
+//! already retransmits lost segments, but it cannot detect payload
+//! corruption above the transport or survive a deliberately faulty
+//! link in tests — the checksums and nacks here can.
+//!
+//! Every *decision* — when to retransmit ([`rto`]), when to give up
+//! ([`retry_decision`]), how to classify an arrival ([`classify`]) —
+//! is a side-effect-free function the state machines delegate to, so
+//! the rules can be pinned (and mutated, by the checker's seeded
+//! defects) independently of the bookkeeping around them.
 
 use crate::frame::{Frame, FrameKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::{Duration, Instant};
+
+/// What the reliability machine needs from an item it tracks: a
+/// per-link sequence number, a retransmission counter that sits
+/// outside the checksum, and an integrity check.
+pub trait Sealed: Clone {
+    /// The per-link sequence number.
+    fn seq(&self) -> u64;
+    /// Transmissions so far beyond the first (0 = first send).
+    fn attempt(&self) -> u32;
+    /// Counts one more transmission.
+    fn bump(&mut self);
+    /// True when the carried checksum matches the content.
+    fn verify(&self) -> bool;
+}
+
+/// The retransmission timeout for attempt `attempt`:
+/// `base × 2^attempt`, capped at `max` (exponent itself clamped so
+/// the shift cannot overflow).
+pub fn rto(base: Duration, max: Duration, attempt: u32) -> Duration {
+    base.saturating_mul(1u32 << attempt.min(16)).min(max)
+}
+
+/// What a sender does about an in-flight item that needs another
+/// transmission (timer expiry or nack).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetryDecision {
+    /// Still within budget: retransmit with backed-off timer.
+    Retransmit,
+    /// The bumped attempt exceeds the retry budget: the link is dead.
+    Dead,
+}
+
+/// The bounded-retry rule: `attempt` is the transmission count
+/// *after* the bump (1 = first retransmission). The link survives
+/// while `attempt <= retry_budget`.
+pub fn retry_decision(attempt: u32, retry_budget: u32) -> RetryDecision {
+    if attempt > retry_budget {
+        RetryDecision::Dead
+    } else {
+        RetryDecision::Retransmit
+    }
+}
+
+/// The receiver classification rule: verify *then* dedup. Integrity
+/// comes first so every corrupt arrival is detected — including a
+/// corrupted retransmission of an already-delivered sequence, which
+/// dedup-first would silently swallow as a duplicate.
+pub fn classify(intact: bool, already_seen: bool) -> RxVerdict {
+    if !intact {
+        RxVerdict::Corrupt
+    } else if already_seen {
+        RxVerdict::Duplicate
+    } else {
+        RxVerdict::Deliver
+    }
+}
 
 /// Retry, backoff, and heartbeat knobs for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkTuning {
-    /// Retransmissions allowed per frame before the link is declared
+    /// Retransmissions allowed per item before the link is declared
     /// dead.
     pub retry_budget: u32,
     /// First retransmission timeout; doubles per attempt.
@@ -42,121 +104,54 @@ impl Default for LinkTuning {
 }
 
 /// A link whose retry budget ran out: `seq` went unacknowledged for
-/// `attempts` sends.
+/// `attempts` transmissions. The item stays in flight, so the owner
+/// can still name what it carried ([`RelTx::get`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkDead {
     /// The sequence number that exhausted the budget.
     pub seq: u64,
-    /// Total send attempts made.
+    /// Total transmissions attempted (1 + retries).
     pub attempts: u32,
 }
 
 /// Send-side reliability state for one directed link.
-#[derive(Debug)]
-pub struct RelTx {
+///
+/// Every item enters the in-flight set with a retransmission timer;
+/// [`RelTx::due`] returns items whose timer expired (with
+/// exponentially backed-off next deadlines), and [`RelTx::on_ack`] /
+/// [`RelTx::on_nack`] retire or fast-path retransmit them. When one
+/// item exceeds the retry budget the link is declared dead.
+///
+/// The in-flight set is ordered by sequence number, so timer
+/// retransmissions leave oldest-first and a dead link is always
+/// reported for its lowest exhausted seq. `Clone` so the model
+/// checker can fork a link mid-protocol and explore both branches of
+/// a nondeterministic choice.
+#[derive(Debug, Clone)]
+pub struct RelTx<T = Frame> {
     src: u32,
     next_seq: u64,
     tuning: LinkTuning,
-    /// seq → (frame, next retransmission deadline).
-    pending: HashMap<u64, (Frame, Instant)>,
+    /// seq → (item, next retransmission deadline).
+    inflight: BTreeMap<u64, (T, Instant)>,
     /// Retransmissions performed (for fabric counters).
     retransmits: u64,
     last_sent: Instant,
 }
 
-fn rto(tuning: &LinkTuning, attempt: u32) -> Duration {
-    tuning
-        .base_backoff
-        .saturating_mul(1 << attempt.min(16))
-        .min(tuning.max_backoff)
-}
-
-impl RelTx {
+/// The frame-specific surface: the only `new`, so an unannotated
+/// `RelTx::new(..)` is a frame link.
+impl RelTx<Frame> {
     /// Send state for frames originating at rank `src`.
     pub fn new(src: u32, tuning: LinkTuning, now: Instant) -> Self {
-        Self {
-            src,
-            next_seq: 0,
-            tuning,
-            pending: HashMap::new(),
-            retransmits: 0,
-            last_sent: now,
-        }
+        Self::for_items(src, tuning, now)
     }
 
     /// Wraps `payload` in the next data frame and retains it for
     /// retransmission until acknowledged.
     pub fn prepare(&mut self, payload: Vec<u8>, now: Instant) -> Frame {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = Frame::new(FrameKind::Data, self.src, seq, payload);
-        self.pending
-            .insert(seq, (frame.clone(), now + rto(&self.tuning, 0)));
-        self.last_sent = now;
-        frame
-    }
-
-    /// Clears `seq` from the retransmission set. Returns whether the
-    /// ack matched an outstanding frame.
-    pub fn on_ack(&mut self, seq: u64) -> bool {
-        self.pending.remove(&seq).is_some()
-    }
-
-    /// Answers a nack: an immediate retransmission of `seq` (attempt
-    /// bumped), or `Ok(None)` when the seq is no longer outstanding.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkDead`] when the retry budget is exhausted.
-    pub fn on_nack(&mut self, seq: u64, now: Instant) -> Result<Option<Frame>, LinkDead> {
-        let Some((frame, deadline)) = self.pending.get_mut(&seq) else {
-            return Ok(None);
-        };
-        if frame.attempt >= self.tuning.retry_budget {
-            return Err(LinkDead {
-                seq,
-                attempts: frame.attempt + 1,
-            });
-        }
-        frame.attempt += 1;
-        let attempt = frame.attempt;
-        *deadline = now + rto(&self.tuning, attempt);
-        self.retransmits += 1;
-        self.last_sent = now;
-        Ok(Some(frame.clone()))
-    }
-
-    /// Collects timer-driven retransmissions due at `now`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkDead`] when any frame exhausts the retry budget.
-    pub fn due(&mut self, now: Instant) -> Result<Vec<Frame>, LinkDead> {
-        let mut out = Vec::new();
-        let mut dead: Option<LinkDead> = None;
-        for (&seq, (frame, deadline)) in self.pending.iter_mut() {
-            if *deadline > now {
-                continue;
-            }
-            if frame.attempt >= self.tuning.retry_budget {
-                dead = Some(LinkDead {
-                    seq,
-                    attempts: frame.attempt + 1,
-                });
-                break;
-            }
-            frame.attempt += 1;
-            *deadline = now + rto(&self.tuning, frame.attempt);
-            out.push(frame.clone());
-        }
-        if let Some(d) = dead {
-            return Err(d);
-        }
-        if !out.is_empty() {
-            self.retransmits += out.len() as u64;
-            self.last_sent = now;
-        }
-        Ok(out)
+        let src = self.src;
+        self.admit(now, |seq| Frame::new(FrameKind::Data, src, seq, payload))
     }
 
     /// A heartbeat ping when the link has been idle past the tuning's
@@ -168,19 +163,142 @@ impl RelTx {
         }
         None
     }
+}
+
+impl<T: Sealed> RelTx<T> {
+    /// Send state for any sealed item type originating at rank `src`.
+    pub fn for_items(src: u32, tuning: LinkTuning, now: Instant) -> Self {
+        Self {
+            src,
+            next_seq: 0,
+            tuning,
+            inflight: BTreeMap::new(),
+            retransmits: 0,
+            last_sent: now,
+        }
+    }
+
+    /// Assigns the next sequence number, lets `seal` build the item
+    /// around it (attempt 0), arms its retransmission timer, and
+    /// returns the item ready to send.
+    pub fn admit(&mut self, now: Instant, seal: impl FnOnce(u64) -> T) -> T {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let item = seal(seq);
+        debug_assert_eq!(
+            item.seq(),
+            seq,
+            "sealed item must carry the seq it was given"
+        );
+        let due = now + rto(self.tuning.base_backoff, self.tuning.max_backoff, 0);
+        self.inflight.insert(seq, (item.clone(), due));
+        self.last_sent = now;
+        item
+    }
+
+    /// Retires an acknowledged item. Returns false for unknown
+    /// (already-retired or forged) sequence numbers.
+    pub fn on_ack(&mut self, seq: u64) -> bool {
+        self.inflight.remove(&seq).is_some()
+    }
+
+    /// Counts one more transmission of an in-flight item and re-arms
+    /// its timer — the one place the retry budget is enforced.
+    fn retransmit(
+        tuning: &LinkTuning,
+        seq: u64,
+        (item, due): &mut (T, Instant),
+        now: Instant,
+    ) -> Result<T, LinkDead> {
+        item.bump();
+        if retry_decision(item.attempt(), tuning.retry_budget) == RetryDecision::Dead {
+            return Err(LinkDead {
+                seq,
+                attempts: item.attempt(),
+            });
+        }
+        *due = now + rto(tuning.base_backoff, tuning.max_backoff, item.attempt());
+        Ok(item.clone())
+    }
+
+    /// Answers a nack: an immediate retransmission of `seq` (attempt
+    /// bumped, timer re-armed), or `Ok(None)` when the seq is no
+    /// longer in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkDead`] when the nack pushed the item past the retry
+    /// budget.
+    pub fn on_nack(&mut self, seq: u64, now: Instant) -> Result<Option<T>, LinkDead> {
+        let Some(slot) = self.inflight.get_mut(&seq) else {
+            return Ok(None);
+        };
+        let item = Self::retransmit(&self.tuning, seq, slot, now)?;
+        self.retransmits += 1;
+        self.last_sent = now;
+        Ok(Some(item))
+    }
+
+    /// Collects every item whose retransmission timer expired at
+    /// `now`, ascending by seq, bumping attempts and re-arming timers.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkDead`] naming the lowest seq that exhausted the retry
+    /// budget. The walk stops there: a dead link sends nothing more,
+    /// so which resends were gathered before it no longer matters.
+    pub fn due(&mut self, now: Instant) -> Result<Vec<T>, LinkDead> {
+        let mut out = Vec::new();
+        for (&seq, slot) in self.inflight.iter_mut() {
+            if slot.1 <= now {
+                out.push(Self::retransmit(&self.tuning, seq, slot, now)?);
+            }
+        }
+        if !out.is_empty() {
+            self.retransmits += out.len() as u64;
+            self.last_sent = now;
+        }
+        Ok(out)
+    }
 
     /// True when nothing awaits acknowledgement.
     pub fn idle(&self) -> bool {
-        self.pending.is_empty()
+        self.inflight.is_empty()
     }
 
     /// Retransmissions performed so far.
     pub fn retransmits(&self) -> u64 {
         self.retransmits
     }
+
+    /// Earliest retransmission deadline among in-flight items, if
+    /// any — lets the owner sleep until a timer can actually fire
+    /// instead of polling on a fixed tick.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.inflight.values().map(|(_, due)| *due).min()
+    }
+
+    /// The in-flight item with sequence number `seq`, if any.
+    pub fn get(&self, seq: u64) -> Option<&T> {
+        self.inflight.get(&seq).map(|(item, _)| item)
+    }
+
+    /// `(seq, attempt)` for every in-flight item, ascending seq. The
+    /// model checker fingerprints link state through this (timer
+    /// deadlines deliberately excluded — the checker is untimed).
+    pub fn inflight_meta(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.inflight
+            .iter()
+            .map(|(&seq, (item, _))| (seq, item.attempt()))
+    }
+
+    /// The sequence number the next [`RelTx::admit`] will assign.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
 }
 
-/// What the receive side decided about an arriving data frame.
+/// What the receive side decided about an arriving data item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxVerdict {
     /// Intact and new: deliver the payload, send an ack.
@@ -193,9 +311,9 @@ pub enum RxVerdict {
 }
 
 /// Receive-side reliability state for one directed link:
-/// verify-then-dedup, in that order — a corrupt frame is *not* marked
+/// verify-then-dedup, in that order — a corrupt item is *not* marked
 /// seen, so its clean retransmission still delivers.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct RelRx {
     seen: HashSet<u64>,
 }
@@ -206,15 +324,22 @@ impl RelRx {
         Self::default()
     }
 
-    /// Judges one arriving data frame.
-    pub fn accept(&mut self, frame: &Frame) -> RxVerdict {
-        if !frame.verify() {
-            return RxVerdict::Corrupt;
+    /// Judges one arriving data item by the pure [`classify`] rule
+    /// and marks delivered sequences seen.
+    pub fn accept<T: Sealed>(&mut self, item: &T) -> RxVerdict {
+        let verdict = classify(item.verify(), self.seen.contains(&item.seq()));
+        if verdict == RxVerdict::Deliver {
+            self.seen.insert(item.seq());
         }
-        if !self.seen.insert(frame.seq) {
-            return RxVerdict::Duplicate;
-        }
-        RxVerdict::Deliver
+        verdict
+    }
+
+    /// Every sequence number delivered so far, ascending — the model
+    /// checker fingerprints receiver state through this.
+    pub fn seen_seqs(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.seen.iter().copied().collect();
+        v.sort_unstable();
+        v
     }
 }
 

@@ -14,7 +14,7 @@ use hipress_core::{
     TaskId,
 };
 use hipress_lint::{compose, verify_composed, verify_graph, verify_pipelined, Code, PipelineSpec};
-use hipress_runtime::protocol::{Envelope, LinkRx, LinkTx, RxVerdict};
+use hipress_runtime::protocol::{Envelope, LinkTuning, RelRx, RelTx, RxVerdict};
 use hipress_runtime::Payload;
 use hipress_util::rng::{Rng64, Xoshiro256};
 use std::sync::Arc;
@@ -372,6 +372,17 @@ fn payload_variants(rng: &mut Xoshiro256) -> [Option<Arc<Payload>>; 4] {
     ]
 }
 
+/// The envelope link under test: a 1 ms first timeout capped at 8 ms.
+fn env_tx(retry_budget: u32, now: Instant) -> RelTx<Envelope> {
+    let tuning = LinkTuning {
+        retry_budget,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(8),
+        ..LinkTuning::default()
+    };
+    RelTx::for_items(1, tuning, now)
+}
+
 /// Unmutated envelopes are clean across every payload shape: they
 /// verify, deliver exactly once, and an acknowledged link goes idle
 /// with nothing left to retransmit — zero false positives.
@@ -380,9 +391,11 @@ fn unmutated_envelopes_are_clean() {
     let mut rng = Xoshiro256::new(0xC1EA);
     for (seq, payload) in payload_variants(&mut rng).into_iter().enumerate() {
         let now = Instant::now();
-        let mut tx = LinkTx::new(3, Duration::from_millis(1), Duration::from_millis(8));
-        let mut rx = LinkRx::new();
-        let env = tx.prepare(1, TaskId(40 + seq as u32), payload, now);
+        let mut tx = env_tx(3, now);
+        let mut rx = RelRx::new();
+        let env = tx.admit(now, |s| {
+            Envelope::data(1, s, TaskId(40 + seq as u32), payload)
+        });
         assert!(env.verify(), "sealed envelope must verify");
         assert_eq!(rx.accept(&env), RxVerdict::Deliver);
         assert!(tx.on_ack(env.seq), "ack must retire the envelope");
@@ -407,7 +420,7 @@ fn every_seeded_envelope_mutation_is_caught() {
             for mutation in ENV_MUTATIONS {
                 let task = TaskId((round * 10 + pi as u64) as u32);
                 let env = Envelope::data(pi, round, task, payload.clone());
-                let mut rx = LinkRx::new();
+                let mut rx = RelRx::new();
                 match mutation {
                     EnvMutation::CorruptChecksum => {
                         let mut bad = env.clone();
@@ -445,11 +458,10 @@ fn every_seeded_envelope_mutation_is_caught() {
                         );
                     }
                     EnvMutation::DropAck => {
-                        let base = Duration::from_millis(1);
                         let budget = 3u32;
-                        let mut tx = LinkTx::new(budget, base, Duration::from_millis(8));
                         let now = Instant::now();
-                        let sent = tx.prepare(pi, task, payload.clone(), now);
+                        let mut tx = env_tx(budget, now);
+                        let sent = tx.admit(now, |s| Envelope::data(pi, s, task, payload.clone()));
                         // With every ack dropped, each expiry bumps
                         // the attempt until the budget is exhausted.
                         let mut clock = now;
@@ -463,7 +475,8 @@ fn every_seeded_envelope_mutation_is_caught() {
                         clock += Duration::from_millis(20);
                         let dead = tx.due(clock).expect_err("budget exhausted");
                         assert_eq!(dead.seq, sent.seq);
-                        assert_eq!(dead.task, Some(task), "dead link must name the task");
+                        let unacked = tx.get(dead.seq).and_then(Envelope::data_task);
+                        assert_eq!(unacked, Some(task), "dead link must name the task");
                         assert_eq!(dead.attempts, budget + 1);
                     }
                 }

@@ -1,14 +1,18 @@
-//! The multi-threaded CaSync execution engine.
+//! The shared core of the CaSync execution engine: what every node
+//! loop computes, whichever loop drives it.
 //!
-//! One OS thread per cluster node; `std::sync::mpsc` channels are the
-//! network fabric. Each node runs the paper's task manager (§3.1) for
-//! real: its share of the task DAG, two queues — `Q_comp` for
-//! computing primitives, `Q_commu` for communication primitives — and
-//! dependency-count promotion driven by actual completion events.
-//! Local dependencies are cleared when the node finishes a task;
-//! remote dependencies are cleared by completion messages arriving on
-//! the node's inbox, with `Send` completions carrying the payload
-//! itself (so the message *is* the transfer).
+//! Each node runs the paper's task manager (§3.1) for real: its share
+//! of the task DAG, two queues — `Q_comp` for computing primitives,
+//! `Q_commu` for communication primitives — and dependency-count
+//! promotion driven by actual completion events. Local dependencies
+//! are cleared when the node finishes a task; remote dependencies are
+//! cleared by completion messages arriving on the node's inbox, with
+//! `Send` completions carrying the payload itself (so the message
+//! *is* the transfer). The task manager and the loop around it live
+//! in [`crate::pipeline`]; this module holds what they operate on —
+//! the static [`NodePlan`], the chunk geometry ([`FlowLayout`]), the
+//! message and payload types, the instrumentation handles, and
+//! [`NodeCore`], which executes one primitive.
 //!
 //! The dataflow semantics are exactly those of
 //! [`hipress_core::interp`]: the same per-task encode seeds, the same
@@ -18,11 +22,11 @@
 //! parameters — that cross-validation is what lets the simulator and
 //! the runtime vouch for each other.
 //!
-//! Primitive execution lives in [`NodeCore`], shared between this
-//! fast-path worker (which trusts the fabric) and the fault-tolerant
-//! worker in [`crate::ft`] (which does not): both run the same
-//! dataflow, so surviving an unreliable fabric cannot change what
-//! gets computed — only whether it completes.
+//! [`NodeCore`] is shared between the trusted-fabric loop
+//! ([`crate::pipeline`]) and the fault-tolerant worker in
+//! [`crate::ft`] (which trusts nothing): both run the same dataflow,
+//! so surviving an unreliable fabric cannot change what gets
+//! computed — only whether it completes.
 
 use crate::report::RuntimeReport;
 use hipress_compress::Compressor;
@@ -32,9 +36,7 @@ use hipress_metrics::names;
 use hipress_tensor::Tensor;
 use hipress_trace::{Counter, Tracer, TrackId};
 use hipress_util::{Error, Result};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,9 +124,8 @@ pub(crate) struct NodeMetrics {
     pub(crate) batch_launches: hipress_metrics::Counter,
     pub(crate) q_comp_depth: hipress_metrics::Histogram,
     pub(crate) q_commu_depth: hipress_metrics::Histogram,
-    /// Per-node link traffic, filled by workers that run on a
-    /// counting fabric (the pipelined and process drivers). Zero on
-    /// the channel fast path, which never frames.
+    /// Per-node link traffic as the fabric counted it (byte counts
+    /// stay zero on the channel fabric, which never frames).
     pub(crate) fabric_frames: hipress_metrics::Counter,
     pub(crate) fabric_bytes_framed: hipress_metrics::Counter,
     pub(crate) fabric_bytes_payload: hipress_metrics::Counter,
@@ -224,9 +225,8 @@ pub(crate) fn record_run_span(
         let engine = tr.thread_track("engine");
         let mut args = vec![("nodes", nodes as u64)];
         if iterations > 0 {
-            // Pipelined drivers only; the single-iteration fast path
-            // reports zero and records nothing, keeping old traces
-            // and trace-derived reports unchanged.
+            // Every trusted-fabric run; only the fault-tolerant
+            // worker, which has no iteration notion, reports zero.
             args.push(("iterations", iterations));
             args.push(("window", pipeline_window));
         }
@@ -318,8 +318,7 @@ fn prim_category(p: Primitive) -> &'static str {
 /// A value on the wire: raw tensor data or a compressed stream.
 ///
 /// Public because the fault-tolerant protocol layer
-/// ([`crate::protocol`]) checksums and corrupts it; the fast path
-/// keeps it an implementation detail.
+/// ([`crate::protocol`]) checksums and corrupts it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Uncompressed `f32` data.
@@ -343,7 +342,7 @@ impl Payload {
     }
 }
 
-/// Inter-node messages: the entire fast-path network fabric. Public
+/// Inter-node messages: the entire trusted-fabric protocol. Public
 /// so transport fabrics (`hipress-fabric`) can move it between
 /// processes; the in-process engine moves it by value and never
 /// serializes.
@@ -357,7 +356,7 @@ pub enum Msg {
         /// The transferred bytes, present for `Send` tasks.
         payload: Option<Arc<Payload>>,
         /// Which pipelined iteration the completion belongs to
-        /// (always 0 on the single-iteration fast path).
+        /// (always 0 in a one-iteration run).
         iter: u32,
     },
     /// A peer hit an error; unwind.
@@ -460,242 +459,40 @@ pub fn sum_replicas(flows: &ReplicaFlows) -> Result<Flows> {
     Ok(out)
 }
 
-/// Executes `graph` on `nodes` OS threads with one replica per node.
-///
-/// # Errors
-///
-/// Returns an error for malformed graphs (missing flow data, chunks
-/// that do not tile their flow, decode without a compressor, wedged
-/// protocols) — the same conditions the interpreter rejects.
-pub fn run(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &Flows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-) -> Result<RunOutcome> {
-    let replicated = replicate(flows);
-    run_replicated(graph, nodes, &replicated, compressor, seed, config)
-}
-
-/// Wraps single-replica flows in the replicated shape.
-pub(crate) fn replicate(flows: &Flows) -> ReplicaFlows {
+/// Wraps single-replica flows (the interpreter's shape) in the
+/// replicated shape [`crate::run`] takes.
+pub fn replicate(flows: &Flows) -> ReplicaFlows {
     flows
         .iter()
         .map(|(&f, per_node)| (f, per_node.iter().map(|t| vec![t.clone()]).collect()))
         .collect()
 }
 
-/// As [`run`], recording every task execution, queue-depth change,
-/// and fabric message into `tracer`.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_traced(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &Flows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-) -> Result<RunOutcome> {
-    let replicated = replicate(flows);
-    run_replicated_traced(graph, nodes, &replicated, compressor, seed, config, tracer)
+/// Picks the root cause among several nodes' errors: diagnoses
+/// outrank the injected crash that caused them, unstructured errors
+/// come next, and the abort echoes a failure triggers come last
+/// ([`Error::root_cause_rank`]); ties go to the earliest error in
+/// iteration order (the lowest node).
+pub(crate) fn root_cause(errors: impl IntoIterator<Item = Error>) -> Option<Error> {
+    errors.into_iter().min_by_key(Error::root_cause_rank)
 }
 
-/// As [`run`], recording into whatever observers `instruments`
-/// carries: a trace, a live metrics scope, either, or both.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_instrumented(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &Flows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    instruments: Instruments<'_>,
+/// One node's result: its final-iteration cells and its accumulated
+/// report.
+pub(crate) type NodeResult = Result<(HashMap<(u32, u32), Cell>, RuntimeReport)>;
+
+/// Folds every node's result into the run's outcome: the root-cause
+/// error if any node failed, otherwise `report` (pre-filled with the
+/// run-level fields) with every node's measurements absorbed, the
+/// run-level metric gauges recorded, and the flows reassembled.
+pub(crate) fn conclude(
+    layout: &FlowLayout,
+    results: Vec<NodeResult>,
+    mut report: RuntimeReport,
+    metrics: Option<&hipress_metrics::Scope>,
 ) -> Result<RunOutcome> {
-    let replicated = replicate(flows);
-    run_replicated_inner(
-        graph,
-        nodes,
-        &replicated,
-        compressor,
-        seed,
-        config,
-        instruments,
-    )
-}
-
-/// Executes `graph` on `nodes` OS threads, locally aggregating each
-/// node's replica gradients at `Source` time.
-///
-/// # Errors
-///
-/// As [`run`], plus mismatched replica shapes.
-pub fn run_replicated(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &ReplicaFlows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-) -> Result<RunOutcome> {
-    run_replicated_inner(
-        graph,
-        nodes,
-        flows,
-        compressor,
-        seed,
-        config,
-        Instruments::default(),
-    )
-}
-
-/// As [`run_replicated`], recording into `tracer`: one `node{i}`
-/// thread track per node (primitive spans, nested `local_agg` spans,
-/// `fabric` message instants, `batch` launch instants), `Q_comp` /
-/// `Q_commu` counter tracks per node, and a `run` wall span on the
-/// `engine` track. The recorded durations are the very measurements
-/// the returned [`RuntimeReport`] accumulates, so
-/// [`RuntimeReport::from_trace`] on the trace reproduces the report
-/// exactly.
-///
-/// # Errors
-///
-/// As [`run_replicated`].
-pub fn run_replicated_traced(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &ReplicaFlows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-) -> Result<RunOutcome> {
-    run_replicated_inner(
-        graph,
-        nodes,
-        flows,
-        compressor,
-        seed,
-        config,
-        Instruments {
-            tracer: Some(tracer),
-            metrics: None,
-            progress: None,
-        },
-    )
-}
-
-/// As [`run_replicated`], recording into whatever observers
-/// `instruments` carries.
-///
-/// # Errors
-///
-/// As [`run_replicated`].
-pub fn run_replicated_instrumented(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &ReplicaFlows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    run_replicated_inner(graph, nodes, flows, compressor, seed, config, instruments)
-}
-
-fn run_replicated_inner(
-    graph: &TaskGraph,
-    nodes: usize,
-    flows: &ReplicaFlows,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let tracer = instruments.tracer;
-    // Debug builds statically verify the plan before spawning
-    // threads: a racy or deadlocking graph aborts here with a
-    // diagnostic instead of corrupting replicas or wedging.
-    #[cfg(debug_assertions)]
-    hipress_lint::plan::verify(graph, nodes).into_result()?;
-    let layout = FlowLayout::derive(graph, nodes, flows)?;
-    let plan = NodePlan::derive(graph, nodes);
-
-    let poison = AtomicBool::new(false);
-    let mut txs: Vec<Sender<Msg>> = Vec::with_capacity(nodes);
-    let mut rxs: Vec<Receiver<Msg>> = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    let node_traces = build_node_traces(tracer, nodes);
-    let node_metrics = build_node_metrics(instruments.metrics, nodes);
-
-    let run_start_ns = tracer.map(Tracer::now_ns);
-    let started = Instant::now();
-    let mut results: Vec<Result<(HashMap<(u32, u32), Cell>, RuntimeReport)>> = (0..nodes)
-        .map(|_| Err(Error::sim("node never ran")))
-        .collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nodes);
-        for (((node, rx), trace), metrics) in rxs
-            .into_iter()
-            .enumerate()
-            .zip(node_traces)
-            .zip(node_metrics)
-        {
-            let txs: Vec<Sender<Msg>> = txs.clone();
-            let layout = &layout;
-            let plan = &plan;
-            let poison = &poison;
-            handles.push(scope.spawn(move || {
-                let mut worker = NodeWorker {
-                    core: NodeCore::new(
-                        node, graph, flows, layout, compressor, seed, trace, metrics,
-                    ),
-                    plan,
-                    config: *config,
-                    rx,
-                    txs,
-                    poison,
-                    pending: plan.pending[node].clone(),
-                    q_comp: VecDeque::new(),
-                    q_commu: VecDeque::new(),
-                    done: 0,
-                };
-                worker.run()
-            }));
-        }
-        for (node, h) in handles.into_iter().enumerate() {
-            results[node] = h
-                .join()
-                .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))));
-        }
-    });
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    record_run_span(tracer, run_start_ns, wall_ns, nodes, 0, 0, 0);
-
-    // Prefer a root-cause error over the "aborted" echoes it causes.
-    let mut aborted = None;
-    let mut cells_per_node = Vec::with_capacity(nodes);
-    let mut report = RuntimeReport {
-        nodes,
-        wall_ns,
-        per_node_busy_ns: vec![0; nodes],
-        ..Default::default()
-    };
+    let mut cells_per_node = Vec::with_capacity(results.len());
+    let mut errors = Vec::new();
     for (node, r) in results.into_iter().enumerate() {
         match r {
             Ok((cells, node_report)) => {
@@ -703,26 +500,17 @@ fn run_replicated_inner(
                 report.per_node_busy_ns[node] = node_report.total_busy_ns();
                 cells_per_node.push(cells);
             }
-            Err(e) => {
-                if matches!(&e, Error::Sim(m) if m == "aborted") {
-                    aborted = Some(e);
-                } else {
-                    return Err(e);
-                }
-            }
+            Err(e) => errors.push(e),
         }
     }
-    if let Some(e) = aborted {
+    if let Some(e) = root_cause(errors) {
         return Err(e);
     }
-
-    if let Some(scope) = instruments.metrics {
+    if let Some(scope) = metrics {
         record_run_metrics(scope, &report);
     }
-
-    let flows_out = layout.assemble(&cells_per_node)?;
     Ok(RunOutcome {
-        flows: flows_out,
+        flows: layout.assemble(&cells_per_node)?,
         report,
     })
 }
@@ -881,8 +669,9 @@ impl NodePlan {
 
 /// One node's dataflow state and primitive execution: cells,
 /// codec outputs, received payloads, measurements. Shared verbatim
-/// between the fast-path [`NodeWorker`] and the fault-tolerant worker
-/// ([`crate::ft`]) — the fabrics differ, the computation cannot.
+/// between the trusted-fabric loop ([`crate::pipeline`]) and the
+/// fault-tolerant worker ([`crate::ft`]) — the fabrics differ, the
+/// computation cannot.
 pub(crate) struct NodeCore<'a> {
     pub(crate) node: usize,
     pub(crate) graph: &'a TaskGraph,
@@ -904,8 +693,8 @@ pub(crate) struct NodeCore<'a> {
     pub(crate) trace: Option<NodeTrace>,
     /// Live metric handles; `None` keeps the hot path recording-free.
     pub(crate) metrics: Option<NodeMetrics>,
-    /// Which pipelined iteration this core executes (0 on the
-    /// single-iteration fast path). Stamped onto traced spans so
+    /// Which pipelined iteration this core executes (0 in a
+    /// one-iteration run). Stamped onto traced spans so
     /// cross-rank Send→Recv pairs match unambiguously.
     pub(crate) iter: u32,
 }
@@ -1287,240 +1076,10 @@ impl<'a> NodeCore<'a> {
     }
 }
 
-/// One node's execution state: the per-node task manager.
-struct NodeWorker<'a> {
-    core: NodeCore<'a>,
-    plan: &'a NodePlan,
-    config: RuntimeConfig,
-    rx: Receiver<Msg>,
-    txs: Vec<Sender<Msg>>,
-    poison: &'a AtomicBool,
-    /// Remaining dependency counts for local tasks.
-    pending: HashMap<u32, usize>,
-    /// Ready computing tasks (encode/decode/merge/update + source).
-    q_comp: VecDeque<TaskId>,
-    /// Ready communication tasks (send/recv).
-    q_commu: VecDeque<TaskId>,
-    done: usize,
-}
-
-impl NodeWorker<'_> {
-    fn run(&mut self) -> Result<(HashMap<(u32, u32), Cell>, RuntimeReport)> {
-        // Seed the queues with dependency-free local tasks (Sources).
-        let ready: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|&(_, &n)| n == 0)
-            .map(|(&t, _)| t)
-            .collect();
-        let mut ready = ready;
-        ready.sort_unstable(); // Deterministic initial order.
-        for t in ready {
-            self.enqueue(TaskId(t));
-        }
-
-        let total = self.plan.local_counts[self.core.node];
-        while self.done < total {
-            if self.poison.load(Ordering::Relaxed) {
-                return Err(Error::sim("aborted"));
-            }
-            // Drain the inbox without blocking: completion events
-            // promote tasks into the queues.
-            loop {
-                match self.rx.try_recv() {
-                    Ok(msg) => self.handle(msg)?,
-                    Err(_) => break,
-                }
-            }
-            if let Some(t) = self.next_ready() {
-                if let Err(e) = self.execute(t) {
-                    self.broadcast_abort();
-                    return Err(e);
-                }
-            } else if self.done < total {
-                match self.rx.recv_timeout(self.config.inbox_timeout) {
-                    Ok(msg) => self.handle(msg)?,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.broadcast_abort();
-                        return Err(Error::sim(format!(
-                            "node {} wedged: {} of {total} tasks done, inbox silent",
-                            self.core.node, self.done
-                        )));
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.broadcast_abort();
-                        return Err(Error::sim(format!(
-                            "node {}: fabric disconnected with {} of {total} tasks done",
-                            self.core.node, self.done
-                        )));
-                    }
-                }
-            }
-        }
-        Ok((
-            std::mem::take(&mut self.core.cells),
-            std::mem::take(&mut self.core.report),
-        ))
-    }
-
-    fn broadcast_abort(&self) {
-        self.poison.store(true, Ordering::Relaxed);
-        for (n, tx) in self.txs.iter().enumerate() {
-            if n != self.core.node {
-                let _ = tx.send(Msg::Abort);
-            }
-        }
-    }
-
-    fn handle(&mut self, msg: Msg) -> Result<()> {
-        match msg {
-            Msg::Abort => Err(Error::sim("aborted")),
-            // Rendezvous-plane frames never belong on the data mesh;
-            // a straggling one from a stale epoch is dropped, which
-            // is exactly the stale-epoch safety rule.
-            Msg::Join { .. } | Msg::Welcome { .. } | Msg::EpochBump { .. } => Ok(()),
-            Msg::Done { task, payload, .. } => {
-                let wire_bytes = payload.as_deref().map(Payload::wire_bytes);
-                if let Some(p) = payload {
-                    self.core.inbound.insert(task.0, p);
-                }
-                self.core.note_message(task, wire_bytes);
-                if let Some(deps) = self.plan.remote_edges_in[self.core.node].get(&task.0) {
-                    for &d in deps.clone().iter() {
-                        self.resolve_dep(d);
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Clears one dependency edge of local task `t`, promoting it into
-    /// its queue when the count reaches zero (Figure 2's promotion).
-    fn resolve_dep(&mut self, t: u32) {
-        let n = self
-            .pending
-            .get_mut(&t)
-            .expect("resolve_dep on a task this node does not own");
-        *n -= 1;
-        if *n == 0 {
-            self.enqueue(TaskId(t));
-        }
-    }
-
-    fn enqueue(&mut self, t: TaskId) {
-        let prim = self.core.graph.task(t).prim;
-        if prim == Primitive::Send || prim == Primitive::Recv {
-            self.q_commu.push_back(t);
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(1);
-            }
-            if let Some(m) = &self.core.metrics {
-                m.q_commu_depth.record(self.q_commu.len() as u64);
-            }
-        } else {
-            self.q_comp.push_back(t);
-            if let Some(tr) = &self.core.trace {
-                tr.q_comp.add(1);
-            }
-            if let Some(m) = &self.core.metrics {
-                m.q_comp_depth.record(self.q_comp.len() as u64);
-            }
-        }
-    }
-
-    /// Communication first: a completed send unblocks another node,
-    /// which is what keeps the pipeline full.
-    fn next_ready(&mut self) -> Option<TaskId> {
-        if let Some(t) = self.q_commu.pop_front() {
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(-1);
-            }
-            return Some(t);
-        }
-        if let Some(t) = self.q_comp.pop_front() {
-            if let Some(tr) = &self.core.trace {
-                tr.q_comp.add(-1);
-            }
-            return Some(t);
-        }
-        None
-    }
-
-    fn execute(&mut self, id: TaskId) -> Result<()> {
-        let prim = self.core.graph.task(id).prim;
-        // Batch compression: gather other ready small encodes so the
-        // group runs as one launch.
-        if prim == Primitive::Encode
-            && self.config.batch_compression
-            && self.core.graph.task(id).bytes_raw <= self.config.comp_batch_max_task_bytes
-        {
-            let mut batch = vec![id];
-            let mut rest = VecDeque::new();
-            while let Some(t) = self.q_comp.pop_front() {
-                let n = self.core.graph.task(t);
-                if n.prim == Primitive::Encode
-                    && n.bytes_raw <= self.config.comp_batch_max_task_bytes
-                {
-                    batch.push(t);
-                } else {
-                    rest.push_back(t);
-                }
-            }
-            self.q_comp = rest;
-            self.core.report.comp_batch_launches += 1;
-            if let Some(m) = &self.core.metrics {
-                m.batch_launches.inc();
-            }
-            if let Some(tr) = &self.core.trace {
-                // The gathered encodes left Q_comp without individual
-                // pops; resync the gauge to the rebuilt queue.
-                tr.q_comp.set(self.q_comp.len() as i64);
-                tr.tracer.instant(
-                    tr.track,
-                    "batch",
-                    "batch",
-                    tr.tracer.now_ns(),
-                    &[("size", batch.len() as u64)],
-                );
-            }
-            for t in batch {
-                let outbound = self.core.execute_one(t)?;
-                self.finish(t, outbound);
-            }
-            return Ok(());
-        }
-        let outbound = self.core.execute_one(id)?;
-        self.finish(id, outbound);
-        Ok(())
-    }
-
-    /// Marks `id` complete: clears local dependents' edges and ships
-    /// completion events (with payloads for sends) to remote nodes.
-    fn finish(&mut self, id: TaskId, payload: Option<Arc<Payload>>) {
-        self.done += 1;
-        if let Some(deps) = self.plan.local_dependents.get(&id.0) {
-            for &d in deps.clone().iter() {
-                self.resolve_dep(d);
-            }
-        }
-        if let Some(nodes) = self.plan.remote_notify.get(&id.0) {
-            for &n in nodes {
-                // A dropped receiver means that node already failed;
-                // the poison flag will surface the root cause.
-                let _ = self.txs[n].send(Msg::Done {
-                    task: id,
-                    payload: payload.clone(),
-                    iter: 0,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, RunOptions};
     use hipress_compress::Algorithm;
     use hipress_core::interp::{gradient_flows, interpret, reference_sum};
     use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
@@ -1574,7 +1133,15 @@ mod tests {
         for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
             let graph = strat.build(&cluster, &iter).unwrap();
             let flows = gradient_flows(&grads);
-            let out = run(&graph, nodes, &flows, None, 7, &RuntimeConfig::default()).unwrap();
+            let out = run(
+                &graph,
+                nodes,
+                &replicate(&flows),
+                None,
+                7,
+                &RunOptions::default(),
+            )
+            .unwrap();
             for o in &out.flows {
                 assert!(o.replicas_consistent(), "{strat:?} flow {}", o.flow);
                 let reference = reference_sum(&flows[&o.flow]);
@@ -1606,10 +1173,10 @@ mod tests {
                 let rt = run(
                     &graph,
                     nodes,
-                    &flows,
+                    &replicate(&flows),
                     Some(c.as_ref()),
                     11,
-                    &RuntimeConfig::default(),
+                    &RunOptions::default(),
                 )
                 .unwrap();
                 assert_eq!(sim.len(), rt.flows.len());
@@ -1645,15 +1212,7 @@ mod tests {
         let iter = iter_spec(&[elems], None, 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let out = run_replicated(
-            &graph,
-            nodes,
-            &replicated,
-            None,
-            3,
-            &RuntimeConfig::default(),
-        )
-        .unwrap();
+        let out = run(&graph, nodes, &replicated, None, 3, &RunOptions::default()).unwrap();
         // Equivalent single-replica input through the interpreter.
         let summed = sum_replicas(&replicated).unwrap();
         let sim = interpret(&graph, nodes, &summed, None, 3).unwrap();
@@ -1670,14 +1229,14 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
-        let flows = gradient_flows(&grads);
+        let flows = replicate(&gradient_flows(&grads));
         let batched = run(
             &graph,
             nodes,
             &flows,
             Some(c.as_ref()),
             5,
-            &RuntimeConfig::default(),
+            &RunOptions::default(),
         )
         .unwrap();
         let unbatched = run(
@@ -1686,9 +1245,12 @@ mod tests {
             &flows,
             Some(c.as_ref()),
             5,
-            &RuntimeConfig {
-                batch_compression: false,
-                ..RuntimeConfig::default()
+            &RunOptions {
+                config: RuntimeConfig {
+                    batch_compression: false,
+                    ..RuntimeConfig::default()
+                },
+                ..RunOptions::default()
             },
         )
         .unwrap();
@@ -1709,26 +1271,18 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let raw_iter = iter_spec(&sizes, None, 2);
         let cmp_iter = iter_spec(&sizes, Some(Algorithm::OneBit), 2);
-        let flows = gradient_flows(&grads);
+        let flows = replicate(&gradient_flows(&grads));
         let raw_graph = Strategy::CaSyncRing.build(&cluster, &raw_iter).unwrap();
         let cmp_graph = Strategy::CaSyncRing.build(&cluster, &cmp_iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
-        let raw = run(
-            &raw_graph,
-            nodes,
-            &flows,
-            None,
-            1,
-            &RuntimeConfig::default(),
-        )
-        .unwrap();
+        let raw = run(&raw_graph, nodes, &flows, None, 1, &RunOptions::default()).unwrap();
         let cmp = run(
             &cmp_graph,
             nodes,
             &flows,
             Some(c.as_ref()),
             1,
-            &RuntimeConfig::default(),
+            &RunOptions::default(),
         )
         .unwrap();
         assert!(
@@ -1747,8 +1301,8 @@ mod tests {
         let iter = iter_spec(&[64], None, 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let empty: Flows = HashMap::new();
-        assert!(run(&graph, nodes, &empty, None, 0, &RuntimeConfig::default()).is_err());
+        let empty: ReplicaFlows = HashMap::new();
+        assert!(run(&graph, nodes, &empty, None, 0, &RunOptions::default()).is_err());
     }
 
     #[test]
@@ -1759,11 +1313,11 @@ mod tests {
         let iter = iter_spec(&sizes, Some(Algorithm::OneBit), 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let flows = gradient_flows(&grads);
+        let flows = replicate(&gradient_flows(&grads));
         // Compressed graph, no compressor: every node must unwind, not
-        // deadlock.
-        let err = run(&graph, nodes, &flows, None, 0, &RuntimeConfig::default());
-        assert!(err.is_err());
+        // deadlock — and the codec error, not an abort echo, surfaces.
+        let err = run(&graph, nodes, &flows, None, 0, &RunOptions::default()).unwrap_err();
+        assert!(err.as_sync().is_none(), "echo outranked its cause: {err}");
     }
 
     #[test]
@@ -1778,12 +1332,37 @@ mod tests {
         let iter = iter_spec(&sizes, None, 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let flows = gradient_flows(&grads);
-        let config = RuntimeConfig {
-            inbox_timeout: Duration::from_millis(250),
-            ..RuntimeConfig::default()
+        let flows = replicate(&gradient_flows(&grads));
+        let opts = RunOptions {
+            config: RuntimeConfig {
+                inbox_timeout: Duration::from_millis(250),
+                ..RuntimeConfig::default()
+            },
+            ..RunOptions::default()
         };
-        let out = run(&graph, nodes, &flows, None, 7, &config).unwrap();
+        let out = run(&graph, nodes, &flows, None, 7, &opts).unwrap();
         assert!(out.flows[0].replicas_consistent());
+    }
+
+    #[test]
+    fn root_cause_prefers_diagnoses_over_echoes() {
+        use hipress_util::{SyncFailure, SyncFailureKind};
+        let failure = |kind| {
+            Error::sync(SyncFailure {
+                kind,
+                node: 1,
+                peer: Some(0),
+                task: None,
+                detail: String::new(),
+            })
+        };
+        let dead = failure(SyncFailureKind::LinkDead);
+        let echo = failure(SyncFailureKind::Aborted);
+        let other = Error::sim("node 2 wedged");
+        let pick = |errs: &[&Error]| root_cause(errs.iter().map(|&e| e.clone()));
+        assert_eq!(pick(&[&echo, &other, &dead]), Some(dead.clone()));
+        assert_eq!(pick(&[&echo, &other, &echo]), Some(other));
+        assert_eq!(pick(&[&echo]), Some(echo));
+        assert_eq!(pick(&[]), None);
     }
 }

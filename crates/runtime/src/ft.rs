@@ -1,8 +1,9 @@
 //! The fault-tolerant CaSync-RT execution path.
 //!
-//! [`run_chaos`] executes the same task graphs as [`crate::engine`],
-//! on the same per-node dataflow core, but speaks the envelope
-//! protocol of [`crate::protocol`] over a fabric wrapped in a
+//! [`crate::run`] with [`crate::RunOptions::chaos`] set executes the
+//! same task graphs as the trusted-fabric loop, on the same per-node
+//! dataflow core and task manager, but speaks the envelope protocol
+//! of [`crate::protocol`] over a fabric wrapped in a
 //! [`hipress_chaos::FaultPlan`]: every inter-node message is
 //! sequence-numbered and checksummed, receivers verify / dedup / ack,
 //! senders retransmit with exponential backoff under a bounded retry
@@ -29,17 +30,18 @@
 //! structured straggler error.
 
 use crate::engine::{
-    build_node_metrics, build_node_traces, record_run_metrics, record_run_span, replicate, Cell,
-    FlowLayout, Flows, Instruments, NodeCore, NodePlan, Payload, RunOutcome, RuntimeConfig,
+    FlowLayout, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload, ReplicaFlows,
+    RuntimeConfig,
 };
-use crate::protocol::{self, Body, DeadLink, Envelope, LinkRx, LinkTx, RxVerdict};
-use crate::report::{DegradeAction, RuntimeReport, StragglerVerdict};
+use crate::pipeline::{join_nodes, IterState};
+use crate::protocol::{self, Body, Envelope, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
+use crate::report::{DegradeAction, StragglerVerdict};
 use hipress_chaos::{ChaosLink, FaultPlan, SendEffects};
 use hipress_compress::Compressor;
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
 use hipress_metrics::names;
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -160,199 +162,110 @@ impl FtMetrics {
 /// One directed peer connection: sender-side reliability state,
 /// receiver-side integrity state, and the fault-injecting sender.
 struct PeerLink {
-    tx: LinkTx,
-    rx: LinkRx,
+    tx: RelTx<Envelope>,
+    rx: RelRx,
     chaos: ChaosLink<Envelope>,
 }
 
-/// Executes `graph` under a fault plan with the fault-tolerant
-/// envelope protocol. With `FaultPlan::none` this is the fault-free
-/// envelope path — same results as [`crate::engine::run`], plus
+/// Runs every node of `graph` as a fault-tolerant worker thread under
+/// `fplan` and returns the per-node results — the untrusted-fabric
+/// half of [`crate::run`]. With `FaultPlan::none` this is the
+/// fault-free envelope path: same results as the trusted loop, plus
 /// checksum/ack overhead (measured by the `chaos_overhead` bench).
 ///
-/// Batch compression is a fast-path optimization; the fault-tolerant
-/// worker executes tasks singly (the config's other knobs apply).
+/// Batch compression is a trusted-loop optimization; the
+/// fault-tolerant worker executes tasks singly (the config's other
+/// knobs apply).
 ///
-/// # Errors
-///
-/// As [`crate::engine::run`] for malformed graphs, plus structured
-/// [`Error::Sync`] failures when the plan is unrecoverable: dead
-/// links, receive deadlines, straggler aborts, injected crashes. The
-/// root cause (lowest [`SyncFailureKind::rank`], then lowest node) is
-/// returned; abort echoes are suppressed.
+/// A node's `Err` is a structured [`Error::Sync`] failure when the
+/// plan is unrecoverable: dead links, receive deadlines, straggler
+/// aborts, injected crashes, and the abort echoes those cause.
 #[allow(clippy::too_many_arguments)]
-pub fn run_chaos(
+pub(crate) fn run_nodes(
     graph: &TaskGraph,
-    nodes: usize,
-    flows: &Flows,
+    flows: &ReplicaFlows,
+    layout: &FlowLayout,
+    nplan: &NodePlan,
     compressor: Option<&dyn Compressor>,
     seed: u64,
     config: &RuntimeConfig,
     ft: &FaultTolerance,
-    plan: &FaultPlan,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let tracer = instruments.tracer;
-    #[cfg(debug_assertions)]
-    hipress_lint::plan::verify(graph, nodes).into_result()?;
-    let replicated = replicate(flows);
-    let layout = FlowLayout::derive(graph, nodes, &replicated)?;
-    let nplan = NodePlan::derive(graph, nodes);
-
+    fplan: &FaultPlan,
+    node_traces: Vec<Option<NodeTrace>>,
+    node_metrics: Vec<Option<NodeMetrics>>,
+    scope_metrics: Option<&hipress_metrics::Scope>,
+) -> Vec<NodeResult> {
+    let nodes = node_traces.len();
     let poison = AtomicBool::new(false);
     let done_nodes = AtomicUsize::new(0);
-    let mut txs: Vec<Sender<Envelope>> = Vec::with_capacity(nodes);
-    let mut rxs: Vec<Receiver<Envelope>> = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    let node_traces = build_node_traces(tracer, nodes);
-    let node_metrics = build_node_metrics(instruments.metrics, nodes);
-    let mut ft_metrics: Vec<Option<FtMetrics>> = Vec::with_capacity(nodes);
-    if let Some(scope) = instruments.metrics {
-        for node in 0..nodes {
-            ft_metrics.push(Some(FtMetrics::new(scope, node)));
-        }
-    } else {
-        ft_metrics.resize_with(nodes, || None);
-    }
-
-    let run_start_ns = tracer.map(hipress_trace::Tracer::now_ns);
-    let started = Instant::now();
-    let mut results: Vec<Result<(HashMap<(u32, u32), Cell>, RuntimeReport)>> = (0..nodes)
-        .map(|_| Err(Error::sim("node never ran")))
-        .collect();
+    let (txs, rxs): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
+        (0..nodes).map(|_| mpsc::channel()).unzip();
+    let tuning = LinkTuning {
+        retry_budget: ft.retry_budget,
+        base_backoff: ft.base_backoff,
+        max_backoff: ft.max_backoff,
+        heartbeat: config.ft_heartbeat,
+    };
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nodes);
-        for ((((node, rx), trace), metrics), fmetrics) in rxs
+        let handles = rxs
             .into_iter()
+            .zip(node_traces.into_iter().zip(node_metrics))
             .enumerate()
-            .zip(node_traces)
-            .zip(node_metrics)
-            .zip(ft_metrics)
-        {
-            let txs: Vec<Sender<Envelope>> = txs.clone();
-            let replicated = &replicated;
-            let layout = &layout;
-            let nplan = &nplan;
-            let poison = &poison;
-            let done_nodes = &done_nodes;
-            handles.push(scope.spawn(move || {
-                let now = Instant::now();
-                let links = txs
-                    .iter()
-                    .map(|tx| PeerLink {
-                        tx: LinkTx::new(ft.retry_budget, ft.base_backoff, ft.max_backoff),
-                        rx: LinkRx::new(),
-                        chaos: ChaosLink::new(node, usize::MAX, tx.clone()),
-                    })
-                    .collect::<Vec<_>>();
-                // ChaosLink's dst is fixed at construction; rebuild
-                // with the right peer index per slot.
-                let links = links
-                    .into_iter()
-                    .enumerate()
-                    .map(|(peer, l)| PeerLink {
-                        chaos: ChaosLink::new(node, peer, txs[peer].clone()),
-                        ..l
-                    })
-                    .collect();
-                let mut worker = FtWorker {
-                    core: NodeCore::new(
-                        node, graph, replicated, layout, compressor, seed, trace, metrics,
-                    ),
-                    plan: nplan,
-                    fplan: plan,
-                    ft: *ft,
-                    config: *config,
-                    nodes,
-                    rx,
-                    links,
-                    direct: txs,
-                    poison,
-                    done_nodes,
-                    pending: nplan.pending[node].clone(),
-                    q_comp: VecDeque::new(),
-                    q_commu: VecDeque::new(),
-                    resolved_remote: HashSet::new(),
-                    done: 0,
-                    executed: 0,
-                    stall_done: false,
-                    last_progress: now,
-                    last_heard: vec![now; nodes],
-                    ewma_gap_ns: vec![ft.straggler_floor.as_nanos() as f64; nodes],
-                    flagged: vec![false; nodes],
-                    skipped_peers: HashSet::new(),
-                    last_beat: now,
-                    fmetrics,
-                };
-                worker.run()
-            }));
-        }
-        for (node, h) in handles.into_iter().enumerate() {
-            results[node] = h
-                .join()
-                .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))));
-        }
-    });
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    record_run_span(tracer, run_start_ns, wall_ns, nodes, 0, 0, 0);
-
-    // Pick the root cause: any non-protocol error wins outright;
-    // among protocol failures, detections outrank the crash that
-    // caused them, which outranks abort echoes.
-    let mut best_sync: Option<Error> = None;
-    let mut cells_per_node = Vec::with_capacity(nodes);
-    let mut report = RuntimeReport {
-        nodes,
-        wall_ns,
-        per_node_busy_ns: vec![0; nodes],
-        ..Default::default()
-    };
-    for (node, r) in results.into_iter().enumerate() {
-        match r {
-            Ok((cells, node_report)) => {
-                report.absorb(&node_report);
-                report.per_node_busy_ns[node] = node_report.total_busy_ns();
-                cells_per_node.push(cells);
-            }
-            Err(e) => match e.as_sync() {
-                None => return Err(e),
-                Some(s) => {
-                    let better = match best_sync.as_ref().and_then(Error::as_sync) {
-                        None => true,
-                        Some(b) => s.kind.rank() < b.kind.rank(),
+            .map(|(node, (rx, (trace, metrics)))| {
+                let txs = txs.clone();
+                let (poison, done_nodes) = (&poison, &done_nodes);
+                let fmetrics = scope_metrics.map(|s| FtMetrics::new(s, node));
+                scope.spawn(move || {
+                    let now = Instant::now();
+                    let links = txs
+                        .iter()
+                        .enumerate()
+                        .map(|(peer, tx)| PeerLink {
+                            tx: RelTx::for_items(node as u32, tuning, now),
+                            rx: RelRx::new(),
+                            chaos: ChaosLink::new(node, peer, tx.clone()),
+                        })
+                        .collect();
+                    let core =
+                        NodeCore::new(node, graph, flows, layout, compressor, seed, trace, metrics);
+                    let mut worker = FtWorker {
+                        st: IterState::new(core, nplan),
+                        plan: nplan,
+                        fplan,
+                        ft: *ft,
+                        config: *config,
+                        nodes,
+                        rx,
+                        links,
+                        direct: txs,
+                        poison,
+                        done_nodes,
+                        resolved_remote: HashSet::new(),
+                        executed: 0,
+                        stall_done: false,
+                        last_progress: now,
+                        last_heard: vec![now; nodes],
+                        ewma_gap_ns: vec![ft.straggler_floor.as_nanos() as f64; nodes],
+                        flagged: vec![false; nodes],
+                        skipped_peers: HashSet::new(),
+                        last_beat: now,
+                        fmetrics,
                     };
-                    if better {
-                        best_sync = Some(e);
-                    }
-                }
-            },
-        }
-    }
-    if let Some(e) = best_sync {
-        return Err(e);
-    }
-
-    if let Some(scope) = instruments.metrics {
-        record_run_metrics(scope, &report);
-    }
-
-    let flows_out = layout.assemble(&cells_per_node)?;
-    Ok(RunOutcome {
-        flows: flows_out,
-        report,
+                    worker.run()
+                })
+            })
+            .collect();
+        join_nodes(handles)
     })
 }
 
 /// One node's fault-tolerant task manager: the engine's dataflow core
 /// behind the envelope protocol.
 struct FtWorker<'a> {
-    core: NodeCore<'a>,
+    /// The one iteration's dataflow core and task-manager state (the
+    /// same promotion discipline as the trusted loop).
+    st: IterState<'a>,
     plan: &'a NodePlan,
     fplan: &'a FaultPlan,
     ft: FaultTolerance,
@@ -367,14 +280,10 @@ struct FtWorker<'a> {
     /// Nodes that finished all local tasks with idle links; everyone
     /// lingers (servicing acks) until this reaches the node count.
     done_nodes: &'a AtomicUsize,
-    pending: HashMap<u32, usize>,
-    q_comp: VecDeque<TaskId>,
-    q_commu: VecDeque<TaskId>,
     /// Remote tasks whose completion has been consumed — by a genuine
     /// delivery or a degradation skip. Late deliveries after a skip
     /// are acked and ignored, never double-resolved.
     resolved_remote: HashSet<u32>,
-    done: usize,
     /// Local executions so far (the coordinate stall/crash triggers
     /// fire on).
     executed: usize,
@@ -391,7 +300,11 @@ struct FtWorker<'a> {
 }
 
 impl FtWorker<'_> {
-    fn run(&mut self) -> Result<(HashMap<(u32, u32), Cell>, RuntimeReport)> {
+    fn node(&self) -> usize {
+        self.st.core.node
+    }
+
+    fn run(&mut self) -> NodeResult {
         match self.run_inner() {
             Ok(v) => Ok(v),
             Err(e) => {
@@ -410,19 +323,8 @@ impl FtWorker<'_> {
         }
     }
 
-    fn run_inner(&mut self) -> Result<(HashMap<(u32, u32), Cell>, RuntimeReport)> {
-        let mut ready: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|&(_, &n)| n == 0)
-            .map(|(&t, _)| t)
-            .collect();
-        ready.sort_unstable();
-        for t in ready {
-            self.enqueue(TaskId(t));
-        }
-
-        let total = self.plan.local_counts[self.core.node];
+    fn run_inner(&mut self) -> NodeResult {
+        let total = self.plan.local_counts[self.node()];
         let mut counted_done = false;
         loop {
             if self.poison.load(Ordering::Relaxed) {
@@ -435,10 +337,10 @@ impl FtWorker<'_> {
                 }
             }
             self.tick()?;
-            if self.done < total {
-                if let Some(t) = self.next_ready() {
+            if self.st.done < total {
+                if let Some(t) = self.st.pop_ready() {
                     self.node_fault_gate()?;
-                    let outbound = self.core.execute_one(t)?;
+                    let outbound = self.st.core.execute_one(t)?;
                     self.finish(t, outbound);
                     self.executed += 1;
                     self.last_progress = Instant::now();
@@ -465,8 +367,8 @@ impl FtWorker<'_> {
                     // period per node.
                     if self.done_nodes.fetch_add(1, Ordering::SeqCst) + 1 >= self.nodes {
                         for (n, tx) in self.direct.iter().enumerate() {
-                            if n != self.core.node {
-                                let _ = tx.send(Envelope::control(self.core.node, Body::Done));
+                            if n != self.node() {
+                                let _ = tx.send(Envelope::control(self.node(), Body::Done));
                             }
                         }
                     }
@@ -487,8 +389,8 @@ impl FtWorker<'_> {
             }
         }
         Ok((
-            std::mem::take(&mut self.core.cells),
-            std::mem::take(&mut self.core.report),
+            std::mem::take(&mut self.st.core.cells),
+            std::mem::take(&mut self.st.core.report),
         ))
     }
 
@@ -497,7 +399,7 @@ impl FtWorker<'_> {
 
     fn handle(&mut self, env: Envelope) -> Result<()> {
         let from = env.src;
-        if from != self.core.node && from < self.nodes {
+        if from != self.node() && from < self.nodes {
             self.heard(from);
         }
         match env.body {
@@ -547,7 +449,7 @@ impl FtWorker<'_> {
         let from = env.src;
         match self.links[from].rx.accept(&env) {
             RxVerdict::Corrupt => {
-                self.core.report.faults.corruptions_detected += 1;
+                self.st.core.report.faults.corruptions_detected += 1;
                 if let Some(m) = &self.fmetrics {
                     m.corrupt_detected.inc();
                 }
@@ -572,16 +474,7 @@ impl FtWorker<'_> {
                     return;
                 }
                 self.resolved_remote.insert(task.0);
-                let wire_bytes = payload.as_deref().map(Payload::wire_bytes);
-                if let Some(p) = payload {
-                    self.core.inbound.insert(task.0, p);
-                }
-                self.core.note_message(task, wire_bytes);
-                if let Some(deps) = self.plan.remote_edges_in[self.core.node].get(&task.0) {
-                    for &d in deps.clone().iter() {
-                        self.resolve_dep(d);
-                    }
-                }
+                self.st.deliver(self.plan, task, payload);
                 self.last_progress = Instant::now();
             }
         }
@@ -604,7 +497,7 @@ impl FtWorker<'_> {
     /// path exactly as on the forward path (the reversed link indices
     /// decorrelate the draws).
     fn send_control(&mut self, to: usize, body: Body, seq: u64, attempt: u32) {
-        let mut env = Envelope::control(self.core.node, body);
+        let mut env = Envelope::control(self.node(), body);
         env.attempt = attempt; // outside the checksum
         let fx = self.links[to].chaos.send(self.fplan, seq, attempt, env);
         self.note_effects(fx);
@@ -613,8 +506,8 @@ impl FtWorker<'_> {
     fn broadcast_abort(&mut self) {
         self.poison.store(true, Ordering::Relaxed);
         for (n, tx) in self.direct.iter().enumerate() {
-            if n != self.core.node {
-                let _ = tx.send(Envelope::control(self.core.node, Body::Abort));
+            if n != self.node() {
+                let _ = tx.send(Envelope::control(self.node(), Body::Abort));
             }
         }
     }
@@ -630,13 +523,13 @@ impl FtWorker<'_> {
         if protocol::heartbeat_due(now.duration_since(self.last_beat), self.config.ft_heartbeat) {
             self.last_beat = now;
             for (n, tx) in self.direct.iter().enumerate() {
-                if n != self.core.node {
-                    let _ = tx.send(Envelope::control(self.core.node, Body::Ping));
+                if n != self.node() {
+                    let _ = tx.send(Envelope::control(self.node(), Body::Ping));
                 }
             }
         }
         for peer in 0..self.nodes {
-            if peer == self.core.node {
+            if peer == self.node() {
                 continue;
             }
             self.links[peer].chaos.flush_due(now);
@@ -693,7 +586,7 @@ impl FtWorker<'_> {
                     self.record_verdict(peer, idle_ns, DegradeAction::Aborted);
                     return Err(Error::sync(SyncFailure {
                         kind: SyncFailureKind::Straggler,
-                        node: self.core.node,
+                        node: self.node(),
                         peer: Some(peer),
                         task: None,
                         detail: format!(
@@ -718,10 +611,10 @@ impl FtWorker<'_> {
 
     /// Peers owning unresolved remote tasks this node still needs.
     fn waiting_on(&self) -> Vec<usize> {
-        let mut peers: Vec<usize> = self.plan.remote_edges_in[self.core.node]
+        let mut peers: Vec<usize> = self.plan.remote_edges_in[self.node()]
             .keys()
             .filter(|rt| !self.resolved_remote.contains(rt))
-            .map(|&rt| self.core.graph.task(TaskId(rt)).node)
+            .map(|&rt| self.st.core.graph.task(TaskId(rt)).node)
             .collect();
         peers.sort_unstable();
         peers.dedup();
@@ -735,28 +628,25 @@ impl FtWorker<'_> {
     /// resolve outright. Late real deliveries are acked and ignored.
     fn skip_peer(&mut self, peer: usize) {
         self.skipped_peers.insert(peer);
-        let mut outstanding: Vec<u32> = self.plan.remote_edges_in[self.core.node]
+        let mut outstanding: Vec<u32> = self.plan.remote_edges_in[self.node()]
             .keys()
             .filter(|rt| !self.resolved_remote.contains(rt))
-            .filter(|&&rt| self.core.graph.task(TaskId(rt)).node == peer)
+            .filter(|&&rt| self.st.core.graph.task(TaskId(rt)).node == peer)
             .copied()
             .collect();
         outstanding.sort_unstable();
         for rt in outstanding {
             self.resolved_remote.insert(rt);
-            if self.core.graph.task(TaskId(rt)).prim == Primitive::Send {
-                self.core.inbound.insert(rt, Arc::new(Payload::Skipped));
-                self.core.report.faults.degraded_chunks += 1;
+            let hole = (self.st.core.graph.task(TaskId(rt)).prim == Primitive::Send)
+                .then(|| Arc::new(Payload::Skipped));
+            if hole.is_some() {
+                self.st.core.report.faults.degraded_chunks += 1;
                 if let Some(m) = &self.fmetrics {
                     m.degraded.inc();
                 }
                 self.ft_instant("skip");
             }
-            if let Some(deps) = self.plan.remote_edges_in[self.core.node].get(&rt) {
-                for &d in deps.clone().iter() {
-                    self.resolve_dep(d);
-                }
-            }
+            self.st.consume(self.plan, TaskId(rt), hole);
         }
         self.last_progress = Instant::now();
     }
@@ -767,7 +657,7 @@ impl FtWorker<'_> {
     /// Applies this node's own stall/crash triggers before the
     /// `executed`-th local execution.
     fn node_fault_gate(&mut self) -> Result<()> {
-        let Some(nf) = self.fplan.node_faults(self.core.node) else {
+        let Some(nf) = self.fplan.node_faults(self.node()) else {
             return Ok(());
         };
         if let Some(c) = nf.crash {
@@ -776,7 +666,7 @@ impl FtWorker<'_> {
                 // sends rot unacked, and the peers must diagnose it.
                 return Err(Error::sync(SyncFailure {
                     kind: SyncFailureKind::InjectedCrash,
-                    node: self.core.node,
+                    node: self.node(),
                     peer: None,
                     task: None,
                     detail: format!("injected crash before local task {}", c.at_task),
@@ -786,7 +676,7 @@ impl FtWorker<'_> {
         if let Some(s) = nf.stall {
             if self.executed == s.at_task && !self.stall_done {
                 self.stall_done = true;
-                self.core.report.faults.injected_stalls += 1;
+                self.st.core.report.faults.injected_stalls += 1;
                 if let Some(m) = &self.fmetrics {
                     m.injected[5].inc();
                 }
@@ -797,66 +687,16 @@ impl FtWorker<'_> {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Task manager (same promotion discipline as the fast path).
-
-    fn resolve_dep(&mut self, t: u32) {
-        let n = self
-            .pending
-            .get_mut(&t)
-            .expect("resolve_dep on a task this node does not own");
-        *n -= 1;
-        if *n == 0 {
-            self.enqueue(TaskId(t));
-        }
-    }
-
-    fn enqueue(&mut self, t: TaskId) {
-        let prim = self.core.graph.task(t).prim;
-        if prim == Primitive::Send || prim == Primitive::Recv {
-            self.q_commu.push_back(t);
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(1);
-            }
-        } else {
-            self.q_comp.push_back(t);
-            if let Some(tr) = &self.core.trace {
-                tr.q_comp.add(1);
-            }
-        }
-    }
-
-    fn next_ready(&mut self) -> Option<TaskId> {
-        if let Some(t) = self.q_commu.pop_front() {
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(-1);
-            }
-            return Some(t);
-        }
-        if let Some(t) = self.q_comp.pop_front() {
-            if let Some(tr) = &self.core.trace {
-                tr.q_comp.add(-1);
-            }
-            return Some(t);
-        }
-        None
-    }
-
     /// Marks `id` complete locally and ships enveloped completions to
     /// remote dependents.
     fn finish(&mut self, id: TaskId, payload: Option<Arc<Payload>>) {
-        self.done += 1;
-        if let Some(deps) = self.plan.local_dependents.get(&id.0) {
-            for &d in deps.clone().iter() {
-                self.resolve_dep(d);
-            }
-        }
+        self.st.complete(self.plan, id);
         if let Some(nodes) = self.plan.remote_notify.get(&id.0) {
-            let now = Instant::now();
-            for &n in nodes.clone().iter() {
+            let (me, now) = (self.node(), Instant::now());
+            for &n in nodes {
                 let env = self.links[n]
                     .tx
-                    .prepare(self.core.node, id, payload.clone(), now);
+                    .admit(now, |seq| Envelope::data(me, seq, id, payload.clone()));
                 let fx = self.links[n]
                     .chaos
                     .send(self.fplan, env.seq, env.attempt, env);
@@ -910,7 +750,7 @@ impl FtWorker<'_> {
         .enumerate()
         {
             if hit {
-                let fr = &mut self.core.report.faults;
+                let fr = &mut self.st.core.report.faults;
                 match i {
                     0 => fr.injected_drops += 1,
                     1 => fr.injected_dups += 1,
@@ -927,7 +767,7 @@ impl FtWorker<'_> {
     }
 
     fn note_retry(&mut self) {
-        self.core.report.faults.retries += 1;
+        self.st.core.report.faults.retries += 1;
         if let Some(m) = &self.fmetrics {
             m.retries.inc();
         }
@@ -935,7 +775,7 @@ impl FtWorker<'_> {
     }
 
     fn note_nack(&mut self) {
-        self.core.report.faults.nacks += 1;
+        self.st.core.report.faults.nacks += 1;
         if let Some(m) = &self.fmetrics {
             m.nacks.inc();
         }
@@ -943,7 +783,7 @@ impl FtWorker<'_> {
     }
 
     fn note_dup_ignored(&mut self) {
-        self.core.report.faults.duplicates_ignored += 1;
+        self.st.core.report.faults.duplicates_ignored += 1;
         if let Some(m) = &self.fmetrics {
             m.dups_ignored.inc();
         }
@@ -952,8 +792,8 @@ impl FtWorker<'_> {
 
     fn record_verdict(&mut self, peer: usize, waited_ns: u64, action: DegradeAction) {
         self.flagged[peer] = true;
-        self.core.report.faults.verdicts.push(StragglerVerdict {
-            node: self.core.node,
+        self.st.core.report.faults.verdicts.push(StragglerVerdict {
+            node: self.node(),
             peer,
             waited_ns,
             action,
@@ -966,14 +806,14 @@ impl FtWorker<'_> {
         if let Some(m) = &self.fmetrics {
             m.verdicts[idx].inc();
         }
-        if let Some(tr) = &self.core.trace {
+        if let Some(tr) = &self.st.core.trace {
             tr.tracer.instant(
                 tr.track,
                 name,
                 "straggler",
                 tr.tracer.now_ns(),
                 &[
-                    ("node", self.core.node as u64),
+                    ("node", self.node() as u64),
                     ("peer", peer as u64),
                     ("waited_ns", waited_ns),
                 ],
@@ -982,14 +822,14 @@ impl FtWorker<'_> {
     }
 
     fn chaos_instant(&self, name: &str) {
-        if let Some(tr) = &self.core.trace {
+        if let Some(tr) = &self.st.core.trace {
             tr.tracer
                 .instant(tr.track, name, "chaos", tr.tracer.now_ns(), &[]);
         }
     }
 
     fn ft_instant(&self, name: &str) {
-        if let Some(tr) = &self.core.trace {
+        if let Some(tr) = &self.st.core.trace {
             tr.tracer
                 .instant(tr.track, name, "ft", tr.tracer.now_ns(), &[]);
         }
@@ -1001,19 +841,20 @@ impl FtWorker<'_> {
     fn aborted(&self, from: Option<usize>) -> Error {
         Error::sync(SyncFailure {
             kind: SyncFailureKind::Aborted,
-            node: self.core.node,
+            node: self.node(),
             peer: from,
             task: None,
             detail: String::new(),
         })
     }
 
-    fn dead_link(&self, peer: usize, dead: DeadLink) -> Error {
+    fn dead_link(&self, peer: usize, dead: LinkDead) -> Error {
+        let unacked = self.links[peer].tx.get(dead.seq);
         Error::sync(SyncFailure {
             kind: SyncFailureKind::LinkDead,
-            node: self.core.node,
+            node: self.node(),
             peer: Some(peer),
-            task: dead.task.map(|t| t.0),
+            task: unacked.and_then(Envelope::data_task).map(|t| t.0),
             detail: format!("{} transmissions unacknowledged", dead.attempts),
         })
     }
@@ -1021,7 +862,7 @@ impl FtWorker<'_> {
     fn recv_timeout(&self, peer: Option<usize>, detail: &str) -> Error {
         Error::sync(SyncFailure {
             kind: SyncFailureKind::RecvTimeout,
-            node: self.core.node,
+            node: self.node(),
             peer,
             task: None,
             detail: detail.to_string(),

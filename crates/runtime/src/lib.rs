@@ -19,15 +19,21 @@
 //! studies and the runtime's wall-clock measurements as two views of
 //! one system.
 //!
-//! The engine comes in two flavours sharing one dataflow core. The
-//! fast path ([`run`] and friends) trusts the fabric — channels never
-//! lose messages — and adds zero per-message overhead. The
-//! fault-tolerant path ([`run_chaos`]) trusts nothing: payloads
-//! travel in sequence-numbered, checksummed envelopes
-//! ([`protocol`]) over a fabric that may be wrapped in a
-//! deterministic fault injector ([`hipress_chaos`]), with per-link
-//! retransmission, receiver-side dedup, straggler detection, and
-//! configurable degradation ([`ft`]). Recoverable fault plans yield
+//! There is one node loop and one way in. [`run`] drives
+//! [`pipeline`]'s task manager on one thread per node over the
+//! in-process channel fabric — a single synchronization is simply
+//! `iterations = 1, window = 1` of the pipelined loop — and the
+//! process backend ([`process`]) drives the very same loop over a
+//! loopback TCP mesh. That loop trusts its fabric to deliver. Setting
+//! [`RunOptions::chaos`] revokes the trust and switches to the
+//! fault-tolerant worker ([`ft`]), which schedules with the same task
+//! manager and dataflow core but trusts nothing: payloads travel in
+//! sequence-numbered, checksummed envelopes ([`protocol`]) over a
+//! fabric that may be wrapped in a deterministic fault injector
+//! ([`hipress_chaos`]), with per-link retransmission and
+//! receiver-side dedup (the same [`hipress_fabric::rel`] machine the
+//! TCP fabric runs over frames), straggler detection, and
+//! configurable degradation. Recoverable fault plans yield
 //! bit-for-bit the fault-free result; unrecoverable ones produce a
 //! structured [`hipress_util::SyncFailure`] naming the node, peer,
 //! and task — never a hang.
@@ -44,13 +50,12 @@ pub mod report;
 pub mod wire;
 
 pub use engine::{
-    run, run_instrumented, run_replicated, run_replicated_instrumented, run_replicated_traced,
-    run_traced, sum_replicas, Flows, Instruments, Msg, Payload, ReplicaFlows, RunOutcome,
+    replicate, sum_replicas, Flows, Instruments, Msg, Payload, ReplicaFlows, RunOutcome,
     RuntimeConfig,
 };
-pub use ft::{run_chaos, DegradePolicy, FaultTolerance};
+pub use ft::{DegradePolicy, FaultTolerance};
 pub use observe::{validate_clock_monotonicity, ClockSync, PostmortemDump, RankFlight};
-pub use pipeline::{run_pipelined, PipelineConfig};
+pub use pipeline::{run, PipelineConfig, RunOptions};
 pub use process::elastic::{join_main, run_elastic_processes, run_elastic_threaded};
 pub use process::{node_main, run_processes, run_threaded_workers, ProcessConfig};
 pub use report::{DegradeAction, FaultReport, PrimStat, RuntimeReport, StragglerVerdict};

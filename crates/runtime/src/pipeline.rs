@@ -1,5 +1,5 @@
-//! Multi-iteration pipelined execution of CaSync-RT over any
-//! transport fabric.
+//! The trusted-fabric node loop — CaSync-RT's one task manager — and
+//! [`run`], the entry point that drives it on threads.
 //!
 //! Training synchronizes gradients every iteration, and the next
 //! iteration's compression work does not have to wait for the last
@@ -8,15 +8,19 @@
 //! lowest-iteration-first (so older iterations drain ahead of newer
 //! ones) and communication-first within an iteration (the engine's
 //! discipline — a completed send unblocks a peer). With `window = 1`
-//! the loop degenerates to serial back-to-back iterations, which is
-//! exactly the baseline `hipress bench` compares the overlap against.
+//! the loop degenerates to serial back-to-back iterations (exactly
+//! the baseline `hipress bench` compares the overlap against), and
+//! with `iterations = 1` as well to one plain synchronization — there
+//! is no separate single-iteration loop.
 //!
 //! The driver ([`drive_node`]) is generic over [`Link`], so the same
-//! loop runs in-process over the channel fabric
-//! ([`run_pipelined`]) and inside each OS process of the TCP mesh
-//! ([`crate::process`]). Messages carry their iteration index;
-//! arrivals for not-yet-admitted iterations are stashed and replayed
-//! at admission, so a fast peer racing ahead never wedges a slow one.
+//! loop runs in-process over the channel fabric ([`run`]) and inside
+//! each OS process of the TCP mesh ([`crate::process`]). The
+//! per-iteration task-manager state ([`IterState`]) is also what the
+//! fault-tolerant worker ([`crate::ft`]) schedules with. Messages
+//! carry their iteration index; arrivals for not-yet-admitted
+//! iterations are stashed and replayed at admission, so a fast peer
+//! racing ahead never wedges a slow one.
 //!
 //! Bit-for-bit: every iteration runs the same graph on the same
 //! inputs with the same seed, so each iteration's installed
@@ -25,11 +29,13 @@
 //! dependency chain. The returned flows are the final iteration's.
 
 use crate::engine::{
-    build_node_metrics, build_node_traces, record_run_metrics, record_run_span, replicate, Cell,
-    FlowLayout, Flows, Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeTrace, Payload,
-    RunOutcome, RuntimeConfig,
+    build_node_metrics, build_node_traces, conclude, record_run_span, Cell, FlowLayout,
+    Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload,
+    ReplicaFlows, RunOutcome, RuntimeConfig,
 };
+use crate::ft::FaultTolerance;
 use crate::report::RuntimeReport;
+use hipress_chaos::FaultPlan;
 use hipress_compress::Compressor;
 use hipress_core::graph::{TaskGraph, TaskId};
 use hipress_core::Primitive;
@@ -57,6 +63,26 @@ impl Default for PipelineConfig {
             window: 1,
         }
     }
+}
+
+/// Everything [`run`] takes besides the job itself, grouped: how the
+/// engine is tuned, how many iterations overlap, who observes, and
+/// whether the fabric is trusted.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// Engine tuning knobs.
+    pub config: RuntimeConfig,
+    /// Iteration count and overlap window (default: one iteration).
+    pub pipeline: PipelineConfig,
+    /// Optional trace / metrics / telemetry observers.
+    pub instruments: Instruments<'a>,
+    /// `Some` revokes trust in the fabric: the run speaks the
+    /// fault-tolerant envelope protocol ([`crate::ft`]) under this
+    /// tuning, with the plan's faults injected
+    /// ([`FaultPlan::none`] measures the protocol alone). One
+    /// iteration only — combining it with a larger
+    /// [`RunOptions::pipeline`] is a configuration error.
+    pub chaos: Option<(FaultTolerance, FaultPlan)>,
 }
 
 /// Elastic-membership instrumentation threaded into the pipelined
@@ -125,23 +151,57 @@ fn telemetry_slowdown_ms() -> u64 {
     })
 }
 
-/// One admitted iteration's private dataflow state: its own cells,
-/// queues, and dependency counts — iterations share nothing but the
-/// link.
-struct IterState<'a> {
-    core: NodeCore<'a>,
+/// One admitted iteration's private task-manager state: its own
+/// cells, ready queues (`Q_comp` / `Q_commu`), and dependency counts
+/// — iterations share nothing but the link. The fault-tolerant worker
+/// holds exactly one.
+pub(crate) struct IterState<'a> {
+    pub(crate) core: NodeCore<'a>,
+    /// Remaining dependency counts for local tasks.
     pending: HashMap<u32, usize>,
+    /// Ready computing tasks (encode/decode/merge/update + source).
     q_comp: VecDeque<TaskId>,
+    /// Ready communication tasks (send/recv).
     q_commu: VecDeque<TaskId>,
-    done: usize,
+    /// Local tasks completed so far.
+    pub(crate) done: usize,
     admitted: Instant,
     /// Trace-clock admission time, for the retired `iter_span` span.
     admitted_ns: Option<u64>,
 }
 
-impl IterState<'_> {
-    fn enqueue(&mut self, graph: &TaskGraph, t: TaskId) {
-        if matches!(graph.task(t).prim, Primitive::Send | Primitive::Recv) {
+impl<'a> IterState<'a> {
+    /// Admits one iteration around `core`: every local dependency
+    /// count from the plan, the queues seeded with the
+    /// dependency-free tasks (Sources) in deterministic order.
+    pub(crate) fn new(core: NodeCore<'a>, plan: &NodePlan) -> Self {
+        let pending = plan.pending[core.node].clone();
+        let mut ready: Vec<u32> = pending
+            .iter()
+            .filter(|&(_, &n)| n == 0)
+            .map(|(&t, _)| t)
+            .collect();
+        ready.sort_unstable();
+        let mut st = IterState {
+            admitted_ns: core.trace.as_ref().map(|tr| tr.tracer.now_ns()),
+            core,
+            pending,
+            q_comp: VecDeque::new(),
+            q_commu: VecDeque::new(),
+            done: 0,
+            admitted: Instant::now(),
+        };
+        for t in ready {
+            st.enqueue(TaskId(t));
+        }
+        st
+    }
+
+    fn enqueue(&mut self, t: TaskId) {
+        if matches!(
+            self.core.graph.task(t).prim,
+            Primitive::Send | Primitive::Recv
+        ) {
             self.q_commu.push_back(t);
             // The gauges are shared across admitted iterations (the
             // handles are clones of one counter), so they read as the
@@ -163,32 +223,65 @@ impl IterState<'_> {
         }
     }
 
-    fn resolve_dep(&mut self, graph: &TaskGraph, t: u32) {
+    /// Clears one dependency edge of local task `t`, promoting it into
+    /// its queue when the count reaches zero (Figure 2's promotion).
+    fn resolve_dep(&mut self, t: u32) {
         let n = self
             .pending
             .get_mut(&t)
             .expect("resolve_dep on a task this node does not own");
         *n -= 1;
         if *n == 0 {
-            self.enqueue(graph, TaskId(t));
+            self.enqueue(TaskId(t));
         }
     }
 
-    fn deliver(
-        &mut self,
-        plan: &NodePlan,
-        graph: &TaskGraph,
-        task: TaskId,
-        payload: Option<Arc<Payload>>,
-    ) {
-        let wire_bytes = payload.as_deref().map(Payload::wire_bytes);
+    /// A completion message for remote task `task` arrived: accounts
+    /// for it and consumes it.
+    pub(crate) fn deliver(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
+        self.core
+            .note_message(task, payload.as_deref().map(Payload::wire_bytes));
+        self.consume(plan, task, payload);
+    }
+
+    /// Consumes remote task `task`'s completion: stores the payload a
+    /// `Send` carried (`None` for a bare completion edge) and clears
+    /// the edge of every local task waiting on it.
+    pub(crate) fn consume(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
         if let Some(p) = payload {
             self.core.inbound.insert(task.0, p);
         }
-        self.core.note_message(task, wire_bytes);
         if let Some(deps) = plan.remote_edges_in[self.core.node].get(&task.0) {
-            for &d in deps.clone().iter() {
-                self.resolve_dep(graph, d);
+            for &d in deps {
+                self.resolve_dep(d);
+            }
+        }
+    }
+
+    /// Pops the next ready task, communication first: a completed
+    /// send unblocks another node, which is what keeps the pipeline
+    /// full.
+    pub(crate) fn pop_ready(&mut self) -> Option<TaskId> {
+        if let Some(t) = self.q_commu.pop_front() {
+            if let Some(tr) = &self.core.trace {
+                tr.q_commu.add(-1);
+            }
+            return Some(t);
+        }
+        let t = self.q_comp.pop_front()?;
+        if let Some(tr) = &self.core.trace {
+            tr.q_comp.add(-1);
+        }
+        Some(t)
+    }
+
+    /// Marks local task `id` complete and clears its same-node
+    /// dependents' edges; the caller ships the remote completions.
+    pub(crate) fn complete(&mut self, plan: &NodePlan, id: TaskId) {
+        self.done += 1;
+        if let Some(deps) = plan.local_dependents.get(&id.0) {
+            for &d in deps {
+                self.resolve_dep(d);
             }
         }
     }
@@ -203,7 +296,7 @@ impl IterState<'_> {
 struct PipeWorker<'a, L: Link<Msg = Msg>> {
     link: &'a mut L,
     graph: &'a TaskGraph,
-    flows: &'a crate::engine::ReplicaFlows,
+    flows: &'a ReplicaFlows,
     layout: &'a FlowLayout,
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
@@ -265,28 +358,10 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 self.metrics.clone(),
             );
             core.iter = iter;
-            let mut st = IterState {
-                core,
-                pending: self.plan.pending[self.link.me()].clone(),
-                q_comp: VecDeque::new(),
-                q_commu: VecDeque::new(),
-                done: 0,
-                admitted: Instant::now(),
-                admitted_ns: self.trace.as_ref().map(|tr| tr.tracer.now_ns()),
-            };
-            let mut ready: Vec<u32> = st
-                .pending
-                .iter()
-                .filter(|&(_, &n)| n == 0)
-                .map(|(&t, _)| t)
-                .collect();
-            ready.sort_unstable(); // Deterministic initial order.
-            for t in ready {
-                st.enqueue(self.graph, TaskId(t));
-            }
+            let mut st = IterState::new(core, self.plan);
             if let Some(msgs) = self.stash.remove(&iter) {
                 for (task, payload) in msgs {
-                    st.deliver(self.plan, self.graph, task, payload);
+                    st.deliver(self.plan, task, payload);
                 }
             }
             self.iters.insert(iter, st);
@@ -304,7 +379,13 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 
     fn handle(&mut self, msg: Msg) -> Result<()> {
         match msg {
-            Msg::Abort => Err(Error::sim("aborted")),
+            Msg::Abort => Err(Error::sync(SyncFailure {
+                kind: SyncFailureKind::Aborted,
+                node: self.me(),
+                peer: None,
+                task: None,
+                detail: String::new(),
+            })),
             // Rendezvous-plane frames never belong on the data mesh;
             // a straggling one from a stale epoch is dropped, which
             // is exactly the stale-epoch safety rule.
@@ -315,7 +396,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 iter,
             } => {
                 if let Some(st) = self.iters.get_mut(&iter) {
-                    st.deliver(self.plan, self.graph, task, payload);
+                    st.deliver(self.plan, task, payload);
                 } else if iter >= self.next_admit {
                     self.stash.entry(iter).or_default().push((task, payload));
                 }
@@ -330,21 +411,9 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     /// Pops the next ready task, oldest iteration first and
     /// communication before computing within it.
     fn next_ready(&mut self) -> Option<(u32, TaskId)> {
-        for (&iter, st) in self.iters.iter_mut() {
-            if let Some(t) = st.q_commu.pop_front() {
-                if let Some(tr) = &st.core.trace {
-                    tr.q_commu.add(-1);
-                }
-                return Some((iter, t));
-            }
-            if let Some(t) = st.q_comp.pop_front() {
-                if let Some(tr) = &st.core.trace {
-                    tr.q_comp.add(-1);
-                }
-                return Some((iter, t));
-            }
-        }
-        None
+        self.iters
+            .iter_mut()
+            .find_map(|(&iter, st)| st.pop_ready().map(|t| (iter, t)))
     }
 
     fn execute(&mut self, iter: u32, id: TaskId) -> Result<()> {
@@ -423,15 +492,9 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     /// the iteration's last local task lands — retires the iteration
     /// and admits the next.
     fn finish(&mut self, iter: u32, id: TaskId, payload: Option<Arc<Payload>>) {
-        let graph = self.graph;
         let plan = self.plan;
         let st = self.iters.get_mut(&iter).expect("finishing iteration");
-        st.done += 1;
-        if let Some(deps) = plan.local_dependents.get(&id.0) {
-            for &d in deps.clone().iter() {
-                st.resolve_dep(graph, d);
-            }
-        }
+        st.complete(plan, id);
         let done = st.done;
         if let Some(nodes) = plan.remote_notify.get(&id.0) {
             for &n in nodes {
@@ -517,7 +580,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         }
     }
 
-    fn run(&mut self) -> Result<(HashMap<(u32, u32), Cell>, RuntimeReport)> {
+    fn run(&mut self) -> NodeResult {
         self.admit_ready();
         while self.completed < self.pcfg.iterations {
             if let Some(h) = self.hooks {
@@ -615,7 +678,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     link: &'a mut L,
     graph: &'a TaskGraph,
-    flows: &'a crate::engine::ReplicaFlows,
+    flows: &'a ReplicaFlows,
     layout: &'a FlowLayout,
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
@@ -626,7 +689,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     metrics: Option<NodeMetrics>,
     progress: Option<&'a dyn ProgressSink>,
     hooks: Option<&'a ElasticHooks>,
-) -> Result<(HashMap<(u32, u32), Cell>, RuntimeReport)> {
+) -> NodeResult {
     let mut worker = PipeWorker {
         link,
         graph,
@@ -664,135 +727,145 @@ pub(crate) fn validate(pcfg: &PipelineConfig) -> Result<()> {
     Ok(())
 }
 
-/// Executes `graph` for `pcfg.iterations` iterations on `nodes` OS
-/// threads over the in-process channel fabric, overlapping up to
-/// `pcfg.window` iterations per node. Returns the final iteration's
-/// flows; the report accumulates all iterations and records the
-/// window, iteration count, and per-iteration spans
-/// ([`RuntimeReport::pipeline_overlap`]).
+/// Joins one scoped thread per node, in node order; a panicked node
+/// becomes an error naming it.
+pub(crate) fn join_nodes(
+    handles: Vec<std::thread::ScopedJoinHandle<'_, NodeResult>>,
+) -> Vec<NodeResult> {
+    handles
+        .into_iter()
+        .enumerate()
+        .map(|(node, h)| {
+            h.join()
+                .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))))
+        })
+        .collect()
+}
+
+/// Executes `graph` on `nodes` OS threads — the one threaded entry
+/// point of CaSync-RT.
 ///
-/// Tracing stamps every span with its iteration (spans from
-/// overlapping iterations interleave on one per-node track but stay
-/// distinguishable), records per-iteration `iter_span` spans and a
-/// per-node `link` instant carrying the fabric counters, and keeps
-/// the trace-report parity contract: the trace re-derives this
-/// report exactly.
+/// `flows` holds one or more local replicas per node (multiple local
+/// GPUs), aggregated at `Source` time; wrap single-replica inputs
+/// with [`crate::replicate`]. The run lasts
+/// `opts.pipeline.iterations` iterations over the in-process channel
+/// fabric, overlapping up to `opts.pipeline.window` of them per node;
+/// every iteration runs the same graph on the same inputs, so the
+/// returned flows are the final iteration's and equal the
+/// interpreter's. The report accumulates all iterations and records
+/// the window, iteration count, and per-iteration spans
+/// ([`RuntimeReport::pipeline_overlap`]). With `opts.chaos` set the
+/// run instead speaks the fault-tolerant envelope protocol over a
+/// fault-injecting fabric ([`crate::ft`]).
+///
+/// Tracing records one `node{i}` thread track per node (primitive
+/// spans stamped with their iteration, nested `local_agg` spans,
+/// `fabric` message instants, `batch` launch instants, per-iteration
+/// `iter_span` spans, a `link` instant carrying the fabric counters),
+/// `Q_comp` / `Q_commu` counter tracks per node, and a `run` wall span
+/// on the `engine` track. The recorded durations are the very
+/// measurements the report accumulates, so
+/// [`RuntimeReport::from_trace`] on the trace reproduces the report
+/// exactly.
 ///
 /// # Errors
 ///
-/// As [`crate::run`], plus configuration errors for a zero iteration
-/// count or a zero window.
-pub fn run_pipelined(
+/// Configuration errors for a zero iteration count or window, or for
+/// chaos combined with more than one iteration; errors for malformed
+/// graphs (missing flow data, mismatched replica shapes, chunks that
+/// do not tile their flow, decode without a compressor, wedged
+/// protocols) — the same conditions the interpreter rejects; and,
+/// under chaos, the structured failures of [`crate::ft`].
+pub fn run(
     graph: &TaskGraph,
     nodes: usize,
-    flows: &Flows,
+    flows: &ReplicaFlows,
     compressor: Option<&dyn Compressor>,
     seed: u64,
-    config: &RuntimeConfig,
-    pcfg: &PipelineConfig,
-    instruments: Instruments<'_>,
+    opts: &RunOptions<'_>,
 ) -> Result<RunOutcome> {
+    let (config, pcfg, instruments) = (&opts.config, &opts.pipeline, opts.instruments);
     validate(pcfg)?;
+    if opts.chaos.is_some() && *pcfg != PipelineConfig::default() {
+        return Err(Error::config(
+            "chaos/fault tolerance and pipelined iterations cannot combine yet",
+        ));
+    }
+    // Debug builds statically verify the plan before spawning
+    // threads: a racy or deadlocking graph aborts here with a
+    // diagnostic instead of corrupting replicas or wedging.
     #[cfg(debug_assertions)]
     hipress_lint::plan::verify(graph, nodes).into_result()?;
-    let replicated = replicate(flows);
-    let layout = FlowLayout::derive(graph, nodes, &replicated)?;
+    let layout = FlowLayout::derive(graph, nodes, flows)?;
     let plan = NodePlan::derive(graph, nodes);
-
-    let mut fabric: ChannelFabric<Msg> = ChannelFabric::new(nodes);
-    let links: Vec<_> = (0..nodes)
-        .map(|r| fabric.link(r).expect("fresh fabric link"))
-        .collect();
     let node_traces = build_node_traces(instruments.tracer, nodes);
     let node_metrics = build_node_metrics(instruments.metrics, nodes);
-    let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
+    let mut report = RuntimeReport {
+        nodes,
+        per_node_busy_ns: vec![0; nodes],
+        ..Default::default()
+    };
 
     let run_start_ns = instruments.tracer.map(Tracer::now_ns);
     let started = Instant::now();
-    let mut results: Vec<Result<(HashMap<(u32, u32), Cell>, RuntimeReport)>> = (0..nodes)
-        .map(|_| Err(Error::sim("node never ran")))
-        .collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nodes);
-        for (mut link, (trace, metrics)) in links
-            .into_iter()
-            .zip(node_traces.into_iter().zip(node_metrics))
-        {
-            let replicated = &replicated;
-            let layout = &layout;
-            let plan = &plan;
-            handles.push(scope.spawn(move || {
-                drive_node(
-                    &mut link, graph, replicated, layout, plan, compressor, seed, config, pcfg,
-                    trace, metrics, progress, None,
-                )
-            }));
-        }
-        for (node, h) in handles.into_iter().enumerate() {
-            results[node] = h
-                .join()
-                .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))));
-        }
-    });
-    let wall_ns = started.elapsed().as_nanos() as u64;
+    let results = if let Some((ft, fplan)) = &opts.chaos {
+        crate::ft::run_nodes(
+            graph,
+            flows,
+            &layout,
+            &plan,
+            compressor,
+            seed,
+            config,
+            ft,
+            fplan,
+            node_traces,
+            node_metrics,
+            instruments.metrics,
+        )
+    } else {
+        report.iterations = u64::from(pcfg.iterations);
+        report.pipeline_window = u64::from(pcfg.window);
+        let mut fabric: ChannelFabric<Msg> = ChannelFabric::new(nodes);
+        let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
+        std::thread::scope(|scope| {
+            let handles = node_traces
+                .into_iter()
+                .zip(node_metrics)
+                .enumerate()
+                .map(|(node, (trace, metrics))| {
+                    let mut link = fabric.link(node).expect("fresh fabric link");
+                    let (layout, plan) = (&layout, &plan);
+                    scope.spawn(move || {
+                        drive_node(
+                            &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg,
+                            trace, metrics, progress, None,
+                        )
+                    })
+                })
+                .collect();
+            join_nodes(handles)
+        })
+    };
+    report.wall_ns = started.elapsed().as_nanos() as u64;
     record_run_span(
         instruments.tracer,
         run_start_ns,
-        wall_ns,
+        report.wall_ns,
         nodes,
-        u64::from(pcfg.iterations),
-        u64::from(pcfg.window),
+        report.iterations,
+        report.pipeline_window,
         0,
     );
-
-    // Prefer a root-cause error over the "aborted" echoes it causes.
-    let mut aborted = None;
-    let mut cells_per_node = Vec::with_capacity(nodes);
-    let mut report = RuntimeReport {
-        nodes,
-        wall_ns,
-        per_node_busy_ns: vec![0; nodes],
-        iterations: u64::from(pcfg.iterations),
-        pipeline_window: u64::from(pcfg.window),
-        ..Default::default()
-    };
-    for (node, r) in results.into_iter().enumerate() {
-        match r {
-            Ok((cells, node_report)) => {
-                report.absorb(&node_report);
-                report.per_node_busy_ns[node] = node_report.total_busy_ns();
-                cells_per_node.push(cells);
-            }
-            Err(e) => {
-                if matches!(&e, Error::Sim(m) if m == "aborted") {
-                    aborted = Some(e);
-                } else {
-                    return Err(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = aborted {
-        return Err(e);
-    }
-
-    if let Some(scope) = instruments.metrics {
-        record_run_metrics(scope, &report);
-    }
-
-    let flows_out = layout.assemble(&cells_per_node)?;
-    Ok(RunOutcome {
-        flows: flows_out,
-        report,
-    })
+    conclude(&layout, results, report, instruments.metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::engine::{replicate, sum_replicas};
     use hipress_compress::Algorithm;
-    use hipress_core::interp::gradient_flows;
+    use hipress_core::interp::{gradient_flows, interpret};
     use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
     use hipress_core::{ClusterConfig, Strategy};
     use hipress_tensor::synth::{generate, GradientShape};
@@ -835,6 +908,13 @@ mod tests {
         }
     }
 
+    fn piped(iterations: u32, window: u32) -> RunOptions<'static> {
+        RunOptions {
+            pipeline: PipelineConfig { iterations, window },
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn pipelined_matches_single_iteration_bit_for_bit() {
         let nodes = 3;
@@ -848,29 +928,26 @@ mod tests {
             let graph = strat
                 .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
                 .unwrap();
-            let single = run(
-                &graph,
-                nodes,
-                &flows,
-                Some(c.as_ref()),
-                9,
-                &RuntimeConfig::default(),
-            )
-            .unwrap();
+            // The reference is the interpreter — an independent
+            // implementation, not this loop at another setting.
+            let single = interpret(&graph, nodes, &flows, Some(c.as_ref()), 9).unwrap();
+            let updates = graph
+                .tasks()
+                .iter()
+                .filter(|t| t.prim == Primitive::Update)
+                .count() as u64;
             for (iterations, window) in [(1, 1), (4, 1), (4, 3), (6, 8)] {
-                let piped = run_pipelined(
+                let piped = run(
                     &graph,
                     nodes,
-                    &flows,
+                    &replicate(&flows),
                     Some(c.as_ref()),
                     9,
-                    &RuntimeConfig::default(),
-                    &PipelineConfig { iterations, window },
-                    Instruments::default(),
+                    &piped(iterations, window),
                 )
                 .unwrap();
-                assert_eq!(single.flows.len(), piped.flows.len());
-                for (a, b) in single.flows.iter().zip(&piped.flows) {
+                assert_eq!(single.len(), piped.flows.len());
+                for (a, b) in single.iter().zip(&piped.flows) {
                     assert_eq!(a.flow, b.flow);
                     assert_eq!(
                         a.per_node, b.per_node,
@@ -882,10 +959,7 @@ mod tests {
                 assert!(piped.report.iter_span_ns_total > 0);
                 // Every iteration runs the full graph: primitive
                 // counts scale linearly.
-                assert_eq!(
-                    piped.report.update.count,
-                    single.report.update.count * u64::from(iterations)
-                );
+                assert_eq!(piped.report.update.count, updates * u64::from(iterations));
                 // The channel fabric counts frames (one per delivered
                 // message).
                 assert_eq!(piped.report.fabric_frames, piped.report.messages);
@@ -903,23 +977,62 @@ mod tests {
         let graph = Strategy::CaSyncRing
             .build(&cluster, &iter_spec(&sizes, None, 2))
             .unwrap();
-        let single = run(&graph, nodes, &flows, None, 5, &RuntimeConfig::default()).unwrap();
-        let piped = run_pipelined(
-            &graph,
-            nodes,
-            &flows,
-            None,
-            5,
-            &RuntimeConfig::default(),
-            &PipelineConfig {
-                iterations: 3,
-                window: 2,
-            },
-            Instruments::default(),
-        )
-        .unwrap();
-        for (a, b) in single.flows.iter().zip(&piped.flows) {
+        let single = interpret(&graph, nodes, &flows, None, 5).unwrap();
+        let piped = run(&graph, nodes, &replicate(&flows), None, 5, &piped(3, 2)).unwrap();
+        for (a, b) in single.iter().zip(&piped.flows) {
             assert_eq!(a.per_node, b.per_node);
+        }
+    }
+
+    /// Local aggregation composes with pipelining: two replicas per
+    /// node, summed at every iteration's `Source`, under overlapping
+    /// iterations, still equal the interpreter on the pre-summed
+    /// input.
+    #[test]
+    fn replicated_inputs_pipeline_bit_for_bit() {
+        let nodes = 3;
+        let sizes = [384usize, 40];
+        // Flow g, node w, local replica r — all distinct gradients.
+        let replicated: ReplicaFlows = (0u32..)
+            .zip(sizes)
+            .map(|(g, n)| {
+                let per_node = (0..nodes as u64)
+                    .map(|w| {
+                        (0..2)
+                            .map(|r| {
+                                let seed = w * 100 + u64::from(g) * 10 + r;
+                                generate(n, GradientShape::Gaussian { std_dev: 1.0 }, seed)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (g, per_node)
+            })
+            .collect();
+        let alg = Algorithm::OneBit;
+        let c = alg.build().unwrap();
+        let cluster = ClusterConfig::ec2(nodes);
+        for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
+            let graph = strat
+                .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
+                .unwrap();
+            let summed = sum_replicas(&replicated).unwrap();
+            let reference = interpret(&graph, nodes, &summed, Some(c.as_ref()), 13).unwrap();
+            let out = run(
+                &graph,
+                nodes,
+                &replicated,
+                Some(c.as_ref()),
+                13,
+                &piped(3, 2),
+            )
+            .unwrap();
+            for (a, b) in reference.iter().zip(&out.flows) {
+                assert_eq!(a.flow, b.flow);
+                assert_eq!(a.per_node, b.per_node, "{strat:?} diverged");
+            }
+            assert!(out.report.local_agg_ns > 0);
+            assert_eq!(out.report.iterations, 3);
         }
     }
 
@@ -928,34 +1041,21 @@ mod tests {
         let nodes = 2;
         let sizes = [64usize];
         let grads = worker_grads(nodes, &sizes);
-        let flows = gradient_flows(&grads);
+        let flows = replicate(&gradient_flows(&grads));
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs
             .build(&cluster, &iter_spec(&sizes, None, 1))
             .unwrap();
-        for pcfg in [
-            PipelineConfig {
-                iterations: 0,
-                window: 1,
-            },
-            PipelineConfig {
-                iterations: 1,
-                window: 0,
-            },
-        ] {
-            let err = run_pipelined(
-                &graph,
-                nodes,
-                &flows,
-                None,
-                1,
-                &RuntimeConfig::default(),
-                &pcfg,
-                Instruments::default(),
-            )
-            .unwrap_err();
+        let chaotic = |iterations, window| RunOptions {
+            chaos: Some((FaultTolerance::default(), FaultPlan::none(1))),
+            ..piped(iterations, window)
+        };
+        for opts in [piped(0, 1), piped(1, 0), chaotic(2, 1), chaotic(1, 2)] {
+            let err = run(&graph, nodes, &flows, None, 1, &opts).unwrap_err();
             assert!(matches!(err, Error::Config(_)), "{err}");
         }
+        // Chaos itself is fine at one iteration.
+        run(&graph, nodes, &flows, None, 1, &chaotic(1, 1)).unwrap();
     }
 
     /// With a telemetry hub attached, every node publishes exactly one
@@ -978,21 +1078,19 @@ mod tests {
             hipress_obs::WatchConfig::default(),
         );
         let iterations = 5u32;
-        run_pipelined(
+        run(
             &graph,
             nodes,
-            &flows,
+            &replicate(&flows),
             Some(c.as_ref()),
             11,
-            &RuntimeConfig::default(),
-            &PipelineConfig {
-                iterations,
-                window: 2,
-            },
-            Instruments {
-                tracer: None,
-                metrics: None,
-                progress: Some(&hub),
+            &RunOptions {
+                instruments: Instruments {
+                    tracer: None,
+                    metrics: None,
+                    progress: Some(&hub),
+                },
+                ..piped(iterations, 2)
             },
         )
         .unwrap();
@@ -1032,21 +1130,19 @@ mod tests {
             .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
             .unwrap();
         let tracer = hipress_trace::Tracer::new("casync-rt");
-        let piped = run_pipelined(
+        let piped = run(
             &graph,
             nodes,
-            &flows,
+            &replicate(&flows),
             Some(c.as_ref()),
             7,
-            &RuntimeConfig::default(),
-            &PipelineConfig {
-                iterations: 4,
-                window: 2,
-            },
-            Instruments {
-                tracer: Some(&tracer),
-                metrics: None,
-                progress: None,
+            &RunOptions {
+                instruments: Instruments {
+                    tracer: Some(&tracer),
+                    metrics: None,
+                    progress: None,
+                },
+                ..piped(4, 2)
             },
         )
         .unwrap();

@@ -40,8 +40,8 @@
 //! [`SyncFailure`] naming the dead node — never a hang.
 
 use crate::engine::{
-    record_run_metrics, record_run_span, replicate, single_node_trace, Cell, FlowLayout,
-    Instruments, Msg, NodeMetrics, NodePlan, RunOutcome, RuntimeConfig,
+    record_run_metrics, record_run_span, replicate, root_cause, single_node_trace, Cell,
+    FlowLayout, Instruments, Msg, NodeMetrics, NodePlan, RunOutcome, RuntimeConfig,
 };
 use crate::observe::{
     get_trace, put_trace, record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight,
@@ -613,11 +613,9 @@ fn put_error(w: &mut Writer, e: &Error) {
         }
         w.put_str(&f.detail);
     } else {
-        // Other categories travel as their message; "aborted" echoes
-        // keep their exact text so root-cause preference still works.
+        // Other categories travel as their message.
         w.put_u8(0);
         w.put_str(&e.to_string());
-        w.put_u8(matches!(e, Error::Sim(m) if m == "aborted") as u8);
     }
 }
 
@@ -652,13 +650,7 @@ fn get_error(r: &mut Reader<'_>) -> std::result::Result<Error, DecodeError> {
             detail,
         }))
     } else {
-        let msg = r.str()?.to_string();
-        let aborted = r.u8()? == 1;
-        Ok(if aborted {
-            Error::sim("aborted")
-        } else {
-            Error::sim(msg)
-        })
+        Ok(Error::sim(r.str()?))
     }
 }
 
@@ -971,17 +963,6 @@ fn build_graph(
         compression: compressor.as_deref().map(CompressionSpec::of),
     };
     strategy.build(&ClusterConfig::ec2(nodes), &spec)
-}
-
-/// How root-cause-like an error is, for picking which of several
-/// worker failures to surface: structured diagnoses first (by their
-/// own severity rank), then other errors, then "aborted" echoes.
-fn error_rank(e: &Error) -> u8 {
-    match e {
-        Error::Sync(f) => f.kind.rank(),
-        Error::Sim(m) if m == "aborted" => u8::MAX,
-        _ => 3,
-    }
 }
 
 /// Executes the job as `nodes` real OS processes synchronizing over a
@@ -1398,11 +1379,8 @@ fn coordinate(
     // Surface the most root-cause-like failure, if any — after
     // writing the flight dump, which wants exactly that diagnosis.
     if per_rank.iter().any(Result::is_err) {
-        let worst = per_rank
-            .into_iter()
-            .filter_map(Result::err)
-            .min_by_key(error_rank)
-            .expect("at least one error");
+        let worst =
+            root_cause(per_rank.into_iter().filter_map(Result::err)).expect("at least one error");
         if let Some(path) = &pconf.flight_dump {
             let dump = PostmortemDump {
                 nodes: nodes as u32,
@@ -1801,9 +1779,10 @@ fn run_job(
                 }
                 // A peer vanished under an elastic segment: report how
                 // far we got and whom we blame, then stand by for the
-                // epoch bump. Anything that is not a sync failure is a
-                // real error and still aborts the run below.
-                if let Some(f) = f {
+                // epoch bump. Anything that is not a sync failure — or
+                // is only the echo of a peer's abort — is a real error
+                // and still aborts the run below.
+                if let Some(f) = f.filter(|f| f.kind != SyncFailureKind::Aborted) {
                     // Blame extraction: the fabric names a lost peer as
                     // the failure's `node` (observer as `peer`); the FT
                     // layer names itself as `node` and the unresponsive
@@ -1891,7 +1870,7 @@ pub fn run_threaded_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::{run, RunOptions};
     use hipress_core::interp::gradient_flows;
     use hipress_tensor::synth::{generate, GradientShape};
 
@@ -1976,10 +1955,10 @@ mod tests {
             let threads = run(
                 &graph,
                 nodes,
-                &flows,
+                &replicate(&flows),
                 Some(c.as_ref()),
                 7,
-                &RuntimeConfig::default(),
+                &RunOptions::default(),
             )
             .unwrap();
             let sockets = run_threaded(
@@ -2129,14 +2108,14 @@ mod tests {
         assert_eq!(e.as_sync().unwrap().task, Some(42));
         assert_eq!(flight.len(), 1);
 
-        let echo = Ctl::Failed {
-            error: Error::sim("aborted"),
+        let other = Ctl::Failed {
+            error: Error::sim("node 2 wedged"),
             flight: Vec::new(),
         };
-        let Ctl::Failed { error: e, .. } = Ctl::from_bytes(&echo.to_bytes()).unwrap() else {
+        let Ctl::Failed { error: e, .. } = Ctl::from_bytes(&other.to_bytes()).unwrap() else {
             panic!("wrong variant");
         };
-        assert!(matches!(&e, Error::Sim(m) if m == "aborted"));
+        assert!(e.as_sync().is_none() && e.to_string().contains("node 2 wedged"));
 
         let ping = Ctl::ClockPing { t1: 77 };
         let Ctl::ClockPing { t1 } = Ctl::from_bytes(&ping.to_bytes()).unwrap() else {
@@ -2298,10 +2277,10 @@ mod tests {
         let serial = run(
             &graph,
             nodes,
-            &flows,
+            &replicate(&flows),
             Some(c.as_ref()),
             5,
-            &RuntimeConfig::default(),
+            &RunOptions::default(),
         )
         .unwrap();
         for (iterations, window) in [(1, 1), (3, 1), (2, 5)] {
@@ -2413,20 +2392,5 @@ mod tests {
         }
         // Dispatch seeded a heartbeat for every rank.
         assert_eq!(hub.heartbeat_ages_ns().len(), nodes);
-    }
-
-    #[test]
-    fn error_rank_prefers_diagnoses_over_echoes() {
-        let dead = Error::sync(SyncFailure {
-            kind: SyncFailureKind::LinkDead,
-            node: 1,
-            peer: Some(0),
-            task: None,
-            detail: String::new(),
-        });
-        let echo = Error::sim("aborted");
-        let other = Error::sim("node 2 wedged");
-        assert!(error_rank(&dead) < error_rank(&other));
-        assert!(error_rank(&other) < error_rank(&echo));
     }
 }

@@ -483,14 +483,11 @@ fn coordinate_elastic(
         // A real (non-elastic) failure anywhere aborts the whole run.
         if results.values().any(|r| matches!(r, SegRes::Fail(_))) {
             shutdown_all(&mut roster);
-            let worst = results
-                .into_values()
-                .filter_map(|r| match r {
-                    SegRes::Fail(e) => Some(e),
-                    _ => None,
-                })
-                .min_by_key(error_rank)
-                .expect("at least one failure");
+            let worst = root_cause(results.into_values().filter_map(|r| match r {
+                SegRes::Fail(e) => Some(e),
+                _ => None,
+            }))
+            .expect("at least one failure");
             return Err(worst);
         }
 

@@ -1,13 +1,17 @@
 //! The fault-tolerant wire protocol for CaSync-RT.
 //!
-//! The fast path trusts its `mpsc` fabric the way the paper trusts
-//! NCCL: messages arrive, once, intact. This module is what the
-//! engine speaks when that trust is revoked (`run_chaos`): every
-//! inter-node message becomes a sequence-numbered, checksummed
-//! [`Envelope`]; receivers verify and deduplicate ([`LinkRx`]),
-//! acknowledge good data, and nack corrupt data; senders keep
-//! unacknowledged envelopes in a retransmission buffer with
-//! exponential backoff and a bounded retry budget ([`LinkTx`]).
+//! The trusted loop relies on its channel fabric the way the paper
+//! trusts NCCL: messages arrive, once, intact. This module is what
+//! the engine speaks when that trust is revoked (a fault plan in
+//! [`crate::RunOptions`]): every inter-node message becomes a
+//! sequence-numbered, checksummed [`Envelope`]; receivers verify and
+//! deduplicate ([`RelRx`]), acknowledge good data, and nack corrupt
+//! data; senders keep unacknowledged envelopes in a retransmission
+//! buffer with exponential backoff and a bounded retry budget
+//! ([`RelTx`]). The seq/ack/nack/retry machine itself is
+//! [`hipress_fabric::rel`] — the one the socket fabric runs over
+//! frames — re-exported here so the protocol's rules read as one
+//! module.
 //!
 //! The checksum covers everything delivery-relevant — source,
 //! sequence number, task, payload bytes — but *not* the attempt
@@ -16,9 +20,13 @@
 
 use crate::engine::Payload;
 use hipress_core::graph::TaskId;
-use std::collections::{BTreeMap, HashSet};
+use hipress_fabric::frame::fnv_bytes;
+use hipress_fabric::rel::Sealed;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub use hipress_fabric::frame::{fnv, FNV_OFFSET};
+pub use hipress_fabric::rel::{classify, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
 
 /// What an envelope carries.
 #[derive(Debug, Clone)]
@@ -74,17 +82,6 @@ pub struct Envelope {
     pub checksum: u64,
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01B3;
-
-/// FNV-1a folded a whole 64-bit word at a time (not per byte): one
-/// xor-multiply per 8 payload bytes keeps checksumming multi-megabyte
-/// raw gradients off the critical path. Single-bit flips anywhere in
-/// a word still change the digest — the multiply diffuses them.
-fn fnv(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FNV_PRIME)
-}
-
 impl Envelope {
     /// Builds a sealed data envelope for `task` (attempt 0).
     pub fn data(src: usize, seq: u64, task: TaskId, payload: Option<Arc<Payload>>) -> Self {
@@ -136,11 +133,7 @@ impl Envelope {
                     Some(Payload::Compressed(b)) => {
                         h = fnv(h, 2);
                         h = fnv(h, b.len() as u64);
-                        for chunk in b.chunks(8) {
-                            let mut word = [0u8; 8];
-                            word[..chunk.len()].copy_from_slice(chunk);
-                            h = fnv(h, u64::from_le_bytes(word));
-                        }
+                        h = fnv_bytes(h, b);
                     }
                     Some(Payload::Skipped) => h = fnv(h, 3),
                 }
@@ -171,6 +164,24 @@ impl Envelope {
             Body::Data { task, .. } => Some(*task),
             _ => None,
         }
+    }
+}
+
+impl Sealed for Envelope {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn attempt(&self) -> u32 {
+        self.attempt
+    }
+
+    fn bump(&mut self) {
+        self.attempt += 1;
+    }
+
+    fn verify(&self) -> bool {
+        Envelope::verify(self)
     }
 }
 
@@ -213,61 +224,19 @@ impl hipress_chaos::Wire for Envelope {
 // ---------------------------------------------------------------------------
 // Pure transition functions.
 //
-// Every protocol *decision* — when to retransmit, when to give up,
-// how to classify an arrival, when a peer counts as a straggler, how
-// a degraded merge rescales — lives here as a side-effect-free
-// function of its inputs. The runtime state machines ([`LinkTx`],
-// [`LinkRx`], the FT worker, the engine's degraded merge) delegate to
-// these, and `hipress-verify`'s bounded model checker drives the very
-// same functions, so there is exactly one implementation of the
-// protocol logic to trust.
+// Every protocol *decision* lives in a side-effect-free function of
+// its inputs: the link rules (`rto`, `retry_decision`, `classify`) in
+// `hipress_fabric::rel` beside the state machines that delegate to
+// them, the straggler / degrade / membership rules below. The FT
+// worker and the engine's degraded merge call these directly, and
+// `hipress-verify`'s bounded model checker drives the very same
+// functions, so there is exactly one implementation of the protocol
+// logic to trust.
 // ---------------------------------------------------------------------------
 
 /// EWMA smoothing factor for peer inter-arrival gaps: the straggler
 /// detector weighs the newest gap at 20%.
 pub const EWMA_ALPHA: f64 = 0.2;
-
-/// The retransmission timeout for attempt `attempt`:
-/// `base × 2^attempt`, capped at `max` (exponent itself clamped so
-/// the shift cannot overflow).
-pub fn rto(base: Duration, max: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << attempt.min(16)).min(max)
-}
-
-/// What a sender does about an in-flight envelope that needs another
-/// transmission (timer expiry or nack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Still within budget: retransmit with backed-off timer.
-    Retransmit,
-    /// The bumped attempt exceeds the retry budget: the link is dead.
-    Dead,
-}
-
-/// The bounded-retry rule: `attempt` is the transmission count
-/// *after* the bump (1 = first retransmission). The link survives
-/// while `attempt <= retry_budget`.
-pub fn retry_decision(attempt: u32, retry_budget: u32) -> RetryDecision {
-    if attempt > retry_budget {
-        RetryDecision::Dead
-    } else {
-        RetryDecision::Retransmit
-    }
-}
-
-/// The receiver classification rule: verify *then* dedup. Integrity
-/// comes first so every corrupt arrival is detected — including a
-/// corrupted retransmission of an already-delivered sequence, which
-/// dedup-first would silently swallow as a duplicate.
-pub fn classify(intact: bool, already_seen: bool) -> RxVerdict {
-    if !intact {
-        RxVerdict::Corrupt
-    } else if already_seen {
-        RxVerdict::Duplicate
-    } else {
-        RxVerdict::Deliver
-    }
-}
 
 /// One EWMA step over a peer's inter-arrival gap (nanoseconds).
 pub fn ewma_update(prev_ns: f64, gap_ns: f64) -> f64 {
@@ -349,217 +318,6 @@ pub fn member_slot(members: &[u32], rank: u32) -> Option<u32> {
     members.binary_search(&rank).ok().map(|i| i as u32)
 }
 
-/// Why a sender-side link gave up: the peer never acknowledged
-/// `seq` (announcing `task`) within the retry budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadLink {
-    /// The unacknowledged sequence number.
-    pub seq: u64,
-    /// The task that data envelope announced.
-    pub task: Option<TaskId>,
-    /// How many transmissions were attempted (1 + retries).
-    pub attempts: u32,
-}
-
-/// One in-flight (unacknowledged) data envelope.
-#[derive(Debug, Clone)]
-struct Inflight {
-    env: Envelope,
-    due: Instant,
-}
-
-/// Sender-side reliability state for one directed link.
-///
-/// Every data envelope enters the in-flight buffer with a
-/// retransmission timer; [`LinkTx::due`] returns envelopes whose
-/// timer expired (with exponentially backed-off next deadlines), and
-/// [`LinkTx::on_ack`] / [`LinkTx::on_nack`] retire or fast-path
-/// retransmit them. When one envelope exceeds the retry budget the
-/// link is declared dead.
-///
-/// `Clone` so the model checker can fork a link mid-protocol and
-/// explore both branches of a nondeterministic choice.
-#[derive(Debug, Clone)]
-pub struct LinkTx {
-    next_seq: u64,
-    inflight: BTreeMap<u64, Inflight>,
-    retry_budget: u32,
-    base_backoff: Duration,
-    max_backoff: Duration,
-}
-
-impl LinkTx {
-    /// A fresh link with the given retry budget and backoff range.
-    pub fn new(retry_budget: u32, base_backoff: Duration, max_backoff: Duration) -> Self {
-        Self {
-            next_seq: 0,
-            inflight: BTreeMap::new(),
-            retry_budget,
-            base_backoff,
-            max_backoff,
-        }
-    }
-
-    /// Assigns the next sequence number to a data envelope for
-    /// `task`, arms its retransmission timer, and returns the sealed
-    /// envelope (attempt 0) ready to send.
-    pub fn prepare(
-        &mut self,
-        src: usize,
-        task: TaskId,
-        payload: Option<Arc<Payload>>,
-        now: Instant,
-    ) -> Envelope {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let env = Envelope::data(src, seq, task, payload);
-        self.inflight.insert(
-            seq,
-            Inflight {
-                env: env.clone(),
-                due: now + rto(self.base_backoff, self.max_backoff, 0),
-            },
-        );
-        env
-    }
-
-    /// Retires an acknowledged envelope. Returns false for unknown
-    /// (already-retired or forged) sequence numbers.
-    pub fn on_ack(&mut self, seq: u64) -> bool {
-        self.inflight.remove(&seq).is_some()
-    }
-
-    /// Handles a nack: bumps the attempt, re-arms the timer, and
-    /// returns the envelope to retransmit immediately. `None` when
-    /// the envelope is no longer in flight, or `Err` when the nack
-    /// pushed it past the retry budget.
-    pub fn on_nack(&mut self, seq: u64, now: Instant) -> Result<Option<Envelope>, DeadLink> {
-        let (base, max) = (self.base_backoff, self.max_backoff);
-        let Some(inf) = self.inflight.get_mut(&seq) else {
-            return Ok(None);
-        };
-        inf.env.attempt += 1;
-        if retry_decision(inf.env.attempt, self.retry_budget) == RetryDecision::Dead {
-            return Err(DeadLink {
-                seq,
-                task: inf.env.data_task(),
-                attempts: inf.env.attempt,
-            });
-        }
-        inf.due = now + rto(base, max, inf.env.attempt);
-        Ok(Some(inf.env.clone()))
-    }
-
-    /// Collects every envelope whose retransmission timer expired,
-    /// bumping attempts and re-arming timers. `Err` when any envelope
-    /// exceeds the retry budget — the link is dead.
-    pub fn due(&mut self, now: Instant) -> Result<Vec<Envelope>, DeadLink> {
-        let (base, max) = (self.base_backoff, self.max_backoff);
-        let mut out = Vec::new();
-        for (seq, inf) in self.inflight.iter_mut() {
-            if inf.due > now {
-                continue;
-            }
-            inf.env.attempt += 1;
-            if retry_decision(inf.env.attempt, self.retry_budget) == RetryDecision::Dead {
-                return Err(DeadLink {
-                    seq: *seq,
-                    task: inf.env.data_task(),
-                    attempts: inf.env.attempt,
-                });
-            }
-            inf.due = now + rto(base, max, inf.env.attempt);
-            out.push(inf.env.clone());
-        }
-        Ok(out)
-    }
-
-    /// True when nothing is awaiting acknowledgement.
-    pub fn idle(&self) -> bool {
-        self.inflight.is_empty()
-    }
-
-    /// Earliest retransmission deadline among in-flight envelopes, if
-    /// any — lets the owner sleep until a timer can actually fire
-    /// instead of polling on a fixed tick.
-    pub fn next_due(&self) -> Option<Instant> {
-        self.inflight.values().map(|inf| inf.due).min()
-    }
-
-    /// Drops all in-flight state (the peer is known to be gone and
-    /// no longer needs anything from us).
-    pub fn peer_gone(&mut self) {
-        self.inflight.clear();
-    }
-
-    /// `(seq, attempt)` for every in-flight envelope, ascending seq.
-    /// The model checker fingerprints link state through this (timer
-    /// deadlines deliberately excluded — the checker is untimed).
-    pub fn inflight_meta(&self) -> Vec<(u64, u32)> {
-        self.inflight
-            .iter()
-            .map(|(seq, inf)| (*seq, inf.env.attempt))
-            .collect()
-    }
-
-    /// The configured retry budget (transmissions allowed past the
-    /// first before the link is declared dead).
-    pub fn retry_budget(&self) -> u32 {
-        self.retry_budget
-    }
-
-    /// The sequence number the next [`LinkTx::prepare`] will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-}
-
-/// The receiver's verdict on one data envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxVerdict {
-    /// Intact and new: deliver to the protocol layer and ack.
-    Deliver,
-    /// Intact but already seen (duplicate or late retransmission):
-    /// re-ack and otherwise ignore.
-    Duplicate,
-    /// Checksum mismatch: nack, never deliver.
-    Corrupt,
-}
-
-/// Receiver-side integrity + dedup state for one directed link.
-#[derive(Debug, Default, Clone)]
-pub struct LinkRx {
-    seen: HashSet<u64>,
-}
-
-impl LinkRx {
-    /// A fresh receiver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Classifies a data envelope by delegating to the pure
-    /// [`classify`] rule (verify the checksum, *then* dedup by
-    /// sequence number), and marks delivered sequences seen. Corrupt
-    /// envelopes are *not* marked seen: the clean retransmission must
-    /// still deliver.
-    pub fn accept(&mut self, env: &Envelope) -> RxVerdict {
-        let verdict = classify(env.verify(), self.seen.contains(&env.seq));
-        if verdict == RxVerdict::Deliver {
-            self.seen.insert(env.seq);
-        }
-        verdict
-    }
-
-    /// Every sequence number delivered so far, ascending — the model
-    /// checker fingerprints receiver state through this.
-    pub fn seen_seqs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.seen.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,157 +363,6 @@ mod tests {
         let mut e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]));
         e.attempt = 5;
         assert!(e.verify(), "retransmissions must carry a valid digest");
-    }
-
-    #[test]
-    fn rx_dedups_but_never_delivers_corrupt() {
-        let mut rx = LinkRx::new();
-        let e = Envelope::data(0, 0, TaskId(1), raw(vec![2.0]));
-        assert_eq!(rx.accept(&e), RxVerdict::Deliver);
-        assert_eq!(rx.accept(&e), RxVerdict::Duplicate);
-        let mut bad = Envelope::data(0, 1, TaskId(2), raw(vec![3.0]));
-        bad.flip_bit(7);
-        assert_eq!(rx.accept(&bad), RxVerdict::Corrupt);
-        // The clean retransmission of seq 1 still delivers.
-        let good = Envelope::data(0, 1, TaskId(2), raw(vec![3.0]));
-        assert_eq!(rx.accept(&good), RxVerdict::Deliver);
-    }
-
-    #[test]
-    fn tx_retransmits_with_backoff_until_dead() {
-        let base = Duration::from_millis(5);
-        let mut tx = LinkTx::new(2, base, Duration::from_millis(100));
-        let now = Instant::now();
-        let e = tx.prepare(0, TaskId(4), raw(vec![1.0]), now);
-        assert_eq!(e.seq, 0);
-        assert_eq!(e.attempt, 0);
-        assert!(!tx.idle());
-        // Before the timer: nothing due.
-        assert!(tx.due(now).unwrap().is_empty());
-        // First expiry: attempt 1.
-        let r = tx.due(now + base).unwrap();
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].attempt, 1);
-        // Second expiry (backoff doubled): attempt 2 = the budget.
-        let r = tx.due(now + base * 4).unwrap();
-        assert_eq!(r[0].attempt, 2);
-        // Third expiry exceeds the budget: dead link, naming the task.
-        let dead = tx.due(now + base * 20).unwrap_err();
-        assert_eq!(dead.task, Some(TaskId(4)));
-        assert_eq!(dead.attempts, 3);
-    }
-
-    #[test]
-    fn ack_retires_and_nack_fast_retransmits() {
-        let mut tx = LinkTx::new(3, Duration::from_millis(5), Duration::from_millis(100));
-        let now = Instant::now();
-        let a = tx.prepare(1, TaskId(10), None, now);
-        let b = tx.prepare(1, TaskId(11), raw(vec![4.0]), now);
-        assert_eq!((a.seq, b.seq), (0, 1));
-        assert!(tx.on_ack(0));
-        assert!(!tx.on_ack(0), "double-ack must be inert");
-        let r = tx.on_nack(1, now).unwrap().expect("nack retransmits");
-        assert_eq!(r.attempt, 1);
-        assert!(r.verify(), "retransmission must still verify");
-        assert!(tx.on_nack(99, now).unwrap().is_none(), "unknown seq");
-        assert!(tx.on_ack(1));
-        assert!(tx.idle());
-    }
-
-    #[test]
-    fn nacks_exhaust_the_budget_too() {
-        let mut tx = LinkTx::new(1, Duration::from_millis(5), Duration::from_millis(100));
-        let now = Instant::now();
-        tx.prepare(0, TaskId(5), raw(vec![1.0]), now);
-        assert!(tx.on_nack(0, now).unwrap().is_some());
-        let dead = tx.on_nack(0, now).unwrap_err();
-        assert_eq!(dead.seq, 0);
-        assert_eq!(dead.task, Some(TaskId(5)));
-    }
-
-    /// The runtime path must *provably* delegate to the pure
-    /// transition functions: sweep the sender through every attempt
-    /// and assert the observable behaviour (timer deadlines, the
-    /// exact attempt at which the link dies) matches what the pure
-    /// `rto`/`retry_decision` rules predict for the same inputs.
-    #[test]
-    fn link_tx_delegates_to_pure_rto_and_retry_decision() {
-        for budget in [0u32, 1, 2, 5, 8] {
-            let base = Duration::from_millis(3);
-            let max = Duration::from_millis(200);
-            let mut tx = LinkTx::new(budget, base, max);
-            let now = Instant::now();
-            tx.prepare(0, TaskId(1), raw(vec![1.0]), now);
-            let mut fired = now;
-            let mut attempt = 0u32;
-            loop {
-                // The armed deadline is exactly the pure rule's rto
-                // for the current attempt.
-                let due = tx.next_due().expect("envelope in flight");
-                assert_eq!(due, fired + rto(base, max, attempt));
-                attempt += 1;
-                match (retry_decision(attempt, budget), tx.due(due)) {
-                    (RetryDecision::Retransmit, Ok(r)) => {
-                        assert_eq!(r.len(), 1);
-                        assert_eq!(r[0].attempt, attempt);
-                        fired = due;
-                    }
-                    (RetryDecision::Dead, Err(dead)) => {
-                        assert_eq!(dead.attempts, attempt);
-                        break;
-                    }
-                    (want, got) => {
-                        panic!("budget {budget} attempt {attempt}: pure rule says {want:?}, runtime did {got:?}")
-                    }
-                }
-            }
-        }
-        // The rto curve itself: doubling, then capped; shift-safe at
-        // absurd attempts.
-        let base = Duration::from_millis(5);
-        let max = Duration::from_millis(60);
-        assert_eq!(rto(base, max, 0), Duration::from_millis(5));
-        assert_eq!(rto(base, max, 1), Duration::from_millis(10));
-        assert_eq!(rto(base, max, 3), Duration::from_millis(40));
-        assert_eq!(rto(base, max, 4), max);
-        assert_eq!(rto(base, max, 1000), max);
-    }
-
-    /// [`LinkRx::accept`] must agree with the pure [`classify`] rule
-    /// on every (intact, seen) combination, in every order.
-    #[test]
-    fn link_rx_delegates_to_pure_classify() {
-        let mut rx = LinkRx::new();
-        let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mk = |seq: u64, corrupt: bool| {
-            let mut e = Envelope::data(0, seq, TaskId(seq as u32), raw(vec![seq as f32 + 0.5]));
-            if corrupt {
-                e.flip_bit(3);
-            }
-            e
-        };
-        // Arrivals chosen to hit: fresh, duplicate, corrupt-fresh,
-        // corrupt-of-seen, clean retransmit after corrupt.
-        for (seq, corrupt) in [
-            (0, false),
-            (0, false),
-            (1, true),
-            (1, false),
-            (1, true),
-            (2, true),
-            (2, false),
-            (0, true),
-        ] {
-            let env = mk(seq, corrupt);
-            let want = classify(env.verify(), seen.contains(&seq));
-            assert_eq!(rx.accept(&env), want, "seq {seq} corrupt {corrupt}");
-            if want == RxVerdict::Deliver {
-                seen.insert(seq);
-            }
-            let mut mirror: Vec<u64> = seen.iter().copied().collect();
-            mirror.sort_unstable();
-            assert_eq!(rx.seen_seqs(), mirror);
-        }
     }
 
     /// Pin the pure FT decision rules the worker and engine delegate

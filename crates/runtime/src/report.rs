@@ -95,7 +95,7 @@ pub struct StragglerVerdict {
 /// Fault-injection and recovery accounting for one run: what the
 /// chaos layer injected, what the protocol detected and repaired, and
 /// what the degradation policy decided. All-zero (and displayed as
-/// nothing) for fast-path runs.
+/// nothing) for trusted-fabric runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Messages the fault plan silently dropped.
@@ -129,7 +129,7 @@ pub struct FaultReport {
 
 impl FaultReport {
     /// True when nothing was injected, detected, or degraded — the
-    /// report of every fast-path run.
+    /// report of every trusted-fabric run.
     pub fn is_empty(&self) -> bool {
         *self == FaultReport::default()
     }
@@ -226,17 +226,16 @@ pub struct RuntimeReport {
     pub fabric_bytes_payload: u64,
     /// Frame retransmissions the fabric's reliability layer performed.
     pub fabric_retransmits: u64,
-    /// Synchronization iterations this run executed; zero outside the
-    /// pipelined path (the fast path is always one iteration and does
-    /// not count it).
+    /// Synchronization iterations this run executed; zero only on the
+    /// fault-tolerant envelope path, which has no iteration notion.
     pub iterations: u64,
     /// Bound on concurrently in-flight iterations (1 = serial).
     pub pipeline_window: u64,
     /// Summed per-node spans from each node's first task of any
     /// iteration to its last, ns. With pipelining, overlapping
     /// iterations make this exceed `nodes × wall_ns` — see
-    /// [`RuntimeReport::pipeline_overlap`]. Zero outside the
-    /// pipelined path.
+    /// [`RuntimeReport::pipeline_overlap`]. Zero on the fault-tolerant
+    /// envelope path.
     pub iter_span_ns_total: u64,
     /// Elastic membership timeline, one record per epoch (coordinator
     /// owned, like `nodes` and `wall_ns`; `absorb` ignores it). Empty

@@ -22,8 +22,8 @@ use hipress_core::interp::gradient_flows;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{
-    run, run_chaos, DegradeAction, DegradePolicy, FaultTolerance, Instruments, RunOutcome,
-    RuntimeConfig, RuntimeReport,
+    replicate, run, DegradeAction, DegradePolicy, FaultTolerance, Instruments, RunOptions,
+    RunOutcome, RuntimeReport,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
@@ -101,16 +101,16 @@ fn chaos_run(
     let iter = iter_spec(sizes, alg, 2);
     let graph = strategy.build(&ClusterConfig::ec2(nodes), &iter).unwrap();
     let c = alg.build();
-    run_chaos(
+    run(
         &graph,
         nodes,
-        &flows,
+        &replicate(&flows),
         c.as_deref(),
         seed,
-        &RuntimeConfig::default(),
-        tolerance,
-        plan,
-        Instruments::default(),
+        &RunOptions {
+            chaos: Some((*tolerance, plan.clone())),
+            ..RunOptions::default()
+        },
     )
 }
 
@@ -129,10 +129,10 @@ fn fault_free(
     run(
         &graph,
         nodes,
-        &flows,
+        &replicate(&flows),
         c.as_deref(),
         seed,
-        &RuntimeConfig::default(),
+        &RunOptions::default(),
     )
     .unwrap()
 }
@@ -444,19 +444,20 @@ fn fault_events_round_trip_through_the_trace() {
         .unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let tracer = Tracer::new("casync-chaos");
-    let out = run_chaos(
+    let out = run(
         &graph,
         3,
-        &flows,
+        &replicate(&flows),
         Some(c.as_ref()),
         31,
-        &RuntimeConfig::default(),
-        &ft(DegradePolicy::Wait),
-        &FaultPlan::recoverable(12),
-        Instruments {
-            tracer: Some(&tracer),
-            metrics: None,
-            progress: None,
+        &RunOptions {
+            instruments: Instruments {
+                tracer: Some(&tracer),
+                metrics: None,
+                progress: None,
+            },
+            chaos: Some((ft(DegradePolicy::Wait), FaultPlan::recoverable(12))),
+            ..RunOptions::default()
         },
     )
     .unwrap();
@@ -481,16 +482,16 @@ fn malformed_input_errors_are_not_sync_failures() {
         .build(&ClusterConfig::ec2(2), &iter)
         .unwrap();
     // Wrong node count for the graph: rejected before any thread runs.
-    let err = run_chaos(
+    let err = run(
         &graph,
         3,
-        &flows,
+        &replicate(&flows),
         None,
         0,
-        &RuntimeConfig::default(),
-        &ft(DegradePolicy::Wait),
-        &FaultPlan::none(0),
-        Instruments::default(),
+        &RunOptions {
+            chaos: Some((ft(DegradePolicy::Wait), FaultPlan::none(0))),
+            ..RunOptions::default()
+        },
     )
     .expect_err("mismatched node count must be rejected");
     assert!(err.as_sync().is_none(), "wrongly classified: {err}");

@@ -7,7 +7,7 @@ use hipress_compress::Algorithm;
 use hipress_core::interp::{gradient_flows, interpret};
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
-use hipress_runtime::{run, RuntimeConfig};
+use hipress_runtime::{replicate, run, RunOptions};
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
 
@@ -61,6 +61,7 @@ fn all_algorithms_bit_identical_to_interpreter() {
     for nodes in [2usize, 3, 5] {
         let grads = workers(nodes, &sizes);
         let flows = gradient_flows(&grads);
+        let replicated = replicate(&flows);
         for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
             for alg in [
                 Algorithm::OneBit,
@@ -77,10 +78,10 @@ fn all_algorithms_bit_identical_to_interpreter() {
                 let rt = run(
                     &graph,
                     nodes,
-                    &flows,
+                    &replicated,
                     Some(c.as_ref()),
                     77,
-                    &RuntimeConfig::default(),
+                    &RunOptions::default(),
                 )
                 .unwrap();
                 assert_eq!(sim.len(), rt.flows.len());
@@ -107,13 +108,14 @@ fn uncompressed_bit_identical_across_partitions() {
     let nodes = 4;
     let grads = workers(nodes, &sizes);
     let flows = gradient_flows(&grads);
+    let replicated = replicate(&flows);
     for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
         for partitions in [1usize, 3, 7] {
             let iter = spec(&sizes, Algorithm::None, partitions);
             let cluster = ClusterConfig::ec2(nodes);
             let graph = strategy.build(&cluster, &iter).unwrap();
             let sim = interpret(&graph, nodes, &flows, None, 0).unwrap();
-            let rt = run(&graph, nodes, &flows, None, 0, &RuntimeConfig::default()).unwrap();
+            let rt = run(&graph, nodes, &replicated, None, 0, &RunOptions::default()).unwrap();
             for (a, b) in sim.iter().zip(&rt.flows) {
                 assert_eq!(
                     a.per_node, b.per_node,
@@ -130,8 +132,7 @@ fn uncompressed_bit_identical_across_partitions() {
 fn thread_backend_is_run_to_run_deterministic() {
     let sizes = [4096usize];
     let nodes = 4;
-    let grads = workers(nodes, &sizes);
-    let flows = gradient_flows(&grads);
+    let replicated = replicate(&gradient_flows(&workers(nodes, &sizes)));
     let iter = spec(&sizes, Algorithm::TernGrad { bitwidth: 2 }, 4);
     let cluster = ClusterConfig::ec2(nodes);
     let c = Algorithm::TernGrad { bitwidth: 2 }.build().unwrap();
@@ -140,20 +141,20 @@ fn thread_backend_is_run_to_run_deterministic() {
         let first = run(
             &graph,
             nodes,
-            &flows,
+            &replicated,
             Some(c.as_ref()),
             9,
-            &RuntimeConfig::default(),
+            &RunOptions::default(),
         )
         .unwrap();
         for _ in 0..5 {
             let again = run(
                 &graph,
                 nodes,
-                &flows,
+                &replicated,
                 Some(c.as_ref()),
                 9,
-                &RuntimeConfig::default(),
+                &RunOptions::default(),
             )
             .unwrap();
             for (a, b) in first.flows.iter().zip(&again.flows) {

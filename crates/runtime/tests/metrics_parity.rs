@@ -17,7 +17,7 @@ use hipress_core::interp::gradient_flows;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_metrics::{bridge, names, MetricValue, MetricsSnapshot, Registry};
-use hipress_runtime::{run_instrumented, Instruments, RuntimeConfig, RuntimeReport};
+use hipress_runtime::{replicate, run, Instruments, RunOptions, RuntimeReport};
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
 use hipress_trace::Tracer;
@@ -132,17 +132,19 @@ fn instrumented_matrix_metrics_match_report() {
             let registry = Registry::new();
             let scope = registry.scope(&[("strategy", "casync"), ("algorithm", &alg.label())]);
             let tracer = Tracer::new("casync-rt");
-            let out = run_instrumented(
+            let out = run(
                 &graph,
                 nodes,
-                &flows,
+                &replicate(&flows),
                 Some(c.as_ref()),
                 7,
-                &RuntimeConfig::default(),
-                Instruments {
-                    tracer: Some(&tracer),
-                    metrics: Some(&scope),
-                    progress: None,
+                &RunOptions {
+                    instruments: Instruments {
+                        tracer: Some(&tracer),
+                        metrics: Some(&scope),
+                        progress: None,
+                    },
+                    ..RunOptions::default()
                 },
             )
             .unwrap();
@@ -198,17 +200,19 @@ fn engine_metrics_carry_scope_and_node_labels() {
     let c = Algorithm::OneBit.build().unwrap();
     let registry = Registry::new();
     let scope = registry.scope(&[("algorithm", "onebit"), ("model", "unit")]);
-    run_instrumented(
+    run(
         &graph,
         nodes,
-        &flows,
+        &replicate(&flows),
         Some(c.as_ref()),
         3,
-        &RuntimeConfig::default(),
-        Instruments {
-            tracer: None,
-            metrics: Some(&scope),
-            progress: None,
+        &RunOptions {
+            instruments: Instruments {
+                tracer: None,
+                metrics: Some(&scope),
+                progress: None,
+            },
+            ..RunOptions::default()
         },
     )
     .unwrap();

@@ -12,12 +12,23 @@ use hipress_core::interp::gradient_flows;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{
-    run_threaded_workers, run_traced, validate_clock_monotonicity, Instruments, PipelineConfig,
-    ProcessConfig, RuntimeConfig, RuntimeReport,
+    replicate, run, run_threaded_workers, validate_clock_monotonicity, Instruments, PipelineConfig,
+    ProcessConfig, RunOptions, RuntimeConfig, RuntimeReport,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
 use hipress_trace::{chrome, Tracer};
+
+/// Default options with only `tracer` attached.
+fn traced(tracer: &Tracer) -> RunOptions<'_> {
+    RunOptions {
+        instruments: Instruments {
+            tracer: Some(tracer),
+            ..Instruments::default()
+        },
+        ..RunOptions::default()
+    }
+}
 
 fn worker_grads(nodes: usize, sizes: &[usize]) -> Vec<Vec<Tensor>> {
     (0..nodes)
@@ -76,14 +87,13 @@ fn traced_matrix_report_parity_and_chrome_round_trip() {
             let graph = strat.build(&cluster, &iter).unwrap();
             let c = alg.build().unwrap();
             let tracer = Tracer::new("casync-rt");
-            let out = run_traced(
+            let out = run(
                 &graph,
                 nodes,
-                &flows,
+                &replicate(&flows),
                 Some(c.as_ref()),
                 13,
-                &RuntimeConfig::default(),
-                &tracer,
+                &traced(&tracer),
             )
             .unwrap();
             let trace = tracer.finish();
@@ -121,23 +131,22 @@ fn traced_and_untraced_runs_agree_on_results() {
     let graph = Strategy::CaSyncRing.build(&cluster, &iter).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let tracer = Tracer::new("casync-rt");
-    let traced = run_traced(
+    let traced = run(
         &graph,
         nodes,
-        &flows,
+        &replicate(&flows),
         Some(c.as_ref()),
         21,
-        &RuntimeConfig::default(),
-        &tracer,
+        &traced(&tracer),
     )
     .unwrap();
-    let plain = hipress_runtime::run(
+    let plain = run(
         &graph,
         nodes,
-        &flows,
+        &replicate(&flows),
         Some(c.as_ref()),
         21,
-        &RuntimeConfig::default(),
+        &RunOptions::default(),
     )
     .unwrap();
     // Tracing is observation only: synchronized tensors are
@@ -222,16 +231,7 @@ fn queue_depth_counters_return_to_zero() {
     let iter = iter_spec(&sizes, Algorithm::None, 1);
     let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
     let tracer = Tracer::new("casync-rt");
-    run_traced(
-        &graph,
-        nodes,
-        &flows,
-        None,
-        1,
-        &RuntimeConfig::default(),
-        &tracer,
-    )
-    .unwrap();
+    run(&graph, nodes, &replicate(&flows), None, 1, &traced(&tracer)).unwrap();
     let trace = tracer.finish();
     for node in 0..nodes {
         for q in ["Q_comp", "Q_commu"] {

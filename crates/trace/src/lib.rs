@@ -11,7 +11,7 @@
 //!   with simulated nanoseconds (`hipress_core::Executor::run_traced`),
 //! * **CaSync-RT** records per-task spans, queue-depth counters, and
 //!   fabric events stamped with wall-clock nanoseconds
-//!   (`hipress_runtime::run_traced`).
+//!   (`hipress_runtime::run` with a tracer among its instruments).
 //!
 //! Both produce the same [`Trace`]: named tracks (one per node thread,
 //! plus counter tracks for `Q_comp`/`Q_commu` depths) carrying spans

@@ -54,14 +54,15 @@ impl SyncFailureKind {
     /// errors: detections outrank the injected crash that caused
     /// them (the crashed node "knows" it crashed, but the *diagnosis*
     /// is what the protocol is being tested on), and both outrank the
-    /// abort echoes they trigger.
+    /// abort echoes they trigger. Rank 2 belongs to errors that are
+    /// not sync failures at all ([`Error::root_cause_rank`]).
     pub fn rank(self) -> u8 {
         match self {
             SyncFailureKind::RecvTimeout
             | SyncFailureKind::LinkDead
             | SyncFailureKind::Straggler => 0,
             SyncFailureKind::InjectedCrash => 1,
-            SyncFailureKind::Aborted => 2,
+            SyncFailureKind::Aborted => 3,
         }
     }
 }
@@ -151,6 +152,15 @@ impl Error {
             Error::Sync(f) => Some(f),
             _ => None,
         }
+    }
+
+    /// How root-cause-like this error is among several nodes' errors
+    /// from one run (lower wins): a sync failure by its
+    /// [`SyncFailureKind::rank`], any other error — a root cause, but
+    /// an undiagnosed one — after the diagnoses and the injected
+    /// crash, ahead only of abort echoes.
+    pub fn root_cause_rank(&self) -> u8 {
+        self.as_sync().map_or(2, |f| f.kind.rank())
     }
 }
 

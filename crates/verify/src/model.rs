@@ -1,7 +1,9 @@
 //! The small-scope protocol model: N nodes exchanging checksummed,
 //! sequence-numbered data envelopes over unreliable directed links,
-//! driven through the *real* runtime state machines
-//! ([`LinkTx`]/[`LinkRx`]) and the pure transition functions in
+//! driven through the *real* reliability state machines
+//! ([`RelTx`]/[`RelRx`] — `hipress_fabric::rel`, the very code the
+//! TCP fabric runs over frames and the fault-tolerant runtime over
+//! envelopes) and the pure transition functions beside them in
 //! `hipress_runtime::protocol` — the checker owns no protocol logic
 //! of its own.
 //!
@@ -11,9 +13,9 @@
 //!   the in-flight copy is genuinely gone": the `Timeout` action is
 //!   enabled only when neither the data envelope nor its ack/nack is
 //!   anywhere in the network, and it drives the same
-//!   attempt/budget/backoff bookkeeping through [`LinkTx::on_nack`].
+//!   attempt/budget/backoff bookkeeping through [`RelTx::on_nack`].
 //!   The real-time rto arithmetic is pinned by the delegation tests
-//!   in `protocol.rs`, not explored here.
+//!   in `crates/fabric/tests/rel.rs`, not explored here.
 //! - **Reorder is free.** Each directed link is a message *multiset*;
 //!   any in-flight message may deliver next. Reordering is therefore
 //!   always part of the explored alphabet and needs no fault budget.
@@ -31,7 +33,9 @@
 use hipress_chaos::Wire;
 use hipress_core::graph::TaskId;
 use hipress_runtime::engine::Payload;
-use hipress_runtime::protocol::{self, Body, Envelope, LinkRx, LinkTx, RxVerdict};
+use hipress_runtime::protocol::{
+    self, fnv, Body, Envelope, LinkTuning, RelRx, RelTx, RxVerdict, FNV_OFFSET,
+};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -165,7 +169,7 @@ pub enum FailureKind {
     },
 }
 
-/// Per-node protocol state. `tx`/`rx` are the *runtime's* link state
+/// Per-node protocol state. `tx`/`rx` are the *shipped* link state
 /// machines; everything else is the model's ledger around them.
 #[derive(Clone)]
 pub struct NodeState {
@@ -176,9 +180,9 @@ pub struct NodeState {
     /// Data envelopes not yet originated, per destination.
     pub remaining: Vec<u32>,
     /// Sender-side reliability state, per destination.
-    pub tx: Vec<LinkTx>,
+    pub tx: Vec<RelTx<Envelope>>,
     /// Receiver-side integrity + dedup state, per source.
-    pub rx: Vec<LinkRx>,
+    pub rx: Vec<RelRx>,
     /// Envelopes applied, per source.
     pub got: Vec<u32>,
     /// The apply ledger: every seq applied, per source. This is the
@@ -430,15 +434,21 @@ impl Model {
     pub fn initial(&self) -> State {
         let n = self.cfg.nodes;
         let backoff = Duration::from_millis(1);
+        let tuning = LinkTuning {
+            retry_budget: self.cfg.retry_budget,
+            base_backoff: backoff,
+            max_backoff: backoff * 64,
+            ..LinkTuning::default()
+        };
         let nodes = (0..n)
             .map(|i| NodeState {
                 crashed: false,
                 failed: None,
                 remaining: (0..n).map(|j| self.cfg.sends(i, j)).collect(),
                 tx: (0..n)
-                    .map(|_| LinkTx::new(self.cfg.retry_budget, backoff, backoff * 64))
+                    .map(|_| RelTx::for_items(i as u32, tuning, self.base))
                     .collect(),
-                rx: (0..n).map(|_| LinkRx::new()).collect(),
+                rx: vec![RelRx::new(); n],
                 got: vec![0; n],
                 applied: vec![BTreeSet::new(); n],
                 holes: vec![0; n],
@@ -486,7 +496,7 @@ impl Model {
                 }
                 if node.alive()
                     && node.remaining[dst] > 0
-                    && (node.tx[dst].inflight_meta().len() as u32) < self.cfg.window
+                    && (node.tx[dst].inflight_meta().count() as u32) < self.cfg.window
                 {
                     out.push(Action::Send { src, dst });
                 }
@@ -564,7 +574,8 @@ impl Model {
                 // checksum honest and the state space small.
                 let payload = Some(Arc::new(Payload::Raw(vec![(src * 8 + dst) as f32])));
                 let task = TaskId((dst as u32) << 8 | node.remaining[dst]);
-                let env = node.tx[dst].prepare(src, task, payload, self.base);
+                let env =
+                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload));
                 s.net[self.link(src, dst)].push(Flight {
                     env,
                     corrupted: false,
@@ -662,7 +673,7 @@ impl Model {
         let seq = env.seq;
         let node = &mut s.nodes[dst];
         let verdict = match self.mutation {
-            // The real receiver: verify-then-dedup through LinkRx,
+            // The real receiver: verify-then-dedup through RelRx,
             // which itself delegates to protocol::classify.
             None
             | Some(Mutation::RetryWithoutBound)
@@ -820,11 +831,11 @@ impl Model {
     /// link's multiset is folded commutatively, so two states that
     /// differ only in queue order hash — and are — identical.
     pub fn fingerprint(&self, state: &State) -> u64 {
-        let mut h = FP_OFFSET;
-        h = fp(h, state.faults_left as u64);
+        let mut h = FNV_OFFSET;
+        h = fnv(h, state.faults_left as u64);
         for node in &state.nodes {
-            h = fp(h, node.crashed as u64);
-            h = fp(
+            h = fnv(h, node.crashed as u64);
+            h = fnv(
                 h,
                 match node.failed {
                     None => 0,
@@ -833,21 +844,21 @@ impl Model {
                     Some(FailureKind::PeerAbort { peer }) => 0x40 | peer as u64,
                 },
             );
-            h = fp(h, node.rescaled as u64);
+            h = fnv(h, node.rescaled as u64);
             for j in 0..self.cfg.nodes {
-                h = fp(h, node.remaining[j] as u64);
-                h = fp(h, node.got[j] as u64);
-                h = fp(h, node.holes[j] as u64);
-                h = fp(h, node.skipped[j] as u64);
-                h = fp(h, node.tx[j].next_seq());
+                h = fnv(h, node.remaining[j] as u64);
+                h = fnv(h, node.got[j] as u64);
+                h = fnv(h, node.holes[j] as u64);
+                h = fnv(h, node.skipped[j] as u64);
+                h = fnv(h, node.tx[j].next_seq());
                 for (seq, attempt) in node.tx[j].inflight_meta() {
-                    h = fp(h, 0xA000 | seq << 8 | attempt as u64);
+                    h = fnv(h, 0xA000 | seq << 8 | attempt as u64);
                 }
                 for seq in node.rx[j].seen_seqs() {
-                    h = fp(h, 0xB000 | seq);
+                    h = fnv(h, 0xB000 | seq);
                 }
                 for &seq in &node.applied[j] {
-                    h = fp(h, 0xC000 | seq);
+                    h = fnv(h, 0xC000 | seq);
                 }
             }
         }
@@ -856,27 +867,20 @@ impl Model {
             for flight in link {
                 fold = fold.wrapping_add(flight_hash(flight));
             }
-            h = fp(h, fold);
+            h = fnv(h, fold);
         }
         h
     }
 }
 
-const FP_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FP_PRIME: u64 = 0x0100_0000_01B3;
-
-fn fp(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(FP_PRIME)
-}
-
 fn flight_hash(flight: &Flight) -> u64 {
     let e = &flight.env;
-    let mut h = FP_OFFSET;
-    h = fp(h, e.src as u64);
-    h = fp(h, e.seq);
-    h = fp(h, e.attempt as u64);
-    h = fp(h, e.checksum);
-    h = fp(
+    let mut h = FNV_OFFSET;
+    h = fnv(h, e.src as u64);
+    h = fnv(h, e.seq);
+    h = fnv(h, e.attempt as u64);
+    h = fnv(h, e.checksum);
+    h = fnv(
         h,
         match e.body {
             Body::Data { .. } => 1,
@@ -887,5 +891,5 @@ fn flight_hash(flight: &Flight) -> u64 {
             Body::Ping => 6,
         },
     );
-    fp(h, flight.corrupted as u64)
+    fnv(h, flight.corrupted as u64)
 }

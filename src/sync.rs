@@ -18,8 +18,8 @@ use hipress_core::{
 use hipress_metrics::Scope;
 use hipress_obs::Telemetry;
 use hipress_runtime::{
-    FaultTolerance, Instruments, PipelineConfig, ProcessConfig, RunOutcome, RuntimeConfig,
-    RuntimeReport,
+    replicate, FaultTolerance, Instruments, PipelineConfig, ProcessConfig, RunOptions, RunOutcome,
+    RuntimeConfig, RuntimeReport,
 };
 use hipress_tensor::Tensor;
 use hipress_trace::Tracer;
@@ -178,15 +178,17 @@ impl HiPress {
 
     /// Publishes live per-iteration telemetry into `hub` (a cheap
     /// clone of the handle is stored). On the real backends every
-    /// retired pipelined iteration lands one
+    /// retired iteration — a single-iteration run retires exactly
+    /// one — lands one
     /// [`IterRecord`][hipress_obs::IterRecord] in the hub's ring,
     /// beats the rank's heartbeat, and runs the SLO watchdog — the
     /// embedded telemetry server (`hipress::obs::Server`) exposes all
     /// of it over HTTP while the run is still in flight. On
     /// [`Backend::Processes`] workers stream records back over the
     /// control channel and the coordinator republishes them under its
-    /// own clock. The simulator and the single-iteration fast path
-    /// retire no pipelined iterations and publish nothing.
+    /// own clock. The simulator and the fault-tolerant envelope path
+    /// ([`Self::chaos`] / [`Self::fault_tolerance`]) retire no
+    /// iterations and publish nothing.
     ///
     /// The hub's `/metrics` endpoint serves the hub's own registry,
     /// which this attachment feeds only watchdog counters
@@ -321,134 +323,85 @@ impl HiPress {
         let cluster = ClusterConfig::ec2(nodes);
         let graph = self.strategy.build(&cluster, &iter)?;
         let flows = gradient_flows(worker_grads);
-        let pipelined = self.iterations > 1 || self.window > 1;
-        match self.backend {
-            Backend::Simulator => {
-                if self.chaos.is_some() || self.fault_tolerance.is_some() {
-                    return Err(Error::config(
-                        "chaos/fault tolerance need a real fabric: use Backend::Threads",
-                    ));
-                }
-                if pipelined {
-                    return Err(Error::config(
-                        "pipelined iterations need a real runtime: use Backend::Threads or Backend::Processes",
-                    ));
-                }
-                let outcomes = interpret(&graph, nodes, &flows, compressor.as_deref(), self.seed)?;
-                Ok(SyncOutcome {
-                    flows: outcomes,
-                    report: None,
-                })
+        let pcfg = PipelineConfig {
+            iterations: self.iterations,
+            window: self.window,
+        };
+        let untrusted = self.chaos.is_some() || self.fault_tolerance.is_some();
+        if self.backend == Backend::Simulator {
+            if untrusted {
+                return Err(Error::config(
+                    "chaos/fault tolerance need a real fabric: use Backend::Threads",
+                ));
             }
-            Backend::Threads(_) => {
-                let config = RuntimeConfig {
-                    batch_compression: self.batch_compression,
-                    ..RuntimeConfig::default()
-                };
-                let scope = self.metrics.as_ref().map(|s| {
-                    s.with(&[
-                        ("algorithm", &self.algorithm.label()),
-                        ("strategy", self.strategy.label()),
-                    ])
-                });
-                let instruments = Instruments {
-                    tracer: self.tracer.as_ref(),
-                    metrics: scope.as_ref(),
-                    progress: self.telemetry.as_ref(),
-                };
-                let RunOutcome { flows, report } = if pipelined {
-                    if self.chaos.is_some() || self.fault_tolerance.is_some() {
-                        return Err(Error::config(
-                            "chaos/fault tolerance and pipelined iterations cannot combine yet",
-                        ));
-                    }
-                    let pcfg = PipelineConfig {
-                        iterations: self.iterations,
-                        window: self.window,
-                    };
-                    hipress_runtime::run_pipelined(
-                        &graph,
-                        nodes,
-                        &flows,
-                        compressor.as_deref(),
-                        self.seed,
-                        &config,
-                        &pcfg,
-                        instruments,
-                    )?
-                } else if self.chaos.is_some() || self.fault_tolerance.is_some() {
-                    let plan = self
-                        .chaos
-                        .clone()
-                        .unwrap_or_else(|| FaultPlan::none(self.seed));
-                    hipress_runtime::run_chaos(
-                        &graph,
-                        nodes,
-                        &flows,
-                        compressor.as_deref(),
-                        self.seed,
-                        &config,
-                        &self.fault_tolerance.unwrap_or_default(),
-                        &plan,
-                        instruments,
-                    )?
-                } else {
-                    hipress_runtime::run_instrumented(
-                        &graph,
-                        nodes,
-                        &flows,
-                        compressor.as_deref(),
-                        self.seed,
-                        &config,
-                        instruments,
-                    )?
-                };
-                Ok(SyncOutcome {
-                    flows,
-                    report: Some(report),
-                })
+            if pcfg != PipelineConfig::default() {
+                return Err(Error::config(
+                    "pipelined iterations need a real runtime: use Backend::Threads or Backend::Processes",
+                ));
             }
-            Backend::Processes(_) => {
-                if self.chaos.is_some() || self.fault_tolerance.is_some() {
-                    return Err(Error::config(
-                        "chaos/fault tolerance run in-process: use Backend::Threads (the process backend has its own kill_node injection)",
-                    ));
-                }
-                let config = RuntimeConfig {
-                    batch_compression: self.batch_compression,
-                    ..RuntimeConfig::default()
-                };
-                let scope = self.metrics.as_ref().map(|s| {
-                    s.with(&[
-                        ("algorithm", &self.algorithm.label()),
-                        ("strategy", self.strategy.label()),
-                    ])
-                });
-                let instruments = Instruments {
-                    tracer: self.tracer.as_ref(),
-                    metrics: scope.as_ref(),
-                    progress: self.telemetry.as_ref(),
-                };
-                let pcfg = PipelineConfig {
-                    iterations: self.iterations,
-                    window: self.window,
-                };
-                let RunOutcome { flows, report } = hipress_runtime::run_processes(
-                    self.strategy,
-                    self.algorithm,
-                    self.partitions,
-                    worker_grads,
-                    self.seed,
-                    &config,
-                    &pcfg,
-                    &self.process,
-                    instruments,
-                )?;
-                Ok(SyncOutcome {
-                    flows,
-                    report: Some(report),
-                })
-            }
+            let outcomes = interpret(&graph, nodes, &flows, compressor.as_deref(), self.seed)?;
+            return Ok(SyncOutcome {
+                flows: outcomes,
+                report: None,
+            });
         }
+
+        // Both real backends take the same tuning and observers.
+        let config = RuntimeConfig {
+            batch_compression: self.batch_compression,
+            ..RuntimeConfig::default()
+        };
+        let scope = self.metrics.as_ref().map(|s| {
+            s.with(&[
+                ("algorithm", &self.algorithm.label()),
+                ("strategy", self.strategy.label()),
+            ])
+        });
+        let instruments = Instruments {
+            tracer: self.tracer.as_ref(),
+            metrics: scope.as_ref(),
+            progress: self.telemetry.as_ref(),
+        };
+        let RunOutcome { flows, report } = if let Backend::Threads(_) = self.backend {
+            let chaos = untrusted.then(|| {
+                let plan = self.chaos.clone();
+                let plan = plan.unwrap_or_else(|| FaultPlan::none(self.seed));
+                (self.fault_tolerance.unwrap_or_default(), plan)
+            });
+            hipress_runtime::run(
+                &graph,
+                nodes,
+                &replicate(&flows),
+                compressor.as_deref(),
+                self.seed,
+                &RunOptions {
+                    config,
+                    pipeline: pcfg,
+                    instruments,
+                    chaos,
+                },
+            )?
+        } else {
+            if untrusted {
+                return Err(Error::config(
+                    "chaos/fault tolerance run in-process: use Backend::Threads (the process backend has its own kill_node injection)",
+                ));
+            }
+            hipress_runtime::run_processes(
+                self.strategy,
+                self.algorithm,
+                self.partitions,
+                worker_grads,
+                self.seed,
+                &config,
+                &pcfg,
+                &self.process,
+                instruments,
+            )?
+        };
+        Ok(SyncOutcome {
+            flows,
+            report: Some(report),
+        })
     }
 }
