@@ -26,6 +26,12 @@ echo "== benchmark smoke (the repo benchmark still builds against this tree and 
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml \
   --target-dir target -- --smoke >/dev/null
 
+echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x their OSS baselines) =="
+# SS4.4 as a same-process wall-clock ratio: the byte-at-a-time
+# quantizer kernels must stay well ahead of the per-bit reference
+# encoders (the bench asserts it, and the simulated pass counts).
+cargo bench -q -p hipress-bench --bench sec44_speedups >/dev/null
+
 echo "== lint (plan verifier + CompLL dataflow, full matrix) =="
 # Runs hipress-lint over every strategy x algorithm x cluster-size
 # task graph plus all shipped CompLL programs; any diagnostic fails.

@@ -92,8 +92,9 @@ pub(crate) fn write_sparse(out: &mut Vec<u8>, grad: &[f32], indices: &[u32]) {
     }
 }
 
-/// Deserializes a sparse stream section into a dense gradient.
-pub(crate) fn read_sparse(rest: &[u8], elems: usize) -> Result<Vec<f32>> {
+/// The survivor count `k` of a sparse stream section, once the section
+/// is known to be long enough to hold `k` (index, value) pairs.
+fn survivor_count(rest: &[u8]) -> Result<usize> {
     let k = read_u32(rest, 0)? as usize;
     let need = 4 + k * 8;
     if rest.len() < need {
@@ -102,18 +103,45 @@ pub(crate) fn read_sparse(rest: &[u8], elems: usize) -> Result<Vec<f32>> {
             rest.len()
         )));
     }
-    let mut out = vec![0.0f32; elems];
+    Ok(k)
+}
+
+/// Scatters the `k` survivors of a sparse section over an all-zero
+/// `out`, whose length is the only bound on the indices.
+fn scatter(rest: &[u8], k: usize, out: &mut [f32]) -> Result<()> {
+    let elems = out.len();
     for j in 0..k {
         let idx = read_u32(rest, 4 + j * 4)? as usize;
-        if idx >= elems {
-            return Err(Error::codec(format!(
+        let slot = out.get_mut(idx).ok_or_else(|| {
+            Error::codec(format!(
                 "sparse index {idx} out of bounds for {elems} elements"
-            )));
-        }
-        let val = read_f32(rest, 4 + k * 4 + j * 4)?;
-        out[idx] = val;
+            ))
+        })?;
+        *slot = read_f32(rest, 4 + k * 4 + j * 4)?;
     }
+    Ok(())
+}
+
+/// [`Compressor::decode`] for the sparse layout under `algo`. Only the
+/// stream's own header bounds the allocation here; a consumer that
+/// knows the length goes through [`decode_sparse_into`].
+pub(crate) fn decode_sparse(data: &[u8], algo: AlgoId) -> Result<Vec<f32>> {
+    let (h, rest) = Header::read_expecting(data, algo)?;
+    let k = survivor_count(rest)?;
+    let mut out = vec![0.0; h.elems as usize];
+    scatter(rest, k, &mut out)?;
     Ok(out)
+}
+
+/// [`Compressor::decode_into`] for the sparse layout under `algo`: a
+/// header that does not describe exactly `out.len()` elements is
+/// rejected before anything is sized or written by it.
+pub(crate) fn decode_sparse_into(data: &[u8], algo: AlgoId, out: &mut [f32]) -> Result<()> {
+    let (h, rest) = Header::read_expecting(data, algo)?;
+    h.expect_elems(out.len())?;
+    let k = survivor_count(rest)?;
+    out.fill(0.0);
+    scatter(rest, k, out)
 }
 
 impl Compressor for Dgc {
@@ -126,21 +154,23 @@ impl Compressor for Dgc {
     }
 
     fn encode(&self, grad: &[f32], _seed: u64) -> Vec<u8> {
+        // First, so an oversized gradient fails before selection
+        // narrows its indices to `u32`.
+        let header = Header::for_len(AlgoId::Dgc, grad.len());
         let k = self.k_for(grad.len());
         let indices = top_k_indices(grad, k);
         let mut out = Vec::with_capacity(self.compressed_size(grad.len()) as usize);
-        Header {
-            algo: AlgoId::Dgc,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        header.write(&mut out);
         write_sparse(&mut out, grad, &indices);
         out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>> {
-        let (h, rest) = Header::read_expecting(data, AlgoId::Dgc)?;
-        read_sparse(rest, h.elems as usize)
+        decode_sparse(data, AlgoId::Dgc)
+    }
+
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        decode_sparse_into(data, AlgoId::Dgc, out)
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

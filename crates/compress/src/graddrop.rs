@@ -11,7 +11,7 @@
 //! The stream layout is the same sparse (indices, values) format as
 //! DGC, under its own algorithm id.
 
-use crate::dgc::{read_sparse, write_sparse};
+use crate::dgc::{decode_sparse, decode_sparse_into, write_sparse};
 use crate::header::{AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
 use hipress_util::rng::{Rng64, Xoshiro256};
@@ -72,11 +72,7 @@ impl Compressor for GradDrop {
 
     fn encode(&self, grad: &[f32], seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.compressed_size(grad.len()) as usize);
-        Header {
-            algo: AlgoId::GradDrop,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::GradDrop, grad.len()).write(&mut out);
         if grad.is_empty() {
             write_sparse(&mut out, grad, &[]);
             return out;
@@ -94,8 +90,11 @@ impl Compressor for GradDrop {
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>> {
-        let (h, rest) = Header::read_expecting(data, AlgoId::GradDrop)?;
-        read_sparse(rest, h.elems as usize)
+        decode_sparse(data, AlgoId::GradDrop)
+    }
+
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        decode_sparse_into(data, AlgoId::GradDrop, out)
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

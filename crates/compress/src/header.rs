@@ -52,6 +52,35 @@ const MAGIC: u8 = 0xC9;
 pub(crate) const HEADER_LEN: usize = 8;
 
 impl Header {
+    /// The header of an `algo` stream for a `len`-element gradient —
+    /// the one place a gradient length becomes the wire's `u32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `u32::MAX`: the format cannot describe
+    /// such a gradient, and a silently truncated count would decode
+    /// to the wrong length on every replica. Partition it first.
+    pub(crate) fn for_len(algo: AlgoId, len: usize) -> Header {
+        let elems = u32::try_from(len).unwrap_or_else(|_| {
+            panic!("gradient of {len} elements exceeds the u32 element count of the wire header")
+        });
+        Header { algo, elems }
+    }
+
+    /// Verifies the stream describes exactly the `out_len` elements
+    /// its consumer has room for. `decode_into` runs this before it
+    /// touches memory, so a lying header can neither size an
+    /// allocation nor leave part of the destination stale.
+    pub(crate) fn expect_elems(&self, out_len: usize) -> Result<()> {
+        if self.elems as usize != out_len {
+            return Err(Error::codec(format!(
+                "{:?} stream holds {} elements, destination holds {out_len}",
+                self.algo, self.elems
+            )));
+        }
+        Ok(())
+    }
+
     /// Appends the serialized header to `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         out.push(MAGIC);
@@ -127,6 +156,34 @@ mod tests {
         let (parsed, rest) = Header::read(&buf).unwrap();
         assert_eq!(parsed, h);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn for_len_carries_the_length() {
+        let h = Header::for_len(AlgoId::Tbq, 77);
+        assert_eq!((h.algo, h.elems), (AlgoId::Tbq, 77));
+        assert_eq!(
+            Header::for_len(AlgoId::Dgc, u32::MAX as usize).elems,
+            u32::MAX
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceeds the u32 element count")]
+    fn for_len_refuses_to_truncate() {
+        Header::for_len(AlgoId::OneBit, u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn expect_elems_requires_the_exact_length() {
+        let h = Header::for_len(AlgoId::Dgc, 9);
+        assert!(h.expect_elems(9).is_ok());
+        let err = h.expect_elems(8).unwrap_err().to_string();
+        assert!(
+            err.contains("holds 9 elements") && err.contains("holds 8"),
+            "{err}"
+        );
     }
 
     #[test]

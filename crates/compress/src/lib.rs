@@ -43,7 +43,7 @@ pub mod oss;
 pub mod tbq;
 pub mod terngrad;
 
-use hipress_util::Result;
+use hipress_util::{Error, Result};
 
 pub use feedback::ErrorFeedback;
 pub use header::Header;
@@ -92,7 +92,33 @@ pub trait Compressor: Send + Sync {
 
     /// Decompresses a stream produced by [`Compressor::encode`] back
     /// into a dense gradient.
+    ///
+    /// The output length comes from the stream's own header; a
+    /// consumer that knows the length it expects (the runtime always
+    /// does) calls [`Compressor::decode_into`] instead.
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>>;
+
+    /// Decompresses a stream into the consumer's own buffer: the
+    /// values [`Compressor::decode`] returns, with no gradient-sized
+    /// allocation and none sized by the stream.
+    ///
+    /// Fails — before writing anything — unless the stream describes
+    /// exactly `out.len()` elements. After any other error the
+    /// contents of `out` are unspecified. The default goes through
+    /// `decode`; the optimized codecs decode in place.
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        let dense = self.decode(data)?;
+        if dense.len() != out.len() {
+            return Err(Error::codec(format!(
+                "{} stream holds {} elements, destination holds {}",
+                self.name(),
+                dense.len(),
+                out.len()
+            )));
+        }
+        out.copy_from_slice(&dense);
+        Ok(())
+    }
 
     /// Exact compressed size in bytes for an `elems`-element gradient,
     /// when the size is data-independent. Data-dependent algorithms

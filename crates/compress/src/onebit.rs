@@ -19,14 +19,15 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack_codes, packed_len, unpack_codes};
 use hipress_util::{Error, Result};
 
 /// The optimized (CompLL-style) 1-bit quantizer.
 ///
 /// Encode makes two passes (mean computation fused into one scan, sign
 /// packing in a second), matching the fused-kernel implementation the
-/// paper's code generator emits.
+/// paper's code generator emits. Both are branch-free and the second
+/// packs eight signs per output byte.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OneBit;
 
@@ -39,28 +40,61 @@ impl OneBit {
 
 /// Computes the reconstruction levels: means of the positive and
 /// non-positive element subsets. Zero-count subsets get level 0.
+///
+/// The sign of gradient data is a coin flip a branch predictor loses
+/// half the time, so every element is *selected* into one sum while
+/// the other adds `+0.0`. That is the identity on both sums — neither
+/// can be `-0.0`: they start at `+0.0` and only ever add one sign —
+/// so each sum sees the additions a branching loop would make, in the
+/// same sequential order, and the levels are bit-identical to it.
 fn reconstruction_levels(grad: &[f32]) -> (f32, f32) {
-    let (mut pos_sum, mut pos_n, mut neg_sum, mut neg_n) = (0.0f64, 0u64, 0.0f64, 0u64);
+    let (mut pos_sum, mut neg_sum, mut pos_n) = (0.0f64, 0.0f64, 0usize);
     for &x in grad {
-        if x > 0.0 {
-            pos_sum += x as f64;
-            pos_n += 1;
-        } else {
-            neg_sum += x as f64;
-            neg_n += 1;
-        }
+        let pos = x > 0.0;
+        let x = f64::from(x);
+        pos_sum += if pos { x } else { 0.0 };
+        neg_sum += if pos { 0.0 } else { x };
+        pos_n += usize::from(pos);
     }
-    let pos_mean = if pos_n > 0 {
-        (pos_sum / pos_n as f64) as f32
-    } else {
-        0.0
+    let mean = |sum: f64, n: usize| {
+        if n > 0 {
+            (sum / n as f64) as f32
+        } else {
+            0.0
+        }
     };
-    let neg_mean = if neg_n > 0 {
-        (neg_sum / neg_n as f64) as f32
-    } else {
-        0.0
-    };
-    (neg_mean, pos_mean)
+    (mean(neg_sum, grad.len() - pos_n), mean(pos_sum, pos_n))
+}
+
+/// A validated onebit stream: the two levels and a sign section long
+/// enough for every element the header counts.
+struct Stream<'a> {
+    header: Header,
+    levels: [f32; 2],
+    signs: &'a [u8],
+}
+
+impl<'a> Stream<'a> {
+    fn parse(data: &'a [u8]) -> Result<Self> {
+        let (header, rest) = Header::read_expecting(data, AlgoId::OneBit)?;
+        let levels = [read_f32(rest, 0)?, read_f32(rest, 4)?];
+        let signs = &rest[8..];
+        if signs.len() < packed_len(header.elems as usize, 1) {
+            return Err(Error::codec("onebit stream truncated"));
+        }
+        Ok(Stream {
+            header,
+            levels,
+            signs,
+        })
+    }
+
+    /// Writes the reconstruction of every element into `out`, which
+    /// holds exactly `header.elems` slots.
+    fn unpack(&self, out: &mut [f32]) {
+        let levels = self.levels;
+        unpack_codes(self.signs, 1, out, |bit| levels[usize::from(bit & 1)]);
+    }
 }
 
 impl Compressor for OneBit {
@@ -75,37 +109,27 @@ impl Compressor for OneBit {
     fn encode(&self, grad: &[f32], _seed: u64) -> Vec<u8> {
         let (neg_mean, pos_mean) = reconstruction_levels(grad);
         let mut out = Vec::with_capacity(self.compressed_size(grad.len()) as usize);
-        Header {
-            algo: AlgoId::OneBit,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::OneBit, grad.len()).write(&mut out);
         out.extend_from_slice(&neg_mean.to_le_bytes());
         out.extend_from_slice(&pos_mean.to_le_bytes());
-        let mut bits = BitWriter::with_capacity_bits(grad.len());
-        for &x in grad {
-            bits.write_bit(x > 0.0);
-        }
-        out.extend_from_slice(&bits.finish());
+        // NaN and -0.0 are not `> 0.0`: they stay in the non-positive
+        // subset here exactly as they did in the sums above.
+        pack_codes(grad, 1, &mut out, |x: f32| u8::from(x > 0.0));
         out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>> {
-        let (h, rest) = Header::read_expecting(data, AlgoId::OneBit)?;
-        let neg_mean = read_f32(rest, 0)?;
-        let pos_mean = read_f32(rest, 4)?;
-        let bits = &rest[8..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, 1) {
-            return Err(Error::codec("onebit stream truncated"));
-        }
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let bit = reader.read_bit().expect("length checked above");
-            out.push(if bit { pos_mean } else { neg_mean });
-        }
+        let stream = Stream::parse(data)?;
+        let mut out = vec![0.0; stream.header.elems as usize];
+        stream.unpack(&mut out);
         Ok(out)
+    }
+
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        let stream = Stream::parse(data)?;
+        stream.header.expect_elems(out.len())?;
+        stream.unpack(out);
+        Ok(())
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

@@ -63,11 +63,7 @@ impl Compressor for OssOneBit {
         // vector before packing.
         let signs: Vec<bool> = copy.iter().map(|&x| x > 0.0).collect();
         let mut out = Vec::new();
-        Header {
-            algo: AlgoId::OneBit,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::OneBit, grad.len()).write(&mut out);
         out.extend_from_slice(&neg_mean.to_le_bytes());
         out.extend_from_slice(&pos_mean.to_le_bytes());
         let mut bits = BitWriter::new();
@@ -142,11 +138,7 @@ impl Compressor for OssTbq {
         }
         // Stage 2: repack byte codes into 2-bit codes.
         let mut out = Vec::new();
-        Header {
-            algo: AlgoId::Tbq,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::Tbq, grad.len()).write(&mut out);
         out.extend_from_slice(&self.tau.to_le_bytes());
         let mut bits = BitWriter::new();
         for c in codes {
@@ -215,11 +207,7 @@ impl Compressor for OssTernGrad {
             0.0
         };
         let mut out = Vec::new();
-        Header {
-            algo: AlgoId::TernGrad,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::TernGrad, grad.len()).write(&mut out);
         out.push(self.bitwidth);
         out.extend_from_slice(&min.to_le_bytes());
         out.extend_from_slice(&max.to_le_bytes());
@@ -297,11 +285,7 @@ impl Compressor for OssDgc {
         let mut indices: Vec<u32> = pairs[..k].iter().map(|&(_, i)| i).collect();
         indices.sort_unstable();
         let mut out = Vec::new();
-        Header {
-            algo: AlgoId::Dgc,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::Dgc, grad.len()).write(&mut out);
         dgc::write_sparse(&mut out, grad, &indices);
         out
     }

@@ -14,15 +14,57 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack_codes, packed_len, unpack_codes};
 use hipress_util::{Error, Result};
 
-/// 2-bit code for a zero element.
-const CODE_ZERO: u64 = 0b00;
-/// 2-bit code for +τ.
-const CODE_POS: u64 = 0b01;
+/// 2-bit code for +τ (zero is `0b00`).
+const CODE_POS: u8 = 0b01;
 /// 2-bit code for −τ.
-const CODE_NEG: u64 = 0b10;
+const CODE_NEG: u8 = 0b10;
+
+/// A byte holds a `0b11` pair — the one code no encoder emits — iff
+/// this is non-zero: each pair's low bit ANDed with its high bit.
+fn invalid_pairs(byte: u8) -> u8 {
+    byte & (byte >> 1) & 0b0101_0101
+}
+
+/// A validated TBQ stream: the threshold and a code section that holds
+/// only the three legal codes for every element the header counts.
+struct Stream<'a> {
+    header: Header,
+    tau: f32,
+    codes: &'a [u8],
+}
+
+impl<'a> Stream<'a> {
+    fn parse(data: &'a [u8]) -> Result<Self> {
+        let (header, rest) = Header::read_expecting(data, AlgoId::Tbq)?;
+        let tau = read_f32(rest, 0)?;
+        let elems = header.elems as usize;
+        let codes = rest[4..]
+            .get(..packed_len(elems, 2))
+            .ok_or_else(|| Error::codec("tbq stream truncated"))?;
+        // Check the codes a byte at a time, before anything is
+        // written; the padding pairs of the last byte do not count.
+        // An OR-fold rather than `any`: without the early exit the
+        // scan vectorizes, and a valid stream reads every byte anyway.
+        let (whole, tail) = codes.split_at(elems / 4);
+        let tail_mask = ((1u16 << (elems % 4 * 2)) - 1) as u8;
+        let invalid = whole.iter().fold(0, |acc, &b| acc | invalid_pairs(b))
+            | tail.first().map_or(0, |&b| invalid_pairs(b & tail_mask));
+        if invalid != 0 {
+            return Err(Error::codec("invalid TBQ code 0b11"));
+        }
+        Ok(Stream { header, tau, codes })
+    }
+
+    /// Writes the reconstruction of every element into `out`, which
+    /// holds exactly `header.elems` slots.
+    fn unpack(&self, out: &mut [f32]) {
+        let levels = [0.0, self.tau, -self.tau, 0.0];
+        unpack_codes(self.codes, 2, out, |code| levels[usize::from(code & 0b11)]);
+    }
+}
 
 /// The optimized threshold binary quantizer.
 #[derive(Debug, Clone, Copy)]
@@ -61,49 +103,29 @@ impl Compressor for Tbq {
 
     fn encode(&self, grad: &[f32], _seed: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.compressed_size(grad.len()) as usize);
-        Header {
-            algo: AlgoId::Tbq,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::Tbq, grad.len()).write(&mut out);
         out.extend_from_slice(&self.tau.to_le_bytes());
-        let mut bits = BitWriter::with_capacity_bits(grad.len() * 2);
-        for &x in grad {
-            let code = if x >= self.tau {
-                CODE_POS
-            } else if x <= -self.tau {
-                CODE_NEG
-            } else {
-                CODE_ZERO
-            };
-            bits.write(code, 2);
-        }
-        out.extend_from_slice(&bits.finish());
+        // τ > 0, so at most one comparison holds (neither for NaN)
+        // and the two bits never collide.
+        let tau = self.tau;
+        pack_codes(grad, 2, &mut out, |x: f32| {
+            (u8::from(x >= tau) * CODE_POS) | (u8::from(x <= -tau) * CODE_NEG)
+        });
         out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>> {
-        let (h, rest) = Header::read_expecting(data, AlgoId::Tbq)?;
-        let tau = read_f32(rest, 0)?;
-        let bits = &rest[4..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, 2) {
-            return Err(Error::codec("tbq stream truncated"));
-        }
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let code = reader.read(2).expect("length checked above");
-            out.push(match code {
-                CODE_ZERO => 0.0,
-                CODE_POS => tau,
-                CODE_NEG => -tau,
-                other => {
-                    return Err(Error::codec(format!("invalid TBQ code {other:#b}")));
-                }
-            });
-        }
+        let stream = Stream::parse(data)?;
+        let mut out = vec![0.0; stream.header.elems as usize];
+        stream.unpack(&mut out);
         Ok(out)
+    }
+
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        let stream = Stream::parse(data)?;
+        stream.header.expect_elems(out.len())?;
+        stream.unpack(out);
+        Ok(())
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

@@ -24,7 +24,7 @@
 
 use crate::header::{read_f32, AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack_codes, packed_len, unpack_codes};
 use hipress_util::rng::{Rng64, Xoshiro256};
 use hipress_util::{Error, Result};
 
@@ -59,6 +59,58 @@ impl TernGrad {
     }
 }
 
+/// A validated TernGrad stream: bitwidth, range, and a level section
+/// long enough for every element the header counts.
+struct Stream<'a> {
+    header: Header,
+    bitwidth: u8,
+    min: f32,
+    max: f32,
+    levels: &'a [u8],
+}
+
+impl<'a> Stream<'a> {
+    fn parse(data: &'a [u8]) -> Result<Self> {
+        let (header, rest) = Header::read_expecting(data, AlgoId::TernGrad)?;
+        let bitwidth = *rest
+            .first()
+            .ok_or_else(|| Error::codec("terngrad stream missing bitwidth"))?;
+        if !(1..=8).contains(&bitwidth) {
+            return Err(Error::codec(format!(
+                "invalid terngrad bitwidth {bitwidth}"
+            )));
+        }
+        let min = read_f32(rest, 1)?;
+        let max = read_f32(rest, 5)?;
+        let levels = &rest[9..];
+        if levels.len() < packed_len(header.elems as usize, bitwidth as u32) {
+            return Err(Error::codec("terngrad stream truncated"));
+        }
+        Ok(Stream {
+            header,
+            bitwidth,
+            min,
+            max,
+            levels,
+        })
+    }
+
+    /// Writes the reconstruction of every element into `out`, which
+    /// holds exactly `header.elems` slots.
+    fn unpack(&self, out: &mut [f32]) {
+        let top = (1u32 << self.bitwidth) - 1;
+        let (min, max) = (self.min, self.max);
+        let gap = if max > min {
+            (max - min) / top as f32
+        } else {
+            0.0
+        };
+        unpack_codes(self.levels, self.bitwidth as u32, out, |q| {
+            min + q as f32 * gap
+        });
+    }
+}
+
 impl Compressor for TernGrad {
     fn name(&self) -> &'static str {
         "terngrad"
@@ -88,62 +140,42 @@ impl Compressor for TernGrad {
         };
 
         let mut out = Vec::with_capacity(self.compressed_size(grad.len()) as usize);
-        Header {
-            algo: AlgoId::TernGrad,
-            elems: grad.len() as u32,
-        }
-        .write(&mut out);
+        Header::for_len(AlgoId::TernGrad, grad.len()).write(&mut out);
         out.push(self.bitwidth);
         out.extend_from_slice(&min.to_le_bytes());
         out.extend_from_slice(&max.to_le_bytes());
 
-        // Pass 2: stochastic rounding + bit packing.
+        // Pass 2: stochastic rounding + packing, one PRNG draw per
+        // element in element order. A constant gradient draws nothing
+        // and packs all-zero levels.
         let width = self.bitwidth as u32;
-        let mut bits = BitWriter::with_capacity_bits(grad.len() * width as usize);
-        for &x in grad {
-            let q = if gap > 0.0 {
+        let top = self.levels() - 1;
+        if gap > 0.0 {
+            pack_codes(grad, width, &mut out, |x: f32| {
                 let r = (x - min) / gap;
-                let rounded = (r + rng.next_f32()).floor() as u32;
-                rounded.min(self.levels() - 1)
-            } else {
-                0
-            };
-            bits.write(q as u64, width);
+                // `as u32` truncates toward zero and saturates (NaN
+                // to 0): on `r + u >= 0` that is `floor`, and below
+                // zero both give 0 — without the libm call.
+                ((r + rng.next_f32()) as u32).min(top) as u8
+            });
+        } else {
+            out.resize(out.len() + packed_len(grad.len(), width), 0);
         }
-        out.extend_from_slice(&bits.finish());
         out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<f32>> {
-        let (h, rest) = Header::read_expecting(data, AlgoId::TernGrad)?;
-        let bitwidth = *rest
-            .first()
-            .ok_or_else(|| Error::codec("terngrad stream missing bitwidth"))?;
-        if !(1..=8).contains(&bitwidth) {
-            return Err(Error::codec(format!(
-                "invalid terngrad bitwidth {bitwidth}"
-            )));
-        }
-        let min = read_f32(rest, 1)?;
-        let max = read_f32(rest, 5)?;
-        let bits = &rest[9..];
-        let elems = h.elems as usize;
-        if bits.len() < packed_len(elems, bitwidth as u32) {
-            return Err(Error::codec("terngrad stream truncated"));
-        }
-        let levels = (1u32 << bitwidth) - 1;
-        let gap = if levels > 0 && max > min {
-            (max - min) / levels as f32
-        } else {
-            0.0
-        };
-        let mut reader = BitReader::new(bits);
-        let mut out = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let q = reader.read(bitwidth as u32).expect("length checked above");
-            out.push(min + q as f32 * gap);
-        }
+        let stream = Stream::parse(data)?;
+        let mut out = vec![0.0; stream.header.elems as usize];
+        stream.unpack(&mut out);
         Ok(out)
+    }
+
+    fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
+        let stream = Stream::parse(data)?;
+        stream.header.expect_elems(out.len())?;
+        stream.unpack(out);
+        Ok(())
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

@@ -400,13 +400,16 @@ pub enum Msg {
     },
 }
 
-/// Per-chunk node state: the local accumulator and the installed
-/// aggregate, plus degradation bookkeeping (how many contributions
-/// merged in, how many were skipped).
+/// Per-chunk node state: the local accumulator — which `Update`
+/// overwrites in place with the installed aggregate — plus degradation
+/// bookkeeping (how many contributions merged in, how many were
+/// skipped).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Cell {
     pub(crate) acc: Vec<f32>,
-    pub(crate) updated: Option<Vec<f32>>,
+    /// Whether `Update` ran: `acc` is the installed aggregate, the
+    /// chunk's result.
+    pub(crate) updated: bool,
     /// Contributions successfully merged into `acc`.
     pub(crate) merged: u32,
     /// Contributions lost to a degradation skip.
@@ -414,6 +417,28 @@ pub(crate) struct Cell {
     /// Whether `acc` has already been rescaled for missing
     /// contributions (the scaling must apply exactly once).
     pub(crate) scaled: bool,
+}
+
+impl Cell {
+    /// Rescales a degraded accumulator exactly once, approximating the
+    /// lost contributions: the cell holds `1 + merged` of the `nodes`
+    /// expected contributions, so scale by their ratio (bounded
+    /// staleness: the hole is filled with the survivors' mean).
+    fn settle_degraded(&mut self, nodes: usize) {
+        if self.missing > 0 && !self.scaled {
+            self.scale(crate::protocol::degrade_rescale(
+                nodes,
+                self.merged as usize,
+            ));
+            self.scaled = true;
+        }
+    }
+
+    fn scale(&mut self, f: f32) {
+        for a in &mut self.acc {
+            *a *= f;
+        }
+    }
 }
 
 /// Per-flow input tensors, one replica per node — the shape the
@@ -605,10 +630,12 @@ impl FlowLayout {
                     let cell = cells_per_node[node].get(&(ff, p)).ok_or_else(|| {
                         Error::sim(format!("node {node} never touched chunk ({ff},{p})"))
                     })?;
-                    let value = cell.updated.as_ref().ok_or_else(|| {
-                        Error::sim(format!("node {node} never updated chunk ({ff},{p})"))
-                    })?;
-                    dense[start..start + len].copy_from_slice(value);
+                    if !cell.updated {
+                        return Err(Error::sim(format!(
+                            "node {node} never updated chunk ({ff},{p})"
+                        )));
+                    }
+                    dense[start..start + len].copy_from_slice(&cell.acc);
                 }
                 per_node.push(dense);
             }
@@ -758,32 +785,11 @@ impl<'a> NodeCore<'a> {
             .ok_or_else(|| Error::sim("codec task without a compressor"))
     }
 
-    /// Rescales a degraded accumulator exactly once, approximating the
-    /// lost contributions: the cell holds `1 + merged` of the `nodes`
-    /// expected contributions, so scale by their ratio (bounded
-    /// staleness: the hole is filled with the survivors' mean).
     fn settle_degraded(&mut self, key: (u32, u32)) {
         let nodes = self.layout.nodes;
         if let Some(cell) = self.cells.get_mut(&key) {
-            if cell.missing > 0 && !cell.scaled {
-                let f = crate::protocol::degrade_rescale(nodes, cell.merged as usize);
-                for a in &mut cell.acc {
-                    *a *= f;
-                }
-                cell.scaled = true;
-            }
+            cell.settle_degraded(nodes);
         }
-    }
-
-    /// The degraded stand-in for a skipped incoming aggregate: the
-    /// local accumulator scaled up to the expected contribution count.
-    fn degraded_aggregate(&self, key: (u32, u32)) -> Result<Vec<f32>> {
-        let cell = self
-            .cells
-            .get(&key)
-            .ok_or_else(|| Error::sim("update with no state"))?;
-        let f = crate::protocol::degrade_rescale(self.layout.nodes, cell.merged as usize);
-        Ok(cell.acc.iter().map(|x| x * f).collect())
     }
 
     /// Executes one primitive, recording its measurement into the
@@ -852,7 +858,16 @@ impl<'a> NodeCore<'a> {
                     .ok_or_else(|| Error::sim("decode without a recv dependency"))?;
                 match self.recv_payload.get(&recv.0).map(|p| p.as_ref()) {
                     Some(Payload::Compressed(bytes)) => {
-                        let out = self.compressor()?.decode(bytes)?;
+                        // Sized by the layout, never by the stream: a
+                        // header that claims another length is a
+                        // codec error, not an allocation.
+                        let elems = *self
+                            .layout
+                            .chunk_elems
+                            .get(&key)
+                            .ok_or_else(|| Error::sim("decode of a chunk with no source"))?;
+                        let mut out = vec![0.0f32; elems];
+                        self.compressor()?.decode_into(bytes, &mut out)?;
                         self.dec_out.insert(id.0, out);
                     }
                     Some(Payload::Raw(_)) => {
@@ -867,39 +882,34 @@ impl<'a> NodeCore<'a> {
                 }
             }
             Primitive::Merge => {
-                enum Contribution {
-                    Data(Vec<f32>),
-                    Hole,
-                }
-                let contribution = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
-                    if self.skipped_out.contains(&d.0) {
-                        Contribution::Hole
-                    } else {
-                        Contribution::Data(
-                            self.dec_out
-                                .get(&d.0)
-                                .cloned()
-                                .ok_or_else(|| Error::sim("merge before decode"))?,
-                        )
-                    }
-                } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
-                    match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                        Some(Payload::Raw(v)) => Contribution::Data(v.clone()),
-                        Some(Payload::Compressed(_)) => {
-                            return Err(Error::sim("raw merge of compressed payload"));
+                // The decoded or received chunk, borrowed where it
+                // already lives; `None` is a degradation hole.
+                let contribution: Option<&[f32]> =
+                    if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
+                        if self.skipped_out.contains(&d.0) {
+                            None
+                        } else {
+                            let dec = self.dec_out.get(&d.0);
+                            Some(dec.ok_or_else(|| Error::sim("merge before decode"))?)
                         }
-                        Some(Payload::Skipped) => Contribution::Hole,
-                        None => return Err(Error::sim("merge before recv delivered")),
-                    }
-                } else {
-                    return Err(Error::sim("merge with nothing to merge"));
-                };
+                    } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
+                        match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
+                            Some(Payload::Raw(v)) => Some(v),
+                            Some(Payload::Compressed(_)) => {
+                                return Err(Error::sim("raw merge of compressed payload"));
+                            }
+                            Some(Payload::Skipped) => None,
+                            None => return Err(Error::sim("merge before recv delivered")),
+                        }
+                    } else {
+                        return Err(Error::sim("merge with nothing to merge"));
+                    };
                 let cell = self
                     .cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("merge with no accumulator"))?;
                 match contribution {
-                    Contribution::Data(contribution) => {
+                    Some(contribution) => {
                         if contribution.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
@@ -908,7 +918,7 @@ impl<'a> NodeCore<'a> {
                         }
                         cell.merged += 1;
                     }
-                    Contribution::Hole => {
+                    None => {
                         // The contribution was skipped by degradation:
                         // nothing to add; remember the gap so the acc
                         // is rescaled before anyone consumes it.
@@ -969,55 +979,73 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Barrier => {}
             Primitive::Update => {
-                let value: Vec<f32> = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode)
-                {
+                /// What `Update` installs into the accumulator.
+                enum Install<'v> {
+                    /// The disseminated aggregate, decoded or received.
+                    Value(&'v [f32]),
+                    /// The aggregate never arrived: the best local
+                    /// approximation, the accumulator scaled up to the
+                    /// expected contribution count.
+                    Degraded,
+                    /// Replica consistency: the aggregate's owner
+                    /// installs the reconstruction of the bytes it
+                    /// disseminated, exactly as every decoding replica
+                    /// will.
+                    OwnBytes(&'v [u8]),
+                    /// Uncompressed owner: the accumulator is the
+                    /// aggregate already.
+                    Accumulator,
+                }
+                let install = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
                     if self.skipped_out.contains(&d.0) {
-                        // The disseminated aggregate never arrived:
-                        // install the best local approximation.
-                        self.degraded_aggregate(key)?
+                        Install::Degraded
                     } else {
-                        self.dec_out
-                            .get(&d.0)
-                            .cloned()
-                            .ok_or_else(|| Error::sim("update before decode"))?
+                        let dec = self.dec_out.get(&d.0);
+                        Install::Value(dec.ok_or_else(|| Error::sim("update before decode"))?)
                     }
                 } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
                     match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                        Some(Payload::Raw(v)) => v.clone(),
+                        Some(Payload::Raw(v)) => Install::Value(v),
                         Some(Payload::Compressed(_)) => {
                             return Err(Error::sim("raw update of compressed payload"));
                         }
-                        Some(Payload::Skipped) => self.degraded_aggregate(key)?,
+                        Some(Payload::Skipped) => Install::Degraded,
                         None => return Err(Error::sim("update before recv delivered")),
                     }
                 } else if let Some(e) = self.find_dep(id, |p| p == Primitive::Encode) {
-                    // Replica consistency: the aggregate's owner
-                    // installs the reconstruction of the bytes it
-                    // disseminated, exactly as every decoding replica
-                    // will.
-                    let c = self.compressor()?;
-                    let bytes = self
-                        .enc_out
-                        .get(&e.0)
-                        .ok_or_else(|| Error::sim("update before encode ran"))?;
-                    c.decode(bytes)?
+                    let bytes = self.enc_out.get(&e.0);
+                    Install::OwnBytes(bytes.ok_or_else(|| Error::sim("update before encode ran"))?)
                 } else {
-                    self.settle_degraded(key);
-                    self.cells
-                        .get(&key)
-                        .ok_or_else(|| Error::sim("update with no state"))?
-                        .acc
-                        .clone()
+                    Install::Accumulator
                 };
+                let nodes = self.layout.nodes;
+                let compressor = self.compressor;
                 let cell = self
                     .cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("update with no state"))?;
-                if value.len() != cell.acc.len() {
-                    return Err(Error::sim("update length mismatch"));
+                // The accumulator is the buffer the result is read
+                // from, so every source lands in it directly: one copy
+                // for a borrowed chunk, none otherwise.
+                match install {
+                    Install::Value(value) => {
+                        if value.len() != cell.acc.len() {
+                            return Err(Error::sim("update length mismatch"));
+                        }
+                        cell.acc.copy_from_slice(value);
+                    }
+                    Install::Degraded => {
+                        cell.scale(crate::protocol::degrade_rescale(
+                            nodes,
+                            cell.merged as usize,
+                        ));
+                    }
+                    Install::OwnBytes(bytes) => compressor
+                        .ok_or_else(|| Error::sim("codec task without a compressor"))?
+                        .decode_into(bytes, &mut cell.acc)?,
+                    Install::Accumulator => cell.settle_degraded(nodes),
                 }
-                cell.acc = value.clone();
-                cell.updated = Some(value);
+                cell.updated = true;
             }
         }
         let ns = started.elapsed().as_nanos() as u64;

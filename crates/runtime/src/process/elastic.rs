@@ -91,7 +91,8 @@ fn collect_member(
                             (
                                 (f, p),
                                 Cell {
-                                    updated: Some(v),
+                                    acc: v,
+                                    updated: true,
                                     ..Cell::default()
                                 },
                             )

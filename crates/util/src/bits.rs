@@ -10,6 +10,11 @@
 //! number of bits is padded with zeros to a byte boundary, mirroring
 //! the paper's CompLL code generator ("minimal zero padding to ensure
 //! the total number of bits is a multiple of 8", §4.3).
+//!
+//! [`BitWriter`] / [`BitReader`] move one variable-width value per
+//! call and define the layout. [`pack_codes`] / [`unpack_codes`] are
+//! the kernels for the fixed-width case the quantizers live in: the
+//! same bytes, produced and consumed eight codes at a time.
 
 /// Incremental writer that packs variable-width codes into a `Vec<u8>`.
 #[derive(Debug, Default, Clone)]
@@ -51,7 +56,6 @@ impl BitWriter {
         while remaining > 0 {
             if self.partial_bits == 0 {
                 self.buf.push(0);
-                self.partial_bits = 0;
             }
             let free = 8 - self.partial_bits;
             let take = free.min(remaining);
@@ -59,12 +63,9 @@ impl BitWriter {
             *last |= ((v & ((1u16 << take) as u64 - 1)) as u8) << self.partial_bits;
             v >>= take;
             self.partial_bits = (self.partial_bits + take) % 8;
+            // If the byte filled exactly, partial_bits wrapped to 0 and
+            // the next iteration (or call) pushes a fresh byte.
             remaining -= take;
-            // If we filled the byte exactly, partial_bits wrapped to 0 and
-            // the next iteration pushes a fresh byte.
-            if remaining > 0 && self.partial_bits == 0 {
-                continue;
-            }
         }
     }
 
@@ -186,6 +187,123 @@ impl<'a> BitReader<'a> {
 /// Number of bytes needed to store `count` values of `width` bits each.
 pub fn packed_len(count: usize, width: u32) -> usize {
     (count * width as usize).div_ceil(8)
+}
+
+/// Packs one `width`-bit code per element of `src` onto the end of
+/// `out`: byte for byte what one [`BitWriter::write`] per element and
+/// a [`BitWriter::finish`] produce, [`packed_len`] bytes in all.
+///
+/// Eight codes of any width in `1..=8` fill exactly `width` bytes, so
+/// each step gathers eight codes in a register and stores whole
+/// bytes; only the last, partial group is zero padded. The function is
+/// generic over `code`, so it is compiled — and the per-element code
+/// inlined — inside the calling crate.
+///
+/// `code` runs exactly once per element, in order: it may carry state
+/// (a running sum, a PRNG) and still see the elements sequentially.
+///
+/// # Panics
+///
+/// Panics if `width` is outside `1..=8`. A `code` result with bits
+/// above `width` corrupts the neighbouring codes (checked in debug
+/// builds only; this is the hot path).
+#[inline]
+pub fn pack_codes<T: Copy, F: FnMut(T) -> u8>(src: &[T], width: u32, out: &mut Vec<u8>, code: F) {
+    match width {
+        1 => pack_width::<1, T, F>(src, out, code),
+        2 => pack_width::<2, T, F>(src, out, code),
+        3 => pack_width::<3, T, F>(src, out, code),
+        4 => pack_width::<4, T, F>(src, out, code),
+        5 => pack_width::<5, T, F>(src, out, code),
+        6 => pack_width::<6, T, F>(src, out, code),
+        7 => pack_width::<7, T, F>(src, out, code),
+        8 => pack_width::<8, T, F>(src, out, code),
+        _ => panic!("bulk code width must be in 1..=8, got {width}"),
+    }
+}
+
+/// Gathers up to eight `W`-bit codes, first code lowest.
+#[inline]
+fn gather<const W: usize, T: Copy>(group: &[T], code: &mut impl FnMut(T) -> u8) -> u64 {
+    let mut word = 0u64;
+    for (i, &x) in group.iter().enumerate() {
+        let c = code(x);
+        debug_assert!(u32::from(c) >> W == 0, "code {c} does not fit in {W} bits");
+        word |= u64::from(c) << (i * W);
+    }
+    word
+}
+
+#[inline]
+fn pack_width<const W: usize, T: Copy, F: FnMut(T) -> u8>(
+    src: &[T],
+    out: &mut Vec<u8>,
+    mut code: F,
+) {
+    let start = out.len();
+    out.resize(start + packed_len(src.len(), W as u32), 0);
+    // The last, partial group may itself fill up to `W` bytes, so
+    // split where the whole groups end rather than at a multiple of
+    // `W`.
+    let (whole, tail) = out[start..].split_at_mut(src.len() / 8 * W);
+    let mut groups = src.chunks_exact(8);
+    for (group, dst) in (&mut groups).zip(whole.chunks_exact_mut(W)) {
+        dst.copy_from_slice(&gather::<W, T>(group, &mut code).to_le_bytes()[..W]);
+    }
+    let word = gather::<W, T>(groups.remainder(), &mut code);
+    tail.copy_from_slice(&word.to_le_bytes()[..tail.len()]);
+}
+
+/// Unpacks `dst.len()` codes of `width` bits from the front of
+/// `packed`, storing `value(code)` per element: the bulk inverse of
+/// [`pack_codes`], code for code what [`BitReader::read`] returns.
+///
+/// Bytes of `packed` beyond [`packed_len`]`(dst.len(), width)` and the
+/// padding bits of the last byte are ignored. `value` runs once per
+/// element, in order.
+///
+/// # Panics
+///
+/// Panics if `width` is outside `1..=8` or `packed` is shorter than
+/// [`packed_len`]`(dst.len(), width)` — callers decoding outside input
+/// check the length first and return an error.
+#[inline]
+pub fn unpack_codes<T, F: FnMut(u8) -> T>(packed: &[u8], width: u32, dst: &mut [T], value: F) {
+    match width {
+        1 => unpack_width::<1, T, F>(packed, dst, value),
+        2 => unpack_width::<2, T, F>(packed, dst, value),
+        3 => unpack_width::<3, T, F>(packed, dst, value),
+        4 => unpack_width::<4, T, F>(packed, dst, value),
+        5 => unpack_width::<5, T, F>(packed, dst, value),
+        6 => unpack_width::<6, T, F>(packed, dst, value),
+        7 => unpack_width::<7, T, F>(packed, dst, value),
+        8 => unpack_width::<8, T, F>(packed, dst, value),
+        _ => panic!("bulk code width must be in 1..=8, got {width}"),
+    }
+}
+
+/// Scatters the `W`-bit codes of `bytes` (at most `W` of them, first
+/// code lowest) over `group`.
+#[inline]
+fn scatter<const W: usize, T>(bytes: &[u8], group: &mut [T], value: &mut impl FnMut(u8) -> T) {
+    let mut le = [0u8; 8];
+    le[..bytes.len()].copy_from_slice(bytes);
+    let word = u64::from_le_bytes(le);
+    let mask = (1u64 << W) - 1;
+    for (i, slot) in group.iter_mut().enumerate() {
+        *slot = value(((word >> (i * W)) & mask) as u8);
+    }
+}
+
+#[inline]
+fn unpack_width<const W: usize, T, F: FnMut(u8) -> T>(packed: &[u8], dst: &mut [T], mut value: F) {
+    let packed = &packed[..packed_len(dst.len(), W as u32)];
+    let (whole, tail) = packed.split_at(dst.len() / 8 * W);
+    let mut groups = dst.chunks_exact_mut(8);
+    for (group, src) in (&mut groups).zip(whole.chunks_exact(W)) {
+        scatter::<W, T>(src, group, &mut value);
+    }
+    scatter::<W, T>(tail, groups.into_remainder(), &mut value);
 }
 
 #[cfg(test)]

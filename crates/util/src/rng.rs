@@ -27,6 +27,7 @@ pub trait Rng64 {
     }
 
     /// Returns a uniformly distributed `f32` in `[0, 1)`.
+    #[inline]
     fn next_f32(&mut self) -> f32 {
         // Use the top 24 bits for a uniform float in [0, 1).
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
@@ -161,6 +162,9 @@ impl Xoshiro256 {
 }
 
 impl Rng64 for Xoshiro256 {
+    // Drawn once per element inside the TernGrad pack kernel, which
+    // lives in another crate.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;

@@ -1,7 +1,7 @@
 //! Randomized tests for the bit-level reader/writer duality, driven
 //! by the workspace's own deterministic PRNGs.
 
-use hipress_util::bits::{packed_len, BitReader, BitWriter};
+use hipress_util::bits::{pack_codes, packed_len, unpack_codes, BitReader, BitWriter};
 use hipress_util::rng::{Rng64, Xoshiro256};
 
 const CASES: usize = 256;
@@ -98,4 +98,62 @@ fn skip_equals_read() {
             }
         }
     }
+}
+
+/// The bulk kernels are the bit-at-a-time reader/writer, faster: for
+/// every width and every length around the 8-code group boundary,
+/// `pack_codes` emits `BitWriter`'s bytes and `unpack_codes` returns
+/// `BitReader`'s codes — also from a stream with trailing bytes and
+/// non-zero padding bits.
+#[test]
+fn bulk_kernels_equal_bit_io() {
+    let mut rng = Xoshiro256::new(0xB175_0004);
+    for width in 1..=8u32 {
+        for len in 0..=130usize {
+            let codes: Vec<u8> = (0..len)
+                .map(|_| rng.next_below(1u64 << width) as u8)
+                .collect();
+            let mut w = BitWriter::new();
+            for &c in &codes {
+                w.write(u64::from(c), width);
+            }
+            let reference = w.finish();
+
+            // Appends: whatever `out` already holds stays in front.
+            let mut packed = vec![0xEE];
+            let mut calls = 0usize;
+            pack_codes(&codes, width, &mut packed, |c| {
+                calls += 1;
+                c
+            });
+            assert_eq!(calls, len, "one call per element");
+            assert_eq!(packed[0], 0xEE);
+            assert_eq!(&packed[1..], &reference[..], "width {width} len {len}");
+
+            let mut noisy = reference.clone();
+            if let Some(last) = noisy.last_mut() {
+                let used = (len * width as usize - 1) % 8 + 1;
+                *last |= (0xFFu16 << used) as u8; // Set the padding bits.
+            }
+            noisy.extend_from_slice(&[0xFF, 0xFF]);
+            let mut r = BitReader::new(&noisy);
+            let expect: Vec<u8> = (0..len).map(|_| r.read(width).unwrap() as u8).collect();
+            assert_eq!(expect, codes);
+            let mut got = vec![0u8; len];
+            unpack_codes(&noisy, width, &mut got, |c| c);
+            assert_eq!(got, codes, "width {width} len {len}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "width must be in 1..=8")]
+fn bulk_pack_rejects_wide_codes() {
+    pack_codes(&[0u8], 9, &mut Vec::new(), |c| c);
+}
+
+#[test]
+#[should_panic]
+fn bulk_unpack_rejects_short_input() {
+    unpack_codes(&[0u8; 2], 2, &mut [0u8; 9], |c| c);
 }
