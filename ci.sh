@@ -32,6 +32,14 @@ echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x their OSS baseline
 # encoders (the bench asserts it, and the simulated pass counts).
 cargo bench -q -p hipress-bench --bench sec44_speedups >/dev/null
 
+echo "== fabric frame-path gate (loopback mesh <= 4.6x a bare TcpStream for the same bytes) =="
+# The TCP fabric's software overhead as a same-process ratio: a burst
+# of 2 MiB messages through a 2-rank loopback mesh against a bare
+# write_all/read_exact of the same bytes (the bench asserts it). A
+# frame path that assembles, deep-clones or zero-fills payloads again
+# lands near 6x and fails.
+cargo bench -q -p hipress-bench --bench fabric_frame_path >/dev/null
+
 echo "== lint (plan verifier + CompLL dataflow, full matrix) =="
 # Runs hipress-lint over every strategy x algorithm x cluster-size
 # task graph plus all shipped CompLL programs; any diagnostic fails.

@@ -8,8 +8,14 @@
 //! against the remaining input before any allocation, so truncated,
 //! bit-flipped, or garbage inputs yield a [`DecodeError`], not an
 //! abort or an out-of-memory hang.
+//!
+//! The two stream helpers at the bottom — [`write_all_vectored`] and
+//! [`read_exact_vec`] — are how a serialized buffer crosses a socket
+//! without being copied into (or zero-filled as) a staging buffer
+//! first; the frame path and the process control channel share them.
 
 use std::fmt;
+use std::io::{self, IoSlice, Read, Write};
 
 /// A structured decode failure. Every variant names what went wrong
 /// so protocol layers can distinguish framing damage (retransmit)
@@ -124,16 +130,20 @@ impl Writer {
 
     /// Appends a `u32` length prefix followed by the bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
+        self.buf.reserve(4 + v.len());
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
 
-    /// Appends a `u32` element-count prefix followed by each `f32`.
+    /// Appends a `u32` element-count prefix followed by each `f32`, as
+    /// one reserved block: an iterator of fixed-size arrays has an
+    /// exact length, so `extend` writes it with no capacity check per
+    /// element and no zero-fill first — on a little-endian target, a
+    /// block copy.
     pub fn put_f32s(&mut self, v: &[f32]) {
+        self.buf.reserve(4 + 4 * v.len());
         self.put_u32(v.len() as u32);
-        for &x in v {
-            self.put_f32(x);
-        }
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -289,6 +299,62 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// Writes `parts` back to back as if they were one contiguous buffer,
+/// without assembling that buffer: one `write_vectored` per call the
+/// sink accepts, resuming mid-part after a short write.
+///
+/// # Errors
+///
+/// Propagates I/O errors; a sink that accepts nothing is
+/// [`io::ErrorKind::WriteZero`].
+pub fn write_all_vectored<const N: usize>(
+    w: &mut impl Write,
+    mut parts: [&[u8]; N],
+) -> io::Result<()> {
+    let mut first = 0;
+    loop {
+        while first < N && parts[first].is_empty() {
+            first += 1;
+        }
+        if first == N {
+            return Ok(());
+        }
+        let iov = parts.map(IoSlice::new);
+        let mut n = match w.write_vectored(&iov[first..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        for part in &mut parts[first..] {
+            let taken = n.min(part.len());
+            *part = &part[taken..];
+            n -= taken;
+        }
+    }
+}
+
+/// Reads exactly `n` bytes into a fresh buffer of exactly that
+/// capacity, straight into its spare capacity — no zero-fill pass
+/// before the read, no copy after it. The caller bounds `n` (a length
+/// prefix must be ceiling-checked *before* it gets here).
+///
+/// # Errors
+///
+/// I/O errors, and [`io::ErrorKind::UnexpectedEof`] when the stream
+/// ends before `n` bytes arrived.
+pub fn read_exact_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(n)?;
+    if r.take(n as u64).read_to_end(&mut buf)? != n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("stream ended {} bytes into a {n}-byte block", buf.len()),
+        ));
+    }
+    Ok(buf)
 }
 
 #[cfg(test)]

@@ -26,8 +26,22 @@
 //! a failed [`Frame::verify`], which the reliability layer answers
 //! with a nack rather than an abort — exactly the split the chaos
 //! protocol uses in-process.
+//!
+//! The payload is a shared buffer (`Arc<Vec<u8>>`): the serialized
+//! message is wrapped, never copied, so the copy the reliability
+//! layer retains for retransmission and the frame handed to the
+//! socket are one allocation. Everything before the payload — the
+//! first 32 bytes — has exactly one encoder ([`Frame::head`]) and one
+//! parser (`Header::parse`). [`Frame::write_to`] sends
+//! `[head, payload, checksum]` as one vectored write, so a frame is
+//! never assembled on the way out; [`Frame::read_from`] reads the
+//! payload straight into the buffer the frame will own, so it is
+//! never copied on the way in. [`Frame::encode`] remains as the
+//! layout's contiguous reference, built from the same head.
 
-use crate::codec::{DecodeError, Reader, Writer};
+use crate::codec::{read_exact_vec, write_all_vectored, DecodeError, Reader};
+use std::io;
+use std::sync::Arc;
 
 /// The four bytes every fabric frame starts with (`"HPFB"`).
 pub const MAGIC: u32 = 0x4850_4642;
@@ -39,6 +53,16 @@ pub const VERSION: u16 = 1;
 /// rejected before allocation (a garbage or hostile prefix must not
 /// become a multi-gigabyte allocation).
 pub const MAX_FRAME_BYTES: u64 = 256 * 1024 * 1024;
+
+/// Bytes before the payload on a stream: the `body_len` prefix and
+/// the header, through `payload_len`.
+pub const HEAD_BYTES: usize = 32;
+
+/// Bytes after the payload: the checksum.
+const TRAILER_BYTES: usize = 8;
+
+/// Body bytes that are not payload (the body excludes the prefix).
+const BODY_OVERHEAD: usize = HEAD_BYTES - 4 + TRAILER_BYTES;
 
 /// The FNV-1a offset basis every digest in the workspace starts from.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -55,11 +79,20 @@ pub fn fnv(h: u64, word: u64) -> u64 {
 }
 
 /// Folds `bytes` into `h` eight at a time (little-endian words, the
-/// tail zero-padded).
+/// tail zero-padded). Whole words are loaded in place; only the tail
+/// is staged through a padded copy.
 pub fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for chunk in bytes.chunks(8) {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = fnv(
+            h,
+            u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]),
+        );
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
         let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
+        word[..tail.len()].copy_from_slice(tail);
         h = fnv(h, u64::from_le_bytes(word));
     }
     h
@@ -116,22 +149,73 @@ pub struct Frame {
     /// Retransmission attempt, 0 for the first send. Excluded from
     /// the checksum so a resend carries the original digest.
     pub attempt: u32,
-    /// Opaque payload bytes (the encoded application message).
-    pub payload: Vec<u8>,
+    /// Opaque payload bytes (the encoded application message),
+    /// shared: cloning a frame bumps a refcount, it does not copy.
+    pub payload: Arc<Vec<u8>>,
     /// FNV-1a digest as carried on the wire; equals
     /// [`Frame::digest`] for intact frames.
     pub checksum: u64,
 }
 
+/// The fixed-size fields of a frame body, between the stream's
+/// length prefix and the payload.
+struct Header {
+    kind: FrameKind,
+    src: u32,
+    seq: u64,
+    attempt: u32,
+    payload_len: usize,
+}
+
+impl Header {
+    /// The one header parser: [`Frame::decode_body`] runs it over a
+    /// whole body, [`Frame::read_from`] over the head it has read.
+    fn parse(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let magic = r.u32()?;
+        if magic != MAGIC {
+            return Err(DecodeError::BadMagic(magic));
+        }
+        let version = r.u16()?;
+        if version != VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        let kind = FrameKind::from_tag(r.u8()?)?;
+        let _reserved = r.u8()?;
+        Ok(Header {
+            kind,
+            src: r.u32()?,
+            seq: r.u64()?,
+            attempt: r.u32()?,
+            payload_len: r.u32()? as usize,
+        })
+    }
+
+    fn frame(self, payload: Vec<u8>, checksum: u64) -> Frame {
+        Frame {
+            kind: self.kind,
+            src: self.src,
+            seq: self.seq,
+            attempt: self.attempt,
+            payload: Arc::new(payload),
+            checksum,
+        }
+    }
+}
+
+fn invalid(e: DecodeError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
 impl Frame {
     /// Builds a frame of `kind` with a freshly computed checksum.
+    /// `payload` is wrapped, not copied.
     pub fn new(kind: FrameKind, src: u32, seq: u64, payload: Vec<u8>) -> Self {
         let mut f = Frame {
             kind,
             src,
             seq,
             attempt: 0,
-            payload,
+            payload: Arc::new(payload),
             checksum: 0,
         };
         f.checksum = f.digest();
@@ -162,31 +246,49 @@ impl Frame {
         self.checksum == self.digest()
     }
 
+    /// Bytes the frame occupies on a stream.
+    pub fn wire_len(&self) -> usize {
+        HEAD_BYTES + self.payload.len() + TRAILER_BYTES
+    }
+
+    /// Everything that precedes the payload on a stream: the
+    /// `body_len` prefix and the header. The one place the header
+    /// layout is written.
+    pub fn head(&self) -> [u8; HEAD_BYTES] {
+        let mut h = [0u8; HEAD_BYTES];
+        let body_len = (BODY_OVERHEAD + self.payload.len()) as u32;
+        h[0..4].copy_from_slice(&body_len.to_le_bytes());
+        h[4..8].copy_from_slice(&MAGIC.to_le_bytes());
+        h[8..10].copy_from_slice(&VERSION.to_le_bytes());
+        h[10] = self.kind.tag();
+        h[12..16].copy_from_slice(&self.src.to_le_bytes());
+        h[16..24].copy_from_slice(&self.seq.to_le_bytes());
+        h[24..28].copy_from_slice(&self.attempt.to_le_bytes());
+        h[28..32].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        h
+    }
+
+    /// `head()[skip..]`, the payload and the checksum in one exactly
+    /// sized buffer.
+    fn assemble(&self, skip: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len() - skip);
+        out.extend_from_slice(&self.head()[skip..]);
+        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(&self.checksum.to_le_bytes());
+        out
+    }
+
     /// Encodes the frame body (everything after the stream-level
     /// `body_len` prefix).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(self.kind.tag());
-        w.put_u8(0);
-        w.put_u32(self.src);
-        w.put_u64(self.seq);
-        w.put_u32(self.attempt);
-        w.put_bytes(&self.payload);
-        w.put_u64(self.checksum);
-        w.into_vec()
+        self.assemble(4)
     }
 
     /// Encodes the full stream representation: `u32 body_len` then
-    /// the body.
+    /// the body. The contiguous reference for [`Frame::write_to`],
+    /// which puts the same bytes on a stream without building this.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut w = Writer::new();
-        w.put_u32(body.len() as u32);
-        let mut out = w.into_vec();
-        out.extend_from_slice(&body);
-        out
+        self.assemble(0)
     }
 
     /// Parses one frame body (no stream length prefix). The checksum
@@ -202,76 +304,88 @@ impl Frame {
             return Err(DecodeError::FrameTooLarge(buf.len() as u64));
         }
         let mut r = Reader::new(buf);
-        let magic = r.u32()?;
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
-        let version = r.u16()?;
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let kind = FrameKind::from_tag(r.u8()?)?;
-        let _reserved = r.u8()?;
-        let src = r.u32()?;
-        let seq = r.u64()?;
-        let attempt = r.u32()?;
-        let payload = r.bytes()?.to_vec();
+        let header = Header::parse(&mut r)?;
+        let payload = r.take(header.payload_len)?.to_vec();
         let checksum = r.u64()?;
         r.finish()?;
-        Ok(Frame {
-            kind,
-            src,
-            seq,
-            attempt,
-            payload,
-            checksum,
-        })
+        Ok(header.frame(payload, checksum))
     }
 
-    /// Reads one length-prefixed frame from a stream. Returns
-    /// `Ok(None)` on clean end-of-stream at a frame boundary.
+    /// Reads one length-prefixed frame from a stream, the payload
+    /// straight into the buffer the frame owns. Returns `Ok(None)` on
+    /// clean end-of-stream at a frame boundary. Both declared lengths
+    /// are checked — against the ceiling and against each other —
+    /// before anything is allocated.
     ///
     /// # Errors
     ///
-    /// I/O errors, mid-frame end-of-stream, hostile length prefixes,
-    /// and body decode errors, all as [`std::io::Error`] with the
-    /// decode diagnostic as the message.
-    pub fn read_from(r: &mut impl std::io::Read) -> std::io::Result<Option<Frame>> {
-        let mut len = [0u8; 4];
+    /// I/O errors, mid-frame end-of-stream, hostile or inconsistent
+    /// lengths, and header decode errors, all as [`std::io::Error`]
+    /// with the decode diagnostic as the message.
+    pub fn read_from(r: &mut impl io::Read) -> io::Result<Option<Frame>> {
+        let mut head = [0u8; HEAD_BYTES];
         let mut filled = 0;
         while filled < 4 {
-            match r.read(&mut len[filled..])? {
-                0 if filled == 0 => return Ok(None),
-                0 => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
+            match r.read(&mut head[filled..4]) {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
                         "stream ended inside a frame length prefix",
                     ))
                 }
-                n => filled += n,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
-        let body_len = u32::from_le_bytes(len) as u64;
-        if body_len > MAX_FRAME_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                DecodeError::FrameTooLarge(body_len).to_string(),
-            ));
+        let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        if body_len as u64 > MAX_FRAME_BYTES {
+            return Err(invalid(DecodeError::FrameTooLarge(body_len as u64)));
         }
-        let mut body = vec![0u8; body_len as usize];
-        r.read_exact(&mut body)?;
-        Frame::decode_body(&body)
-            .map(Some)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        if body_len < BODY_OVERHEAD {
+            return Err(invalid(DecodeError::Truncated {
+                needed: BODY_OVERHEAD,
+                left: body_len,
+            }));
+        }
+        r.read_exact(&mut head[4..])?;
+        let header = Header::parse(&mut Reader::new(&head[4..])).map_err(invalid)?;
+        // The body must hold exactly the payload it declares.
+        let payload_room = body_len - BODY_OVERHEAD;
+        if header.payload_len > payload_room {
+            return Err(invalid(DecodeError::Truncated {
+                needed: header.payload_len + TRAILER_BYTES,
+                left: payload_room + TRAILER_BYTES,
+            }));
+        }
+        if header.payload_len < payload_room {
+            return Err(invalid(DecodeError::TrailingBytes(
+                payload_room - header.payload_len,
+            )));
+        }
+        let payload = read_exact_vec(r, header.payload_len)?;
+        let mut checksum = [0u8; TRAILER_BYTES];
+        r.read_exact(&mut checksum)?;
+        Ok(Some(header.frame(payload, u64::from_le_bytes(checksum))))
     }
 
-    /// Writes the full stream representation of the frame.
+    /// Writes the full stream representation of the frame — head,
+    /// payload and checksum as one vectored write, resumed after a
+    /// short write — without assembling it first.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(&self.encode())?;
+    pub fn write_to(&self, w: &mut impl io::Write) -> io::Result<()> {
+        write_all_vectored(
+            w,
+            [
+                &self.head()[..],
+                &self.payload[..],
+                &self.checksum.to_le_bytes()[..],
+            ],
+        )?;
         w.flush()
     }
 }
@@ -307,9 +421,10 @@ impl hipress_chaos::Wire for Frame {
 
     fn flip_bit(&mut self, bit: u64) {
         let byte = (bit / 8) as usize;
-        let mask = 1u8 << (bit % 8);
-        if let Some(b) = self.payload.get_mut(byte) {
-            *b ^= mask;
+        if byte < self.payload.len() {
+            // Copy-on-write: only a chaos-corrupted frame ever copies
+            // a payload the reliability layer still retains.
+            Arc::make_mut(&mut self.payload)[byte] ^= 1u8 << (bit % 8);
         }
     }
 }

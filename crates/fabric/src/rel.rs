@@ -17,9 +17,17 @@
 //! is a side-effect-free function the state machines delegate to, so
 //! the rules can be pinned (and mutated, by the checker's seeded
 //! defects) independently of the bookkeeping around them.
+//!
+//! Retention is by [`Clone`], and every item the machine tracks keeps
+//! its bulk behind a refcount (a frame's payload, an envelope's
+//! tensor): the in-flight entry and the item handed to the transport
+//! share one buffer, and a retransmission is the same buffer again.
+//! The receive side remembers delivered sequence numbers as a
+//! contiguous watermark plus the few that arrived ahead of a gap, so
+//! its state does not grow with the number of items ever delivered.
 
 use crate::frame::{Frame, FrameKind};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// What the reliability machine needs from an item it tracks: a
@@ -147,8 +155,9 @@ impl RelTx<Frame> {
         Self::for_items(src, tuning, now)
     }
 
-    /// Wraps `payload` in the next data frame and retains it for
-    /// retransmission until acknowledged.
+    /// Wraps `payload` in the next data frame and retains it (the
+    /// same buffer, by refcount) for retransmission until
+    /// acknowledged.
     pub fn prepare(&mut self, payload: Vec<u8>, now: Instant) -> Frame {
         let src = self.src;
         self.admit(now, |seq| Frame::new(FrameKind::Data, src, seq, payload))
@@ -194,6 +203,25 @@ impl<T: Sealed> RelTx<T> {
         self.inflight.insert(seq, (item.clone(), due));
         self.last_sent = now;
         item
+    }
+
+    /// Restarts `seq`'s retransmission timer from `now`, the instant
+    /// its transmission actually finished. [`RelTx::admit`] arms the
+    /// timer before the transport has taken a byte; when handing the
+    /// item over takes long (a multi-megabyte write queued behind a
+    /// busy peer), the owner calls this so the wait for the ack is
+    /// measured from the end of the write, not from its start. A seq
+    /// already acknowledged is left alone.
+    pub fn sent(&mut self, seq: u64, now: Instant) {
+        if let Some((item, due)) = self.inflight.get_mut(&seq) {
+            *due = now
+                + rto(
+                    self.tuning.base_backoff,
+                    self.tuning.max_backoff,
+                    item.attempt(),
+                );
+            self.last_sent = now;
+        }
     }
 
     /// Retires an acknowledged item. Returns false for unknown
@@ -313,9 +341,18 @@ pub enum RxVerdict {
 /// Receive-side reliability state for one directed link:
 /// verify-then-dedup, in that order — a corrupt item is *not* marked
 /// seen, so its clean retransmission still delivers.
+///
+/// Delivered sequence numbers are kept as a watermark (everything
+/// below it was delivered) plus the delivered ones above it, which
+/// exist only while an earlier seq is still missing — a link that
+/// delivers in order holds no per-item state at all.
 #[derive(Debug, Default, Clone)]
 pub struct RelRx {
-    seen: HashSet<u64>,
+    /// Every seq below this has been delivered.
+    watermark: u64,
+    /// Delivered seqs above the watermark (never the watermark
+    /// itself: reaching it advances the watermark instead).
+    ahead: BTreeSet<u64>,
 }
 
 impl RelRx {
@@ -327,9 +364,18 @@ impl RelRx {
     /// Judges one arriving data item by the pure [`classify`] rule
     /// and marks delivered sequences seen.
     pub fn accept<T: Sealed>(&mut self, item: &T) -> RxVerdict {
-        let verdict = classify(item.verify(), self.seen.contains(&item.seq()));
+        let seq = item.seq();
+        let seen = seq < self.watermark || self.ahead.contains(&seq);
+        let verdict = classify(item.verify(), seen);
         if verdict == RxVerdict::Deliver {
-            self.seen.insert(item.seq());
+            if seq == self.watermark {
+                self.watermark += 1;
+                while self.ahead.remove(&self.watermark) {
+                    self.watermark += 1;
+                }
+            } else {
+                self.ahead.insert(seq);
+            }
         }
         verdict
     }
@@ -337,9 +383,9 @@ impl RelRx {
     /// Every sequence number delivered so far, ascending — the model
     /// checker fingerprints receiver state through this.
     pub fn seen_seqs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.seen.iter().copied().collect();
-        v.sort_unstable();
-        v
+        (0..self.watermark)
+            .chain(self.ahead.iter().copied())
+            .collect()
     }
 }
 
@@ -391,6 +437,70 @@ mod tests {
         assert_eq!(resent.len(), 1);
         assert_eq!(resent[0].seq, f.seq);
         assert_eq!(resent[0].attempt, 1);
+    }
+
+    #[test]
+    fn ack_wait_is_timed_from_the_end_of_the_write() {
+        let rto = Duration::from_millis(25);
+        let tuning = LinkTuning {
+            base_backoff: rto,
+            max_backoff: Duration::from_secs(1),
+            ..tuning()
+        };
+        let t0 = Instant::now();
+        let mut tx = RelTx::new(0, tuning, t0);
+        let f = tx.prepare(vec![7], t0);
+        // The write of this frame outlived the whole base backoff.
+        let written = t0 + Duration::from_millis(40);
+        tx.sent(f.seq, written);
+        assert!(tx.due(t0 + Duration::from_millis(41)).unwrap().is_empty());
+        assert!(tx
+            .due(written + rto - Duration::from_millis(1))
+            .unwrap()
+            .is_empty());
+        let resent = tx.due(written + rto).unwrap();
+        assert_eq!((resent.len(), resent[0].attempt), (1, 1));
+        assert_eq!(tx.retransmits(), 1);
+        // An acknowledged seq has no timer to restart.
+        assert!(tx.on_ack(f.seq));
+        tx.sent(f.seq, written + rto * 10);
+        assert!(tx.idle() && tx.next_due().is_none());
+    }
+
+    #[test]
+    fn retention_and_retransmission_share_the_payload_buffer() {
+        use std::sync::Arc;
+        let now = Instant::now();
+        let mut tx = RelTx::new(0, tuning(), now);
+        let frame = tx.prepare(vec![5; 4096], now);
+        assert!(Arc::ptr_eq(
+            &tx.get(frame.seq).unwrap().payload,
+            &frame.payload
+        ));
+        let resent = tx.due(now + Duration::from_millis(2)).unwrap();
+        assert!(Arc::ptr_eq(&resent[0].payload, &frame.payload));
+        let nacked = tx.on_nack(frame.seq, now).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&nacked.payload, &frame.payload));
+    }
+
+    #[test]
+    fn rx_state_is_a_watermark_plus_the_seqs_ahead_of_a_gap() {
+        let mut rx = RelRx::new();
+        let frame = |seq| Frame::new(FrameKind::Data, 0, seq, vec![seq as u8]);
+        for seq in [0, 1, 4, 2, 6] {
+            assert_eq!(rx.accept(&frame(seq)), RxVerdict::Deliver);
+        }
+        assert_eq!((rx.watermark, rx.ahead.len()), (3, 2));
+        assert_eq!(rx.seen_seqs(), vec![0, 1, 2, 4, 6]);
+        for seq in [0, 2, 4, 6] {
+            assert_eq!(rx.accept(&frame(seq)), RxVerdict::Duplicate);
+        }
+        // Filling the gap folds everything contiguous into the
+        // watermark; an in-order link keeps no per-item state.
+        assert_eq!(rx.accept(&frame(3)), RxVerdict::Deliver);
+        assert_eq!(rx.accept(&frame(5)), RxVerdict::Deliver);
+        assert_eq!((rx.watermark, rx.ahead.len()), (7, 0));
+        assert_eq!(rx.seen_seqs(), (0..7).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,6 +12,16 @@
 //! liveness (heartbeats, dead-link verdicts with a named peer), and a
 //! protocol the chaos fabric can attack deterministically in tests.
 //!
+//! A payload crosses this module without being copied. On send the
+//! message is serialized once ([`WireMsg::to_bytes`]), digested once
+//! ([`Frame::new`]), retained for retransmission by refcount
+//! ([`RelTx::prepare`]) and handed to the kernel as one vectored
+//! write of head, payload and checksum ([`Frame::write_to`]). On
+//! receive the reader thread — behind a `BufReader`, so an ack or a
+//! small frame costs one `read` — lands the payload directly in the
+//! buffer that travels through the inbox to [`WireMsg::from_bytes`],
+//! digesting it once on the way.
+//!
 //! Mesh construction is rendezvous-ordered: every rank binds its
 //! listener *before* any address is shared, each rank dials every
 //! lower rank and accepts from every higher rank, and the first frame
@@ -22,7 +32,7 @@ use crate::frame::{Frame, FrameKind};
 use crate::recorder::{FlightKind, FlightRecorder};
 use crate::rel::{LinkTuning, RelRx, RelTx, RxVerdict};
 use crate::{FabricError, Link, LinkCounters, WireMsg};
-use std::io::Write;
+use std::io::BufReader;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -83,8 +93,9 @@ fn note(
 
 /// What a reader thread reports into the merged inbox.
 enum Event {
-    /// An intact, first-delivery payload.
-    Deliver { payload: Vec<u8> },
+    /// An intact, first-delivery payload, in the buffer the reader
+    /// thread read it into.
+    Deliver { payload: Arc<Vec<u8>> },
     /// `peer`'s stream closed or failed.
     PeerLost { peer: usize, detail: String },
     /// The send state for `peer` exhausted its retry budget.
@@ -104,18 +115,28 @@ struct PeerHandle {
     tx: Arc<Mutex<RelTx>>,
 }
 
+/// Counts one frame (a single counter update covers everything it
+/// adds: framed bytes, and for a data frame either its first send or
+/// a retransmission) and writes it, vectored, under the stream lock.
 fn write_frame(
     stream: &Mutex<TcpStream>,
     counters: &Mutex<LinkCounters>,
     frame: &Frame,
 ) -> std::io::Result<()> {
-    let buf = frame.encode();
     {
         let mut c = counters.lock().expect("counter lock poisoned");
-        c.bytes_framed += buf.len() as u64;
+        c.bytes_framed += frame.wire_len() as u64;
+        if frame.kind == FrameKind::Data {
+            if frame.attempt == 0 {
+                c.frames += 1;
+                c.bytes_payload += frame.payload.len() as u64;
+            } else {
+                c.retransmits += 1;
+            }
+        }
     }
     let mut s = stream.lock().expect("stream lock poisoned");
-    s.write_all(&buf)
+    frame.write_to(&mut *s)
 }
 
 /// One rank's endpoint on the TCP mesh. Build with [`connect_mesh`].
@@ -160,10 +181,6 @@ impl<M> TcpLink<M> {
                 );
                 let _ = write_frame(&h.stream, &self.counters, f);
             }
-            if !resend.is_empty() {
-                let mut c = self.counters.lock().expect("counter lock poisoned");
-                c.retransmits += resend.len() as u64;
-            }
             if let Some(p) = ping {
                 note(&self.config.recorder, FlightKind::HeartbeatSent, peer, 0, 0);
                 let _ = write_frame(&h.stream, &self.counters, &p);
@@ -172,7 +189,7 @@ impl<M> TcpLink<M> {
         Ok(())
     }
 
-    fn accept_event(&mut self, ev: Event) -> Result<Option<Vec<u8>>, FabricError>
+    fn accept_event(&mut self, ev: Event) -> Result<Option<Arc<Vec<u8>>>, FabricError>
     where
         M: WireMsg,
     {
@@ -232,11 +249,6 @@ impl<M: WireMsg> Link for TcpLink<M> {
             });
         };
         let payload = msg.to_bytes();
-        {
-            let mut c = self.counters.lock().expect("counter lock poisoned");
-            c.frames += 1;
-            c.bytes_payload += payload.len() as u64;
-        }
         let frame = {
             let mut tx = h.tx.lock().expect("rel-tx lock poisoned");
             tx.prepare(payload, Instant::now())
@@ -248,10 +260,13 @@ impl<M: WireMsg> Link for TcpLink<M> {
             frame.seq,
             frame.payload.len() as u64,
         );
-        write_frame(&h.stream, &self.counters, &frame).map_err(|e| FabricError::Io {
-            peer: to,
-            detail: e.to_string(),
-        })
+        let written = write_frame(&h.stream, &self.counters, &frame);
+        // The ack cannot have been due before the bytes were out:
+        // time its wait from here, not from `prepare`.
+        h.tx.lock()
+            .expect("rel-tx lock poisoned")
+            .sent(frame.seq, Instant::now());
+        written.map_err(|e| io_err(to, e))
     }
 
     fn try_recv(&mut self) -> Result<Option<M>, FabricError> {
@@ -304,7 +319,7 @@ impl<M: WireMsg> Link for TcpLink<M> {
 fn reader_loop(
     peer: usize,
     me: usize,
-    mut stream: TcpStream,
+    stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     tx: Arc<Mutex<RelTx>>,
     counters: Arc<Mutex<LinkCounters>>,
@@ -312,6 +327,7 @@ fn reader_loop(
     recorder: Option<Arc<FlightRecorder>>,
 ) {
     let mut rx = RelRx::new();
+    let mut stream = BufReader::new(stream);
     loop {
         match Frame::read_from(&mut stream) {
             Ok(Some(frame)) => match frame.kind {
@@ -361,10 +377,6 @@ fn reader_loop(
                     };
                     match resend {
                         Ok(Some(f)) => {
-                            {
-                                let mut c = counters.lock().expect("counter lock poisoned");
-                                c.retransmits += 1;
-                            }
                             note(
                                 &recorder,
                                 FlightKind::Retransmit,

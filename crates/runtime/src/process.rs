@@ -53,6 +53,7 @@ use hipress_compress::Algorithm;
 use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
 };
+use hipress_fabric::codec::{read_exact_vec, write_all_vectored};
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
 use hipress_fabric::{
     DecodeError, FlightEvent, FlightRecorder, LinkTuning, Reader, WireMsg, Writer,
@@ -63,7 +64,7 @@ use hipress_tensor::Tensor;
 use hipress_trace::{Trace, Tracer};
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -915,12 +916,13 @@ fn ctl_io(detail: impl std::fmt::Display) -> Error {
     Error::sim(format!("process control channel: {detail}"))
 }
 
+/// `Job` and `Outcome` carry whole gradient sets, so the body goes
+/// out beside its prefix (vectored, not copied behind it) and comes
+/// in straight into the buffer it is decoded from.
 fn write_ctl(stream: &mut TcpStream, msg: &Ctl) -> Result<()> {
     let body = msg.to_bytes();
-    let mut buf = Vec::with_capacity(4 + body.len());
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&body);
-    stream.write_all(&buf).map_err(ctl_io)
+    let len = (body.len() as u32).to_le_bytes();
+    write_all_vectored(stream, [&len[..], &body[..]]).map_err(ctl_io)
 }
 
 fn read_ctl(stream: &mut TcpStream) -> Result<Ctl> {
@@ -930,8 +932,7 @@ fn read_ctl(stream: &mut TcpStream) -> Result<Ctl> {
     if len > CTL_MAX_BYTES {
         return Err(ctl_io(format!("oversized control frame ({len} bytes)")));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body).map_err(ctl_io)?;
+    let body = read_exact_vec(stream, len as usize).map_err(ctl_io)?;
     Ctl::from_bytes(&body).map_err(|e| ctl_io(format!("bad control frame: {e}")))
 }
 
