@@ -26,10 +26,11 @@ echo "== benchmark smoke (the repo benchmark still builds against this tree and 
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml \
   --target-dir target -- --smoke >/dev/null
 
-echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x their OSS baselines) =="
+echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x, DGC encode >= 40x their OSS baselines) =="
 # SS4.4 as a same-process wall-clock ratio: the byte-at-a-time
 # quantizer kernels must stay well ahead of the per-bit reference
-# encoders (the bench asserts it, and the simulated pass counts).
+# encoders, and DGC's sampled-threshold selector ahead of the full
+# sort (the bench asserts both, and the simulated pass counts).
 cargo bench -q -p hipress-bench --bench sec44_speedups >/dev/null
 
 echo "== fabric frame-path gate (loopback mesh <= 4.6x a bare TcpStream for the same bytes) =="

@@ -11,7 +11,9 @@
 //! The stream layout is the same sparse (indices, values) format as
 //! DGC, under its own algorithm id.
 
-use crate::dgc::{decode_sparse, decode_sparse_into, write_sparse};
+use crate::dgc::{
+    decode_sparse, decode_sparse_into, indices_with_key_in, magnitude_key, write_sparse,
+};
 use crate::header::{AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
 use hipress_util::rng::{Rng64, Xoshiro256};
@@ -61,6 +63,17 @@ impl GradDrop {
     }
 }
 
+/// The ascending indices with `x.abs() >= threshold`, through DGC's
+/// block filter: as keys, that is the range from the threshold's up to
+/// infinity's. It ends below every NaN, and a NaN threshold leaves it
+/// empty, so NaN compares false on either side here too.
+fn at_or_above(grad: &[f32], threshold: f32) -> Vec<u32> {
+    indices_with_key_in(
+        grad,
+        magnitude_key(threshold)..=magnitude_key(f32::INFINITY),
+    )
+}
+
 impl Compressor for GradDrop {
     fn name(&self) -> &'static str {
         "graddrop"
@@ -79,12 +92,7 @@ impl Compressor for GradDrop {
         }
         let mut rng = Xoshiro256::new(seed);
         let threshold = self.estimate_threshold(grad, &mut rng);
-        let indices: Vec<u32> = grad
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| x.abs() >= threshold)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let indices = at_or_above(grad, threshold);
         write_sparse(&mut out, grad, &indices);
         out
     }
@@ -155,6 +163,44 @@ mod tests {
         for (g, d) in grad.as_slice().iter().zip(dec.iter()) {
             if *d != 0.0 {
                 assert_eq!(g, d);
+            }
+        }
+    }
+
+    /// The block filter keeps exactly what the per-element float test
+    /// it replaced keeps, whatever the threshold: NaN never survives,
+    /// not even a NaN threshold, and `-0.0` reaches a `0.0` threshold.
+    #[test]
+    fn block_filter_equals_the_float_comparison() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0, // Subnormal.
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let mut rng = Xoshiro256::new(0x6D);
+        for len in [0usize, 1, 31, 32, 33, 64, 1000] {
+            let grad: Vec<f32> = (0..len)
+                .map(|_| match rng.index(4) {
+                    0 => specials[rng.index(specials.len())],
+                    _ => rng.next_gaussian() as f32,
+                })
+                .collect();
+            for threshold in specials.iter().map(|t| t.abs()).chain([0.5, 1.0, 3.0]) {
+                let want: Vec<u32> = (0..len as u32)
+                    .filter(|&i| grad[i as usize].abs() >= threshold)
+                    .collect();
+                assert_eq!(
+                    at_or_above(&grad, threshold),
+                    want,
+                    "len {len}, threshold {threshold}"
+                );
             }
         }
     }

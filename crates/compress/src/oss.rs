@@ -250,7 +250,10 @@ impl Compressor for OssTernGrad {
 }
 
 /// OSS DGC: finds the top-k by fully sorting the gradient — the
-/// O(n log n) strategy behind the up-to-5.1× encode gap of §4.4.
+/// O(n log n) strategy behind the up-to-5.1× encode gap of §4.4. Its
+/// order (magnitude descending, index ascending) is the one
+/// [`crate::dgc::Dgc`] selects by, which makes this the oracle its
+/// streams are tested against.
 #[derive(Debug, Clone, Copy)]
 pub struct OssDgc {
     rate: f64,
@@ -314,7 +317,9 @@ mod tests {
     use crate::Algorithm;
     use hipress_tensor::synth::{generate, GradientShape};
 
-    /// OSS and optimized implementations must agree semantically.
+    /// OSS and optimized implementations decode to the same tensor,
+    /// DGC included: both select by (magnitude descending, index
+    /// ascending).
     #[test]
     fn oss_matches_optimized_output() {
         let grad = generate(4096, GradientShape::default_dnn(), 11);
@@ -329,18 +334,7 @@ mod tests {
             let oss = alg.build_oss().unwrap();
             let a = opt.decode(&opt.encode(grad.as_slice(), 5)).unwrap();
             let b = oss.decode(&oss.encode(grad.as_slice(), 5)).unwrap();
-            assert_eq!(a.len(), b.len(), "{}", oss.name());
-            // onebit/tbq/terngrad streams are byte-identical given the
-            // same seed; DGC may differ on magnitude ties, so compare
-            // reconstruction error instead.
-            match alg {
-                Algorithm::Dgc { .. } => {
-                    let nz_a = a.iter().filter(|&&x| x != 0.0).count();
-                    let nz_b = b.iter().filter(|&&x| x != 0.0).count();
-                    assert_eq!(nz_a, nz_b, "same survivor count");
-                }
-                _ => assert_eq!(a, b, "{} output differs", oss.name()),
-            }
+            assert_eq!(a, b, "{} output differs", oss.name());
         }
     }
 

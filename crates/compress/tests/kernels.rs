@@ -1,5 +1,6 @@
 //! The byte-at-a-time quantizer kernels against straight-line
-//! references, and `decode_into` against `decode` and against hostile
+//! references, the sampled top-k selector against the sort-based
+//! oracle, and `decode_into` against `decode` and against hostile
 //! streams.
 //!
 //! The references below are the per-element `BitWriter` loops the
@@ -9,6 +10,7 @@
 //! ±0.0, ±inf, subnormals).
 
 use hipress_compress::Algorithm;
+use hipress_tensor::synth::{generate, GradientShape};
 use hipress_util::bits::BitWriter;
 use hipress_util::rng::{Rng64, Xoshiro256};
 
@@ -175,6 +177,66 @@ fn onebit_keeps_nan_and_negative_zero_non_positive() {
     assert_eq!(&enc[8..], &[0, 0, 0, 0, 0, 0, 0, 0, 0], "both levels +0.0");
 }
 
+/// The inputs a selector can get wrong: smooth ones where the sample
+/// works, and ones built so the cut falls inside a run of equal
+/// magnitudes, where only the tie rule (magnitude descending, index
+/// ascending) makes the survivor set unique.
+fn selection_inputs(rng: &mut Xoshiro256, len: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let sign = |i: usize| if i.is_multiple_of(2) { 1.0 } else { -1.0 };
+    let mut sparse = vec![0.0f32; len];
+    for j in 0..len.min(5) {
+        sparse[(j * 7919 + len / 2) % len] = sign(j) * (j + 1) as f32;
+    }
+    vec![
+        ("gaussian", gradient(rng, len, false)),
+        (
+            "default_dnn",
+            generate(len, GradientShape::default_dnn(), rng.next_u64()).into_vec(),
+        ),
+        ("all-equal", vec![0.25; len]),
+        (
+            "two-level",
+            (0..len)
+                .map(|i| sign(i) * if i % 3 == 0 { 2.0 } else { 1.0 })
+                .collect(),
+        ),
+        ("zeros and a handful", sparse),
+        (
+            "signed zeros",
+            (0..len)
+                .map(|_| [0.0, -0.0, -0.0, 0.0, 1.0, -1.0][rng.index(6)])
+                .collect(),
+        ),
+        ("seasoned", gradient(rng, len, true)),
+    ]
+}
+
+/// `Dgc` is the exact top-k under a specified total order, so its
+/// stream equals the full sort's byte for byte: across the lengths
+/// where the sample's size and the filter's blocks change shape, the
+/// chunk lengths the benchmark runs, and rates from sparse to all.
+#[test]
+fn dgc_stream_equals_the_sorting_oracle() {
+    let mut rng = Xoshiro256::new(0xBEEF_0005);
+    let lengths = [
+        0, 1, 2, 31, 32, 33, 63, 64, 65, // Filter block and first stride.
+        130, 131, 132, // The smallest input the sample serves.
+        4095, 4096, 4097, // Whole filter blocks, one over and one short.
+        349_526, 524_288, // Ring and PS chunks of the 1 Mi gradient.
+        540_671, 540_672, 540_673, // The stride grows past its minimum.
+    ];
+    for len in lengths {
+        for (input, grad) in selection_inputs(&mut rng, len) {
+            for rate in [0.001, 0.01, 0.1, 0.5, 1.0] {
+                let alg = Algorithm::Dgc { rate };
+                let got = alg.build().unwrap().encode(&grad, 0);
+                let want = alg.build_oss().unwrap().encode(&grad, 0);
+                assert!(got == want, "{input}, {len} elements, rate {rate}");
+            }
+        }
+    }
+}
+
 fn all_algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::OneBit,
@@ -274,7 +336,7 @@ fn lying_element_count_is_an_error_not_an_allocation() {
 }
 
 #[test]
-fn truncated_bit_sections_are_errors() {
+fn truncated_streams_are_errors() {
     let mut rng = Xoshiro256::new(0xBEEF_0004);
     let grad = gradient(&mut rng, 77, false);
     for alg in [
@@ -284,11 +346,13 @@ fn truncated_bit_sections_are_errors() {
         Algorithm::TernGrad { bitwidth: 2 },
         Algorithm::TernGrad { bitwidth: 4 },
         Algorithm::TernGrad { bitwidth: 8 },
+        Algorithm::Dgc { rate: 0.1 },
+        Algorithm::GradDrop { rate: 0.1 },
     ] {
         let c = alg.build().unwrap();
         let enc = c.encode(&grad, 3);
         // Every proper prefix: through the header, the parameters and
-        // the packed section.
+        // the packed or sparse section.
         for cut in 0..enc.len() {
             let mut out = vec![7.5f32; grad.len()];
             assert!(

@@ -7,7 +7,9 @@
 //! interpreter — so a kernel change that alters a single wire byte
 //! must fail here, in `cargo test`, rather than as a checksum mismatch
 //! between ranks. The digests were captured at the commit before the
-//! byte-at-a-time kernels replaced the per-element bit I/O.
+//! byte-at-a-time kernels replaced the per-element bit I/O, and the
+//! large-chunk DGC one at the commit before the sampled-threshold
+//! selector replaced the whole-array quickselect.
 
 use hipress_compress::Algorithm;
 use hipress_tensor::synth::{generate, GradientShape};
@@ -50,4 +52,19 @@ fn encoded_streams_match_pinned_digests() {
             enc.len()
         );
     }
+}
+
+/// The selector at the size and rate `dgc_ps_thr` runs it: the PS half
+/// of the benchmark's 1 Mi-element gradient, 525 survivors.
+#[test]
+fn dgc_large_chunk_matches_pinned_digest() {
+    let grad = generate(524_288, GradientShape::Gaussian { std_dev: 1.0 }, GRAD_SEED);
+    let alg = Algorithm::Dgc { rate: 0.001 };
+    let enc = alg.build().unwrap().encode(grad.as_slice(), ENCODE_SEED);
+    assert_eq!(enc.len(), 8 + 4 + 525 * 8);
+    let got = fnv1a(&enc);
+    assert_eq!(
+        got, 0x2F9E_BB6A_49BA_0385,
+        "dgc(0.10%) on 524 288 elements: wire bytes changed (digest {got:#018x})"
+    );
 }
