@@ -22,9 +22,17 @@ echo "== benchmark smoke (the repo benchmark still builds against this tree and 
 # benchmark/ is a package of its own that pins part of the public API
 # (facade builder, fabric::rel, frames, the TCP mesh, node_main). Build
 # it into the workspace's target dir and run every workload once, so
-# an API break fails here rather than in the benchmark run.
-cargo run --release --quiet --manifest-path benchmark/Cargo.toml \
+# an API break fails here rather than in the benchmark run. `--locked`:
+# a change that would rewrite benchmark/Cargo.lock (a new internal
+# dependency edge) fails here too, not only in the run that uses the
+# BENCHMARK.json command verbatim.
+cargo run --release --quiet --locked --manifest-path benchmark/Cargo.toml \
   --target-dir target -- --smoke >/dev/null
+
+echo "== benchmark unit tests (statistics, catalogue == BENCHMARK.json == emitted names) =="
+# benchmark/ is its own workspace, so `cargo test --workspace` above
+# never runs these.
+cargo test -q --locked --manifest-path benchmark/Cargo.toml --target-dir target
 
 echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x, DGC encode >= 40x their OSS baselines) =="
 # SS4.4 as a same-process wall-clock ratio: the byte-at-a-time

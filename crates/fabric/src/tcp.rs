@@ -36,7 +36,7 @@ use std::io::BufReader;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Construction and polling knobs for one mesh endpoint.
@@ -106,37 +106,98 @@ enum Event {
     },
 }
 
-/// Per-peer send-side handles: the stream (all writes are
-/// frame-atomic under its lock) and the reliability state (shared
-/// with the peer's reader thread, which clears acks and answers
-/// nacks).
+/// Per-peer send-side handles: the stream and the reliability state
+/// (shared with the peer's reader thread, which clears acks and
+/// answers nacks).
 struct PeerHandle {
-    stream: Arc<Mutex<TcpStream>>,
+    stream: Arc<PeerStream>,
     tx: Arc<Mutex<RelTx>>,
+}
+
+/// One peer stream's write side; every frame is written whole under
+/// `stream`. The reader thread never waits for that lock: a frame it
+/// sends while the stream is busy is parked, and the holder writes it
+/// before letting go. A reader that waited could wedge two ranks for
+/// good — each blocked writing a large frame to the other while its
+/// own reader, the thread that would drain the peer's write, waits
+/// for the lock that write holds.
+struct PeerStream {
+    stream: Mutex<TcpStream>,
+    parked: Mutex<Vec<Frame>>,
+}
+
+impl PeerStream {
+    /// Writes `frame`, waiting for the stream.
+    fn write(&self, frame: &Frame) -> std::io::Result<()> {
+        let mut s = self.stream.lock().expect("stream lock poisoned");
+        let written = frame.write_to(&mut *s);
+        self.release(s);
+        written
+    }
+
+    /// Writes `frame` now if the stream is free, else parks it for
+    /// the holder. Never waits for the lock.
+    fn write_or_park(&self, frame: Frame) {
+        self.parked.lock().expect("park lock poisoned").push(frame);
+        if let Ok(s) = self.stream.try_lock() {
+            self.release(s);
+        }
+    }
+
+    /// Writes the parked frames, then unlocks — and relocks to repeat
+    /// if a frame was parked after the drain while the stream is free,
+    /// so none is left behind: a parker that found the stream held
+    /// pushed before this check, or tries the lock after this unlock.
+    fn release<'a>(&'a self, mut s: MutexGuard<'a, TcpStream>) {
+        loop {
+            let parked = std::mem::take(&mut *self.parked.lock().expect("park lock poisoned"));
+            for f in &parked {
+                // Best effort, like any write the reader thread makes:
+                // a broken stream surfaces on the receive path.
+                let _ = f.write_to(&mut *s);
+            }
+            drop(s);
+            if self.parked.lock().expect("park lock poisoned").is_empty() {
+                return;
+            }
+            match self.stream.try_lock() {
+                Ok(again) => s = again,
+                Err(_) => return,
+            }
+        }
+    }
 }
 
 /// Counts one frame (a single counter update covers everything it
 /// adds: framed bytes, and for a data frame either its first send or
-/// a retransmission) and writes it, vectored, under the stream lock.
+/// a retransmission).
+fn count_frame(counters: &Mutex<LinkCounters>, frame: &Frame) {
+    let mut c = counters.lock().expect("counter lock poisoned");
+    c.bytes_framed += frame.wire_len() as u64;
+    if frame.kind == FrameKind::Data {
+        if frame.attempt == 0 {
+            c.frames += 1;
+            c.bytes_payload += frame.payload.len() as u64;
+        } else {
+            c.retransmits += 1;
+        }
+    }
+}
+
+/// Counts one frame and writes it, vectored, under the stream lock.
 fn write_frame(
-    stream: &Mutex<TcpStream>,
+    stream: &PeerStream,
     counters: &Mutex<LinkCounters>,
     frame: &Frame,
 ) -> std::io::Result<()> {
-    {
-        let mut c = counters.lock().expect("counter lock poisoned");
-        c.bytes_framed += frame.wire_len() as u64;
-        if frame.kind == FrameKind::Data {
-            if frame.attempt == 0 {
-                c.frames += 1;
-                c.bytes_payload += frame.payload.len() as u64;
-            } else {
-                c.retransmits += 1;
-            }
-        }
-    }
-    let mut s = stream.lock().expect("stream lock poisoned");
-    frame.write_to(&mut *s)
+    count_frame(counters, frame);
+    stream.write(frame)
+}
+
+/// The reader thread's send: counts `frame` and writes or parks it.
+fn send_from_reader(stream: &PeerStream, counters: &Mutex<LinkCounters>, frame: Frame) {
+    count_frame(counters, &frame);
+    stream.write_or_park(frame);
 }
 
 /// One rank's endpoint on the TCP mesh. Build with [`connect_mesh`].
@@ -223,7 +284,7 @@ impl<M> Drop for TcpLink<M> {
     /// and lets every side unwind.
     fn drop(&mut self) {
         for h in self.peers.iter().flatten() {
-            if let Ok(s) = h.stream.lock() {
+            if let Ok(s) = h.stream.stream.lock() {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -320,7 +381,7 @@ fn reader_loop(
     peer: usize,
     me: usize,
     stream: TcpStream,
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Arc<PeerStream>,
     tx: Arc<Mutex<RelTx>>,
     counters: Arc<Mutex<LinkCounters>>,
     events: Sender<Event>,
@@ -342,7 +403,7 @@ fn reader_loop(
                         );
                         let ack = Frame::control(FrameKind::Ack, me as u32, frame.seq);
                         note(&recorder, FlightKind::AckSent, peer, frame.seq, 0);
-                        let _ = write_frame(&writer, &counters, &ack);
+                        send_from_reader(&writer, &counters, ack);
                         if events
                             .send(Event::Deliver {
                                 payload: frame.payload,
@@ -356,13 +417,13 @@ fn reader_loop(
                         note(&recorder, FlightKind::DupData, peer, frame.seq, 0);
                         let ack = Frame::control(FrameKind::Ack, me as u32, frame.seq);
                         note(&recorder, FlightKind::AckSent, peer, frame.seq, 0);
-                        let _ = write_frame(&writer, &counters, &ack);
+                        send_from_reader(&writer, &counters, ack);
                     }
                     RxVerdict::Corrupt => {
                         note(&recorder, FlightKind::CorruptData, peer, frame.seq, 0);
                         let nack = Frame::control(FrameKind::Nack, me as u32, frame.seq);
                         note(&recorder, FlightKind::NackSent, peer, frame.seq, 0);
-                        let _ = write_frame(&writer, &counters, &nack);
+                        send_from_reader(&writer, &counters, nack);
                     }
                 },
                 FrameKind::Ack => {
@@ -384,7 +445,7 @@ fn reader_loop(
                                 f.seq,
                                 f.payload.len() as u64,
                             );
-                            let _ = write_frame(&writer, &counters, &f);
+                            send_from_reader(&writer, &counters, f);
                         }
                         Ok(None) => {}
                         Err(d) => {
@@ -536,7 +597,10 @@ pub fn connect_mesh<M: WireMsg>(
     for (p, slot) in streams.into_iter().enumerate() {
         let Some(stream) = slot else { continue };
         let read_half = stream.try_clone().map_err(|e| io_err(p, e))?;
-        let writer = Arc::new(Mutex::new(stream));
+        let writer = Arc::new(PeerStream {
+            stream: Mutex::new(stream),
+            parked: Mutex::new(Vec::new()),
+        });
         let tx = Arc::new(Mutex::new(RelTx::new(
             rank as u32,
             config.tuning,
@@ -599,6 +663,37 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = l.local_addr().unwrap();
         (l, a)
+    }
+
+    #[test]
+    fn reader_frames_never_wait_for_a_busy_stream() {
+        let (listener, addr) = local_listener();
+        let out = Arc::new(PeerStream {
+            stream: Mutex::new(TcpStream::connect(addr).unwrap()),
+            parked: Mutex::new(Vec::new()),
+        });
+        let (mut far, _) = listener.accept().unwrap();
+        // The main thread is mid-write: the stream is held.
+        let held = out.stream.lock().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let reader = Arc::clone(&out);
+        let parker = std::thread::spawn(move || {
+            reader.write_or_park(Frame::control(FrameKind::Ack, 1, 7));
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the reader's ack waited for the held stream");
+        parker.join().unwrap();
+        // The holder writes the parked ack before letting go.
+        out.release(held);
+        let ack = Frame::read_from(&mut far).unwrap().unwrap();
+        assert_eq!((ack.kind, ack.seq), (FrameKind::Ack, 7));
+        // A free stream takes the frame at once.
+        out.write_or_park(Frame::control(FrameKind::Nack, 1, 8));
+        let nack = Frame::read_from(&mut far).unwrap().unwrap();
+        assert_eq!((nack.kind, nack.seq), (FrameKind::Nack, 8));
+        assert!(out.parked.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -317,8 +317,11 @@ fn prim_category(p: Primitive) -> &'static str {
 
 /// A value on the wire: raw tensor data or a compressed stream.
 ///
-/// Public because the fault-tolerant protocol layer
-/// ([`crate::protocol`]) checksums and corrupts it.
+/// Shared by refcount on the channel fabric (a raw one is the sender's
+/// accumulator itself), serialized once per link on TCP. Public
+/// because the fault-tolerant protocol layer ([`crate::protocol`])
+/// checksums it, and corrupts it in chaos runs — through
+/// `Arc::make_mut`, so never in the sender's copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Uncompressed `f32` data.
@@ -345,7 +348,7 @@ impl Payload {
 /// Inter-node messages: the entire trusted-fabric protocol. Public
 /// so transport fabrics (`hipress-fabric`) can move it between
 /// processes; the in-process engine moves it by value and never
-/// serializes.
+/// serializes, so a payload reaches its receivers by refcount.
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// `task` (on some other node) completed. For `Send` tasks the
@@ -400,13 +403,85 @@ pub enum Msg {
     },
 }
 
+/// A chunk accumulator, copy-on-write and shared by refcount.
+///
+/// `Source` produces an `Owned` buffer. A raw `Send` moves it into the
+/// one `Arc<Payload>` the message needs and keeps a `Shared` handle
+/// ([`ChunkBuf::share`]); `Update` of a received raw aggregate keeps
+/// the received `Arc`. Writers go through [`ChunkBuf::make_mut`],
+/// which is free on an owned or uniquely held buffer and copies once
+/// while someone else still holds it. So no path copies more than
+/// eager copying would: every share saves one copy, and a later write
+/// costs at most that copy back.
+#[derive(Debug, Clone)]
+pub(crate) enum ChunkBuf {
+    /// A private vector.
+    Owned(Vec<f32>),
+    /// A buffer others may hold too; always a [`Payload::Raw`].
+    Shared(Arc<Payload>),
+}
+
+impl ChunkBuf {
+    /// Shares the buffer: the returned payload is this allocation.
+    pub(crate) fn share(&mut self) -> Arc<Payload> {
+        let p = match std::mem::take(self) {
+            ChunkBuf::Owned(v) => Arc::new(Payload::Raw(v)),
+            ChunkBuf::Shared(p) => p,
+        };
+        *self = ChunkBuf::Shared(Arc::clone(&p));
+        p
+    }
+
+    /// Mutable access, copying first only if another holder remains.
+    pub(crate) fn make_mut(&mut self) -> &mut Vec<f32> {
+        match self {
+            ChunkBuf::Owned(v) => v,
+            ChunkBuf::Shared(p) => match Arc::make_mut(p) {
+                Payload::Raw(v) => v,
+                _ => unreachable!("a shared chunk buffer holds a raw payload"),
+            },
+        }
+    }
+
+    /// The buffer as a vector: a move when uniquely held, else a copy.
+    pub(crate) fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(self.make_mut())
+    }
+}
+
+impl Default for ChunkBuf {
+    fn default() -> Self {
+        ChunkBuf::Owned(Vec::new())
+    }
+}
+
+impl From<Vec<f32>> for ChunkBuf {
+    fn from(v: Vec<f32>) -> Self {
+        ChunkBuf::Owned(v)
+    }
+}
+
+impl std::ops::Deref for ChunkBuf {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            ChunkBuf::Owned(v) => v,
+            ChunkBuf::Shared(p) => match p.as_ref() {
+                Payload::Raw(v) => v,
+                _ => unreachable!("a shared chunk buffer holds a raw payload"),
+            },
+        }
+    }
+}
+
 /// Per-chunk node state: the local accumulator — which `Update`
-/// overwrites in place with the installed aggregate — plus degradation
+/// replaces with the installed aggregate — plus degradation
 /// bookkeeping (how many contributions merged in, how many were
 /// skipped).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Cell {
-    pub(crate) acc: Vec<f32>,
+    pub(crate) acc: ChunkBuf,
     /// Whether `Update` ran: `acc` is the installed aggregate, the
     /// chunk's result.
     pub(crate) updated: bool,
@@ -435,7 +510,7 @@ impl Cell {
     }
 
     fn scale(&mut self, f: f32) {
-        for a in &mut self.acc {
+        for a in self.acc.make_mut() {
             *a *= f;
         }
     }
@@ -707,7 +782,9 @@ pub(crate) struct NodeCore<'a> {
     pub(crate) compressor: Option<&'a dyn Compressor>,
     pub(crate) seed: u64,
     pub(crate) cells: HashMap<(u32, u32), Cell>,
-    enc_out: HashMap<u32, Vec<u8>>,
+    /// Encoded streams as the `Payload::Compressed` every `Send` of
+    /// them shares.
+    enc_out: HashMap<u32, Arc<Payload>>,
     dec_out: HashMap<u32, Vec<f32>>,
     recv_payload: HashMap<u32, Arc<Payload>>,
     /// Payloads delivered by remote `Send` completions, keyed by the
@@ -837,7 +914,7 @@ impl<'a> NodeCore<'a> {
                         );
                     }
                 }
-                self.cells.entry(key).or_default().acc = acc;
+                self.cells.entry(key).or_default().acc = acc.into();
             }
             Primitive::Encode => {
                 self.settle_degraded(key);
@@ -850,7 +927,8 @@ impl<'a> NodeCore<'a> {
                 // interpreter — required for bit-level equivalence.
                 let task_seed = self.seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let bytes = c.encode(&cell.acc, task_seed);
-                self.enc_out.insert(id.0, bytes);
+                self.enc_out
+                    .insert(id.0, Arc::new(Payload::Compressed(bytes)));
             }
             Primitive::Decode => {
                 let recv = self
@@ -913,7 +991,7 @@ impl<'a> NodeCore<'a> {
                         if contribution.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
-                        for (a, b) in cell.acc.iter_mut().zip(contribution) {
+                        for (a, b) in cell.acc.make_mut().iter_mut().zip(contribution) {
                             *a += b;
                         }
                         cell.merged += 1;
@@ -927,41 +1005,37 @@ impl<'a> NodeCore<'a> {
                 }
             }
             Primitive::Send => {
+                // Every send shares what it transmits: the
+                // accumulator, the encoded stream or the received
+                // payload — a refcount bump, never a copy.
                 let payload = match t.send_src {
                     SendSrc::Raw => {
                         self.settle_degraded(key);
                         let cell = self
                             .cells
-                            .get(&key)
+                            .get_mut(&key)
                             .ok_or_else(|| Error::sim("raw send with no state"))?;
-                        Payload::Raw(cell.acc.clone())
+                        cell.acc.share()
                     }
                     SendSrc::Encoded => {
                         let e = self
                             .find_dep(id, |p| p == Primitive::Encode)
                             .ok_or_else(|| Error::sim("encoded send without encode"))?;
-                        Payload::Compressed(
-                            self.enc_out
-                                .get(&e.0)
-                                .cloned()
-                                .ok_or_else(|| Error::sim("send before encode ran"))?,
-                        )
+                        let p = self.enc_out.get(&e.0);
+                        Arc::clone(p.ok_or_else(|| Error::sim("send before encode ran"))?)
                     }
                     SendSrc::Forward => {
                         let r = self
                             .find_dep(id, |p| p == Primitive::Recv)
                             .ok_or_else(|| Error::sim("forward without recv"))?;
-                        let p = self
-                            .recv_payload
-                            .get(&r.0)
-                            .ok_or_else(|| Error::sim("forward before recv delivered"))?;
-                        p.as_ref().clone()
+                        let p = self.recv_payload.get(&r.0);
+                        Arc::clone(p.ok_or_else(|| Error::sim("forward before recv delivered"))?)
                     }
                 };
                 self.report.bytes_wire += payload.wire_bytes();
                 self.report.bytes_raw += t.bytes_raw;
                 sent_bytes = Some((payload.wire_bytes(), t.bytes_raw));
-                outbound = Some(Arc::new(payload));
+                outbound = Some(payload);
             }
             Primitive::Recv => {
                 let send = self
@@ -981,8 +1055,10 @@ impl<'a> NodeCore<'a> {
             Primitive::Update => {
                 /// What `Update` installs into the accumulator.
                 enum Install<'v> {
-                    /// The disseminated aggregate, decoded or received.
+                    /// The disseminated aggregate, decoded.
                     Value(&'v [f32]),
+                    /// The disseminated aggregate as received raw.
+                    Received(&'v Arc<Payload>),
                     /// The aggregate never arrived: the best local
                     /// approximation, the accumulator scaled up to the
                     /// expected contribution count.
@@ -1004,17 +1080,20 @@ impl<'a> NodeCore<'a> {
                         Install::Value(dec.ok_or_else(|| Error::sim("update before decode"))?)
                     }
                 } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
-                    match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                        Some(Payload::Raw(v)) => Install::Value(v),
-                        Some(Payload::Compressed(_)) => {
+                    let p = self.recv_payload.get(&r.0);
+                    let p = p.ok_or_else(|| Error::sim("update before recv delivered"))?;
+                    match p.as_ref() {
+                        Payload::Raw(_) => Install::Received(p),
+                        Payload::Compressed(_) => {
                             return Err(Error::sim("raw update of compressed payload"));
                         }
-                        Some(Payload::Skipped) => Install::Degraded,
-                        None => return Err(Error::sim("update before recv delivered")),
+                        Payload::Skipped => Install::Degraded,
                     }
                 } else if let Some(e) = self.find_dep(id, |p| p == Primitive::Encode) {
-                    let bytes = self.enc_out.get(&e.0);
-                    Install::OwnBytes(bytes.ok_or_else(|| Error::sim("update before encode ran"))?)
+                    match self.enc_out.get(&e.0).map(|p| p.as_ref()) {
+                        Some(Payload::Compressed(bytes)) => Install::OwnBytes(bytes),
+                        _ => return Err(Error::sim("update before encode ran")),
+                    }
                 } else {
                     Install::Accumulator
                 };
@@ -1025,14 +1104,22 @@ impl<'a> NodeCore<'a> {
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("update with no state"))?;
                 // The accumulator is the buffer the result is read
-                // from, so every source lands in it directly: one copy
-                // for a borrowed chunk, none otherwise.
+                // from: a received raw aggregate becomes it by
+                // refcount, a decoded one is copied in, the owner
+                // decodes its own bytes straight into it.
                 match install {
                     Install::Value(value) => {
                         if value.len() != cell.acc.len() {
                             return Err(Error::sim("update length mismatch"));
                         }
-                        cell.acc.copy_from_slice(value);
+                        cell.acc.make_mut().copy_from_slice(value);
+                    }
+                    Install::Received(p) => {
+                        let value = ChunkBuf::Shared(Arc::clone(p));
+                        if value.len() != cell.acc.len() {
+                            return Err(Error::sim("update length mismatch"));
+                        }
+                        cell.acc = value;
                     }
                     Install::Degraded => {
                         cell.scale(crate::protocol::degrade_rescale(
@@ -1042,7 +1129,7 @@ impl<'a> NodeCore<'a> {
                     }
                     Install::OwnBytes(bytes) => compressor
                         .ok_or_else(|| Error::sim("codec task without a compressor"))?
-                        .decode_into(bytes, &mut cell.acc)?,
+                        .decode_into(bytes, cell.acc.make_mut())?,
                     Install::Accumulator => cell.settle_degraded(nodes),
                 }
                 cell.updated = true;
@@ -1392,5 +1479,192 @@ mod tests {
         assert_eq!(pick(&[&echo, &other, &echo]), Some(other));
         assert_eq!(pick(&[&echo]), Some(echo));
         assert_eq!(pick(&[]), None);
+    }
+
+    #[test]
+    fn chunk_buf_copies_on_write_only_when_shared() {
+        // Share, then write: the holder keeps its bytes, the writer
+        // sees its write in a buffer of its own.
+        let mut buf = ChunkBuf::from(vec![1.0f32, 2.0, 3.0]);
+        let held = buf.share();
+        assert_eq!(held.as_ref(), &Payload::Raw(vec![1.0, 2.0, 3.0]));
+        buf.make_mut()[0] = 9.0;
+        assert_eq!(held.as_ref(), &Payload::Raw(vec![1.0, 2.0, 3.0]));
+        assert_eq!(&*buf, &[9.0, 2.0, 3.0]);
+        let Payload::Raw(v) = held.as_ref() else {
+            unreachable!()
+        };
+        assert_ne!(buf.as_ptr(), v.as_ptr(), "the write must land in a copy");
+
+        // A write to an unshared buffer keeps its allocation, owned or
+        // shared with nobody left.
+        let mut own = ChunkBuf::from(vec![0.5f32; 64]);
+        let ptr = own.as_ptr();
+        own.make_mut()[3] = 1.5;
+        assert_eq!(own.as_ptr(), ptr);
+        drop(own.share());
+        own.make_mut()[4] = 2.5;
+        assert_eq!(own.as_ptr(), ptr);
+
+        // `into_vec` of a uniquely held buffer moves, it does not copy.
+        let mut unique = ChunkBuf::from(vec![7.0f32; 32]);
+        let ptr = unique.as_ptr();
+        drop(unique.share());
+        assert!(matches!(unique, ChunkBuf::Shared(_)));
+        let moved = unique.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
+    }
+
+    /// Runs `graph` over the channel fabric, returning every node's
+    /// final cells.
+    fn drive_all(
+        graph: &TaskGraph,
+        nodes: usize,
+        flows: &ReplicaFlows,
+        compressor: Option<&dyn Compressor>,
+        pipeline: crate::PipelineConfig,
+    ) -> Vec<HashMap<(u32, u32), Cell>> {
+        use hipress_fabric::{ChannelFabric, Fabric};
+        let layout = FlowLayout::derive(graph, nodes, flows).unwrap();
+        let plan = NodePlan::derive(graph, nodes);
+        let mut fabric: ChannelFabric<Msg> = ChannelFabric::new(nodes);
+        let config = RuntimeConfig::default();
+        let results = std::thread::scope(|scope| {
+            let handles = (0..nodes)
+                .map(|node| {
+                    let mut link = fabric.link(node).unwrap();
+                    let (layout, plan, config) = (&layout, &plan, &config);
+                    scope.spawn(move || {
+                        crate::pipeline::drive_node(
+                            &mut link, graph, flows, layout, plan, compressor, 5, config,
+                            &pipeline, None, None, None, None,
+                        )
+                    })
+                })
+                .collect();
+            crate::pipeline::join_nodes(handles)
+        });
+        results.into_iter().map(|r| r.unwrap().0).collect()
+    }
+
+    #[test]
+    fn dense_ps_installs_one_shared_allocation_per_chunk() {
+        let nodes = 2;
+        let sizes = [300usize, 64];
+        let flows = replicate(&gradient_flows(&worker_grads(nodes, &sizes)));
+        let graph = Strategy::CaSyncPs
+            .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, None, 2))
+            .unwrap();
+        for window in [1, 4] {
+            let pipeline = crate::PipelineConfig {
+                iterations: 6,
+                window,
+            };
+            let cells = drive_all(&graph, nodes, &flows, None, pipeline);
+            assert_eq!(cells[0].len(), 4);
+            for (key, mine) in &cells[0] {
+                // The owner's `Send` shared its accumulator; the peer's
+                // `Update` kept the received payload — one buffer.
+                let theirs = &cells[1][key];
+                assert!(mine.updated && theirs.updated);
+                assert_eq!(
+                    mine.acc.as_ptr(),
+                    theirs.acc.as_ptr(),
+                    "chunk {key:?} at window {window} was copied"
+                );
+            }
+        }
+    }
+
+    /// The ids of `node`'s `prim` tasks on chunk `key`, in graph order.
+    fn tasks_of(graph: &TaskGraph, node: usize, prim: Primitive, key: (u32, u32)) -> Vec<TaskId> {
+        graph
+            .tasks()
+            .iter()
+            .filter(|t| t.node == node && t.prim == prim && (t.chunk.grad, t.chunk.part) == key)
+            .map(|t| t.id)
+            .collect()
+    }
+
+    #[test]
+    fn sends_share_what_they_transmit() {
+        // Raw: a 2-node uncompressed PS; node 1 ships chunk (0, 0) to
+        // its owner, node 0, and the payload is its accumulator.
+        let sizes = [96usize];
+        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
+        let graph = Strategy::CaSyncPs
+            .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
+            .unwrap();
+        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let mut core = NodeCore::new(1, &graph, &flows, &layout, None, 3, None, None);
+        let key = (0, 0);
+        core.execute_one(tasks_of(&graph, 1, Primitive::Source, key)[0])
+            .unwrap();
+        let send = tasks_of(&graph, 1, Primitive::Send, key)[0];
+        let out = core.execute_one(send).unwrap().expect("send payload");
+        let Payload::Raw(v) = out.as_ref() else {
+            panic!("raw send shipped {out:?}")
+        };
+        assert_eq!(v.as_ptr(), core.cells[&key].acc.as_ptr());
+
+        // Encoded: a 3-node compressed PS; the owner's one `Encode`
+        // feeds N - 1 = 2 `Send`s, which carry one allocation.
+        let flows = replicate(&gradient_flows(&worker_grads(3, &sizes)));
+        let graph = Strategy::CaSyncPs
+            .build(
+                &ClusterConfig::ec2(3),
+                &iter_spec(&sizes, Some(Algorithm::OneBit), 3),
+            )
+            .unwrap();
+        let layout = FlowLayout::derive(&graph, 3, &flows).unwrap();
+        let c = Algorithm::OneBit.build().unwrap();
+        let mut core = NodeCore::new(0, &graph, &flows, &layout, Some(c.as_ref()), 3, None, None);
+        for t in [Primitive::Source, Primitive::Encode] {
+            core.execute_one(tasks_of(&graph, 0, t, key)[0]).unwrap();
+        }
+        let sends = tasks_of(&graph, 0, Primitive::Send, key);
+        assert_eq!(sends.len(), 2);
+        let out: Vec<Arc<Payload>> = sends
+            .iter()
+            .map(|&s| core.execute_one(s).unwrap().expect("send payload"))
+            .collect();
+        assert!(matches!(out[0].as_ref(), Payload::Compressed(_)));
+        assert!(Arc::ptr_eq(&out[0], &out[1]), "one encode, two allocations");
+    }
+
+    #[test]
+    fn wrong_length_raw_payloads_are_refused_and_install_nothing() {
+        // Chunk (0, 0) of a 2-node uncompressed PS is owned by node 0:
+        // node 0 merges node 1's chunk, node 1 installs node 0's.
+        let sizes = [96usize];
+        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
+        let graph = Strategy::CaSyncPs
+            .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
+            .unwrap();
+        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let key = (0, 0);
+        for (node, consumer, error) in [
+            (0, Primitive::Merge, "merge length mismatch"),
+            (1, Primitive::Update, "update length mismatch"),
+        ] {
+            for len in [0, 47, 49, 4096] {
+                let mut core = NodeCore::new(node, &graph, &flows, &layout, None, 3, None, None);
+                core.execute_one(tasks_of(&graph, node, Primitive::Source, key)[0])
+                    .unwrap();
+                let before = core.cells[&key].acc.to_vec();
+                let recv = tasks_of(&graph, node, Primitive::Recv, key)[0];
+                let send = graph.task(recv).deps[0];
+                core.inbound
+                    .insert(send.0, Arc::new(Payload::Raw(vec![1.0; len])));
+                core.execute_one(recv).unwrap();
+                let err = core
+                    .execute_one(tasks_of(&graph, node, consumer, key)[0])
+                    .unwrap_err();
+                assert!(err.to_string().contains(error), "{consumer:?} {len}: {err}");
+                let cell = &core.cells[&key];
+                assert_eq!(&*cell.acc, &before[..], "{consumer:?} {len} installed");
+                assert!(!cell.updated && cell.merged == 0);
+            }
+        }
     }
 }

@@ -1285,7 +1285,7 @@ fn coordinate(
                                         (
                                             (f, p),
                                             Cell {
-                                                acc: v,
+                                                acc: v.into(),
                                                 updated: true,
                                                 ..Cell::default()
                                             },
@@ -1757,7 +1757,7 @@ fn run_job(
         Ok((cells, report)) => {
             let cells = cells
                 .into_iter()
-                .filter_map(|((f, p), c)| c.updated.then_some((f, p, c.acc)))
+                .filter_map(|((f, p), c)| c.updated.then(|| (f, p, c.acc.into_vec())))
                 .collect();
             write_ctl(
                 ctl,

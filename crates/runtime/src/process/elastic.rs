@@ -91,7 +91,7 @@ fn collect_member(
                             (
                                 (f, p),
                                 Cell {
-                                    acc: v,
+                                    acc: v.into(),
                                     updated: true,
                                     ..Cell::default()
                                 },

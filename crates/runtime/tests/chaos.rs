@@ -379,6 +379,25 @@ fn stall_partial_degrades_and_completes() {
         .verdicts
         .iter()
         .any(|v| v.peer == 1 && v.action == DegradeAction::Skipped));
+    // The degraded values. Node 1 stalls before its second task having
+    // sent nothing, so survivors 0 and 2 skip all of it. Chunk 0
+    // (elements 0..128, owner 0) merged node 2 alone and was rescaled
+    // by 3/2 before the owner sent it. Chunk 1 (owner 1) never came
+    // back, so each survivor rescaled its own contribution by 3 — a
+    // write to the accumulator it had already raw-sent to node 1, whose
+    // full sum must still see the unscaled bytes.
+    let grads = worker_grads(3, &[256]);
+    let g = |w: usize, i: usize| grads[w][0].as_slice()[i];
+    for (node, installed) in out.flows[0].per_node.iter().enumerate() {
+        let expected: Vec<f32> = (0..256)
+            .map(|i| match (i < 128, node) {
+                (true, _) => (g(0, i) + g(2, i)) * 1.5,
+                (false, 1) => g(1, i) + g(0, i) + g(2, i),
+                (false, survivor) => g(survivor, i) * 3.0,
+            })
+            .collect();
+        assert_eq!(installed, &expected, "node {node}");
+    }
 }
 
 /// Straggler policy `Abort`: the diagnosis becomes a structured
