@@ -165,13 +165,16 @@ grep -q "evicted rank 2" "$EL_OUT"
 grep -q "cross-check OK" "$EL_OUT"
 # With --rejoin-after, the victim is restarted (`node --join`) and
 # re-admitted at the next epoch boundary: final membership is back to
-# 4 workers and the flows match a run that never crashed at all.
+# 4 workers and the flows match a run that never crashed at all. The
+# traced leg also makes the CLI check that the trace's membership
+# timeline equals the reported one (it exits non-zero otherwise).
 cargo run --release -q --bin hipress -- run --elastic --backend processes \
   --nodes 4 --iters 6 --window 2 --kill-rank 2 --kill-iter 2 \
-  --rejoin-after 4 --cross-check >"$EL_OUT"
+  --rejoin-after 4 --cross-check --trace /tmp/hipress-ci-elastic.json >"$EL_OUT"
 grep -q "final membership 4 node(s)" "$EL_OUT"
 grep -q "cross-check OK" "$EL_OUT"
-rm -f "$EL_OUT"
+test -s /tmp/hipress-ci-elastic.json
+rm -f "$EL_OUT" /tmp/hipress-ci-elastic.json
 
 echo "== distributed trace smoke (per-rank traces stitch into one aligned timeline) =="
 # A traced 4-process run must merge every rank's shipped trace into a

@@ -56,7 +56,7 @@ pub use engine::{
 pub use ft::{DegradePolicy, FaultTolerance};
 pub use observe::{validate_clock_monotonicity, ClockSync, PostmortemDump, RankFlight};
 pub use pipeline::{run, PipelineConfig, RunOptions};
-pub use process::elastic::{join_main, run_elastic_processes, run_elastic_threaded};
+pub use process::elastic::join_main;
 pub use process::{node_main, run_processes, run_threaded_workers, ProcessConfig};
 pub use report::{DegradeAction, FaultReport, PrimStat, RuntimeReport, StragglerVerdict};
 

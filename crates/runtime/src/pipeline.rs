@@ -85,11 +85,11 @@ pub struct RunOptions<'a> {
     pub chaos: Option<(FaultTolerance, FaultPlan)>,
 }
 
-/// Elastic-membership instrumentation threaded into the pipelined
-/// driver by the process runtime: deterministic crash injection at a
-/// retirement boundary, and a live retirement count the worker reads
-/// back after a failure (a returned `Err` loses the driver state, but
-/// the survivor still has to report how far it got so the coordinator
+/// Membership instrumentation the process runtime threads into every
+/// segment it drives: deterministic crash injection at a retirement
+/// boundary, and a live retirement count the worker reads back after a
+/// failure (a returned `Err` loses the driver state, but the survivor
+/// still has to report how far it got so an evict-on-loss coordinator
 /// can pick the drain boundary).
 #[derive(Debug, Default)]
 pub(crate) struct ElasticHooks {

@@ -1,11 +1,11 @@
 //! Multi-process CaSync-RT: one OS process per node over a loopback
 //! TCP mesh.
 //!
-//! [`run_processes`] is the coordinator. It binds a rendezvous
-//! socket, spawns one worker process per node (`hipress node
-//! --connect ADDR --rank R --nodes N` — the binary re-executes
-//! itself), and speaks a small length-prefixed control protocol with
-//! each child:
+//! [`run_processes`] binds a rendezvous socket, spawns one worker
+//! process per node (`hipress node --connect ADDR --rank R --nodes N`
+//! — the binary re-executes itself), and hands both to the one
+//! coordinator, [`elastic`]'s segment loop, which speaks a small
+//! length-prefixed control protocol with each child:
 //!
 //! 1. Child binds its mesh listener, dials the coordinator, and sends
 //!    [`Ctl::Hello`] with its rank and mesh port.
@@ -20,9 +20,10 @@
 //!    run the pipelined driver ([`crate::pipeline`]) over it.
 //! 4. Each child reports [`Ctl::Outcome`] (its updated chunks and
 //!    measured report) or [`Ctl::Failed`], then *holds its mesh link
-//!    open* until the coordinator's [`Ctl::Shutdown`] — reader
-//!    threads keep servicing peers' acks, so a fast finisher never
-//!    tears the sockets down under a slow one.
+//!    open* until the coordinator's verdict — [`Ctl::Shutdown`], or an
+//!    epoch bump into the next segment — so reader threads keep
+//!    servicing peers' acks and a fast finisher never tears the
+//!    sockets down under a slow one.
 //!
 //! The child rebuilds its graph from the same inputs the in-process
 //! backends use, and every node's flow lengths are known from the
@@ -32,16 +33,18 @@
 //! identical to [`Backend::Threads`][crate::Backend::Threads] and the
 //! interpreter.
 //!
-//! A worker that dies mid-protocol (crash, kill, [`ProcessConfig::
-//! kill_node`] fault injection) surfaces twice: survivors diagnose
-//! the dead mesh link and report a structured failure naming the dead
-//! rank, and the coordinator sees the child's control stream close
-//! without an outcome. Either way [`run_processes`] returns a
-//! [`SyncFailure`] naming the dead node — never a hang.
+//! A worker that dies mid-protocol (crash, kill, or a crash scripted
+//! by [`ProcessConfig::membership`]) surfaces twice: survivors
+//! diagnose the dead mesh link and report a structured failure naming
+//! the dead rank, and the coordinator sees the child's control stream
+//! close without an outcome. Under the default fail-on-loss policy
+//! [`run_processes`] then returns a [`SyncFailure`] naming the dead
+//! node — never a hang; with [`ProcessConfig::elastic`] the run
+//! evicts it and continues over the survivors.
 
 use crate::engine::{
-    record_run_metrics, record_run_span, replicate, root_cause, single_node_trace, Cell,
-    FlowLayout, Instruments, Msg, NodeMetrics, NodePlan, RunOutcome, RuntimeConfig,
+    record_run_metrics, record_run_span, root_cause, single_node_trace, Cell, FlowLayout,
+    Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome, RuntimeConfig,
 };
 use crate::observe::{
     get_trace, put_trace, record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight,
@@ -49,6 +52,7 @@ use crate::observe::{
 };
 use crate::pipeline::{drive_node, fabric_err, validate, ElasticHooks, PipelineConfig};
 use crate::report::{DegradeAction, FaultReport, PrimStat, RuntimeReport, StragglerVerdict};
+use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
 use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
@@ -67,6 +71,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::process::Stdio;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -79,16 +84,24 @@ const SPAWN_GUARD_ENV: &str = "HIPRESS_SPAWNED_WORKER";
 
 pub mod elastic;
 
-/// How the coordinator launches and supervises worker processes.
+/// How the coordinator launches and supervises worker processes, and
+/// what it does when one is lost.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessConfig {
     /// The worker binary to execute with `node --connect ...`. When
     /// unset, `HIPRESS_NODE_BIN` is consulted, then the current
     /// executable (the `hipress` CLI re-executes itself).
     pub binary: Option<PathBuf>,
-    /// Fault injection: this rank exits mid-protocol right after mesh
-    /// setup, exercising the dead-link diagnosis end to end.
-    pub kill_node: Option<usize>,
+    /// Scripted rank loss: each crash kills its rank hard right before
+    /// the named iteration (`MembershipPlan::crash(k, 0)` kills rank
+    /// `k` right after mesh setup); rejoins respawn it and need
+    /// `elastic`. The empty plan changes nothing.
+    pub membership: MembershipPlan,
+    /// The loss policy. `false` (fail-on-loss): a lost or failed
+    /// worker fails the run with a [`SyncFailure`] naming it. `true`
+    /// (evict-on-loss): the run drains, evicts the lost rank, and
+    /// continues over the survivors at a new membership epoch.
+    pub elastic: bool,
     /// How long workers may take to check in at rendezvous.
     /// `Duration::ZERO` means the 10 s default.
     pub connect_timeout: Duration,
@@ -133,8 +146,6 @@ struct Job {
     config: RuntimeConfig,
     iterations: u32,
     window: u32,
-    /// Exit mid-protocol after mesh setup (fault injection).
-    kill: bool,
     /// Record a per-rank trace and ship it with the outcome.
     want_trace: bool,
     /// Record per-rank metrics and ship a snapshot with the outcome.
@@ -146,15 +157,11 @@ struct Job {
     grad_lens: Vec<u32>,
     /// This rank's gradient values, parallel to `grad_lens`.
     grads: Vec<Vec<f32>>,
-    /// Every rank's mesh listener port, indexed by rank.
+    /// Every member's mesh listener port, indexed by slot.
     mesh_ports: Vec<u16>,
-    /// This job is one segment of an elastic run: after it ends the
-    /// worker must hold its control link and wait for an
-    /// [`Msg::EpochBump`] (next segment) or `Shutdown` instead of
-    /// exiting, and `rank` is a per-segment *slot*, not the worker's
-    /// global rank.
-    elastic: bool,
     /// Membership epoch this segment runs under (0 on fixed runs).
+    /// `rank` is the worker's *slot* in the segment's member list,
+    /// which equals its global rank at epoch 0.
     epoch: u64,
     /// Global iteration number of this segment's first iteration —
     /// workers stamp it onto progress records so the coordinator's
@@ -183,11 +190,15 @@ enum Ctl {
         metrics: Option<String>,
         flight: Vec<FlightEvent>,
     },
-    /// Worker → coordinator: the protocol failed; the flight ring
-    /// rides along so the postmortem sees the failing rank's view.
+    /// Worker → coordinator: the segment failed under this worker.
+    /// The flight ring rides along so the postmortem sees the failing
+    /// rank's view; `completed` is how many segment-local iterations
+    /// had fully retired here, so an evict-on-loss coordinator can
+    /// pick the drain boundary.
     Failed {
         error: Error,
         flight: Vec<FlightEvent>,
+        completed: u32,
     },
     /// Coordinator → worker: all outcomes collected; tear the mesh
     /// down and exit.
@@ -209,12 +220,6 @@ enum Ctl {
     /// `Welcome` (coordinator → joiner), `EpochBump` (coordinator →
     /// surviving workers between segments).
     Member(Msg),
-    /// Worker → coordinator: an elastic segment died under this
-    /// worker (a peer vanished, or this worker was the crash victim's
-    /// neighbour). `completed` is how many segment-local iterations
-    /// had fully retired here; `dead` is the *slot* this worker blames
-    /// (`u32::MAX` when it cannot tell).
-    Halted { completed: u32, dead: u32 },
 }
 
 const CTL_HELLO: u8 = 1;
@@ -226,7 +231,6 @@ const CTL_CLOCK_PING: u8 = 6;
 const CTL_CLOCK_PONG: u8 = 7;
 const CTL_PROGRESS: u8 = 8;
 const CTL_MEMBER: u8 = 9;
-const CTL_HALT: u8 = 10;
 
 fn put_strategy(w: &mut Writer, s: Strategy) {
     w.put_u8(match s {
@@ -679,7 +683,6 @@ impl WireMsg for Ctl {
                 w.put_u64(j.config.ft_heartbeat.as_nanos() as u64);
                 w.put_u32(j.iterations);
                 w.put_u32(j.window);
-                w.put_u8(u8::from(j.kill));
                 w.put_u8(u8::from(j.want_trace));
                 w.put_u8(u8::from(j.want_metrics));
                 w.put_u8(u8::from(j.want_progress));
@@ -695,7 +698,6 @@ impl WireMsg for Ctl {
                 for &p in &j.mesh_ports {
                     w.put_u16(p);
                 }
-                w.put_u8(u8::from(j.elastic));
                 w.put_u64(j.epoch);
                 w.put_u32(j.base_iter);
                 match j.die_at_iter {
@@ -740,13 +742,18 @@ impl WireMsg for Ctl {
                     e.encode(w);
                 }
             }
-            Ctl::Failed { error, flight } => {
+            Ctl::Failed {
+                error,
+                flight,
+                completed,
+            } => {
                 w.put_u8(CTL_FAILED);
                 put_error(w, error);
                 w.put_u32(flight.len() as u32);
                 for e in flight {
                     e.encode(w);
                 }
+                w.put_u32(*completed);
             }
             Ctl::Shutdown => w.put_u8(CTL_SHUTDOWN),
             Ctl::ClockPing { t1 } => {
@@ -765,11 +772,6 @@ impl WireMsg for Ctl {
             Ctl::Member(m) => {
                 w.put_u8(CTL_MEMBER);
                 m.encode(w);
-            }
-            Ctl::Halted { completed, dead } => {
-                w.put_u8(CTL_HALT);
-                w.put_u32(*completed);
-                w.put_u32(*dead);
             }
         }
     }
@@ -797,7 +799,6 @@ impl WireMsg for Ctl {
                 };
                 let iterations = r.u32()?;
                 let window = r.u32()?;
-                let kill = r.u8()? != 0;
                 let want_trace = r.u8()? != 0;
                 let want_metrics = r.u8()? != 0;
                 let want_progress = r.u8()? != 0;
@@ -813,7 +814,6 @@ impl WireMsg for Ctl {
                 for _ in 0..r.u32()? {
                     mesh_ports.push(r.u16()?);
                 }
-                let elastic = r.u8()? != 0;
                 let epoch = r.u64()?;
                 let base_iter = r.u32()?;
                 let die_at_iter = match r.u8()? {
@@ -836,14 +836,12 @@ impl WireMsg for Ctl {
                     config,
                     iterations,
                     window,
-                    kill,
                     want_trace,
                     want_metrics,
                     want_progress,
                     grad_lens,
                     grads,
                     mesh_ports,
-                    elastic,
                     epoch,
                     base_iter,
                     die_at_iter,
@@ -883,7 +881,11 @@ impl WireMsg for Ctl {
                 for _ in 0..r.u32()? {
                     flight.push(FlightEvent::decode(r)?);
                 }
-                Ok(Ctl::Failed { error, flight })
+                Ok(Ctl::Failed {
+                    error,
+                    flight,
+                    completed: r.u32()?,
+                })
             }
             CTL_SHUTDOWN => Ok(Ctl::Shutdown),
             CTL_CLOCK_PING => Ok(Ctl::ClockPing { t1: r.u64()? }),
@@ -895,10 +897,6 @@ impl WireMsg for Ctl {
                 rec: get_iter_record(r)?,
             }),
             CTL_MEMBER => Ok(Ctl::Member(Msg::decode(r)?)),
-            CTL_HALT => Ok(Ctl::Halted {
-                completed: r.u32()?,
-                dead: r.u32()?,
-            }),
             t => Err(DecodeError::BadTag {
                 what: "ctl",
                 tag: u64::from(t),
@@ -983,12 +981,23 @@ fn build_graph(
 /// `clock` track). With a metrics scope, per-rank snapshots are
 /// absorbed into the coordinator's registry under the scope's labels.
 ///
+/// `pconf.membership` scripts rank loss and `pconf.elastic` picks what
+/// a loss does. Under the default fail-on-loss policy the run is one
+/// segment at epoch 0 and a lost worker fails it. Under evict-on-loss,
+/// crashed ranks exit hard (code 13) and are evicted at the drain
+/// boundary, rejoining ranks are respawned with `node --join` and
+/// admitted at the next epoch boundary, and the returned flows are
+/// the **final epoch's** member set's result; the report then carries
+/// the epoch history (`membership`) and every evicted rank.
+///
 /// # Errors
 ///
-/// Configuration errors for bad shapes or an unresolvable worker
-/// binary; a structured [`SyncFailure`] naming the dead node when a
-/// worker dies mid-protocol; transport errors from the control
-/// channel.
+/// Configuration errors for bad shapes, plans or strategy configs, or
+/// an unresolvable worker binary — all raised before any worker is
+/// spawned; a structured [`SyncFailure`] naming the dead node when a
+/// worker dies mid-protocol under fail-on-loss; a configuration error
+/// when fewer than two members would survive an eviction; transport
+/// errors from the control channel.
 #[allow(clippy::too_many_arguments)]
 pub fn run_processes(
     strategy: Strategy,
@@ -1001,60 +1010,8 @@ pub fn run_processes(
     pconf: &ProcessConfig,
     instruments: Instruments<'_>,
 ) -> Result<RunOutcome> {
-    let nodes = worker_grads.len();
-    validate_grads(worker_grads)?;
-    validate(pcfg)?;
-    if let Some(k) = pconf.kill_node {
-        if k >= nodes {
-            return Err(Error::config(format!(
-                "kill_node {k} out of range for {nodes} workers"
-            )));
-        }
-    }
-
-    // Recursion guard: if the resolved worker binary does not handle
-    // the `node` subcommand (a library consumer's own executable, via
-    // current_exe), each spawned child would re-run its caller's main
-    // and fork-bomb. Workers inherit this marker; a worker that winds
-    // up back here is such a re-run and must die, not spawn.
-    if std::env::var_os(SPAWN_GUARD_ENV).is_some() {
-        return Err(Error::config(
-            "recursive worker spawn: the worker binary re-entered run_processes instead of \
-             handling the `node` subcommand — point ProcessConfig.binary (or HIPRESS_NODE_BIN) \
-             at a binary that dispatches `node` to node_main",
-        ));
-    }
-
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ctl_io)?;
-    let addr = listener.local_addr().map_err(ctl_io)?;
-    let binary = resolve_binary(pconf)?;
-
-    let mut children = Vec::with_capacity(nodes);
-    for rank in 0..nodes {
-        let child = std::process::Command::new(&binary)
-            .env(SPAWN_GUARD_ENV, "1")
-            .arg("node")
-            .arg("--connect")
-            .arg(addr.to_string())
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--nodes")
-            .arg(nodes.to_string())
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()
-            .map_err(|e| {
-                Error::config(format!(
-                    "failed to spawn worker {rank} ({}): {e}",
-                    binary.display()
-                ))
-            })?;
-        children.push(child);
-    }
-
-    let result = coordinate(
-        &listener,
+    elastic::run_segments(
+        Some(resolve_binary(pconf)?),
         strategy,
         algorithm,
         partitions,
@@ -1063,11 +1020,198 @@ pub fn run_processes(
         config,
         pcfg,
         pconf,
-        &mut children,
         instruments,
-    );
-    reap(&mut children);
-    result
+    )
+}
+
+/// Runs the full coordinator protocol with worker *threads* standing
+/// in for worker processes — same control channel, same TCP mesh,
+/// same clock probes, same pipelined driver, same membership policy;
+/// only `fork/exec` is skipped. Deterministic like [`run_processes`],
+/// minus process isolation, so tests and benches can exercise the
+/// distributed paths without spawn overhead. A crashed worker's thread
+/// returns instead of exiting, dropping its sockets exactly as a dead
+/// process would.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn run_threaded_workers(
+    strategy: Strategy,
+    algorithm: Algorithm,
+    partitions: usize,
+    worker_grads: &[Vec<Tensor>],
+    seed: u64,
+    config: &RuntimeConfig,
+    pcfg: &PipelineConfig,
+    pconf: &ProcessConfig,
+    instruments: Instruments<'_>,
+) -> Result<RunOutcome> {
+    elastic::run_segments(
+        None,
+        strategy,
+        algorithm,
+        partitions,
+        worker_grads,
+        seed,
+        config,
+        pcfg,
+        pconf,
+        instruments,
+    )
+}
+
+/// Rejects a membership plan before anything is spawned. Ranks and
+/// iterations must be in range under either policy; rejoins and the
+/// two-survivor rule only mean something under evict-on-loss, so a
+/// fail-on-loss plan with a rejoin is a configuration error.
+fn validate_membership(pconf: &ProcessConfig, nodes: usize, iterations: u32) -> Result<()> {
+    let plan = &pconf.membership;
+    if pconf.elastic {
+        return plan.validate(nodes, iterations).map_err(Error::config);
+    }
+    if !plan.rejoins.is_empty() {
+        return Err(Error::config(
+            "a membership plan with rejoins needs ProcessConfig::elastic",
+        ));
+    }
+    match plan
+        .crashes
+        .iter()
+        .find(|&&(rank, iter)| rank as usize >= nodes || iter >= iterations)
+    {
+        Some((rank, iter)) => Err(Error::config(format!(
+            "scripted crash of rank {rank} at iteration {iter} is out of range for \
+             {nodes} workers x {iterations} iterations"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// A started worker.
+enum Worker {
+    Process(std::process::Child),
+    Thread(std::thread::JoinHandle<()>),
+}
+
+impl Worker {
+    /// How the worker ended, if it already has.
+    fn exited(&mut self) -> Option<String> {
+        match self {
+            Worker::Process(child) => child.try_wait().ok().flatten().map(|s| s.to_string()),
+            Worker::Thread(handle) => handle.is_finished().then(|| "thread returned".into()),
+        }
+    }
+}
+
+/// Starts workers that dial the coordinator's rendezvous address, and
+/// keeps them so the coordinator can notice one that dies before
+/// checking in. Dropping it reaps them all.
+struct Launcher {
+    connect: String,
+    /// The worker binary to re-execute, or `None` to run each worker
+    /// as a thread standing in for a process.
+    binary: Option<PathBuf>,
+    nodes: usize,
+    /// Initial ranks first, in rank order; restarted ones after.
+    workers: Vec<Worker>,
+}
+
+impl Launcher {
+    /// Starts global rank `rank`: an initial worker runs as `node
+    /// --connect A --rank R --nodes N`, a restarted one (`join`) as
+    /// `node --connect A --rank R --join`.
+    fn launch(&mut self, rank: u32, join: bool) -> Result<()> {
+        let connect = self.connect.clone();
+        let nodes = (!join).then_some(self.nodes);
+        let worker = match &self.binary {
+            Some(binary) => {
+                // Recursion guard: if the worker binary does not handle
+                // the `node` subcommand (a library consumer's own
+                // executable, via current_exe), each spawned child
+                // would re-run its caller's main and fork-bomb. Workers
+                // inherit this marker; one that winds up spawning again
+                // is such a re-run and must die, not spawn.
+                if std::env::var_os(SPAWN_GUARD_ENV).is_some() {
+                    return Err(Error::config(
+                        "recursive worker spawn: the worker binary re-entered run_processes \
+                         instead of handling the `node` subcommand — point \
+                         ProcessConfig.binary (or HIPRESS_NODE_BIN) at a binary that \
+                         dispatches `node` to node_main",
+                    ));
+                }
+                let mut cmd = std::process::Command::new(binary);
+                cmd.env(SPAWN_GUARD_ENV, "1")
+                    .arg("node")
+                    .arg("--connect")
+                    .arg(&connect)
+                    .arg("--rank")
+                    .arg(rank.to_string());
+                match nodes {
+                    Some(n) => cmd.arg("--nodes").arg(n.to_string()),
+                    None => cmd.arg("--join"),
+                };
+                let child = cmd
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(|e| {
+                        Error::config(format!(
+                            "failed to spawn worker {rank} ({}): {e}",
+                            binary.display()
+                        ))
+                    })?;
+                Worker::Process(child)
+            }
+            None => {
+                let handle = std::thread::Builder::new()
+                    .name(format!("node{rank}"))
+                    .spawn(move || {
+                        // A `Killed` return *is* the crash: the thread
+                        // drops its sockets and vanishes without a
+                        // word, exactly like a killed process. Errors
+                        // are also silent — the coordinator diagnoses
+                        // them from the stream.
+                        let _ = run_worker(&connect, rank as usize, nodes);
+                    })
+                    .map_err(|e| Error::config(format!("spawn worker thread {rank}: {e}")))?;
+                Worker::Thread(handle)
+            }
+        };
+        self.workers.push(worker);
+        Ok(())
+    }
+}
+
+impl Drop for Launcher {
+    /// Waits for every worker: threads are joined; processes get a
+    /// brief grace to exit on their own (they were just released)
+    /// before stragglers are killed — the coordinator never leaks
+    /// processes, even on error paths.
+    fn drop(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for worker in self.workers.drain(..) {
+            match worker {
+                // A worker that panicked already failed the run
+                // through its torn control stream.
+                Worker::Thread(handle) => {
+                    let _ = handle.join();
+                }
+                Worker::Process(mut child) => loop {
+                    match child.try_wait() {
+                        Ok(Some(_)) => break,
+                        Ok(None) if Instant::now() < deadline => {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        _ => {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            break;
+                        }
+                    }
+                },
+            }
+        }
+    }
 }
 
 fn validate_grads(worker_grads: &[Vec<Tensor>]) -> Result<()> {
@@ -1123,364 +1267,11 @@ fn probe_clock(stream: &mut TcpStream, clock_epoch: Instant) -> Result<ClockSync
     Ok(ClockSync::estimate(&samples))
 }
 
-/// The coordinator's post-spawn protocol: rendezvous, job dispatch,
-/// outcome collection, shutdown, assembly. Factored from
-/// [`run_processes`] so tests can drive it with in-process worker
-/// threads (`children` may be empty — liveness checks then skip).
-#[allow(clippy::too_many_arguments)]
-fn coordinate(
-    listener: &TcpListener,
-    strategy: Strategy,
-    algorithm: Algorithm,
-    partitions: usize,
-    worker_grads: &[Vec<Tensor>],
-    seed: u64,
-    config: &RuntimeConfig,
-    pcfg: &PipelineConfig,
-    pconf: &ProcessConfig,
-    children: &mut [std::process::Child],
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let nodes = worker_grads.len();
-    let grad_lens: Vec<u32> = worker_grads[0].iter().map(|t| t.len() as u32).collect();
-    let graph = build_graph(strategy, algorithm, partitions, &grad_lens, nodes)?;
-    let flows = hipress_core::interp::gradient_flows(worker_grads);
-    let replicated = replicate(&flows);
-    let layout = FlowLayout::derive(&graph, nodes, &replicated)?;
-
-    // The coordinator's clock for offset probes. With a tracer it is
-    // the tracer's epoch, so corrected worker timestamps land
-    // directly on the merged trace's timeline.
-    let clock_epoch = instruments
-        .tracer
-        .map(Tracer::epoch)
-        .unwrap_or_else(Instant::now);
-    let run_start_ns = instruments.tracer.map(Tracer::now_ns);
-    let started = Instant::now();
-
-    // Rendezvous: every rank dials in and names its mesh port, then
-    // answers a burst of clock probes so its epoch offset is known.
-    listener.set_nonblocking(true).map_err(ctl_io)?;
-    let deadline = Instant::now() + pconf.connect_deadline();
-    let mut streams: Vec<Option<(TcpStream, u16)>> = (0..nodes).map(|_| None).collect();
-    let mut syncs: Vec<ClockSync> = vec![ClockSync::default(); nodes];
-    let mut checked_in = 0;
-    while checked_in < nodes {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream.set_nonblocking(false).map_err(ctl_io)?;
-                stream.set_nodelay(true).map_err(ctl_io)?;
-                stream
-                    .set_read_timeout(Some(pconf.connect_deadline()))
-                    .map_err(ctl_io)?;
-                let Ctl::Hello { rank, mesh_port } = read_ctl(&mut stream)? else {
-                    return Err(ctl_io("worker spoke before saying Hello"));
-                };
-                let slot = streams
-                    .get_mut(rank as usize)
-                    .ok_or_else(|| ctl_io(format!("Hello from out-of-range rank {rank}")))?;
-                if slot.is_some() {
-                    return Err(ctl_io(format!("two workers claimed rank {rank}")));
-                }
-                syncs[rank as usize] = probe_clock(&mut stream, clock_epoch)?;
-                *slot = Some((stream, mesh_port));
-                checked_in += 1;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                for (rank, child) in children.iter_mut().enumerate() {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        if streams[rank].is_none() {
-                            return Err(Error::sim(format!(
-                                "worker {rank} exited during rendezvous ({status})"
-                            )));
-                        }
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(ctl_io(format!(
-                        "rendezvous timed out with {checked_in} of {nodes} workers"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => return Err(ctl_io(e)),
-        }
-    }
-    let mut streams: Vec<(TcpStream, u16)> = streams
-        .into_iter()
-        .map(|s| s.expect("all ranks in"))
-        .collect();
-    let mesh_ports: Vec<u16> = streams.iter().map(|&(_, p)| p).collect();
-
-    // Dispatch: each rank gets the spec plus its own tensors only.
-    for (rank, (stream, _)) in streams.iter_mut().enumerate() {
-        let job = Job {
-            strategy,
-            algorithm,
-            partitions: partitions as u32,
-            seed,
-            nodes: nodes as u32,
-            rank: rank as u32,
-            config: *config,
-            iterations: pcfg.iterations,
-            window: pcfg.window,
-            kill: pconf.kill_node == Some(rank),
-            want_trace: instruments.tracer.is_some(),
-            want_metrics: instruments.metrics.is_some(),
-            want_progress: instruments.progress.is_some(),
-            grad_lens: grad_lens.clone(),
-            grads: worker_grads[rank]
-                .iter()
-                .map(|t| t.as_slice().to_vec())
-                .collect(),
-            mesh_ports: mesh_ports.clone(),
-            elastic: false,
-            epoch: 0,
-            base_iter: 0,
-            die_at_iter: None,
-        };
-        write_ctl(stream, &Ctl::Job(Box::new(job)))?;
-    }
-    if let Some(t) = instruments.progress {
-        // Every rank just took a job; seed its heartbeat so /healthz
-        // shows it before its first iteration retires.
-        for rank in 0..nodes {
-            t.beat(rank as u32);
-        }
-    }
-
-    // Collect one outcome per rank, draining any interleaved
-    // Progress frames (live telemetry, republished into the hub under
-    // the coordinator's clock) along the way.
-    type RankOutcome = (
-        HashMap<(u32, u32), Cell>,
-        RuntimeReport,
-        Option<Trace>,
-        Option<String>,
-    );
-    let collect_one =
-        |rank: usize, stream: &mut TcpStream| -> (Result<RankOutcome>, Option<Vec<FlightEvent>>) {
-            if let Err(e) = stream.set_read_timeout(Some(pconf.run_deadline())) {
-                return (Err(ctl_io(e)), None);
-            }
-            loop {
-                match read_ctl(stream) {
-                    Ok(Ctl::Progress { rec }) => {
-                        if let Some(t) = instruments.progress {
-                            t.publish(rec);
-                        }
-                    }
-                    Ok(Ctl::Outcome {
-                        cells,
-                        report,
-                        trace,
-                        metrics,
-                        flight,
-                    }) => {
-                        return (
-                            Ok((
-                                cells
-                                    .into_iter()
-                                    .map(|(f, p, v)| {
-                                        (
-                                            (f, p),
-                                            Cell {
-                                                acc: v.into(),
-                                                updated: true,
-                                                ..Cell::default()
-                                            },
-                                        )
-                                    })
-                                    .collect(),
-                                report,
-                                trace,
-                                metrics,
-                            )),
-                            Some(flight),
-                        )
-                    }
-                    Ok(Ctl::Failed { error, flight }) => return (Err(error), Some(flight)),
-                    Ok(_) => {
-                        return (
-                            Err(ctl_io(format!("worker {rank} sent an unexpected message"))),
-                            None,
-                        )
-                    }
-                    // EOF or timeout without an outcome: the worker died
-                    // mid-protocol — its ring died with it. Name it; the
-                    // survivors' rings will show its silence.
-                    Err(_) => {
-                        return (
-                            Err(Error::sync(SyncFailure {
-                                kind: SyncFailureKind::LinkDead,
-                                node: rank,
-                                peer: None,
-                                task: None,
-                                detail: "worker process exited without reporting an outcome".into(),
-                            })),
-                            None,
-                        )
-                    }
-                }
-            }
-        };
-    let collected: Vec<(Result<RankOutcome>, Option<Vec<FlightEvent>>)> =
-        if instruments.progress.is_some() {
-            // One collector thread per rank: progress frames must keep
-            // draining while slower ranks still run — a sequential
-            // reader would let a fast rank's frames back up in kernel
-            // buffers. Without a progress sink (no frames before the
-            // outcome) the sequential path below stays byte-identical
-            // to the pre-telemetry protocol.
-            let collect_one = &collect_one;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = streams
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(rank, (stream, _))| s.spawn(move || collect_one(rank, stream)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, h)| {
-                        h.join().unwrap_or_else(|_| {
-                            (
-                                Err(Error::sim(format!("rank {rank} collector panicked"))),
-                                None,
-                            )
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            streams
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, (stream, _))| collect_one(rank, stream))
-                .collect()
-        };
-    let mut per_rank: Vec<Result<RankOutcome>> = Vec::with_capacity(nodes);
-    let mut flights: Vec<RankFlight> = Vec::new();
-    for (rank, (res, flight)) in collected.into_iter().enumerate() {
-        if let Some(events) = flight {
-            flights.push(RankFlight {
-                rank: rank as u32,
-                sync: syncs[rank],
-                events,
-            });
-        }
-        per_rank.push(res);
-    }
-    let wall_ns = started.elapsed().as_nanos() as u64;
-
-    // Release the mesh: only now may workers drop their links.
-    for (stream, _) in &mut streams {
-        let _ = write_ctl(stream, &Ctl::Shutdown);
-    }
-
-    // Surface the most root-cause-like failure, if any — after
-    // writing the flight dump, which wants exactly that diagnosis.
-    if per_rank.iter().any(Result::is_err) {
-        let worst =
-            root_cause(per_rank.into_iter().filter_map(Result::err)).expect("at least one error");
-        if let Some(path) = &pconf.flight_dump {
-            let dump = PostmortemDump {
-                nodes: nodes as u32,
-                failed_node: worst
-                    .as_sync()
-                    .map(|f| f.node as u32)
-                    .unwrap_or(UNKNOWN_NODE),
-                detail: worst.to_string(),
-                ranks: flights,
-            };
-            if let Err(e) = std::fs::write(path, dump.to_bytes()) {
-                eprintln!(
-                    "hipress: could not write flight dump {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        return Err(worst);
-    }
-
-    let mut report = RuntimeReport {
-        nodes,
-        wall_ns,
-        per_node_busy_ns: vec![0; nodes],
-        iterations: u64::from(pcfg.iterations),
-        pipeline_window: u64::from(pcfg.window),
-        ..Default::default()
-    };
-    let mut cells_per_node = Vec::with_capacity(nodes);
-    for (rank, r) in per_rank.into_iter().enumerate() {
-        let (cells, node_report, wtrace, wmetrics) = r.expect("errors handled above");
-        report.absorb(&node_report);
-        report.per_node_busy_ns[rank] = node_report.total_busy_ns();
-        cells_per_node.push(cells);
-        if let Some(tracer) = instruments.tracer {
-            if let Some(t) = &wtrace {
-                // Stitch this rank's timeline into the global trace,
-                // shifted by its measured epoch offset, and record
-                // the alignment so validators can honor its
-                // uncertainty.
-                replay_into(tracer, t, &syncs[rank]);
-                record_clock_meta(tracer, rank, &syncs[rank]);
-            }
-        }
-        if let Some(scope) = instruments.metrics {
-            if let Some(json) = &wmetrics {
-                let snap = MetricsSnapshot::from_json(json)
-                    .map_err(|e| ctl_io(format!("worker {rank} metrics snapshot: {e}")))?;
-                scope.absorb_snapshot(&snap);
-            }
-        }
-    }
-    record_run_span(
-        instruments.tracer,
-        run_start_ns,
-        wall_ns,
-        nodes,
-        u64::from(pcfg.iterations),
-        u64::from(pcfg.window),
-        0,
-    );
-    if let Some(scope) = instruments.metrics {
-        record_run_metrics(scope, &report);
-    }
-    let flows_out = layout.assemble(&cells_per_node)?;
-    Ok(RunOutcome {
-        flows: flows_out,
-        report,
-    })
-}
-
-/// Waits briefly for children to exit on their own (they just got
-/// Shutdown), then kills stragglers — the coordinator never leaks
-/// processes, even on error paths.
-fn reap(children: &mut [std::process::Child]) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    for child in children.iter_mut() {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
-    }
-}
-
 /// What one worker's protocol run concluded.
 enum NodeRun {
-    /// Protocol complete, outcome reported, shutdown received.
+    /// Every segment reported, and the coordinator released us.
     Completed,
-    /// The injected kill fired; the process should exit nonzero.
+    /// A scripted crash fired; the process must exit nonzero.
     Killed,
 }
 
@@ -1491,23 +1282,38 @@ enum NodeRun {
 /// # Errors
 ///
 /// Transport or protocol failures talking to the coordinator or the
-/// mesh. Exits the process with code 13 when the job injects a kill.
+/// mesh. Exits the process with code 13 when a scripted crash fires.
 pub fn node_main(connect: &str, rank: usize, nodes: usize) -> Result<()> {
+    exit_if_killed(rank, run_worker(connect, rank, Some(nodes)))
+}
+
+/// A worker's whole life: dial the coordinator at `connect` — as
+/// initial rank `rank` of `nodes`, or (`None`) as a restarted rank
+/// asking to rejoin — then run segments until released.
+fn run_worker(connect: &str, rank: usize, nodes: Option<usize>) -> Result<NodeRun> {
+    let Some(nodes) = nodes else {
+        let (ctl, members) = elastic::attach(connect, rank)?;
+        return run_node(ctl, rank, members.len());
+    };
     let ctl = TcpStream::connect(connect)
         .map_err(|e| ctl_io(format!("node {rank}: dial coordinator {connect}: {e}")))?;
-    match run_node(ctl, rank, nodes)? {
-        NodeRun::Completed => Ok(()),
-        NodeRun::Killed => {
-            eprintln!("node {rank}: injected kill after mesh setup");
-            std::process::exit(13);
-        }
+    run_node(ctl, rank, nodes)
+}
+
+/// A scripted crash ends a worker process hard: exit code 13, no
+/// goodbye on any channel.
+fn exit_if_killed(rank: usize, run: Result<NodeRun>) -> Result<()> {
+    if let NodeRun::Killed = run? {
+        eprintln!("node {rank}: scripted crash");
+        std::process::exit(13);
     }
+    Ok(())
 }
 
 /// Worker-side progress forwarder: ships each retired iteration as a
 /// [`Ctl::Progress`] frame on a clone of the control stream. The
 /// worker writes nothing else on the control channel between `Job`
-/// and `Outcome`, so the frames never interleave with another
+/// and `Outcome` or `Failed`, so the frames never interleave with another
 /// message; the mutex only serializes the (single) driver thread
 /// against itself and satisfies the sink's `Sync` bound. Send errors
 /// are swallowed — a torn control stream surfaces on the outcome
@@ -1539,27 +1345,15 @@ impl ProgressSink for CtlSink {
     }
 }
 
-/// How one job segment ended on the worker side.
-enum SegmentEnd {
-    /// `Outcome`, `Failed`, or `Halted` was written; the worker now
-    /// waits for the coordinator's verdict on the control channel.
-    Reported,
-    /// The injected kill or elastic crash fired; the process must
-    /// exit nonzero without another word to anyone.
-    Killed,
-}
-
 /// One worker's full protocol over an established control stream.
-/// Factored from [`node_main`] so tests can run workers as threads.
 ///
-/// A fixed-membership run passes through the segment loop exactly
-/// once: Hello → Job → drive → Outcome → Shutdown. An elastic run
-/// loops: after each segment the coordinator answers with either
-/// [`Msg::EpochBump`] (membership changed — re-announce on a fresh
-/// mesh listener and take the next segment's Job) or `Shutdown`. The
-/// worker keeps one control stream and one clock epoch for its whole
-/// lifetime, so the rendezvous clock sync stays valid across every
-/// segment.
+/// Every run loops over segments: Hello → Job → drive → `Outcome` or
+/// `Failed` → the coordinator's verdict. [`Msg::EpochBump`]
+/// (membership changed) re-announces on a fresh mesh listener and
+/// takes the next segment's Job; `Shutdown` or EOF ends the run, which
+/// for a fixed-membership run is the first verdict. The worker keeps
+/// one control stream and one clock epoch for its whole lifetime, so
+/// the rendezvous clock sync stays valid across every segment.
 fn run_node(mut ctl: TcpStream, rank: usize, nodes: usize) -> Result<NodeRun> {
     // One epoch anchors everything this worker timestamps: the
     // tracer, the flight recorder, and the clock-probe pongs. The
@@ -1597,40 +1391,62 @@ fn run_node(mut ctl: TcpStream, rank: usize, nodes: usize) -> Result<NodeRun> {
                 _ => return Err(ctl_io(format!("node {rank}: expected a Job"))),
             }
         };
-        if !job.elastic && (job.rank as usize != rank || job.nodes as usize != nodes) {
+        // At epoch 0 every slot is its global rank.
+        if job.epoch == 0 && (job.rank as usize != rank || job.nodes as usize != nodes) {
             return Err(ctl_io(format!(
                 "node {rank}: job addressed to rank {} of {}",
                 job.rank, job.nodes
             )));
         }
-        let elastic = job.elastic;
-        let (end, link) = run_job(&mut ctl, *job, rank, mesh_listener, epoch, &recorder)?;
-        if matches!(end, SegmentEnd::Killed) {
+        let Some(link) = run_job(&mut ctl, *job, rank, mesh_listener, epoch, &recorder)? else {
             return Ok(NodeRun::Killed);
-        }
+        };
         // Hold the mesh link until the coordinator has everyone's
         // report: our reader threads keep acking peers that are still
         // draining. EOF or timeout counts as permission to leave.
         let next = read_ctl(&mut ctl);
         drop(link);
-        if !elastic {
+        if !matches!(next, Ok(Ctl::Member(Msg::EpochBump { .. }))) {
             return Ok(NodeRun::Completed);
-        }
-        match next {
-            // Membership changed: loop around, re-announce, and take
-            // the next segment's job at the new epoch.
-            Ok(Ctl::Member(Msg::EpochBump { .. })) => continue,
-            // Shutdown, a torn control stream, or anything else: the
-            // run is over for this worker.
-            _ => return Ok(NodeRun::Completed),
         }
     }
 }
 
+/// The replicated flows a segment's layout and dataflow read: `own`'s
+/// gradients `(slot, grads)` at its slot and zeros of the spec'd length
+/// everywhere else — everywhere when `own` is `None`, which is all the
+/// coordinator needs to derive the chunk layout. The dataflow only
+/// reads a node's own flows (at `Source`), so the zeros are never
+/// observed; they exist to satisfy the layout's shape validation.
+fn segment_flows(
+    grad_lens: &[u32],
+    nodes: usize,
+    own: Option<(usize, Vec<Vec<f32>>)>,
+) -> ReplicaFlows {
+    let (slot, mut grads) = own.unwrap_or((usize::MAX, Vec::new()));
+    grad_lens
+        .iter()
+        .enumerate()
+        .map(|(g, &len)| {
+            let per_node = (0..nodes)
+                .map(|w| {
+                    vec![if w == slot {
+                        Tensor::from_vec(std::mem::take(&mut grads[g]))
+                    } else {
+                        Tensor::zeros(len as usize)
+                    }]
+                })
+                .collect();
+            (g as u32, per_node)
+        })
+        .collect()
+}
+
 /// Drives a single job segment: build the graph, connect the mesh
 /// over the job's slot numbering, run the pipelined protocol, and
-/// report back. Returns the mesh link (if one survived) so the caller
-/// can hold it open through the post-segment control read.
+/// report back. Returns the mesh link so the caller can hold it open
+/// through the post-segment control read — or `None` when this
+/// worker's scripted crash fired and it must vanish without a word.
 fn run_job(
     ctl: &mut TcpStream,
     job: Job,
@@ -1638,10 +1454,10 @@ fn run_job(
     mesh_listener: TcpListener,
     epoch: Instant,
     recorder: &Arc<FlightRecorder>,
-) -> Result<(SegmentEnd, Option<hipress_fabric::tcp::TcpLink<Msg>>)> {
-    // In an elastic segment `job.rank` is this worker's *slot* in the
-    // segment's dense 0..nodes numbering; the global rank is only
-    // used for labels the coordinator sees.
+) -> Result<Option<hipress_fabric::tcp::TcpLink<Msg>>> {
+    // `job.rank` is this worker's *slot* in the segment's dense
+    // 0..nodes numbering; the global rank is only used for labels the
+    // coordinator sees.
     let slot = job.rank as usize;
     let nodes = job.nodes as usize;
 
@@ -1656,25 +1472,8 @@ fn run_job(
     #[cfg(debug_assertions)]
     hipress_lint::plan::verify(&graph, nodes).into_result()?;
 
-    // This rank holds only its own gradients; every other rank's slot
-    // is zero-filled at the spec'd length. The dataflow only reads a
-    // node's own flows (at `Source`), so the zeros are never observed —
-    // they exist to satisfy the layout's shape validation.
-    let mut flows: crate::engine::Flows = HashMap::new();
-    for (g, &len) in job.grad_lens.iter().enumerate() {
-        let per_node = (0..nodes)
-            .map(|w| {
-                if w == slot {
-                    Tensor::from_vec(job.grads[g].clone())
-                } else {
-                    Tensor::zeros(len as usize)
-                }
-            })
-            .collect();
-        flows.insert(g as u32, per_node);
-    }
-    let replicated = replicate(&flows);
-    let layout = FlowLayout::derive(&graph, nodes, &replicated)?;
+    let flows = segment_flows(&job.grad_lens, nodes, Some((slot, job.grads)));
+    let layout = FlowLayout::derive(&graph, nodes, &flows)?;
     let plan = NodePlan::derive(&graph, nodes);
 
     // Per-worker instrumentation, built only when the coordinator
@@ -1698,9 +1497,8 @@ fn run_job(
         poll_floor: job.config.ft_min_wait,
         poll_ceiling: job.config.ft_max_wait,
         recorder: Some(Arc::clone(recorder)),
-        // Each elastic segment's mesh is stamped with its epoch so a
-        // zombie segment's late dial can never splice into the
-        // rebuilt mesh.
+        // Each segment's mesh is stamped with its epoch so a zombie
+        // segment's late dial can never splice into the rebuilt mesh.
         epoch: job.epoch,
     };
     let peers: Vec<SocketAddr> = job
@@ -1710,12 +1508,6 @@ fn run_job(
         .collect();
     let mut link = connect_mesh::<Msg>(slot, nodes, mesh_listener, &peers, &mesh)
         .map_err(|e| fabric_err(slot, e))?;
-
-    if job.kill {
-        // Dropping the link shuts the mesh sockets down; peers
-        // diagnose the dead rank on their receive paths.
-        return Ok((SegmentEnd::Killed, None));
-    }
 
     let pcfg = PipelineConfig {
         iterations: job.iterations,
@@ -1731,17 +1523,16 @@ fn run_job(
     } else {
         None
     };
-    // Elastic segments carry hooks even without a crash injection:
-    // survivors read the retirement counter out of them when a peer
-    // dies mid-segment.
-    let hooks = job.elastic.then(|| ElasticHooks {
+    // The hooks arm the scripted crash and count retirements, which a
+    // failed segment reports so the coordinator can drain.
+    let hooks = ElasticHooks {
         die_at_iter: job.die_at_iter,
         ..ElasticHooks::default()
-    });
+    };
     let outcome = drive_node(
         &mut link,
         &graph,
-        &replicated,
+        &flows,
         &layout,
         &plan,
         compressor.as_deref(),
@@ -1751,128 +1542,42 @@ fn run_job(
         trace,
         metrics,
         progress_sink.as_ref().map(|s| s as &dyn ProgressSink),
-        hooks.as_ref(),
+        Some(&hooks),
     );
-    match outcome {
-        Ok((cells, report)) => {
-            let cells = cells
+    let msg = match outcome {
+        Ok((cells, report)) => Ctl::Outcome {
+            cells: cells
                 .into_iter()
                 .filter_map(|((f, p), c)| c.updated.then(|| (f, p, c.acc.into_vec())))
-                .collect();
-            write_ctl(
-                ctl,
-                &Ctl::Outcome {
-                    cells,
-                    report,
-                    trace: tracer.map(Tracer::finish),
-                    metrics: registry.map(|r| r.snapshot().to_json()),
-                    flight: recorder.dump(),
-                },
-            )?;
+                .collect(),
+            report,
+            trace: tracer.map(Tracer::finish),
+            metrics: registry.map(|r| r.snapshot().to_json()),
+            flight: recorder.dump(),
+        },
+        // Our own scripted crash: die hard, no goodbye on any channel
+        // — peers must discover the loss through the transport exactly
+        // as they would a real `kill -9`.
+        Err(e)
+            if e.as_sync()
+                .is_some_and(|f| f.kind == SyncFailureKind::InjectedCrash && f.node == slot) =>
+        {
+            return Ok(None);
         }
-        Err(e) => {
-            let f = e.as_sync();
-            if job.elastic {
-                // Our own injected crash: die hard, no goodbye on any
-                // channel — peers must discover the loss through the
-                // transport exactly as they would a real `kill -9`.
-                if f.is_some_and(|f| f.kind == SyncFailureKind::InjectedCrash && f.node == slot) {
-                    return Ok((SegmentEnd::Killed, None));
-                }
-                // A peer vanished under an elastic segment: report how
-                // far we got and whom we blame, then stand by for the
-                // epoch bump. Anything that is not a sync failure — or
-                // is only the echo of a peer's abort — is a real error
-                // and still aborts the run below.
-                if let Some(f) = f.filter(|f| f.kind != SyncFailureKind::Aborted) {
-                    // Blame extraction: the fabric names a lost peer as
-                    // the failure's `node` (observer as `peer`); the FT
-                    // layer names itself as `node` and the unresponsive
-                    // peer as `peer`.
-                    let dead = if f.node != slot {
-                        f.node as u32
-                    } else {
-                        f.peer.map(|p| p as u32).unwrap_or(u32::MAX)
-                    };
-                    write_ctl(
-                        ctl,
-                        &Ctl::Halted {
-                            completed: hooks.as_ref().map(ElasticHooks::completed).unwrap_or(0),
-                            dead,
-                        },
-                    )?;
-                    return Ok((SegmentEnd::Reported, Some(link)));
-                }
-            }
-            write_ctl(
-                ctl,
-                &Ctl::Failed {
-                    error: e,
-                    flight: recorder.dump(),
-                },
-            )?;
-        }
-    }
-    Ok((SegmentEnd::Reported, Some(link)))
-}
-
-/// Runs the full coordinator protocol with worker *threads* standing
-/// in for worker processes — same control channel, same TCP mesh,
-/// same clock probes, same pipelined driver; only `fork/exec` is
-/// skipped. Deterministic like [`run_processes`], minus process
-/// isolation, so tests and benches can exercise the distributed
-/// observability path without spawn overhead.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_threaded_workers(
-    strategy: Strategy,
-    algorithm: Algorithm,
-    partitions: usize,
-    worker_grads: &[Vec<Tensor>],
-    seed: u64,
-    config: &RuntimeConfig,
-    pcfg: &PipelineConfig,
-    pconf: &ProcessConfig,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let nodes = worker_grads.len();
-    validate_grads(worker_grads)?;
-    validate(pcfg)?;
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ctl_io)?;
-    let addr = listener.local_addr().map_err(ctl_io)?;
-    let workers: Vec<_> = (0..nodes)
-        .map(|rank| {
-            std::thread::spawn(move || {
-                let ctl = TcpStream::connect(addr)
-                    .map_err(|e| ctl_io(format!("node {rank}: dial coordinator {addr}: {e}")))?;
-                run_node(ctl, rank, nodes)
-            })
-        })
-        .collect();
-    let out = coordinate(
-        &listener,
-        strategy,
-        algorithm,
-        partitions,
-        worker_grads,
-        seed,
-        config,
-        pcfg,
-        pconf,
-        &mut [],
-        instruments,
-    );
-    for w in workers {
-        // Worker errors already surfaced through the coordinator.
-        let _ = w.join().expect("worker thread panicked");
-    }
-    out
+        Err(error) => Ctl::Failed {
+            error,
+            flight: recorder.dump(),
+            completed: hooks.completed(),
+        },
+    };
+    write_ctl(ctl, &msg)?;
+    Ok(Some(link))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run, RunOptions};
+    use crate::{replicate, run, RunOptions};
     use hipress_core::interp::gradient_flows;
     use hipress_tensor::synth::{generate, GradientShape};
 
@@ -1902,12 +1607,8 @@ mod tests {
         grads: &[Vec<Tensor>],
         seed: u64,
         pcfg: PipelineConfig,
-        kill_node: Option<usize>,
+        pconf: &ProcessConfig,
     ) -> Result<RunOutcome> {
-        let pconf = ProcessConfig {
-            kill_node,
-            ..ProcessConfig::default()
-        };
         run_threaded_workers(
             strategy,
             algorithm,
@@ -1916,7 +1617,7 @@ mod tests {
             seed,
             &RuntimeConfig::default(),
             &pcfg,
-            &pconf,
+            pconf,
             Instruments::default(),
         )
     }
@@ -1972,7 +1673,7 @@ mod tests {
                     iterations: 2,
                     window: 2,
                 },
-                None,
+                &ProcessConfig::default(),
             )
             .unwrap();
             assert_eq!(threads.flows.len(), sockets.flows.len());
@@ -1987,10 +1688,46 @@ mod tests {
         }
     }
 
+    /// Fail-on-loss: a crash scripted right after mesh setup fails the
+    /// run with a structured failure naming the dead rank — also at two
+    /// ranks, where evict-on-loss would refuse the plan outright.
     #[test]
     fn killed_worker_yields_a_failure_naming_it() {
-        let nodes = 3;
-        let grads = worker_grads(nodes, &[128]);
+        for nodes in [2, 3] {
+            let grads = worker_grads(nodes, &[128]);
+            let err = run_threaded(
+                Strategy::CaSyncPs,
+                Algorithm::OneBit,
+                &grads,
+                3,
+                PipelineConfig {
+                    iterations: 2,
+                    window: 2,
+                },
+                &ProcessConfig {
+                    membership: MembershipPlan::crash(1, 0),
+                    ..ProcessConfig::default()
+                },
+            )
+            .unwrap_err();
+            let f = err.as_sync().expect("structured failure");
+            assert_eq!(
+                f.node, 1,
+                "{nodes} ranks: failure must name the dead rank: {err}"
+            );
+            assert!(err.to_string().contains("node 1"), "{err}");
+        }
+    }
+
+    /// The flight recorder survives a worker crash: the dump names the
+    /// dead rank as the root cause and holds every survivor's ring.
+    #[test]
+    fn flight_dump_names_the_dead_rank_and_keeps_survivor_rings() {
+        let path = std::env::temp_dir().join(format!(
+            "hipress-flight-dump-test-{}.bin",
+            std::process::id()
+        ));
+        let grads = worker_grads(3, &[128]);
         let err = run_threaded(
             Strategy::CaSyncPs,
             Algorithm::OneBit,
@@ -2000,12 +1737,21 @@ mod tests {
                 iterations: 2,
                 window: 2,
             },
-            Some(1),
+            &ProcessConfig {
+                membership: MembershipPlan::crash(1, 0),
+                flight_dump: Some(path.clone()),
+                ..ProcessConfig::default()
+            },
         )
         .unwrap_err();
-        let f = err.as_sync().expect("structured failure");
-        assert_eq!(f.node, 1, "failure must name the dead rank: {err}");
-        assert!(err.to_string().contains("node 1"), "{err}");
+        let bytes = std::fs::read(&path).expect("the failed run wrote its flight dump");
+        std::fs::remove_file(&path).unwrap();
+        let dump = PostmortemDump::from_bytes(&bytes).unwrap();
+        assert_eq!(dump.failed_node, 1, "{err}");
+        assert_eq!(dump.nodes, 3);
+        let ranks: Vec<u32> = dump.ranks.iter().map(|r| r.rank).collect();
+        assert_eq!(ranks, vec![0, 2], "one ring per surviving rank");
+        assert!(dump.ranks.iter().all(|r| !r.events.is_empty()));
     }
 
     #[test]
@@ -2020,14 +1766,12 @@ mod tests {
             config: RuntimeConfig::default(),
             iterations: 8,
             window: 4,
-            kill: true,
             want_trace: true,
             want_metrics: false,
             want_progress: true,
             grad_lens: vec![16, 32],
             grads: vec![vec![1.0, -2.5], vec![f32::NAN]],
             mesh_ports: vec![4000, 4001, 4002, 4003],
-            elastic: true,
             epoch: 6,
             base_iter: 5,
             die_at_iter: Some(7),
@@ -2040,7 +1784,6 @@ mod tests {
         assert_eq!(back.algorithm, Algorithm::Tbq { tau: 0.25 });
         assert_eq!(back.partitions, 3);
         assert_eq!(back.rank, 2);
-        assert!(back.kill);
         assert!(back.want_trace);
         assert!(!back.want_metrics);
         assert!(back.want_progress);
@@ -2048,7 +1791,6 @@ mod tests {
         assert_eq!(back.grads[0], vec![1.0, -2.5]);
         assert!(back.grads[1][0].is_nan());
         assert_eq!(back.mesh_ports.len(), 4);
-        assert!(back.elastic);
         assert_eq!(back.epoch, 6);
         assert_eq!(back.base_iter, 5);
         assert_eq!(back.die_at_iter, Some(7));
@@ -2102,17 +1844,25 @@ mod tests {
                 detail: "seq 9 unacknowledged".into(),
             }),
             flight: rec.dump(),
+            completed: 4,
         };
-        let Ctl::Failed { error: e, flight } = Ctl::from_bytes(&fail.to_bytes()).unwrap() else {
+        let Ctl::Failed {
+            error: e,
+            flight,
+            completed,
+        } = Ctl::from_bytes(&fail.to_bytes()).unwrap()
+        else {
             panic!("wrong variant");
         };
         assert_eq!(e.as_sync().unwrap().node, 1);
         assert_eq!(e.as_sync().unwrap().task, Some(42));
         assert_eq!(flight.len(), 1);
+        assert_eq!(completed, 4);
 
         let other = Ctl::Failed {
             error: Error::sim("node 2 wedged"),
             flight: Vec::new(),
+            completed: 0,
         };
         let Ctl::Failed { error: e, .. } = Ctl::from_bytes(&other.to_bytes()).unwrap() else {
             panic!("wrong variant");
@@ -2170,15 +1920,6 @@ mod tests {
         };
         assert_eq!((epoch, from_iter), (2, 9));
         assert_eq!(members, vec![0, 2, 3]);
-
-        let halted = Ctl::Halted {
-            completed: 4,
-            dead: 1,
-        };
-        let Ctl::Halted { completed, dead } = Ctl::from_bytes(&halted.to_bytes()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!((completed, dead), (4, 1));
     }
 
     /// Every [`RuntimeReport`] field must survive the control-channel
@@ -2292,7 +2033,7 @@ mod tests {
                 &grads,
                 5,
                 PipelineConfig { iterations, window },
-                None,
+                &ProcessConfig::default(),
             )
             .unwrap();
             assert_eq!(serial.flows.len(), sockets.flows.len());
@@ -2308,31 +2049,59 @@ mod tests {
         }
     }
 
-    /// Degenerate pipeline configs are rejected by the coordinator
-    /// before any worker is spawned — the same `validate` gate the
-    /// thread path applies.
+    /// Degenerate pipeline configs, a strategy the graph builder
+    /// refuses, and membership plans the chosen loss policy cannot
+    /// honour are all rejected before any worker is spawned.
     #[test]
     fn bad_pipeline_configs_rejected_before_spawn() {
         let grads = worker_grads(2, &[16]);
-        for pcfg in [
-            PipelineConfig {
-                iterations: 0,
-                window: 1,
-            },
-            PipelineConfig {
-                iterations: 1,
-                window: 0,
-            },
+        let fixed = |membership| ProcessConfig {
+            membership,
+            ..ProcessConfig::default()
+        };
+        let serial = PipelineConfig::default();
+        for (partitions, pcfg, pconf) in [
+            (
+                1,
+                PipelineConfig {
+                    iterations: 0,
+                    window: 1,
+                },
+                ProcessConfig::default(),
+            ),
+            (
+                1,
+                PipelineConfig {
+                    iterations: 1,
+                    window: 0,
+                },
+                ProcessConfig::default(),
+            ),
+            (0, serial, ProcessConfig::default()),
+            // A rank out of range, and an iteration out of range.
+            (1, serial, fixed(MembershipPlan::crash(2, 0))),
+            (1, serial, fixed(MembershipPlan::crash(1, 1))),
+            // A rejoin needs evict-on-loss.
+            (1, serial, fixed(MembershipPlan::crash_then_rejoin(1, 0, 0))),
+            // Evicting one of two ranks leaves nobody to sync with.
+            (
+                1,
+                serial,
+                ProcessConfig {
+                    elastic: true,
+                    ..fixed(MembershipPlan::crash(1, 0))
+                },
+            ),
         ] {
             let err = run_processes(
                 Strategy::CaSyncPs,
                 Algorithm::None,
-                1,
+                partitions,
                 &grads,
                 1,
                 &RuntimeConfig::default(),
                 &pcfg,
-                &ProcessConfig::default(),
+                &pconf,
                 Instruments::default(),
             )
             .expect_err("validation must reject the config");

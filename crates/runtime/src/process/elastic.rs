@@ -1,21 +1,29 @@
-//! Elastic membership for multi-process CaSync-RT: survive whole-rank
-//! loss by re-planning over the survivors, and re-admit restarted
-//! workers mid-training.
+//! Epoch segments: the one process coordinator, plus the membership
+//! machinery that lets a run survive whole-rank loss and re-admit
+//! restarted workers mid-training.
 //!
-//! An elastic run is a sequence of **epoch segments**. Each segment is
-//! a complete pipelined run over the current member set: every member
-//! re-announces on the control channel ([`Ctl::Hello`] with a fresh
-//! mesh port), takes a [`Job`] stamped with the segment's epoch and
-//! base iteration, rebuilds the TCP mesh from scratch over the
-//! segment's dense slot numbering, and drives [`crate::pipeline`] for
-//! the segment's share of the run. Workers keep **one control stream
-//! and one clock epoch** for their whole lifetime, so clock
-//! synchronization stays valid across every segment.
+//! Every process-backend run — [`run_processes`] and
+//! [`run_threaded_workers`] alike — is a sequence of **epoch
+//! segments** driven by [`run_segments`]. Each segment is a complete
+//! pipelined run over the current member set: every member announces
+//! itself on the control channel ([`Ctl::Hello`] with a fresh mesh
+//! port), takes a [`Job`] stamped with the segment's epoch and base
+//! iteration, builds the TCP mesh from scratch over the segment's dense
+//! slot numbering, and drives [`crate::pipeline`] for the segment's
+//! share of the run. Workers keep **one control stream and one clock
+//! epoch** for their whole lifetime, so clock synchronization stays
+//! valid across every segment.
 //!
-//! When a rank dies mid-segment, survivors report [`Ctl::Halted`]
-//! with how many segment iterations they had fully retired; the
-//! coordinator drains to the **minimum** of those counts (the drain
-//! boundary — no survivor keeps state past it, so nothing from a
+//! What a lost rank does is [`ProcessConfig::elastic`]'s policy,
+//! decided in one place. Under **fail-on-loss** (the default) the run
+//! is one segment at epoch 0, and a lost or failed member fails it: a
+//! silent rank becomes a synthesized `SyncFailure{LinkDead}` naming it,
+//! the root cause is picked from every error, and the flight rings
+//! land in the postmortem dump. Under **evict-on-loss**, survivors of
+//! a rank's death report [`Ctl::Failed`] with how many segment
+//! iterations they had fully retired; when every such failure blames a
+//! peer, the coordinator drains to the **minimum** of those counts (the
+//! drain boundary — no survivor keeps state past it, so nothing from a
 //! half-dead iteration can be double-applied), removes the victim,
 //! bumps the epoch, and re-plans the rest of the run over the
 //! survivors. Because the pipelined protocol is bit-deterministic in
@@ -33,8 +41,8 @@
 
 use super::*;
 use crate::protocol::drain_boundary;
-use hipress_chaos::MembershipPlan;
 use hipress_trace::TrackId;
+use std::collections::BTreeMap;
 
 /// How long the coordinator waits for a respawned joiner to dial in
 /// at an epoch boundary.
@@ -51,24 +59,27 @@ enum SegRes {
         trace: Option<Trace>,
         metrics: Option<String>,
     },
-    /// The member survived a peer's death: `completed` segment
-    /// iterations fully retired, blaming segment slot `dead_slot`.
-    Halt { completed: u32, dead_slot: u32 },
+    /// The segment failed under the member after `completed`
+    /// segment iterations had fully retired there.
+    Failed { error: Error, completed: u32 },
     /// The member's control stream closed without a report — it died.
     Lost,
-    /// A non-elastic failure; the run must abort.
-    Fail(Error),
 }
 
-/// Reads one member's control stream until it yields a segment result,
-/// republishing interleaved live-progress frames into the hub.
+/// Reads one member's control stream until it yields a segment result
+/// (plus the member's flight ring, when it sent one), republishing
+/// interleaved live-progress frames into the hub.
 fn collect_member(
     stream: &mut TcpStream,
     run_deadline: Duration,
     progress: Option<&hipress_obs::Telemetry>,
-) -> SegRes {
+) -> (SegRes, Option<Vec<FlightEvent>>) {
+    let fail = |error| SegRes::Failed {
+        error,
+        completed: 0,
+    };
     if let Err(e) = stream.set_read_timeout(Some(run_deadline)) {
-        return SegRes::Fail(ctl_io(e));
+        return (fail(ctl_io(e)), None);
     }
     loop {
         match read_ctl(stream) {
@@ -82,158 +93,204 @@ fn collect_member(
                 report,
                 trace,
                 metrics,
-                flight: _,
+                flight,
             }) => {
-                return SegRes::Done {
-                    cells: cells
-                        .into_iter()
-                        .map(|(f, p, v)| {
-                            (
-                                (f, p),
-                                Cell {
-                                    acc: v.into(),
-                                    updated: true,
-                                    ..Cell::default()
-                                },
-                            )
-                        })
-                        .collect(),
+                let cells = cells
+                    .into_iter()
+                    .map(|(f, p, v)| {
+                        let cell = Cell {
+                            acc: v.into(),
+                            updated: true,
+                            ..Cell::default()
+                        };
+                        ((f, p), cell)
+                    })
+                    .collect();
+                let done = SegRes::Done {
+                    cells,
                     report,
                     trace,
                     metrics,
-                }
+                };
+                return (done, Some(flight));
             }
-            Ok(Ctl::Halted { completed, dead }) => {
-                return SegRes::Halt {
-                    completed,
-                    dead_slot: dead,
-                }
-            }
-            Ok(Ctl::Failed { error, flight: _ }) => return SegRes::Fail(error),
-            Ok(_) => return SegRes::Fail(ctl_io("worker sent an unexpected message")),
-            // EOF or timeout without a report: the worker died.
-            Err(_) => return SegRes::Lost,
+            Ok(Ctl::Failed {
+                error,
+                flight,
+                completed,
+            }) => return (SegRes::Failed { error, completed }, Some(flight)),
+            Ok(_) => return (fail(ctl_io("worker sent an unexpected message")), None),
+            // EOF or timeout without a report: the worker died
+            // mid-protocol, and its ring died with it.
+            Err(_) => return (SegRes::Lost, None),
         }
     }
 }
 
-/// The coordinator's state for one elastic run: the control streams
-/// and latest clock syncs of every live member, keyed by global rank.
+/// The blame rule: the slot a worker in `slot` blames for its failure.
+/// The fabric names a lost peer as the failure's `node` (the observer
+/// as `peer`); the FT layer names itself as `node` and the
+/// unresponsive peer as `peer`. `None` when the failure is not a sync
+/// failure, is only the echo of a peer's abort, or blames nobody else
+/// — failures that no eviction can cure.
+fn blamed_peer(slot: usize, error: &Error) -> Option<usize> {
+    let f = error
+        .as_sync()
+        .filter(|f| f.kind != SyncFailureKind::Aborted)?;
+    if f.node != slot {
+        Some(f.node)
+    } else {
+        f.peer.filter(|&p| p != slot)
+    }
+}
+
+/// The coordinator's side of the control plane: the rendezvous
+/// listener, and per member, keyed by global rank, its control stream
+/// (ascending rank is slot order), latest clock sync, and mesh port
+/// for the upcoming segment. Dropping it releases every member it
+/// still holds and closes the listener, refusing late dialers.
 struct Roster {
-    streams: HashMap<u32, TcpStream>,
+    listener: TcpListener,
+    streams: BTreeMap<u32, TcpStream>,
     syncs: HashMap<u32, ClockSync>,
-    /// Ranks whose segment-opening `Hello` was already consumed (the
-    /// initial rendezvous reads it to learn who dialed in); their
-    /// mesh ports for the upcoming segment sit in `ports`.
-    greeted: Vec<u32>,
     ports: HashMap<u32, u16>,
 }
 
-/// Accepts the initial full-membership rendezvous: every rank dials
-/// in, says Hello, and answers a clock-probe burst.
-fn accept_initial(
+impl Roster {
+    /// Sends every held member `Shutdown` and closes its stream: only
+    /// now may workers drop their mesh links and exit.
+    fn release(&mut self) {
+        for (_, mut stream) in std::mem::take(&mut self.streams) {
+            let _ = write_ctl(&mut stream, &Ctl::Shutdown);
+        }
+    }
+}
+
+impl Drop for Roster {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// Accepts the next worker to dial the nonblocking rendezvous
+/// `listener`, giving it `read_timeout` per read. `idle` runs between
+/// polls and ends the wait by failing — at its deadline, or sooner.
+fn accept_next(
     listener: &TcpListener,
-    nodes: usize,
-    deadline: Duration,
-    clock_epoch: Instant,
-) -> Result<Roster> {
-    listener.set_nonblocking(true).map_err(ctl_io)?;
-    let hard_deadline = Instant::now() + deadline;
-    let mut roster = Roster {
-        streams: HashMap::new(),
-        syncs: HashMap::new(),
-        greeted: Vec::new(),
-        ports: HashMap::new(),
-    };
-    while roster.streams.len() < nodes {
+    read_timeout: Duration,
+    mut idle: impl FnMut() -> Result<()>,
+) -> Result<TcpStream> {
+    loop {
         match listener.accept() {
-            Ok((mut stream, _)) => {
+            Ok((stream, _)) => {
                 stream.set_nonblocking(false).map_err(ctl_io)?;
                 stream.set_nodelay(true).map_err(ctl_io)?;
-                stream.set_read_timeout(Some(deadline)).map_err(ctl_io)?;
-                let Ctl::Hello { rank, mesh_port } = read_ctl(&mut stream)? else {
-                    return Err(ctl_io("worker spoke before saying Hello"));
-                };
-                if rank as usize >= nodes || roster.streams.contains_key(&rank) {
-                    return Err(ctl_io(format!("bad or duplicate Hello from rank {rank}")));
-                }
-                let sync = probe_clock(&mut stream, clock_epoch)?;
-                roster.syncs.insert(rank, sync);
-                roster.ports.insert(rank, mesh_port);
-                roster.greeted.push(rank);
-                roster.streams.insert(rank, stream);
+                stream
+                    .set_read_timeout(Some(read_timeout))
+                    .map_err(ctl_io)?;
+                return Ok(stream);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= hard_deadline {
-                    return Err(ctl_io(format!(
-                        "rendezvous timed out with {} of {nodes} workers",
-                        roster.streams.len()
-                    )));
-                }
+                idle()?;
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => return Err(ctl_io(e)),
         }
     }
-    Ok(roster)
+}
+
+/// Accepts the initial full-membership rendezvous: every rank dials
+/// in, says Hello, and answers a clock-probe burst. A worker that exits
+/// before checking in fails the rendezvous at once, not at the
+/// deadline.
+fn accept_initial(
+    roster: &mut Roster,
+    launcher: &mut Launcher,
+    deadline: Duration,
+    clock_epoch: Instant,
+) -> Result<()> {
+    let nodes = launcher.nodes;
+    roster.listener.set_nonblocking(true).map_err(ctl_io)?;
+    let hard_deadline = Instant::now() + deadline;
+    while roster.streams.len() < nodes {
+        let mut stream = accept_next(&roster.listener, deadline, || {
+            for (rank, worker) in launcher.workers.iter_mut().enumerate() {
+                if let Some(how) = worker
+                    .exited()
+                    .filter(|_| !roster.streams.contains_key(&(rank as u32)))
+                {
+                    return Err(Error::sim(format!(
+                        "worker {rank} exited during rendezvous ({how})"
+                    )));
+                }
+            }
+            if Instant::now() >= hard_deadline {
+                return Err(ctl_io(format!(
+                    "rendezvous timed out with {} of {nodes} workers",
+                    roster.streams.len()
+                )));
+            }
+            Ok(())
+        })?;
+        let Ctl::Hello { rank, mesh_port } = read_ctl(&mut stream)? else {
+            return Err(ctl_io("worker spoke before saying Hello"));
+        };
+        if rank as usize >= nodes || roster.streams.contains_key(&rank) {
+            return Err(ctl_io(format!("bad or duplicate Hello from rank {rank}")));
+        }
+        roster
+            .syncs
+            .insert(rank, probe_clock(&mut stream, clock_epoch)?);
+        roster.ports.insert(rank, mesh_port);
+        roster.streams.insert(rank, stream);
+    }
+    Ok(())
 }
 
 /// Accepts one respawned joiner at an epoch boundary: its connection
 /// opens with [`Msg::Join`]; answer with [`Msg::Welcome`] naming the
 /// epoch, handoff iteration, and member set it joins.
 fn admit_joiner(
-    listener: &TcpListener,
+    roster: &mut Roster,
     expect_rank: u32,
     current_epoch: u64,
     welcome: &Msg,
-    roster: &mut Roster,
 ) -> Result<()> {
     let hard_deadline = Instant::now() + JOIN_DEADLINE;
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream.set_nonblocking(false).map_err(ctl_io)?;
-                stream.set_nodelay(true).map_err(ctl_io)?;
-                stream
-                    .set_read_timeout(Some(JOIN_DEADLINE))
-                    .map_err(ctl_io)?;
-                let Ctl::Member(Msg::Join { rank, epoch }) = read_ctl(&mut stream)? else {
-                    return Err(ctl_io("joiner spoke before asking to Join"));
-                };
-                if rank != expect_rank {
-                    return Err(ctl_io(format!(
-                        "Join from rank {rank}, expected {expect_rank}"
-                    )));
-                }
-                // The stale-epoch rule, rendezvous-plane edition: a
-                // joiner claiming to have seen an epoch the run has
-                // not reached is lying about the bump order.
-                if epoch > current_epoch {
-                    return Err(ctl_io(format!(
-                        "Join from rank {rank} claims future epoch {epoch} (current {current_epoch})"
-                    )));
-                }
-                write_ctl(&mut stream, &Ctl::Member(welcome.clone()))?;
-                roster.streams.insert(rank, stream);
-                return Ok(());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= hard_deadline {
-                    return Err(ctl_io(format!(
-                        "rejoining rank {expect_rank} never dialed in"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => return Err(ctl_io(e)),
+    let mut stream = accept_next(&roster.listener, JOIN_DEADLINE, || {
+        if Instant::now() >= hard_deadline {
+            return Err(ctl_io(format!(
+                "rejoining rank {expect_rank} never dialed in"
+            )));
         }
+        Ok(())
+    })?;
+    let Ctl::Member(Msg::Join { rank, epoch }) = read_ctl(&mut stream)? else {
+        return Err(ctl_io("joiner spoke before asking to Join"));
+    };
+    if rank != expect_rank {
+        return Err(ctl_io(format!(
+            "Join from rank {rank}, expected {expect_rank}"
+        )));
     }
+    // The stale-epoch rule, rendezvous-plane edition: a joiner claiming
+    // to have seen an epoch the run has not reached is lying about the
+    // bump order.
+    if epoch > current_epoch {
+        return Err(ctl_io(format!(
+            "Join from rank {rank} claims future epoch {epoch} (current {current_epoch})"
+        )));
+    }
+    write_ctl(&mut stream, &Ctl::Member(welcome.clone()))?;
+    roster.streams.insert(rank, stream);
+    Ok(())
 }
 
 /// Emits the membership-epoch bookkeeping every boundary shares: the
 /// report record, the trace instants (the same `membership` category
 /// [`RuntimeReport::from_trace`] rebuilds the records from), and the
 /// telemetry hub's latched `MembershipChange` alert.
+#[allow(clippy::too_many_arguments)]
 fn record_epoch(
     report: &mut RuntimeReport,
     tracer: Option<&Tracer>,
@@ -279,15 +336,20 @@ fn record_epoch(
     }
 }
 
-/// The elastic coordinator: runs `pcfg.iterations` total iterations
-/// over a membership that shrinks when scripted crashes fire and
-/// grows back when scripted rejoins come due, one epoch segment at a
-/// time. `respawn` is invoked with a global rank when its rejoin
-/// comes due; it must start a fresh worker that dials `listener` and
-/// opens with [`Msg::Join`].
+/// The coordinator, behind both [`run_processes`] and
+/// [`run_threaded_workers`]: validates the job and builds its graph —
+/// so a bad config fails with no worker alive — starts the workers
+/// (re-executing `binary`, or as threads when `None`), then runs
+/// `pcfg.iterations` total iterations one epoch segment at a time:
+/// rendezvous, dispatch, collect, and either assemble the final
+/// segment's flows or cross an epoch boundary. Scripted crashes fire
+/// where `pconf.membership` puts them; `pconf.elastic` decides whether
+/// a loss fails the run or shrinks the membership, and due rejoins grow
+/// it back. Every worker is released and reaped on the way out,
+/// whatever the outcome.
 #[allow(clippy::too_many_arguments)]
-fn coordinate_elastic(
-    listener: &TcpListener,
+pub(super) fn run_segments(
+    binary: Option<PathBuf>,
     strategy: Strategy,
     algorithm: Algorithm,
     partitions: usize,
@@ -296,30 +358,55 @@ fn coordinate_elastic(
     config: &RuntimeConfig,
     pcfg: &PipelineConfig,
     pconf: &ProcessConfig,
-    plan: &MembershipPlan,
-    respawn: &dyn Fn(u32) -> Result<()>,
     instruments: Instruments<'_>,
 ) -> Result<RunOutcome> {
     let nodes = worker_grads.len();
     let total = pcfg.iterations;
+    validate_grads(worker_grads)?;
+    validate(pcfg)?;
+    validate_membership(pconf, nodes, total)?;
     let grad_lens: Vec<u32> = worker_grads[0].iter().map(|t| t.len() as u32).collect();
-    plan.validate(nodes, total).map_err(Error::config)?;
+    let graph = build_graph(strategy, algorithm, partitions, &grad_lens, nodes)?;
+    let (tracer, progress) = (instruments.tracer, instruments.progress);
 
-    let clock_epoch = instruments
-        .tracer
-        .map(Tracer::epoch)
-        .unwrap_or_else(Instant::now);
-    let run_start_ns = instruments.tracer.map(Tracer::now_ns);
+    // Declared in this order so the roster drops first: members are
+    // released before the launcher reaps them.
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(ctl_io)?;
+    let mut launcher = Launcher {
+        connect: listener.local_addr().map_err(ctl_io)?.to_string(),
+        binary,
+        nodes,
+        workers: Vec::with_capacity(nodes),
+    };
+    let mut roster = Roster {
+        listener,
+        streams: BTreeMap::new(),
+        syncs: HashMap::new(),
+        ports: HashMap::new(),
+    };
+
+    // The coordinator's clock for offset probes. With a tracer it is
+    // the tracer's epoch, so corrected worker timestamps land
+    // directly on the merged trace's timeline.
+    let clock_epoch = tracer.map(Tracer::epoch).unwrap_or_else(Instant::now);
+    for rank in 0..nodes as u32 {
+        launcher.launch(rank, false)?;
+    }
+    let run_start_ns = tracer.map(Tracer::now_ns);
     let started = Instant::now();
-    let mem_track = instruments.tracer.map(|t| t.thread_track("membership"));
+    // Only an evict-on-loss run keeps a membership timeline.
+    let mem_track = tracer
+        .filter(|_| pconf.elastic)
+        .map(|t| t.thread_track("membership"));
 
     let mut members: Vec<u32> = (0..nodes as u32).collect();
     let mut epoch: u64 = 0;
     let mut from: u32 = 0;
-    let mut pending_crashes: Vec<(u32, u32)> = plan.crashes.clone();
+    let mut pending_crashes: Vec<(u32, u32)> = pconf.membership.crashes.clone();
     // Rejoins in due order, each clamped so it still has a boundary
     // before the run ends.
-    let mut pending_rejoins: Vec<(u32, u32)> = plan
+    let mut pending_rejoins: Vec<(u32, u32)> = pconf
+        .membership
         .rejoins
         .iter()
         .map(|&(r, due)| (r, due.min(total - 1)))
@@ -334,28 +421,30 @@ fn coordinate_elastic(
         ..Default::default()
     };
 
-    let mut roster = accept_initial(listener, nodes, pconf.connect_deadline(), clock_epoch)?;
-    record_epoch(
-        &mut report,
-        instruments.tracer,
-        mem_track,
-        instruments.progress,
-        0,
-        0,
-        &members,
-        &[],
-        0,
-    );
-
-    // Aborts the run: best-effort Shutdown to every live member so no
-    // worker is left blocking on its post-segment control read.
-    let shutdown_all = |roster: &mut Roster| {
-        for stream in roster.streams.values_mut() {
-            let _ = write_ctl(stream, &Ctl::Shutdown);
-        }
-    };
-
+    accept_initial(
+        &mut roster,
+        &mut launcher,
+        pconf.connect_deadline(),
+        clock_epoch,
+    )?;
+    // Who the last epoch boundary evicted and admitted.
+    let (mut evicted, mut joined): (Vec<u32>, Vec<u32>) = Default::default();
     loop {
+        if pconf.elastic {
+            let changed = evicted.first().or(joined.first()).copied().unwrap_or(0);
+            record_epoch(
+                &mut report,
+                tracer,
+                mem_track,
+                progress,
+                epoch,
+                from,
+                &members,
+                &evicted,
+                changed,
+            );
+        }
+
         // ---- Plan this segment ------------------------------------
         // Run to the end unless a rejoin comes due first: admission
         // happens only at epoch boundaries, so the segment is cut
@@ -366,38 +455,32 @@ fn coordinate_elastic(
         let seg_iters = seg_end - from;
 
         // ---- Rendezvous over the current member set ---------------
-        // Every member re-announces with a fresh mesh port and takes
-        // a fresh clock-probe burst (the initial rendezvous already
-        // consumed both for ranks in `greeted`).
-        for &g in &members {
-            if let Some(i) = roster.greeted.iter().position(|&r| r == g) {
-                roster.greeted.swap_remove(i);
-                continue;
+        // Every member re-announces with a fresh mesh port and takes a
+        // fresh clock-probe burst (the initial rendezvous already
+        // consumed both for epoch 0).
+        if epoch > 0 {
+            for &g in &members {
+                let stream = roster
+                    .streams
+                    .get_mut(&g)
+                    .expect("live member has a control stream");
+                stream
+                    .set_read_timeout(Some(pconf.connect_deadline()))
+                    .map_err(ctl_io)?;
+                let Ok(Ctl::Hello { rank, mesh_port }) = read_ctl(stream) else {
+                    return Err(ctl_io(format!(
+                        "rank {g} did not re-announce at epoch {epoch}"
+                    )));
+                };
+                if rank != g {
+                    return Err(ctl_io(format!("rank {g} re-announced as {rank}")));
+                }
+                roster.syncs.insert(g, probe_clock(stream, clock_epoch)?);
+                roster.ports.insert(g, mesh_port);
             }
-            let stream = roster
-                .streams
-                .get_mut(&g)
-                .expect("live member has a control stream");
-            stream
-                .set_read_timeout(Some(pconf.connect_deadline()))
-                .map_err(ctl_io)?;
-            let hello = read_ctl(stream);
-            let Ok(Ctl::Hello { rank, mesh_port }) = hello else {
-                shutdown_all(&mut roster);
-                return Err(ctl_io(format!(
-                    "rank {g} did not re-announce at epoch {epoch}"
-                )));
-            };
-            if rank != g {
-                shutdown_all(&mut roster);
-                return Err(ctl_io(format!("rank {g} re-announced as {rank}")));
-            }
-            let sync = probe_clock(stream, clock_epoch)?;
-            roster.syncs.insert(g, sync);
-            roster.ports.insert(g, mesh_port);
         }
 
-        // ---- Dispatch ---------------------------------------------
+        // ---- Dispatch: the spec plus each member's own tensors -----
         let mesh_ports: Vec<u16> = members.iter().map(|g| roster.ports[g]).collect();
         for (slot, &g) in members.iter().enumerate() {
             // Arm the earliest scripted crash for this rank that lands
@@ -417,17 +500,15 @@ fn coordinate_elastic(
                 config: *config,
                 iterations: seg_iters,
                 window: pcfg.window,
-                kill: false,
-                want_trace: instruments.tracer.is_some(),
+                want_trace: tracer.is_some(),
                 want_metrics: instruments.metrics.is_some(),
-                want_progress: instruments.progress.is_some(),
+                want_progress: progress.is_some(),
                 grad_lens: grad_lens.clone(),
                 grads: worker_grads[g as usize]
                     .iter()
                     .map(|t| t.as_slice().to_vec())
                     .collect(),
                 mesh_ports: mesh_ports.clone(),
-                elastic: true,
                 epoch,
                 base_iter: from,
                 die_at_iter,
@@ -435,128 +516,166 @@ fn coordinate_elastic(
             let stream = roster.streams.get_mut(&g).expect("member stream");
             write_ctl(stream, &Ctl::Job(Box::new(job)))?;
         }
-        if let Some(t) = instruments.progress {
+        if let Some(t) = progress {
+            // Every member just took a job; seed its heartbeat so
+            // /healthz shows it before its first iteration retires.
             for &g in &members {
                 t.beat(g);
             }
         }
 
         // ---- Collect ----------------------------------------------
+        debug_assert!(roster.streams.keys().eq(members.iter()));
         let run_deadline = pconf.run_deadline();
-        let progress = instruments.progress;
-        let mut results: HashMap<u32, SegRes> = if progress.is_some() {
+        let collected: Vec<(SegRes, Option<Vec<FlightEvent>>)> = if progress.is_some() {
             // One collector per member, so live-progress frames keep
-            // draining while slower members still run.
+            // draining while slower members still run — a sequential
+            // reader would let a fast member's frames back up in
+            // kernel buffers.
             std::thread::scope(|s| {
-                let handles: Vec<(u32, _)> = roster
+                let handles: Vec<_> = roster
                     .streams
-                    .iter_mut()
-                    .filter(|(g, _)| members.contains(*g))
-                    .map(|(&g, stream)| {
-                        (
-                            g,
-                            s.spawn(move || collect_member(stream, run_deadline, progress)),
-                        )
-                    })
+                    .values_mut()
+                    .map(|stream| s.spawn(move || collect_member(stream, run_deadline, progress)))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|(g, h)| {
-                        (
-                            g,
-                            h.join().unwrap_or_else(|_| {
-                                SegRes::Fail(Error::sim(format!("rank {g} collector panicked")))
-                            }),
-                        )
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            let error = Error::sim("a collector thread panicked");
+                            (
+                                SegRes::Failed {
+                                    error,
+                                    completed: 0,
+                                },
+                                None,
+                            )
+                        })
                     })
                     .collect()
             })
         } else {
-            members
-                .iter()
-                .map(|&g| {
-                    let stream = roster.streams.get_mut(&g).expect("member stream");
-                    (g, collect_member(stream, run_deadline, None))
-                })
+            roster
+                .streams
+                .values_mut()
+                .map(|stream| collect_member(stream, run_deadline, None))
                 .collect()
         };
+        let mut results = Vec::with_capacity(members.len());
+        let mut flights = Vec::new();
+        for (&g, (res, flight)) in members.iter().zip(collected) {
+            if let Some(events) = flight {
+                flights.push(RankFlight {
+                    rank: g,
+                    sync: roster.syncs[&g],
+                    events,
+                });
+            }
+            results.push(res);
+        }
+        let lost: Vec<u32> = members
+            .iter()
+            .zip(&results)
+            .filter(|(_, r)| matches!(r, SegRes::Lost))
+            .map(|(&g, _)| g)
+            .collect();
+        let clean = results.iter().all(|r| matches!(r, SegRes::Done { .. }));
 
-        // A real (non-elastic) failure anywhere aborts the whole run.
-        if results.values().any(|r| matches!(r, SegRes::Fail(_))) {
-            shutdown_all(&mut roster);
-            let worst = root_cause(results.into_values().filter_map(|r| match r {
-                SegRes::Fail(e) => Some(e),
-                _ => None,
-            }))
-            .expect("at least one failure");
+        // ---- The loss policy --------------------------------------
+        // Fail-on-loss fails the run on any loss or failure.
+        // Evict-on-loss survives a loss when every failure that came
+        // with it blames a peer.
+        let survivable = pconf.elastic
+            && !lost.is_empty()
+            && results.iter().enumerate().all(|(slot, r)| match r {
+                SegRes::Failed { error, .. } => blamed_peer(slot, error).is_some(),
+                _ => true,
+            });
+        if !clean && !survivable {
+            let errors = members.iter().zip(results).filter_map(|(&g, r)| match r {
+                SegRes::Done { .. } => None,
+                SegRes::Failed { error, .. } => Some(error),
+                // The survivors' rings will show its silence.
+                SegRes::Lost => Some(Error::sync(SyncFailure {
+                    kind: SyncFailureKind::LinkDead,
+                    node: g as usize,
+                    peer: None,
+                    task: None,
+                    detail: "worker process exited without reporting an outcome".into(),
+                })),
+            });
+            let worst = root_cause(errors).expect("at least one error");
+            if let Some(path) = &pconf.flight_dump {
+                let dump = PostmortemDump {
+                    nodes: nodes as u32,
+                    failed_node: worst
+                        .as_sync()
+                        .map(|f| f.node as u32)
+                        .unwrap_or(UNKNOWN_NODE),
+                    detail: worst.to_string(),
+                    ranks: flights,
+                };
+                if let Err(e) = std::fs::write(path, dump.to_bytes()) {
+                    eprintln!(
+                        "hipress: could not write flight dump {}: {e}",
+                        path.display()
+                    );
+                }
+            }
             return Err(worst);
         }
 
-        let deads: Vec<u32> = members
-            .iter()
-            .copied()
-            .filter(|g| matches!(results.get(g), Some(SegRes::Lost)))
-            .collect();
-
-        if deads.is_empty() {
-            // ---- Clean segment ------------------------------------
-            let mut cells_per_slot: Vec<HashMap<(u32, u32), Cell>> =
-                Vec::with_capacity(members.len());
-            for &g in &members {
-                let (cells, node_report, trace, metrics) = match results.remove(&g) {
-                    Some(SegRes::Done {
-                        cells,
-                        report,
-                        trace,
-                        metrics,
-                    }) => (cells, report, trace, metrics),
-                    // A Halt without any dead control stream means a
-                    // member blamed a peer that is demonstrably alive
-                    // — a protocol violation, not a survivable death.
-                    Some(SegRes::Halt { dead_slot, .. }) => {
-                        shutdown_all(&mut roster);
-                        return Err(ctl_io(format!(
-                            "rank {g} halted blaming slot {dead_slot} although every member is alive"
-                        )));
-                    }
-                    _ => {
-                        shutdown_all(&mut roster);
-                        return Err(ctl_io(format!("rank {g} never reported its segment")));
-                    }
+        if clean {
+            let last = seg_end == total;
+            if last {
+                // Release the mesh before the fold: workers tear down
+                // while the outcome is assembled.
+                report.wall_ns = started.elapsed().as_nanos() as u64;
+                roster.release();
+            }
+            let mut cells_per_slot = Vec::with_capacity(members.len());
+            for (&g, r) in members.iter().zip(results) {
+                let SegRes::Done {
+                    cells,
+                    report: node_report,
+                    trace,
+                    metrics,
+                } = r
+                else {
+                    unreachable!("a clean segment holds only reports");
                 };
                 report.absorb(&node_report);
                 report.per_node_busy_ns[g as usize] += node_report.total_busy_ns();
-                if let Some(tracer) = instruments.tracer {
-                    if let Some(t) = &trace {
-                        replay_into(tracer, t, &roster.syncs[&g]);
-                        record_clock_meta(tracer, g as usize, &roster.syncs[&g]);
-                    }
+                if let (Some(tracer), Some(t)) = (tracer, &trace) {
+                    // Stitch this rank's timeline into the global
+                    // trace, shifted by its measured epoch offset, and
+                    // record the alignment so validators can honor its
+                    // uncertainty.
+                    replay_into(tracer, t, &roster.syncs[&g]);
+                    record_clock_meta(tracer, g as usize, &roster.syncs[&g]);
                 }
-                if let Some(scope) = instruments.metrics {
-                    if let Some(json) = &metrics {
-                        let snap = MetricsSnapshot::from_json(json)
-                            .map_err(|e| ctl_io(format!("rank {g} metrics snapshot: {e}")))?;
-                        scope.absorb_snapshot(&snap);
-                    }
+                if let (Some(scope), Some(json)) = (instruments.metrics, &metrics) {
+                    let snap = MetricsSnapshot::from_json(json)
+                        .map_err(|e| ctl_io(format!("rank {g} metrics snapshot: {e}")))?;
+                    scope.absorb_snapshot(&snap);
                 }
                 cells_per_slot.push(cells);
             }
-            if seg_end == total {
-                // ---- Final segment: assemble and shut down --------
-                shutdown_all(&mut roster);
-                let sub: Vec<Vec<Tensor>> = members
-                    .iter()
-                    .map(|&g| worker_grads[g as usize].clone())
-                    .collect();
-                let flows = hipress_core::interp::gradient_flows(&sub);
-                let replicated = replicate(&flows);
-                let graph =
-                    build_graph(strategy, algorithm, partitions, &grad_lens, members.len())?;
-                let layout = FlowLayout::derive(&graph, members.len(), &replicated)?;
-                let flows_out = layout.assemble(&cells_per_slot)?;
-                report.wall_ns = started.elapsed().as_nanos() as u64;
+            if last {
+                // The layout only checks flow lengths, so it is
+                // derived from zero-filled flows, not the gradients.
+                let regraph;
+                let graph = if members.len() == nodes {
+                    &graph
+                } else {
+                    regraph =
+                        build_graph(strategy, algorithm, partitions, &grad_lens, members.len())?;
+                    &regraph
+                };
+                let flows = segment_flows(&grad_lens, members.len(), None);
+                let layout = FlowLayout::derive(graph, members.len(), &flows)?;
                 record_run_span(
-                    instruments.tracer,
+                    tracer,
                     run_start_ns,
                     report.wall_ns,
                     nodes,
@@ -568,7 +687,7 @@ fn coordinate_elastic(
                     record_run_metrics(scope, &report);
                 }
                 return Ok(RunOutcome {
-                    flows: flows_out,
+                    flows: layout.assemble(&cells_per_slot)?,
                     report,
                 });
             }
@@ -580,19 +699,19 @@ fn coordinate_elastic(
             // The segment's result stands at the minimum fully-retired
             // count across survivors; everything past it re-runs next
             // epoch, which is safe because iterations are idempotent
-            // in (members, gradients, seed).
+            // in (members, gradients, seed). The segment's partial
+            // reports are discarded.
             let seg_start = from;
-            let completions: Vec<u32> = members
+            let completions: Vec<u32> = results
                 .iter()
-                .filter(|g| !deads.contains(*g))
-                .map(|&g| match results.get(&g) {
-                    Some(SegRes::Halt { completed, .. }) => *completed,
-                    Some(SegRes::Done { .. }) => seg_iters,
-                    _ => 0,
+                .filter_map(|r| match r {
+                    SegRes::Done { .. } => Some(seg_iters),
+                    SegRes::Failed { completed, .. } => Some(*completed),
+                    SegRes::Lost => None,
                 })
                 .collect();
             from = seg_start + drain_boundary(&completions);
-            for &d in &deads {
+            for &d in &lost {
                 roster.streams.remove(&d);
                 roster.syncs.remove(&d);
                 roster.ports.remove(&d);
@@ -605,216 +724,58 @@ fn coordinate_elastic(
                     pending_crashes.remove(i);
                 }
             }
-            members.retain(|g| !deads.contains(g));
+            members.retain(|g| !lost.contains(g));
             if members.len() < 2 {
-                shutdown_all(&mut roster);
                 return Err(Error::config(format!(
-                    "elastic run cannot continue: {} survivor(s) after evicting {deads:?}",
+                    "elastic run cannot continue: {} survivor(s) after evicting {lost:?}",
                     members.len()
                 )));
             }
-            epoch += 1;
-            // Admit any rejoins already due at this boundary, then
-            // bump the incumbents. (A rejoin due later gets its own
-            // boundary via the segment-planning cut above.)
-            let mut joined: Vec<u32> = Vec::new();
-            while let Some(&(r, due)) = pending_rejoins.first() {
-                if due > from || deads.contains(&r) {
-                    break;
-                }
-                pending_rejoins.remove(0);
-                members.push(r);
-                members.sort_unstable();
-                joined.push(r);
-            }
-            let welcome = Msg::Welcome {
-                epoch,
-                from_iter: from,
-                members: members.clone(),
-            };
-            for &r in &joined {
-                respawn(r)?;
-                admit_joiner(listener, r, epoch, &welcome, &mut roster)?;
-            }
-            let changed = deads.first().copied().unwrap_or(0);
-            record_epoch(
-                &mut report,
-                instruments.tracer,
-                mem_track,
-                instruments.progress,
-                epoch,
-                from,
-                &members,
-                &deads,
-                changed,
-            );
-            let bump = Ctl::Member(Msg::EpochBump {
-                epoch,
-                evicted: deads.first().copied(),
-                from_iter: from,
-                members: members.clone(),
-            });
-            for &g in &members {
-                if joined.contains(&g) {
-                    continue; // The Welcome already carries the epoch.
-                }
-                let stream = roster.streams.get_mut(&g).expect("member stream");
-                write_ctl(stream, &bump)?;
-            }
-            continue;
         }
 
-        // ---- Clean admission boundary -----------------------------
+        // ---- Epoch boundary: admit due rejoins, bump the rest -----
         epoch += 1;
-        let mut joined: Vec<u32> = Vec::new();
+        joined.clear();
         while let Some(&(r, due)) = pending_rejoins.first() {
-            if due > from {
+            // A rank lost in this very segment rejoins at a later
+            // boundary; the segment-planning cut above creates one.
+            if due > from || lost.contains(&r) {
                 break;
             }
             pending_rejoins.remove(0);
             members.push(r);
-            members.sort_unstable();
             joined.push(r);
         }
+        members.sort_unstable();
         let welcome = Msg::Welcome {
             epoch,
             from_iter: from,
             members: members.clone(),
         };
         for &r in &joined {
-            respawn(r)?;
-            admit_joiner(listener, r, epoch, &welcome, &mut roster)?;
+            launcher.launch(r, true)?;
+            admit_joiner(&mut roster, r, epoch, &welcome)?;
         }
-        let changed = joined.first().copied().unwrap_or(0);
-        record_epoch(
-            &mut report,
-            instruments.tracer,
-            mem_track,
-            instruments.progress,
-            epoch,
-            from,
-            &members,
-            &[],
-            changed,
-        );
         let bump = Ctl::Member(Msg::EpochBump {
             epoch,
-            evicted: None,
+            evicted: lost.first().copied(),
             from_iter: from,
             members: members.clone(),
         });
-        for &g in &members {
-            if joined.contains(&g) {
-                continue;
-            }
+        // The joiners' Welcome already carries the epoch.
+        for &g in members.iter().filter(|g| !joined.contains(g)) {
             let stream = roster.streams.get_mut(&g).expect("member stream");
             write_ctl(stream, &bump)?;
         }
+        evicted = lost;
     }
-}
-
-/// Executes an elastic job as real OS processes: like
-/// [`run_processes`][super::run_processes], plus a scripted
-/// [`MembershipPlan`] of crashes and rejoins. Crashed ranks exit hard
-/// (code 13) and are evicted at the drain boundary; rejoining ranks
-/// are respawned with `node --join` and admitted at the next epoch
-/// boundary.
-///
-/// The returned flows are the **final epoch's** member set's result —
-/// over the survivors when ranks were lost for good, over the full
-/// membership when every crash was paired with a rejoin. The report
-/// carries the full epoch history (`membership`) and every evicted
-/// rank.
-///
-/// # Errors
-///
-/// Configuration errors for bad shapes or plans; control-channel or
-/// protocol failures; a configuration error when fewer than two
-/// members would survive an eviction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_processes(
-    strategy: Strategy,
-    algorithm: Algorithm,
-    partitions: usize,
-    worker_grads: &[Vec<Tensor>],
-    seed: u64,
-    config: &RuntimeConfig,
-    pcfg: &PipelineConfig,
-    pconf: &ProcessConfig,
-    plan: &MembershipPlan,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let nodes = worker_grads.len();
-    validate_grads(worker_grads)?;
-    validate(pcfg)?;
-    if std::env::var_os(SPAWN_GUARD_ENV).is_some() {
-        return Err(Error::config(
-            "recursive worker spawn: the worker binary re-entered run_elastic_processes — \
-             point ProcessConfig.binary (or HIPRESS_NODE_BIN) at a binary that dispatches \
-             `node` to node_main",
-        ));
-    }
-
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ctl_io)?;
-    let addr = listener.local_addr().map_err(ctl_io)?;
-    let binary = resolve_binary(pconf)?;
-
-    let children: Mutex<Vec<std::process::Child>> = Mutex::new(Vec::with_capacity(nodes));
-    let spawn_one = |rank: u32, join: bool| -> Result<()> {
-        let mut cmd = std::process::Command::new(&binary);
-        cmd.env(SPAWN_GUARD_ENV, "1")
-            .arg("node")
-            .arg("--connect")
-            .arg(addr.to_string())
-            .arg("--rank")
-            .arg(rank.to_string());
-        if join {
-            cmd.arg("--join");
-        } else {
-            cmd.arg("--nodes").arg(nodes.to_string());
-        }
-        let child = cmd
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()
-            .map_err(|e| {
-                Error::config(format!(
-                    "failed to spawn worker {rank} ({}): {e}",
-                    binary.display()
-                ))
-            })?;
-        children.lock().expect("children lock").push(child);
-        Ok(())
-    };
-    for rank in 0..nodes {
-        spawn_one(rank as u32, false)?;
-    }
-    let respawn = |rank: u32| spawn_one(rank, true);
-
-    let result = coordinate_elastic(
-        &listener,
-        strategy,
-        algorithm,
-        partitions,
-        worker_grads,
-        seed,
-        config,
-        pcfg,
-        pconf,
-        plan,
-        &respawn,
-        instruments,
-    );
-    reap(&mut children.lock().expect("children lock"));
-    result
 }
 
 /// The joiner's rendezvous: dial the coordinator, ask to [`Msg::Join`]
 /// as `rank`, and block until the [`Msg::Welcome`] that admits us at
 /// the next epoch boundary. Returns the control stream (ready for the
 /// normal per-segment protocol) and the member set joined.
-fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)> {
+pub(super) fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)> {
     let mut ctl = TcpStream::connect(connect)
         .map_err(|e| ctl_io(format!("node {rank}: dial coordinator {connect}: {e}")))?;
     ctl.set_nodelay(true).map_err(ctl_io)?;
@@ -851,89 +812,7 @@ fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)> {
 /// Transport or protocol failures talking to the coordinator or the
 /// mesh. Exits the process with code 13 when a scripted crash fires.
 pub fn join_main(connect: &str, rank: usize) -> Result<()> {
-    let (ctl, members) = attach(connect, rank)?;
-    match run_node(ctl, rank, members.len())? {
-        NodeRun::Completed => Ok(()),
-        NodeRun::Killed => {
-            eprintln!("node {rank}: scripted crash after rejoin");
-            std::process::exit(13);
-        }
-    }
-}
-
-/// Runs the full elastic coordinator protocol with worker *threads*
-/// standing in for worker processes — same control channel, same TCP
-/// mesh, same rendezvous, crash, and rejoin paths; only `fork/exec`
-/// is skipped. The crash victim's thread returns instead of exiting,
-/// dropping its sockets exactly as a dead process would.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_threaded(
-    strategy: Strategy,
-    algorithm: Algorithm,
-    partitions: usize,
-    worker_grads: &[Vec<Tensor>],
-    seed: u64,
-    config: &RuntimeConfig,
-    pcfg: &PipelineConfig,
-    plan: &MembershipPlan,
-    instruments: Instruments<'_>,
-) -> Result<RunOutcome> {
-    let nodes = worker_grads.len();
-    validate_grads(worker_grads)?;
-    validate(pcfg)?;
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ctl_io)?;
-    let addr = listener.local_addr().map_err(ctl_io)?;
-
-    let handles: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
-    let spawn_worker = |rank: usize, join: bool| -> Result<()> {
-        let connect = addr.to_string();
-        let handle = std::thread::Builder::new()
-            .name(format!("elastic-node{rank}"))
-            .spawn(move || {
-                let run = || -> Result<NodeRun> {
-                    if join {
-                        let (ctl, members) = attach(&connect, rank)?;
-                        run_node(ctl, rank, members.len())
-                    } else {
-                        let ctl = TcpStream::connect(&connect).map_err(ctl_io)?;
-                        run_node(ctl, rank, nodes)
-                    }
-                };
-                // A Killed return *is* the crash: the thread drops its
-                // sockets and vanishes without a word, exactly like a
-                // killed process. Errors are also silent — the
-                // coordinator diagnoses them from the stream.
-                let _ = run();
-            })
-            .map_err(|e| Error::config(format!("spawn worker thread {rank}: {e}")))?;
-        handles.lock().expect("handles lock").push(handle);
-        Ok(())
-    };
-    for rank in 0..nodes {
-        spawn_worker(rank, false)?;
-    }
-    let respawn = |rank: u32| spawn_worker(rank as usize, true);
-
-    let pconf = ProcessConfig::default();
-    let result = coordinate_elastic(
-        &listener,
-        strategy,
-        algorithm,
-        partitions,
-        worker_grads,
-        seed,
-        config,
-        pcfg,
-        &pconf,
-        plan,
-        &respawn,
-        instruments,
-    );
-    for handle in handles.lock().expect("handles lock").drain(..) {
-        let _ = handle.join();
-    }
-    result
+    exit_if_killed(rank, run_worker(connect, rank, None))
 }
 
 /// Asserts the slot-reassignment rule the dispatch loop relies on:

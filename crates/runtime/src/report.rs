@@ -237,10 +237,12 @@ pub struct RuntimeReport {
     /// [`RuntimeReport::pipeline_overlap`]. Zero on the fault-tolerant
     /// envelope path.
     pub iter_span_ns_total: u64,
-    /// Elastic membership timeline, one record per epoch (coordinator
+    /// Membership timeline of an evict-on-loss process run
+    /// (`ProcessConfig::elastic`), one record per epoch (coordinator
     /// owned, like `nodes` and `wall_ns`; `absorb` ignores it). Empty
-    /// on fixed-membership runs; `membership.len() - 1` is the number
-    /// of epoch bumps the run survived.
+    /// on every other run, fail-on-loss process runs included;
+    /// `membership.len() - 1` is the number of epoch bumps the run
+    /// survived.
     pub membership: Vec<EpochRecord>,
     /// Global ranks evicted by an epoch bump, in eviction order
     /// (coordinator owned). A rank that died, rejoined, and died

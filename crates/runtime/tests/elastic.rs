@@ -15,8 +15,7 @@ use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
 use hipress_core::Strategy;
 use hipress_runtime::{
-    run_elastic_threaded, run_threaded_workers, Instruments, PipelineConfig, ProcessConfig,
-    RunOutcome, RuntimeConfig,
+    run_threaded_workers, Instruments, PipelineConfig, ProcessConfig, RunOutcome, RuntimeConfig,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
@@ -55,12 +54,13 @@ fn pcfg() -> PipelineConfig {
     }
 }
 
-fn fixed_baseline(
+fn run_threaded(
     strategy: Strategy,
     algorithm: Algorithm,
     grads: &[Vec<Tensor>],
     seed: u64,
-) -> RunOutcome {
+    pconf: &ProcessConfig,
+) -> hipress_util::Result<RunOutcome> {
     run_threaded_workers(
         strategy,
         algorithm,
@@ -69,10 +69,28 @@ fn fixed_baseline(
         seed,
         &RuntimeConfig::default(),
         &pcfg(),
-        &ProcessConfig::default(),
+        pconf,
         Instruments::default(),
     )
-    .expect("fixed-membership baseline run")
+}
+
+/// The evict-on-loss policy running `plan`.
+fn evict_on_loss(plan: MembershipPlan) -> ProcessConfig {
+    ProcessConfig {
+        membership: plan,
+        elastic: true,
+        ..ProcessConfig::default()
+    }
+}
+
+fn fixed_baseline(
+    strategy: Strategy,
+    algorithm: Algorithm,
+    grads: &[Vec<Tensor>],
+    seed: u64,
+) -> RunOutcome {
+    run_threaded(strategy, algorithm, grads, seed, &ProcessConfig::default())
+        .expect("fixed-membership baseline run")
 }
 
 fn assert_same_flows(case: &str, a: &RunOutcome, b: &RunOutcome) {
@@ -103,16 +121,12 @@ fn survivor_continuation_is_bit_identical_to_fresh_survivor_run() {
             for seed in [11u64, 12, 13, 14] {
                 let case = format!("{strategy:?}/{algorithm:?}/seed{seed}");
                 let grads = worker_grads(nodes, seed);
-                let elastic = run_elastic_threaded(
+                let elastic = run_threaded(
                     strategy,
                     algorithm,
-                    PARTITIONS,
                     &grads,
                     seed,
-                    &RuntimeConfig::default(),
-                    &pcfg(),
-                    &MembershipPlan::crash(victim, 2),
-                    Instruments::default(),
+                    &evict_on_loss(MembershipPlan::crash(victim, 2)),
                 )
                 .unwrap_or_else(|e| panic!("{case}: elastic run failed: {e}"));
 
@@ -150,16 +164,12 @@ fn rejoined_membership_lands_back_on_the_full_run_bitstream() {
             for seed in [21u64, 22, 23, 24] {
                 let case = format!("rejoin/{strategy:?}/{algorithm:?}/seed{seed}");
                 let grads = worker_grads(nodes, seed);
-                let elastic = run_elastic_threaded(
+                let elastic = run_threaded(
                     strategy,
                     algorithm,
-                    PARTITIONS,
                     &grads,
                     seed,
-                    &RuntimeConfig::default(),
-                    &pcfg(),
-                    &MembershipPlan::crash_then_rejoin(victim, 2, 4),
-                    Instruments::default(),
+                    &evict_on_loss(MembershipPlan::crash_then_rejoin(victim, 2, 4)),
                 )
                 .unwrap_or_else(|e| panic!("{case}: elastic run failed: {e}"));
 
@@ -190,16 +200,12 @@ fn rejoined_membership_lands_back_on_the_full_run_bitstream() {
 #[test]
 fn empty_plan_is_the_fixed_membership_run() {
     let grads = worker_grads(3, 7);
-    let elastic = run_elastic_threaded(
+    let elastic = run_threaded(
         Strategy::CaSyncPs,
         Algorithm::OneBit,
-        PARTITIONS,
         &grads,
         7,
-        &RuntimeConfig::default(),
-        &pcfg(),
-        &MembershipPlan::none(),
-        Instruments::default(),
+        &evict_on_loss(MembershipPlan::none()),
     )
     .expect("elastic run with empty plan");
     assert_eq!(elastic.report.membership.len(), 1, "one epoch record");

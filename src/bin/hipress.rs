@@ -527,7 +527,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         Some("sim") | Some("simulator") => Backend::Simulator,
         Some(other) => return Err(format!("unknown backend '{other}'")),
     };
-    let kill_node: Option<usize> = flags
+    let kill_node: Option<u32> = flags
         .get("kill-node")
         .map(|v| v.parse().map_err(|_| format!("bad --kill-node '{v}'")))
         .transpose()?;
@@ -539,8 +539,12 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         .iterations(iters)
         .pipeline_window(window);
     if kill_node.is_some() || flight_dump.is_some() {
+        // `--kill-node k`: rank k crashes right after mesh setup, and
+        // the fail-on-loss policy turns that into a failure naming it.
         base = base.process_config(ProcessConfig {
-            kill_node,
+            membership: kill_node
+                .map(|k| hipress::chaos::MembershipPlan::crash(k, 0))
+                .unwrap_or_default(),
             flight_dump,
             ..ProcessConfig::default()
         });
@@ -752,9 +756,7 @@ fn cmd_run_elastic(
     window: u32,
 ) -> Result<(), String> {
     use hipress::chaos::MembershipPlan;
-    use hipress::runtime::{
-        run_elastic_processes, run_elastic_threaded, run_threaded_workers, Instruments,
-    };
+    use hipress::runtime::{run_processes, run_threaded_workers, Instruments};
     let kill_rank: Option<u32> = flags
         .get("kill-rank")
         .map(|v| v.parse().map_err(|_| format!("bad --kill-rank '{v}'")))
@@ -791,36 +793,32 @@ fn cmd_run_elastic(
         tracer: tracer.as_ref(),
         ..Instruments::default()
     };
-    let out = match flags.get("backend").map(String::as_str) {
-        None | Some("processes") => run_elastic_processes(
-            strategy,
-            algorithm,
-            partitions,
-            grads,
-            seed,
-            &rconf,
-            &pcfg,
-            &ProcessConfig::default(),
-            &plan,
-            instruments,
-        ),
-        Some("threads") => run_elastic_threaded(
-            strategy,
-            algorithm,
-            partitions,
-            grads,
-            seed,
-            &rconf,
-            &pcfg,
-            &plan,
-            instruments,
-        ),
+    let pconf = ProcessConfig {
+        membership: plan,
+        elastic: true,
+        flight_dump: flags.get("flight-dump").map(std::path::PathBuf::from),
+        ..ProcessConfig::default()
+    };
+    let run = match flags.get("backend").map(String::as_str) {
+        None | Some("processes") => run_processes,
+        Some("threads") => run_threaded_workers,
         Some(other) => {
             return Err(format!(
                 "--elastic needs a real backend (threads or processes), not '{other}'"
             ))
         }
-    }
+    };
+    let out = run(
+        strategy,
+        algorithm,
+        partitions,
+        grads,
+        seed,
+        &rconf,
+        &pcfg,
+        &pconf,
+        instruments,
+    )
     .map_err(|e| e.to_string())?;
 
     let report = &out.report;

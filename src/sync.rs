@@ -303,31 +303,36 @@ impl HiPress {
                 )));
             }
         }
-        let compressor = self.algorithm.build();
-        let iter = IterationSpec {
-            gradients: first
-                .iter()
-                .enumerate()
-                .map(|(g, t)| SyncGradient {
-                    name: format!("g{g}"),
-                    bytes: t.byte_size(),
-                    ready_offset_ns: 0,
-                    plan: GradPlan {
-                        compress: compressor.is_some(),
-                        partitions: self.partitions,
-                    },
-                })
-                .collect(),
-            compression: compressor.as_deref().map(CompressionSpec::of),
-        };
-        let cluster = ClusterConfig::ec2(nodes);
-        let graph = self.strategy.build(&cluster, &iter)?;
-        let flows = gradient_flows(worker_grads);
         let pcfg = PipelineConfig {
             iterations: self.iterations,
             window: self.window,
         };
         let untrusted = self.chaos.is_some() || self.fault_tolerance.is_some();
+        let compressor = self.algorithm.build();
+        // The in-process backends execute the task graph over every
+        // worker's flows. The process backend needs neither — its
+        // workers rebuild the graph from the spec and each owns only
+        // its own tensors — so both are built on demand.
+        let graph_and_flows = || -> Result<_> {
+            let iter = IterationSpec {
+                gradients: first
+                    .iter()
+                    .enumerate()
+                    .map(|(g, t)| SyncGradient {
+                        name: format!("g{g}"),
+                        bytes: t.byte_size(),
+                        ready_offset_ns: 0,
+                        plan: GradPlan {
+                            compress: compressor.is_some(),
+                            partitions: self.partitions,
+                        },
+                    })
+                    .collect(),
+                compression: compressor.as_deref().map(CompressionSpec::of),
+            };
+            let graph = self.strategy.build(&ClusterConfig::ec2(nodes), &iter)?;
+            Ok((graph, gradient_flows(worker_grads)))
+        };
         if self.backend == Backend::Simulator {
             if untrusted {
                 return Err(Error::config(
@@ -339,6 +344,7 @@ impl HiPress {
                     "pipelined iterations need a real runtime: use Backend::Threads or Backend::Processes",
                 ));
             }
+            let (graph, flows) = graph_and_flows()?;
             let outcomes = interpret(&graph, nodes, &flows, compressor.as_deref(), self.seed)?;
             return Ok(SyncOutcome {
                 flows: outcomes,
@@ -368,6 +374,7 @@ impl HiPress {
                 let plan = plan.unwrap_or_else(|| FaultPlan::none(self.seed));
                 (self.fault_tolerance.unwrap_or_default(), plan)
             });
+            let (graph, flows) = graph_and_flows()?;
             hipress_runtime::run(
                 &graph,
                 nodes,
@@ -384,7 +391,7 @@ impl HiPress {
         } else {
             if untrusted {
                 return Err(Error::config(
-                    "chaos/fault tolerance run in-process: use Backend::Threads (the process backend has its own kill_node injection)",
+                    "chaos/fault tolerance run in-process: use Backend::Threads (the process backend scripts rank loss with ProcessConfig::membership)",
                 ));
             }
             hipress_runtime::run_processes(
