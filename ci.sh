@@ -105,7 +105,7 @@ cargo run --release -q --bin hipress -- trace-diff \
   /tmp/hipress-ci-sim.json /tmp/hipress-ci-rt.json >/dev/null
 rm -f /tmp/hipress-ci-sim.json /tmp/hipress-ci-rt.json
 
-echo "== chaos smoke (recoverable plan reproduces, crash plan fails structurally) =="
+echo "== chaos smoke (recoverable plan reproduces, crash plan fails structurally, straggler policies) =="
 # A fixed-seed recoverable fault plan must complete bit-identical to
 # the fault-free run (the CLI itself enforces the bitstream match and
 # exits non-zero otherwise). A fixed-seed unrecoverable plan (victim
@@ -121,6 +121,23 @@ if cargo run --release -q --bin hipress -- chaos --single --plan crash \
 fi
 if ! grep -q "node" "$CHAOS_ERR"; then
   echo "chaos crash error did not name a node:" >&2
+  cat "$CHAOS_ERR" >&2
+  rm -f "$CHAOS_ERR"
+  exit 1
+fi
+# The straggler policies: a stalled node is degraded around under
+# `partial` (the run completes), and under `abort` the run fails with a
+# structured straggler error naming the stalled node.
+cargo run --release -q --bin hipress -- chaos --single --plan stall:400 \
+  --policy partial >/dev/null
+if cargo run --release -q --bin hipress -- chaos --single --plan stall:700 \
+    --policy abort >/dev/null 2>"$CHAOS_ERR"; then
+  echo "chaos stall under the abort policy unexpectedly succeeded" >&2
+  rm -f "$CHAOS_ERR"
+  exit 1
+fi
+if ! grep -q "straggler (peer node 1" "$CHAOS_ERR"; then
+  echo "chaos abort error did not name the straggler:" >&2
   cat "$CHAOS_ERR" >&2
   rm -f "$CHAOS_ERR"
   exit 1

@@ -18,15 +18,15 @@
 //! retransmitting protocol, while `fault_cap == u32::MAX` plans (e.g.
 //! [`FaultPlan::blackhole`]) model genuinely dead links.
 //!
-//! [`ChaosLink`] wraps an `mpsc::Sender` of any [`Wire`] message type
-//! and applies a plan's verdicts on the way out; the runtime drives
-//! its held-message buffer from its poll loop, so delayed and
-//! reordered deliveries need no extra threads.
+//! An [`Injector`] applies a plan's verdicts to one link's outgoing
+//! messages of any [`Wire`] type and returns what to deliver now; the
+//! owner drives its held-message buffer from its poll loop, so delayed
+//! and reordered deliveries need no extra threads and the injector
+//! needs no transport of its own.
 
 #![forbid(unsafe_code)]
 
 use hipress_util::rng::{Rng64, SplitMix64};
-use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// Per-link fault probabilities, all in `[0, 1]`.
@@ -147,7 +147,6 @@ impl FaultPlan {
     /// 2 guarantees the third attempt of anything goes through clean.
     pub fn recoverable(seed: u64) -> Self {
         Self {
-            seed,
             default_link: LinkFaults {
                 drop: 0.15,
                 duplicate: 0.10,
@@ -156,9 +155,8 @@ impl FaultPlan {
                 max_delay_ns: 500_000,
                 corrupt: 0.10,
             },
-            links: Vec::new(),
-            nodes: Vec::new(),
             fault_cap: 2,
+            ..Self::none(seed)
         }
     }
 
@@ -166,15 +164,12 @@ impl FaultPlan {
     /// attempts per message — stress for the retransmission path.
     pub fn drop_storm(seed: u64) -> Self {
         Self {
-            seed,
             default_link: LinkFaults {
                 drop: 0.60,
-                max_delay_ns: 0,
                 ..LinkFaults::NONE
             },
-            links: Vec::new(),
-            nodes: Vec::new(),
             fault_cap: 2,
+            ..Self::none(seed)
         }
     }
 
@@ -183,15 +178,12 @@ impl FaultPlan {
     /// and nack-driven retransmission.
     pub fn corruption_storm(seed: u64) -> Self {
         Self {
-            seed,
             default_link: LinkFaults {
                 corrupt: 0.60,
-                max_delay_ns: 0,
                 ..LinkFaults::NONE
             },
-            links: Vec::new(),
-            nodes: Vec::new(),
             fault_cap: 2,
+            ..Self::none(seed)
         }
     }
 
@@ -199,33 +191,17 @@ impl FaultPlan {
     /// local task; links stay healthy. What happens next is the
     /// degradation policy's call.
     pub fn stall(seed: u64, node: usize, dur: Duration) -> Self {
-        let mut p = Self::none(seed);
-        p.nodes.push((
-            node,
-            NodeFaults {
-                stall: Some(Stall {
-                    at_task: 1,
-                    dur_ns: dur.as_nanos() as u64,
-                }),
-                crash: None,
-            },
-        ));
-        p
+        let dur_ns = dur.as_nanos() as u64;
+        let stall = Some(Stall { at_task: 1, dur_ns });
+        Self::none(seed).with_node(node, NodeFaults { stall, crash: None })
     }
 
     /// A crashing node: `node` stops cold before its `at_task`-th
     /// local task. Never recoverable; peers must produce a clean
     /// structured error within their deadlines.
     pub fn crash(seed: u64, node: usize, at_task: usize) -> Self {
-        let mut p = Self::none(seed);
-        p.nodes.push((
-            node,
-            NodeFaults {
-                stall: None,
-                crash: Some(Crash { at_task }),
-            },
-        ));
-        p
+        let crash = Some(Crash { at_task });
+        Self::none(seed).with_node(node, NodeFaults { stall: None, crash })
     }
 
     /// One dead link: everything from `src` to `dst` vanishes, with no
@@ -233,17 +209,14 @@ impl FaultPlan {
     /// retransmission budget must exhaust into a structured dead-link
     /// error.
     pub fn blackhole(seed: u64, src: usize, dst: usize) -> Self {
-        let mut p = Self::none(seed);
-        p.links.push((
-            (src, dst),
-            LinkFaults {
-                drop: 1.0,
-                max_delay_ns: 0,
-                ..LinkFaults::NONE
-            },
-        ));
-        p.fault_cap = u32::MAX;
-        p
+        let dead = LinkFaults {
+            drop: 1.0,
+            ..LinkFaults::NONE
+        };
+        Self {
+            fault_cap: u32::MAX,
+            ..Self::none(seed).with_link(src, dst, dead)
+        }
     }
 
     /// Adds or replaces a per-link override.
@@ -285,11 +258,21 @@ impl FaultPlan {
         self.fault_cap < retry_budget && self.nodes.iter().all(|(_, f)| f.crash.is_none())
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_none(&self) -> bool {
-        self.default_link.is_none()
-            && self.links.iter().all(|(_, f)| f.is_none())
-            && self.nodes.iter().all(|(_, f)| *f == NodeFaults::default())
+    /// Rejects a plan naming a node outside `0..nodes`: a trigger or
+    /// link override there would never fire, and the run would pass
+    /// without the faults it was asked to survive.
+    pub fn validate(&self, nodes: usize) -> Result<(), String> {
+        if let Some((n, _)) = self.nodes.iter().find(|(n, _)| *n >= nodes) {
+            return Err(format!("fault plan names node {n} of {nodes}"));
+        }
+        if let Some(((s, d), _)) = self
+            .links
+            .iter()
+            .find(|((s, d), _)| *s >= nodes || *d >= nodes)
+        {
+            return Err(format!("fault plan names link {s} -> {d} of {nodes} nodes"));
+        }
+        Ok(())
     }
 
     /// One deterministic uniform draw in `[0, 1)` for a fault decision.
@@ -419,17 +402,10 @@ impl MembershipPlan {
         plan
     }
 
-    /// True when the schedule changes nothing.
-    pub fn is_none(&self) -> bool {
-        self.crashes.is_empty() && self.rejoins.is_empty()
-    }
-
-    /// Rejects schedules the elastic runtime cannot honour: a crash
-    /// or rejoin naming a rank outside `0..nodes`, a crash at or past
-    /// the last iteration (there is no later boundary to re-plan at),
-    /// or a schedule that could take the membership below two ranks
-    /// at once (more simultaneous crashes than `nodes - 2`).
-    pub fn validate(&self, nodes: usize, iterations: u32) -> Result<(), String> {
+    /// Rejects events outside the run, under either loss policy: a
+    /// crash or rejoin naming a rank outside `0..nodes`, or one at or
+    /// past the last iteration (there is no later boundary to act at).
+    pub fn check_range(&self, nodes: usize, iterations: u32) -> Result<(), String> {
         for &(rank, iter) in self.crashes.iter().chain(&self.rejoins) {
             if rank as usize >= nodes {
                 return Err(format!("membership plan names rank {rank} of {nodes}"));
@@ -440,6 +416,15 @@ impl MembershipPlan {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Rejects schedules the elastic runtime cannot honour: anything
+    /// [`MembershipPlan::check_range`] rejects, or a schedule that
+    /// could take the membership below two ranks at once (more
+    /// simultaneous crashes than `nodes - 2`).
+    pub fn validate(&self, nodes: usize, iterations: u32) -> Result<(), String> {
+        self.check_range(nodes, iterations)?;
         if self.crashes.len() > nodes.saturating_sub(2) + self.rejoins.len() {
             return Err(format!(
                 "{} crashes could leave fewer than 2 of {nodes} ranks",
@@ -482,11 +467,6 @@ impl Delivery {
             corrupt_bit: None,
         }
     }
-
-    /// True when nothing at all was injected.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::clean()
-    }
 }
 
 /// A message type the injector can corrupt: it exposes how many
@@ -500,29 +480,6 @@ pub trait Wire {
     fn flip_bit(&mut self, bit: u64);
 }
 
-/// What a [`ChaosLink::send`] actually did to the message — the
-/// caller's hook for fault accounting (reports, metrics, traces).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SendEffects {
-    /// The message was dropped (nothing was sent).
-    pub dropped: bool,
-    /// A duplicate copy was delivered as well.
-    pub duplicated: bool,
-    /// The message was held back for later traffic to overtake.
-    pub reordered: bool,
-    /// The message was held back `delay_ns` nanoseconds.
-    pub delayed: bool,
-    /// One payload bit was flipped before delivery.
-    pub corrupted: bool,
-}
-
-impl SendEffects {
-    /// True when the message went through untouched.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// Why a message is sitting in the held buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeldKind {
@@ -534,111 +491,90 @@ enum HeldKind {
 /// up to overtake it (it degrades into a short delay).
 const REORDER_HOLD: Duration = Duration::from_millis(1);
 
-/// A fault-injecting wrapper around an `mpsc::Sender`.
+/// The fault injector for one directed link, `src → dst`.
 ///
 /// Sends consult the plan's [`FaultPlan::verdict`] for the message's
-/// `(seq, attempt)`; drops vanish, duplicates send twice, corruptions
-/// flip a payload bit, and delays/reorders park the message in a held
-/// buffer that the owner drains from its poll loop via
-/// [`ChaosLink::flush_due`] — no timer threads. Disconnected receivers
-/// are ignored (the peer exited; the protocol layer decides whether
-/// that is fine or an error).
-pub struct ChaosLink<T> {
+/// `(seq, attempt)`; drops vanish, duplicates go out twice,
+/// corruptions flip a payload bit, and delays/reorders park the
+/// message in a held buffer that the owner drains from its poll loop
+/// via [`Injector::release`] — no timer threads. The injector never
+/// touches a transport: every message it lets through now is handed
+/// to the caller's `deliver`, so the same injector sits in front of
+/// any link.
+pub struct Injector<T> {
     src: usize,
     dst: usize,
-    tx: Sender<T>,
     held: Vec<(Instant, HeldKind, T)>,
 }
 
-impl<T: Wire + Clone> ChaosLink<T> {
-    /// Wraps the `src → dst` sender.
-    pub fn new(src: usize, dst: usize, tx: Sender<T>) -> Self {
+impl<T: Wire + Clone> Injector<T> {
+    /// The injector for the `src → dst` link.
+    pub fn new(src: usize, dst: usize) -> Self {
         Self {
             src,
             dst,
-            tx,
             held: Vec::new(),
         }
     }
 
-    /// Sends `msg` as attempt `attempt` of sequence `seq`, applying
-    /// the plan's verdict. Returns what was injected.
-    pub fn send(&mut self, plan: &FaultPlan, seq: u64, attempt: u32, mut msg: T) -> SendEffects {
-        let mut fx = SendEffects::default();
-        match plan.verdict(self.src, self.dst, seq, attempt, msg.payload_bits()) {
-            Verdict::Drop => {
-                fx.dropped = true;
-            }
-            Verdict::Deliver(d) => {
-                if let Some(bit) = d.corrupt_bit {
-                    msg.flip_bit(bit);
-                    fx.corrupted = true;
-                }
-                if d.duplicate {
-                    let _ = self.tx.send(msg.clone());
-                    fx.duplicated = true;
-                }
-                if d.delay_ns > 0 {
-                    self.held.push((
-                        Instant::now() + Duration::from_nanos(d.delay_ns),
-                        HeldKind::Delay,
-                        msg,
-                    ));
-                    fx.delayed = true;
-                } else if d.reorder {
-                    self.held
-                        .push((Instant::now() + REORDER_HOLD, HeldKind::Reorder, msg));
-                    fx.reordered = true;
-                } else {
-                    let _ = self.tx.send(msg);
-                    // A later message overtaking a held one is exactly
-                    // the reorder we promised; release reorder-held
-                    // messages now that something has passed them.
-                    self.release_overtaken();
-                }
-            }
+    /// Applies the plan's verdict to attempt `attempt` of sequence
+    /// `seq`, handing `deliver` everything that goes out now: the
+    /// message, its duplicate, and any reordered message it overtook.
+    /// Returns the verdict as applied (a delayed message is not also
+    /// reordered).
+    pub fn send(
+        &mut self,
+        plan: &FaultPlan,
+        seq: u64,
+        attempt: u32,
+        mut msg: T,
+        mut deliver: impl FnMut(T),
+    ) -> Verdict {
+        let verdict = plan.verdict(self.src, self.dst, seq, attempt, msg.payload_bits());
+        let Verdict::Deliver(mut d) = verdict else {
+            return verdict;
+        };
+        if let Some(bit) = d.corrupt_bit {
+            msg.flip_bit(bit);
         }
-        fx
+        if d.duplicate {
+            deliver(msg.clone());
+        }
+        if d.delay_ns > 0 {
+            let due = Instant::now() + Duration::from_nanos(d.delay_ns);
+            self.held.push((due, HeldKind::Delay, msg));
+            d.reorder = false;
+        } else if d.reorder {
+            let due = Instant::now() + REORDER_HOLD;
+            self.held.push((due, HeldKind::Reorder, msg));
+        } else {
+            deliver(msg);
+            // A later message overtaking a held one is exactly the
+            // reorder we promised: release what it overtook.
+            self.release_where(deliver, |_, kind| kind == HeldKind::Reorder);
+        }
+        Verdict::Deliver(d)
     }
 
-    /// Releases reorder-held messages (they have been overtaken).
-    fn release_overtaken(&mut self) {
+    /// Hands `deliver` every held message whose due time has passed.
+    /// Call this from the owner's poll loop.
+    pub fn release(&mut self, now: Instant, deliver: impl FnMut(T)) {
+        self.release_where(deliver, |due, _| due <= now);
+    }
+
+    fn release_where(
+        &mut self,
+        mut deliver: impl FnMut(T),
+        due: impl Fn(Instant, HeldKind) -> bool,
+    ) {
         let mut i = 0;
         while i < self.held.len() {
-            if self.held[i].1 == HeldKind::Reorder {
-                let (_, _, msg) = self.held.remove(i);
-                let _ = self.tx.send(msg);
+            if due(self.held[i].0, self.held[i].1) {
+                deliver(self.held.remove(i).2);
             } else {
                 i += 1;
             }
         }
-    }
-
-    /// Delivers every held message whose due time has passed; returns
-    /// how many went out. Call this from the owner's poll loop.
-    pub fn flush_due(&mut self, now: Instant) -> usize {
-        let mut sent = 0;
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= now {
-                let (_, _, msg) = self.held.remove(i);
-                let _ = self.tx.send(msg);
-                sent += 1;
-            } else {
-                i += 1;
-            }
-        }
-        sent
-    }
-
-    /// Delivers every held message regardless of due time (shutdown).
-    pub fn flush_all(&mut self) -> usize {
-        let mut sent = 0;
-        for (_, _, msg) in self.held.drain(..) {
-            let _ = self.tx.send(msg);
-            sent += 1;
-        }
-        sent
     }
 
     /// Messages currently parked in the held buffer.
@@ -647,7 +583,7 @@ impl<T: Wire + Clone> ChaosLink<T> {
     }
 
     /// Earliest due time among held messages, if any — lets the owner
-    /// sleep until something actually needs flushing instead of
+    /// sleep until something actually needs releasing instead of
     /// polling on a fixed tick.
     pub fn next_release(&self) -> Option<Instant> {
         self.held.iter().map(|(due, _, _)| *due).min()
@@ -657,7 +593,6 @@ impl<T: Wire + Clone> ChaosLink<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     /// A trivial Wire message: a vector of bytes.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -763,7 +698,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_link_drops_and_duplicates() {
+    fn injector_drops_and_duplicates() {
         let plan = FaultPlan {
             seed: 9,
             default_link: LinkFaults {
@@ -776,48 +711,42 @@ mod tests {
             nodes: Vec::new(),
             fault_cap: 10,
         };
-        let (tx, rx) = mpsc::channel();
-        let mut link = ChaosLink::new(0, 1, tx);
+        let mut link = Injector::new(0, 1);
+        let mut out = Vec::new();
         let (mut dropped, mut dup) = (0, 0);
         for seq in 0..200u64 {
-            let fx = link.send(&plan, seq, 0, Blob(vec![seq as u8]));
-            if fx.dropped {
-                dropped += 1;
-            }
-            if fx.duplicated {
-                dup += 1;
+            match link.send(&plan, seq, 0, Blob(vec![seq as u8]), |m| out.push(m)) {
+                Verdict::Drop => dropped += 1,
+                Verdict::Deliver(d) => dup += usize::from(d.duplicate),
             }
         }
-        link.flush_all();
-        let delivered = rx.try_iter().count();
+        assert_eq!(link.held(), 0);
+        let delivered = out.len();
         assert!(dropped > 50, "~50% drop plan dropped only {dropped}");
         assert!(dup > 25, "duplication never fired");
         assert_eq!(delivered, 200 - dropped + dup);
     }
 
     #[test]
-    fn chaos_link_corrupts_payload_bits() {
+    fn injector_corrupts_payload_bits() {
         let plan = FaultPlan::corruption_storm(5);
-        let (tx, rx) = mpsc::channel();
-        let mut link = ChaosLink::new(0, 1, tx);
+        let mut link = Injector::new(0, 1);
+        let mut out = Vec::new();
         let mut corrupted = 0;
         for seq in 0..100u64 {
-            let fx = link.send(&plan, seq, 0, Blob(vec![0u8; 16]));
-            if fx.corrupted {
+            let v = link.send(&plan, seq, 0, Blob(vec![0u8; 16]), |m| out.push(m));
+            if matches!(v, Verdict::Deliver(d) if d.corrupt_bit.is_some()) {
                 corrupted += 1;
             }
         }
-        link.flush_all();
-        let mangled = rx
-            .try_iter()
-            .filter(|b: &Blob| b.0 != vec![0u8; 16])
-            .count();
+        assert_eq!(link.held(), 0);
+        let mangled = out.iter().filter(|b| b.0 != vec![0u8; 16]).count();
         assert_eq!(mangled, corrupted);
         assert!(corrupted >= 30, "60% corruption plan corrupted {corrupted}");
     }
 
     #[test]
-    fn delayed_messages_wait_for_flush() {
+    fn delayed_messages_wait_for_release() {
         let plan = FaultPlan {
             seed: 1,
             default_link: LinkFaults {
@@ -829,15 +758,15 @@ mod tests {
             nodes: Vec::new(),
             fault_cap: 10,
         };
-        let (tx, rx) = mpsc::channel();
-        let mut link = ChaosLink::new(0, 1, tx);
-        let fx = link.send(&plan, 0, 0, Blob(vec![7]));
-        assert!(fx.delayed);
-        assert!(rx.try_recv().is_err(), "delayed message delivered early");
+        let mut link = Injector::new(0, 1);
+        let mut out = Vec::new();
+        let v = link.send(&plan, 0, 0, Blob(vec![7]), |m| out.push(m));
+        assert!(matches!(v, Verdict::Deliver(d) if d.delay_ns > 0 && !d.reorder));
+        assert!(out.is_empty(), "delayed message delivered early");
         assert_eq!(link.held(), 1);
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(link.flush_due(Instant::now()), 1);
-        assert_eq!(rx.try_recv().unwrap(), Blob(vec![7]));
+        link.release(Instant::now(), |m| out.push(m));
+        assert_eq!((out, link.held()), (vec![Blob(vec![7])], 0));
     }
 
     #[test]
@@ -856,29 +785,30 @@ mod tests {
             // message through clean and overtake.
             fault_cap: 1,
         };
-        let (tx, rx) = mpsc::channel();
-        let mut link = ChaosLink::new(0, 1, tx);
-        let fx = link.send(&plan, 0, 0, Blob(vec![1]));
-        assert!(fx.reordered);
+        let mut link = Injector::new(0, 1);
+        let mut out = Vec::new();
+        let v = link.send(&plan, 0, 0, Blob(vec![1]), |m| out.push(m));
+        assert!(matches!(v, Verdict::Deliver(d) if d.reorder));
         // Second message: attempt at the cap ⇒ clean ⇒ overtakes.
-        let fx = link.send(&plan, 1, 1, Blob(vec![2]));
-        assert!(fx.is_clean());
-        let first: Blob = rx.try_recv().unwrap();
-        let second: Blob = rx.try_recv().unwrap();
-        assert_eq!(first, Blob(vec![2]), "later send must overtake");
-        assert_eq!(second, Blob(vec![1]));
+        let v = link.send(&plan, 1, 1, Blob(vec![2]), |m| out.push(m));
+        assert_eq!(v, Verdict::Deliver(Delivery::clean()));
+        assert_eq!(
+            out,
+            vec![Blob(vec![2]), Blob(vec![1])],
+            "later send must overtake"
+        );
     }
 
     #[test]
     fn none_plan_is_identity() {
         let plan = FaultPlan::none(99);
-        assert!(plan.is_none());
-        let (tx, rx) = mpsc::channel();
-        let mut link = ChaosLink::new(0, 1, tx);
+        let mut link = Injector::new(0, 1);
+        let mut out = Vec::new();
         for seq in 0..50u64 {
-            assert!(link.send(&plan, seq, 0, Blob(vec![seq as u8])).is_clean());
+            let v = link.send(&plan, seq, 0, Blob(vec![seq as u8]), |m| out.push(m));
+            assert_eq!(v, Verdict::Deliver(Delivery::clean()));
         }
-        assert_eq!(rx.try_iter().count(), 50);
+        assert_eq!(out.len(), 50);
         assert_eq!(link.held(), 0);
     }
 
@@ -913,7 +843,7 @@ mod tests {
 
     #[test]
     fn membership_constructors_script_the_expected_schedules() {
-        assert!(MembershipPlan::none().is_none());
+        assert_eq!(MembershipPlan::none(), MembershipPlan::default());
         let crash = MembershipPlan::crash(2, 5);
         assert_eq!(crash.crashes, vec![(2, 5)]);
         assert!(crash.rejoins.is_empty());
@@ -931,6 +861,20 @@ mod tests {
     }
 
     #[test]
+    fn fault_plans_validate_node_bounds() {
+        assert!(FaultPlan::stall(0, 2, Duration::from_millis(1))
+            .validate(3)
+            .is_ok());
+        assert!(FaultPlan::stall(0, 5, Duration::from_millis(1))
+            .validate(3)
+            .is_err());
+        assert!(FaultPlan::crash(0, 3, 1).validate(3).is_err());
+        assert!(FaultPlan::blackhole(0, 0, 3).validate(3).is_err());
+        assert!(FaultPlan::blackhole(0, 7, 1).validate(3).is_err());
+        assert!(FaultPlan::recoverable(0).validate(2).is_ok());
+    }
+
+    #[test]
     fn membership_plans_validate_rank_and_iteration_bounds() {
         assert!(MembershipPlan::crash(1, 4).validate(4, 8).is_ok());
         assert!(MembershipPlan::crash(4, 4).validate(4, 8).is_err());
@@ -940,6 +884,10 @@ mod tests {
             .is_err());
         // A 2-rank cluster cannot survive any permanent loss...
         assert!(MembershipPlan::crash(0, 1).validate(2, 8).is_err());
+        // ...which is an elastic rule: the range alone allows it.
+        assert!(MembershipPlan::crash(0, 1).check_range(2, 8).is_ok());
+        assert!(MembershipPlan::crash(2, 1).check_range(2, 8).is_err());
+        assert!(MembershipPlan::crash(0, 8).check_range(2, 8).is_err());
         // ...but a crash paired with a rejoin is allowed to flap.
         assert!(MembershipPlan::crash_then_rejoin(0, 1, 3)
             .validate(3, 8)

@@ -18,8 +18,8 @@
 //!
 //! The split mirrors what CGX argues for: the compression stack and
 //! task manager never learn which transport they are on, so swapping
-//! channels for sockets (or a fault-injecting wrapper) is a
-//! constructor choice, not a rewrite.
+//! channels for sockets (or for the runtime's fault-injecting envelope
+//! link over channels) is a constructor choice, not a rewrite.
 
 #![forbid(unsafe_code)]
 
@@ -37,6 +37,7 @@ pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
 pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict, Sealed};
 pub use tcp::TcpLink;
 
+use hipress_util::SyncFailure;
 use std::fmt;
 use std::time::Duration;
 
@@ -133,6 +134,11 @@ pub enum FabricError {
     },
     /// The fabric was shut down (every sender dropped).
     Closed,
+    /// A failure the link diagnosed itself and reports already
+    /// structured: a peer silent past the receive deadline, a link
+    /// whose retry budget ran out, a straggler its policy would not
+    /// wait for.
+    Sync(SyncFailure),
 }
 
 impl fmt::Display for FabricError {
@@ -152,6 +158,7 @@ impl fmt::Display for FabricError {
             ),
             FabricError::Io { peer, detail } => write!(f, "i/o with node {peer}: {detail}"),
             FabricError::Closed => write!(f, "fabric closed"),
+            FabricError::Sync(s) => write!(f, "{s}"),
         }
     }
 }

@@ -24,7 +24,7 @@ fn frame(seq: u64, tag: u32) -> Frame {
 /// A sealed data envelope announcing task `tag`.
 fn envelope(seq: u64, tag: u32) -> Envelope {
     let payload = Payload::Raw(vec![tag as f32 + 0.5, -1.0]);
-    Envelope::data(0, seq, TaskId(tag), Some(Arc::new(payload)))
+    Envelope::data(0, seq, TaskId(tag), Some(Arc::new(payload)), 0)
 }
 
 /// What the suite needs of an item: the machine's bound, printable.

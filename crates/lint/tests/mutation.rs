@@ -394,7 +394,7 @@ fn unmutated_envelopes_are_clean() {
         let mut tx = env_tx(3, now);
         let mut rx = RelRx::new();
         let env = tx.admit(now, |s| {
-            Envelope::data(1, s, TaskId(40 + seq as u32), payload)
+            Envelope::data(1, s, TaskId(40 + seq as u32), payload, 0)
         });
         assert!(env.verify(), "sealed envelope must verify");
         assert_eq!(rx.accept(&env), RxVerdict::Deliver);
@@ -419,7 +419,7 @@ fn every_seeded_envelope_mutation_is_caught() {
         for (pi, payload) in payload_variants(&mut rng).into_iter().enumerate() {
             for mutation in ENV_MUTATIONS {
                 let task = TaskId((round * 10 + pi as u64) as u32);
-                let env = Envelope::data(pi, round, task, payload.clone());
+                let env = Envelope::data(pi, round, task, payload.clone(), 0);
                 let mut rx = RelRx::new();
                 match mutation {
                     EnvMutation::CorruptChecksum => {
@@ -461,7 +461,8 @@ fn every_seeded_envelope_mutation_is_caught() {
                         let budget = 3u32;
                         let now = Instant::now();
                         let mut tx = env_tx(budget, now);
-                        let sent = tx.admit(now, |s| Envelope::data(pi, s, task, payload.clone()));
+                        let sent =
+                            tx.admit(now, |s| Envelope::data(pi, s, task, payload.clone(), 0));
                         // With every ack dropped, each expiry bumps
                         // the attempt until the budget is exhausted.
                         let mut clock = now;

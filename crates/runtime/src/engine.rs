@@ -22,11 +22,10 @@
 //! parameters — that cross-validation is what lets the simulator and
 //! the runtime vouch for each other.
 //!
-//! [`NodeCore`] is shared between the trusted-fabric loop
-//! ([`crate::pipeline`]) and the fault-tolerant worker in
-//! [`crate::ft`] (which trusts nothing): both run the same dataflow,
-//! so surviving an unreliable fabric cannot change what gets
-//! computed — only whether it completes.
+//! There is one loop over [`NodeCore`] ([`crate::pipeline`]), whatever
+//! link it runs on: a fault-tolerant link ([`crate::ft`]) changes how
+//! messages travel, never what gets computed — only whether it
+//! completes.
 
 use crate::report::RuntimeReport;
 use hipress_compress::Compressor;
@@ -54,14 +53,15 @@ pub struct RuntimeConfig {
     /// instead of hanging (a lost peer or malformed graph, not
     /// ordinary slowness).
     pub inbox_timeout: Duration,
-    /// Shortest inbox poll the fault-tolerant worker uses between
-    /// protocol timer checks (the floor of its adaptive wait).
+    /// Shortest inbox poll a retransmitting link (the fault-tolerant
+    /// envelope link, the TCP fabric) uses between protocol timer
+    /// checks (the floor of its adaptive wait).
     pub ft_min_wait: Duration,
-    /// Longest inbox poll the fault-tolerant worker allows before
-    /// re-checking its retransmission and straggler timers.
+    /// Longest inbox poll a retransmitting link allows before
+    /// re-checking its retransmission (and straggler) timers.
     pub ft_max_wait: Duration,
-    /// Idle interval after which a fault-tolerant link emits a
-    /// heartbeat (also the TCP fabric's link heartbeat).
+    /// Heartbeat period of the fault-tolerant envelope link, and the
+    /// idle interval after which a TCP fabric link pings.
     pub ft_heartbeat: Duration,
 }
 
@@ -223,13 +223,11 @@ pub(crate) fn record_run_span(
 ) {
     if let Some(tr) = tracer {
         let engine = tr.thread_track("engine");
-        let mut args = vec![("nodes", nodes as u64)];
-        if iterations > 0 {
-            // Every trusted-fabric run; only the fault-tolerant
-            // worker, which has no iteration notion, reports zero.
-            args.push(("iterations", iterations));
-            args.push(("window", pipeline_window));
-        }
+        let mut args = vec![
+            ("nodes", nodes as u64),
+            ("iterations", iterations),
+            ("window", pipeline_window),
+        ];
         if epochs > 0 {
             // Elastic runs only; fixed-membership runs carry no epoch
             // arg so their traces stay byte-identical to before.
@@ -769,11 +767,9 @@ impl NodePlan {
     }
 }
 
-/// One node's dataflow state and primitive execution: cells,
-/// codec outputs, received payloads, measurements. Shared verbatim
-/// between the trusted-fabric loop ([`crate::pipeline`]) and the
-/// fault-tolerant worker ([`crate::ft`]) — the fabrics differ, the
-/// computation cannot.
+/// One node's dataflow state and primitive execution for one
+/// iteration: cells, codec outputs, received payloads, measurements.
+/// Whatever link the loop runs on, the computation is this one.
 pub(crate) struct NodeCore<'a> {
     pub(crate) node: usize,
     pub(crate) graph: &'a TaskGraph,
@@ -829,16 +825,10 @@ impl<'a> NodeCore<'a> {
             inbound: HashMap::new(),
             skipped_out: HashSet::new(),
             report: RuntimeReport::default(),
-            trace: None,
+            trace,
             metrics,
             iter: 0,
         }
-        .with_trace(trace)
-    }
-
-    fn with_trace(mut self, trace: Option<NodeTrace>) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Finds the transitive dependency of `id` matching `pred`,
@@ -1439,8 +1429,8 @@ mod tests {
     fn inbox_timeout_is_configurable() {
         // A shortened deadline still completes healthy runs; the knob
         // exists so a lost peer surfaces as an error, not a hang (the
-        // fault-tolerant path in crate::ft exercises the failure
-        // side with per-recv deadlines).
+        // fault-tolerant link in crate::ft exercises the failure
+        // side with its receive deadline).
         let nodes = 2;
         let sizes = [128usize];
         let grads = worker_grads(nodes, &sizes);
@@ -1524,26 +1514,19 @@ mod tests {
         compressor: Option<&dyn Compressor>,
         pipeline: crate::PipelineConfig,
     ) -> Vec<HashMap<(u32, u32), Cell>> {
-        use hipress_fabric::{ChannelFabric, Fabric};
         let layout = FlowLayout::derive(graph, nodes, flows).unwrap();
         let plan = NodePlan::derive(graph, nodes);
-        let mut fabric: ChannelFabric<Msg> = ChannelFabric::new(nodes);
         let config = RuntimeConfig::default();
-        let results = std::thread::scope(|scope| {
-            let handles = (0..nodes)
-                .map(|node| {
-                    let mut link = fabric.link(node).unwrap();
-                    let (layout, plan, config) = (&layout, &plan, &config);
-                    scope.spawn(move || {
-                        crate::pipeline::drive_node(
-                            &mut link, graph, flows, layout, plan, compressor, 5, config,
-                            &pipeline, None, None, None, None,
-                        )
-                    })
-                })
-                .collect();
-            crate::pipeline::join_nodes(handles)
-        });
+        let results = crate::pipeline::on_threads(
+            vec![None; nodes],
+            vec![None; nodes],
+            |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
+                crate::pipeline::drive_node(
+                    &mut link, graph, flows, &layout, &plan, compressor, 5, &config, &pipeline,
+                    None, None, None, None,
+                )
+            },
+        );
         results.into_iter().map(|r| r.unwrap().0).collect()
     }
 

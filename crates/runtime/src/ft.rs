@@ -1,14 +1,17 @@
-//! The fault-tolerant CaSync-RT execution path.
+//! The fault-tolerant link: the envelope protocol and fault injection
+//! as a [`Link`].
 //!
-//! [`crate::run`] with [`crate::RunOptions::chaos`] set executes the
-//! same task graphs as the trusted-fabric loop, on the same per-node
-//! dataflow core and task manager, but speaks the envelope protocol
-//! of [`crate::protocol`] over a fabric wrapped in a
-//! [`hipress_chaos::FaultPlan`]: every inter-node message is
-//! sequence-numbered and checksummed, receivers verify / dedup / ack,
+//! [`crate::run`] with [`crate::RunOptions::chaos`] set drives the
+//! same node loop as every other run ([`crate::pipeline`]: pipelining,
+//! §3.2 batching, iteration spans and progress records included), over
+//! an [`FtLink`] instead of a plain channel link. The link trusts
+//! nothing: every message it carries is a sequence-numbered,
+//! checksummed [`Envelope`] ([`crate::protocol`]) that passes the
+//! plan's [`Injector`] on its way out; receivers verify / dedup / ack,
 //! senders retransmit with exponential backoff under a bounded retry
 //! budget, and a per-peer EWMA straggler detector drives a
-//! configurable degradation policy.
+//! configurable degradation policy. The node's own stall and crash
+//! triggers fire inside the loop ([`NodeHooks`]).
 //!
 //! The contract, checked by the chaos property harness:
 //!
@@ -29,36 +32,27 @@
 //! partial aggregation — fast, approximate), or abort with a
 //! structured straggler error.
 
-use crate::engine::{
-    FlowLayout, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload, ReplicaFlows,
-    RuntimeConfig,
-};
-use crate::pipeline::{join_nodes, IterState};
+use crate::engine::{Msg, NodePlan, NodeResult, NodeTrace, Payload, RuntimeConfig};
+use crate::pipeline::{fabric_err, NodeHooks, RunOptions};
 use crate::protocol::{self, Body, Envelope, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
-use crate::report::{DegradeAction, StragglerVerdict};
-use hipress_chaos::{ChaosLink, FaultPlan, SendEffects};
-use hipress_compress::Compressor;
+use crate::report::{DegradeAction, FaultReport, StragglerVerdict};
+use hipress_chaos::{FaultPlan, Injector, Verdict};
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
-use hipress_metrics::names;
-use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters};
+use hipress_metrics::{names, Counter, Scope};
+use hipress_util::{SyncFailure, SyncFailureKind};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// The worker's wait floor/ceiling and heartbeat period live on
-// `RuntimeConfig` (`ft_min_wait` / `ft_max_wait` / `ft_heartbeat`) so
-// callers — and the socket fabric, which shares the same discipline —
-// tune one set of knobs. Heartbeats are what let the straggler
-// detector tell *stuck* from *slow*: a busy or blocked node keeps
-// pinging on every timer pass, while an injected stall (or a crash)
-// silences the node entirely. They also pin each peer's inter-arrival
-// EWMA near the heartbeat period, so straggler thresholds converge to
-// `straggler_factor × ft_heartbeat` regardless of how chatty the
-// algorithm itself is. Tasks that block the executor longer than that
-// product can be misflagged — raise `straggler_floor` when driving
-// very coarse workloads.
+// The wait floor/ceiling and heartbeat period are `RuntimeConfig`'s
+// `ft_*` knobs, shared with the socket fabric. Heartbeats tell *stuck*
+// from *slow*: a node whose loop keeps polling its link pings on every
+// timer pass, a stalled or crashed one goes silent. They also pin each
+// peer's inter-arrival EWMA near the period, so thresholds converge to
+// `straggler_factor × ft_heartbeat`; a task blocking the loop longer
+// than that can be misflagged (raise `straggler_floor` for coarse
+// workloads).
 
 /// What to do about a diagnosed straggler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,7 +64,8 @@ pub enum DegradePolicy {
     /// Skip the straggler's outstanding contributions and rescale the
     /// affected aggregates by `expected / received` (bounded-staleness
     /// partial aggregation). The run completes degraded: exact for the
-    /// contributions that did arrive, approximate for the holes.
+    /// contributions that did arrive, approximate for the holes. One
+    /// iteration only: a run of more is a configuration error.
     Partial,
     /// Abort the run with a structured [`SyncFailure`] naming the
     /// straggler.
@@ -118,754 +113,626 @@ impl Default for FaultTolerance {
     }
 }
 
-/// Per-node metric handles for fault accounting, pre-resolved like
-/// the engine's [`crate::engine::Instruments`] handles so the hot
-/// path is pure atomic recording.
-struct FtMetrics {
-    injected: [hipress_metrics::Counter; 6],
-    retries: hipress_metrics::Counter,
-    nacks: hipress_metrics::Counter,
-    dups_ignored: hipress_metrics::Counter,
-    corrupt_detected: hipress_metrics::Counter,
-    degraded: hipress_metrics::Counter,
-    verdicts: [hipress_metrics::Counter; 3],
+/// The link-level fault events: what the plan injected, and what the
+/// protocol did about it.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Drop,
+    Dup,
+    Reorder,
+    Delay,
+    Corrupt,
+    Retry,
+    Nack,
+    DupIgnored,
+    CorruptDetected,
+    Skip,
 }
 
-/// Injection kinds in [`FtMetrics::injected`] order (and the trace
-/// instant names of the `chaos` category).
-const INJECT_KINDS: [&str; 6] = ["drop", "dup", "reorder", "delay", "corrupt", "stall"];
-/// Verdict actions in [`FtMetrics::verdicts`] order.
-const VERDICT_ACTIONS: [&str; 3] = ["waited", "skipped", "aborted"];
+/// Per [`Fault`], in order: the trace instant `(category, name)` that
+/// [`crate::RuntimeReport::from_trace`] counts (`chaos` injections,
+/// `ft` recoveries), and the metric that counts it.
+const FAULTS: [(&str, &str, &str); 10] = [
+    ("chaos", "drop", names::CHAOS_INJECTED),
+    ("chaos", "dup", names::CHAOS_INJECTED),
+    ("chaos", "reorder", names::CHAOS_INJECTED),
+    ("chaos", "delay", names::CHAOS_INJECTED),
+    ("chaos", "corrupt", names::CHAOS_INJECTED),
+    ("ft", "retry", names::FT_RETRIES),
+    ("ft", "nack", names::FT_NACKS),
+    ("ft", "dup_ignored", names::FT_DUPLICATES_IGNORED),
+    ("ft", "corrupt_detected", names::FT_CORRUPTIONS_DETECTED),
+    ("ft", "skip", names::FT_DEGRADED_CHUNKS),
+];
+
+/// Per-node metric handles for fault accounting, pre-resolved like
+/// the engine's node metrics so the protocol path is pure atomic
+/// recording.
+struct FtMetrics {
+    faults: [Counter; FAULTS.len()],
+    /// Indexed by [`DegradeAction`].
+    verdicts: [Counter; 3],
+    stall: Counter,
+}
 
 impl FtMetrics {
-    fn new(scope: &hipress_metrics::Scope, node: usize) -> Self {
+    fn new(scope: &Scope, node: usize) -> Self {
         let s = scope.with(&[("node", &node.to_string())]);
+        let injected = |kind| s.counter(names::CHAOS_INJECTED, &[("kind", kind)]);
         Self {
-            injected: std::array::from_fn(|i| {
-                s.counter(names::CHAOS_INJECTED, &[("kind", INJECT_KINDS[i])])
+            faults: FAULTS.map(|(category, name, metric)| match category {
+                "chaos" => injected(name),
+                _ => s.counter(metric, &[]),
             }),
-            retries: s.counter(names::FT_RETRIES, &[]),
-            nacks: s.counter(names::FT_NACKS, &[]),
-            dups_ignored: s.counter(names::FT_DUPLICATES_IGNORED, &[]),
-            corrupt_detected: s.counter(names::FT_CORRUPTIONS_DETECTED, &[]),
-            degraded: s.counter(names::FT_DEGRADED_CHUNKS, &[]),
-            verdicts: std::array::from_fn(|i| {
-                s.counter(
-                    names::FT_STRAGGLER_VERDICTS,
-                    &[("action", VERDICT_ACTIONS[i])],
-                )
-            }),
+            verdicts: [
+                DegradeAction::Waited,
+                DegradeAction::Skipped,
+                DegradeAction::Aborted,
+            ]
+            .map(|a| s.counter(names::FT_STRAGGLER_VERDICTS, &[("action", &a.to_string())])),
+            stall: injected("stall"),
         }
     }
 }
 
-/// One directed peer connection: sender-side reliability state,
-/// receiver-side integrity state, and the fault-injecting sender.
-struct PeerLink {
+/// One peer as this node's link sees it.
+struct Peer {
+    /// Send-side reliability for envelopes to the peer.
     tx: RelTx<Envelope>,
+    /// Receive-side integrity for envelopes from it.
     rx: RelRx,
-    chaos: ChaosLink<Envelope>,
+    /// The plan's faults on the way to it.
+    inject: Injector<Envelope>,
+    /// The completions `(iter, task)` it still owes this node. A
+    /// delivery not in here (a late one after a degradation skip) is
+    /// acked and ignored, never handed to the loop twice.
+    owed: BTreeSet<(u32, u32)>,
+    last_heard: Instant,
+    ewma_gap_ns: f64,
+    /// Carries a straggler verdict (one per peer).
+    flagged: bool,
+    /// Said [`Body::Done`] (for this node's own slot: announced it).
+    done: bool,
 }
 
-/// Runs every node of `graph` as a fault-tolerant worker thread under
-/// `fplan` and returns the per-node results — the untrusted-fabric
-/// half of [`crate::run`]. With `FaultPlan::none` this is the
-/// fault-free envelope path: same results as the trusted loop, plus
-/// checksum/ack overhead (measured by the `chaos_overhead` bench).
-///
-/// Batch compression is a trusted-loop optimization; the
-/// fault-tolerant worker executes tasks singly (the config's other
-/// knobs apply).
-///
-/// A node's `Err` is a structured [`Error::Sync`] failure when the
-/// plan is unrecoverable: dead links, receive deadlines, straggler
-/// aborts, injected crashes, and the abort echoes those cause.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_nodes(
-    graph: &TaskGraph,
-    flows: &ReplicaFlows,
-    layout: &FlowLayout,
-    nplan: &NodePlan,
-    compressor: Option<&dyn Compressor>,
-    seed: u64,
-    config: &RuntimeConfig,
-    ft: &FaultTolerance,
-    fplan: &FaultPlan,
-    node_traces: Vec<Option<NodeTrace>>,
-    node_metrics: Vec<Option<NodeMetrics>>,
-    scope_metrics: Option<&hipress_metrics::Scope>,
-) -> Vec<NodeResult> {
-    let nodes = node_traces.len();
-    let poison = AtomicBool::new(false);
-    let done_nodes = AtomicUsize::new(0);
-    let (txs, rxs): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
-        (0..nodes).map(|_| mpsc::channel()).unzip();
-    let tuning = LinkTuning {
-        retry_budget: ft.retry_budget,
-        base_backoff: ft.base_backoff,
-        max_backoff: ft.max_backoff,
-        heartbeat: config.ft_heartbeat,
-    };
-
-    std::thread::scope(|scope| {
-        let handles = rxs
-            .into_iter()
-            .zip(node_traces.into_iter().zip(node_metrics))
-            .enumerate()
-            .map(|(node, (rx, (trace, metrics)))| {
-                let txs = txs.clone();
-                let (poison, done_nodes) = (&poison, &done_nodes);
-                let fmetrics = scope_metrics.map(|s| FtMetrics::new(s, node));
-                scope.spawn(move || {
-                    let now = Instant::now();
-                    let links = txs
-                        .iter()
-                        .enumerate()
-                        .map(|(peer, tx)| PeerLink {
-                            tx: RelTx::for_items(node as u32, tuning, now),
-                            rx: RelRx::new(),
-                            chaos: ChaosLink::new(node, peer, tx.clone()),
-                        })
-                        .collect();
-                    let core =
-                        NodeCore::new(node, graph, flows, layout, compressor, seed, trace, metrics);
-                    let mut worker = FtWorker {
-                        st: IterState::new(core, nplan),
-                        plan: nplan,
-                        fplan,
-                        ft: *ft,
-                        config: *config,
-                        nodes,
-                        rx,
-                        links,
-                        direct: txs,
-                        poison,
-                        done_nodes,
-                        resolved_remote: HashSet::new(),
-                        executed: 0,
-                        stall_done: false,
-                        last_progress: now,
-                        last_heard: vec![now; nodes],
-                        ewma_gap_ns: vec![ft.straggler_floor.as_nanos() as f64; nodes],
-                        flagged: vec![false; nodes],
-                        skipped_peers: HashSet::new(),
-                        last_beat: now,
-                        fmetrics,
-                    };
-                    worker.run()
-                })
-            })
-            .collect();
-        join_nodes(handles)
-    })
-}
-
-/// One node's fault-tolerant task manager: the engine's dataflow core
-/// behind the envelope protocol.
-struct FtWorker<'a> {
-    /// The one iteration's dataflow core and task-manager state (the
-    /// same promotion discipline as the trusted loop).
-    st: IterState<'a>,
-    plan: &'a NodePlan,
+/// One node's endpoint on the fault-tolerant fabric: a [`Link`] over
+/// a channel link of [`Envelope`]s that seals, injects, verifies,
+/// acknowledges, retransmits and watches its peers, handing the node
+/// loop the same [`Msg`]s a trusted link would. Drive the loop with
+/// [`crate::pipeline`] as usual, then [`FtLink::finish`] the run.
+pub(crate) struct FtLink<'a> {
+    inner: ChannelLink<Envelope>,
+    graph: &'a TaskGraph,
     fplan: &'a FaultPlan,
     ft: FaultTolerance,
     config: RuntimeConfig,
-    nodes: usize,
-    rx: Receiver<Envelope>,
-    links: Vec<PeerLink>,
-    /// Raw senders, bypassing fault injection — aborts are
-    /// control-plane and always get through.
-    direct: Vec<Sender<Envelope>>,
-    poison: &'a AtomicBool,
-    /// Nodes that finished all local tasks with idle links; everyone
-    /// lingers (servicing acks) until this reaches the node count.
-    done_nodes: &'a AtomicUsize,
-    /// Remote tasks whose completion has been consumed — by a genuine
-    /// delivery or a degradation skip. Late deliveries after a skip
-    /// are acked and ignored, never double-resolved.
-    resolved_remote: HashSet<u32>,
-    /// Local executions so far (the coordinate stall/crash triggers
-    /// fire on).
-    executed: usize,
-    stall_done: bool,
-    last_progress: Instant,
-    last_heard: Vec<Instant>,
-    ewma_gap_ns: Vec<f64>,
-    /// Peers already carrying a straggler verdict (one per peer).
-    flagged: Vec<bool>,
-    skipped_peers: HashSet<usize>,
+    /// Indexed by rank; this node's own slot only carries `done`.
+    peers: Vec<Peer>,
+    /// Completions ready for the loop (deliveries and skip holes).
+    inbox: VecDeque<Msg>,
     /// When this node last broadcast a liveness [`Body::Ping`].
     last_beat: Instant,
-    fmetrics: Option<FtMetrics>,
+    last_progress: Instant,
+    /// Data envelopes sent, first transmissions only.
+    frames: u64,
+    faults: FaultReport,
+    trace: Option<NodeTrace>,
+    metrics: Option<FtMetrics>,
 }
 
-impl FtWorker<'_> {
-    fn node(&self) -> usize {
-        self.st.core.node
+impl<'a> FtLink<'a> {
+    /// Wraps `inner` for `opts`'s run of `graph` under `chaos`'s
+    /// tuning and fault plan; the hooks fire the plan's stall and crash
+    /// triggers for this node inside its loop.
+    pub(crate) fn new(
+        inner: ChannelLink<Envelope>,
+        graph: &'a TaskGraph,
+        plan: &NodePlan,
+        chaos: &'a (FaultTolerance, FaultPlan),
+        opts: &RunOptions<'_>,
+        trace: Option<NodeTrace>,
+    ) -> (Self, NodeHooks) {
+        let ((ft, fplan), config) = (chaos, &opts.config);
+        let (me, now) = (inner.me(), Instant::now());
+        let tuning = LinkTuning {
+            retry_budget: ft.retry_budget,
+            base_backoff: ft.base_backoff,
+            max_backoff: ft.max_backoff,
+            heartbeat: config.ft_heartbeat,
+        };
+        let mut peers: Vec<Peer> = (0..inner.nodes())
+            .map(|peer| Peer {
+                tx: RelTx::for_items(me as u32, tuning, now),
+                rx: RelRx::new(),
+                inject: Injector::new(me, peer),
+                owed: BTreeSet::new(),
+                last_heard: now,
+                ewma_gap_ns: ft.straggler_floor.as_nanos() as f64,
+                flagged: false,
+                done: false,
+            })
+            .collect();
+        for &task in plan.remote_edges_in[me].keys() {
+            let owner = &mut peers[graph.task(TaskId(task)).node];
+            owner
+                .owed
+                .extend((0..opts.pipeline.iterations).map(|iter| (iter, task)));
+        }
+        let metrics = opts.instruments.metrics.map(|s| FtMetrics::new(s, me));
+        let hooks = NodeHooks {
+            faults: fplan.node_faults(me).copied().unwrap_or_default(),
+            stall_metric: metrics.as_ref().map(|m| m.stall.clone()),
+            ..NodeHooks::default()
+        };
+        let link = Self {
+            inner,
+            graph,
+            fplan,
+            ft: *ft,
+            config: *config,
+            peers,
+            inbox: VecDeque::new(),
+            last_beat: now,
+            last_progress: now,
+            frames: 0,
+            faults: FaultReport::default(),
+            trace,
+            metrics,
+        };
+        (link, hooks)
     }
 
-    fn run(&mut self) -> NodeResult {
-        match self.run_inner() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                // Crashes are silent (peers must diagnose the
-                // silence); abort echoes were already broadcast by
-                // their origin. Everything else poisons the cluster.
-                let silent = matches!(
-                    e.as_sync().map(|s| s.kind),
-                    Some(SyncFailureKind::InjectedCrash) | Some(SyncFailureKind::Aborted)
-                );
-                if !silent {
-                    self.broadcast_abort();
-                }
-                Err(e)
+    /// Ends the node's run over this link. A completed loop lingers
+    /// ([`FtLink::drain`]) and folds the link's fault accounting into
+    /// its report. A failure is broadcast as an abort, unless it is an
+    /// injected crash (silent: peers must diagnose it) or itself the
+    /// echo of a peer's abort.
+    pub(crate) fn finish(mut self, result: NodeResult) -> NodeResult {
+        let me = self.me();
+        let result = result.and_then(|(cells, mut report)| {
+            self.drain().map_err(|e| fabric_err(me, e))?;
+            report.faults.absorb(&self.faults);
+            Ok((cells, report))
+        });
+        if let Err(e) = &result {
+            let silent = matches!(
+                e.as_sync().map(|s| s.kind),
+                Some(SyncFailureKind::InjectedCrash | SyncFailureKind::Aborted)
+            );
+            if !silent {
+                self.broadcast(Body::Abort);
             }
         }
+        result
     }
 
-    fn run_inner(&mut self) -> NodeResult {
-        let total = self.plan.local_counts[self.node()];
-        let mut counted_done = false;
+    /// Lingers after the node's last task: peers may still need acks
+    /// (or retransmissions) from this node. Announces [`Body::Done`]
+    /// once everything it sent is acknowledged, and returns once every
+    /// peer has announced too — by then every envelope anywhere is
+    /// acknowledged, so nobody needs anyone.
+    fn drain(&mut self) -> Result<(), FabricError> {
+        let me = self.me();
+        self.last_progress = Instant::now();
         loop {
-            if self.poison.load(Ordering::Relaxed) {
-                return Err(self.aborted(None));
+            self.pump()?;
+            let settled = |p: &Peer| p.tx.idle() && p.inject.held() == 0;
+            if !self.peers[me].done && self.peers.iter().all(settled) {
+                self.peers[me].done = true;
+                self.broadcast(Body::Done);
+                self.last_progress = Instant::now();
             }
-            loop {
-                match self.rx.try_recv() {
-                    Ok(env) => self.handle(env)?,
-                    Err(_) => break,
-                }
+            if self.peers.iter().all(|p| p.done) {
+                return Ok(());
             }
-            self.tick()?;
-            if self.st.done < total {
-                if let Some(t) = self.st.pop_ready() {
-                    self.node_fault_gate()?;
-                    let outbound = self.st.core.execute_one(t)?;
-                    self.finish(t, outbound);
-                    self.executed += 1;
-                    self.last_progress = Instant::now();
-                    continue;
-                }
-                self.idle_checks()?;
-                match self.rx.recv_timeout(self.wait_budget()) {
-                    Ok(env) => self.handle(env)?,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(self.recv_timeout(None, "fabric disconnected"));
-                    }
-                }
-            } else {
-                // Lingering: all local tasks done, but peers may still
-                // need acks (or retransmissions) from us. Stay live
-                // until every node reports done.
-                if !counted_done && self.links_idle() {
-                    counted_done = true;
-                    self.last_progress = Instant::now();
-                    // Last node out wakes everyone: lingering peers
-                    // otherwise only notice the counter on their next
-                    // poll, stretching every run's tail by a poll
-                    // period per node.
-                    if self.done_nodes.fetch_add(1, Ordering::SeqCst) + 1 >= self.nodes {
-                        for (n, tx) in self.direct.iter().enumerate() {
-                            if n != self.node() {
-                                let _ = tx.send(Envelope::control(self.node(), Body::Done));
-                            }
-                        }
-                    }
-                }
-                if counted_done && self.done_nodes.load(Ordering::SeqCst) >= self.nodes {
-                    break;
-                }
-                if self.last_progress.elapsed() > self.ft.recv_deadline {
-                    return Err(self.recv_timeout(None, "cluster incomplete after deadline"));
-                }
-                match self.rx.recv_timeout(self.wait_budget()) {
-                    Ok(env) => self.handle(env)?,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    // Every peer has exited; nothing more can arrive
-                    // and nobody needs us.
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+            if self.last_progress.elapsed() > self.ft.recv_deadline {
+                return Err(self.failure(
+                    SyncFailureKind::RecvTimeout,
+                    None,
+                    "cluster incomplete after deadline".into(),
+                ));
+            }
+            if let Some(env) = self.inner.recv_timeout(self.wait_budget())? {
+                self.handle(env)?;
             }
         }
-        Ok((
-            std::mem::take(&mut self.st.core.cells),
-            std::mem::take(&mut self.st.core.report),
-        ))
     }
 
-    // ------------------------------------------------------------------
-    // Fabric: envelopes in.
+    /// Runs the timers and takes in everything that has arrived.
+    fn pump(&mut self) -> Result<(), FabricError> {
+        self.tick()?;
+        while let Some(env) = self.inner.try_recv()? {
+            self.handle(env)?;
+        }
+        Ok(())
+    }
 
-    fn handle(&mut self, env: Envelope) -> Result<()> {
+    fn handle(&mut self, env: Envelope) -> Result<(), FabricError> {
         let from = env.src;
-        if from != self.node() && from < self.nodes {
-            self.heard(from);
+        if from != self.me() {
+            let p = &mut self.peers[from];
+            let now = Instant::now();
+            let gap = now.duration_since(p.last_heard).as_nanos() as f64;
+            p.ewma_gap_ns = protocol::ewma_update(p.ewma_gap_ns, gap);
+            p.last_heard = now;
         }
         match env.body {
-            Body::Abort => Err(self.aborted(Some(from))),
+            Body::Abort => {
+                return Err(self.failure(SyncFailureKind::Aborted, Some(from), String::new()));
+            }
             Body::Ack { seq } => {
-                if env.verify() && self.links[from].tx.on_ack(seq) {
+                if env.verify() && self.peers[from].tx.on_ack(seq) {
                     self.last_progress = Instant::now();
                 }
-                Ok(())
             }
-            Body::Nack { seq } => {
-                if !env.verify() {
-                    return Ok(());
-                }
-                match self.links[from].tx.on_nack(seq, Instant::now()) {
+            Body::Nack { seq } if env.verify() => {
+                match self.peers[from].tx.on_nack(seq, Instant::now()) {
                     Ok(Some(resend)) => {
-                        self.note_retry();
-                        let fx = self.links[from].chaos.send(
-                            self.fplan,
-                            resend.seq,
-                            resend.attempt,
-                            resend,
-                        );
-                        self.note_effects(fx);
-                        Ok(())
+                        self.note(Fault::Retry);
+                        self.inject(from, resend.seq, resend);
                     }
-                    Ok(None) => Ok(()),
-                    Err(dead) => Err(self.dead_link(from, dead)),
+                    Ok(None) => {}
+                    Err(dead) => return Err(self.dead_link(from, dead)),
                 }
             }
-            Body::Data { .. } => {
-                self.handle_data(env);
-                Ok(())
-            }
-            // Pure wake-up: the loop re-checks the done counter next
-            // iteration and exits.
-            Body::Done => Ok(()),
-            // Liveness only: `heard` above already refreshed the
-            // peer's silence clock, which is the ping's entire job.
-            // Deliberately not progress — a cluster exchanging only
-            // heartbeats must still hit the receive deadline.
-            Body::Ping => Ok(()),
+            Body::Nack { .. } => {}
+            Body::Data { .. } => self.handle_data(env),
+            Body::Done => self.peers[from].done = true,
+            // Liveness only: the silence clock above is the ping's
+            // entire job. Deliberately not progress — a cluster
+            // exchanging only heartbeats must still hit the deadline.
+            Body::Ping => {}
         }
+        Ok(())
     }
 
     fn handle_data(&mut self, env: Envelope) {
         let from = env.src;
-        match self.links[from].rx.accept(&env) {
+        match self.peers[from].rx.accept(&env) {
             RxVerdict::Corrupt => {
-                self.st.core.report.faults.corruptions_detected += 1;
-                if let Some(m) = &self.fmetrics {
-                    m.corrupt_detected.inc();
-                }
-                self.ft_instant("corrupt_detected");
-                self.note_nack();
-                self.send_control(from, Body::Nack { seq: env.seq }, env.seq, env.attempt);
+                self.note(Fault::CorruptDetected);
+                self.note(Fault::Nack);
+                self.reply(from, Body::Nack { seq: env.seq }, &env);
             }
             RxVerdict::Duplicate => {
-                self.note_dup_ignored();
+                self.note(Fault::DupIgnored);
                 // Re-ack: the original ack may have been eaten.
-                self.send_control(from, Body::Ack { seq: env.seq }, env.seq, env.attempt);
+                self.reply(from, Body::Ack { seq: env.seq }, &env);
             }
             RxVerdict::Deliver => {
-                self.send_control(from, Body::Ack { seq: env.seq }, env.seq, env.attempt);
-                let Body::Data { task, payload } = env.body else {
+                self.reply(from, Body::Ack { seq: env.seq }, &env);
+                let Body::Data {
+                    task,
+                    payload,
+                    iter,
+                } = env.body
+                else {
                     unreachable!("handle_data is only called on Data envelopes");
                 };
-                if self.resolved_remote.contains(&task.0) {
+                if self.peers[from].owed.remove(&(iter, task.0)) {
+                    self.inbox.push_back(Msg::Done {
+                        task,
+                        payload,
+                        iter,
+                    });
+                    self.last_progress = Instant::now();
+                } else {
                     // A late real delivery after a degradation skip:
                     // acked (the sender may retire it) but ignored.
-                    self.note_dup_ignored();
-                    return;
+                    self.note(Fault::DupIgnored);
                 }
-                self.resolved_remote.insert(task.0);
-                self.st.deliver(self.plan, task, payload);
-                self.last_progress = Instant::now();
             }
         }
     }
 
-    /// Updates the liveness estimate for `peer` on any arrival.
-    fn heard(&mut self, peer: usize) {
-        let now = Instant::now();
-        let gap = now.duration_since(self.last_heard[peer]).as_nanos() as f64;
-        self.ewma_gap_ns[peer] = protocol::ewma_update(self.ewma_gap_ns[peer], gap);
-        self.last_heard[peer] = now;
+    /// Sends `env` to `to` through the plan's injector, `seq` being
+    /// the fault coordinate it is judged by.
+    fn inject(&mut self, to: usize, seq: u64, env: Envelope) {
+        let inner = &mut self.inner;
+        let verdict = self.peers[to]
+            .inject
+            .send(self.fplan, seq, env.attempt, env, |e| {
+                // A vanished peer is the protocol's to diagnose.
+                let _ = inner.send(to, e);
+            });
+        self.note_verdict(verdict);
     }
 
-    // ------------------------------------------------------------------
-    // Fabric: envelopes out.
-
-    /// Sends an ack/nack for a data envelope through the chaos fabric.
-    /// The reply borrows the data's `(seq, attempt)` as its fault
-    /// coordinates, so the plan's fault cap bounds loss on the reverse
-    /// path exactly as on the forward path (the reversed link indices
-    /// decorrelate the draws).
-    fn send_control(&mut self, to: usize, body: Body, seq: u64, attempt: u32) {
-        let mut env = Envelope::control(self.node(), body);
-        env.attempt = attempt; // outside the checksum
-        let fx = self.links[to].chaos.send(self.fplan, seq, attempt, env);
-        self.note_effects(fx);
+    /// Answers data envelope `data` with an ack or nack. The reply
+    /// travels through the injector under the data's `(seq, attempt)`,
+    /// so the plan's fault cap bounds loss on the reverse path exactly
+    /// as on the forward path (the reversed link decorrelates the
+    /// draws).
+    fn reply(&mut self, to: usize, body: Body, data: &Envelope) {
+        let mut env = Envelope::control(self.me(), body);
+        env.attempt = data.attempt; // outside the checksum
+        self.inject(to, data.seq, env);
     }
 
-    fn broadcast_abort(&mut self) {
-        self.poison.store(true, Ordering::Relaxed);
-        for (n, tx) in self.direct.iter().enumerate() {
-            if n != self.node() {
-                let _ = tx.send(Envelope::control(self.node(), Body::Abort));
-            }
+    /// Sends a control envelope to every peer past the injector —
+    /// aborts, pings and done announcements are never faulted.
+    fn broadcast(&mut self, body: Body) {
+        let me = self.me();
+        for peer in (0..self.peers.len()).filter(|&p| p != me) {
+            let _ = self.inner.send(peer, Envelope::control(me, body.clone()));
         }
     }
 
-    // ------------------------------------------------------------------
-    // Timers.
-
-    /// Drives everything clock-based: broadcasts liveness heartbeats,
-    /// releases chaos-held messages, and retransmits envelopes whose
-    /// timers expired.
-    fn tick(&mut self) -> Result<()> {
+    /// Drives everything clock-based: liveness heartbeats, releases of
+    /// injector-held envelopes, timer retransmissions.
+    fn tick(&mut self) -> Result<(), FabricError> {
         let now = Instant::now();
         if protocol::heartbeat_due(now.duration_since(self.last_beat), self.config.ft_heartbeat) {
             self.last_beat = now;
-            for (n, tx) in self.direct.iter().enumerate() {
-                if n != self.node() {
-                    let _ = tx.send(Envelope::control(self.node(), Body::Ping));
-                }
-            }
+            self.broadcast(Body::Ping);
         }
-        for peer in 0..self.nodes {
-            if peer == self.node() {
-                continue;
-            }
-            self.links[peer].chaos.flush_due(now);
-            let resends = match self.links[peer].tx.due(now) {
-                Ok(r) => r,
-                Err(dead) => return Err(self.dead_link(peer, dead)),
-            };
-            for env in resends {
-                self.note_retry();
-                let fx = self.links[peer]
-                    .chaos
-                    .send(self.fplan, env.seq, env.attempt, env);
-                self.note_effects(fx);
+        for peer in 0..self.peers.len() {
+            let inner = &mut self.inner;
+            self.peers[peer].inject.release(now, |e| {
+                let _ = inner.send(peer, e);
+            });
+            let resends = self.peers[peer].tx.due(now);
+            for env in resends.map_err(|dead| self.dead_link(peer, dead))? {
+                self.note(Fault::Retry);
+                self.inject(peer, env.seq, env);
             }
         }
         Ok(())
     }
 
-    /// Straggler detection and the hard receive deadline; called only
-    /// when the node has nothing ready to execute.
-    fn idle_checks(&mut self) -> Result<()> {
+    /// Straggler detection and the hard receive deadline; run only
+    /// while the loop has nothing to execute.
+    fn idle_checks(&mut self) -> Result<(), FabricError> {
         let now = Instant::now();
         // Collect every overdue peer, stalest first: a peer that went
         // silent because it is itself blocked on the real straggler
         // went silent *later*, so blaming the longest silence finds
         // the origin of a stall cascade, not its first victim.
-        let floor = self.ft.straggler_floor.as_nanos() as u64;
+        let (floor, factor) = (
+            self.ft.straggler_floor.as_nanos() as u64,
+            self.ft.straggler_factor,
+        );
         let mut overdue: Vec<(u64, u64, usize)> = self
-            .waiting_on()
-            .into_iter()
-            .filter(|&p| !self.skipped_peers.contains(&p) && !self.flagged[p])
-            .map(|p| {
-                let idle_ns = now.duration_since(self.last_heard[p]).as_nanos() as u64;
-                let threshold = protocol::straggler_threshold_ns(
-                    floor,
-                    self.ft.straggler_factor,
-                    self.ewma_gap_ns[p],
-                );
-                (idle_ns, threshold, p)
+            .peers
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.owed.is_empty() && !p.flagged)
+            .map(|(peer, p)| {
+                let idle_ns = now.duration_since(p.last_heard).as_nanos() as u64;
+                let threshold = protocol::straggler_threshold_ns(floor, factor, p.ewma_gap_ns);
+                (idle_ns, threshold, peer)
             })
             .filter(|&(idle_ns, threshold, _)| idle_ns > threshold)
             .collect();
-        overdue.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+        overdue.sort_unstable_by_key(|&(idle_ns, _, _)| std::cmp::Reverse(idle_ns));
         for (idle_ns, threshold, peer) in overdue {
+            self.verdict(peer, idle_ns);
             match self.ft.policy {
-                DegradePolicy::Wait => {
-                    self.record_verdict(peer, idle_ns, DegradeAction::Waited);
-                }
-                DegradePolicy::Partial => {
-                    self.record_verdict(peer, idle_ns, DegradeAction::Skipped);
-                    self.skip_peer(peer);
-                }
+                DegradePolicy::Wait => {}
+                DegradePolicy::Partial => self.skip(peer),
                 DegradePolicy::Abort => {
-                    self.record_verdict(peer, idle_ns, DegradeAction::Aborted);
-                    return Err(Error::sync(SyncFailure {
-                        kind: SyncFailureKind::Straggler,
-                        node: self.node(),
-                        peer: Some(peer),
-                        task: None,
-                        detail: format!(
+                    return Err(self.failure(
+                        SyncFailureKind::Straggler,
+                        Some(peer),
+                        format!(
                             "silent for {idle_ns}ns (threshold {threshold}ns), policy is abort"
                         ),
-                    }));
+                    ));
                 }
             }
         }
         if self.last_progress.elapsed() > self.ft.recv_deadline {
-            let peer = self.waiting_on().first().copied();
-            return Err(self.recv_timeout(
+            let peer = self.peers.iter().position(|p| !p.owed.is_empty());
+            let deadline = self.ft.recv_deadline;
+            return Err(self.failure(
+                SyncFailureKind::RecvTimeout,
                 peer,
-                &format!(
-                    "no progress within the {:?} receive deadline",
-                    self.ft.recv_deadline
-                ),
+                format!("no progress within the {deadline:?} receive deadline"),
             ));
         }
         Ok(())
     }
 
-    /// Peers owning unresolved remote tasks this node still needs.
-    fn waiting_on(&self) -> Vec<usize> {
-        let mut peers: Vec<usize> = self.plan.remote_edges_in[self.node()]
-            .keys()
-            .filter(|rt| !self.resolved_remote.contains(rt))
-            .map(|&rt| self.st.core.graph.task(TaskId(rt)).node)
-            .collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers
-    }
-
-    /// Bounded-staleness degradation: consume every outstanding
-    /// contribution from `peer` as a hole. Sends synthesize a
-    /// [`Payload::Skipped`] inbound (their receivers mark the hole and
-    /// the aggregates rescale at consumption); bare completion edges
-    /// resolve outright. Late real deliveries are acked and ignored.
-    fn skip_peer(&mut self, peer: usize) {
-        self.skipped_peers.insert(peer);
-        let mut outstanding: Vec<u32> = self.plan.remote_edges_in[self.node()]
-            .keys()
-            .filter(|rt| !self.resolved_remote.contains(rt))
-            .filter(|&&rt| self.st.core.graph.task(TaskId(rt)).node == peer)
-            .copied()
-            .collect();
-        outstanding.sort_unstable();
-        for rt in outstanding {
-            self.resolved_remote.insert(rt);
-            let hole = (self.st.core.graph.task(TaskId(rt)).prim == Primitive::Send)
-                .then(|| Arc::new(Payload::Skipped));
+    /// Bounded-staleness degradation: hands the loop every completion
+    /// `peer` still owes as a hole. A `Send` arrives as
+    /// [`Payload::Skipped`] (its receiver marks the hole and the
+    /// aggregates rescale at consumption); a bare completion edge just
+    /// resolves. Late real deliveries are acked and ignored.
+    fn skip(&mut self, peer: usize) {
+        for (iter, task) in std::mem::take(&mut self.peers[peer].owed) {
+            let task = TaskId(task);
+            let hole =
+                (self.graph.task(task).prim == Primitive::Send).then(|| Arc::new(Payload::Skipped));
             if hole.is_some() {
-                self.st.core.report.faults.degraded_chunks += 1;
-                if let Some(m) = &self.fmetrics {
-                    m.degraded.inc();
-                }
-                self.ft_instant("skip");
+                self.note(Fault::Skip);
             }
-            self.st.consume(self.plan, TaskId(rt), hole);
+            self.inbox.push_back(Msg::Done {
+                task,
+                payload: hole,
+                iter,
+            });
         }
         self.last_progress = Instant::now();
     }
 
-    // ------------------------------------------------------------------
-    // Node faults.
-
-    /// Applies this node's own stall/crash triggers before the
-    /// `executed`-th local execution.
-    fn node_fault_gate(&mut self) -> Result<()> {
-        let Some(nf) = self.fplan.node_faults(self.node()) else {
-            return Ok(());
-        };
-        if let Some(c) = nf.crash {
-            if self.executed == c.at_task {
-                // Stop cold, telling nobody: the receiver drops, the
-                // sends rot unacked, and the peers must diagnose it.
-                return Err(Error::sync(SyncFailure {
-                    kind: SyncFailureKind::InjectedCrash,
-                    node: self.node(),
-                    peer: None,
-                    task: None,
-                    detail: format!("injected crash before local task {}", c.at_task),
-                }));
-            }
-        }
-        if let Some(s) = nf.stall {
-            if self.executed == s.at_task && !self.stall_done {
-                self.stall_done = true;
-                self.st.core.report.faults.injected_stalls += 1;
-                if let Some(m) = &self.fmetrics {
-                    m.injected[5].inc();
-                }
-                self.chaos_instant("stall");
-                std::thread::sleep(Duration::from_nanos(s.dur_ns));
-            }
-        }
-        Ok(())
-    }
-
-    /// Marks `id` complete locally and ships enveloped completions to
-    /// remote dependents.
-    fn finish(&mut self, id: TaskId, payload: Option<Arc<Payload>>) {
-        self.st.complete(self.plan, id);
-        if let Some(nodes) = self.plan.remote_notify.get(&id.0) {
-            let (me, now) = (self.node(), Instant::now());
-            for &n in nodes {
-                let env = self.links[n]
-                    .tx
-                    .admit(now, |seq| Envelope::data(me, seq, id, payload.clone()));
-                let fx = self.links[n]
-                    .chaos
-                    .send(self.fplan, env.seq, env.attempt, env);
-                self.note_effects(fx);
-            }
-        }
-    }
-
-    fn links_idle(&self) -> bool {
-        self.links
-            .iter()
-            .all(|l| l.tx.idle() && l.chaos.held() == 0)
-    }
-
     /// How long the next blocking receive may sleep: until the
-    /// earliest retransmission or chaos-release deadline across all
-    /// links, clamped to `[ft_min_wait, ft_max_wait]`. Incoming
-    /// envelopes cut the wait short regardless, so a long budget costs
-    /// nothing on the fault-free path.
+    /// earliest retransmission or injector release, clamped to
+    /// `[ft_min_wait, ft_max_wait]`. Arrivals cut the wait short
+    /// regardless, so a long budget costs nothing on the fault-free
+    /// path.
     fn wait_budget(&self) -> Duration {
-        let mut next: Option<Instant> = None;
-        for l in &self.links {
-            for d in l.tx.next_due().into_iter().chain(l.chaos.next_release()) {
-                next = Some(next.map_or(d, |cur| cur.min(d)));
-            }
+        let (floor, ceiling) = (self.config.ft_min_wait, self.config.ft_max_wait);
+        self.peers
+            .iter()
+            .flat_map(|p| p.tx.next_due().into_iter().chain(p.inject.next_release()))
+            .min()
+            .map_or(ceiling, |due| {
+                due.saturating_duration_since(Instant::now())
+                    .clamp(floor, ceiling)
+            })
+    }
+
+    fn note(&mut self, f: Fault) {
+        let (category, name, _) = FAULTS[f as usize];
+        self.faults.count(name);
+        if let Some(m) = &self.metrics {
+            m.faults[f as usize].inc();
         }
-        match next {
-            Some(d) => d
-                .saturating_duration_since(Instant::now())
-                .clamp(self.config.ft_min_wait, self.config.ft_max_wait),
-            None => self.config.ft_max_wait,
+        if let Some(tr) = &self.trace {
+            tr.tracer
+                .instant(tr.track, name, category, tr.tracer.now_ns(), &[]);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Accounting.
-
-    /// Records what a chaos send injected.
-    fn note_effects(&mut self, fx: SendEffects) {
-        if fx.is_clean() {
-            return;
-        }
-        for (i, (hit, name)) in [
-            (fx.dropped, "drop"),
-            (fx.duplicated, "dup"),
-            (fx.reordered, "reorder"),
-            (fx.delayed, "delay"),
-            (fx.corrupted, "corrupt"),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+    /// Records what the injector did to a message.
+    fn note_verdict(&mut self, verdict: Verdict) {
+        let Verdict::Deliver(d) = verdict else {
+            return self.note(Fault::Drop);
+        };
+        for (hit, f) in [
+            (d.duplicate, Fault::Dup),
+            (d.reorder, Fault::Reorder),
+            (d.delay_ns > 0, Fault::Delay),
+            (d.corrupt_bit.is_some(), Fault::Corrupt),
+        ] {
             if hit {
-                let fr = &mut self.st.core.report.faults;
-                match i {
-                    0 => fr.injected_drops += 1,
-                    1 => fr.injected_dups += 1,
-                    2 => fr.injected_reorders += 1,
-                    3 => fr.injected_delays += 1,
-                    _ => fr.injected_corruptions += 1,
-                }
-                if let Some(m) = &self.fmetrics {
-                    m.injected[i].inc();
-                }
-                self.chaos_instant(name);
+                self.note(f);
             }
         }
     }
 
-    fn note_retry(&mut self) {
-        self.st.core.report.faults.retries += 1;
-        if let Some(m) = &self.fmetrics {
-            m.retries.inc();
-        }
-        self.ft_instant("retry");
-    }
-
-    fn note_nack(&mut self) {
-        self.st.core.report.faults.nacks += 1;
-        if let Some(m) = &self.fmetrics {
-            m.nacks.inc();
-        }
-        self.ft_instant("nack");
-    }
-
-    fn note_dup_ignored(&mut self) {
-        self.st.core.report.faults.duplicates_ignored += 1;
-        if let Some(m) = &self.fmetrics {
-            m.dups_ignored.inc();
-        }
-        self.ft_instant("dup_ignored");
-    }
-
-    fn record_verdict(&mut self, peer: usize, waited_ns: u64, action: DegradeAction) {
-        self.flagged[peer] = true;
-        self.st.core.report.faults.verdicts.push(StragglerVerdict {
-            node: self.node(),
+    /// Records a straggler verdict on `peer`, acted on per the policy.
+    fn verdict(&mut self, peer: usize, waited_ns: u64) {
+        let node = self.me();
+        let action = match self.ft.policy {
+            DegradePolicy::Wait => DegradeAction::Waited,
+            DegradePolicy::Partial => DegradeAction::Skipped,
+            DegradePolicy::Abort => DegradeAction::Aborted,
+        };
+        self.peers[peer].flagged = true;
+        self.faults.verdicts.push(StragglerVerdict {
+            node,
             peer,
             waited_ns,
             action,
         });
-        let (name, idx) = match action {
-            DegradeAction::Waited => ("waited", 0),
-            DegradeAction::Skipped => ("skipped", 1),
-            DegradeAction::Aborted => ("aborted", 2),
-        };
-        if let Some(m) = &self.fmetrics {
-            m.verdicts[idx].inc();
+        if let Some(m) = &self.metrics {
+            m.verdicts[action as usize].inc();
         }
-        if let Some(tr) = &self.st.core.trace {
-            tr.tracer.instant(
-                tr.track,
-                name,
-                "straggler",
-                tr.tracer.now_ns(),
-                &[
-                    ("node", self.node() as u64),
-                    ("peer", peer as u64),
-                    ("waited_ns", waited_ns),
-                ],
-            );
-        }
-    }
-
-    fn chaos_instant(&self, name: &str) {
-        if let Some(tr) = &self.st.core.trace {
+        if let Some(tr) = &self.trace {
+            let args = [
+                ("node", node as u64),
+                ("peer", peer as u64),
+                ("waited_ns", waited_ns),
+            ];
+            let name = action.to_string();
             tr.tracer
-                .instant(tr.track, name, "chaos", tr.tracer.now_ns(), &[]);
+                .instant(tr.track, &name, "straggler", tr.tracer.now_ns(), &args);
         }
     }
 
-    fn ft_instant(&self, name: &str) {
-        if let Some(tr) = &self.st.core.trace {
-            tr.tracer
-                .instant(tr.track, name, "ft", tr.tracer.now_ns(), &[]);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Structured failures.
-
-    fn aborted(&self, from: Option<usize>) -> Error {
-        Error::sync(SyncFailure {
-            kind: SyncFailureKind::Aborted,
-            node: self.node(),
-            peer: from,
+    fn failure(&self, kind: SyncFailureKind, peer: Option<usize>, detail: String) -> FabricError {
+        FabricError::Sync(SyncFailure {
+            kind,
+            node: self.me(),
+            peer,
             task: None,
-            detail: String::new(),
+            detail,
         })
     }
 
-    fn dead_link(&self, peer: usize, dead: LinkDead) -> Error {
-        let unacked = self.links[peer].tx.get(dead.seq);
-        Error::sync(SyncFailure {
+    /// A link out of retries, naming the task its oldest unacknowledged
+    /// envelope announced.
+    fn dead_link(&self, peer: usize, dead: LinkDead) -> FabricError {
+        let unacked = self.peers[peer].tx.get(dead.seq);
+        FabricError::Sync(SyncFailure {
             kind: SyncFailureKind::LinkDead,
-            node: self.node(),
+            node: self.me(),
             peer: Some(peer),
             task: unacked.and_then(Envelope::data_task).map(|t| t.0),
             detail: format!("{} transmissions unacknowledged", dead.attempts),
         })
     }
+}
 
-    fn recv_timeout(&self, peer: Option<usize>, detail: &str) -> Error {
-        Error::sync(SyncFailure {
-            kind: SyncFailureKind::RecvTimeout,
-            node: self.node(),
-            peer,
-            task: None,
-            detail: detail.to_string(),
-        })
+impl Link for FtLink<'_> {
+    type Msg = Msg;
+
+    fn me(&self) -> usize {
+        self.inner.me()
+    }
+
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+
+    fn send(&mut self, to: usize, msg: Msg) -> Result<(), FabricError> {
+        match msg {
+            Msg::Done {
+                task,
+                payload,
+                iter,
+            } => {
+                let (me, now) = (self.me(), Instant::now());
+                let env = self.peers[to]
+                    .tx
+                    .admit(now, |seq| Envelope::data(me, seq, task, payload, iter));
+                self.frames += 1;
+                self.last_progress = now;
+                self.inject(to, env.seq, env);
+            }
+            Msg::Abort => {
+                let abort = Envelope::control(self.me(), Body::Abort);
+                let _ = self.inner.send(to, abort);
+            }
+            // Rendezvous-plane frames never ride the data mesh.
+            Msg::Join { .. } | Msg::Welcome { .. } | Msg::EpochBump { .. } => {}
+        }
+        Ok(())
+    }
+
+    fn try_recv(&mut self) -> Result<Option<Msg>, FabricError> {
+        if self.inbox.is_empty() {
+            self.pump()?;
+        }
+        Ok(self.inbox.pop_front())
+    }
+
+    /// Waits for the next completion while running the protocol: the
+    /// loop calls this only when it has nothing to execute, which is
+    /// when silence is judged — straggler verdicts, degradation skips
+    /// and the receive deadline happen here.
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, FabricError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.inbox.is_empty() {
+                self.pump()?;
+            }
+            if self.inbox.is_empty() {
+                self.idle_checks()?;
+            }
+            if let Some(msg) = self.inbox.pop_front() {
+                return Ok(Some(msg));
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Ok(None);
+            }
+            let wait = self.wait_budget().min(deadline - now);
+            if let Some(env) = self.inner.recv_timeout(wait)? {
+                self.handle(env)?;
+            }
+        }
+    }
+
+    /// Data envelopes and their retransmissions. The inner channel
+    /// link counts every envelope it moves (acks and pings included),
+    /// so its counters are not this fabric's.
+    fn counters(&self) -> LinkCounters {
+        LinkCounters {
+            frames: self.frames,
+            retransmits: self.peers.iter().map(|p| p.tx.retransmits()).sum(),
+            ..LinkCounters::default()
+        }
     }
 }

@@ -24,12 +24,10 @@
 //! in-process channel fabric — a single synchronization is simply
 //! `iterations = 1, window = 1` of the pipelined loop — and the
 //! process backend ([`process`]) drives the very same loop over a
-//! loopback TCP mesh. That loop trusts its fabric to deliver. Setting
-//! [`RunOptions::chaos`] revokes the trust and switches to the
-//! fault-tolerant worker ([`ft`]), which schedules with the same task
-//! manager and dataflow core but trusts nothing: payloads travel in
-//! sequence-numbered, checksummed envelopes ([`protocol`]) over a
-//! fabric that may be wrapped in a deterministic fault injector
+//! loopback TCP mesh. Setting [`RunOptions::chaos`] revokes trust in
+//! the channel fabric by changing only the link under that loop
+//! ([`ft::FtLink`]): payloads travel in sequence-numbered, checksummed
+//! envelopes ([`protocol`]) through a deterministic fault injector
 //! ([`hipress_chaos`]), with per-link retransmission and
 //! receiver-side dedup (the same [`hipress_fabric::rel`] machine the
 //! TCP fabric runs over frames), straggler detection, and

@@ -1,5 +1,5 @@
-//! The trusted-fabric node loop — CaSync-RT's one task manager — and
-//! [`run`], the entry point that drives it on threads.
+//! The node loop — CaSync-RT's one task manager — and [`run`], the
+//! entry point that drives it on threads.
 //!
 //! Training synchronizes gradients every iteration, and the next
 //! iteration's compression work does not have to wait for the last
@@ -14,13 +14,13 @@
 //! is no separate single-iteration loop.
 //!
 //! The driver ([`drive_node`]) is generic over [`Link`], so the same
-//! loop runs in-process over the channel fabric ([`run`]) and inside
-//! each OS process of the TCP mesh ([`crate::process`]). The
-//! per-iteration task-manager state ([`IterState`]) is also what the
-//! fault-tolerant worker ([`crate::ft`]) schedules with. Messages
-//! carry their iteration index; arrivals for not-yet-admitted
-//! iterations are stashed and replayed at admission, so a fast peer
-//! racing ahead never wedges a slow one.
+//! loop runs in-process over the channel fabric ([`run`]), over the
+//! fault-tolerant envelope link when a fault plan revokes trust in
+//! that fabric ([`crate::ft::FtLink`]), and inside each OS process of
+//! the TCP mesh ([`crate::process`]). Messages carry their iteration
+//! index; arrivals for not-yet-admitted iterations are stashed and
+//! replayed at admission, so a fast peer racing ahead never wedges a
+//! slow one.
 //!
 //! Bit-for-bit: every iteration runs the same graph on the same
 //! inputs with the same seed, so each iteration's installed
@@ -33,13 +33,13 @@ use crate::engine::{
     Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload,
     ReplicaFlows, RunOutcome, RuntimeConfig,
 };
-use crate::ft::FaultTolerance;
+use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
 use crate::report::RuntimeReport;
-use hipress_chaos::FaultPlan;
+use hipress_chaos::{FaultPlan, NodeFaults};
 use hipress_compress::Compressor;
 use hipress_core::graph::{TaskGraph, TaskId};
 use hipress_core::Primitive;
-use hipress_fabric::{ChannelFabric, Fabric, FabricError, Link, LinkCounters};
+use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link, LinkCounters};
 use hipress_obs::{IterRecord, ProgressSink};
 use hipress_trace::Tracer;
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
@@ -76,36 +76,34 @@ pub struct RunOptions<'a> {
     pub pipeline: PipelineConfig,
     /// Optional trace / metrics / telemetry observers.
     pub instruments: Instruments<'a>,
-    /// `Some` revokes trust in the fabric: the run speaks the
-    /// fault-tolerant envelope protocol ([`crate::ft`]) under this
-    /// tuning, with the plan's faults injected
-    /// ([`FaultPlan::none`] measures the protocol alone). One
-    /// iteration only — combining it with a larger
-    /// [`RunOptions::pipeline`] is a configuration error.
+    /// `Some` revokes trust in the fabric: the same loop runs over the
+    /// fault-tolerant envelope link ([`crate::ft`]) under this tuning,
+    /// with the plan's faults injected ([`FaultPlan::none`] measures
+    /// the protocol alone), for any [`RunOptions::pipeline`]. The one
+    /// combination refused, as a configuration error, is
+    /// [`DegradePolicy::Partial`] over more than one iteration; so is
+    /// a plan naming a node outside the run.
     pub chaos: Option<(FaultTolerance, FaultPlan)>,
 }
 
-/// Membership instrumentation the process runtime threads into every
-/// segment it drives: deterministic crash injection at a retirement
-/// boundary, and a live retirement count the worker reads back after a
-/// failure (a returned `Err` loses the driver state, but the survivor
-/// still has to report how far it got so an evict-on-loss coordinator
-/// can pick the drain boundary).
+/// Faults [`drive_node`] injects into its own node, consulted before
+/// each task: a hard death once enough iterations have retired
+/// (elastic membership) and a fault plan's stall and crash triggers,
+/// indexed by local execution count. The hooks also count retired
+/// iterations, which a failed segment still has to report (a returned
+/// `Err` loses the driver state) so an evict-on-loss coordinator can
+/// pick the drain boundary.
 #[derive(Debug, Default)]
-pub(crate) struct ElasticHooks {
+pub(crate) struct NodeHooks {
     /// Crash (hard process death, no abort broadcast) once this many
     /// iterations have fully retired. `None` never crashes.
     pub die_at_iter: Option<u32>,
-    /// Count of fully retired iterations, updated at every
-    /// retirement; readable mid-run and after an error.
-    pub retired: std::sync::atomic::AtomicU32,
-}
-
-impl ElasticHooks {
-    /// The number of fully retired iterations recorded so far.
-    pub(crate) fn completed(&self) -> u32 {
-        self.retired.load(std::sync::atomic::Ordering::SeqCst)
-    }
+    /// The fault plan's stall / crash triggers for this node.
+    pub faults: NodeFaults,
+    /// Counts the injected stall, when metrics are on.
+    pub stall_metric: Option<hipress_metrics::Counter>,
+    /// Fully retired iterations, updated at every retirement.
+    pub retired: u32,
 }
 
 /// Converts a transport failure into the workspace error type,
@@ -131,6 +129,7 @@ pub(crate) fn fabric_err(me: usize, e: FabricError) -> Error {
             task: None,
             detail: format!("seq {seq} unacknowledged after {attempts} attempts"),
         }),
+        FabricError::Sync(failure) => Error::sync(failure),
         other => Error::sim(format!("node {me}: fabric failure: {other}")),
     }
 }
@@ -153,10 +152,9 @@ fn telemetry_slowdown_ms() -> u64 {
 
 /// One admitted iteration's private task-manager state: its own
 /// cells, ready queues (`Q_comp` / `Q_commu`), and dependency counts
-/// — iterations share nothing but the link. The fault-tolerant worker
-/// holds exactly one.
-pub(crate) struct IterState<'a> {
-    pub(crate) core: NodeCore<'a>,
+/// — iterations share nothing but the link.
+struct IterState<'a> {
+    core: NodeCore<'a>,
     /// Remaining dependency counts for local tasks.
     pending: HashMap<u32, usize>,
     /// Ready computing tasks (encode/decode/merge/update + source).
@@ -164,7 +162,7 @@ pub(crate) struct IterState<'a> {
     /// Ready communication tasks (send/recv).
     q_commu: VecDeque<TaskId>,
     /// Local tasks completed so far.
-    pub(crate) done: usize,
+    done: usize,
     admitted: Instant,
     /// Trace-clock admission time, for the retired `iter_span` span.
     admitted_ns: Option<u64>,
@@ -174,7 +172,7 @@ impl<'a> IterState<'a> {
     /// Admits one iteration around `core`: every local dependency
     /// count from the plan, the queues seeded with the
     /// dependency-free tasks (Sources) in deterministic order.
-    pub(crate) fn new(core: NodeCore<'a>, plan: &NodePlan) -> Self {
+    fn new(core: NodeCore<'a>, plan: &NodePlan) -> Self {
         let pending = plan.pending[core.node].clone();
         let mut ready: Vec<u32> = pending
             .iter()
@@ -237,17 +235,12 @@ impl<'a> IterState<'a> {
     }
 
     /// A completion message for remote task `task` arrived: accounts
-    /// for it and consumes it.
-    pub(crate) fn deliver(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
+    /// for it, stores the payload a `Send` carried (`None` for a bare
+    /// completion edge) and clears the edge of every local task
+    /// waiting on it.
+    fn deliver(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
         self.core
             .note_message(task, payload.as_deref().map(Payload::wire_bytes));
-        self.consume(plan, task, payload);
-    }
-
-    /// Consumes remote task `task`'s completion: stores the payload a
-    /// `Send` carried (`None` for a bare completion edge) and clears
-    /// the edge of every local task waiting on it.
-    pub(crate) fn consume(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
         if let Some(p) = payload {
             self.core.inbound.insert(task.0, p);
         }
@@ -261,7 +254,7 @@ impl<'a> IterState<'a> {
     /// Pops the next ready task, communication first: a completed
     /// send unblocks another node, which is what keeps the pipeline
     /// full.
-    pub(crate) fn pop_ready(&mut self) -> Option<TaskId> {
+    fn pop_ready(&mut self) -> Option<TaskId> {
         if let Some(t) = self.q_commu.pop_front() {
             if let Some(tr) = &self.core.trace {
                 tr.q_commu.add(-1);
@@ -277,7 +270,7 @@ impl<'a> IterState<'a> {
 
     /// Marks local task `id` complete and clears its same-node
     /// dependents' edges; the caller ships the remote completions.
-    pub(crate) fn complete(&mut self, plan: &NodePlan, id: TaskId) {
+    fn complete(&mut self, plan: &NodePlan, id: TaskId) {
         self.done += 1;
         if let Some(deps) = plan.local_dependents.get(&id.0) {
             for &d in deps {
@@ -325,9 +318,12 @@ struct PipeWorker<'a, L: Link<Msg = Msg>> {
     /// record carries this iteration's retransmission delta rather
     /// than a running total.
     last_counters: LinkCounters,
-    /// Elastic-membership hooks (crash injection + retirement
-    /// export); `None` for fixed-membership runs.
-    hooks: Option<&'a ElasticHooks>,
+    /// Scripted faults of this node (elastic crashes, a fault plan's
+    /// stall and crash); `None` on every other run.
+    hooks: Option<&'a mut NodeHooks>,
+    /// Local tasks executed so far, across iterations (the index the
+    /// fault plan's node triggers fire at).
+    executed: usize,
 }
 
 impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
@@ -487,12 +483,53 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         Ok(())
     }
 
+    /// Fires this node's scripted faults before its next task: a crash
+    /// (no abort broadcast — peers discover the loss the way they would
+    /// a real one), or the one-off stall peers must notice by silence.
+    fn gate(&mut self) -> Result<()> {
+        let (me, completed, executed) = (self.me(), self.completed, self.executed);
+        let Some(h) = self.hooks.as_deref_mut() else {
+            return Ok(());
+        };
+        let crash = match (h.die_at_iter, h.faults.crash) {
+            (Some(d), _) if completed >= d => Some(format!(
+                "elastic crash injection after {completed} retired iterations"
+            )),
+            (_, Some(c)) if executed >= c.at_task => {
+                Some(format!("injected crash before local task {}", c.at_task))
+            }
+            _ => None,
+        };
+        if let Some(detail) = crash {
+            return Err(Error::sync(SyncFailure {
+                kind: SyncFailureKind::InjectedCrash,
+                node: me,
+                peer: None,
+                task: None,
+                detail,
+            }));
+        }
+        if let Some(stall) = h.faults.stall.take_if(|s| executed >= s.at_task) {
+            self.report.faults.injected_stalls += 1;
+            if let Some(m) = &h.stall_metric {
+                m.inc();
+            }
+            if let Some(tr) = &self.trace {
+                tr.tracer
+                    .instant(tr.track, "stall", "chaos", tr.tracer.now_ns(), &[]);
+            }
+            std::thread::sleep(std::time::Duration::from_nanos(stall.dur_ns));
+        }
+        Ok(())
+    }
+
     /// Marks `id` of iteration `iter` complete: resolves local
     /// dependents, ships completion events to remote nodes, and — when
     /// the iteration's last local task lands — retires the iteration
     /// and admits the next.
     fn finish(&mut self, iter: u32, id: TaskId, payload: Option<Arc<Payload>>) {
         let plan = self.plan;
+        self.executed += 1;
         let st = self.iters.get_mut(&iter).expect("finishing iteration");
         st.complete(plan, id);
         let done = st.done;
@@ -572,9 +609,8 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 self.final_cells = Some(std::mem::take(&mut st.core.cells));
             }
             self.completed += 1;
-            if let Some(h) = self.hooks {
-                h.retired
-                    .store(self.completed, std::sync::atomic::Ordering::SeqCst);
+            if let Some(h) = self.hooks.as_deref_mut() {
+                h.retired = self.completed;
             }
             self.admit_ready();
         }
@@ -583,29 +619,13 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     fn run(&mut self) -> NodeResult {
         self.admit_ready();
         while self.completed < self.pcfg.iterations {
-            if let Some(h) = self.hooks {
-                if h.die_at_iter.is_some_and(|d| self.completed >= d) {
-                    // A hard injected death: no abort broadcast —
-                    // peers discover the loss the way they would a
-                    // real crash, through the transport (PeerLost).
-                    return Err(Error::sync(SyncFailure {
-                        kind: SyncFailureKind::InjectedCrash,
-                        node: self.me(),
-                        peer: None,
-                        task: None,
-                        detail: format!(
-                            "elastic crash injection after {} retired iterations",
-                            self.completed
-                        ),
-                    }));
-                }
-            }
             // Drain the inbox without blocking: completion events
             // promote tasks into the queues.
             while let Some(msg) = self.link.try_recv().map_err(|e| fabric_err(self.me(), e))? {
                 self.handle(msg)?;
             }
             if let Some((iter, id)) = self.next_ready() {
+                self.gate()?;
                 if let Err(e) = self.execute(iter, id) {
                     self.broadcast_abort();
                     return Err(e);
@@ -672,8 +692,8 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 
 /// Drives one node's full pipelined execution over `link`, returning
 /// its final-iteration cells and its accumulated (all-iterations)
-/// report. The loop the channel fabric threads and the TCP mesh
-/// processes both run.
+/// report. The loop every run executes: channel-fabric threads,
+/// fault-tolerant envelope-link threads and TCP-mesh processes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     link: &'a mut L,
@@ -688,7 +708,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     trace: Option<NodeTrace>,
     metrics: Option<NodeMetrics>,
     progress: Option<&'a dyn ProgressSink>,
-    hooks: Option<&'a ElasticHooks>,
+    hooks: Option<&'a mut NodeHooks>,
 ) -> NodeResult {
     let mut worker = PipeWorker {
         link,
@@ -711,6 +731,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
         progress,
         last_counters: LinkCounters::default(),
         hooks,
+        executed: 0,
     };
     worker.run()
 }
@@ -727,19 +748,36 @@ pub(crate) fn validate(pcfg: &PipelineConfig) -> Result<()> {
     Ok(())
 }
 
-/// Joins one scoped thread per node, in node order; a panicked node
-/// becomes an error naming it.
-pub(crate) fn join_nodes(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, NodeResult>>,
+/// Runs `body` once per node on a thread of its own, handing each its
+/// endpoint on a fresh channel fabric of `M` and its instruments.
+/// Results come back in node order; a panicked node becomes an error
+/// naming it.
+pub(crate) fn on_threads<M: Send>(
+    traces: Vec<Option<NodeTrace>>,
+    metrics: Vec<Option<NodeMetrics>>,
+    body: impl Fn(ChannelLink<M>, Option<NodeTrace>, Option<NodeMetrics>) -> NodeResult + Sync,
 ) -> Vec<NodeResult> {
-    handles
-        .into_iter()
-        .enumerate()
-        .map(|(node, h)| {
-            h.join()
-                .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))))
-        })
-        .collect()
+    let mut fabric = ChannelFabric::new(traces.len());
+    let body = &body;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = traces
+            .into_iter()
+            .zip(metrics)
+            .enumerate()
+            .map(|(node, (trace, metrics))| {
+                let link = fabric.link(node).expect("fresh fabric link");
+                scope.spawn(move || body(link, trace, metrics))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(node, h)| {
+                h.join()
+                    .unwrap_or_else(|_| Err(Error::sim(format!("node {node} thread panicked"))))
+            })
+            .collect()
+    })
 }
 
 /// Executes `graph` on `nodes` OS threads — the one threaded entry
@@ -755,13 +793,14 @@ pub(crate) fn join_nodes(
 /// interpreter's. The report accumulates all iterations and records
 /// the window, iteration count, and per-iteration spans
 /// ([`RuntimeReport::pipeline_overlap`]). With `opts.chaos` set the
-/// run instead speaks the fault-tolerant envelope protocol over a
-/// fault-injecting fabric ([`crate::ft`]).
+/// fabric's links are fault-tolerant envelope links with the plan's
+/// faults injected ([`crate::ft`]); the loop is the same.
 ///
 /// Tracing records one `node{i}` thread track per node (primitive
 /// spans stamped with their iteration, nested `local_agg` spans,
 /// `fabric` message instants, `batch` launch instants, per-iteration
-/// `iter_span` spans, a `link` instant carrying the fabric counters),
+/// `iter_span` spans, a `link` instant carrying the fabric counters,
+/// and under chaos the `chaos` / `ft` / `straggler` fault instants),
 /// `Q_comp` / `Q_commu` counter tracks per node, and a `run` wall span
 /// on the `engine` track. The recorded durations are the very
 /// measurements the report accumulates, so
@@ -770,12 +809,14 @@ pub(crate) fn join_nodes(
 ///
 /// # Errors
 ///
-/// Configuration errors for a zero iteration count or window, or for
-/// chaos combined with more than one iteration; errors for malformed
-/// graphs (missing flow data, mismatched replica shapes, chunks that
-/// do not tile their flow, decode without a compressor, wedged
-/// protocols) — the same conditions the interpreter rejects; and,
-/// under chaos, the structured failures of [`crate::ft`].
+/// Configuration errors for a zero iteration count or window, for a
+/// fault plan naming a node outside `0..nodes`, and for the
+/// [`DegradePolicy::Partial`] straggler policy over more than one
+/// iteration; errors for malformed graphs (missing flow data,
+/// mismatched replica shapes, chunks that do not tile their flow,
+/// decode without a compressor, wedged protocols) — the same
+/// conditions the interpreter rejects; and, under chaos, the
+/// structured failures of [`crate::ft`].
 pub fn run(
     graph: &TaskGraph,
     nodes: usize,
@@ -786,10 +827,13 @@ pub fn run(
 ) -> Result<RunOutcome> {
     let (config, pcfg, instruments) = (&opts.config, &opts.pipeline, opts.instruments);
     validate(pcfg)?;
-    if opts.chaos.is_some() && *pcfg != PipelineConfig::default() {
-        return Err(Error::config(
-            "chaos/fault tolerance and pipelined iterations cannot combine yet",
-        ));
+    if let Some((ft, fplan)) = &opts.chaos {
+        fplan.validate(nodes).map_err(Error::config)?;
+        if ft.policy == DegradePolicy::Partial && pcfg.iterations > 1 {
+            return Err(Error::config(
+                "the Partial straggler policy degrades one iteration: run it with iterations = 1",
+            ));
+        }
     }
     // Debug builds statically verify the plan before spawning
     // threads: a racy or deadlocking graph aborts here with a
@@ -803,49 +847,35 @@ pub fn run(
     let mut report = RuntimeReport {
         nodes,
         per_node_busy_ns: vec![0; nodes],
+        iterations: u64::from(pcfg.iterations),
+        pipeline_window: u64::from(pcfg.window),
         ..Default::default()
     };
+    let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
+    let (layout, plan) = (&layout, &plan);
 
     let run_start_ns = instruments.tracer.map(Tracer::now_ns);
     let started = Instant::now();
-    let results = if let Some((ft, fplan)) = &opts.chaos {
-        crate::ft::run_nodes(
-            graph,
-            flows,
-            &layout,
-            &plan,
-            compressor,
-            seed,
-            config,
-            ft,
-            fplan,
+    let results = match &opts.chaos {
+        None => on_threads(
             node_traces,
             node_metrics,
-            instruments.metrics,
-        )
-    } else {
-        report.iterations = u64::from(pcfg.iterations);
-        report.pipeline_window = u64::from(pcfg.window);
-        let mut fabric: ChannelFabric<Msg> = ChannelFabric::new(nodes);
-        let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
-        std::thread::scope(|scope| {
-            let handles = node_traces
-                .into_iter()
-                .zip(node_metrics)
-                .enumerate()
-                .map(|(node, (trace, metrics))| {
-                    let mut link = fabric.link(node).expect("fresh fabric link");
-                    let (layout, plan) = (&layout, &plan);
-                    scope.spawn(move || {
-                        drive_node(
-                            &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg,
-                            trace, metrics, progress, None,
-                        )
-                    })
-                })
-                .collect();
-            join_nodes(handles)
-        })
+            |mut link: ChannelLink<Msg>, tr, m| {
+                drive_node(
+                    &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
+                    progress, None,
+                )
+            },
+        ),
+        Some(chaos) => on_threads(node_traces, node_metrics, |inner, tr, m| {
+            let (mut link, mut hooks) = FtLink::new(inner, graph, plan, chaos, opts, tr.clone());
+            let hooks = Some(&mut hooks);
+            let result = drive_node(
+                &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
+                progress, hooks,
+            );
+            link.finish(result)
+        }),
     };
     report.wall_ns = started.elapsed().as_nanos() as u64;
     record_run_span(
@@ -857,7 +887,7 @@ pub fn run(
         report.pipeline_window,
         0,
     );
-    conclude(&layout, results, report, instruments.metrics)
+    conclude(layout, results, report, instruments.metrics)
 }
 
 #[cfg(test)]
@@ -1046,16 +1076,51 @@ mod tests {
         let graph = Strategy::CaSyncPs
             .build(&cluster, &iter_spec(&sizes, None, 1))
             .unwrap();
-        let chaotic = |iterations, window| RunOptions {
-            chaos: Some((FaultTolerance::default(), FaultPlan::none(1))),
+        let chaotic = |iterations, window, policy, plan| RunOptions {
+            chaos: Some((
+                FaultTolerance {
+                    policy,
+                    ..FaultTolerance::default()
+                },
+                plan,
+            )),
             ..piped(iterations, window)
         };
-        for opts in [piped(0, 1), piped(1, 0), chaotic(2, 1), chaotic(1, 2)] {
+        let none = || FaultPlan::none(1);
+        for opts in [
+            piped(0, 1),
+            piped(1, 0),
+            // Partial degradation covers one iteration.
+            chaotic(2, 1, DegradePolicy::Partial, none()),
+            chaotic(3, 2, DegradePolicy::Partial, none()),
+            // A plan naming a node the run does not have.
+            chaotic(1, 1, DegradePolicy::Wait, FaultPlan::crash(1, 2, 0)),
+        ] {
             let err = run(&graph, nodes, &flows, None, 1, &opts).unwrap_err();
             assert!(matches!(err, Error::Config(_)), "{err}");
         }
-        // Chaos itself is fine at one iteration.
-        run(&graph, nodes, &flows, None, 1, &chaotic(1, 1)).unwrap();
+        // Chaos itself pipelines like any other run.
+        for (iterations, window) in [(1, 1), (2, 1), (1, 2), (4, 2)] {
+            let out = run(
+                &graph,
+                nodes,
+                &flows,
+                None,
+                1,
+                &chaotic(iterations, window, DegradePolicy::Wait, none()),
+            )
+            .unwrap();
+            assert_eq!(out.report.iterations, u64::from(iterations));
+        }
+        run(
+            &graph,
+            nodes,
+            &flows,
+            None,
+            1,
+            &chaotic(1, 2, DegradePolicy::Partial, none()),
+        )
+        .unwrap();
     }
 
     /// With a telemetry hub attached, every node publishes exactly one

@@ -50,7 +50,7 @@ use crate::observe::{
     get_trace, put_trace, record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight,
     UNKNOWN_NODE,
 };
-use crate::pipeline::{drive_node, fabric_err, validate, ElasticHooks, PipelineConfig};
+use crate::pipeline::{drive_node, fabric_err, validate, NodeHooks, PipelineConfig};
 use crate::report::{DegradeAction, FaultReport, PrimStat, RuntimeReport, StragglerVerdict};
 use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
@@ -1073,17 +1073,7 @@ fn validate_membership(pconf: &ProcessConfig, nodes: usize, iterations: u32) -> 
             "a membership plan with rejoins needs ProcessConfig::elastic",
         ));
     }
-    match plan
-        .crashes
-        .iter()
-        .find(|&&(rank, iter)| rank as usize >= nodes || iter >= iterations)
-    {
-        Some((rank, iter)) => Err(Error::config(format!(
-            "scripted crash of rank {rank} at iteration {iter} is out of range for \
-             {nodes} workers x {iterations} iterations"
-        ))),
-        None => Ok(()),
-    }
+    plan.check_range(nodes, iterations).map_err(Error::config)
 }
 
 /// A started worker.
@@ -1525,9 +1515,9 @@ fn run_job(
     };
     // The hooks arm the scripted crash and count retirements, which a
     // failed segment reports so the coordinator can drain.
-    let hooks = ElasticHooks {
+    let mut hooks = NodeHooks {
         die_at_iter: job.die_at_iter,
-        ..ElasticHooks::default()
+        ..NodeHooks::default()
     };
     let outcome = drive_node(
         &mut link,
@@ -1542,7 +1532,7 @@ fn run_job(
         trace,
         metrics,
         progress_sink.as_ref().map(|s| s as &dyn ProgressSink),
-        Some(&hooks),
+        Some(&mut hooks),
     );
     let msg = match outcome {
         Ok((cells, report)) => Ctl::Outcome {
@@ -1567,7 +1557,7 @@ fn run_job(
         Err(error) => Ctl::Failed {
             error,
             flight: recorder.dump(),
-            completed: hooks.completed(),
+            completed: hooks.retired,
         },
     };
     write_ctl(ctl, &msg)?;

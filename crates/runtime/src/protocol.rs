@@ -1,9 +1,10 @@
 //! The fault-tolerant wire protocol for CaSync-RT.
 //!
-//! The trusted loop relies on its channel fabric the way the paper
+//! The node loop relies on its channel fabric the way the paper
 //! trusts NCCL: messages arrive, once, intact. This module is what
-//! the engine speaks when that trust is revoked (a fault plan in
-//! [`crate::RunOptions`]): every inter-node message becomes a
+//! the link speaks when that trust is revoked (a fault plan in
+//! [`crate::RunOptions`], carried out by [`crate::ft::FtLink`]): every
+//! inter-node message becomes a
 //! sequence-numbered, checksummed [`Envelope`]; receivers verify and
 //! deduplicate ([`RelRx`]), acknowledge good data, and nack corrupt
 //! data; senders keep unacknowledged envelopes in a retransmission
@@ -14,7 +15,7 @@
 //! module.
 //!
 //! The checksum covers everything delivery-relevant — source,
-//! sequence number, task, payload bytes — but *not* the attempt
+//! sequence number, task, iteration, payload bytes — but *not* the attempt
 //! counter, so a retransmission carries the original digest and the
 //! receiver cannot be confused by which attempt got through.
 
@@ -38,6 +39,8 @@ pub enum Body {
         task: TaskId,
         /// The payload, for `Send` completions.
         payload: Option<Arc<Payload>>,
+        /// The pipelined iteration the completion belongs to.
+        iter: u32,
     },
     /// Data `seq` arrived intact; the sender may drop it from its
     /// retransmission buffer.
@@ -53,9 +56,9 @@ pub enum Body {
     /// A peer hit an error; unwind. (Control-plane: never injected
     /// with faults, so an abort always gets through.)
     Abort,
-    /// Every node has finished and drained its links; lingering peers
-    /// may exit now instead of on their next poll. (Control-plane,
-    /// like [`Body::Abort`]: purely a wake-up, carries no state.)
+    /// The sender has finished every task and every envelope it sent
+    /// is acknowledged; a node exits once all its peers said so.
+    /// (Control-plane, like [`Body::Abort`].)
     Done,
     /// Periodic liveness probe. A node that is alive but busy (or
     /// simply has nothing to send) keeps pinging; a stalled or
@@ -83,20 +86,31 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Builds a sealed data envelope for `task` (attempt 0).
-    pub fn data(src: usize, seq: u64, task: TaskId, payload: Option<Arc<Payload>>) -> Self {
+    /// Builds a sealed data envelope for `task` of iteration `iter`
+    /// (attempt 0).
+    pub fn data(
+        src: usize,
+        seq: u64,
+        task: TaskId,
+        payload: Option<Arc<Payload>>,
+        iter: u32,
+    ) -> Self {
         let mut e = Self {
             src,
             seq,
             attempt: 0,
-            body: Body::Data { task, payload },
+            body: Body::Data {
+                task,
+                payload,
+                iter,
+            },
             checksum: 0,
         };
         e.checksum = e.digest();
         e
     }
 
-    /// Builds a sealed control envelope (ack/nack/abort).
+    /// Builds a sealed control envelope (ack/nack/abort/done/ping).
     pub fn control(src: usize, body: Body) -> Self {
         let mut e = Self {
             src,
@@ -118,9 +132,14 @@ impl Envelope {
         h = fnv(h, self.src as u64);
         h = fnv(h, self.seq);
         match &self.body {
-            Body::Data { task, payload } => {
+            Body::Data {
+                task,
+                payload,
+                iter,
+            } => {
                 h = fnv(h, 1);
                 h = fnv(h, u64::from(task.0));
+                h = fnv(h, u64::from(*iter));
                 match payload.as_deref() {
                     None => h = fnv(h, 0),
                     Some(Payload::Raw(v)) => {
@@ -193,11 +212,7 @@ impl hipress_chaos::Wire for Envelope {
         match &self.body {
             Body::Data {
                 payload: Some(p), ..
-            } => match p.as_ref() {
-                Payload::Raw(v) => (v.len() * 32) as u64,
-                Payload::Compressed(b) => (b.len() * 8) as u64,
-                Payload::Skipped => 0,
-            },
+            } => p.wire_bytes() * 8,
             _ => 0,
         }
     }
@@ -227,8 +242,8 @@ impl hipress_chaos::Wire for Envelope {
 // Every protocol *decision* lives in a side-effect-free function of
 // its inputs: the link rules (`rto`, `retry_decision`, `classify`) in
 // `hipress_fabric::rel` beside the state machines that delegate to
-// them, the straggler / degrade / membership rules below. The FT
-// worker and the engine's degraded merge call these directly, and
+// them, the straggler / degrade / membership rules below. `FtLink`
+// and the engine's degraded merge call these directly, and
 // `hipress-verify`'s bounded model checker drives the very same
 // functions, so there is exactly one implementation of the protocol
 // logic to trust.
@@ -329,7 +344,7 @@ mod tests {
 
     #[test]
     fn sealed_envelopes_verify() {
-        let e = Envelope::data(1, 7, TaskId(3), raw(vec![1.0, -2.5, 0.0]));
+        let e = Envelope::data(1, 7, TaskId(3), raw(vec![1.0, -2.5, 0.0]), 2);
         assert!(e.verify());
         let c = Envelope::control(0, Body::Ack { seq: 7 });
         assert!(c.verify());
@@ -337,7 +352,7 @@ mod tests {
 
     #[test]
     fn any_single_payload_bitflip_is_detected() {
-        let e = Envelope::data(0, 1, TaskId(9), raw(vec![0.5, 1.5, -3.25, 8.0]));
+        let e = Envelope::data(0, 1, TaskId(9), raw(vec![0.5, 1.5, -3.25, 8.0]), 0);
         for bit in 0..e.payload_bits() {
             let mut m = e.clone();
             m.flip_bit(bit);
@@ -350,6 +365,7 @@ mod tests {
             Some(Arc::new(Payload::Compressed(vec![
                 0xAB, 0x00, 0xFF, 0x17, 0x80,
             ]))),
+            0,
         );
         for bit in 0..e.payload_bits() {
             let mut m = e.clone();
@@ -360,12 +376,29 @@ mod tests {
 
     #[test]
     fn attempt_is_outside_the_checksum() {
-        let mut e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]));
+        let mut e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 0);
         e.attempt = 5;
         assert!(e.verify(), "retransmissions must carry a valid digest");
     }
 
-    /// Pin the pure FT decision rules the worker and engine delegate
+    #[test]
+    fn the_iteration_is_inside_the_checksum() {
+        let e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 3);
+        let mut m = e.clone();
+        if let Body::Data { iter, .. } = &mut m.body {
+            *iter = 4;
+        }
+        assert!(
+            !m.verify(),
+            "a completion must not move to another iteration"
+        );
+        assert_ne!(
+            e.checksum,
+            Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 4).checksum
+        );
+    }
+
+    /// Pin the pure FT decision rules the link and engine delegate
     /// to (their delegation is by direct call — see `ft.rs` /
     /// `engine.rs` — so pinning the functions pins the runtime).
     #[test]
@@ -439,11 +472,11 @@ mod tests {
 
     #[test]
     fn skipped_payload_checksums_and_carries_no_bits() {
-        let e = Envelope::data(2, 3, TaskId(8), Some(Arc::new(Payload::Skipped)));
+        let e = Envelope::data(2, 3, TaskId(8), Some(Arc::new(Payload::Skipped)), 0);
         assert!(e.verify());
         assert_eq!(e.payload_bits(), 0);
         // Distinct from an empty payload.
-        let none = Envelope::data(2, 3, TaskId(8), None);
+        let none = Envelope::data(2, 3, TaskId(8), None, 0);
         assert_ne!(e.checksum, none.checksum);
     }
 }

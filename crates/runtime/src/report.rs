@@ -150,6 +150,27 @@ impl FaultReport {
         self.verdicts.extend(other.verdicts.iter().copied());
     }
 
+    /// Counts one fault event by its trace instant name (the `chaos`
+    /// injections and `ft` recoveries of a fault-tolerant run); other
+    /// names count nothing.
+    pub(crate) fn count(&mut self, event: &str) {
+        let n = match event {
+            "drop" => &mut self.injected_drops,
+            "dup" => &mut self.injected_dups,
+            "reorder" => &mut self.injected_reorders,
+            "delay" => &mut self.injected_delays,
+            "corrupt" => &mut self.injected_corruptions,
+            "stall" => &mut self.injected_stalls,
+            "retry" => &mut self.retries,
+            "nack" => &mut self.nacks,
+            "dup_ignored" => &mut self.duplicates_ignored,
+            "corrupt_detected" => &mut self.corruptions_detected,
+            "skip" => &mut self.degraded_chunks,
+            _ => return,
+        };
+        *n += 1;
+    }
+
     /// Total faults the plan injected on this run's links and nodes.
     pub fn total_injected(&self) -> u64 {
         self.injected_drops
@@ -226,16 +247,14 @@ pub struct RuntimeReport {
     pub fabric_bytes_payload: u64,
     /// Frame retransmissions the fabric's reliability layer performed.
     pub fabric_retransmits: u64,
-    /// Synchronization iterations this run executed; zero only on the
-    /// fault-tolerant envelope path, which has no iteration notion.
+    /// Synchronization iterations this run executed.
     pub iterations: u64,
     /// Bound on concurrently in-flight iterations (1 = serial).
     pub pipeline_window: u64,
     /// Summed per-node spans from each node's first task of any
     /// iteration to its last, ns. With pipelining, overlapping
     /// iterations make this exceed `nodes × wall_ns` — see
-    /// [`RuntimeReport::pipeline_overlap`]. Zero on the fault-tolerant
-    /// envelope path.
+    /// [`RuntimeReport::pipeline_overlap`].
     pub iter_span_ns_total: u64,
     /// Membership timeline of an evict-on-loss process run
     /// (`ProcessConfig::elastic`), one record per epoch (coordinator
@@ -333,26 +352,8 @@ impl RuntimeReport {
         for e in trace.events_of("iter_span") {
             r.iter_span_ns_total += e.dur_ns;
         }
-        for e in trace.events_of("chaos") {
-            match e.name.as_str() {
-                "drop" => r.faults.injected_drops += 1,
-                "dup" => r.faults.injected_dups += 1,
-                "reorder" => r.faults.injected_reorders += 1,
-                "delay" => r.faults.injected_delays += 1,
-                "corrupt" => r.faults.injected_corruptions += 1,
-                "stall" => r.faults.injected_stalls += 1,
-                _ => {}
-            }
-        }
-        for e in trace.events_of("ft") {
-            match e.name.as_str() {
-                "retry" => r.faults.retries += 1,
-                "nack" => r.faults.nacks += 1,
-                "dup_ignored" => r.faults.duplicates_ignored += 1,
-                "corrupt_detected" => r.faults.corruptions_detected += 1,
-                "skip" => r.faults.degraded_chunks += 1,
-                _ => {}
-            }
+        for e in trace.events_of("chaos").chain(trace.events_of("ft")) {
+            r.faults.count(&e.name);
         }
         for e in trace.events_of("straggler") {
             let action = match e.name.as_str() {

@@ -15,6 +15,10 @@
 //!    produce a structured `SyncFailure` naming the diagnosing node
 //!    (and peer/task where known) within the deadline bound — no
 //!    deadlocks, no panics, no hangs.
+//!
+//! Chaos runs execute the same node loop as every other run, so the
+//! properties hold under pipelined iterations too, and chaos runs are
+//! observable like any other (progress records, trace-derived reports).
 
 use hipress_chaos::FaultPlan;
 use hipress_compress::Algorithm;
@@ -22,8 +26,8 @@ use hipress_core::interp::gradient_flows;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{
-    replicate, run, DegradeAction, DegradePolicy, FaultTolerance, Instruments, RunOptions,
-    RunOutcome, RuntimeReport,
+    replicate, run, DegradeAction, DegradePolicy, FaultTolerance, Instruments, PipelineConfig,
+    RunOptions, RunOutcome, RuntimeReport,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
@@ -87,6 +91,13 @@ fn ft(policy: DegradePolicy) -> FaultTolerance {
     }
 }
 
+/// Four iterations, two in flight: the pipelined shape chaos runs share
+/// with every other run.
+const PIPELINED: PipelineConfig = PipelineConfig {
+    iterations: 4,
+    window: 2,
+};
+
 fn chaos_run(
     strategy: Strategy,
     alg: Algorithm,
@@ -95,6 +106,29 @@ fn chaos_run(
     seed: u64,
     tolerance: &FaultTolerance,
     plan: &FaultPlan,
+) -> hipress_util::Result<RunOutcome> {
+    chaos_run_piped(
+        strategy,
+        alg,
+        nodes,
+        sizes,
+        seed,
+        tolerance,
+        plan,
+        PipelineConfig::default(),
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn chaos_run_piped(
+    strategy: Strategy,
+    alg: Algorithm,
+    nodes: usize,
+    sizes: &[usize],
+    seed: u64,
+    tolerance: &FaultTolerance,
+    plan: &FaultPlan,
+    pipeline: PipelineConfig,
 ) -> hipress_util::Result<RunOutcome> {
     let grads = worker_grads(nodes, sizes);
     let flows = gradient_flows(&grads);
@@ -108,6 +142,7 @@ fn chaos_run(
         c.as_deref(),
         seed,
         &RunOptions {
+            pipeline,
             chaos: Some((*tolerance, plan.clone())),
             ..RunOptions::default()
         },
@@ -121,6 +156,17 @@ fn fault_free(
     sizes: &[usize],
     seed: u64,
 ) -> RunOutcome {
+    fault_free_piped(strategy, alg, nodes, sizes, seed, PipelineConfig::default())
+}
+
+fn fault_free_piped(
+    strategy: Strategy,
+    alg: Algorithm,
+    nodes: usize,
+    sizes: &[usize],
+    seed: u64,
+    pipeline: PipelineConfig,
+) -> RunOutcome {
     let grads = worker_grads(nodes, sizes);
     let flows = gradient_flows(&grads);
     let iter = iter_spec(sizes, alg, 2);
@@ -132,7 +178,10 @@ fn fault_free(
         &replicate(&flows),
         c.as_deref(),
         seed,
-        &RunOptions::default(),
+        &RunOptions {
+            pipeline,
+            ..RunOptions::default()
+        },
     )
     .unwrap()
 }
@@ -452,7 +501,8 @@ fn envelope_path_with_no_faults_matches_fast_path() {
 
 /// Chaos runs are observable end to end: the trace carries the
 /// injection/recovery instants and `RuntimeReport::from_trace`
-/// rebuilds the same fault section the engine accumulated.
+/// rebuilds the same fault section the engine accumulated — and, on a
+/// pipelined run, the whole report.
 #[test]
 fn fault_events_round_trip_through_the_trace() {
     let grads = worker_grads(3, &[200, 80]);
@@ -462,32 +512,245 @@ fn fault_events_round_trip_through_the_trace() {
         .build(&ClusterConfig::ec2(3), &iter)
         .unwrap();
     let c = Algorithm::OneBit.build().unwrap();
-    let tracer = Tracer::new("casync-chaos");
+    for pipeline in [PipelineConfig::default(), PIPELINED] {
+        let tracer = Tracer::new("casync-chaos");
+        let out = run(
+            &graph,
+            3,
+            &replicate(&flows),
+            Some(c.as_ref()),
+            31,
+            &RunOptions {
+                pipeline,
+                instruments: Instruments {
+                    tracer: Some(&tracer),
+                    metrics: None,
+                    progress: None,
+                },
+                chaos: Some((ft(DegradePolicy::Wait), FaultPlan::recoverable(12))),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+        let trace = tracer.finish();
+        trace.validate().unwrap();
+        assert!(out.report.faults.total_injected() > 0);
+        assert!(trace.events_of("chaos").count() > 0, "no chaos instants");
+        let derived = RuntimeReport::from_trace(&trace);
+        assert_eq!(
+            derived.faults, out.report.faults,
+            "trace-derived fault section diverged"
+        );
+        assert_eq!(
+            derived, out.report,
+            "{pipeline:?}: trace-derived report diverged"
+        );
+        assert_eq!(
+            trace.events_of("iter_span").count(),
+            3 * pipeline.iterations as usize
+        );
+    }
+}
+
+/// Property 1 under pipelining: every recoverable preset, on the full
+/// algorithm × strategy matrix, at four iterations with two in flight,
+/// installs bit-for-bit what the fault-free pipelined run installs —
+/// retransmissions, duplicates and reorders across overlapping
+/// iterations included.
+#[test]
+fn recoverable_plans_are_bit_identical_when_pipelined() {
+    let nodes = 3;
+    let sizes = [192usize, 96];
+    let tolerance = ft(DegradePolicy::Wait);
+    let algorithms = [
+        Algorithm::OneBit,
+        Algorithm::Tbq { tau: 0.05 },
+        Algorithm::TernGrad { bitwidth: 2 },
+        Algorithm::Dgc { rate: 0.01 },
+        Algorithm::GradDrop { rate: 0.05 },
+    ];
+    let (mut drops, mut corruptions, mut retried) = (0u64, 0u64, 0u64);
+    for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
+        for alg in algorithms {
+            let clean = fault_free_piped(strategy, alg, nodes, &sizes, 43, PIPELINED);
+            for plan_seed in 0..4u64 {
+                for (name, plan) in [
+                    ("recoverable", FaultPlan::recoverable(plan_seed)),
+                    ("drop storm", FaultPlan::drop_storm(plan_seed)),
+                    ("corruption storm", FaultPlan::corruption_storm(plan_seed)),
+                ] {
+                    assert!(plan.is_recoverable(tolerance.retry_budget));
+                    let tag = format!("{name} seed {plan_seed}, pipelined");
+                    let out = chaos_run_piped(
+                        strategy, alg, nodes, &sizes, 43, &tolerance, &plan, PIPELINED,
+                    )
+                    .unwrap_or_else(|e| panic!("{strategy:?} × {alg:?} × {tag} failed: {e}"));
+                    // Every corruption is caught; a corrupted message
+                    // the plan also duplicated is caught twice.
+                    let f = &out.report.faults;
+                    assert!(
+                        f.corruptions_detected >= f.injected_corruptions
+                            && (f.injected_dups > 0
+                                || f.corruptions_detected == f.injected_corruptions),
+                        "{strategy:?} × {alg:?} × {tag}: a corrupted payload slipped past: {f:?}"
+                    );
+                    assert_eq!(out.report.iterations, 4);
+                    assert_eq!(out.report.pipeline_window, 2);
+                    drops += f.injected_drops;
+                    corruptions += f.corruptions_detected;
+                    retried += f.retries;
+                    assert_same_params(strategy, alg, &tag, &clean, &out);
+                }
+            }
+        }
+    }
+    assert!(
+        drops > 0 && corruptions > 0 && retried > 0,
+        "the matrix was not lively"
+    );
+}
+
+/// The straggler policies under pipelining: `Wait` rides out a stall
+/// bit-exactly, `Abort` names the straggler.
+#[test]
+fn stall_policies_hold_when_pipelined() {
+    let clean = fault_free_piped(
+        Strategy::CaSyncPs,
+        Algorithm::OneBit,
+        3,
+        &[256],
+        19,
+        PIPELINED,
+    );
+    let plan = FaultPlan::stall(1, 1, Duration::from_millis(400));
+    let out = chaos_run_piped(
+        Strategy::CaSyncPs,
+        Algorithm::OneBit,
+        3,
+        &[256],
+        19,
+        &ft(DegradePolicy::Wait),
+        &plan,
+        PIPELINED,
+    )
+    .unwrap();
+    assert_eq!(out.report.faults.injected_stalls, 1);
+    assert_same_params(
+        Strategy::CaSyncPs,
+        Algorithm::OneBit,
+        "stall+wait, pipelined",
+        &clean,
+        &out,
+    );
+    assert!(
+        out.report
+            .faults
+            .verdicts
+            .iter()
+            .any(|v| v.peer == 1 && v.action == DegradeAction::Waited),
+        "nobody diagnosed the straggler: {:?}",
+        out.report.faults.verdicts
+    );
+
+    let err = chaos_run_piped(
+        Strategy::CaSyncPs,
+        Algorithm::OneBit,
+        3,
+        &[256],
+        19,
+        &ft(DegradePolicy::Abort),
+        &FaultPlan::stall(4, 1, Duration::from_millis(700)),
+        PIPELINED,
+    )
+    .expect_err("abort policy must fail the run");
+    let sync = err.as_sync().expect("structured failure");
+    assert_eq!(sync.kind, SyncFailureKind::Straggler);
+    assert_eq!(sync.peer, Some(1), "wrong straggler named: {err}");
+}
+
+/// A plan that names a node the run does not have would inject
+/// nothing and pass; it is refused before any thread starts.
+#[test]
+fn out_of_range_fault_plans_are_config_errors() {
+    let tolerance = ft(DegradePolicy::Wait);
+    let out_of_range = [
+        FaultPlan::stall(3, 5, Duration::from_millis(400)),
+        FaultPlan::crash(3, 3, 1),
+        FaultPlan::blackhole(3, 0, 3),
+        FaultPlan::recoverable(3).with_link(4, 0, FaultPlan::drop_storm(0).default_link),
+    ];
+    for plan in out_of_range {
+        let err = chaos_run(
+            Strategy::CaSyncPs,
+            Algorithm::OneBit,
+            3,
+            &[256],
+            11,
+            &tolerance,
+            &plan,
+        )
+        .expect_err("a plan naming a missing node must be refused");
+        assert!(matches!(err, Error::Config(_)), "{plan:?}: got {err}");
+    }
+}
+
+/// Chaos runs report progress like every other run: each node
+/// publishes one record per retired iteration, and the report carries
+/// the pipeline shape it ran.
+#[test]
+fn chaos_runs_publish_progress_per_retired_iteration() {
+    let nodes = 3;
+    let grads = worker_grads(nodes, &[200, 80]);
+    let flows = gradient_flows(&grads);
+    let graph = Strategy::CaSyncRing
+        .build(
+            &ClusterConfig::ec2(nodes),
+            &iter_spec(&[200, 80], Algorithm::OneBit, 2),
+        )
+        .unwrap();
+    let c = Algorithm::OneBit.build().unwrap();
+    let hub = hipress_obs::Telemetry::new(
+        hipress_metrics::Registry::new(),
+        hipress_obs::WatchConfig::default(),
+    );
     let out = run(
         &graph,
-        3,
+        nodes,
         &replicate(&flows),
         Some(c.as_ref()),
-        31,
+        5,
         &RunOptions {
+            pipeline: PIPELINED,
             instruments: Instruments {
-                tracer: Some(&tracer),
+                tracer: None,
                 metrics: None,
-                progress: None,
+                progress: Some(&hub),
             },
-            chaos: Some((ft(DegradePolicy::Wait), FaultPlan::recoverable(12))),
+            chaos: Some((ft(DegradePolicy::Wait), FaultPlan::recoverable(2))),
             ..RunOptions::default()
         },
     )
     .unwrap();
-    let trace = tracer.finish();
+    assert_eq!(out.report.iterations, u64::from(PIPELINED.iterations));
+    assert_eq!(out.report.pipeline_window, u64::from(PIPELINED.window));
     assert!(out.report.faults.total_injected() > 0);
-    assert!(trace.events_of("chaos").count() > 0, "no chaos instants");
-    let derived = RuntimeReport::from_trace(&trace);
     assert_eq!(
-        derived.faults, out.report.faults,
-        "trace-derived fault section diverged"
+        hub.records_published(),
+        u64::from(PIPELINED.iterations) * nodes as u64
     );
+    let (recs, _) = hub.read_events(0);
+    for node in 0..nodes as u32 {
+        let mut iters: Vec<u32> = recs
+            .iter()
+            .filter(|r| r.node == node)
+            .map(|r| r.iter)
+            .collect();
+        iters.sort_unstable();
+        assert_eq!(iters, (0..PIPELINED.iterations).collect::<Vec<_>>());
+    }
+    assert!(recs
+        .iter()
+        .all(|r| r.window == PIPELINED.window && r.span_ns > 0));
 }
 
 /// Sanity for the facade's error surface: a non-sync error (malformed

@@ -511,8 +511,8 @@ impl Model {
                 for idx in 0..link.len() {
                     out.push(Action::Deliver { src, dst, idx });
                     // Aborts are control-plane: the fault model never
-                    // touches them (mirrors the runtime's direct,
-                    // chaos-free abort channel).
+                    // touches them (mirrors the runtime's fault-tolerant
+                    // link, which sends aborts past its injector).
                     let faultable = !matches!(link[idx].env.body, Body::Abort);
                     if state.faults_left > 0 && faultable {
                         if self.cfg.faults.drop {
@@ -575,7 +575,7 @@ impl Model {
                 let payload = Some(Arc::new(Payload::Raw(vec![(src * 8 + dst) as f32])));
                 let task = TaskId((dst as u32) << 8 | node.remaining[dst]);
                 let env =
-                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload));
+                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload, 0));
                 s.net[self.link(src, dst)].push(Flight {
                     env,
                     corrupted: false,

@@ -186,9 +186,10 @@ impl HiPress {
     /// of it over HTTP while the run is still in flight. On
     /// [`Backend::Processes`] workers stream records back over the
     /// control channel and the coordinator republishes them under its
-    /// own clock. The simulator and the fault-tolerant envelope path
-    /// ([`Self::chaos`] / [`Self::fault_tolerance`]) retire no
-    /// iterations and publish nothing.
+    /// own clock. Runs over the fault-tolerant envelope link
+    /// ([`Self::chaos`] / [`Self::fault_tolerance`]) publish the same
+    /// records; the simulator retires no iterations and publishes
+    /// nothing.
     ///
     /// The hub's `/metrics` endpoint serves the hub's own registry,
     /// which this attachment feeds only watchdog counters
@@ -209,8 +210,12 @@ impl HiPress {
     /// plan switches [`Backend::Threads`] onto the fault-tolerant
     /// envelope protocol (as does [`Self::fault_tolerance`]);
     /// recoverable plans still install bit-identical parameters.
-    /// Only the thread backend has a fabric to break — combining a
-    /// plan with [`Backend::Simulator`] is a config error.
+    /// The run is otherwise the same: [`Self::iterations`] and
+    /// [`Self::pipeline_window`] apply, except that the
+    /// `DegradePolicy::Partial` straggler policy degrades a single
+    /// iteration. Only the thread backend has a fabric to break —
+    /// combining a plan with [`Backend::Simulator`] is a config
+    /// error.
     #[must_use]
     pub fn chaos(mut self, plan: &FaultPlan) -> Self {
         self.chaos = Some(plan.clone());
@@ -251,7 +256,10 @@ impl HiPress {
 
     /// Tunes how [`Backend::Processes`] launches its workers: which
     /// binary to execute (defaults to the current executable),
-    /// rendezvous/run deadlines, and the kill-a-node fault injection.
+    /// rendezvous/run deadlines, and the scripted rank crashes and
+    /// rejoins of `ProcessConfig::membership` (with
+    /// `ProcessConfig::elastic` picking fail-on-loss or
+    /// evict-on-loss).
     #[must_use]
     pub fn process_config(mut self, p: ProcessConfig) -> Self {
         self.process = p;
