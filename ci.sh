@@ -152,6 +152,11 @@ echo "== multi-process smoke (loopback TCP reproduces the thread bitstream) =="
 # dead node — never hang.
 cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
   --backend processes --iters 3 --window 2 --cross-check >/dev/null
+# The dense path too: uncompressed chunks are shared input buffers on
+# the threads side and serialized frames on the process side, and the
+# installed bytes must still agree.
+cargo run --release -q --bin hipress -- run --nodes 3 --algorithm none \
+  --backend processes --iters 4 --window 4 --cross-check >/dev/null
 PROC_ERR=$(mktemp)
 if cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
     --backend processes --kill-node 1 >/dev/null 2>"$PROC_ERR"; then

@@ -36,7 +36,7 @@ use hipress_tensor::Tensor;
 use hipress_trace::{Counter, Tracer, TrackId};
 use hipress_util::{Error, Result};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the thread engine.
@@ -403,14 +403,19 @@ pub enum Msg {
 
 /// A chunk accumulator, copy-on-write and shared by refcount.
 ///
-/// `Source` produces an `Owned` buffer. A raw `Send` moves it into the
-/// one `Arc<Payload>` the message needs and keeps a `Shared` handle
-/// ([`ChunkBuf::share`]); `Update` of a received raw aggregate keeps
-/// the received `Arc`. Writers go through [`ChunkBuf::make_mut`],
-/// which is free on an owned or uniquely held buffer and copies once
-/// while someone else still holds it. So no path copies more than
-/// eager copying would: every share saves one copy, and a later write
-/// costs at most that copy back.
+/// `Source` installs a `Shared` handle on the node's input chunk
+/// ([`FlowLayout::split_inputs`]); only a node summing local replicas
+/// starts from an `Owned` buffer. A raw `Send` moves an owned buffer
+/// into the one `Arc<Payload>` the message needs and keeps a `Shared`
+/// handle ([`ChunkBuf::share`]); `Update` of a received raw aggregate
+/// keeps the received `Arc`. Writers never copy a held buffer only to
+/// write over the copy: [`ChunkBuf::add_assign`] sums into a fresh
+/// vector in one pass and [`ChunkBuf::overwrite`] hands out a fresh
+/// one. Only the rare in-place rescale goes through
+/// [`ChunkBuf::make_mut`], which copies once while someone else still
+/// holds the buffer. Every writer is free on an owned or uniquely
+/// held buffer. The input table keeps its own reference, so no write
+/// ever reaches a run's inputs.
 #[derive(Debug, Clone)]
 pub(crate) enum ChunkBuf {
     /// A private vector.
@@ -439,6 +444,39 @@ impl ChunkBuf {
                 _ => unreachable!("a shared chunk buffer holds a raw payload"),
             },
         }
+    }
+
+    /// The vector itself when no one else holds it.
+    fn unique_mut(&mut self) -> Option<&mut Vec<f32>> {
+        match self {
+            ChunkBuf::Owned(v) => Some(v),
+            ChunkBuf::Shared(p) => match Arc::get_mut(p)? {
+                Payload::Raw(v) => Some(v),
+                _ => unreachable!("a shared chunk buffer holds a raw payload"),
+            },
+        }
+    }
+
+    /// Adds `other` element-wise: in place when unshared, else into a
+    /// fresh vector in one pass (`a + b` either way, so the bits are
+    /// the same).
+    pub(crate) fn add_assign(&mut self, other: &[f32]) {
+        if let Some(v) = self.unique_mut() {
+            for (a, b) in v.iter_mut().zip(other) {
+                *a += b;
+            }
+        } else {
+            *self = ChunkBuf::Owned(self.iter().zip(other).map(|(a, b)| a + b).collect());
+        }
+    }
+
+    /// A buffer of the same length for the caller to overwrite in
+    /// full: this one when unshared, else a fresh one.
+    pub(crate) fn overwrite(&mut self) -> &mut [f32] {
+        if self.unique_mut().is_none() {
+            *self = ChunkBuf::Owned(vec![0.0; self.len()]);
+        }
+        self.make_mut()
     }
 
     /// The buffer as a vector: a move when uniquely held, else a copy.
@@ -624,7 +662,13 @@ pub(crate) struct FlowLayout {
     flow_ids: Vec<u32>,
     /// flow → total elements.
     flow_len: HashMap<u32, usize>,
+    /// Per node, its input chunks, split once per run
+    /// ([`FlowLayout::split_inputs`]).
+    inputs: Vec<OnceLock<InputChunks>>,
 }
+
+/// (flow, part) → one node's input chunk, a [`Payload::Raw`].
+type InputChunks = HashMap<(u32, u32), Arc<Payload>>;
 
 impl FlowLayout {
     pub(crate) fn derive(graph: &TaskGraph, nodes: usize, flows: &ReplicaFlows) -> Result<Self> {
@@ -681,6 +725,28 @@ impl FlowLayout {
             chunk_start,
             flow_ids,
             flow_len,
+            inputs: (0..nodes).map(|_| OnceLock::new()).collect(),
+        })
+    }
+
+    /// `node`'s input chunks as shared raw buffers, split out of
+    /// `flows` (the run's flows, the ones the layout was derived from)
+    /// on the first call and reused by every iteration after it. The
+    /// table keeps one reference for the whole run, so a write to a
+    /// chunk copies it and never reaches the inputs. A node with local
+    /// replicas has no entries: it sums them afresh each iteration.
+    pub(crate) fn split_inputs(&self, flows: &ReplicaFlows, node: usize) -> &InputChunks {
+        self.inputs[node].get_or_init(|| {
+            self.chunk_start
+                .iter()
+                .filter_map(|(&key, &start)| {
+                    let [rep] = &flows[&key.0][node][..] else {
+                        return None;
+                    };
+                    let chunk = &rep.as_slice()[start..start + self.chunk_elems[&key]];
+                    Some((key, Arc::new(Payload::Raw(chunk.to_vec()))))
+                })
+                .collect()
         })
     }
 
@@ -775,6 +841,7 @@ pub(crate) struct NodeCore<'a> {
     pub(crate) graph: &'a TaskGraph,
     pub(crate) flows: &'a ReplicaFlows,
     pub(crate) layout: &'a FlowLayout,
+    plan: &'a NodePlan,
     pub(crate) compressor: Option<&'a dyn Compressor>,
     pub(crate) seed: u64,
     pub(crate) cells: HashMap<(u32, u32), Cell>,
@@ -806,6 +873,7 @@ impl<'a> NodeCore<'a> {
         graph: &'a TaskGraph,
         flows: &'a ReplicaFlows,
         layout: &'a FlowLayout,
+        plan: &'a NodePlan,
         compressor: Option<&'a dyn Compressor>,
         seed: u64,
         trace: Option<NodeTrace>,
@@ -816,6 +884,7 @@ impl<'a> NodeCore<'a> {
             graph,
             flows,
             layout,
+            plan,
             compressor,
             seed,
             cells: HashMap::new(),
@@ -874,11 +943,16 @@ impl<'a> NodeCore<'a> {
         let mut recv_from: Option<u64> = None;
         match t.prim {
             Primitive::Source => {
-                let start = self.layout.chunk_start[&key];
-                let len = (t.bytes_raw / 4) as usize;
-                let reps = &self.flows[&t.chunk.grad][self.node];
-                let mut acc = reps[0].as_slice()[start..start + len].to_vec();
-                if reps.len() > 1 {
+                // The input chunk itself, by refcount; local replicas
+                // are summed into a buffer of this iteration's own.
+                let inputs = self.layout.split_inputs(self.flows, self.node);
+                if let Some(chunk) = inputs.get(&key) {
+                    self.cells.entry(key).or_default().acc = ChunkBuf::Shared(Arc::clone(chunk));
+                } else {
+                    let start = self.layout.chunk_start[&key];
+                    let len = (t.bytes_raw / 4) as usize;
+                    let reps = &self.flows[&t.chunk.grad][self.node];
+                    let mut acc = reps[0].as_slice()[start..start + len].to_vec();
                     let agg_start_ns = self.trace.as_ref().map(|tr| tr.tracer.now_ns());
                     let agg_started = Instant::now();
                     for r in &reps[1..] {
@@ -903,8 +977,8 @@ impl<'a> NodeCore<'a> {
                             &[("replicas", reps.len() as u64)],
                         );
                     }
+                    self.cells.entry(key).or_default().acc = acc.into();
                 }
-                self.cells.entry(key).or_default().acc = acc.into();
             }
             Primitive::Encode => {
                 self.settle_degraded(key);
@@ -981,9 +1055,7 @@ impl<'a> NodeCore<'a> {
                         if contribution.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
-                        for (a, b) in cell.acc.make_mut().iter_mut().zip(contribution) {
-                            *a += b;
-                        }
+                        cell.acc.add_assign(contribution);
                         cell.merged += 1;
                     }
                     None => {
@@ -1045,8 +1117,10 @@ impl<'a> NodeCore<'a> {
             Primitive::Update => {
                 /// What `Update` installs into the accumulator.
                 enum Install<'v> {
-                    /// The disseminated aggregate, decoded.
-                    Value(&'v [f32]),
+                    /// The disseminated aggregate, decoded: the
+                    /// decode's own buffer when this `Update` is its
+                    /// only reader, else a copy.
+                    Decoded(Vec<f32>),
                     /// The disseminated aggregate as received raw.
                     Received(&'v Arc<Payload>),
                     /// The aggregate never arrived: the best local
@@ -1066,8 +1140,13 @@ impl<'a> NodeCore<'a> {
                     if self.skipped_out.contains(&d.0) {
                         Install::Degraded
                     } else {
-                        let dec = self.dec_out.get(&d.0);
-                        Install::Value(dec.ok_or_else(|| Error::sim("update before decode"))?)
+                        let readers = self.plan.local_dependents.get(&d.0);
+                        let dec = if readers.is_some_and(|r| r[..] == [id.0]) {
+                            self.dec_out.remove(&d.0)
+                        } else {
+                            self.dec_out.get(&d.0).cloned()
+                        };
+                        Install::Decoded(dec.ok_or_else(|| Error::sim("update before decode"))?)
                     }
                 } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
                     let p = self.recv_payload.get(&r.0);
@@ -1095,14 +1174,15 @@ impl<'a> NodeCore<'a> {
                     .ok_or_else(|| Error::sim("update with no state"))?;
                 // The accumulator is the buffer the result is read
                 // from: a received raw aggregate becomes it by
-                // refcount, a decoded one is copied in, the owner
-                // decodes its own bytes straight into it.
+                // refcount, a decoded one by move, and the owner
+                // decodes its own bytes straight into it — never into
+                // a copy of a buffer someone else holds.
                 match install {
-                    Install::Value(value) => {
+                    Install::Decoded(value) => {
                         if value.len() != cell.acc.len() {
                             return Err(Error::sim("update length mismatch"));
                         }
-                        cell.acc.make_mut().copy_from_slice(value);
+                        cell.acc = value.into();
                     }
                     Install::Received(p) => {
                         let value = ChunkBuf::Shared(Arc::clone(p));
@@ -1119,7 +1199,7 @@ impl<'a> NodeCore<'a> {
                     }
                     Install::OwnBytes(bytes) => compressor
                         .ok_or_else(|| Error::sim("codec task without a compressor"))?
-                        .decode_into(bytes, cell.acc.make_mut())?,
+                        .decode_into(bytes, cell.acc.overwrite())?,
                     Install::Accumulator => cell.settle_degraded(nodes),
                 }
                 cell.updated = true;
@@ -1317,12 +1397,23 @@ mod tests {
         let iter = iter_spec(&[elems], None, 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let out = run(&graph, nodes, &replicated, None, 3, &RunOptions::default()).unwrap();
         // Equivalent single-replica input through the interpreter.
         let summed = sum_replicas(&replicated).unwrap();
         let sim = interpret(&graph, nodes, &summed, None, 3).unwrap();
-        assert_eq!(out.flows[0].per_node, sim[0].per_node);
-        assert!(out.report.local_agg_ns > 0);
+        // Pipelined too: every iteration sums the replicas afresh, into
+        // a buffer of its own.
+        for (iterations, window) in [(1, 1), (3, 2)] {
+            let opts = RunOptions {
+                pipeline: crate::PipelineConfig { iterations, window },
+                ..RunOptions::default()
+            };
+            let out = run(&graph, nodes, &replicated, None, 3, &opts).unwrap();
+            assert_eq!(
+                out.flows[0].per_node, sim[0].per_node,
+                "{iterations}x{window}"
+            );
+            assert!(out.report.local_agg_ns > 0);
+        }
     }
 
     #[test]
@@ -1505,16 +1596,43 @@ mod tests {
         assert_eq!(moved.as_ptr(), ptr);
     }
 
+    #[test]
+    fn chunk_buf_writers_leave_held_buffers_alone() {
+        // A sum into a held buffer lands in a fresh one, with the same
+        // bits an in-place sum gives.
+        let mut buf = ChunkBuf::from(vec![0.1f32, 0.2, 0.3]);
+        let held = buf.share();
+        buf.add_assign(&[0.7, 0.4, -0.3]);
+        assert_eq!(held.as_ref(), &Payload::Raw(vec![0.1, 0.2, 0.3]));
+        let mut in_place = [0.1f32, 0.2, 0.3];
+        for (a, b) in in_place.iter_mut().zip([0.7f32, 0.4, -0.3]) {
+            *a += b;
+        }
+        assert_eq!(&*buf, &in_place[..]);
+        // Unshared, both writers keep the allocation.
+        let ptr = buf.as_ptr();
+        buf.add_assign(&[1.0; 3]);
+        buf.overwrite().copy_from_slice(&[5.0; 3]);
+        assert_eq!((buf.as_ptr(), &*buf), (ptr, &[5.0f32; 3][..]));
+        // An overwrite of a held buffer hands out a fresh one.
+        let held = buf.share();
+        let fresh = buf.overwrite();
+        assert_eq!(fresh.len(), 3);
+        fresh.copy_from_slice(&[6.0; 3]);
+        assert_eq!(held.as_ref(), &Payload::Raw(vec![5.0; 3]));
+        assert_ne!(buf.as_ptr(), ptr);
+    }
+
     /// Runs `graph` over the channel fabric, returning every node's
-    /// final cells.
+    /// final cells. `layout` keeps the input chunks the run split.
     fn drive_all(
         graph: &TaskGraph,
         nodes: usize,
         flows: &ReplicaFlows,
+        layout: &FlowLayout,
         compressor: Option<&dyn Compressor>,
         pipeline: crate::PipelineConfig,
     ) -> Vec<HashMap<(u32, u32), Cell>> {
-        let layout = FlowLayout::derive(graph, nodes, flows).unwrap();
         let plan = NodePlan::derive(graph, nodes);
         let config = RuntimeConfig::default();
         let results = crate::pipeline::on_threads(
@@ -1522,7 +1640,7 @@ mod tests {
             vec![None; nodes],
             |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
                 crate::pipeline::drive_node(
-                    &mut link, graph, flows, &layout, &plan, compressor, 5, &config, &pipeline,
+                    &mut link, graph, flows, layout, &plan, compressor, 5, &config, &pipeline,
                     None, None, None, None,
                 )
             },
@@ -1543,7 +1661,8 @@ mod tests {
                 iterations: 6,
                 window,
             };
-            let cells = drive_all(&graph, nodes, &flows, None, pipeline);
+            let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+            let cells = drive_all(&graph, nodes, &flows, &layout, None, pipeline);
             assert_eq!(cells[0].len(), 4);
             for (key, mine) in &cells[0] {
                 // The owner's `Send` shared its accumulator; the peer's
@@ -1557,6 +1676,107 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn source_shares_the_input_chunks_and_never_writes_them() {
+        let sizes = [300usize, 64];
+        let pipeline = crate::PipelineConfig {
+            iterations: 4,
+            window: 4,
+        };
+        for (strategy, nodes, alg) in [
+            (Strategy::CaSyncPs, 2, None),
+            (Strategy::CaSyncRing, 3, Some(Algorithm::OneBit)),
+        ] {
+            let grads = worker_grads(nodes, &sizes);
+            let single = gradient_flows(&grads);
+            let flows = replicate(&single);
+            let graph = strategy
+                .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, alg, nodes))
+                .unwrap();
+            let c = alg.map(|a| a.build().unwrap());
+            let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+            let plan = NodePlan::derive(&graph, nodes);
+            // A pipelined run: owners merge into, update and decode
+            // over accumulators that start as the shared inputs.
+            let cells = drive_all(&graph, nodes, &flows, &layout, c.as_deref(), pipeline);
+            let sim = interpret(&graph, nodes, &single, c.as_deref(), 5).unwrap();
+            for (a, b) in sim.iter().zip(layout.assemble(&cells).unwrap()) {
+                assert_eq!(a.per_node, b.per_node, "{strategy:?} diverged");
+            }
+            for (node, grads) in grads.iter().enumerate() {
+                // The chunks the run split, still the caller's bits.
+                let inputs = layout.split_inputs(&flows, node);
+                assert_eq!(inputs.len(), layout.chunk_start.len());
+                for (&key, chunk) in inputs {
+                    let start = layout.chunk_start[&key];
+                    let Payload::Raw(v) = chunk.as_ref() else {
+                        panic!("input chunk {key:?} is {chunk:?}")
+                    };
+                    let caller = &grads[key.0 as usize].as_slice()[start..start + v.len()];
+                    let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(v),
+                        bits(caller),
+                        "{strategy:?} node {node} wrote {key:?}"
+                    );
+                }
+                // A window of iterations, each `Source` the input chunk
+                // itself.
+                let mut window: Vec<NodeCore> = (0..pipeline.window)
+                    .map(|_| {
+                        NodeCore::new(
+                            node,
+                            &graph,
+                            &flows,
+                            &layout,
+                            &plan,
+                            c.as_deref(),
+                            5,
+                            None,
+                            None,
+                        )
+                    })
+                    .collect();
+                for core in &mut window {
+                    for (&key, chunk) in inputs {
+                        core.execute_one(tasks_of(&graph, node, Primitive::Source, key)[0])
+                            .unwrap();
+                        assert!(
+                            matches!(&core.cells[&key].acc, ChunkBuf::Shared(p) if Arc::ptr_eq(p, chunk)),
+                            "{strategy:?} node {node} copied {key:?}"
+                        );
+                    }
+                }
+            }
+        }
+
+        // A degraded update rescales a copy, never the input: node 1 of
+        // a dense PS installs a skipped aggregate for chunk (0, 0).
+        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
+        let graph = Strategy::CaSyncPs
+            .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
+            .unwrap();
+        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let plan = NodePlan::derive(&graph, 2);
+        let key = (0, 0);
+        let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
+        core.execute_one(tasks_of(&graph, 1, Primitive::Source, key)[0])
+            .unwrap();
+        let recv = tasks_of(&graph, 1, Primitive::Recv, key)[0];
+        let send = graph.task(recv).deps[0];
+        core.inbound.insert(send.0, Arc::new(Payload::Skipped));
+        core.execute_one(recv).unwrap();
+        core.execute_one(tasks_of(&graph, 1, Primitive::Update, key)[0])
+            .unwrap();
+        let input = &layout.split_inputs(&flows, 1)[&key];
+        let Payload::Raw(v) = input.as_ref() else {
+            unreachable!()
+        };
+        let scaled: Vec<f32> = v.iter().map(|x| x * 2.0).collect();
+        assert_eq!(&*core.cells[&key].acc, &scaled[..]);
+        assert_eq!(v[..], flows[&0][1][0].as_slice()[..v.len()]);
     }
 
     /// The ids of `node`'s `prim` tasks on chunk `key`, in graph order.
@@ -1579,7 +1799,8 @@ mod tests {
             .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
             .unwrap();
         let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
-        let mut core = NodeCore::new(1, &graph, &flows, &layout, None, 3, None, None);
+        let plan = NodePlan::derive(&graph, 2);
+        let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
         let key = (0, 0);
         core.execute_one(tasks_of(&graph, 1, Primitive::Source, key)[0])
             .unwrap();
@@ -1600,8 +1821,19 @@ mod tests {
             )
             .unwrap();
         let layout = FlowLayout::derive(&graph, 3, &flows).unwrap();
+        let plan = NodePlan::derive(&graph, 3);
         let c = Algorithm::OneBit.build().unwrap();
-        let mut core = NodeCore::new(0, &graph, &flows, &layout, Some(c.as_ref()), 3, None, None);
+        let mut core = NodeCore::new(
+            0,
+            &graph,
+            &flows,
+            &layout,
+            &plan,
+            Some(c.as_ref()),
+            3,
+            None,
+            None,
+        );
         for t in [Primitive::Source, Primitive::Encode] {
             core.execute_one(tasks_of(&graph, 0, t, key)[0]).unwrap();
         }
@@ -1625,13 +1857,15 @@ mod tests {
             .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
             .unwrap();
         let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let plan = NodePlan::derive(&graph, 2);
         let key = (0, 0);
         for (node, consumer, error) in [
             (0, Primitive::Merge, "merge length mismatch"),
             (1, Primitive::Update, "update length mismatch"),
         ] {
             for len in [0, 47, 49, 4096] {
-                let mut core = NodeCore::new(node, &graph, &flows, &layout, None, 3, None, None);
+                let mut core =
+                    NodeCore::new(node, &graph, &flows, &layout, &plan, None, 3, None, None);
                 core.execute_one(tasks_of(&graph, node, Primitive::Source, key)[0])
                     .unwrap();
                 let before = core.cells[&key].acc.to_vec();

@@ -348,6 +348,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 self.graph,
                 self.flows,
                 self.layout,
+                self.plan,
                 self.compressor,
                 self.seed,
                 self.trace.clone(),
@@ -710,6 +711,9 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     progress: Option<&'a dyn ProgressSink>,
     hooks: Option<&'a mut NodeHooks>,
 ) -> NodeResult {
+    // Split once, before the first iteration, so the one copy is not
+    // timed as a `Source`: every `Source` is a refcount bump on it.
+    layout.split_inputs(flows, link.me());
     let mut worker = PipeWorker {
         link,
         graph,

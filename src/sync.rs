@@ -18,8 +18,8 @@ use hipress_core::{
 use hipress_metrics::Scope;
 use hipress_obs::Telemetry;
 use hipress_runtime::{
-    replicate, FaultTolerance, Instruments, PipelineConfig, ProcessConfig, RunOptions, RunOutcome,
-    RuntimeConfig, RuntimeReport,
+    FaultTolerance, Instruments, PipelineConfig, ProcessConfig, ReplicaFlows, RunOptions,
+    RunOutcome, RuntimeConfig, RuntimeReport,
 };
 use hipress_tensor::Tensor;
 use hipress_trace::Tracer;
@@ -383,10 +383,16 @@ impl HiPress {
                 (self.fault_tolerance.unwrap_or_default(), plan)
             });
             let (graph, flows) = graph_and_flows()?;
+            // One replica per worker, moved into the runtime's shape:
+            // the flows are this call's only copy of the gradients.
+            let flows: ReplicaFlows = flows
+                .into_iter()
+                .map(|(f, per_node)| (f, per_node.into_iter().map(|t| vec![t]).collect()))
+                .collect();
             hipress_runtime::run(
                 &graph,
                 nodes,
-                &replicate(&flows),
+                &flows,
                 compressor.as_deref(),
                 self.seed,
                 &RunOptions {
