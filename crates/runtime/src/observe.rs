@@ -624,9 +624,8 @@ mod tests {
         assert_eq!(validate_clock_monotonicity(&t), Ok(0));
     }
 
-    #[test]
-    fn postmortem_round_trips_and_names_the_dead_node() {
-        let dump = PostmortemDump {
+    fn sample_dump() -> PostmortemDump {
+        PostmortemDump {
             nodes: 3,
             failed_node: 1,
             detail: "worker process exited without reporting an outcome".into(),
@@ -656,7 +655,10 @@ mod tests {
                 },
                 RankFlight {
                     rank: 2,
-                    sync: ClockSync::default(),
+                    sync: ClockSync {
+                        offset_ns: 7,
+                        uncertainty_ns: 3,
+                    },
                     events: vec![FlightEvent {
                         ts_ns: 1_000_000,
                         kind: FlightKind::Hello,
@@ -666,7 +668,27 @@ mod tests {
                     }],
                 },
             ],
-        };
+        }
+    }
+
+    /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// The dump file's bytes, pinned as a digest captured on the commit
+    /// before the record schema replaced the hand-written codec.
+    #[test]
+    fn postmortem_dump_matches_the_parent_commit() {
+        let bytes = sample_dump().to_bytes();
+        assert_eq!(fnv1a(&bytes), 0x23cd_f8d5_3c4b_d68c, "{:#x}", fnv1a(&bytes));
+    }
+
+    #[test]
+    fn postmortem_round_trips_and_names_the_dead_node() {
+        let dump = sample_dump();
         let back = PostmortemDump::from_bytes(&dump.to_bytes()).unwrap();
         assert_eq!(back, dump);
         let text = dump.render();

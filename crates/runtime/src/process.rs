@@ -1744,6 +1744,296 @@ mod tests {
         assert!(dump.ranks.iter().all(|r| !r.events.is_empty()));
     }
 
+    /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    fn report_tlv(rep: &RuntimeReport) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_report(&mut w, rep);
+        w.into_vec()
+    }
+
+    /// A report whose every field holds a distinct, non-default value.
+    fn every_field_report() -> RuntimeReport {
+        let prim = |i: u64| PrimStat {
+            count: 10 + i,
+            busy_ns: 1000 + i,
+        };
+        RuntimeReport {
+            nodes: 3,
+            wall_ns: 123_456,
+            source: prim(0),
+            encode: prim(1),
+            decode: prim(2),
+            merge: prim(3),
+            send: prim(4),
+            recv: prim(5),
+            update: prim(6),
+            barrier: prim(7),
+            local_agg_ns: 777,
+            bytes_wire: 2048,
+            bytes_raw: 8192,
+            messages: 55,
+            comp_batch_launches: 4,
+            per_node_busy_ns: vec![11, 22, 33],
+            faults: FaultReport {
+                injected_drops: 1,
+                injected_dups: 2,
+                injected_reorders: 3,
+                injected_delays: 4,
+                injected_corruptions: 5,
+                injected_stalls: 6,
+                retries: 7,
+                nacks: 8,
+                duplicates_ignored: 9,
+                corruptions_detected: 10,
+                degraded_chunks: 11,
+                verdicts: vec![
+                    StragglerVerdict {
+                        node: 1,
+                        peer: 2,
+                        waited_ns: 999,
+                        action: DegradeAction::Skipped,
+                    },
+                    StragglerVerdict {
+                        node: 2,
+                        peer: 0,
+                        waited_ns: 888,
+                        action: DegradeAction::Aborted,
+                    },
+                ],
+            },
+            fabric_frames: 60,
+            fabric_bytes_framed: 61,
+            fabric_bytes_payload: 62,
+            fabric_retransmits: 63,
+            iterations: 16,
+            pipeline_window: 5,
+            iter_span_ns_total: 424_242,
+            membership: vec![
+                crate::report::EpochRecord {
+                    epoch: 0,
+                    from_iter: 0,
+                    members: vec![0, 1, 2],
+                },
+                crate::report::EpochRecord {
+                    epoch: 1,
+                    from_iter: 9,
+                    members: vec![0, 2],
+                },
+            ],
+            evicted: vec![1],
+        }
+    }
+
+    fn every_field_job() -> Job {
+        Job {
+            strategy: Strategy::CaSyncRing,
+            algorithm: Algorithm::Tbq { tau: 0.25 },
+            partitions: 3,
+            seed: 99,
+            nodes: 4,
+            rank: 2,
+            config: RuntimeConfig {
+                batch_compression: false,
+                comp_batch_max_task_bytes: 12_345,
+                inbox_timeout: Duration::from_millis(1_500),
+                ft_min_wait: Duration::from_micros(333),
+                ft_max_wait: Duration::from_millis(44),
+                ft_heartbeat: Duration::from_millis(55),
+            },
+            iterations: 8,
+            window: 5,
+            want_trace: true,
+            want_metrics: true,
+            want_progress: true,
+            grad_lens: vec![16, 32],
+            grads: vec![vec![1.0, -2.5], vec![f32::NAN]],
+            mesh_ports: vec![4000, 4001, 4002, 4003],
+            epoch: 6,
+            base_iter: 11,
+            die_at_iter: Some(7),
+        }
+    }
+
+    fn flight() -> Vec<FlightEvent> {
+        vec![
+            FlightEvent {
+                ts_ns: 2_000_000,
+                kind: hipress_fabric::FlightKind::SendData,
+                peer: 1,
+                seq: 7,
+                bytes: 512,
+            },
+            FlightEvent {
+                ts_ns: 9_000_000,
+                kind: hipress_fabric::FlightKind::PeerLost,
+                peer: 2,
+                seq: 3,
+                bytes: 64,
+            },
+        ]
+    }
+
+    fn outcome() -> Ctl {
+        let mut trace = Trace::new("casync-rt/node0");
+        let t = trace.thread_track("node0");
+        trace.push_span(t, "send", "send", 10, 5, &[("task", 3)]);
+        trace.push_instant(t, "msg", "fabric", 12, &[]);
+        let q = trace.counter_track("node0/Q_comp");
+        trace.push_sample(q, 11, 0.5);
+        Ctl::Outcome {
+            cells: vec![(0, 1, vec![3.5, -0.0]), (2, 0, vec![f32::INFINITY])],
+            report: every_field_report(),
+            trace: Some(trace),
+            metrics: Some("{\"m\":1}".into()),
+            flight: flight(),
+        }
+    }
+
+    fn sync_failed(peer: Option<usize>, task: Option<u32>) -> Ctl {
+        Ctl::Failed {
+            error: Error::sync(SyncFailure {
+                kind: SyncFailureKind::Straggler,
+                node: 2,
+                peer,
+                task,
+                detail: "seq 9 unacknowledged".into(),
+            }),
+            flight: flight(),
+            completed: 4,
+        }
+    }
+
+    /// One frame of every control message, each field distinct and
+    /// non-default.
+    fn every_ctl() -> Vec<(&'static str, Ctl)> {
+        vec![
+            (
+                "hello",
+                Ctl::Hello {
+                    rank: 3,
+                    mesh_port: 40_123,
+                },
+            ),
+            ("job", Ctl::Job(Box::new(every_field_job()))),
+            ("outcome", outcome()),
+            ("failed/sync", sync_failed(Some(1), Some(42))),
+            ("failed/sync-bare", sync_failed(None, None)),
+            (
+                "failed/other",
+                Ctl::Failed {
+                    error: Error::sim("node 2 wedged"),
+                    flight: flight(),
+                    completed: 3,
+                },
+            ),
+            ("shutdown", Ctl::Shutdown),
+            ("ping", Ctl::ClockPing { t1: 77 }),
+            ("pong", Ctl::ClockPong { t1: 78, t2: 99 }),
+            (
+                "progress",
+                Ctl::Progress {
+                    rec: IterRecord {
+                        node: 1,
+                        iter: 2,
+                        ts_ns: 3,
+                        span_ns: 4,
+                        comp_ns: 5,
+                        commu_ns: 6,
+                        bytes_wire: 7,
+                        messages: 8,
+                        retransmits: 9,
+                        faults: 10,
+                        window: 11,
+                        epoch: 12,
+                    },
+                },
+            ),
+            (
+                "member",
+                Ctl::Member(Msg::Welcome {
+                    epoch: 2,
+                    from_iter: 9,
+                    members: vec![0, 2, 3],
+                }),
+            ),
+        ]
+    }
+
+    /// The control protocol's bytes, pinned as digests captured on the
+    /// commit before the record schema replaced the hand-written
+    /// codecs. Each frame also re-encodes to itself after a decode (so
+    /// no field is dropped or altered in transit), and every strict
+    /// prefix of it fails to decode.
+    #[test]
+    fn ctl_frames_match_the_parent_commit() {
+        let want = [
+            0x465a_4d23_2d26_a610_u64,
+            0x5c25_0536_cd53_a3c2,
+            0xc410_833f_4e53_4ed3,
+            0x99ee_5e96_349c_90dd,
+            0xf68e_9cfa_6d47_4206,
+            0xeeb5_f3e1_bda8_72e5,
+            0xaf63_b84c_8601_af60,
+            0x6598_320f_08db_42b4,
+            0x3ae6_3321_26dc_bf4b,
+            0x9025_fff5_6150_266b,
+            0xa6a2_aac2_0b68_b369,
+        ];
+        for ((name, msg), want) in every_ctl().into_iter().zip(want) {
+            let bytes = msg.to_bytes();
+            assert_eq!(fnv1a(&bytes), want, "{name}: {:#x}", fnv1a(&bytes));
+            for cut in 0..bytes.len() {
+                assert!(Ctl::from_bytes(&bytes[..cut]).is_err(), "{name} at {cut}");
+            }
+            let back = Ctl::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            match &back {
+                // Other error categories travel as their rendered
+                // message, so they come back as a message error.
+                Ctl::Failed { error, .. } if error.as_sync().is_none() => {
+                    assert!(error.to_string().contains("node 2 wedged"), "{error}");
+                }
+                _ => assert_eq!(back.to_bytes(), bytes, "{name}"),
+            }
+        }
+    }
+
+    #[test]
+    fn report_tlv_and_json_match_the_parent_commit() {
+        let rep = every_field_report();
+        let tlv = report_tlv(&rep);
+        assert_eq!(fnv1a(&tlv), 0xcb08_639c_8480_f218, "{:#x}", fnv1a(&tlv));
+        let json = rep.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"nodes":3,"wall_ns":123456,"source":{"count":10,"busy_ns":1000},"#,
+                r#""encode":{"count":11,"busy_ns":1001},"decode":{"count":12,"busy_ns":1002},"#,
+                r#""merge":{"count":13,"busy_ns":1003},"send":{"count":14,"busy_ns":1004},"#,
+                r#""recv":{"count":15,"busy_ns":1005},"update":{"count":16,"busy_ns":1006},"#,
+                r#""barrier":{"count":17,"busy_ns":1007},"local_agg_ns":777,"bytes_wire":2048,"#,
+                r#""bytes_raw":8192,"messages":55,"comp_batch_launches":4,"#,
+                r#""per_node_busy_ns":[11,22,33],"faults":{"injected_drops":1,"#,
+                r#""injected_dups":2,"injected_reorders":3,"injected_delays":4,"#,
+                r#""injected_corruptions":5,"injected_stalls":6,"retries":7,"nacks":8,"#,
+                r#""duplicates_ignored":9,"corruptions_detected":10,"degraded_chunks":11,"#,
+                r#""verdicts":[{"node":1,"peer":2,"waited_ns":999,"action":"skipped"},"#,
+                r#"{"node":2,"peer":0,"waited_ns":888,"action":"aborted"}]},"#,
+                r#""fabric_frames":60,"fabric_bytes_framed":61,"fabric_bytes_payload":62,"#,
+                r#""fabric_retransmits":63,"iterations":16,"pipeline_window":5,"#,
+                r#""iter_span_ns_total":424242,"membership":[{"epoch":0,"from_iter":0,"#,
+                r#""members":[0,1,2]},{"epoch":1,"from_iter":9,"members":[0,2]}],"#,
+                r#""evicted":[1],"compression_savings":4.000000,"pipeline_overlap":0.126989}"#,
+            )
+        );
+        hipress_trace::json::parse(&json).expect("report json parses");
+    }
+
     #[test]
     fn ctl_messages_round_trip() {
         let job = Job {
