@@ -294,7 +294,19 @@ for _ in $(seq 1 100); do
 done
 "$HIPRESS_BIN" scrape "$TELE_ADDR" /healthz | grep -q '"records":24'
 "$HIPRESS_BIN" scrape "$TELE_ADDR" /events --lines 1 | grep -q '"iter":'
-"$HIPRESS_BIN" scrape "$TELE_ADDR" /report.json | grep -q '"pipeline_window":2'
+TELE_REPORT=$(mktemp)
+"$HIPRESS_BIN" scrape "$TELE_ADDR" /report.json >"$TELE_REPORT"
+# The report's key set comes from the record declaration: a renamed or
+# dropped field fails here, not only in a unit test.
+for key in '"pipeline_window":2' '"faults":{' '"verdicts":[' '"membership":[' \
+    '"evicted":[' '"compression_savings":'; do
+  if ! grep -qF "$key" "$TELE_REPORT"; then
+    echo "/report.json lacks $key:" >&2
+    cat "$TELE_REPORT" >&2
+    exit 1
+  fi
+done
+rm -f "$TELE_REPORT"
 TELE_METRICS=$(mktemp)
 "$HIPRESS_BIN" scrape "$TELE_ADDR" /metrics >"$TELE_METRICS"
 grep -q "^bytes_wire" "$TELE_METRICS"

@@ -9,13 +9,21 @@
 //! bit-flipped, or garbage inputs yield a [`DecodeError`], not an
 //! abort or an out-of-memory hang.
 //!
+//! Reports and control structs are declared once with [`record!`]:
+//! one field list yields the struct, its TLV codec (a [`Field`]
+//! impl, fields in declaration order), its `absorb` and its JSON
+//! object.
+//!
 //! The two stream helpers at the bottom — [`write_all_vectored`] and
 //! [`read_exact_vec`] — are how a serialized buffer crosses a socket
 //! without being copied into (or zero-filled as) a staging buffer
 //! first; the frame path and the process control channel share them.
 
+use crate::recorder::FlightEvent;
+use crate::WireMsg;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::time::Duration;
 
 /// A structured decode failure. Every variant names what went wrong
 /// so protocol layers can distinguish framing damage (retransmit)
@@ -299,6 +307,386 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// A value with one wire form, so a [`record!`] can encode a field of
+/// its type by naming the type alone.
+pub trait Field: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut Writer);
+
+    /// Parses one value.
+    ///
+    /// # Errors
+    ///
+    /// A structured [`DecodeError`] for any malformed input.
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Appends a list: a `u32` count, then each element.
+    fn put_list(v: &[Self], w: &mut Writer) {
+        w.put_u32(v.len() as u32);
+        for x in v {
+            x.put(w);
+        }
+    }
+
+    /// Parses a list. It grows as elements arrive and never reserves
+    /// from the count, so a hostile count fails at the end of the
+    /// input instead of allocating for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Field::get`].
+    fn get_list(r: &mut Reader<'_>) -> Result<Vec<Self>, DecodeError> {
+        let mut out = Vec::new();
+        for _ in 0..r.u32()? {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! le_fields {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Field for $t {
+            fn put(&self, w: &mut Writer) {
+                w.$put(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+le_fields! {
+    u8: put_u8, u8;
+    u16: put_u16, u16;
+    u32: put_u32, u32;
+    u64: put_u64, u64;
+    f64: put_f64, f64;
+}
+
+/// `Vec<f32>` (a gradient) travels as one bulk block.
+impl Field for f32 {
+    fn put(&self, w: &mut Writer) {
+        w.put_f32(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.f32()
+    }
+    fn put_list(v: &[Self], w: &mut Writer) {
+        w.put_f32s(v);
+    }
+    fn get_list(r: &mut Reader<'_>) -> Result<Vec<Self>, DecodeError> {
+        r.f32s()
+    }
+}
+
+/// One byte, 0 or 1; any other byte is [`DecodeError::BadTag`].
+impl Field for bool {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(DecodeError::BadTag {
+                what: "flag",
+                tag: u64::from(t),
+            }),
+        }
+    }
+}
+
+/// Zigzag-encodes a signed value so small magnitudes of either sign
+/// stay small as a `u64`.
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+pub fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Types that travel as a `u64`: `usize` as is, `i64` zigzagged,
+/// `Duration` as whole nanoseconds.
+macro_rules! u64_fields {
+    ($($t:ty: $to:expr, $from:expr;)*) => {$(
+        impl Field for $t {
+            fn put(&self, w: &mut Writer) {
+                w.put_u64($to(*self));
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($from(r.u64()?))
+            }
+        }
+    )*};
+}
+
+u64_fields! {
+    usize: |v: usize| v as u64, |v: u64| v as usize;
+    i64: zigzag, unzigzag;
+    Duration: |v: Duration| v.as_nanos() as u64, Duration::from_nanos;
+}
+
+impl Field for String {
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(r.str()?.to_owned())
+    }
+}
+
+impl Field for FlightEvent {
+    fn put(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Self::decode(r)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        T::put_list(self, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        T::get_list(r)
+    }
+}
+
+/// A presence flag (a `bool`), then the value when present.
+impl<T: Field> Field for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
+
+/// Tuples travel element by element.
+macro_rules! tuple_fields {
+    ($(($($t:ident $i:tt),*))*) => {$(
+        impl<$($t: Field),*> Field for ($($t,)*) {
+            fn put(&self, w: &mut Writer) {
+                $(self.$i.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(($($t::get(r)?,)*))
+            }
+        }
+    )*};
+}
+
+tuple_fields! { (A 0, B 1) (A 0, B 1, C 2) }
+
+/// A value's JSON form: a number, an array, or the object a `[json]`
+/// [`record!`] renders from its fields.
+pub trait Json {
+    /// Appends the value's JSON form.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! json_numbers {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+
+json_numbers!(u32, u64, usize);
+
+impl<T: Json> Json for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Appends `{"name":value,...}` in the order given.
+pub fn write_json_object(out: &mut String, fields: &[(&str, &dyn Json)]) {
+    out.push('{');
+    for (i, (name, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+/// Declares a wire record: one field list yields the struct itself
+/// (attributes, docs and visibility as written) and a [`Field`] impl
+/// that writes and reads the fields in declaration order. Options in
+/// brackets after the name add an `absorb` method (`[absorb]`) and a
+/// [`Json`] impl (`[json]`).
+///
+/// ```
+/// hipress_fabric::record! {
+///     /// Per-peer counters.
+///     #[derive(Debug, Default)]
+///     pub struct Tally [absorb, json] {
+///         /// Frames seen.
+///         pub frames: u64 => sum,
+///         /// Peers heard from.
+///         pub peers: Vec<u32> => append,
+///     }
+/// }
+/// ```
+///
+/// A field's kind, after `=>`, says how `absorb` merges it: `sum`
+/// (`+=`), `keep` (ignored), `append` (extend a `Vec`) or `absorb`
+/// (the field's own `absorb`). It is required only on records that
+/// ask for `absorb`. A field of a type this crate cannot implement
+/// [`Field`] for names its codec instead: `=> via(put_fn, get_fn)`,
+/// with `put_fn(&mut Writer, &T)` and `get_fn(&mut Reader) ->
+/// Result<T, DecodeError>`.
+#[macro_export]
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $([$($opt:ident),*])? {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident: $ty:ty $(=> $kind:ident $(($($arg:tt)*))?)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::codec::Field for $name {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                $($crate::record!(@put [$($kind $(($($arg)*))?)?] w &self.$field);)*
+            }
+
+            fn get(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
+                ::core::result::Result::Ok(Self {
+                    $($field: $crate::record!(@get [$($kind $(($($arg)*))?)?] r)?,)*
+                })
+            }
+        }
+
+        $crate::record!(@opts $name [$($($opt)*)?] {$($field $($kind)?),*});
+    };
+    (@put [via($put:path, $get:path)] $w:ident $v:expr) => {
+        $put($w, $v)
+    };
+    (@put [$($kind:tt)*] $w:ident $v:expr) => {
+        $crate::codec::Field::put($v, $w)
+    };
+    (@get [via($put:path, $get:path)] $r:ident) => {
+        $get($r)
+    };
+    (@get [$($kind:tt)*] $r:ident) => {
+        $crate::codec::Field::get($r)
+    };
+    (@opts $name:ident [] $fields:tt) => {};
+    (@opts $name:ident [$opt:ident $($rest:ident)*] $fields:tt) => {
+        $crate::record!(@$opt $name $fields);
+        $crate::record!(@opts $name [$($rest)*] $fields);
+    };
+    (@absorb $name:ident {$($field:ident $($kind:ident)?),*}) => {
+        impl $name {
+            /// Merges `other` into this record, each field by its
+            /// declared merge kind.
+            pub fn absorb(&mut self, other: &Self) {
+                $($crate::record!(@merge self other $field $($kind)?);)*
+            }
+        }
+    };
+    (@merge $s:tt $o:tt $f:ident sum) => {
+        $s.$f += $o.$f
+    };
+    (@merge $s:tt $o:tt $f:ident keep) => {};
+    (@merge $s:tt $o:tt $f:ident append) => {
+        $s.$f.extend_from_slice(&$o.$f)
+    };
+    (@merge $s:tt $o:tt $f:ident absorb) => {
+        $s.$f.absorb(&$o.$f)
+    };
+    (@merge $s:tt $o:tt $f:ident $($kind:tt)*) => {
+        compile_error!(concat!(
+            "record field `",
+            stringify!($f),
+            "` needs a merge kind: sum, keep, append or absorb"
+        ))
+    };
+    (@json $name:ident {$($field:ident $($kind:ident)?),*}) => {
+        impl $crate::codec::Json for $name {
+            fn write_json(&self, out: &mut ::std::string::String) {
+                $crate::codec::write_json_object(out, &[$((stringify!($field), &self.$field)),*]);
+            }
+        }
+    };
+}
+
+/// Decodes `bytes` as exactly one `T`.
+fn decode_all<T: Field>(bytes: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let v = T::get(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// The hostile-input check every record's test runs on a value whose
+/// fields are all distinct and non-default.
+///
+/// # Panics
+///
+/// Unless: the value decodes and re-encodes to the same bytes (so no
+/// field is dropped or reordered); every strict prefix fails to
+/// decode; any four bytes overwritten with `0xFF` decode without
+/// panicking; and a list claiming `u32::MAX` elements over a short
+/// body fails without allocating for the count.
+pub fn check_record<T: Field>(value: &T) {
+    let encode = |v: &T| {
+        let mut w = Writer::new();
+        v.put(&mut w);
+        w.into_vec()
+    };
+    let bytes = encode(value);
+    let back = decode_all::<T>(&bytes).expect("the encoding decodes");
+    assert_eq!(encode(&back), bytes, "decode then encode changed the bytes");
+    for cut in 0..bytes.len() {
+        assert!(
+            decode_all::<T>(&bytes[..cut]).is_err(),
+            "a {cut}-byte prefix of {} decoded",
+            bytes.len()
+        );
+    }
+    for at in 0..bytes.len().saturating_sub(3) {
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&[0xFF; 4]);
+        let _ = decode_all::<T>(&hostile);
+    }
+    let mut hostile = u32::MAX.to_le_bytes().to_vec();
+    hostile.extend_from_slice(&bytes);
+    assert!(decode_all::<Vec<T>>(&hostile).is_err());
 }
 
 /// Writes `parts` back to back as if they were one contiguous buffer,

@@ -39,30 +39,32 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the thread engine.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Group small ready `Encode` tasks into one launch (the batch
-    /// compression optimization of §3.2). Semantically neutral; the
-    /// report counts launches so the batching is observable.
-    pub batch_compression: bool,
-    /// Encodes at or below this raw size are eligible for batching.
-    pub comp_batch_max_task_bytes: u64,
-    /// How long a node thread waits on a silent inbox before
-    /// declaring the protocol wedged and unwinding with an error
-    /// instead of hanging (a lost peer or malformed graph, not
-    /// ordinary slowness).
-    pub inbox_timeout: Duration,
-    /// Shortest inbox poll a retransmitting link (the fault-tolerant
-    /// envelope link, the TCP fabric) uses between protocol timer
-    /// checks (the floor of its adaptive wait).
-    pub ft_min_wait: Duration,
-    /// Longest inbox poll a retransmitting link allows before
-    /// re-checking its retransmission (and straggler) timers.
-    pub ft_max_wait: Duration,
-    /// Heartbeat period of the fault-tolerant envelope link, and the
-    /// idle interval after which a TCP fabric link pings.
-    pub ft_heartbeat: Duration,
+hipress_fabric::record! {
+    /// Tuning knobs for the thread engine.
+    #[derive(Debug, Clone, Copy)]
+    pub struct RuntimeConfig {
+        /// Group small ready `Encode` tasks into one launch (the batch
+        /// compression optimization of §3.2). Semantically neutral; the
+        /// report counts launches so the batching is observable.
+        pub batch_compression: bool,
+        /// Encodes at or below this raw size are eligible for batching.
+        pub comp_batch_max_task_bytes: u64,
+        /// How long a node thread waits on a silent inbox before
+        /// declaring the protocol wedged and unwinding with an error
+        /// instead of hanging (a lost peer or malformed graph, not
+        /// ordinary slowness).
+        pub inbox_timeout: Duration,
+        /// Shortest inbox poll a retransmitting link (the fault-tolerant
+        /// envelope link, the TCP fabric) uses between protocol timer
+        /// checks (the floor of its adaptive wait).
+        pub ft_min_wait: Duration,
+        /// Longest inbox poll a retransmitting link allows before
+        /// re-checking its retransmission (and straggler) timers.
+        pub ft_max_wait: Duration,
+        /// Heartbeat period of the fault-tolerant envelope link, and the
+        /// idle interval after which a TCP fabric link pings.
+        pub ft_heartbeat: Duration,
+    }
 }
 
 impl Default for RuntimeConfig {

@@ -20,33 +20,26 @@
 //! span pair — a receive that ends before its send began (beyond the
 //! two ranks' combined uncertainty) proves the offsets are wrong.
 
-use hipress_fabric::{DecodeError, FlightEvent, Reader, WireMsg, Writer};
+use hipress_fabric::codec::Field;
+pub use hipress_fabric::codec::{unzigzag, zigzag};
+use hipress_fabric::{record, DecodeError, FlightEvent, Reader, WireMsg, Writer};
 use hipress_trace::{Trace, Tracer, TrackKind};
 use std::collections::HashMap;
 
-/// Zigzag-encodes a signed offset so it rides in unsigned trace args
-/// and TLV fields (small magnitudes stay small either sign).
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// One rank's clock alignment against the coordinator's epoch:
-/// add `offset_ns` to a worker timestamp to land on the
-/// coordinator's timeline, correct to within `uncertainty_ns`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClockSync {
-    /// Worker-to-coordinator epoch offset, nanoseconds (signed: a
-    /// worker that started later than the coordinator has a positive
-    /// offset).
-    pub offset_ns: i64,
-    /// Error bound on the offset: half the round-trip time of the
-    /// best probe.
-    pub uncertainty_ns: u64,
+record! {
+    /// One rank's clock alignment against the coordinator's epoch:
+    /// add `offset_ns` to a worker timestamp to land on the
+    /// coordinator's timeline, correct to within `uncertainty_ns`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClockSync {
+        /// Worker-to-coordinator epoch offset, nanoseconds (signed: a
+        /// worker that started later than the coordinator has a positive
+        /// offset).
+        pub offset_ns: i64,
+        /// Error bound on the offset: half the round-trip time of the
+        /// best probe.
+        pub uncertainty_ns: u64,
+    }
 }
 
 impl ClockSync {
@@ -83,20 +76,6 @@ impl ClockSync {
     }
 }
 
-impl WireMsg for ClockSync {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(zigzag(self.offset_ns));
-        w.put_u64(self.uncertainty_ns);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ClockSync {
-            offset_ns: unzigzag(r.u64()?),
-            uncertainty_ns: r.u64()?,
-        })
-    }
-}
-
 const TRACK_THREAD: u8 = 1;
 const TRACK_COUNTER: u8 = 2;
 
@@ -114,22 +93,14 @@ pub fn put_trace(w: &mut Writer, trace: &Trace) {
         });
         w.put_u32(track.events.len() as u32);
         for e in &track.events {
-            w.put_str(&e.name);
-            w.put_str(&e.category);
-            w.put_u64(e.ts_ns);
-            w.put_u64(e.dur_ns);
-            w.put_u8(u8::from(e.instant));
-            w.put_u32(e.args.len() as u32);
-            for (k, v) in &e.args {
-                w.put_str(k);
-                w.put_u64(*v);
-            }
+            e.name.put(w);
+            e.category.put(w);
+            e.ts_ns.put(w);
+            e.dur_ns.put(w);
+            e.instant.put(w);
+            e.args.put(w);
         }
-        w.put_u32(track.samples.len() as u32);
-        for &(ts, v) in &track.samples {
-            w.put_u64(ts);
-            w.put_f64(v);
-        }
+        track.samples.put(w);
     }
 }
 
@@ -160,13 +131,8 @@ pub fn get_trace(r: &mut Reader<'_>) -> Result<Trace, DecodeError> {
             let category = r.str()?.to_string();
             let ts_ns = r.u64()?;
             let dur_ns = r.u64()?;
-            let instant = r.u8()? != 0;
-            let mut args: Vec<(String, u64)> = Vec::new();
-            for _ in 0..r.u32()? {
-                let k = r.str()?.to_string();
-                let v = r.u64()?;
-                args.push((k, v));
-            }
+            let instant = bool::get(r)?;
+            let args: Vec<(String, u64)> = Field::get(r)?;
             let arg_refs: Vec<(&str, u64)> = args.iter().map(|(k, v)| (k.as_str(), *v)).collect();
             if instant {
                 trace.push_instant(id, &name, &category, ts_ns, &arg_refs);
@@ -174,9 +140,7 @@ pub fn get_trace(r: &mut Reader<'_>) -> Result<Trace, DecodeError> {
                 trace.push_span(id, &name, &category, ts_ns, dur_ns, &arg_refs);
             }
         }
-        for _ in 0..r.u32()? {
-            let ts = r.u64()?;
-            let v = r.f64()?;
+        for (ts, v) in Vec::<(u64, f64)>::get(r)? {
             trace.push_sample(id, ts, v);
         }
     }
@@ -328,59 +292,53 @@ pub fn validate_clock_monotonicity(trace: &Trace) -> Result<usize, Vec<String>> 
     }
 }
 
-/// One rank's contribution to a postmortem: its flight-recorder ring
-/// and the clock alignment that maps its timestamps onto the
-/// coordinator's timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankFlight {
-    /// The rank whose ring this is.
-    pub rank: u32,
-    /// How this rank's clock maps onto the coordinator's.
-    pub sync: ClockSync,
-    /// The retained protocol events, oldest first.
-    pub events: Vec<FlightEvent>,
+record! {
+    /// One rank's contribution to a postmortem: its flight-recorder ring
+    /// and the clock alignment that maps its timestamps onto the
+    /// coordinator's timeline.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RankFlight {
+        /// The rank whose ring this is.
+        pub rank: u32,
+        /// How this rank's clock maps onto the coordinator's.
+        pub sync: ClockSync,
+        /// The retained protocol events, oldest first.
+        pub events: Vec<FlightEvent>,
+    }
 }
 
 /// Marks the rank of a [`PostmortemDump`] whose root cause could not
 /// be attributed to a specific node.
 pub const UNKNOWN_NODE: u32 = u32::MAX;
 
-/// A crash-surviving cross-rank flight-recorder dump: every
-/// surviving rank's last-N protocol events plus the diagnosed root
-/// cause, written to disk by the coordinator on any synchronization
-/// failure and rendered by `hipress postmortem`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PostmortemDump {
-    /// Total ranks in the failed run.
-    pub nodes: u32,
-    /// The diagnosed root-cause rank ([`UNKNOWN_NODE`] when the
-    /// failure named no node).
-    pub failed_node: u32,
-    /// The root-cause error text.
-    pub detail: String,
-    /// Each reporting rank's ring (the dead rank is typically
-    /// absent — its ring died with it; survivors' rings name it).
-    pub ranks: Vec<RankFlight>,
+record! {
+    /// A crash-surviving cross-rank flight-recorder dump: every
+    /// surviving rank's last-N protocol events plus the diagnosed root
+    /// cause, written to disk by the coordinator on any synchronization
+    /// failure and rendered by `hipress postmortem`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PostmortemDump {
+        /// Total ranks in the failed run.
+        pub nodes: u32,
+        /// The diagnosed root-cause rank ([`UNKNOWN_NODE`] when the
+        /// failure named no node).
+        pub failed_node: u32,
+        /// The root-cause error text.
+        pub detail: String,
+        /// Each reporting rank's ring (the dead rank is typically
+        /// absent — its ring died with it; survivors' rings name it).
+        pub ranks: Vec<RankFlight>,
+    }
 }
 
 /// File magic for serialized postmortem dumps ("HPM1").
 const POSTMORTEM_MAGIC: u32 = 0x4850_4D31;
 
+/// The magic, then the record.
 impl WireMsg for PostmortemDump {
     fn encode(&self, w: &mut Writer) {
         w.put_u32(POSTMORTEM_MAGIC);
-        w.put_u32(self.nodes);
-        w.put_u32(self.failed_node);
-        w.put_str(&self.detail);
-        w.put_u32(self.ranks.len() as u32);
-        for r in &self.ranks {
-            w.put_u32(r.rank);
-            r.sync.encode(w);
-            w.put_u32(r.events.len() as u32);
-            for e in &r.events {
-                e.encode(w);
-            }
-        }
+        self.put(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -391,25 +349,7 @@ impl WireMsg for PostmortemDump {
                 tag: u64::from(magic),
             });
         }
-        let nodes = r.u32()?;
-        let failed_node = r.u32()?;
-        let detail = r.str()?.to_string();
-        let mut ranks = Vec::new();
-        for _ in 0..r.u32()? {
-            let rank = r.u32()?;
-            let sync = ClockSync::decode(r)?;
-            let mut events = Vec::new();
-            for _ in 0..r.u32()? {
-                events.push(FlightEvent::decode(r)?);
-            }
-            ranks.push(RankFlight { rank, sync, events });
-        }
-        Ok(PostmortemDump {
-            nodes,
-            failed_node,
-            detail,
-            ranks,
-        })
+        Self::get(r)
     }
 }
 
@@ -537,8 +477,6 @@ mod tests {
             uncertainty_ns: 0,
         };
         assert_eq!(fwd.correct(u64::MAX), u64::MAX, "saturates at max");
-        let back = ClockSync::from_bytes(&sync.to_bytes()).unwrap();
-        assert_eq!(back, sync);
     }
 
     #[test]
@@ -684,6 +622,14 @@ mod tests {
     fn postmortem_dump_matches_the_parent_commit() {
         let bytes = sample_dump().to_bytes();
         assert_eq!(fnv1a(&bytes), 0x23cd_f8d5_3c4b_d68c, "{:#x}", fnv1a(&bytes));
+    }
+
+    #[test]
+    fn records_survive_hostile_bytes() {
+        let dump = sample_dump();
+        hipress_fabric::codec::check_record(&dump.ranks[0].sync);
+        hipress_fabric::codec::check_record(&dump.ranks[0]);
+        hipress_fabric::codec::check_record(&dump);
     }
 
     #[test]

@@ -47,20 +47,18 @@ use crate::engine::{
     Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome, RuntimeConfig,
 };
 use crate::observe::{
-    get_trace, put_trace, record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight,
-    UNKNOWN_NODE,
+    record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight, UNKNOWN_NODE,
 };
 use crate::pipeline::{drive_node, fabric_err, validate, NodeHooks, PipelineConfig};
-use crate::report::{DegradeAction, FaultReport, PrimStat, RuntimeReport, StragglerVerdict};
+use crate::report::RuntimeReport;
 use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
 use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
 };
-use hipress_fabric::codec::{read_exact_vec, write_all_vectored};
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
 use hipress_fabric::{
-    DecodeError, FlightEvent, FlightRecorder, LinkTuning, Reader, WireMsg, Writer,
+    record, DecodeError, FlightEvent, FlightRecorder, LinkTuning, Reader, WireMsg, Writer,
 };
 use hipress_metrics::MetricsSnapshot;
 use hipress_obs::{IterRecord, ProgressSink};
@@ -68,7 +66,6 @@ use hipress_tensor::Tensor;
 use hipress_trace::{Trace, Tracer};
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::Stdio;
@@ -82,7 +79,10 @@ use std::time::{Duration, Instant};
 /// immediate configuration error.
 const SPAWN_GUARD_ENV: &str = "HIPRESS_SPAWNED_WORKER";
 
+mod ctl;
 pub mod elastic;
+
+use ctl::{ctl_io, read_ctl, write_ctl, Ctl};
 
 /// How the coordinator launches and supervises worker processes, and
 /// what it does when one is lost.
@@ -133,106 +133,48 @@ impl ProcessConfig {
     }
 }
 
-/// Everything a worker needs to run its share of one synchronization
-/// job: the spec to rebuild the graph from, the runtime knobs, the
-/// mesh topology, and this rank's own gradients.
-struct Job {
-    strategy: Strategy,
-    algorithm: Algorithm,
-    partitions: u32,
-    seed: u64,
-    nodes: u32,
-    rank: u32,
-    config: RuntimeConfig,
-    iterations: u32,
-    window: u32,
-    /// Record a per-rank trace and ship it with the outcome.
-    want_trace: bool,
-    /// Record per-rank metrics and ship a snapshot with the outcome.
-    want_metrics: bool,
-    /// Stream per-iteration [`Ctl::Progress`] frames back over the
-    /// control channel as iterations retire (live telemetry).
-    want_progress: bool,
-    /// Element count of every gradient (identical across ranks).
-    grad_lens: Vec<u32>,
-    /// This rank's gradient values, parallel to `grad_lens`.
-    grads: Vec<Vec<f32>>,
-    /// Every member's mesh listener port, indexed by slot.
-    mesh_ports: Vec<u16>,
-    /// Membership epoch this segment runs under (0 on fixed runs).
-    /// `rank` is the worker's *slot* in the segment's member list,
-    /// which equals its global rank at epoch 0.
-    epoch: u64,
-    /// Global iteration number of this segment's first iteration —
-    /// workers stamp it onto progress records so the coordinator's
-    /// timeline is globally numbered across segments.
-    base_iter: u32,
-    /// Crash injection: exit hard (no abort broadcast) once this many
-    /// segment-local iterations have retired.
-    die_at_iter: Option<u32>,
+record! {
+    /// Everything a worker needs to run its share of one synchronization
+    /// job: the spec to rebuild the graph from, the runtime knobs, the
+    /// mesh topology, and this rank's own gradients.
+    struct Job {
+        strategy: Strategy => via(put_strategy, get_strategy),
+        algorithm: Algorithm => via(put_algorithm, get_algorithm),
+        partitions: u32,
+        seed: u64,
+        nodes: u32,
+        rank: u32,
+        config: RuntimeConfig,
+        iterations: u32,
+        window: u32,
+        /// Record a per-rank trace and ship it with the outcome.
+        want_trace: bool,
+        /// Record per-rank metrics and ship a snapshot with the outcome.
+        want_metrics: bool,
+        /// Stream per-iteration [`Ctl::Progress`] frames back over the
+        /// control channel as iterations retire (live telemetry).
+        want_progress: bool,
+        /// Element count of every gradient (identical across ranks).
+        grad_lens: Vec<u32>,
+        /// This rank's gradient values, parallel to `grad_lens`.
+        grads: Vec<Vec<f32>>,
+        /// Every member's mesh listener port, indexed by slot.
+        mesh_ports: Vec<u16>,
+        /// Membership epoch this segment runs under (0 on fixed runs).
+        /// `rank` is the worker's *slot* in the segment's member list,
+        /// which equals its global rank at epoch 0.
+        epoch: u64,
+        /// Global iteration number of this segment's first iteration —
+        /// workers stamp it onto progress records so the coordinator's
+        /// timeline is globally numbered across segments.
+        base_iter: u32,
+        /// Crash injection: exit hard (no abort broadcast) once this many
+        /// segment-local iterations have retired.
+        die_at_iter: Option<u32>,
+    }
 }
 
-/// The coordinator-worker control protocol.
-enum Ctl {
-    /// Worker → coordinator: `rank` is listening for mesh peers on
-    /// `mesh_port`.
-    Hello { rank: u32, mesh_port: u16 },
-    /// Coordinator → worker: the job to run.
-    Job(Box<Job>),
-    /// Worker → coordinator: the protocol completed; here are the
-    /// updated chunk values `(flow, part, elements)`, the measured
-    /// report, the optional per-rank trace and metrics snapshot
-    /// (JSON), and the flight-recorder ring.
-    Outcome {
-        cells: Vec<(u32, u32, Vec<f32>)>,
-        report: RuntimeReport,
-        trace: Option<Trace>,
-        metrics: Option<String>,
-        flight: Vec<FlightEvent>,
-    },
-    /// Worker → coordinator: the segment failed under this worker.
-    /// The flight ring rides along so the postmortem sees the failing
-    /// rank's view; `completed` is how many segment-local iterations
-    /// had fully retired here, so an evict-on-loss coordinator can
-    /// pick the drain boundary.
-    Failed {
-        error: Error,
-        flight: Vec<FlightEvent>,
-        completed: u32,
-    },
-    /// Coordinator → worker: all outcomes collected; tear the mesh
-    /// down and exit.
-    Shutdown,
-    /// Coordinator → worker: clock probe carrying the coordinator's
-    /// clock reading `t1` (NTP-style offset estimation during
-    /// rendezvous).
-    ClockPing { t1: u64 },
-    /// Worker → coordinator: `t1` echoed back plus the worker's own
-    /// clock reading `t2` at the moment of the answer.
-    ClockPong { t1: u64, t2: u64 },
-    /// Worker → coordinator: one iteration retired (live telemetry).
-    /// Sent between `Job` and `Outcome`/`Failed` when the job asked
-    /// for progress; the coordinator restamps `ts_ns` on arrival so
-    /// every rank's records share its one clock.
-    Progress { rec: IterRecord },
-    /// Rendezvous-plane frame in either direction, reusing the
-    /// [`Msg`] wire codec: `Join` (joiner → coordinator),
-    /// `Welcome` (coordinator → joiner), `EpochBump` (coordinator →
-    /// surviving workers between segments).
-    Member(Msg),
-}
-
-const CTL_HELLO: u8 = 1;
-const CTL_JOB: u8 = 2;
-const CTL_OUTCOME: u8 = 3;
-const CTL_FAILED: u8 = 4;
-const CTL_SHUTDOWN: u8 = 5;
-const CTL_CLOCK_PING: u8 = 6;
-const CTL_CLOCK_PONG: u8 = 7;
-const CTL_PROGRESS: u8 = 8;
-const CTL_MEMBER: u8 = 9;
-
-fn put_strategy(w: &mut Writer, s: Strategy) {
+fn put_strategy(w: &mut Writer, s: &Strategy) {
     w.put_u8(match s {
         Strategy::CaSyncPs => 1,
         Strategy::CaSyncRing => 2,
@@ -254,25 +196,25 @@ fn get_strategy(r: &mut Reader<'_>) -> std::result::Result<Strategy, DecodeError
     }
 }
 
-fn put_algorithm(w: &mut Writer, a: Algorithm) {
+fn put_algorithm(w: &mut Writer, a: &Algorithm) {
     match a {
         Algorithm::None => w.put_u8(0),
         Algorithm::OneBit => w.put_u8(1),
         Algorithm::Tbq { tau } => {
             w.put_u8(2);
-            w.put_f32(tau);
+            w.put_f32(*tau);
         }
         Algorithm::TernGrad { bitwidth } => {
             w.put_u8(3);
-            w.put_u8(bitwidth);
+            w.put_u8(*bitwidth);
         }
         Algorithm::Dgc { rate } => {
             w.put_u8(4);
-            w.put_f64(rate);
+            w.put_f64(*rate);
         }
         Algorithm::GradDrop { rate } => {
             w.put_u8(5);
-            w.put_f64(rate);
+            w.put_f64(*rate);
         }
     }
 }
@@ -290,648 +232,6 @@ fn get_algorithm(r: &mut Reader<'_>) -> std::result::Result<Algorithm, DecodeErr
             tag: u64::from(t),
         }),
     }
-}
-
-fn put_prim(w: &mut Writer, s: PrimStat) {
-    w.put_u64(s.count);
-    w.put_u64(s.busy_ns);
-}
-
-fn get_prim(r: &mut Reader<'_>) -> std::result::Result<PrimStat, DecodeError> {
-    Ok(PrimStat {
-        count: r.u64()?,
-        busy_ns: r.u64()?,
-    })
-}
-
-fn put_verdict(w: &mut Writer, v: &StragglerVerdict) {
-    let StragglerVerdict {
-        node,
-        peer,
-        waited_ns,
-        action,
-    } = v;
-    w.put_u64(*node as u64);
-    w.put_u64(*peer as u64);
-    w.put_u64(*waited_ns);
-    w.put_u8(match action {
-        DegradeAction::Waited => 1,
-        DegradeAction::Skipped => 2,
-        DegradeAction::Aborted => 3,
-    });
-}
-
-fn get_verdict(r: &mut Reader<'_>) -> std::result::Result<StragglerVerdict, DecodeError> {
-    Ok(StragglerVerdict {
-        node: r.u64()? as usize,
-        peer: r.u64()? as usize,
-        waited_ns: r.u64()?,
-        action: match r.u8()? {
-            1 => DegradeAction::Waited,
-            2 => DegradeAction::Skipped,
-            3 => DegradeAction::Aborted,
-            t => {
-                return Err(DecodeError::BadTag {
-                    what: "degrade action",
-                    tag: u64::from(t),
-                })
-            }
-        },
-    })
-}
-
-fn put_faults(w: &mut Writer, f: &FaultReport) {
-    // Exhaustive destructuring: adding a FaultReport field without
-    // extending this codec is a compile error, not a silent drop.
-    let FaultReport {
-        injected_drops,
-        injected_dups,
-        injected_reorders,
-        injected_delays,
-        injected_corruptions,
-        injected_stalls,
-        retries,
-        nacks,
-        duplicates_ignored,
-        corruptions_detected,
-        degraded_chunks,
-        verdicts,
-    } = f;
-    for v in [
-        injected_drops,
-        injected_dups,
-        injected_reorders,
-        injected_delays,
-        injected_corruptions,
-        injected_stalls,
-        retries,
-        nacks,
-        duplicates_ignored,
-        corruptions_detected,
-        degraded_chunks,
-    ] {
-        w.put_u64(*v);
-    }
-    w.put_u32(verdicts.len() as u32);
-    for v in verdicts {
-        put_verdict(w, v);
-    }
-}
-
-fn get_faults(r: &mut Reader<'_>) -> std::result::Result<FaultReport, DecodeError> {
-    let mut f = FaultReport::default();
-    for v in [
-        &mut f.injected_drops,
-        &mut f.injected_dups,
-        &mut f.injected_reorders,
-        &mut f.injected_delays,
-        &mut f.injected_corruptions,
-        &mut f.injected_stalls,
-        &mut f.retries,
-        &mut f.nacks,
-        &mut f.duplicates_ignored,
-        &mut f.corruptions_detected,
-        &mut f.degraded_chunks,
-    ] {
-        *v = r.u64()?;
-    }
-    for _ in 0..r.u32()? {
-        f.verdicts.push(get_verdict(r)?);
-    }
-    Ok(f)
-}
-
-/// Encodes every field of a [`RuntimeReport`]. The exhaustive
-/// destructuring (no `..`) makes adding a report field without
-/// extending this codec a *compile* error — a field can never
-/// silently vanish crossing the process boundary. Run-level fields
-/// the coordinator owns (`nodes`, `wall_ns`, `iterations`,
-/// `pipeline_window`, `per_node_busy_ns`) still travel; the
-/// coordinator's `absorb` simply ignores them.
-fn put_report(w: &mut Writer, rep: &RuntimeReport) {
-    let RuntimeReport {
-        nodes,
-        wall_ns,
-        source,
-        encode,
-        decode,
-        merge,
-        send,
-        recv,
-        update,
-        barrier,
-        local_agg_ns,
-        bytes_wire,
-        bytes_raw,
-        messages,
-        comp_batch_launches,
-        per_node_busy_ns,
-        faults,
-        fabric_frames,
-        fabric_bytes_framed,
-        fabric_bytes_payload,
-        fabric_retransmits,
-        iterations,
-        pipeline_window,
-        iter_span_ns_total,
-        membership,
-        evicted,
-    } = rep;
-    w.put_u64(*nodes as u64);
-    w.put_u64(*wall_ns);
-    for s in [source, encode, decode, merge, send, recv, update, barrier] {
-        put_prim(w, *s);
-    }
-    for v in [
-        local_agg_ns,
-        bytes_wire,
-        bytes_raw,
-        messages,
-        comp_batch_launches,
-    ] {
-        w.put_u64(*v);
-    }
-    w.put_u32(per_node_busy_ns.len() as u32);
-    for &b in per_node_busy_ns {
-        w.put_u64(b);
-    }
-    put_faults(w, faults);
-    for v in [
-        fabric_frames,
-        fabric_bytes_framed,
-        fabric_bytes_payload,
-        fabric_retransmits,
-        iterations,
-        pipeline_window,
-        iter_span_ns_total,
-    ] {
-        w.put_u64(*v);
-    }
-    w.put_u32(membership.len() as u32);
-    for m in membership {
-        w.put_u64(m.epoch);
-        w.put_u64(m.from_iter);
-        w.put_u32(m.members.len() as u32);
-        for &rk in &m.members {
-            w.put_u32(rk);
-        }
-    }
-    w.put_u32(evicted.len() as u32);
-    for &rk in evicted {
-        w.put_u32(rk);
-    }
-}
-
-fn get_report(r: &mut Reader<'_>) -> std::result::Result<RuntimeReport, DecodeError> {
-    let mut rep = RuntimeReport {
-        nodes: r.u64()? as usize,
-        wall_ns: r.u64()?,
-        ..RuntimeReport::default()
-    };
-    for s in [
-        &mut rep.source,
-        &mut rep.encode,
-        &mut rep.decode,
-        &mut rep.merge,
-        &mut rep.send,
-        &mut rep.recv,
-        &mut rep.update,
-        &mut rep.barrier,
-    ] {
-        *s = get_prim(r)?;
-    }
-    rep.local_agg_ns = r.u64()?;
-    rep.bytes_wire = r.u64()?;
-    rep.bytes_raw = r.u64()?;
-    rep.messages = r.u64()?;
-    rep.comp_batch_launches = r.u64()?;
-    for _ in 0..r.u32()? {
-        rep.per_node_busy_ns.push(r.u64()?);
-    }
-    rep.faults = get_faults(r)?;
-    rep.fabric_frames = r.u64()?;
-    rep.fabric_bytes_framed = r.u64()?;
-    rep.fabric_bytes_payload = r.u64()?;
-    rep.fabric_retransmits = r.u64()?;
-    rep.iterations = r.u64()?;
-    rep.pipeline_window = r.u64()?;
-    rep.iter_span_ns_total = r.u64()?;
-    for _ in 0..r.u32()? {
-        let mut m = crate::report::EpochRecord {
-            epoch: r.u64()?,
-            from_iter: r.u64()?,
-            ..Default::default()
-        };
-        for _ in 0..r.u32()? {
-            m.members.push(r.u32()?);
-        }
-        rep.membership.push(m);
-    }
-    for _ in 0..r.u32()? {
-        rep.evicted.push(r.u32()?);
-    }
-    Ok(rep)
-}
-
-/// Encodes every field of an [`IterRecord`]; exhaustive destructuring
-/// keeps the codec honest the same way [`put_report`] does.
-fn put_iter_record(w: &mut Writer, rec: &IterRecord) {
-    let IterRecord {
-        node,
-        iter,
-        ts_ns,
-        span_ns,
-        comp_ns,
-        commu_ns,
-        bytes_wire,
-        messages,
-        retransmits,
-        faults,
-        window,
-        epoch,
-    } = rec;
-    w.put_u32(*node);
-    w.put_u32(*iter);
-    for v in [
-        ts_ns,
-        span_ns,
-        comp_ns,
-        commu_ns,
-        bytes_wire,
-        messages,
-        retransmits,
-        faults,
-    ] {
-        w.put_u64(*v);
-    }
-    w.put_u32(*window);
-    w.put_u64(*epoch);
-}
-
-fn get_iter_record(r: &mut Reader<'_>) -> std::result::Result<IterRecord, DecodeError> {
-    let mut rec = IterRecord {
-        node: r.u32()?,
-        iter: r.u32()?,
-        ..IterRecord::default()
-    };
-    for v in [
-        &mut rec.ts_ns,
-        &mut rec.span_ns,
-        &mut rec.comp_ns,
-        &mut rec.commu_ns,
-        &mut rec.bytes_wire,
-        &mut rec.messages,
-        &mut rec.retransmits,
-        &mut rec.faults,
-    ] {
-        *v = r.u64()?;
-    }
-    rec.window = r.u32()?;
-    rec.epoch = r.u64()?;
-    Ok(rec)
-}
-
-fn put_error(w: &mut Writer, e: &Error) {
-    if let Error::Sync(f) = e {
-        w.put_u8(1);
-        w.put_u8(match f.kind {
-            SyncFailureKind::RecvTimeout => 0,
-            SyncFailureKind::LinkDead => 1,
-            SyncFailureKind::Straggler => 2,
-            SyncFailureKind::InjectedCrash => 3,
-            SyncFailureKind::Aborted => 4,
-        });
-        w.put_u64(f.node as u64);
-        match f.peer {
-            Some(p) => {
-                w.put_u8(1);
-                w.put_u64(p as u64);
-            }
-            None => w.put_u8(0),
-        }
-        match f.task {
-            Some(t) => {
-                w.put_u8(1);
-                w.put_u32(t);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_str(&f.detail);
-    } else {
-        // Other categories travel as their message.
-        w.put_u8(0);
-        w.put_str(&e.to_string());
-    }
-}
-
-fn get_error(r: &mut Reader<'_>) -> std::result::Result<Error, DecodeError> {
-    if r.u8()? == 1 {
-        let kind = match r.u8()? {
-            0 => SyncFailureKind::RecvTimeout,
-            1 => SyncFailureKind::LinkDead,
-            2 => SyncFailureKind::Straggler,
-            3 => SyncFailureKind::InjectedCrash,
-            4 => SyncFailureKind::Aborted,
-            t => {
-                return Err(DecodeError::BadTag {
-                    what: "failure kind",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        let node = r.u64()? as usize;
-        let peer = if r.u8()? == 1 {
-            Some(r.u64()? as usize)
-        } else {
-            None
-        };
-        let task = if r.u8()? == 1 { Some(r.u32()?) } else { None };
-        let detail = r.str()?.to_string();
-        Ok(Error::sync(SyncFailure {
-            kind,
-            node,
-            peer,
-            task,
-            detail,
-        }))
-    } else {
-        Ok(Error::sim(r.str()?))
-    }
-}
-
-impl WireMsg for Ctl {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Ctl::Hello { rank, mesh_port } => {
-                w.put_u8(CTL_HELLO);
-                w.put_u32(*rank);
-                w.put_u16(*mesh_port);
-            }
-            Ctl::Job(j) => {
-                w.put_u8(CTL_JOB);
-                put_strategy(w, j.strategy);
-                put_algorithm(w, j.algorithm);
-                w.put_u32(j.partitions);
-                w.put_u64(j.seed);
-                w.put_u32(j.nodes);
-                w.put_u32(j.rank);
-                w.put_u8(u8::from(j.config.batch_compression));
-                w.put_u64(j.config.comp_batch_max_task_bytes);
-                w.put_u64(j.config.inbox_timeout.as_nanos() as u64);
-                w.put_u64(j.config.ft_min_wait.as_nanos() as u64);
-                w.put_u64(j.config.ft_max_wait.as_nanos() as u64);
-                w.put_u64(j.config.ft_heartbeat.as_nanos() as u64);
-                w.put_u32(j.iterations);
-                w.put_u32(j.window);
-                w.put_u8(u8::from(j.want_trace));
-                w.put_u8(u8::from(j.want_metrics));
-                w.put_u8(u8::from(j.want_progress));
-                w.put_u32(j.grad_lens.len() as u32);
-                for &n in &j.grad_lens {
-                    w.put_u32(n);
-                }
-                w.put_u32(j.grads.len() as u32);
-                for g in &j.grads {
-                    w.put_f32s(g);
-                }
-                w.put_u32(j.mesh_ports.len() as u32);
-                for &p in &j.mesh_ports {
-                    w.put_u16(p);
-                }
-                w.put_u64(j.epoch);
-                w.put_u32(j.base_iter);
-                match j.die_at_iter {
-                    Some(d) => {
-                        w.put_u8(1);
-                        w.put_u32(d);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-            Ctl::Outcome {
-                cells,
-                report,
-                trace,
-                metrics,
-                flight,
-            } => {
-                w.put_u8(CTL_OUTCOME);
-                w.put_u32(cells.len() as u32);
-                for (f, p, v) in cells {
-                    w.put_u32(*f);
-                    w.put_u32(*p);
-                    w.put_f32s(v);
-                }
-                put_report(w, report);
-                match trace {
-                    Some(t) => {
-                        w.put_u8(1);
-                        put_trace(w, t);
-                    }
-                    None => w.put_u8(0),
-                }
-                match metrics {
-                    Some(m) => {
-                        w.put_u8(1);
-                        w.put_str(m);
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_u32(flight.len() as u32);
-                for e in flight {
-                    e.encode(w);
-                }
-            }
-            Ctl::Failed {
-                error,
-                flight,
-                completed,
-            } => {
-                w.put_u8(CTL_FAILED);
-                put_error(w, error);
-                w.put_u32(flight.len() as u32);
-                for e in flight {
-                    e.encode(w);
-                }
-                w.put_u32(*completed);
-            }
-            Ctl::Shutdown => w.put_u8(CTL_SHUTDOWN),
-            Ctl::ClockPing { t1 } => {
-                w.put_u8(CTL_CLOCK_PING);
-                w.put_u64(*t1);
-            }
-            Ctl::ClockPong { t1, t2 } => {
-                w.put_u8(CTL_CLOCK_PONG);
-                w.put_u64(*t1);
-                w.put_u64(*t2);
-            }
-            Ctl::Progress { rec } => {
-                w.put_u8(CTL_PROGRESS);
-                put_iter_record(w, rec);
-            }
-            Ctl::Member(m) => {
-                w.put_u8(CTL_MEMBER);
-                m.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
-        match r.u8()? {
-            CTL_HELLO => Ok(Ctl::Hello {
-                rank: r.u32()?,
-                mesh_port: r.u16()?,
-            }),
-            CTL_JOB => {
-                let strategy = get_strategy(r)?;
-                let algorithm = get_algorithm(r)?;
-                let partitions = r.u32()?;
-                let seed = r.u64()?;
-                let nodes = r.u32()?;
-                let rank = r.u32()?;
-                let config = RuntimeConfig {
-                    batch_compression: r.u8()? != 0,
-                    comp_batch_max_task_bytes: r.u64()?,
-                    inbox_timeout: Duration::from_nanos(r.u64()?),
-                    ft_min_wait: Duration::from_nanos(r.u64()?),
-                    ft_max_wait: Duration::from_nanos(r.u64()?),
-                    ft_heartbeat: Duration::from_nanos(r.u64()?),
-                };
-                let iterations = r.u32()?;
-                let window = r.u32()?;
-                let want_trace = r.u8()? != 0;
-                let want_metrics = r.u8()? != 0;
-                let want_progress = r.u8()? != 0;
-                let mut grad_lens = Vec::new();
-                for _ in 0..r.u32()? {
-                    grad_lens.push(r.u32()?);
-                }
-                let mut grads = Vec::new();
-                for _ in 0..r.u32()? {
-                    grads.push(r.f32s()?);
-                }
-                let mut mesh_ports = Vec::new();
-                for _ in 0..r.u32()? {
-                    mesh_ports.push(r.u16()?);
-                }
-                let epoch = r.u64()?;
-                let base_iter = r.u32()?;
-                let die_at_iter = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u32()?),
-                    t => {
-                        return Err(DecodeError::BadTag {
-                            what: "die_at_iter",
-                            tag: u64::from(t),
-                        })
-                    }
-                };
-                Ok(Ctl::Job(Box::new(Job {
-                    strategy,
-                    algorithm,
-                    partitions,
-                    seed,
-                    nodes,
-                    rank,
-                    config,
-                    iterations,
-                    window,
-                    want_trace,
-                    want_metrics,
-                    want_progress,
-                    grad_lens,
-                    grads,
-                    mesh_ports,
-                    epoch,
-                    base_iter,
-                    die_at_iter,
-                })))
-            }
-            CTL_OUTCOME => {
-                let mut cells = Vec::new();
-                for _ in 0..r.u32()? {
-                    cells.push((r.u32()?, r.u32()?, r.f32s()?));
-                }
-                let report = get_report(r)?;
-                let trace = if r.u8()? == 1 {
-                    Some(get_trace(r)?)
-                } else {
-                    None
-                };
-                let metrics = if r.u8()? == 1 {
-                    Some(r.str()?.to_string())
-                } else {
-                    None
-                };
-                let mut flight = Vec::new();
-                for _ in 0..r.u32()? {
-                    flight.push(FlightEvent::decode(r)?);
-                }
-                Ok(Ctl::Outcome {
-                    cells,
-                    report,
-                    trace,
-                    metrics,
-                    flight,
-                })
-            }
-            CTL_FAILED => {
-                let error = get_error(r)?;
-                let mut flight = Vec::new();
-                for _ in 0..r.u32()? {
-                    flight.push(FlightEvent::decode(r)?);
-                }
-                Ok(Ctl::Failed {
-                    error,
-                    flight,
-                    completed: r.u32()?,
-                })
-            }
-            CTL_SHUTDOWN => Ok(Ctl::Shutdown),
-            CTL_CLOCK_PING => Ok(Ctl::ClockPing { t1: r.u64()? }),
-            CTL_CLOCK_PONG => Ok(Ctl::ClockPong {
-                t1: r.u64()?,
-                t2: r.u64()?,
-            }),
-            CTL_PROGRESS => Ok(Ctl::Progress {
-                rec: get_iter_record(r)?,
-            }),
-            CTL_MEMBER => Ok(Ctl::Member(Msg::decode(r)?)),
-            t => Err(DecodeError::BadTag {
-                what: "ctl",
-                tag: u64::from(t),
-            }),
-        }
-    }
-}
-
-/// Control frames are a plain u32 length prefix + [`WireMsg`] body —
-/// the rendezvous channel is point-to-point and short-lived, so the
-/// mesh's checksummed reliability discipline would be dead weight.
-const CTL_MAX_BYTES: u32 = 1 << 30;
-
-fn ctl_io(detail: impl std::fmt::Display) -> Error {
-    Error::sim(format!("process control channel: {detail}"))
-}
-
-/// `Job` and `Outcome` carry whole gradient sets, so the body goes
-/// out beside its prefix (vectored, not copied behind it) and comes
-/// in straight into the buffer it is decoded from.
-fn write_ctl(stream: &mut TcpStream, msg: &Ctl) -> Result<()> {
-    let body = msg.to_bytes();
-    let len = (body.len() as u32).to_le_bytes();
-    write_all_vectored(stream, [&len[..], &body[..]]).map_err(ctl_io)
-}
-
-fn read_ctl(stream: &mut TcpStream) -> Result<Ctl> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).map_err(ctl_io)?;
-    let len = u32::from_le_bytes(len);
-    if len > CTL_MAX_BYTES {
-        return Err(ctl_io(format!("oversized control frame ({len} bytes)")));
-    }
-    let body = read_exact_vec(stream, len as usize).map_err(ctl_io)?;
-    Ctl::from_bytes(&body).map_err(|e| ctl_io(format!("bad control frame: {e}")))
 }
 
 /// Rebuilds the synchronization graph every backend agrees on from a
@@ -1742,544 +1042,6 @@ mod tests {
         let ranks: Vec<u32> = dump.ranks.iter().map(|r| r.rank).collect();
         assert_eq!(ranks, vec![0, 2], "one ring per surviving rank");
         assert!(dump.ranks.iter().all(|r| !r.events.is_empty()));
-    }
-
-    /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
-        })
-    }
-
-    fn report_tlv(rep: &RuntimeReport) -> Vec<u8> {
-        let mut w = Writer::new();
-        put_report(&mut w, rep);
-        w.into_vec()
-    }
-
-    /// A report whose every field holds a distinct, non-default value.
-    fn every_field_report() -> RuntimeReport {
-        let prim = |i: u64| PrimStat {
-            count: 10 + i,
-            busy_ns: 1000 + i,
-        };
-        RuntimeReport {
-            nodes: 3,
-            wall_ns: 123_456,
-            source: prim(0),
-            encode: prim(1),
-            decode: prim(2),
-            merge: prim(3),
-            send: prim(4),
-            recv: prim(5),
-            update: prim(6),
-            barrier: prim(7),
-            local_agg_ns: 777,
-            bytes_wire: 2048,
-            bytes_raw: 8192,
-            messages: 55,
-            comp_batch_launches: 4,
-            per_node_busy_ns: vec![11, 22, 33],
-            faults: FaultReport {
-                injected_drops: 1,
-                injected_dups: 2,
-                injected_reorders: 3,
-                injected_delays: 4,
-                injected_corruptions: 5,
-                injected_stalls: 6,
-                retries: 7,
-                nacks: 8,
-                duplicates_ignored: 9,
-                corruptions_detected: 10,
-                degraded_chunks: 11,
-                verdicts: vec![
-                    StragglerVerdict {
-                        node: 1,
-                        peer: 2,
-                        waited_ns: 999,
-                        action: DegradeAction::Skipped,
-                    },
-                    StragglerVerdict {
-                        node: 2,
-                        peer: 0,
-                        waited_ns: 888,
-                        action: DegradeAction::Aborted,
-                    },
-                ],
-            },
-            fabric_frames: 60,
-            fabric_bytes_framed: 61,
-            fabric_bytes_payload: 62,
-            fabric_retransmits: 63,
-            iterations: 16,
-            pipeline_window: 5,
-            iter_span_ns_total: 424_242,
-            membership: vec![
-                crate::report::EpochRecord {
-                    epoch: 0,
-                    from_iter: 0,
-                    members: vec![0, 1, 2],
-                },
-                crate::report::EpochRecord {
-                    epoch: 1,
-                    from_iter: 9,
-                    members: vec![0, 2],
-                },
-            ],
-            evicted: vec![1],
-        }
-    }
-
-    fn every_field_job() -> Job {
-        Job {
-            strategy: Strategy::CaSyncRing,
-            algorithm: Algorithm::Tbq { tau: 0.25 },
-            partitions: 3,
-            seed: 99,
-            nodes: 4,
-            rank: 2,
-            config: RuntimeConfig {
-                batch_compression: false,
-                comp_batch_max_task_bytes: 12_345,
-                inbox_timeout: Duration::from_millis(1_500),
-                ft_min_wait: Duration::from_micros(333),
-                ft_max_wait: Duration::from_millis(44),
-                ft_heartbeat: Duration::from_millis(55),
-            },
-            iterations: 8,
-            window: 5,
-            want_trace: true,
-            want_metrics: true,
-            want_progress: true,
-            grad_lens: vec![16, 32],
-            grads: vec![vec![1.0, -2.5], vec![f32::NAN]],
-            mesh_ports: vec![4000, 4001, 4002, 4003],
-            epoch: 6,
-            base_iter: 11,
-            die_at_iter: Some(7),
-        }
-    }
-
-    fn flight() -> Vec<FlightEvent> {
-        vec![
-            FlightEvent {
-                ts_ns: 2_000_000,
-                kind: hipress_fabric::FlightKind::SendData,
-                peer: 1,
-                seq: 7,
-                bytes: 512,
-            },
-            FlightEvent {
-                ts_ns: 9_000_000,
-                kind: hipress_fabric::FlightKind::PeerLost,
-                peer: 2,
-                seq: 3,
-                bytes: 64,
-            },
-        ]
-    }
-
-    fn outcome() -> Ctl {
-        let mut trace = Trace::new("casync-rt/node0");
-        let t = trace.thread_track("node0");
-        trace.push_span(t, "send", "send", 10, 5, &[("task", 3)]);
-        trace.push_instant(t, "msg", "fabric", 12, &[]);
-        let q = trace.counter_track("node0/Q_comp");
-        trace.push_sample(q, 11, 0.5);
-        Ctl::Outcome {
-            cells: vec![(0, 1, vec![3.5, -0.0]), (2, 0, vec![f32::INFINITY])],
-            report: every_field_report(),
-            trace: Some(trace),
-            metrics: Some("{\"m\":1}".into()),
-            flight: flight(),
-        }
-    }
-
-    fn sync_failed(peer: Option<usize>, task: Option<u32>) -> Ctl {
-        Ctl::Failed {
-            error: Error::sync(SyncFailure {
-                kind: SyncFailureKind::Straggler,
-                node: 2,
-                peer,
-                task,
-                detail: "seq 9 unacknowledged".into(),
-            }),
-            flight: flight(),
-            completed: 4,
-        }
-    }
-
-    /// One frame of every control message, each field distinct and
-    /// non-default.
-    fn every_ctl() -> Vec<(&'static str, Ctl)> {
-        vec![
-            (
-                "hello",
-                Ctl::Hello {
-                    rank: 3,
-                    mesh_port: 40_123,
-                },
-            ),
-            ("job", Ctl::Job(Box::new(every_field_job()))),
-            ("outcome", outcome()),
-            ("failed/sync", sync_failed(Some(1), Some(42))),
-            ("failed/sync-bare", sync_failed(None, None)),
-            (
-                "failed/other",
-                Ctl::Failed {
-                    error: Error::sim("node 2 wedged"),
-                    flight: flight(),
-                    completed: 3,
-                },
-            ),
-            ("shutdown", Ctl::Shutdown),
-            ("ping", Ctl::ClockPing { t1: 77 }),
-            ("pong", Ctl::ClockPong { t1: 78, t2: 99 }),
-            (
-                "progress",
-                Ctl::Progress {
-                    rec: IterRecord {
-                        node: 1,
-                        iter: 2,
-                        ts_ns: 3,
-                        span_ns: 4,
-                        comp_ns: 5,
-                        commu_ns: 6,
-                        bytes_wire: 7,
-                        messages: 8,
-                        retransmits: 9,
-                        faults: 10,
-                        window: 11,
-                        epoch: 12,
-                    },
-                },
-            ),
-            (
-                "member",
-                Ctl::Member(Msg::Welcome {
-                    epoch: 2,
-                    from_iter: 9,
-                    members: vec![0, 2, 3],
-                }),
-            ),
-        ]
-    }
-
-    /// The control protocol's bytes, pinned as digests captured on the
-    /// commit before the record schema replaced the hand-written
-    /// codecs. Each frame also re-encodes to itself after a decode (so
-    /// no field is dropped or altered in transit), and every strict
-    /// prefix of it fails to decode.
-    #[test]
-    fn ctl_frames_match_the_parent_commit() {
-        let want = [
-            0x465a_4d23_2d26_a610_u64,
-            0x5c25_0536_cd53_a3c2,
-            0xc410_833f_4e53_4ed3,
-            0x99ee_5e96_349c_90dd,
-            0xf68e_9cfa_6d47_4206,
-            0xeeb5_f3e1_bda8_72e5,
-            0xaf63_b84c_8601_af60,
-            0x6598_320f_08db_42b4,
-            0x3ae6_3321_26dc_bf4b,
-            0x9025_fff5_6150_266b,
-            0xa6a2_aac2_0b68_b369,
-        ];
-        for ((name, msg), want) in every_ctl().into_iter().zip(want) {
-            let bytes = msg.to_bytes();
-            assert_eq!(fnv1a(&bytes), want, "{name}: {:#x}", fnv1a(&bytes));
-            for cut in 0..bytes.len() {
-                assert!(Ctl::from_bytes(&bytes[..cut]).is_err(), "{name} at {cut}");
-            }
-            let back = Ctl::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-            match &back {
-                // Other error categories travel as their rendered
-                // message, so they come back as a message error.
-                Ctl::Failed { error, .. } if error.as_sync().is_none() => {
-                    assert!(error.to_string().contains("node 2 wedged"), "{error}");
-                }
-                _ => assert_eq!(back.to_bytes(), bytes, "{name}"),
-            }
-        }
-    }
-
-    #[test]
-    fn report_tlv_and_json_match_the_parent_commit() {
-        let rep = every_field_report();
-        let tlv = report_tlv(&rep);
-        assert_eq!(fnv1a(&tlv), 0xcb08_639c_8480_f218, "{:#x}", fnv1a(&tlv));
-        let json = rep.to_json();
-        assert_eq!(
-            json,
-            concat!(
-                r#"{"nodes":3,"wall_ns":123456,"source":{"count":10,"busy_ns":1000},"#,
-                r#""encode":{"count":11,"busy_ns":1001},"decode":{"count":12,"busy_ns":1002},"#,
-                r#""merge":{"count":13,"busy_ns":1003},"send":{"count":14,"busy_ns":1004},"#,
-                r#""recv":{"count":15,"busy_ns":1005},"update":{"count":16,"busy_ns":1006},"#,
-                r#""barrier":{"count":17,"busy_ns":1007},"local_agg_ns":777,"bytes_wire":2048,"#,
-                r#""bytes_raw":8192,"messages":55,"comp_batch_launches":4,"#,
-                r#""per_node_busy_ns":[11,22,33],"faults":{"injected_drops":1,"#,
-                r#""injected_dups":2,"injected_reorders":3,"injected_delays":4,"#,
-                r#""injected_corruptions":5,"injected_stalls":6,"retries":7,"nacks":8,"#,
-                r#""duplicates_ignored":9,"corruptions_detected":10,"degraded_chunks":11,"#,
-                r#""verdicts":[{"node":1,"peer":2,"waited_ns":999,"action":"skipped"},"#,
-                r#"{"node":2,"peer":0,"waited_ns":888,"action":"aborted"}]},"#,
-                r#""fabric_frames":60,"fabric_bytes_framed":61,"fabric_bytes_payload":62,"#,
-                r#""fabric_retransmits":63,"iterations":16,"pipeline_window":5,"#,
-                r#""iter_span_ns_total":424242,"membership":[{"epoch":0,"from_iter":0,"#,
-                r#""members":[0,1,2]},{"epoch":1,"from_iter":9,"members":[0,2]}],"#,
-                r#""evicted":[1],"compression_savings":4.000000,"pipeline_overlap":0.126989}"#,
-            )
-        );
-        hipress_trace::json::parse(&json).expect("report json parses");
-    }
-
-    #[test]
-    fn ctl_messages_round_trip() {
-        let job = Job {
-            strategy: Strategy::CaSyncRing,
-            algorithm: Algorithm::Tbq { tau: 0.25 },
-            partitions: 3,
-            seed: 99,
-            nodes: 4,
-            rank: 2,
-            config: RuntimeConfig::default(),
-            iterations: 8,
-            window: 4,
-            want_trace: true,
-            want_metrics: false,
-            want_progress: true,
-            grad_lens: vec![16, 32],
-            grads: vec![vec![1.0, -2.5], vec![f32::NAN]],
-            mesh_ports: vec![4000, 4001, 4002, 4003],
-            epoch: 6,
-            base_iter: 5,
-            die_at_iter: Some(7),
-        };
-        let bytes = Ctl::Job(Box::new(job)).to_bytes();
-        let Ctl::Job(back) = Ctl::from_bytes(&bytes).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!(back.strategy, Strategy::CaSyncRing);
-        assert_eq!(back.algorithm, Algorithm::Tbq { tau: 0.25 });
-        assert_eq!(back.partitions, 3);
-        assert_eq!(back.rank, 2);
-        assert!(back.want_trace);
-        assert!(!back.want_metrics);
-        assert!(back.want_progress);
-        assert_eq!(back.grad_lens, vec![16, 32]);
-        assert_eq!(back.grads[0], vec![1.0, -2.5]);
-        assert!(back.grads[1][0].is_nan());
-        assert_eq!(back.mesh_ports.len(), 4);
-        assert_eq!(back.epoch, 6);
-        assert_eq!(back.base_iter, 5);
-        assert_eq!(back.die_at_iter, Some(7));
-        assert_eq!(
-            back.config.ft_heartbeat,
-            RuntimeConfig::default().ft_heartbeat
-        );
-
-        let mut rep = RuntimeReport::default();
-        rep.update.record(123);
-        rep.fabric_frames = 7;
-        rep.iter_span_ns_total = 5555;
-        let mut trace_in = Trace::new("casync-rt/node0");
-        let t = trace_in.thread_track("node0");
-        trace_in.push_span(t, "send", "send", 10, 5, &[("task", 3)]);
-        let epoch = Instant::now();
-        let rec = FlightRecorder::new(epoch);
-        rec.record(hipress_fabric::FlightKind::SendData, 1, 9, 64);
-        let out = Ctl::Outcome {
-            cells: vec![(0, 1, vec![3.5, -0.0])],
-            report: rep.clone(),
-            trace: Some(trace_in.clone()),
-            metrics: Some("{}".into()),
-            flight: rec.dump(),
-        };
-        let Ctl::Outcome {
-            cells,
-            report,
-            trace,
-            metrics,
-            flight,
-        } = Ctl::from_bytes(&out.to_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(cells[0].0, 0);
-        assert_eq!(cells[0].2[0], 3.5);
-        assert_eq!(report, rep);
-        assert_eq!(trace.unwrap(), trace_in);
-        assert_eq!(metrics.as_deref(), Some("{}"));
-        assert_eq!(flight.len(), 1);
-        assert_eq!(flight[0].peer, 1);
-        assert_eq!(flight[0].seq, 9);
-
-        let fail = Ctl::Failed {
-            error: Error::sync(SyncFailure {
-                kind: SyncFailureKind::LinkDead,
-                node: 1,
-                peer: Some(0),
-                task: Some(42),
-                detail: "seq 9 unacknowledged".into(),
-            }),
-            flight: rec.dump(),
-            completed: 4,
-        };
-        let Ctl::Failed {
-            error: e,
-            flight,
-            completed,
-        } = Ctl::from_bytes(&fail.to_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(e.as_sync().unwrap().node, 1);
-        assert_eq!(e.as_sync().unwrap().task, Some(42));
-        assert_eq!(flight.len(), 1);
-        assert_eq!(completed, 4);
-
-        let other = Ctl::Failed {
-            error: Error::sim("node 2 wedged"),
-            flight: Vec::new(),
-            completed: 0,
-        };
-        let Ctl::Failed { error: e, .. } = Ctl::from_bytes(&other.to_bytes()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert!(e.as_sync().is_none() && e.to_string().contains("node 2 wedged"));
-
-        let ping = Ctl::ClockPing { t1: 77 };
-        let Ctl::ClockPing { t1 } = Ctl::from_bytes(&ping.to_bytes()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!(t1, 77);
-        let pong = Ctl::ClockPong { t1: 77, t2: 99 };
-        let Ctl::ClockPong { t1, t2 } = Ctl::from_bytes(&pong.to_bytes()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!((t1, t2), (77, 99));
-
-        // Every IterRecord field gets a distinct value, so a field the
-        // codec skips shows up as an equality failure here.
-        let rec_in = IterRecord {
-            node: 1,
-            iter: 2,
-            ts_ns: 3,
-            span_ns: 4,
-            comp_ns: 5,
-            commu_ns: 6,
-            bytes_wire: 7,
-            messages: 8,
-            retransmits: 9,
-            faults: 10,
-            window: 11,
-            epoch: 12,
-        };
-        let Ctl::Progress { rec } =
-            Ctl::from_bytes(&Ctl::Progress { rec: rec_in }.to_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!(rec, rec_in);
-
-        // The rendezvous-plane frames ride the control channel by
-        // delegating to the Msg wire codec.
-        let member = Ctl::Member(Msg::Welcome {
-            epoch: 2,
-            from_iter: 9,
-            members: vec![0, 2, 3],
-        });
-        let Ctl::Member(Msg::Welcome {
-            epoch,
-            from_iter,
-            members,
-        }) = Ctl::from_bytes(&member.to_bytes()).unwrap()
-        else {
-            panic!("wrong variant");
-        };
-        assert_eq!((epoch, from_iter), (2, 9));
-        assert_eq!(members, vec![0, 2, 3]);
-    }
-
-    /// Every [`RuntimeReport`] field must survive the control-channel
-    /// codec. Each field carries a distinct value and is asserted via
-    /// whole-struct equality, so a new field that the codec forgets
-    /// shows up here (and the exhaustive destructuring in
-    /// `put_report` makes forgetting a compile error first).
-    #[test]
-    fn report_codec_covers_every_field() {
-        let mut prims = Vec::new();
-        for i in 0..8u64 {
-            let mut p = PrimStat::default();
-            p.count = 10 + i;
-            p.busy_ns = 1000 + i;
-            prims.push(p);
-        }
-        let rep = RuntimeReport {
-            nodes: 3,
-            wall_ns: 123_456,
-            source: prims[0],
-            encode: prims[1],
-            decode: prims[2],
-            merge: prims[3],
-            send: prims[4],
-            recv: prims[5],
-            update: prims[6],
-            barrier: prims[7],
-            local_agg_ns: 777,
-            bytes_wire: 2048,
-            bytes_raw: 8192,
-            messages: 55,
-            comp_batch_launches: 4,
-            per_node_busy_ns: vec![11, 22, 33],
-            faults: FaultReport {
-                injected_drops: 1,
-                injected_dups: 2,
-                injected_reorders: 3,
-                injected_delays: 4,
-                injected_corruptions: 5,
-                injected_stalls: 6,
-                retries: 7,
-                nacks: 8,
-                duplicates_ignored: 9,
-                corruptions_detected: 10,
-                degraded_chunks: 11,
-                verdicts: vec![StragglerVerdict {
-                    node: 1,
-                    peer: 2,
-                    waited_ns: 999,
-                    action: DegradeAction::Skipped,
-                }],
-            },
-            fabric_frames: 60,
-            fabric_bytes_framed: 61,
-            fabric_bytes_payload: 62,
-            fabric_retransmits: 63,
-            iterations: 16,
-            pipeline_window: 5,
-            iter_span_ns_total: 424_242,
-            membership: vec![
-                crate::report::EpochRecord {
-                    epoch: 0,
-                    from_iter: 0,
-                    members: vec![0, 1, 2],
-                },
-                crate::report::EpochRecord {
-                    epoch: 1,
-                    from_iter: 9,
-                    members: vec![0, 2],
-                },
-            ],
-            evicted: vec![1],
-        };
-        let mut w = Writer::new();
-        put_report(&mut w, &rep);
-        let bytes = w.into_vec();
-        let mut r = Reader::new(&bytes);
-        let back = get_report(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, rep);
     }
 
     /// The pipeline edge configs — a single iteration, a serial

@@ -15,27 +15,25 @@
 //! the cross-check that keeps the trace honest.
 
 use hipress_core::Primitive;
+use hipress_fabric::codec::{DecodeError, Field, Json, Reader, Writer};
+use hipress_fabric::record;
 use hipress_trace::Trace;
 use hipress_util::table::{Align, Table};
 use hipress_util::units::fmt_duration_ns;
 use std::fmt;
 
-/// Count and cumulative busy time for one primitive kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrimStat {
-    /// Number of task executions.
-    pub count: u64,
-    /// Total wall-clock busy nanoseconds across all nodes.
-    pub busy_ns: u64,
+record! {
+    /// Count and cumulative busy time for one primitive kind.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PrimStat [absorb, json] {
+        /// Number of task executions.
+        pub count: u64 => sum,
+        /// Total wall-clock busy nanoseconds across all nodes.
+        pub busy_ns: u64 => sum,
+    }
 }
 
 impl PrimStat {
-    /// Accumulates another stat into this one.
-    pub fn absorb(&mut self, other: PrimStat) {
-        self.count += other.count;
-        self.busy_ns += other.busy_ns;
-    }
-
     /// Records one execution of `ns` nanoseconds.
     pub fn record(&mut self, ns: u64) {
         self.count += 1;
@@ -60,12 +58,12 @@ const PRIMS: [(Primitive, &str); 8] = [
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
     /// The policy kept waiting (the verdict is informational).
-    Waited,
+    Waited = 1,
     /// The peer's outstanding contributions were skipped and the
     /// aggregates rescaled (bounded-staleness partial aggregation).
-    Skipped,
+    Skipped = 2,
     /// The run was aborted with a structured straggler error.
-    Aborted,
+    Aborted = 3,
 }
 
 impl fmt::Display for DegradeAction {
@@ -78,53 +76,83 @@ impl fmt::Display for DegradeAction {
     }
 }
 
-/// One straggler diagnosis: `node` waited `waited_ns` on `peer`
-/// before the policy acted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StragglerVerdict {
-    /// The node that diagnosed the straggler.
-    pub node: usize,
-    /// The peer diagnosed as straggling.
-    pub peer: usize,
-    /// How long `node` had been waiting when the detector tripped.
-    pub waited_ns: u64,
-    /// What the degradation policy did.
-    pub action: DegradeAction,
+/// One tag byte, the discriminant.
+impl Field for DegradeAction {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            1 => Ok(DegradeAction::Waited),
+            2 => Ok(DegradeAction::Skipped),
+            3 => Ok(DegradeAction::Aborted),
+            t => Err(DecodeError::BadTag {
+                what: "degrade action",
+                tag: u64::from(t),
+            }),
+        }
+    }
 }
 
-/// Fault-injection and recovery accounting for one run: what the
-/// chaos layer injected, what the protocol detected and repaired, and
-/// what the degradation policy decided. All-zero (and displayed as
-/// nothing) for trusted-fabric runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultReport {
-    /// Messages the fault plan silently dropped.
-    pub injected_drops: u64,
-    /// Messages the fault plan delivered twice.
-    pub injected_dups: u64,
-    /// Messages the fault plan held back for reordering.
-    pub injected_reorders: u64,
-    /// Messages the fault plan delayed.
-    pub injected_delays: u64,
-    /// Payloads the fault plan flipped a bit in.
-    pub injected_corruptions: u64,
-    /// Node stalls the fault plan triggered.
-    pub injected_stalls: u64,
-    /// Timer-driven retransmissions (dropped data or dropped acks).
-    pub retries: u64,
-    /// Nacks sent for corrupt arrivals (each triggers a fast
-    /// retransmission at the sender).
-    pub nacks: u64,
-    /// Intact arrivals discarded by receiver-side dedup (injected
-    /// duplicates, redundant retransmissions, late post-skip data).
-    pub duplicates_ignored: u64,
-    /// Corrupt arrivals caught by checksum verification. Every
-    /// injected corruption that reaches a receiver lands here.
-    pub corruptions_detected: u64,
-    /// Chunk contributions skipped by the degradation policy.
-    pub degraded_chunks: u64,
-    /// Per-node straggler diagnoses and what was done about them.
-    pub verdicts: Vec<StragglerVerdict>,
+/// Its display name as a JSON string.
+impl Json for DegradeAction {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&format!("\"{self}\""));
+    }
+}
+
+record! {
+    /// One straggler diagnosis: `node` waited `waited_ns` on `peer`
+    /// before the policy acted.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StragglerVerdict [json] {
+        /// The node that diagnosed the straggler.
+        pub node: usize,
+        /// The peer diagnosed as straggling.
+        pub peer: usize,
+        /// How long `node` had been waiting when the detector tripped.
+        pub waited_ns: u64,
+        /// What the degradation policy did.
+        pub action: DegradeAction,
+    }
+}
+
+record! {
+    /// Fault-injection and recovery accounting for one run: what the
+    /// chaos layer injected, what the protocol detected and repaired, and
+    /// what the degradation policy decided. All-zero (and displayed as
+    /// nothing) for trusted-fabric runs.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FaultReport [absorb, json] {
+        /// Messages the fault plan silently dropped.
+        pub injected_drops: u64 => sum,
+        /// Messages the fault plan delivered twice.
+        pub injected_dups: u64 => sum,
+        /// Messages the fault plan held back for reordering.
+        pub injected_reorders: u64 => sum,
+        /// Messages the fault plan delayed.
+        pub injected_delays: u64 => sum,
+        /// Payloads the fault plan flipped a bit in.
+        pub injected_corruptions: u64 => sum,
+        /// Node stalls the fault plan triggered.
+        pub injected_stalls: u64 => sum,
+        /// Timer-driven retransmissions (dropped data or dropped acks).
+        pub retries: u64 => sum,
+        /// Nacks sent for corrupt arrivals (each triggers a fast
+        /// retransmission at the sender).
+        pub nacks: u64 => sum,
+        /// Intact arrivals discarded by receiver-side dedup (injected
+        /// duplicates, redundant retransmissions, late post-skip data).
+        pub duplicates_ignored: u64 => sum,
+        /// Corrupt arrivals caught by checksum verification. Every
+        /// injected corruption that reaches a receiver lands here.
+        pub corruptions_detected: u64 => sum,
+        /// Chunk contributions skipped by the degradation policy.
+        pub degraded_chunks: u64 => sum,
+        /// Per-node straggler diagnoses and what was done about them.
+        pub verdicts: Vec<StragglerVerdict> => append,
+    }
 }
 
 impl FaultReport {
@@ -132,22 +160,6 @@ impl FaultReport {
     /// report of every trusted-fabric run.
     pub fn is_empty(&self) -> bool {
         *self == FaultReport::default()
-    }
-
-    /// Merges a per-node fault report into this aggregate.
-    pub fn absorb(&mut self, other: &FaultReport) {
-        self.injected_drops += other.injected_drops;
-        self.injected_dups += other.injected_dups;
-        self.injected_reorders += other.injected_reorders;
-        self.injected_delays += other.injected_delays;
-        self.injected_corruptions += other.injected_corruptions;
-        self.injected_stalls += other.injected_stalls;
-        self.retries += other.retries;
-        self.nacks += other.nacks;
-        self.duplicates_ignored += other.duplicates_ignored;
-        self.corruptions_detected += other.corruptions_detected;
-        self.degraded_chunks += other.degraded_chunks;
-        self.verdicts.extend(other.verdicts.iter().copied());
     }
 
     /// Counts one fault event by its trace instant name (the `chaos`
@@ -182,91 +194,95 @@ impl FaultReport {
     }
 }
 
-/// One entry in an elastic run's membership timeline: epoch `epoch`
-/// began at global iteration `from_iter` over exactly `members`.
-/// Epoch 0 (the initial membership) is always present on elastic
-/// runs; every later entry is a bump — an eviction or a re-admission.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EpochRecord {
-    /// The membership epoch number (0 = initial).
-    pub epoch: u64,
-    /// The first global iteration executed under this epoch.
-    pub from_iter: u64,
-    /// The global ranks that were members during this epoch,
-    /// ascending.
-    pub members: Vec<u32>,
+record! {
+    /// One entry in an elastic run's membership timeline: epoch `epoch`
+    /// began at global iteration `from_iter` over exactly `members`.
+    /// Epoch 0 (the initial membership) is always present on elastic
+    /// runs; every later entry is a bump — an eviction or a re-admission.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct EpochRecord [json] {
+        /// The membership epoch number (0 = initial).
+        pub epoch: u64,
+        /// The first global iteration executed under this epoch.
+        pub from_iter: u64,
+        /// The global ranks that were members during this epoch,
+        /// ascending.
+        pub members: Vec<u32>,
+    }
 }
 
-/// Measured wall-clock statistics for one runtime execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuntimeReport {
-    /// Number of node threads that executed the graph.
-    pub nodes: usize,
-    /// End-to-end wall-clock time (spawn to last join), ns.
-    pub wall_ns: u64,
-    /// Per-primitive execution statistics, summed across nodes.
-    pub source: PrimStat,
-    /// Encode (compression kernel) statistics.
-    pub encode: PrimStat,
-    /// Decode (decompression kernel) statistics.
-    pub decode: PrimStat,
-    /// Merge (aggregation) statistics.
-    pub merge: PrimStat,
-    /// Send statistics (payload extraction + channel push).
-    pub send: PrimStat,
-    /// Recv statistics (payload hand-off).
-    pub recv: PrimStat,
-    /// Update (parameter install) statistics.
-    pub update: PrimStat,
-    /// Barrier statistics (dependency joins; near-zero cost but
-    /// counted in their own bucket so plan structure is visible).
-    pub barrier: PrimStat,
-    /// Time spent summing local replica gradients (local aggregation,
-    /// §3.1); zero when every node holds a single replica.
-    pub local_agg_ns: u64,
-    /// Bytes actually moved through the channel fabric.
-    pub bytes_wire: u64,
-    /// Bytes the same sends would have moved uncompressed.
-    pub bytes_raw: u64,
-    /// Messages delivered between node threads.
-    pub messages: u64,
-    /// Batched codec launches performed (batch compression, §3.2).
-    pub comp_batch_launches: u64,
-    /// Per-node total busy ns (all primitives).
-    pub per_node_busy_ns: Vec<u64>,
-    /// Fault injection and recovery accounting; all-zero on the fast
-    /// path (no plan, no envelopes, nothing to report).
-    pub faults: FaultReport,
-    /// Data frames the transport fabric sent. Zero when the run moved
-    /// messages by value (the in-process channel fabric).
-    pub fabric_frames: u64,
-    /// Bytes of encoded frames the fabric sent, headers included.
-    pub fabric_bytes_framed: u64,
-    /// Bytes of application payload inside those frames (the framing
-    /// overhead is the difference to `fabric_bytes_framed`).
-    pub fabric_bytes_payload: u64,
-    /// Frame retransmissions the fabric's reliability layer performed.
-    pub fabric_retransmits: u64,
-    /// Synchronization iterations this run executed.
-    pub iterations: u64,
-    /// Bound on concurrently in-flight iterations (1 = serial).
-    pub pipeline_window: u64,
-    /// Summed per-node spans from each node's first task of any
-    /// iteration to its last, ns. With pipelining, overlapping
-    /// iterations make this exceed `nodes × wall_ns` — see
-    /// [`RuntimeReport::pipeline_overlap`].
-    pub iter_span_ns_total: u64,
-    /// Membership timeline of an evict-on-loss process run
-    /// (`ProcessConfig::elastic`), one record per epoch (coordinator
-    /// owned, like `nodes` and `wall_ns`; `absorb` ignores it). Empty
-    /// on every other run, fail-on-loss process runs included;
-    /// `membership.len() - 1` is the number of epoch bumps the run
-    /// survived.
-    pub membership: Vec<EpochRecord>,
-    /// Global ranks evicted by an epoch bump, in eviction order
-    /// (coordinator owned). A rank that died, rejoined, and died
-    /// again appears twice.
-    pub evicted: Vec<u32>,
+record! {
+    /// Measured wall-clock statistics for one runtime execution.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct RuntimeReport [absorb, json] {
+        /// Number of node threads that executed the graph.
+        pub nodes: usize => keep,
+        /// End-to-end wall-clock time (spawn to last join), ns.
+        pub wall_ns: u64 => keep,
+        /// Per-primitive execution statistics, summed across nodes.
+        pub source: PrimStat => absorb,
+        /// Encode (compression kernel) statistics.
+        pub encode: PrimStat => absorb,
+        /// Decode (decompression kernel) statistics.
+        pub decode: PrimStat => absorb,
+        /// Merge (aggregation) statistics.
+        pub merge: PrimStat => absorb,
+        /// Send statistics (payload extraction + channel push).
+        pub send: PrimStat => absorb,
+        /// Recv statistics (payload hand-off).
+        pub recv: PrimStat => absorb,
+        /// Update (parameter install) statistics.
+        pub update: PrimStat => absorb,
+        /// Barrier statistics (dependency joins; near-zero cost but
+        /// counted in their own bucket so plan structure is visible).
+        pub barrier: PrimStat => absorb,
+        /// Time spent summing local replica gradients (local aggregation,
+        /// §3.1); zero when every node holds a single replica.
+        pub local_agg_ns: u64 => sum,
+        /// Bytes actually moved through the channel fabric.
+        pub bytes_wire: u64 => sum,
+        /// Bytes the same sends would have moved uncompressed.
+        pub bytes_raw: u64 => sum,
+        /// Messages delivered between node threads.
+        pub messages: u64 => sum,
+        /// Batched codec launches performed (batch compression, §3.2).
+        pub comp_batch_launches: u64 => sum,
+        /// Per-node total busy ns (all primitives).
+        pub per_node_busy_ns: Vec<u64> => keep,
+        /// Fault injection and recovery accounting; all-zero on the fast
+        /// path (no plan, no envelopes, nothing to report).
+        pub faults: FaultReport => absorb,
+        /// Data frames the transport fabric sent. Zero when the run moved
+        /// messages by value (the in-process channel fabric).
+        pub fabric_frames: u64 => sum,
+        /// Bytes of encoded frames the fabric sent, headers included.
+        pub fabric_bytes_framed: u64 => sum,
+        /// Bytes of application payload inside those frames (the framing
+        /// overhead is the difference to `fabric_bytes_framed`).
+        pub fabric_bytes_payload: u64 => sum,
+        /// Frame retransmissions the fabric's reliability layer performed.
+        pub fabric_retransmits: u64 => sum,
+        /// Synchronization iterations this run executed.
+        pub iterations: u64 => keep,
+        /// Bound on concurrently in-flight iterations (1 = serial).
+        pub pipeline_window: u64 => keep,
+        /// Summed per-node spans from each node's first task of any
+        /// iteration to its last, ns. With pipelining, overlapping
+        /// iterations make this exceed `nodes × wall_ns` — see
+        /// [`RuntimeReport::pipeline_overlap`].
+        pub iter_span_ns_total: u64 => sum,
+        /// Membership timeline of an evict-on-loss process run
+        /// (`ProcessConfig::elastic`), one record per epoch (coordinator
+        /// owned, like `nodes` and `wall_ns`; `absorb` ignores it). Empty
+        /// on every other run, fail-on-loss process runs included;
+        /// `membership.len() - 1` is the number of epoch bumps the run
+        /// survived.
+        pub membership: Vec<EpochRecord> => keep,
+        /// Global ranks evicted by an epoch bump, in eviction order
+        /// (coordinator owned). A rank that died, rejoined, and died
+        /// again appears twice.
+        pub evicted: Vec<u32> => keep,
+    }
 }
 
 impl RuntimeReport {
@@ -296,24 +312,6 @@ impl RuntimeReport {
             Primitive::Update => &mut self.update,
             Primitive::Barrier => &mut self.barrier,
         }
-    }
-
-    /// Merges a per-node report into this aggregate.
-    pub fn absorb(&mut self, other: &RuntimeReport) {
-        for (p, _) in PRIMS {
-            self.prim_mut(p).absorb(*other.prim(p));
-        }
-        self.local_agg_ns += other.local_agg_ns;
-        self.bytes_wire += other.bytes_wire;
-        self.bytes_raw += other.bytes_raw;
-        self.messages += other.messages;
-        self.comp_batch_launches += other.comp_batch_launches;
-        self.faults.absorb(&other.faults);
-        self.fabric_frames += other.fabric_frames;
-        self.fabric_bytes_framed += other.fabric_bytes_framed;
-        self.fabric_bytes_payload += other.fabric_bytes_payload;
-        self.fabric_retransmits += other.fabric_retransmits;
-        self.iter_span_ns_total += other.iter_span_ns_total;
     }
 
     /// Re-derives a full report from a trace recorded by the engine.
@@ -420,153 +418,16 @@ impl RuntimeReport {
     }
 
     /// Renders the full report as one JSON object — the payload the
-    /// live telemetry server's `/report.json` endpoint serves. The
-    /// exhaustive destructuring (no `..`) makes adding a report field
-    /// without extending this rendering a *compile* error, exactly
-    /// like the process backend's control-channel codec. Two derived
-    /// ratios (`compression_savings`, `pipeline_overlap`) ride along
-    /// so scrapers don't have to re-implement them.
+    /// live telemetry server's `/report.json` endpoint serves. Its
+    /// fields are the record's, in declaration order, so a field added
+    /// to the declaration shows up here with no further edit. Two
+    /// derived ratios (`compression_savings`, `pipeline_overlap`)
+    /// ride along so scrapers don't have to re-implement them.
     pub fn to_json(&self) -> String {
-        let RuntimeReport {
-            nodes,
-            wall_ns,
-            source,
-            encode,
-            decode,
-            merge,
-            send,
-            recv,
-            update,
-            barrier,
-            local_agg_ns,
-            bytes_wire,
-            bytes_raw,
-            messages,
-            comp_batch_launches,
-            per_node_busy_ns,
-            faults,
-            fabric_frames,
-            fabric_bytes_framed,
-            fabric_bytes_payload,
-            fabric_retransmits,
-            iterations,
-            pipeline_window,
-            iter_span_ns_total,
-            membership,
-            evicted,
-        } = self;
         let mut out = String::with_capacity(1024);
-        out.push('{');
-        out.push_str(&format!("\"nodes\":{nodes},\"wall_ns\":{wall_ns}"));
-        for ((p, name), s) in PRIMS
-            .iter()
-            .zip([source, encode, decode, merge, send, recv, update, barrier])
-        {
-            debug_assert_eq!(self.prim(*p), s, "PRIMS order drifted from fields");
-            out.push_str(&format!(
-                ",\"{name}\":{{\"count\":{},\"busy_ns\":{}}}",
-                s.count, s.busy_ns
-            ));
-        }
-        for (name, v) in [
-            ("local_agg_ns", local_agg_ns),
-            ("bytes_wire", bytes_wire),
-            ("bytes_raw", bytes_raw),
-            ("messages", messages),
-            ("comp_batch_launches", comp_batch_launches),
-        ] {
-            out.push_str(&format!(",\"{name}\":{v}"));
-        }
-        out.push_str(",\"per_node_busy_ns\":[");
-        for (i, b) in per_node_busy_ns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push(']');
-        let FaultReport {
-            injected_drops,
-            injected_dups,
-            injected_reorders,
-            injected_delays,
-            injected_corruptions,
-            injected_stalls,
-            retries,
-            nacks,
-            duplicates_ignored,
-            corruptions_detected,
-            degraded_chunks,
-            verdicts,
-        } = faults;
-        out.push_str(",\"faults\":{");
-        for (i, (name, v)) in [
-            ("injected_drops", injected_drops),
-            ("injected_dups", injected_dups),
-            ("injected_reorders", injected_reorders),
-            ("injected_delays", injected_delays),
-            ("injected_corruptions", injected_corruptions),
-            ("injected_stalls", injected_stalls),
-            ("retries", retries),
-            ("nacks", nacks),
-            ("duplicates_ignored", duplicates_ignored),
-            ("corruptions_detected", corruptions_detected),
-            ("degraded_chunks", degraded_chunks),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str(",\"verdicts\":[");
-        for (i, v) in verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"node\":{},\"peer\":{},\"waited_ns\":{},\"action\":\"{}\"}}",
-                v.node, v.peer, v.waited_ns, v.action
-            ));
-        }
-        out.push_str("]}");
-        for (name, v) in [
-            ("fabric_frames", fabric_frames),
-            ("fabric_bytes_framed", fabric_bytes_framed),
-            ("fabric_bytes_payload", fabric_bytes_payload),
-            ("fabric_retransmits", fabric_retransmits),
-            ("iterations", iterations),
-            ("pipeline_window", pipeline_window),
-            ("iter_span_ns_total", iter_span_ns_total),
-        ] {
-            out.push_str(&format!(",\"{name}\":{v}"));
-        }
-        out.push_str(",\"membership\":[");
-        for (i, m) in membership.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"epoch\":{},\"from_iter\":{},\"members\":[{}]}}",
-                m.epoch,
-                m.from_iter,
-                m.members
-                    .iter()
-                    .map(u32::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push_str("],\"evicted\":[");
-        for (i, rk) in evicted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&rk.to_string());
-        }
-        out.push(']');
+        self.write_json(&mut out);
+        // Reopen the object for the derived ratios.
+        out.pop();
         out.push_str(&format!(
             ",\"compression_savings\":{:.6},\"pipeline_overlap\":{:.6}}}",
             self.compression_savings(),
@@ -1034,119 +895,6 @@ mod tests {
         let with_alerts = RuntimeReport::from_trace(&clean);
         assert_eq!(with_alerts, baseline);
         assert_eq!(with_alerts.to_json(), baseline.to_json());
-    }
-
-    /// The `/report.json` rendering parses as JSON and carries every
-    /// field with its value intact — checked field by field against a
-    /// report where every field is distinct.
-    #[test]
-    fn to_json_round_trips_every_field() {
-        let mut rep = RuntimeReport {
-            nodes: 3,
-            wall_ns: 123_456,
-            local_agg_ns: 777,
-            bytes_wire: 2048,
-            bytes_raw: 8192,
-            messages: 55,
-            comp_batch_launches: 4,
-            per_node_busy_ns: vec![11, 22, 33],
-            fabric_frames: 60,
-            fabric_bytes_framed: 61,
-            fabric_bytes_payload: 62,
-            fabric_retransmits: 63,
-            iterations: 16,
-            pipeline_window: 5,
-            iter_span_ns_total: 424_242,
-            membership: vec![
-                EpochRecord {
-                    epoch: 0,
-                    from_iter: 0,
-                    members: vec![0, 1, 2],
-                },
-                EpochRecord {
-                    epoch: 1,
-                    from_iter: 7,
-                    members: vec![0, 2],
-                },
-            ],
-            evicted: vec![1],
-            ..Default::default()
-        };
-        for (i, p) in [
-            Primitive::Source,
-            Primitive::Encode,
-            Primitive::Decode,
-            Primitive::Merge,
-            Primitive::Send,
-            Primitive::Recv,
-            Primitive::Update,
-            Primitive::Barrier,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let s = rep.prim_mut(p);
-            s.count = 10 + i as u64;
-            s.busy_ns = 1000 + i as u64;
-        }
-        rep.faults.retries = 7;
-        rep.faults.corruptions_detected = 10;
-        rep.faults.verdicts.push(StragglerVerdict {
-            node: 1,
-            peer: 2,
-            waited_ns: 999,
-            action: DegradeAction::Skipped,
-        });
-        let j = hipress_trace::json::parse(&rep.to_json()).expect("report json parses");
-        let num = |j: &hipress_trace::json::Json, k: &str| {
-            j.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
-        };
-        assert_eq!(num(&j, "nodes"), 3.0);
-        assert_eq!(num(&j, "wall_ns"), 123_456.0);
-        for (i, name) in PRIMS.iter().map(|(_, n)| n).enumerate() {
-            let p = j.get(name).expect("primitive object");
-            assert_eq!(num(p, "count"), 10.0 + i as f64, "{name}");
-            assert_eq!(num(p, "busy_ns"), 1000.0 + i as f64, "{name}");
-        }
-        assert_eq!(num(&j, "local_agg_ns"), 777.0);
-        assert_eq!(num(&j, "bytes_wire"), 2048.0);
-        assert_eq!(num(&j, "bytes_raw"), 8192.0);
-        assert_eq!(num(&j, "messages"), 55.0);
-        assert_eq!(num(&j, "comp_batch_launches"), 4.0);
-        let busy = j.get("per_node_busy_ns").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(
-            busy.iter().map(|v| v.as_f64().unwrap()).collect::<Vec<_>>(),
-            vec![11.0, 22.0, 33.0]
-        );
-        let f = j.get("faults").expect("faults object");
-        assert_eq!(num(f, "retries"), 7.0);
-        assert_eq!(num(f, "corruptions_detected"), 10.0);
-        let v = &f.get("verdicts").and_then(|v| v.as_arr()).unwrap()[0];
-        assert_eq!(num(v, "waited_ns"), 999.0);
-        assert_eq!(v.get("action").and_then(|a| a.as_str()), Some("skipped"));
-        assert_eq!(num(&j, "fabric_retransmits"), 63.0);
-        assert_eq!(num(&j, "iterations"), 16.0);
-        assert_eq!(num(&j, "pipeline_window"), 5.0);
-        assert_eq!(num(&j, "iter_span_ns_total"), 424_242.0);
-        let ms = j.get("membership").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(ms.len(), 2);
-        assert_eq!(num(&ms[1], "epoch"), 1.0);
-        assert_eq!(num(&ms[1], "from_iter"), 7.0);
-        let members = ms[1].get("members").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(
-            members
-                .iter()
-                .map(|v| v.as_f64().unwrap())
-                .collect::<Vec<_>>(),
-            vec![0.0, 2.0]
-        );
-        let ev = j.get("evicted").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(
-            ev.iter().map(|v| v.as_f64().unwrap()).collect::<Vec<_>>(),
-            vec![1.0]
-        );
-        assert!((num(&j, "compression_savings") - 4.0).abs() < 1e-6);
-        assert!((num(&j, "pipeline_overlap") - rep.pipeline_overlap()).abs() < 1e-6);
     }
 
     #[test]
