@@ -280,9 +280,13 @@ impl<'a> Reader<'a> {
     pub fn f32s(&mut self) -> Result<Vec<f32>, DecodeError> {
         let n = self.u32()? as usize;
         let raw = self.take(n.saturating_mul(4))?;
+        // Fixed-size chunks vectorize; `chunks_exact(4)` compiled to a
+        // scalar loop whose speed swung 2x with its code alignment.
         Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
             .collect())
     }
 
@@ -315,11 +319,8 @@ pub trait Field: Sized {
     /// Appends the value.
     fn put(&self, w: &mut Writer);
 
-    /// Parses one value.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`DecodeError`] for any malformed input.
+    /// Parses one value, or a structured [`DecodeError`] for any
+    /// malformed input.
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 
     /// Appends a list: a `u32` count, then each element.
@@ -333,10 +334,6 @@ pub trait Field: Sized {
     /// Parses a list. It grows as elements arrive and never reserves
     /// from the count, so a hostile count fails at the end of the
     /// input instead of allocating for it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Field::get`].
     fn get_list(r: &mut Reader<'_>) -> Result<Vec<Self>, DecodeError> {
         let mut out = Vec::new();
         for _ in 0..r.u32()? {
