@@ -54,43 +54,36 @@ echo "== lint (plan verifier + CompLL dataflow, full matrix) =="
 # task graph plus all shipped CompLL programs; any diagnostic fails.
 cargo run --release -q --bin hipress -- lint
 
-echo "== verify (bounded model checking of the wire/FT protocol) =="
-# Exhaust the small-scope scenario matrix over the runtime's real
-# protocol state machines: every scenario must terminate violation
-# free (the CLI exits non-zero otherwise and prints per-scenario
-# exploration stats, including the sleep-set reduction's pruning).
-# Then a seeded protocol defect must be refuted with a counterexample
-# trace — the mutant run exiting non-zero proves the checker has
-# teeth, not just green lights.
+echo "== verify (bounded model checking of the wire/FT protocol and the elastic epoch transition) =="
+# Exhaust both small-scope scenario matrices over the runtime's real
+# protocol rules: every scenario must terminate violation free (the
+# CLI exits non-zero otherwise and prints per-scenario exploration
+# stats, including the sleep-set reduction's pruning). Then a seeded
+# defect in each model must be refuted with a counterexample trace
+# naming the defect's own signature violation — the mutant run
+# exiting non-zero for that reason proves the checker has teeth, not
+# just green lights.
 cargo run --release -q --bin hipress -- verify
-VERIFY_ERR=$(mktemp)
-if cargo run --release -q --bin hipress -- verify --mutant skip-dedup \
-    >/dev/null 2>"$VERIFY_ERR"; then
-  echo "seeded protocol defect went undetected" >&2
-  rm -f "$VERIFY_ERR"
-  exit 1
-fi
-if ! grep -q "refute" "$VERIFY_ERR"; then
-  echo "mutant run failed for the wrong reason:" >&2
-  cat "$VERIFY_ERR" >&2
-  rm -f "$VERIFY_ERR"
-  exit 1
-fi
-# Same teeth for the elastic epoch-transition matrix: a seeded
-# stale-epoch acceptance defect must be refuted with a counterexample.
-if cargo run --release -q --bin hipress -- verify --mutant accept-stale-epoch \
-    >/dev/null 2>"$VERIFY_ERR"; then
-  echo "seeded elastic-protocol defect went undetected" >&2
-  rm -f "$VERIFY_ERR"
-  exit 1
-fi
-if ! grep -q "refute" "$VERIFY_ERR"; then
-  echo "elastic mutant run failed for the wrong reason:" >&2
-  cat "$VERIFY_ERR" >&2
-  rm -f "$VERIFY_ERR"
-  exit 1
-fi
-rm -f "$VERIFY_ERR"
+VERIFY_OUT=$(mktemp)
+# refuted MUTANT SIGNATURE: the run must fail, say it refuted the
+# seeded defect, and show the signature violation.
+refuted() {
+  if cargo run --release -q --bin hipress -- verify --mutant "$1" \
+      >"$VERIFY_OUT" 2>&1; then
+    echo "seeded defect $1 went undetected" >&2
+    rm -f "$VERIFY_OUT"
+    exit 1
+  fi
+  if ! grep -q "refute" "$VERIFY_OUT" || ! grep -q "$2" "$VERIFY_OUT"; then
+    echo "mutant $1 failed for the wrong reason (want: $2):" >&2
+    cat "$VERIFY_OUT" >&2
+    rm -f "$VERIFY_OUT"
+    exit 1
+  fi
+}
+refuted skip-dedup "applied seq .* twice"
+refuted accept-stale-epoch "applied a frame from dead epoch"
+rm -f "$VERIFY_OUT"
 
 echo "== trace smoke (sim + runtime export, read back by the crate's own parser) =="
 # Both engines must export a Chrome trace that validates (every

@@ -227,6 +227,46 @@ impl Algorithm {
     }
 }
 
+impl std::str::FromStr for Algorithm {
+    type Err = Error;
+
+    /// Parses `name[:param]`: `none`, `onebit`, `tbq[:tau]`,
+    /// `terngrad[:bits]`, `dgc[:rate]` or `graddrop[:rate]`. A bare
+    /// name takes [`Algorithm::paper_default`]'s parameter; a parameter
+    /// the codec's constructor would reject is an error here.
+    fn from_str(spec: &str) -> Result<Algorithm> {
+        let (name, param) = match spec.split_once(':') {
+            Some((n, p)) => (n, Some(p)),
+            None => (spec, None),
+        };
+        let default = Algorithm::paper_default(name)
+            .ok_or_else(|| Error::config(format!("unknown algorithm '{name}'")))?;
+        let Some(p) = param else {
+            return Ok(default);
+        };
+        let out_of_range = |rule: &str| Error::config(format!("{name} {rule}, got {p}"));
+        let rate = || match p.parse::<f64>() {
+            Ok(rate) if rate > 0.0 && rate <= 1.0 => Ok(rate),
+            _ => Err(out_of_range("rate must be in (0, 1]")),
+        };
+        match default {
+            Algorithm::None | Algorithm::OneBit => {
+                Err(Error::config(format!("{name} takes no parameter")))
+            }
+            Algorithm::Tbq { .. } => match p.parse::<f32>() {
+                Ok(tau) if tau > 0.0 && tau.is_finite() => Ok(Algorithm::Tbq { tau }),
+                _ => Err(out_of_range("threshold must be positive and finite")),
+            },
+            Algorithm::TernGrad { .. } => match p.parse::<u8>() {
+                Ok(bitwidth) if (1..=8).contains(&bitwidth) => Ok(Algorithm::TernGrad { bitwidth }),
+                _ => Err(out_of_range("bitwidth must be in 1..=8")),
+            },
+            Algorithm::Dgc { .. } => Ok(Algorithm::Dgc { rate: rate()? }),
+            Algorithm::GradDrop { .. } => Ok(Algorithm::GradDrop { rate: rate()? }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,5 +309,80 @@ mod tests {
     fn ratio_of_empty_gradient_is_one() {
         let c = Algorithm::OneBit.build().unwrap();
         assert_eq!(c.ratio(0), 1.0);
+    }
+
+    #[test]
+    fn parses_every_spelling_with_paper_defaults() {
+        for (spec, want) in [
+            ("none", Algorithm::None),
+            ("onebit", Algorithm::OneBit),
+            ("tbq", Algorithm::Tbq { tau: 0.05 }),
+            ("tbq:0.1", Algorithm::Tbq { tau: 0.1 }),
+            ("terngrad", Algorithm::TernGrad { bitwidth: 2 }),
+            ("terngrad:1", Algorithm::TernGrad { bitwidth: 1 }),
+            ("terngrad:8", Algorithm::TernGrad { bitwidth: 8 }),
+            ("dgc", Algorithm::Dgc { rate: 0.001 }),
+            ("dgc:1", Algorithm::Dgc { rate: 1.0 }),
+            ("graddrop", Algorithm::GradDrop { rate: 0.01 }),
+            ("graddrop:0.5", Algorithm::GradDrop { rate: 0.5 }),
+        ] {
+            assert_eq!(spec.parse::<Algorithm>().unwrap(), want, "{spec}");
+        }
+        for name in ["none", "onebit", "tbq", "terngrad", "dgc", "graddrop"] {
+            assert_eq!(
+                name.parse::<Algorithm>().ok(),
+                Algorithm::paper_default(name)
+            );
+        }
+        for bad in ["bogus", "", "onebit:1", "none:0", "dgc:", "terngrad:two"] {
+            assert!(bad.parse::<Algorithm>().is_err(), "{bad}");
+        }
+    }
+
+    /// The parser refuses exactly the parameters the codec
+    /// constructors panic on, so a parsed algorithm always builds.
+    #[test]
+    fn parser_rejects_exactly_what_the_constructors_assert() {
+        // The refused constructors panic by design; keep them quiet.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let builds = |a: Algorithm| std::panic::catch_unwind(|| a.build()).is_ok();
+        let taus = ["-1", "0", "-0", "1e-9", "0.05", "3", "inf", "NaN"];
+        for p in taus {
+            let tau: f32 = p.parse().unwrap();
+            let parsed = format!("tbq:{p}").parse::<Algorithm>();
+            assert_eq!(parsed.is_ok(), builds(Algorithm::Tbq { tau }), "tbq:{p}");
+        }
+        for bitwidth in [0, 1, 2, 4, 8, 9, u8::MAX] {
+            let parsed = format!("terngrad:{bitwidth}").parse::<Algorithm>();
+            let built = builds(Algorithm::TernGrad { bitwidth });
+            assert_eq!(parsed.is_ok(), built, "terngrad:{bitwidth}");
+        }
+        let rates = [
+            "-1",
+            "0",
+            "1e-9",
+            "0.001",
+            "1",
+            "1.0000001",
+            "2",
+            "inf",
+            "NaN",
+        ];
+        for p in rates {
+            let rate: f64 = p.parse().unwrap();
+            for (name, alg) in [
+                ("dgc", Algorithm::Dgc { rate }),
+                ("graddrop", Algorithm::GradDrop { rate }),
+            ] {
+                let parsed = format!("{name}:{p}").parse::<Algorithm>();
+                assert_eq!(parsed.is_ok(), builds(alg), "{name}:{p}");
+            }
+        }
+        std::panic::set_hook(hook);
+        for spec in ["tbq:-1", "terngrad:9", "dgc:2", "graddrop:0"] {
+            let err = spec.parse::<Algorithm>().unwrap_err().to_string();
+            assert!(err.contains("must be"), "{spec}: {err}");
+        }
     }
 }

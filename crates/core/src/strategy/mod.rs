@@ -115,6 +115,22 @@ impl Strategy {
     }
 }
 
+impl std::str::FromStr for Strategy {
+    type Err = Error;
+
+    /// Parses a command-line spelling: `casync-ps`, `casync-ring`,
+    /// `byteps` or `ring`.
+    fn from_str(s: &str) -> Result<Strategy> {
+        match s {
+            "casync-ps" => Ok(Strategy::CaSyncPs),
+            "casync-ring" => Ok(Strategy::CaSyncRing),
+            "byteps" => Ok(Strategy::BytePs),
+            "ring" => Ok(Strategy::HorovodRing),
+            other => Err(Error::config(format!("unknown strategy '{other}'"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +159,21 @@ mod tests {
                 .collect(),
             compression: compression
                 .map(|a| CompressionSpec::of(a.build().expect("algorithm").as_ref())),
+        }
+    }
+
+    #[test]
+    fn strategies_parse_from_their_cli_spellings() {
+        for (spelling, want) in [
+            ("casync-ps", Strategy::CaSyncPs),
+            ("casync-ring", Strategy::CaSyncRing),
+            ("byteps", Strategy::BytePs),
+            ("ring", Strategy::HorovodRing),
+        ] {
+            assert_eq!(spelling.parse::<Strategy>().unwrap(), want);
+        }
+        for bad in ["", "ps", "CaSync-PS", "horovod"] {
+            assert!(bad.parse::<Strategy>().is_err(), "{bad}");
         }
     }
 

@@ -1,35 +1,97 @@
-//! The bounded explicit-state explorer: depth-first search over
-//! [`Model`](crate::model::Model) states with hash-compacted visited
-//! tracking and sleep-set partial-order reduction.
+//! The bounded explicit-state explorer: depth-first search over any
+//! [`Space`] with hash-compacted visited tracking and sleep-set
+//! partial-order reduction. The explorer names no model; the wire
+//! model ([`Model`](crate::model::Model)) and the elastic model
+//! ([`elastic`](crate::elastic)) are two implementations of the same
+//! trait, and each supplies its own state fingerprint and action
+//! footprints.
 //!
 //! # Reduction
 //!
-//! Two transitions are *independent* when their resource footprints
-//! are disjoint: each action touches a set of nodes (both endpoints
-//! for link actions) and fault-injecting actions additionally share
-//! a global budget token. Independent actions commute and never
-//! enable or disable one another, so of the two orders `a·b` and
-//! `b·a` only one needs exploring. Sleep sets implement exactly
-//! that: after exploring `a` from a state, `a` enters the sleep set
-//! of its siblings' subtrees and stays there until some dependent
-//! action wakes it. Sleep sets prune *transitions*, never states, so
-//! every reachable state (and every property violation) is still
-//! visited — the savings show up in the `pruned` statistic, which
-//! `hipress verify` prints per scenario.
+//! Two transitions are *independent* when their resource masks
+//! ([`Space::footprint`]) are disjoint. The model picks resources so
+//! that independent actions commute and never enable or disable one
+//! another; of the two orders `a·b` and `b·a` only one then needs
+//! exploring. Sleep sets implement exactly that: after exploring `a`
+//! from a state, `a` enters the sleep set of its siblings' subtrees
+//! and stays there until some dependent action wakes it. Sleep sets
+//! prune *transitions*, never states, so every reachable state (and
+//! every property violation) is still visited — the savings show up
+//! in the `pruned` statistic, which `hipress verify` prints per
+//! scenario.
 //!
 //! # Visited states
 //!
-//! States are fingerprinted to 64 bits ([`Model::fingerprint`]) —
+//! States are fingerprinted to 64 bits ([`Space::fingerprint`]) —
 //! classic hash compaction. A state is re-explored only when it is
 //! reached with a sleep set that is not a superset of one it was
 //! already explored under (a smaller sleep set means more outgoing
 //! transitions would be considered).
 
-use crate::model::{Action, Model, Policy, State, Violation};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// Exploration budgets: tripping either is reported as a violation
-/// (the scenario must be tuned, never silently truncated).
+/// A small-scope model the explorer can exhaust: states, the actions
+/// enabled in each, their effects, and the properties they must keep.
+pub trait Space {
+    /// One global model state.
+    type State;
+    /// One transition; its `Display` text is the counterexample trace
+    /// line, its hash its identity for the reduction.
+    type Action: fmt::Display + Hash;
+    /// A property violation; its `Display` text is the verdict.
+    type Violation: fmt::Display;
+
+    /// The initial state.
+    fn initial(&self) -> Self::State;
+    /// Every transition enabled in `state`, in exploration order.
+    fn enabled(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// Executes `action` on a copy of `state`. `Err` is a property
+    /// violation observed while executing it.
+    fn step(
+        &self,
+        state: &Self::State,
+        action: &Self::Action,
+    ) -> Result<Self::State, Self::Violation>;
+    /// Checks the terminal-state properties once no transition is
+    /// enabled.
+    fn terminal_violation(&self, state: &Self::State) -> Option<Self::Violation>;
+    /// A 64-bit fingerprint of `state` for the visited table.
+    fn fingerprint(&self, state: &Self::State) -> u64;
+    /// The resources `action` touches in `state`, as a bitmask.
+    fn footprint(&self, state: &Self::State, action: &Self::Action) -> u64;
+}
+
+/// A 64-bit hash of `value`: the same in every run of one build, so
+/// exploration is deterministic.
+pub(crate) fn hash64<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// An enabled action's sleep-set entry: its identity (the hash of the
+/// action, which names it across the states it stays enabled in) and
+/// its resource mask.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    key: u64,
+    mask: u64,
+}
+
+impl Footprint {
+    /// Disjoint resources commute and cannot enable or disable each
+    /// other — only one interleaving order needs exploring.
+    fn independent(&self, other: &Footprint) -> bool {
+        self.mask & other.mask == 0
+    }
+}
+
+/// Exploration budgets, the same for every model: tripping either is
+/// reported as a [`Failure`] (the scenario must be tuned, never
+/// silently truncated).
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
     /// Max distinct state fingerprints.
@@ -65,143 +127,55 @@ pub struct Stats {
     pub terminals: usize,
 }
 
-/// The result of exhausting (or refuting) one scenario.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Exploration statistics.
-    pub stats: Stats,
-    /// The first property violation, with the action trace that
-    /// reaches it. `None` means the scope was exhausted violation
-    /// free.
-    pub violation: Option<(Violation, Vec<String>)>,
+/// Why a search ended before exhausting its scope.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure<V> {
+    /// The model broke one of its properties.
+    Property(V),
+    /// The scenario outgrew the state budget (a checker
+    /// configuration error, not a protocol bug).
+    StateSpaceExceeded {
+        /// States visited when the limit tripped.
+        states: usize,
+    },
+    /// The scenario outgrew the depth budget.
+    DepthExceeded {
+        /// The depth reached.
+        depth: usize,
+    },
 }
 
-impl Outcome {
+impl<V: fmt::Display> fmt::Display for Failure<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Property(v) => v.fmt(f),
+            Failure::StateSpaceExceeded { states } => {
+                write!(f, "state budget exceeded after {states} states")
+            }
+            Failure::DepthExceeded { depth } => write!(f, "depth budget exceeded at {depth}"),
+        }
+    }
+}
+
+/// The result of exhausting (or refuting) one scenario.
+#[derive(Debug, Clone)]
+pub struct Outcome<V> {
+    /// Exploration statistics.
+    pub stats: Stats,
+    /// The first violation, with the action trace that reaches it.
+    /// `None` means the scope was exhausted violation free.
+    pub violation: Option<(Failure<V>, Vec<String>)>,
+}
+
+impl<V> Outcome<V> {
     /// True when the scope was exhausted with no violation.
     pub fn clean(&self) -> bool {
         self.violation.is_none()
     }
 }
 
-/// An action's reduction identity: a stable key plus a resource
-/// bitmask. Resources distinguish a node's *local* protocol state
-/// `N(i)` (bits 0–3: remaining/tx/rx/ledger/holes) from the *channel
-/// pair* `C{a,b}` (bits from 4: both directed queues between `a` and
-/// `b` — one resource, because replies travel the reverse path and
-/// the timeout guard reads both). Bit 31 is the global fault-budget
-/// token every injecting action consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Footprint {
-    key: u64,
-    mask: u32,
-}
-
-const FAULT_TOKEN: u32 = 1 << 31;
-
-fn node_bit(i: usize) -> u32 {
-    1 << i
-}
-
-fn chan_bit(a: usize, b: usize) -> u32 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    1 << (4 + lo * 4 + hi)
-}
-
-/// Every channel pair touching node `i` — the resources a
-/// structured failure's abort broadcast writes to.
-fn all_chans(i: usize, n: usize) -> u32 {
-    (0..n)
-        .filter(|&o| o != i)
-        .fold(0, |m, o| m | chan_bit(i, o))
-}
-
-/// The footprint is state-aware: an in-flight message's body decides
-/// what delivering it *can* do (a nack can kill the link, and a dead
-/// link broadcasts aborts onto every channel of the failing node).
-/// Bodies never change while queued and index-addressed messages are
-/// only disturbed by channel-sharing (dependent) actions, so a
-/// footprint computed where the action was first seen stays valid.
-fn footprint(model: &Model, state: &State, action: &Action) -> Footprint {
-    use hipress_runtime::protocol::Body;
-    let n = model.config().nodes;
-    let (tag, mask, detail): (u64, u32, u64) = match *action {
-        // Originating touches the sender's local state and the pair.
-        Action::Send { src, dst } => (
-            1,
-            node_bit(src) | chan_bit(src, dst),
-            (src as u64) << 8 | dst as u64,
-        ),
-        // Delivery touches the *receiver's* local state and the pair
-        // (replies travel the reverse queue of the same pair); a
-        // nack additionally reaches the retry bookkeeping, whose
-        // dead-link path aborts every channel of the receiver.
-        Action::Deliver { src, dst, idx } => {
-            let body = &state.net[src * n + dst][idx].env.body;
-            let extra = match body {
-                Body::Nack { .. } => all_chans(dst, n),
-                _ => 0,
-            };
-            (
-                2,
-                node_bit(dst) | chan_bit(src, dst) | extra,
-                (src as u64) << 24 | (dst as u64) << 16 | idx as u64,
-            )
-        }
-        // Timer fire touches the sender's tx, its guard reads both
-        // directed queues of the pair, and budget exhaustion aborts
-        // every channel of the sender.
-        Action::Timeout { src, dst, seq } => (
-            3,
-            node_bit(src) | chan_bit(src, dst) | all_chans(src, n),
-            (src as u64) << 24 | (dst as u64) << 16 | seq,
-        ),
-        Action::Drop { src, dst, idx } => (
-            4,
-            chan_bit(src, dst) | FAULT_TOKEN,
-            (src as u64) << 24 | (dst as u64) << 16 | idx as u64,
-        ),
-        Action::Duplicate { src, dst, idx } => (
-            5,
-            chan_bit(src, dst) | FAULT_TOKEN,
-            (src as u64) << 24 | (dst as u64) << 16 | idx as u64,
-        ),
-        Action::Corrupt { src, dst, idx } => (
-            6,
-            chan_bit(src, dst) | FAULT_TOKEN,
-            (src as u64) << 24 | (dst as u64) << 16 | idx as u64,
-        ),
-        // Crashing changes the victim's behaviour (and delivery
-        // drains at it): its node resource, plus the fault token.
-        Action::Crash { node } => (7, node_bit(node) | FAULT_TOKEN, node as u64),
-        // Silence detection reads the peer's crashed flag and writes
-        // the observer's ledger; under Wait it fails the observer,
-        // which aborts every channel the observer touches.
-        Action::DetectSilence { node, peer } => {
-            let extra = match model.config().policy {
-                Policy::Wait => all_chans(node, n),
-                Policy::Partial => 0,
-            };
-            (
-                8,
-                node_bit(node) | node_bit(peer) | extra,
-                (node as u64) << 8 | peer as u64,
-            )
-        }
-    };
-    Footprint {
-        key: tag << 56 | detail,
-        mask,
-    }
-}
-
-/// Disjoint resource masks commute and cannot enable/disable each
-/// other — only one interleaving order needs exploring.
-fn independent(a: &Footprint, b: &Footprint) -> bool {
-    a.mask & b.mask == 0
-}
-
-struct Explorer<'m> {
-    model: &'m Model,
+struct Explorer<'m, M: Space> {
+    model: &'m M,
     por: bool,
     limits: Limits,
     /// fingerprint → the sleep-set keys the state has been explored
@@ -209,12 +183,12 @@ struct Explorer<'m> {
     /// more of the state's transitions get explored).
     visited: HashMap<u64, Vec<u64>>,
     stats: Stats,
-    violation: Option<(Violation, Vec<String>)>,
+    violation: Option<(Failure<M::Violation>, Vec<String>)>,
     trail: Vec<String>,
 }
 
-impl Explorer<'_> {
-    fn fail(&mut self, v: Violation) {
+impl<M: Space> Explorer<'_, M> {
+    fn fail(&mut self, v: Failure<M::Violation>) {
         let mut trace = self.trail.clone();
         trace.push(format!("=> {v}"));
         self.violation = Some((v, trace));
@@ -229,9 +203,9 @@ impl Explorer<'_> {
     /// `S` re-awakens exactly `T \ S` — those transitions run with
     /// everything else treated as already explored, and the stored
     /// set shrinks to `T ∩ S`.
-    fn dfs(&mut self, state: &State, sleep: &[Footprint], depth: usize) -> bool {
+    fn dfs(&mut self, state: &M::State, sleep: &[Footprint], depth: usize) -> bool {
         if depth > self.limits.max_depth {
-            self.fail(Violation::DepthExceeded { depth });
+            self.fail(Failure::DepthExceeded { depth });
             return false;
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
@@ -261,7 +235,7 @@ impl Explorer<'_> {
         }
         self.stats.states = self.visited.len();
         if self.stats.states > self.limits.max_states {
-            self.fail(Violation::StateSpaceExceeded {
+            self.fail(Failure::StateSpaceExceeded {
                 states: self.stats.states,
             });
             return false;
@@ -271,7 +245,7 @@ impl Explorer<'_> {
         if enabled.is_empty() {
             self.stats.terminals += 1;
             if let Some(v) = self.model.terminal_violation(state) {
-                self.fail(v);
+                self.fail(Failure::Property(v));
                 return false;
             }
             return true;
@@ -283,7 +257,10 @@ impl Explorer<'_> {
         let mut working: Vec<Footprint> = sleep.to_vec();
         let feet: Vec<Footprint> = enabled
             .iter()
-            .map(|a| footprint(self.model, state, a))
+            .map(|a| Footprint {
+                key: hash64(a),
+                mask: self.model.footprint(state, a),
+            })
             .collect();
         if let Some(wake) = &awaken {
             for f in &feet {
@@ -301,25 +278,25 @@ impl Explorer<'_> {
                 continue;
             }
             self.stats.transitions += 1;
-            let next = match self.model.step(state, action) {
-                Ok(next) => next,
+            self.trail.push(action.to_string());
+            let go_on = match self.model.step(state, action) {
+                Ok(next) => {
+                    let child_sleep: Vec<Footprint> = if self.por {
+                        working
+                            .iter()
+                            .filter(|s| s.independent(foot))
+                            .copied()
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    self.dfs(&next, &child_sleep, depth + 1)
+                }
                 Err(v) => {
-                    self.trail.push(action.to_string());
-                    self.fail(v);
-                    return false;
+                    self.fail(Failure::Property(v));
+                    false
                 }
             };
-            let child_sleep: Vec<Footprint> = if self.por {
-                working
-                    .iter()
-                    .filter(|s| independent(s, foot))
-                    .copied()
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            self.trail.push(action.to_string());
-            let go_on = self.dfs(&next, &child_sleep, depth + 1);
             self.trail.pop();
             if !go_on {
                 return false;
@@ -334,7 +311,7 @@ impl Explorer<'_> {
 /// toggles the sleep-set reduction — exploration is exhaustive
 /// either way; the toggle exists so tests can demonstrate the
 /// reduction reduces.
-pub fn explore(model: &Model, por: bool, limits: Limits) -> Outcome {
+pub fn explore<M: Space>(model: &M, por: bool, limits: Limits) -> Outcome<M::Violation> {
     let mut ex = Explorer {
         model,
         por,
@@ -344,8 +321,7 @@ pub fn explore(model: &Model, por: bool, limits: Limits) -> Outcome {
         violation: None,
         trail: Vec::new(),
     };
-    let initial = model.initial();
-    ex.dfs(&initial, &[], 0);
+    ex.dfs(&model.initial(), &[], 0);
     Outcome {
         stats: ex.stats,
         violation: ex.violation,

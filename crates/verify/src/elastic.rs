@@ -26,14 +26,20 @@
 //! - **Join admission**: a joiner claiming an epoch the run has not
 //!   reached is never admitted.
 //!
+//! The model is a [`Space`] on the shared explorer ([`explore`]):
+//! the same visited table, budgets and sleep-set reduction as the
+//! wire model.
+//!
 //! The mutation harness seeds one defect per rule — skip the drain
 //! minimum, accept stale frames, reuse the dead rank's chunk
 //! ownership, admit future-epoch joins — and the same matrix must
 //! refute each with a concrete counterexample trace.
 
+use crate::check::{explore, hash64, Limits, Outcome, Space};
+use crate::Scenario;
 use hipress_runtime::protocol::{drain_boundary, epoch_accepts, member_slot};
-use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 
 /// One small-scope elastic configuration.
 #[derive(Debug, Clone)]
@@ -180,26 +186,6 @@ impl fmt::Display for ElasticViolation {
     }
 }
 
-/// The result of exhausting (or refuting) one elastic scenario.
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// Distinct states explored.
-    pub states: usize,
-    /// Transitions taken.
-    pub transitions: usize,
-    /// Terminal (completed-run) states reached.
-    pub terminals: usize,
-    /// The first violation with the transition trace reaching it.
-    pub violation: Option<(ElasticViolation, Vec<String>)>,
-}
-
-impl ElasticOutcome {
-    /// True when the scope was exhausted with no violation.
-    pub fn clean(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
 /// One worker's condition within the current epoch segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
@@ -212,7 +198,7 @@ enum Node {
 }
 
 /// One explicit model state. Everything is small-scope, so the whole
-/// struct hashes cheaply for the visited set.
+/// struct hashes cheaply into its fingerprint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct St {
     epoch: u8,
@@ -234,16 +220,6 @@ struct St {
     /// original rank keeps the scope small but the rule visible).
     owners: Vec<usize>,
     done: bool,
-}
-
-struct Explorer<'a> {
-    cfg: &'a ElasticConfig,
-    mutation: Option<ElasticMutation>,
-    visited: HashSet<St>,
-    states: usize,
-    transitions: usize,
-    terminals: usize,
-    violation: Option<(ElasticViolation, Vec<String>)>,
 }
 
 /// The sorted live-member rank list (the runtime's `members` vector).
@@ -273,40 +249,125 @@ fn replan_owners(members: &[u32], chunks: usize) -> Vec<usize> {
         .collect()
 }
 
-impl Explorer<'_> {
-    fn fail(&mut self, v: ElasticViolation, trail: &[String]) {
-        let mut trace = trail.to_vec();
-        trace.push(format!("=> {v}"));
-        self.violation = Some((v, trace));
+/// One elastic transition, in the order [`ElasticModel::enabled`]
+/// lists them. Each carries what its trace line shows.
+#[derive(Debug, Clone, Copy, Hash)]
+enum ElasticAction {
+    /// Worker `rank` retires segment-local iteration `to`.
+    Advance { rank: usize, to: u32 },
+    /// The scripted victim dies at global iteration `iter`.
+    Crash { rank: usize, iter: u32 },
+    /// A survivor notices the death and freezes at `completed`.
+    Halt { rank: usize, completed: u32 },
+    /// A dead-epoch frame reaches survivor `rank`, which applies or
+    /// rejects it.
+    Zombie {
+        rank: usize,
+        frame_epoch: u8,
+        applied: bool,
+    },
+    /// Every survivor halted: commit up to global iteration
+    /// `boundary`, evict, bump, re-plan — with a rejoin, the restarted
+    /// victim dials in during the same bump.
+    Drain { boundary: u32, join: Option<Join> },
+    /// Every member retired the whole segment.
+    Finish { epoch: u8 },
+}
+
+/// A restarted victim asking to join, claiming some epoch.
+#[derive(Debug, Clone, Copy, Hash)]
+struct Join {
+    rank: usize,
+    claimed: u8,
+    admitted: bool,
+}
+
+impl fmt::Display for ElasticAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ElasticAction::*;
+        match *self {
+            Advance { rank, to } => write!(f, "advance(n{rank} -> {to})"),
+            Crash { rank, iter } => write!(f, "crash(n{rank} at iter {iter})"),
+            Halt { rank, completed } => write!(f, "halt(n{rank} at {completed})"),
+            Zombie {
+                rank,
+                frame_epoch,
+                applied,
+            } => {
+                let verdict = if applied { "applied" } else { "rejected" };
+                write!(
+                    f,
+                    "deliver(zombie epoch {frame_epoch} -> n{rank}, {verdict})"
+                )
+            }
+            Drain { boundary, join } => {
+                write!(f, "drain(boundary {boundary})")?;
+                join.map_or(Ok(()), |j| write!(f, " + {j}"))
+            }
+            Finish { epoch } => write!(f, "finish(epoch {epoch})"),
+        }
+    }
+}
+
+impl fmt::Display for Join {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.admitted { "admitted" } else { "refused" };
+        let (rank, claimed) = (self.rank, self.claimed);
+        write!(f, "join(n{rank} claims epoch {claimed}, {verdict})")
+    }
+}
+
+/// The elastic epoch-transition model: one configuration, an optional
+/// seeded defect.
+struct ElasticModel<'a> {
+    cfg: &'a ElasticConfig,
+    mutation: Option<ElasticMutation>,
+}
+
+/// Marks global iterations `iters` committed by `epoch`, refusing any
+/// an earlier segment already committed.
+fn commit(st: &mut St, iters: Range<u32>, epoch: u8) -> Result<(), ElasticViolation> {
+    for i in iters {
+        let slot = &mut st.committed[i as usize];
+        if slot.is_some() {
+            return Err(ElasticViolation::DoubleApply { iter: i });
+        }
+        *slot = Some(epoch);
+    }
+    Ok(())
+}
+
+impl Space for ElasticModel<'_> {
+    type State = St;
+    type Action = ElasticAction;
+    type Violation = ElasticViolation;
+
+    fn initial(&self) -> St {
+        let n = self.cfg.nodes;
+        St {
+            epoch: 0,
+            base: 0,
+            nodes: vec![Node::Live { completed: 0 }; n],
+            crashed: false,
+            dead_pending: false,
+            committed: vec![None; self.cfg.iters as usize],
+            zombies: vec![None; n],
+            owners: (0..n).collect(),
+            done: false,
+        }
     }
 
-    /// The segment length from `base` (elastic segments always run to
-    /// the configured end; boundaries are created by drains).
-    fn seg_len(&self, base: u32) -> u32 {
-        self.cfg.iters - base
-    }
-
-    /// Depth-first exhaustion. Returns false once a violation is
-    /// recorded so the unwind is immediate.
-    fn dfs(&mut self, st: &St, trail: &mut Vec<String>) -> bool {
-        if self.violation.is_some() {
-            return false;
-        }
-        if !self.visited.insert(st.clone()) {
-            return true;
-        }
-        self.states += 1;
-
+    fn enabled(&self, st: &St) -> Vec<ElasticAction> {
+        let mut out = Vec::new();
         if st.done {
-            self.terminals += 1;
-            return true;
+            return out;
         }
-
-        let mut enabled = 0usize;
+        let live = live_ranks(&st.nodes);
+        // Elastic segments always run to the configured end;
+        // boundaries are created by drains.
+        let seg = self.cfg.iters - st.base;
 
         // ---- advance(r): one worker retires one iteration ---------
-        let live = live_ranks(&st.nodes);
-        let seg = self.seg_len(st.base);
         let min_completed = st
             .nodes
             .iter()
@@ -316,17 +377,18 @@ impl Explorer<'_> {
             })
             .min()
             .unwrap_or(0);
+        // An iteration only retires when every chunk's owner is alive
+        // to serve its share — the ownership re-plan rule.
+        let owners_alive = st
+            .owners
+            .iter()
+            .all(|&o| !matches!(st.nodes[o], Node::Dead));
         for &r in &live {
             let r = r as usize;
             let Node::Live { completed } = st.nodes[r] else {
                 continue;
             };
-            if completed >= seg || completed >= min_completed + self.cfg.window {
-                continue;
-            }
-            // An iteration only retires when every chunk's owner is
-            // alive to serve its share — the ownership re-plan rule.
-            if st.owners.iter().any(|&o| matches!(st.nodes[o], Node::Dead)) {
+            if completed >= seg || completed >= min_completed + self.cfg.window || !owners_alive {
                 continue;
             }
             // The scripted victim cannot run past its crash point.
@@ -335,62 +397,32 @@ impl Explorer<'_> {
                     continue;
                 }
             }
-            enabled += 1;
-            let mut next = st.clone();
-            next.nodes[r] = Node::Live {
-                completed: completed + 1,
-            };
-            trail.push(format!("advance(n{r} -> {})", completed + 1));
-            let ok = self.dfs(&next, trail);
-            trail.pop();
-            if !ok {
-                return false;
-            }
+            out.push(ElasticAction::Advance {
+                rank: r,
+                to: completed + 1,
+            });
         }
 
         // ---- crash: the scripted victim dies ----------------------
         if let Some((victim, at)) = self.cfg.crash {
-            if !st.crashed {
-                if let Node::Live { completed } = st.nodes[victim] {
-                    if st.base + completed >= at {
-                        enabled += 1;
-                        let mut next = st.clone();
-                        next.nodes[victim] = Node::Dead;
-                        next.crashed = true;
-                        next.dead_pending = true;
-                        // Its last-breath frames are now zombies of
-                        // this epoch, one per survivor.
-                        for (r, z) in next.zombies.iter_mut().enumerate() {
-                            if r != victim && !matches!(st.nodes[r], Node::Dead) {
-                                *z = Some(st.epoch);
-                            }
-                        }
-                        trail.push(format!("crash(n{victim} at iter {})", st.base + completed));
-                        let ok = self.dfs(&next, trail);
-                        trail.pop();
-                        if !ok {
-                            return false;
-                        }
-                    }
+            if let Node::Live { completed } = st.nodes[victim] {
+                if !st.crashed && st.base + completed >= at {
+                    out.push(ElasticAction::Crash {
+                        rank: victim,
+                        iter: st.base + completed,
+                    });
                 }
             }
         }
 
-        // ---- notice(r): a survivor notices the death and halts ----
+        // ---- halt(r): a survivor notices the death and halts ------
         if st.dead_pending {
             for &r in &live {
-                let r = r as usize;
-                let Node::Live { completed } = st.nodes[r] else {
-                    continue;
-                };
-                enabled += 1;
-                let mut next = st.clone();
-                next.nodes[r] = Node::Halted { completed };
-                trail.push(format!("halt(n{r} at {completed})"));
-                let ok = self.dfs(&next, trail);
-                trail.pop();
-                if !ok {
-                    return false;
+                if let Node::Live { completed } = st.nodes[r as usize] {
+                    out.push(ElasticAction::Halt {
+                        rank: r as usize,
+                        completed,
+                    });
                 }
             }
         }
@@ -401,35 +433,13 @@ impl Explorer<'_> {
             if matches!(st.nodes[r], Node::Dead) {
                 continue;
             }
-            enabled += 1;
-            let accepted = if self.mutation == Some(ElasticMutation::AcceptStaleEpoch) {
-                true
-            } else {
-                epoch_accepts(u64::from(st.epoch), u64::from(frame_epoch))
-            };
-            let mut next = st.clone();
-            next.zombies[r] = None;
-            trail.push(format!(
-                "deliver(zombie epoch {frame_epoch} -> n{r}, {})",
-                if accepted { "applied" } else { "rejected" }
-            ));
-            if accepted && frame_epoch != st.epoch {
-                self.fail(
-                    ElasticViolation::StaleApply {
-                        node: r,
-                        frame_epoch,
-                        epoch: st.epoch,
-                    },
-                    trail,
-                );
-                trail.pop();
-                return false;
-            }
-            let ok = self.dfs(&next, trail);
-            trail.pop();
-            if !ok {
-                return false;
-            }
+            let applied = self.mutation == Some(ElasticMutation::AcceptStaleEpoch)
+                || epoch_accepts(u64::from(st.epoch), u64::from(frame_epoch));
+            out.push(ElasticAction::Zombie {
+                rank: r,
+                frame_epoch,
+                applied,
+            });
         }
 
         // ---- drain: every survivor halted → evict, bump, resume ---
@@ -439,7 +449,6 @@ impl Explorer<'_> {
                 .iter()
                 .all(|n| matches!(n, Node::Halted { .. } | Node::Dead));
         if survivors_all_halted {
-            enabled += 1;
             let completions: Vec<u32> = st
                 .nodes
                 .iter()
@@ -454,98 +463,28 @@ impl Explorer<'_> {
                 drain_boundary(&completions)
             };
             let boundary = st.base + local;
-            // Commit [base, boundary) — each survivor must actually
-            // have executed everything committed on its behalf.
-            let mut next = st.clone();
-            trail.push(format!("drain(boundary {boundary})"));
-            for (r, n) in st.nodes.iter().enumerate() {
-                let Node::Halted { completed } = n else {
-                    continue;
-                };
-                if *completed < local {
-                    self.fail(
-                        ElasticViolation::MissedIteration {
-                            node: r,
-                            iter: st.base + completed,
-                        },
-                        trail,
-                    );
-                    trail.pop();
-                    return false;
-                }
-            }
-            for i in st.base..boundary {
-                if next.committed[i as usize].is_some() {
-                    self.fail(ElasticViolation::DoubleApply { iter: i }, trail);
-                    trail.pop();
-                    return false;
-                }
-                next.committed[i as usize] = Some(st.epoch);
-            }
-            // Evict, bump, re-plan ownership over the survivors.
-            next.epoch += 1;
-            next.base = boundary;
-            next.dead_pending = false;
-            let members = live_ranks(&next.nodes);
-            for n in next.nodes.iter_mut() {
-                if let Node::Halted { .. } = n {
-                    *n = Node::Live { completed: 0 };
-                }
-            }
-            if self.mutation != Some(ElasticMutation::ReuseDeadOwner) {
-                next.owners = replan_owners(&members, next.owners.len());
-            }
-            // A restarted victim dials in claiming some epoch; every
-            // claim the wire allows is explored.
-            if self.cfg.rejoin {
-                if let Some((victim, _)) = self.cfg.crash {
-                    for claimed in [0, next.epoch, next.epoch + 1] {
-                        let admit = if self.mutation == Some(ElasticMutation::AdmitFutureJoin) {
-                            true
-                        } else {
-                            claimed <= next.epoch
-                        };
-                        let mut joined = next.clone();
-                        trail.push(format!(
-                            "join(n{victim} claims epoch {claimed}, {})",
-                            if admit { "admitted" } else { "refused" }
-                        ));
-                        if admit {
-                            if claimed > next.epoch {
-                                self.fail(
-                                    ElasticViolation::FutureJoinAdmitted {
-                                        claimed,
-                                        epoch: next.epoch,
-                                    },
-                                    trail,
-                                );
-                                trail.pop();
-                                trail.pop();
-                                return false;
-                            }
-                            joined.nodes[victim] = Node::Live { completed: 0 };
-                            let members = live_ranks(&joined.nodes);
-                            if self.mutation != Some(ElasticMutation::ReuseDeadOwner) {
-                                joined.owners = replan_owners(&members, joined.owners.len());
-                            }
-                        }
-                        let ok = self.dfs(&joined, trail);
-                        trail.pop();
-                        if !ok {
-                            trail.pop();
-                            return false;
-                        }
+            match self.cfg.crash {
+                // A restarted victim dials in claiming some epoch;
+                // every claim the wire allows is explored.
+                Some((victim, _)) if self.cfg.rejoin => {
+                    let bumped = st.epoch + 1;
+                    for claimed in [0, bumped, bumped + 1] {
+                        let admitted = self.mutation == Some(ElasticMutation::AdmitFutureJoin)
+                            || claimed <= bumped;
+                        out.push(ElasticAction::Drain {
+                            boundary,
+                            join: Some(Join {
+                                rank: victim,
+                                claimed,
+                                admitted,
+                            }),
+                        });
                     }
-                    trail.pop();
-                    // The join transitions covered this drain.
-                    self.transitions += 3;
-                    return self.check_stuck(st, enabled, trail);
                 }
-            }
-            let ok = self.dfs(&next, trail);
-            trail.pop();
-            if !ok {
-                return false;
+                _ => out.push(ElasticAction::Drain {
+                    boundary,
+                    join: None,
+                }),
             }
         }
 
@@ -557,87 +496,133 @@ impl Explorer<'_> {
                     || matches!(n, Node::Dead)
             });
         if all_finished {
-            enabled += 1;
-            let mut next = st.clone();
-            trail.push(format!("finish(epoch {})", st.epoch));
-            for i in st.base..self.cfg.iters {
-                if next.committed[i as usize].is_some() {
-                    self.fail(ElasticViolation::DoubleApply { iter: i }, trail);
-                    trail.pop();
-                    return false;
+            out.push(ElasticAction::Finish { epoch: st.epoch });
+        }
+        out
+    }
+
+    fn step(&self, st: &St, action: &ElasticAction) -> Result<St, ElasticViolation> {
+        let mut next = st.clone();
+        match *action {
+            ElasticAction::Advance { rank, to } => next.nodes[rank] = Node::Live { completed: to },
+            ElasticAction::Crash { rank, .. } => {
+                next.nodes[rank] = Node::Dead;
+                next.crashed = true;
+                next.dead_pending = true;
+                // Its last-breath frames are now zombies of this
+                // epoch, one per survivor.
+                for (r, z) in next.zombies.iter_mut().enumerate() {
+                    if r != rank && !matches!(st.nodes[r], Node::Dead) {
+                        *z = Some(st.epoch);
+                    }
                 }
-                next.committed[i as usize] = Some(st.epoch);
             }
-            next.done = true;
-            let ok = self.dfs(&next, trail);
-            trail.pop();
-            if !ok {
-                return false;
+            ElasticAction::Halt { rank, completed } => {
+                next.nodes[rank] = Node::Halted { completed }
+            }
+            ElasticAction::Zombie {
+                rank,
+                frame_epoch,
+                applied,
+            } => {
+                if applied && frame_epoch != st.epoch {
+                    return Err(ElasticViolation::StaleApply {
+                        node: rank,
+                        frame_epoch,
+                        epoch: st.epoch,
+                    });
+                }
+                next.zombies[rank] = None;
+            }
+            ElasticAction::Drain { boundary, join } => {
+                // Each survivor must actually have executed
+                // everything committed on its behalf.
+                let local = boundary - st.base;
+                for (r, n) in st.nodes.iter().enumerate() {
+                    if let Node::Halted { completed } = *n {
+                        if completed < local {
+                            return Err(ElasticViolation::MissedIteration {
+                                node: r,
+                                iter: st.base + completed,
+                            });
+                        }
+                    }
+                }
+                commit(&mut next, st.base..boundary, st.epoch)?;
+                // Evict, bump, re-plan ownership over the members.
+                next.epoch += 1;
+                next.base = boundary;
+                next.dead_pending = false;
+                for n in next.nodes.iter_mut() {
+                    if let Node::Halted { .. } = n {
+                        *n = Node::Live { completed: 0 };
+                    }
+                }
+                if let Some(j) = join.filter(|j| j.admitted) {
+                    if j.claimed > next.epoch {
+                        return Err(ElasticViolation::FutureJoinAdmitted {
+                            claimed: j.claimed,
+                            epoch: next.epoch,
+                        });
+                    }
+                    next.nodes[j.rank] = Node::Live { completed: 0 };
+                }
+                if self.mutation != Some(ElasticMutation::ReuseDeadOwner) {
+                    next.owners = replan_owners(&live_ranks(&next.nodes), next.owners.len());
+                }
+            }
+            ElasticAction::Finish { epoch } => {
+                commit(&mut next, st.base..self.cfg.iters, epoch)?;
+                next.done = true;
             }
         }
-
-        self.transitions += enabled;
-        self.check_stuck(st, enabled, trail)
+        Ok(next)
     }
 
-    /// Deadlock property: a non-terminal state must enable something.
-    fn check_stuck(&mut self, st: &St, enabled: usize, trail: &[String]) -> bool {
-        if enabled == 0 && !st.done {
-            self.fail(ElasticViolation::Deadlock { epoch: st.epoch }, trail);
-            return false;
+    /// Deadlock property: only a completed run may enable nothing.
+    fn terminal_violation(&self, st: &St) -> Option<ElasticViolation> {
+        (!st.done).then_some(ElasticViolation::Deadlock { epoch: st.epoch })
+    }
+
+    fn fingerprint(&self, st: &St) -> u64 {
+        hash64(st)
+    }
+
+    /// Resources: worker `r`'s condition is bit `r`, its zombie slot
+    /// bit `8 + r`. Crash, drain and finish depend on everything. An
+    /// advance reads every worker (the skew bound) and writes its own;
+    /// a halt writes only its worker; a zombie delivery touches only
+    /// its slot — so zombies commute with advances and halts, and
+    /// halts with each other.
+    fn footprint(&self, _: &St, action: &ElasticAction) -> u64 {
+        match *action {
+            ElasticAction::Advance { .. } => (1 << self.cfg.nodes) - 1,
+            ElasticAction::Halt { rank, .. } => 1 << rank,
+            ElasticAction::Zombie { rank, .. } => 1 << (8 + rank),
+            ElasticAction::Crash { .. }
+            | ElasticAction::Drain { .. }
+            | ElasticAction::Finish { .. } => u64::MAX,
         }
-        true
     }
 }
 
-/// Exhausts one elastic scenario, optionally with a seeded defect.
-pub fn check_elastic(cfg: &ElasticConfig, mutation: Option<ElasticMutation>) -> ElasticOutcome {
-    let initial = St {
-        epoch: 0,
-        base: 0,
-        nodes: vec![Node::Live { completed: 0 }; cfg.nodes],
-        crashed: false,
-        dead_pending: false,
-        committed: vec![None; cfg.iters as usize],
-        zombies: vec![None; cfg.nodes],
-        owners: (0..cfg.nodes).collect(),
-        done: false,
-    };
-    let mut ex = Explorer {
-        cfg,
-        mutation,
-        visited: HashSet::new(),
-        states: 0,
-        transitions: 0,
-        terminals: 0,
-        violation: None,
-    };
-    let mut trail = Vec::new();
-    ex.dfs(&initial, &mut trail);
-    ElasticOutcome {
-        states: ex.states,
-        transitions: ex.transitions,
-        terminals: ex.terminals,
-        violation: ex.violation,
-    }
-}
-
-/// One named elastic scenario of the verification matrix.
-#[derive(Debug, Clone)]
-pub struct ElasticScenario {
-    /// Stable name (shown in the `hipress verify` table).
-    pub name: &'static str,
-    /// The configuration to exhaust.
-    pub cfg: ElasticConfig,
+/// Exhausts one elastic scenario, optionally with a seeded defect;
+/// `por` toggles the sleep-set reduction.
+pub fn check_elastic(
+    cfg: &ElasticConfig,
+    mutation: Option<ElasticMutation>,
+    por: bool,
+) -> Outcome<ElasticViolation> {
+    explore(&ElasticModel { cfg, mutation }, por, Limits::default())
 }
 
 /// The elastic small-scope matrix `hipress verify` exhausts: a clean
 /// run (one segment, no bump), crashes at the first, middle, and
 /// last iteration, a crash with a rejoin, and a wider cluster where
 /// drain-time skew is largest.
-pub fn elastic_matrix() -> Vec<ElasticScenario> {
+pub fn elastic_matrix() -> Vec<Scenario<ElasticConfig>> {
     vec![
-        ElasticScenario {
+        Scenario {
             name: "el-2n-clean",
             cfg: ElasticConfig {
                 nodes: 2,
@@ -647,7 +632,7 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
                 rejoin: false,
             },
         },
-        ElasticScenario {
+        Scenario {
             name: "el-3n-crash-early",
             cfg: ElasticConfig {
                 nodes: 3,
@@ -657,7 +642,7 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
                 rejoin: false,
             },
         },
-        ElasticScenario {
+        Scenario {
             name: "el-3n-crash-mid-w2",
             cfg: ElasticConfig {
                 nodes: 3,
@@ -667,7 +652,7 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
                 rejoin: false,
             },
         },
-        ElasticScenario {
+        Scenario {
             name: "el-3n-crash-last",
             cfg: ElasticConfig {
                 nodes: 3,
@@ -677,7 +662,7 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
                 rejoin: false,
             },
         },
-        ElasticScenario {
+        Scenario {
             name: "el-3n-crash-rejoin",
             cfg: ElasticConfig {
                 nodes: 3,
@@ -687,7 +672,7 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
                 rejoin: true,
             },
         },
-        ElasticScenario {
+        Scenario {
             name: "el-4n-crash-w2",
             cfg: ElasticConfig {
                 nodes: 4,
@@ -703,18 +688,19 @@ pub fn elastic_matrix() -> Vec<ElasticScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Failure;
 
     #[test]
     fn matrix_is_exhausted_clean() {
         for s in elastic_matrix() {
-            let out = check_elastic(&s.cfg, None);
+            let out = check_elastic(&s.cfg, None, true);
             assert!(
                 out.clean(),
                 "{}: {:?}",
                 s.name,
                 out.violation.map(|(v, _)| v)
             );
-            assert!(out.terminals > 0, "{}: no run ever completed", s.name);
+            assert!(out.stats.terminals > 0, "{}: no run ever completed", s.name);
         }
     }
 
@@ -723,7 +709,7 @@ mod tests {
         for m in ElasticMutation::ALL {
             let mut caught = 0usize;
             for s in elastic_matrix() {
-                let out = check_elastic(&s.cfg, Some(m));
+                let out = check_elastic(&s.cfg, Some(m), true);
                 if m.eligible(&s.cfg) {
                     assert!(
                         !out.clean(),
@@ -761,10 +747,13 @@ mod tests {
             crash: Some((2, 1)),
             rejoin: false,
         };
-        let out = check_elastic(&cfg, Some(ElasticMutation::SkipDrain));
+        let out = check_elastic(&cfg, Some(ElasticMutation::SkipDrain), true);
         let (v, _) = out.violation.expect("skip-drain must be refuted");
         assert!(
-            matches!(v, ElasticViolation::MissedIteration { .. }),
+            matches!(
+                v,
+                Failure::Property(ElasticViolation::MissedIteration { .. })
+            ),
             "got {v}"
         );
     }
@@ -778,9 +767,12 @@ mod tests {
             crash: Some((1, 1)),
             rejoin: false,
         };
-        let out = check_elastic(&cfg, Some(ElasticMutation::AcceptStaleEpoch));
+        let out = check_elastic(&cfg, Some(ElasticMutation::AcceptStaleEpoch), true);
         let (v, _) = out.violation.expect("accept-stale-epoch must be refuted");
-        assert!(matches!(v, ElasticViolation::StaleApply { .. }), "got {v}");
+        assert!(
+            matches!(v, Failure::Property(ElasticViolation::StaleApply { .. })),
+            "got {v}"
+        );
     }
 
     #[test]
@@ -792,8 +784,42 @@ mod tests {
             crash: Some((1, 1)),
             rejoin: false,
         };
-        let out = check_elastic(&cfg, Some(ElasticMutation::ReuseDeadOwner));
+        let out = check_elastic(&cfg, Some(ElasticMutation::ReuseDeadOwner), true);
         let (v, _) = out.violation.expect("reuse-dead-owner must be refuted");
-        assert!(matches!(v, ElasticViolation::Deadlock { .. }), "got {v}");
+        assert!(
+            matches!(v, Failure::Property(ElasticViolation::Deadlock { .. })),
+            "got {v}"
+        );
+    }
+
+    #[test]
+    fn a_growing_scenario_ends_in_the_budget_violation() {
+        let s = elastic_matrix().pop().expect("el-4n-crash-w2");
+        let model = ElasticModel {
+            cfg: &s.cfg,
+            mutation: None,
+        };
+        let states = Limits {
+            max_states: 10,
+            ..Limits::default()
+        };
+        let out = explore(&model, true, states);
+        assert!(
+            matches!(
+                out.violation,
+                Some((Failure::StateSpaceExceeded { states: 11 }, _))
+            ),
+            "{:?}",
+            out.violation
+        );
+        let depth = Limits {
+            max_depth: 3,
+            ..Limits::default()
+        };
+        let out = explore(&model, true, depth);
+        let Some((Failure::DepthExceeded { depth: 4 }, trace)) = out.violation else {
+            panic!("{:?}", out.violation);
+        };
+        assert_eq!(trace.len(), 5, "four steps, then the verdict");
     }
 }

@@ -1,5 +1,6 @@
 //! hipress-verify: a zero-dependency bounded explicit-state model
-//! checker for the CaSync-RT wire/fault-tolerance protocol.
+//! checker for the CaSync-RT wire/fault-tolerance protocol and the
+//! elastic epoch transition.
 //!
 //! The runtime's protocol logic lives in pure transition functions
 //! and side-effect-free link state machines
@@ -23,31 +24,33 @@
 //! - **Degrade rescales**: a completion carrying `Payload::Skipped`
 //!   holes has a rescaled merge.
 //!
-//! Exploration uses state hashing plus a sleep-set partial-order
-//! reduction ([`check`]); the mutation harness ([`mutate`]) seeds
-//! six protocol defect classes that the same matrix must refute with
-//! zero false positives.
+//! The elastic epoch transition ([`elastic`]) is a second model.
+//! Both implement [`Space`] and share one explorer ([`check`]): state
+//! hashing, sleep-set partial-order reduction over model-supplied
+//! footprints, and one pair of budgets. The mutation harnesses seed
+//! six wire ([`mutate`]) and four elastic defect classes that the
+//! matrices must refute with zero false positives.
 
 pub mod check;
 pub mod elastic;
 pub mod model;
 pub mod mutate;
 
-pub use check::{explore, Limits, Outcome, Stats};
+pub use check::{explore, Failure, Limits, Outcome, Space, Stats};
 pub use elastic::{
-    check_elastic, elastic_matrix, ElasticConfig, ElasticMutation, ElasticOutcome, ElasticScenario,
-    ElasticViolation,
+    check_elastic, elastic_matrix, ElasticConfig, ElasticMutation, ElasticViolation,
 };
 pub use model::{Config, Faults, Model, Pattern, Policy, Violation};
 pub use mutate::Mutation;
 
-/// One named small-scope configuration of the checker matrix.
+/// One named small-scope configuration of a checker matrix (the wire
+/// [`Config`] or the elastic [`ElasticConfig`]).
 #[derive(Debug, Clone)]
-pub struct Scenario {
+pub struct Scenario<C = Config> {
     /// Stable name (shown in the `hipress verify` table).
     pub name: &'static str,
     /// The configuration to exhaust.
-    pub cfg: Config,
+    pub cfg: C,
 }
 
 fn cfg(
@@ -183,7 +186,7 @@ pub fn matrix() -> Vec<Scenario> {
 
 /// Checks one configuration: builds the model (optionally seeded
 /// with a defect) and exhausts it.
-pub fn check_config(cfg: &Config, mutation: Option<Mutation>, por: bool) -> Outcome {
+pub fn check_config(cfg: &Config, mutation: Option<Mutation>, por: bool) -> Outcome<Violation> {
     let model = Model::new(cfg.clone(), mutation);
     explore(&model, por, Limits::default())
 }

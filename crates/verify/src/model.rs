@@ -41,6 +41,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::check::Space;
 use crate::mutate::Mutation;
 
 /// Who sends data to whom.
@@ -227,7 +228,7 @@ pub struct State {
 }
 
 /// One enabled protocol or fault transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Originate the next data envelope on `src → dst`.
     Send {
@@ -358,17 +359,6 @@ pub enum Violation {
         /// The hole-carrying node.
         node: usize,
     },
-    /// The scenario outgrew the state budget (a checker
-    /// configuration error, not a protocol bug).
-    StateSpaceExceeded {
-        /// States visited when the limit tripped.
-        states: usize,
-    },
-    /// The scenario outgrew the depth budget.
-    DepthExceeded {
-        /// The depth reached.
-        depth: usize,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -396,10 +386,6 @@ impl fmt::Display for Violation {
                 f,
                 "node {node} finished with degrade holes but an unrescaled merge"
             ),
-            Violation::StateSpaceExceeded { states } => {
-                write!(f, "state budget exceeded after {states} states")
-            }
-            Violation::DepthExceeded { depth } => write!(f, "depth budget exceeded at {depth}"),
         }
     }
 }
@@ -425,44 +411,6 @@ impl Model {
         }
     }
 
-    /// The checked configuration.
-    pub fn config(&self) -> &Config {
-        &self.cfg
-    }
-
-    /// The initial state: nothing sent, network empty.
-    pub fn initial(&self) -> State {
-        let n = self.cfg.nodes;
-        let backoff = Duration::from_millis(1);
-        let tuning = LinkTuning {
-            retry_budget: self.cfg.retry_budget,
-            base_backoff: backoff,
-            max_backoff: backoff * 64,
-            ..LinkTuning::default()
-        };
-        let nodes = (0..n)
-            .map(|i| NodeState {
-                crashed: false,
-                failed: None,
-                remaining: (0..n).map(|j| self.cfg.sends(i, j)).collect(),
-                tx: (0..n)
-                    .map(|_| RelTx::for_items(i as u32, tuning, self.base))
-                    .collect(),
-                rx: vec![RelRx::new(); n],
-                got: vec![0; n],
-                applied: vec![BTreeSet::new(); n],
-                holes: vec![0; n],
-                skipped: vec![false; n],
-                rescaled: false,
-            })
-            .collect();
-        State {
-            nodes,
-            net: vec![Vec::new(); n * n],
-            faults_left: self.cfg.fault_budget,
-        }
-    }
-
     fn link(&self, src: usize, dst: usize) -> usize {
         src * self.cfg.nodes + dst
     }
@@ -482,183 +430,6 @@ impl Model {
         reverse.iter().any(
             |fl| matches!(fl.env.body, Body::Ack { seq: s } | Body::Nack { seq: s } if s == seq),
         )
-    }
-
-    /// Every transition enabled in `state`.
-    pub fn enabled(&self, state: &State) -> Vec<Action> {
-        let n = self.cfg.nodes;
-        let mut out = Vec::new();
-        for src in 0..n {
-            let node = &state.nodes[src];
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                if node.alive()
-                    && node.remaining[dst] > 0
-                    && (node.tx[dst].inflight_meta().count() as u32) < self.cfg.window
-                {
-                    out.push(Action::Send { src, dst });
-                }
-                if node.alive() {
-                    for (seq, _) in node.tx[dst].inflight_meta() {
-                        if !self.copy_in_flight(state, src, dst, seq) {
-                            out.push(Action::Timeout { src, dst, seq });
-                        }
-                    }
-                }
-                let link = &state.net[self.link(src, dst)];
-                for idx in 0..link.len() {
-                    out.push(Action::Deliver { src, dst, idx });
-                    // Aborts are control-plane: the fault model never
-                    // touches them (mirrors the runtime's fault-tolerant
-                    // link, which sends aborts past its injector).
-                    let faultable = !matches!(link[idx].env.body, Body::Abort);
-                    if state.faults_left > 0 && faultable {
-                        if self.cfg.faults.drop {
-                            out.push(Action::Drop { src, dst, idx });
-                        }
-                        if self.cfg.faults.duplicate {
-                            out.push(Action::Duplicate { src, dst, idx });
-                        }
-                        if self.cfg.faults.corrupt
-                            && !link[idx].corrupted
-                            && matches!(
-                                link[idx].env.body,
-                                Body::Data {
-                                    payload: Some(_),
-                                    ..
-                                }
-                            )
-                        {
-                            out.push(Action::Corrupt { src, dst, idx });
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(v) = self.cfg.crash {
-            if state.nodes[v].alive() {
-                out.push(Action::Crash { node: v });
-            }
-        }
-        if self.mutation != Some(Mutation::DropHeartbeat) {
-            for node in 0..n {
-                for peer in 0..n {
-                    if node == peer || !state.nodes[node].alive() {
-                        continue;
-                    }
-                    let ns = &state.nodes[node];
-                    let expected = self.cfg.sends(peer, node);
-                    if state.nodes[peer].crashed
-                        && !ns.skipped[peer]
-                        && ns.got[peer] + ns.holes[peer] < expected
-                    {
-                        out.push(Action::DetectSilence { node, peer });
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Executes `action` on a copy of `state`. `Err` is a property
-    /// violation observed while executing it.
-    pub fn step(&self, state: &State, action: &Action) -> Result<State, Violation> {
-        let mut s = state.clone();
-        match *action {
-            Action::Send { src, dst } => {
-                let node = &mut s.nodes[src];
-                node.remaining[dst] -= 1;
-                // The payload value is arbitrary; one word keeps the
-                // checksum honest and the state space small.
-                let payload = Some(Arc::new(Payload::Raw(vec![(src * 8 + dst) as f32])));
-                let task = TaskId((dst as u32) << 8 | node.remaining[dst]);
-                let env =
-                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload, 0));
-                s.net[self.link(src, dst)].push(Flight {
-                    env,
-                    corrupted: false,
-                });
-            }
-            Action::Deliver { src, dst, idx } => {
-                let flight = s.net[self.link(src, dst)].remove(idx);
-                if !s.nodes[dst].alive() {
-                    return Ok(s); // drained at a crashed/failed node
-                }
-                match flight.env.body {
-                    Body::Data { .. } => self.deliver_data(&mut s, src, dst, flight)?,
-                    Body::Ack { seq } => {
-                        s.nodes[dst].tx[src].on_ack(seq);
-                    }
-                    Body::Nack { seq } => {
-                        self.retransmit(&mut s, dst, src, seq)?;
-                    }
-                    // A peer's failure reaches us: unwind with it.
-                    // (No rebroadcast — the original failure already
-                    // aborted every peer directly, as the runtime's
-                    // broadcast_abort does.)
-                    Body::Abort => {
-                        s.nodes[dst].failed = Some(FailureKind::PeerAbort { peer: src });
-                    }
-                    // The model never originates Done/Ping wake-ups;
-                    // tolerate and drain.
-                    Body::Done | Body::Ping => {}
-                }
-            }
-            Action::Timeout { src, dst, seq } => {
-                // Untimed timer fire: drives the identical
-                // attempt/budget path the runtime uses.
-                self.retransmit(&mut s, src, dst, seq)?;
-            }
-            Action::Drop { src, dst, idx } => {
-                s.net[self.link(src, dst)].remove(idx);
-                s.faults_left -= 1;
-            }
-            Action::Duplicate { src, dst, idx } => {
-                let copy = s.net[self.link(src, dst)][idx].clone();
-                s.net[self.link(src, dst)].push(copy);
-                s.faults_left -= 1;
-            }
-            Action::Corrupt { src, dst, idx } => {
-                let flight = &mut s.net[self.link(src, dst)][idx];
-                let bits = flight.env.payload_bits().max(1);
-                let bit = (flight.env.seq * 7 + 3) % bits;
-                flight.env.flip_bit(bit);
-                flight.corrupted = true;
-                s.faults_left -= 1;
-            }
-            Action::Crash { node } => {
-                s.nodes[node].crashed = true;
-            }
-            Action::DetectSilence { node, peer } => {
-                match self.cfg.policy {
-                    Policy::Wait => {
-                        // The hard receive deadline: a structured
-                        // SyncFailure naming the silent peer.
-                        self.fail_node(&mut s, node, FailureKind::RecvTimeout { peer });
-                    }
-                    Policy::Partial => {
-                        let expected = self.cfg.sends(peer, node);
-                        let ns = &mut s.nodes[node];
-                        ns.holes[peer] = expected - ns.got[peer];
-                        ns.skipped[peer] = true;
-                        if self.mutation != Some(Mutation::ForgetRescale) {
-                            // The shared rescale rule; merged counts
-                            // the peers still contributing (self is
-                            // the +1 inside degrade_rescale).
-                            let merged = (0..self.cfg.nodes)
-                                .filter(|&p| p != node && !ns.skipped[p])
-                                .count();
-                            let f = protocol::degrade_rescale(self.cfg.nodes, merged);
-                            debug_assert!(f > 1.0, "skip with no holes");
-                            ns.rescaled = true;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(s)
     }
 
     /// Data arrival at an alive node: classify, apply, reply.
@@ -806,11 +577,248 @@ impl Model {
             && node.tx.iter().all(|tx| tx.idle())
             && (0..self.cfg.nodes).all(|j| node.got[j] + node.holes[j] >= self.cfg.sends(j, i))
     }
+}
+
+// Reduction resources: node `i`'s *local* protocol state
+// (remaining/tx/rx/ledger/holes) is bit `i` (0–3), the *channel pair*
+// `{a,b}` a bit from 4 up (both directed queues between `a` and `b` —
+// one resource, because replies travel the reverse path and the
+// timeout guard reads both). Bit 31 is the global fault-budget token
+// every injecting action consumes.
+const FAULT_TOKEN: u64 = 1 << 31;
+
+fn chan_bit(a: usize, b: usize) -> u64 {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    1 << (4 + lo * 4 + hi)
+}
+
+/// Every channel pair touching node `i` — the resources a
+/// structured failure's abort broadcast writes to.
+fn all_chans(i: usize, n: usize) -> u64 {
+    (0..n)
+        .filter(|&o| o != i)
+        .fold(0, |m, o| m | chan_bit(i, o))
+}
+
+impl Space for Model {
+    type State = State;
+    type Action = Action;
+    type Violation = Violation;
+
+    /// The initial state: nothing sent, network empty.
+    fn initial(&self) -> State {
+        let n = self.cfg.nodes;
+        let backoff = Duration::from_millis(1);
+        let tuning = LinkTuning {
+            retry_budget: self.cfg.retry_budget,
+            base_backoff: backoff,
+            max_backoff: backoff * 64,
+            ..LinkTuning::default()
+        };
+        let nodes = (0..n)
+            .map(|i| NodeState {
+                crashed: false,
+                failed: None,
+                remaining: (0..n).map(|j| self.cfg.sends(i, j)).collect(),
+                tx: (0..n)
+                    .map(|_| RelTx::for_items(i as u32, tuning, self.base))
+                    .collect(),
+                rx: vec![RelRx::new(); n],
+                got: vec![0; n],
+                applied: vec![BTreeSet::new(); n],
+                holes: vec![0; n],
+                skipped: vec![false; n],
+                rescaled: false,
+            })
+            .collect();
+        State {
+            nodes,
+            net: vec![Vec::new(); n * n],
+            faults_left: self.cfg.fault_budget,
+        }
+    }
+
+    /// Every transition enabled in `state`.
+    fn enabled(&self, state: &State) -> Vec<Action> {
+        let n = self.cfg.nodes;
+        let mut out = Vec::new();
+        for src in 0..n {
+            let node = &state.nodes[src];
+            for dst in 0..n {
+                if src == dst {
+                    continue;
+                }
+                if node.alive()
+                    && node.remaining[dst] > 0
+                    && (node.tx[dst].inflight_meta().count() as u32) < self.cfg.window
+                {
+                    out.push(Action::Send { src, dst });
+                }
+                if node.alive() {
+                    for (seq, _) in node.tx[dst].inflight_meta() {
+                        if !self.copy_in_flight(state, src, dst, seq) {
+                            out.push(Action::Timeout { src, dst, seq });
+                        }
+                    }
+                }
+                let link = &state.net[self.link(src, dst)];
+                for idx in 0..link.len() {
+                    out.push(Action::Deliver { src, dst, idx });
+                    // Aborts are control-plane: the fault model never
+                    // touches them (mirrors the runtime's fault-tolerant
+                    // link, which sends aborts past its injector).
+                    let faultable = !matches!(link[idx].env.body, Body::Abort);
+                    if state.faults_left > 0 && faultable {
+                        if self.cfg.faults.drop {
+                            out.push(Action::Drop { src, dst, idx });
+                        }
+                        if self.cfg.faults.duplicate {
+                            out.push(Action::Duplicate { src, dst, idx });
+                        }
+                        if self.cfg.faults.corrupt
+                            && !link[idx].corrupted
+                            && matches!(
+                                link[idx].env.body,
+                                Body::Data {
+                                    payload: Some(_),
+                                    ..
+                                }
+                            )
+                        {
+                            out.push(Action::Corrupt { src, dst, idx });
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(v) = self.cfg.crash {
+            if state.nodes[v].alive() {
+                out.push(Action::Crash { node: v });
+            }
+        }
+        if self.mutation != Some(Mutation::DropHeartbeat) {
+            for node in 0..n {
+                for peer in 0..n {
+                    if node == peer || !state.nodes[node].alive() {
+                        continue;
+                    }
+                    let ns = &state.nodes[node];
+                    let expected = self.cfg.sends(peer, node);
+                    if state.nodes[peer].crashed
+                        && !ns.skipped[peer]
+                        && ns.got[peer] + ns.holes[peer] < expected
+                    {
+                        out.push(Action::DetectSilence { node, peer });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Executes `action` on a copy of `state`. `Err` is a property
+    /// violation observed while executing it.
+    fn step(&self, state: &State, action: &Action) -> Result<State, Violation> {
+        let mut s = state.clone();
+        match *action {
+            Action::Send { src, dst } => {
+                let node = &mut s.nodes[src];
+                node.remaining[dst] -= 1;
+                // The payload value is arbitrary; one word keeps the
+                // checksum honest and the state space small.
+                let payload = Some(Arc::new(Payload::Raw(vec![(src * 8 + dst) as f32])));
+                let task = TaskId((dst as u32) << 8 | node.remaining[dst]);
+                let env =
+                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload, 0));
+                s.net[self.link(src, dst)].push(Flight {
+                    env,
+                    corrupted: false,
+                });
+            }
+            Action::Deliver { src, dst, idx } => {
+                let flight = s.net[self.link(src, dst)].remove(idx);
+                if !s.nodes[dst].alive() {
+                    return Ok(s); // drained at a crashed/failed node
+                }
+                match flight.env.body {
+                    Body::Data { .. } => self.deliver_data(&mut s, src, dst, flight)?,
+                    Body::Ack { seq } => {
+                        s.nodes[dst].tx[src].on_ack(seq);
+                    }
+                    Body::Nack { seq } => {
+                        self.retransmit(&mut s, dst, src, seq)?;
+                    }
+                    // A peer's failure reaches us: unwind with it.
+                    // (No rebroadcast — the original failure already
+                    // aborted every peer directly, as the runtime's
+                    // broadcast_abort does.)
+                    Body::Abort => {
+                        s.nodes[dst].failed = Some(FailureKind::PeerAbort { peer: src });
+                    }
+                    // The model never originates Done/Ping wake-ups;
+                    // tolerate and drain.
+                    Body::Done | Body::Ping => {}
+                }
+            }
+            Action::Timeout { src, dst, seq } => {
+                // Untimed timer fire: drives the identical
+                // attempt/budget path the runtime uses.
+                self.retransmit(&mut s, src, dst, seq)?;
+            }
+            Action::Drop { src, dst, idx } => {
+                s.net[self.link(src, dst)].remove(idx);
+                s.faults_left -= 1;
+            }
+            Action::Duplicate { src, dst, idx } => {
+                let copy = s.net[self.link(src, dst)][idx].clone();
+                s.net[self.link(src, dst)].push(copy);
+                s.faults_left -= 1;
+            }
+            Action::Corrupt { src, dst, idx } => {
+                let flight = &mut s.net[self.link(src, dst)][idx];
+                let bits = flight.env.payload_bits().max(1);
+                let bit = (flight.env.seq * 7 + 3) % bits;
+                flight.env.flip_bit(bit);
+                flight.corrupted = true;
+                s.faults_left -= 1;
+            }
+            Action::Crash { node } => {
+                s.nodes[node].crashed = true;
+            }
+            Action::DetectSilence { node, peer } => {
+                match self.cfg.policy {
+                    Policy::Wait => {
+                        // The hard receive deadline: a structured
+                        // SyncFailure naming the silent peer.
+                        self.fail_node(&mut s, node, FailureKind::RecvTimeout { peer });
+                    }
+                    Policy::Partial => {
+                        let expected = self.cfg.sends(peer, node);
+                        let ns = &mut s.nodes[node];
+                        ns.holes[peer] = expected - ns.got[peer];
+                        ns.skipped[peer] = true;
+                        if self.mutation != Some(Mutation::ForgetRescale) {
+                            // The shared rescale rule; merged counts
+                            // the peers still contributing (self is
+                            // the +1 inside degrade_rescale).
+                            let merged = (0..self.cfg.nodes)
+                                .filter(|&p| p != node && !ns.skipped[p])
+                                .count();
+                            let f = protocol::degrade_rescale(self.cfg.nodes, merged);
+                            debug_assert!(f > 1.0, "skip with no holes");
+                            ns.rescaled = true;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(s)
+    }
 
     /// Checks the terminal-state properties once no transition is
     /// enabled: every node ended `Done`, crashed, or in a structured
     /// failure, and degraded completions rescaled their merge.
-    pub fn terminal_violation(&self, state: &State) -> Option<Violation> {
+    fn terminal_violation(&self, state: &State) -> Option<Violation> {
         for i in 0..self.cfg.nodes {
             let node = &state.nodes[i];
             if node.crashed || node.failed.is_some() {
@@ -830,7 +838,7 @@ impl Model {
     /// deadlines are excluded (the checker is untimed) and each
     /// link's multiset is folded commutatively, so two states that
     /// differ only in queue order hash — and are — identical.
-    pub fn fingerprint(&self, state: &State) -> u64 {
+    fn fingerprint(&self, state: &State) -> u64 {
         let mut h = FNV_OFFSET;
         h = fnv(h, state.faults_left as u64);
         for node in &state.nodes {
@@ -870,6 +878,52 @@ impl Model {
             h = fnv(h, fold);
         }
         h
+    }
+
+    /// The footprint is state-aware: an in-flight message's body
+    /// decides what delivering it *can* do (a nack can kill the link,
+    /// and a dead link broadcasts aborts onto every channel of the
+    /// failing node). Bodies never change while queued and
+    /// index-addressed messages are only disturbed by channel-sharing
+    /// (dependent) actions, so a footprint computed where the action
+    /// was first seen stays valid.
+    fn footprint(&self, state: &State, action: &Action) -> u64 {
+        let n = self.cfg.nodes;
+        match *action {
+            // Originating touches the sender's local state and the pair.
+            Action::Send { src, dst } => (1 << src) | chan_bit(src, dst),
+            // Delivery touches the *receiver's* local state and the
+            // pair (replies travel the reverse queue of the same
+            // pair); a nack additionally reaches the retry
+            // bookkeeping, whose dead-link path aborts every channel
+            // of the receiver.
+            Action::Deliver { src, dst, idx } => {
+                let nack = matches!(state.net[src * n + dst][idx].env.body, Body::Nack { .. });
+                let extra = if nack { all_chans(dst, n) } else { 0 };
+                (1 << dst) | chan_bit(src, dst) | extra
+            }
+            // Timer fire touches the sender's tx, its guard reads both
+            // directed queues of the pair, and budget exhaustion
+            // aborts every channel of the sender.
+            Action::Timeout { src, dst, .. } => (1 << src) | chan_bit(src, dst) | all_chans(src, n),
+            Action::Drop { src, dst, .. }
+            | Action::Duplicate { src, dst, .. }
+            | Action::Corrupt { src, dst, .. } => chan_bit(src, dst) | FAULT_TOKEN,
+            // Crashing changes the victim's behaviour (and delivery
+            // drains at it): its node resource, plus the fault token.
+            Action::Crash { node } => (1 << node) | FAULT_TOKEN,
+            // Silence detection reads the peer's crashed flag and
+            // writes the observer's ledger; under Wait it fails the
+            // observer, which aborts every channel the observer
+            // touches.
+            Action::DetectSilence { node, peer } => {
+                let extra = match self.cfg.policy {
+                    Policy::Wait => all_chans(node, n),
+                    Policy::Partial => 0,
+                };
+                (1 << node) | (1 << peer) | extra
+            }
+        }
     }
 }
 

@@ -24,7 +24,9 @@ use hipress::trace::Trace;
 use hipress::util::table::{Align, Table};
 use hipress::util::units::{fmt_bytes, fmt_duration_ns};
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,64 +34,32 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(cmd, &args[1..]);
-    let result = match cmd.as_str() {
-        "models" => cmd_models(),
-        "sim" => cmd_sim(&flags),
-        "run" => cmd_run(&flags),
-        "node" => cmd_node(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "bench" => cmd_bench(&flags),
-        "serve" => cmd_serve(
-            &flags,
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "scrape" => cmd_scrape(
-            &flags,
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-            args.get(2)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "report" => cmd_report(
-            &flags,
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "postmortem" => cmd_postmortem(
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "compare" => cmd_compare(&flags),
-        "plan" => cmd_plan(&flags),
-        "compile" => cmd_compile(args.get(1).map(String::as_str)),
-        "trace-diff" => cmd_trace_diff(
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-            args.get(2)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "lint" => cmd_lint(
-            &flags,
-            args.get(1)
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str),
-        ),
-        "verify" => cmd_verify(&flags),
-        "help" | "--help" | "-h" => {
-            usage();
-            Ok(())
+    let result = parse_flags(cmd, &args[1..]).and_then(|(flags, positional)| {
+        let pos = |i: usize| positional.get(i).map(String::as_str);
+        match cmd.as_str() {
+            "models" => cmd_models(),
+            "sim" => cmd_sim(&flags),
+            "run" => cmd_run(&flags),
+            "node" => cmd_node(&flags),
+            "chaos" => cmd_chaos(&flags),
+            "bench" => cmd_bench(&flags),
+            "serve" => cmd_serve(&flags, pos(0)),
+            "scrape" => cmd_scrape(&flags, pos(0), pos(1)),
+            "report" => cmd_report(&flags, pos(0)),
+            "postmortem" => cmd_postmortem(pos(0)),
+            "compare" => cmd_compare(&flags),
+            "plan" => cmd_plan(&flags),
+            "compile" => cmd_compile(pos(0)),
+            "trace-diff" => cmd_trace_diff(pos(0), pos(1)),
+            "lint" => cmd_lint(&flags, pos(0)),
+            "verify" => cmd_verify(&flags),
+            "help" | "--help" | "-h" => {
+                usage();
+                Ok(())
+            }
+            other => Err(format!("unknown command '{other}'")),
         }
-        other => Err(format!("unknown command '{other}'")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -253,39 +223,57 @@ FLAGS:
     );
 }
 
-fn parse_flags(cmd: &str, args: &[String]) -> HashMap<String, String> {
+/// Splits a command's arguments into `--flag [value]` pairs and the
+/// positional arguments left over, wherever they appear. A value flag
+/// with no value after it is an error.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+) -> Result<(HashMap<String, String>, Vec<String>), String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // `--baseline` is a boolean runtime toggle for `sim` but
-            // takes a snapshot path for `bench`.
-            let boolean = matches!(
-                name,
-                "local"
-                    | "no-selective"
-                    | "json"
-                    | "prom"
-                    | "single"
-                    | "cross-check"
-                    | "require-overlap"
-                    | "join"
-                    | "elastic"
-            ) || (name == "baseline" && cmd != "bench");
-            let takes_value = !boolean;
-            if takes_value && i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            }
+    let mut positional = Vec::new();
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let Some(name) = a.strip_prefix("--") else {
+            positional.push(a.clone());
+            continue;
+        };
+        // `--baseline` is a boolean runtime toggle for `sim` but
+        // takes a snapshot path for `bench`.
+        let boolean = matches!(
+            name,
+            "local"
+                | "no-selective"
+                | "json"
+                | "prom"
+                | "single"
+                | "cross-check"
+                | "require-overlap"
+                | "join"
+                | "elastic"
+        ) || (name == "baseline" && cmd != "bench");
+        let value = if boolean {
+            "true".to_string()
         } else {
-            i += 1;
-        }
+            match args.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => return Err(format!("--{name} needs a value")),
+            }
+        };
+        flags.insert(name.to_string(), value);
     }
+    Ok((flags, positional))
+}
+
+/// Parses flag `--name` with its `FromStr`; `None` when it is absent.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
     flags
+        .get(name)
+        .map(|v| v.parse().map_err(|e| format!("bad --{name} '{v}': {e}")))
+        .transpose()
 }
 
 fn parse_model(flags: &HashMap<String, String>) -> Result<DnnModel, String> {
@@ -296,66 +284,12 @@ fn parse_model(flags: &HashMap<String, String>) -> Result<DnnModel, String> {
 }
 
 fn parse_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
-    let nodes: usize = flags
-        .get("nodes")
-        .map(|n| n.parse().map_err(|_| format!("bad --nodes '{n}'")))
-        .transpose()?
-        .unwrap_or(16);
+    let nodes: usize = flag(flags, "nodes")?.unwrap_or(16);
     Ok(if flags.contains_key("local") {
         ClusterConfig::local(nodes)
     } else {
         ClusterConfig::ec2(nodes)
     })
-}
-
-fn parse_strategy(flags: &HashMap<String, String>) -> Result<Strategy, String> {
-    match flags.get("strategy").map(String::as_str) {
-        None | Some("casync-ps") => Ok(Strategy::CaSyncPs),
-        Some("casync-ring") => Ok(Strategy::CaSyncRing),
-        Some("byteps") => Ok(Strategy::BytePs),
-        Some("ring") => Ok(Strategy::HorovodRing),
-        Some(other) => Err(format!("unknown strategy '{other}'")),
-    }
-}
-
-fn parse_algorithm(flags: &HashMap<String, String>) -> Result<Algorithm, String> {
-    let spec = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("onebit");
-    let (name, param) = match spec.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (spec, None),
-    };
-    match (name, param) {
-        ("none", _) => Ok(Algorithm::None),
-        ("onebit", _) => Ok(Algorithm::OneBit),
-        ("tbq", p) => Ok(Algorithm::Tbq {
-            tau: p
-                .map(|v| v.parse().map_err(|_| "bad tau"))
-                .transpose()?
-                .unwrap_or(0.05),
-        }),
-        ("terngrad", p) => Ok(Algorithm::TernGrad {
-            bitwidth: p
-                .map(|v| v.parse().map_err(|_| "bad bitwidth"))
-                .transpose()?
-                .unwrap_or(2),
-        }),
-        ("dgc", p) => Ok(Algorithm::Dgc {
-            rate: p
-                .map(|v| v.parse().map_err(|_| "bad rate"))
-                .transpose()?
-                .unwrap_or(0.001),
-        }),
-        ("graddrop", p) => Ok(Algorithm::GradDrop {
-            rate: p
-                .map(|v| v.parse().map_err(|_| "bad rate"))
-                .transpose()?
-                .unwrap_or(0.01),
-        }),
-        (other, _) => Err(format!("unknown algorithm '{other}'")),
-    }
 }
 
 fn cmd_models() -> Result<(), String> {
@@ -386,8 +320,8 @@ fn cmd_models() -> Result<(), String> {
 fn job_from_flags(flags: &HashMap<String, String>) -> Result<TrainingJob, String> {
     let model = parse_model(flags)?;
     let cluster = parse_cluster(flags)?;
-    let strategy = parse_strategy(flags)?;
-    let algorithm = parse_algorithm(flags)?;
+    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
     let mut job = if flags.contains_key("baseline") || !strategy.is_casync() {
         let cluster = if strategy == Strategy::BytePs && !flags.contains_key("local") {
             cluster.with_tcp()
@@ -467,23 +401,11 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     use hipress::tensor::synth::{generate, GradientShape};
     use hipress::tensor::Tensor;
-    let nodes: usize = flags
-        .get("nodes")
-        .map(|n| n.parse().map_err(|_| format!("bad --nodes '{n}'")))
-        .transpose()?
-        .unwrap_or(4);
-    let strategy = parse_strategy(flags)?;
-    let algorithm = parse_algorithm(flags)?;
-    let partitions: usize = flags
-        .get("partitions")
-        .map(|k| k.parse().map_err(|_| format!("bad --partitions '{k}'")))
-        .transpose()?
-        .unwrap_or(2);
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
-        .transpose()?
-        .unwrap_or(1);
+    let nodes: usize = flag(flags, "nodes")?.unwrap_or(4);
+    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
+    let partitions: usize = flag(flags, "partitions")?.unwrap_or(2);
+    let seed: u64 = flag(flags, "seed")?.unwrap_or(1);
     let elems: Vec<usize> = match flags.get("elems") {
         Some(spec) => spec
             .split(',')
@@ -506,16 +428,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
                 .collect()
         })
         .collect();
-    let iters: u32 = flags
-        .get("iters")
-        .map(|v| v.parse().map_err(|_| format!("bad --iters '{v}'")))
-        .transpose()?
-        .unwrap_or(1);
-    let window: u32 = flags
-        .get("window")
-        .map(|v| v.parse().map_err(|_| format!("bad --window '{v}'")))
-        .transpose()?
-        .unwrap_or(1);
+    let iters: u32 = flag(flags, "iters")?.unwrap_or(1);
+    let window: u32 = flag(flags, "window")?.unwrap_or(1);
     if flags.contains_key("elastic") {
         return cmd_run_elastic(
             flags, strategy, algorithm, partitions, seed, &grads, iters, window,
@@ -527,10 +441,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         Some("sim") | Some("simulator") => Backend::Simulator,
         Some(other) => return Err(format!("unknown backend '{other}'")),
     };
-    let kill_node: Option<u32> = flags
-        .get("kill-node")
-        .map(|v| v.parse().map_err(|_| format!("bad --kill-node '{v}'")))
-        .transpose()?;
+    let kill_node: Option<u32> = flag(flags, "kill-node")?;
     let flight_dump = flags.get("flight-dump").map(std::path::PathBuf::from);
     let mut base = HiPress::new(strategy)
         .algorithm(algorithm)
@@ -616,11 +527,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     if backend == Backend::Simulator && listen.is_some() {
         return Err("--listen needs a real backend: threads or processes".into());
     }
-    let linger_ms: u64 = flags
-        .get("linger-ms")
-        .map(|v| v.parse().map_err(|_| format!("bad --linger-ms '{v}'")))
-        .transpose()?
-        .unwrap_or(0);
+    let linger_ms: u64 = flag(flags, "linger-ms")?.unwrap_or(0);
     let tracer = flags.get("trace").map(|_| Tracer::new("casync-rt"));
     let want_json = flags.contains_key("json");
     // One registry feeds both the --json snapshot and the telemetry
@@ -757,18 +664,9 @@ fn cmd_run_elastic(
 ) -> Result<(), String> {
     use hipress::chaos::MembershipPlan;
     use hipress::runtime::{run_processes, run_threaded_workers, Instruments};
-    let kill_rank: Option<u32> = flags
-        .get("kill-rank")
-        .map(|v| v.parse().map_err(|_| format!("bad --kill-rank '{v}'")))
-        .transpose()?;
-    let kill_iter: Option<u32> = flags
-        .get("kill-iter")
-        .map(|v| v.parse().map_err(|_| format!("bad --kill-iter '{v}'")))
-        .transpose()?;
-    let rejoin_after: Option<u32> = flags
-        .get("rejoin-after")
-        .map(|v| v.parse().map_err(|_| format!("bad --rejoin-after '{v}'")))
-        .transpose()?;
+    let kill_rank: Option<u32> = flag(flags, "kill-rank")?;
+    let kill_iter: Option<u32> = flag(flags, "kill-iter")?;
+    let rejoin_after: Option<u32> = flag(flags, "rejoin-after")?;
     let plan = match (kill_rank, kill_iter) {
         (Some(r), Some(i)) => match rejoin_after {
             Some(j) => MembershipPlan::crash_then_rejoin(r, i, j),
@@ -967,31 +865,15 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
     use hipress::tensor::synth::{generate, GradientShape};
     use hipress::tensor::Tensor;
     use std::time::Duration;
-    let nodes: usize = flags
-        .get("nodes")
-        .map(|n| n.parse().map_err(|_| format!("bad --nodes '{n}'")))
-        .transpose()?
-        .unwrap_or(3);
-    let strategy = parse_strategy(flags)?;
-    let algorithm = parse_algorithm(flags)?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed '{s}'")))
-        .transpose()?
-        .unwrap_or(1);
-    let victim: usize = flags
-        .get("victim")
-        .map(|v| v.parse().map_err(|_| format!("bad --victim '{v}'")))
-        .transpose()?
-        .unwrap_or(1);
+    let nodes: usize = flag(flags, "nodes")?.unwrap_or(3);
+    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
+    let seed: u64 = flag(flags, "seed")?.unwrap_or(1);
+    let victim: usize = flag(flags, "victim")?.unwrap_or(1);
     if victim >= nodes {
         return Err(format!("--victim {victim} out of range for {nodes} nodes"));
     }
-    let deadline_ms: u64 = flags
-        .get("deadline-ms")
-        .map(|d| d.parse().map_err(|_| format!("bad --deadline-ms '{d}'")))
-        .transpose()?
-        .unwrap_or(8000);
+    let deadline_ms: u64 = flag(flags, "deadline-ms")?.unwrap_or(8000);
     let policy = match flags.get("policy").map(String::as_str) {
         None | Some("wait") => DegradePolicy::Wait,
         Some("partial") => DegradePolicy::Partial,
@@ -1134,11 +1016,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let seeds: u64 = flags
-        .get("seeds")
-        .map(|s| s.parse().map_err(|_| format!("bad --seeds '{s}'")))
-        .transpose()?
-        .unwrap_or(4);
+    let seeds: u64 = flag(flags, "seeds")?.unwrap_or(4);
     let kinds: Vec<String> = match flags.get("plan") {
         Some(k) => vec![k.clone()],
         None => ["recoverable", "drop-storm", "corrupt-storm"]
@@ -1410,27 +1288,15 @@ fn bench_summary(snap: &MetricsSnapshot) -> Table {
 /// snapshot (reproducible on any host), anything else gates the
 /// measured runtime snapshot (wall clock — compare on the same host).
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let nodes: usize = flags
-        .get("nodes")
-        .map(|n| n.parse().map_err(|_| format!("bad --nodes '{n}'")))
-        .transpose()?
-        .unwrap_or(3);
+    let nodes: usize = flag(flags, "nodes")?.unwrap_or(3);
     if flags.contains_key("require-overlap") {
         // The gate has its own default cluster size: the 4-node ring
         // chain leaves enough per-node idle time for pipelining to
         // reclaim; 3 nodes keep everyone too busy to show a margin.
-        let gate_nodes = flags
-            .get("nodes")
-            .map(|n| n.parse().map_err(|_| format!("bad --nodes '{n}'")))
-            .transpose()?
-            .unwrap_or(4);
+        let gate_nodes = flag(flags, "nodes")?.unwrap_or(4);
         return overlap_gate(gate_nodes);
     }
-    let tolerance: f64 = flags
-        .get("tolerance")
-        .map(|t| t.parse().map_err(|_| format!("bad --tolerance '{t}'")))
-        .transpose()?
-        .unwrap_or(25.0);
+    let tolerance: f64 = flag(flags, "tolerance")?.unwrap_or(25.0);
     let dir = flags.get("dir").map(String::as_str).unwrap_or(".");
     let baseline = flags
         .get("baseline")
@@ -1439,11 +1305,7 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let want_sim = baseline
         .as_ref()
         .is_some_and(|(_, b)| b.meta.get("kind").map(String::as_str) == Some("sim"));
-    let linger_ms: u64 = flags
-        .get("linger-ms")
-        .map(|v| v.parse().map_err(|_| format!("bad --linger-ms '{v}'")))
-        .transpose()?
-        .unwrap_or(0);
+    let linger_ms: u64 = flag(flags, "linger-ms")?.unwrap_or(0);
     // `bench --listen` serves the runtime-side registry while the
     // matrix fills it, so an operator can scrape /metrics mid-bench.
     let matrix_reg = Registry::new();
@@ -1643,10 +1505,7 @@ fn cmd_scrape(
     let usage = "usage: hipress scrape <addr> </metrics|/healthz|/report.json|/events> [--lines N]";
     let addr = addr.ok_or(usage)?;
     let path = path.ok_or(usage)?;
-    let lines: Option<usize> = flags
-        .get("lines")
-        .map(|v| v.parse().map_err(|_| format!("bad --lines '{v}'")))
-        .transpose()?;
+    let lines: Option<usize> = flag(flags, "lines")?;
     let (status, body) =
         hipress::obs::serve::fetch(addr, path, lines).map_err(|e| e.to_string())?;
     print!("{body}");
@@ -1689,7 +1548,7 @@ fn cmd_trace_diff(a: Option<&str>, b: Option<&str>) -> Result<(), String> {
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = parse_model(flags)?;
     let cluster = parse_cluster(flags)?;
-    let alg = parse_algorithm(flags)?;
+    let alg = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
     let alg = if alg == Algorithm::None {
         Algorithm::OneBit
     } else {
@@ -1742,8 +1601,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = parse_model(flags)?;
     let cluster = parse_cluster(flags)?;
-    let strategy = parse_strategy(flags)?;
-    let algorithm = parse_algorithm(flags)?;
+    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
     if algorithm == Algorithm::None {
         return Err("planning needs a compression algorithm".into());
     }
@@ -1805,23 +1664,19 @@ fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), S
     // Plan verification across strategy x algorithm x cluster size x
     // partitioning, over a gradient mix with large, medium, and tiny
     // (zero-chunk-producing) gradients.
-    let strategies: Vec<Strategy> = match flags.get("strategy") {
-        Some(_) => vec![parse_strategy(flags)?],
+    let strategies: Vec<Strategy> = match flag(flags, "strategy")? {
+        Some(s) => vec![s],
         None => Strategy::all().to_vec(),
     };
-    let algorithms: Vec<Algorithm> = match flags.get("algorithm") {
-        Some(_) => vec![parse_algorithm(flags)?],
-        None => vec![
-            Algorithm::None,
-            Algorithm::OneBit,
-            Algorithm::Tbq { tau: 0.05 },
-            Algorithm::TernGrad { bitwidth: 2 },
-            Algorithm::Dgc { rate: 0.001 },
-            Algorithm::GradDrop { rate: 0.01 },
-        ],
+    let algorithms: Vec<Algorithm> = match flag(flags, "algorithm")? {
+        Some(a) => vec![a],
+        None => ["none", "onebit", "tbq", "terngrad", "dgc", "graddrop"]
+            .into_iter()
+            .filter_map(Algorithm::paper_default)
+            .collect(),
     };
-    let node_counts: Vec<usize> = match flags.get("nodes") {
-        Some(n) => vec![n.parse().map_err(|_| format!("bad --nodes '{n}'"))?],
+    let node_counts: Vec<usize> = match flag(flags, "nodes")? {
+        Some(n) => vec![n],
         None => vec![2, 3, 5],
     };
     let sizes: [u64; 3] = [4096, 65536, 260];
@@ -1947,34 +1802,43 @@ fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), S
 
 fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     use hipress::verify::{
-        check_config, check_elastic, elastic_matrix, matrix, ElasticMutation, Mutation,
+        check_config, check_elastic, elastic_matrix, matrix, ElasticMutation, Mutation, Outcome,
+        Stats,
     };
 
     // `--mutant` names one defect from either family: the wire/FT
     // alphabet is seeded into the wire matrix, the elastic alphabet
     // into the epoch-transition matrix; the other matrix runs clean.
-    let (mutation, elastic_mutation) = match flags.get("mutant") {
-        None => (None, None),
-        Some(name) => match (Mutation::from_name(name), ElasticMutation::from_name(name)) {
-            (Some(m), _) => (Some(m), None),
-            (None, Some(m)) => (None, Some(m)),
-            (None, None) => {
-                return Err(format!(
-                    "unknown mutant '{name}' (known: {}; elastic: {})",
-                    Mutation::ALL
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    ElasticMutation::ALL
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            }
-        },
-    };
+    let seeded = flags.get("mutant");
+    let mutation = seeded.and_then(|name| Mutation::from_name(name));
+    let elastic_mutation = seeded.and_then(|name| ElasticMutation::from_name(name));
+    if let (Some(name), None, None) = (seeded, mutation, elastic_mutation) {
+        let known: Vec<&str> = Mutation::ALL
+            .iter()
+            .map(|m| m.name())
+            .chain(ElasticMutation::ALL.iter().map(|m| m.name()))
+            .collect();
+        return Err(format!(
+            "unknown mutant '{name}' (known: {})",
+            known.join(", ")
+        ));
+    }
+
+    // Both matrices run on the one explorer; a row is the scenario's
+    // statistics and, if refuted, its verdict and counterexample.
+    fn row<V: Display>(
+        name: &str,
+        out: Outcome<V>,
+    ) -> (String, Stats, Option<(String, Vec<String>)>) {
+        let refuted = out.violation.map(|(v, trace)| (v.to_string(), trace));
+        (name.to_string(), out.stats, refuted)
+    }
+    let wire = matrix()
+        .into_iter()
+        .map(|s| row(s.name, check_config(&s.cfg, mutation, true)));
+    let elastic = elastic_matrix()
+        .into_iter()
+        .map(|s| row(s.name, check_elastic(&s.cfg, elastic_mutation, true)));
 
     let mut table = Table::new(&[
         ("scenario", Align::Left),
@@ -1989,52 +1853,24 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut transitions = 0usize;
     let mut pruned = 0usize;
     let mut first_trace: Option<(String, Vec<String>)> = None;
-    for s in matrix() {
-        let out = check_config(&s.cfg, mutation, true);
-        states += out.stats.states;
-        transitions += out.stats.transitions;
-        pruned += out.stats.pruned;
-        let verdict = match &out.violation {
+    for (name, stats, refuted) in wire.chain(elastic) {
+        states += stats.states;
+        transitions += stats.transitions;
+        pruned += stats.pruned;
+        let verdict = match refuted {
             None => "exhausted clean".to_string(),
             Some((v, trace)) => {
                 violated += 1;
-                if first_trace.is_none() {
-                    first_trace = Some((s.name.to_string(), trace.clone()));
-                }
+                first_trace.get_or_insert((name.clone(), trace));
                 format!("VIOLATED: {v}")
             }
         };
         table.row(vec![
-            s.name.to_string(),
-            out.stats.states.to_string(),
-            out.stats.transitions.to_string(),
-            out.stats.pruned.to_string(),
-            out.stats.terminals.to_string(),
-            verdict,
-        ]);
-    }
-    // The elastic epoch-transition matrix: drain/evict/re-plan/rejoin
-    // interleavings over the same `hipress_runtime::protocol` rules.
-    for s in elastic_matrix() {
-        let out = check_elastic(&s.cfg, elastic_mutation);
-        states += out.states;
-        transitions += out.transitions;
-        let verdict = match &out.violation {
-            None => "exhausted clean".to_string(),
-            Some((v, trace)) => {
-                violated += 1;
-                if first_trace.is_none() {
-                    first_trace = Some((s.name.to_string(), trace.clone()));
-                }
-                format!("VIOLATED: {v}")
-            }
-        };
-        table.row(vec![
-            s.name.to_string(),
-            out.states.to_string(),
-            out.transitions.to_string(),
-            "-".to_string(),
-            out.terminals.to_string(),
+            name,
+            stats.states.to_string(),
+            stats.transitions.to_string(),
+            stats.pruned.to_string(),
+            stats.terminals.to_string(),
             verdict,
         ]);
     }
@@ -2045,9 +1881,6 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
         100.0 * pruned as f64 / (transitions + pruned).max(1) as f64
     );
 
-    let seeded = mutation
-        .map(|m| m.name())
-        .or(elastic_mutation.map(|m| m.name()));
     match (seeded, violated) {
         (None, 0) => {
             println!("protocol verified: every scenario exhausted violation-free");
@@ -2081,4 +1914,48 @@ fn cmd_compile(path: Option<&str>) -> Result<(), String> {
     );
     println!("\n--- generated CUDA ---\n{}", alg.cuda_source());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn positionals_are_seen_wherever_they_stand() {
+        for line in ["--json FILE", "FILE --json"] {
+            let (flags, positional) = parse_flags("report", &args(line)).unwrap();
+            assert_eq!(positional, ["FILE"], "{line}");
+            assert_eq!(flags["json"], "true", "{line}");
+        }
+        let (flags, positional) = parse_flags("scrape", &args("--lines 3 ADDR /events")).unwrap();
+        assert_eq!(positional, ["ADDR", "/events"]);
+        assert_eq!(flags["lines"], "3");
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_named() {
+        for line in ["--model VGG19 --nodes", "--nodes --local"] {
+            let err = parse_flags("sim", &args(line)).unwrap_err();
+            assert_eq!(err, "--nodes needs a value", "{line}");
+        }
+        // `--baseline` is a toggle for `sim` but a path for `bench`.
+        assert!(parse_flags("sim", &args("--baseline")).is_ok());
+        let err = parse_flags("bench", &args("--baseline")).unwrap_err();
+        assert_eq!(err, "--baseline needs a value");
+    }
+
+    #[test]
+    fn bad_codec_and_strategy_values_are_errors_not_panics() {
+        let line = args("--algorithm dgc:2 --strategy mesh --nodes x");
+        let (flags, _) = parse_flags("run", &line).unwrap();
+        let err = flag::<Algorithm>(&flags, "algorithm").unwrap_err();
+        assert!(err.contains("dgc rate must be in (0, 1]"), "{err}");
+        assert!(flag::<Strategy>(&flags, "strategy").is_err());
+        assert!(flag::<usize>(&flags, "nodes").is_err());
+        assert_eq!(flag::<u64>(&flags, "seed"), Ok(None));
+    }
 }
