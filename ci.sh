@@ -85,6 +85,31 @@ refuted skip-dedup "applied seq .* twice"
 refuted accept-stale-epoch "applied a frame from dead epoch"
 rm -f "$VERIFY_OUT"
 
+echo "== CLI flags (a flag the command does not declare fails, naming it) =="
+# Every command parses against its own flag table. A misspelt flag
+# must fail the run instead of being ignored: these two used to
+# simulate the default 16 nodes and verify the unmutated protocol.
+CLI_ERR=$(mktemp)
+# undeclared FLAG COMMAND [ARGS...]: the run must fail naming FLAG.
+undeclared() {
+  flag=$1
+  shift
+  if cargo run --release -q --bin hipress -- "$@" >/dev/null 2>"$CLI_ERR"; then
+    echo "hipress $* accepted the undeclared flag $flag" >&2
+    rm -f "$CLI_ERR"
+    exit 1
+  fi
+  if ! grep -q -- "unknown flag $flag for '$1'" "$CLI_ERR"; then
+    echo "hipress $* failed without naming $flag:" >&2
+    cat "$CLI_ERR" >&2
+    rm -f "$CLI_ERR"
+    exit 1
+  fi
+}
+undeclared --node sim --model VGG19 --node 4
+undeclared --mutnat verify --mutnat skip-dedup
+rm -f "$CLI_ERR"
+
 echo "== trace smoke (sim + runtime export, read back by the crate's own parser) =="
 # Both engines must export a Chrome trace that validates (every
 # registered track non-empty) and survives the crate's import; the

@@ -27,8 +27,6 @@
 //! * [`MetricsDiff`] / [`Polarity`] — key-by-key comparison with
 //!   name-derived good directions; the `hipress bench --baseline`
 //!   regression gate is [`MetricsDiff::regressions`].
-//! * [`bridge`] — lowers any recorded [`hipress_trace::Trace`]
-//!   (simulated or measured) into the catalogue.
 //! * [`view`] — sparkline/table dashboard for `hipress report`.
 //!
 //! Everything is `std`-only; the JSON machinery is shared with
@@ -36,7 +34,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bridge;
 pub mod diff;
 pub mod names;
 pub mod prom;

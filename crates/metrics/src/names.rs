@@ -1,10 +1,10 @@
 //! The shared metric-name catalogue.
 //!
 //! Both execution backends emit the *same* names — CaSync-RT records
-//! them live from wall-clock measurements, the simulator lowers its
-//! `Timeline` through [`crate::bridge`] — so a simulated and a
-//! measured run of one plan differ only in values, and sim-vs-measured
-//! is a plain [`crate::MetricsDiff`]. Names follow the polarity
+//! them live from wall-clock measurements, the simulator through
+//! `SimResult::record_metrics` — so a simulated and a measured run of
+//! one plan differ only in values, and sim-vs-measured is a plain
+//! [`crate::MetricsDiff`]. Names follow the polarity
 //! convention [`crate::Polarity::of_name`] gates on: `*_ns` durations
 //! and `*retransmit*` counters regress upward,
 //! `*throughput*`/`*savings*`/`*efficiency*`/`*_per_sec` rates

@@ -311,6 +311,15 @@ fn vgg19_layers() -> Vec<LayerGrad> {
     layers
 }
 
+impl std::str::FromStr for DnnModel {
+    type Err = String;
+
+    /// Parses a display name through [`DnnModel::by_name`].
+    fn from_str(s: &str) -> Result<DnnModel, String> {
+        DnnModel::by_name(s).ok_or_else(|| format!("unknown model '{s}' (try `hipress models`)"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +376,15 @@ mod tests {
             assert_eq!(DnnModel::by_name(&m.name().to_lowercase()), Some(m));
         }
         assert_eq!(DnnModel::by_name("GPT-5"), None);
+    }
+
+    #[test]
+    fn from_str_parses_every_name_and_rejects_unknown_ones() {
+        for m in DnnModel::all() {
+            assert_eq!(m.name().parse::<DnnModel>(), Ok(m));
+        }
+        let err = "GPT-5".parse::<DnnModel>().unwrap_err();
+        assert_eq!(err, "unknown model 'GPT-5' (try `hipress models`)");
     }
 
     #[test]

@@ -72,6 +72,20 @@ pub enum DegradePolicy {
     Abort,
 }
 
+impl std::str::FromStr for DegradePolicy {
+    type Err = String;
+
+    /// Parses a command-line spelling: `wait`, `partial` or `abort`.
+    fn from_str(s: &str) -> Result<DegradePolicy, String> {
+        match s {
+            "wait" => Ok(DegradePolicy::Wait),
+            "partial" => Ok(DegradePolicy::Partial),
+            "abort" => Ok(DegradePolicy::Abort),
+            other => Err(format!("unknown policy '{other}'")),
+        }
+    }
+}
+
 /// Tuning for the fault-tolerant protocol.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultTolerance {
@@ -733,6 +747,28 @@ impl Link for FtLink<'_> {
             frames: self.frames,
             retransmits: self.peers.iter().map(|p| p.tx.retransmits()).sum(),
             ..LinkCounters::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::DegradePolicy;
+
+    #[test]
+    fn degrade_policy_parses_its_three_spellings() {
+        for (name, policy) in [
+            ("wait", DegradePolicy::Wait),
+            ("partial", DegradePolicy::Partial),
+            ("abort", DegradePolicy::Abort),
+        ] {
+            assert_eq!(name.parse(), Ok(policy));
+        }
+        for bad in ["Wait", "skip", ""] {
+            assert_eq!(
+                bad.parse::<DegradePolicy>(),
+                Err(format!("unknown policy '{bad}'"))
+            );
         }
     }
 }

@@ -1,24 +1,27 @@
-//! The `hipress` command-line interface: run throughput simulations,
-//! inspect planner decisions, compile CompLL DSL programs, and browse
-//! the model zoo without writing Rust.
+//! The `hipress` command-line interface: simulate training throughput,
+//! synchronize gradients for real on CaSync-RT (threads or processes),
+//! inject faults, gate benchmarks, inspect planner decisions, compile
+//! and lint CompLL programs, and model-check the protocol without
+//! writing Rust.
+//!
+//! Every command is one entry of [`COMMANDS`]: its name, positional
+//! synopsis, the function that runs it, its about text and its flags.
+//! `main` dispatches from that table, [`parse_flags`] parses against it
+//! (an undeclared flag is an error naming it, and whether a flag takes
+//! a value comes from its declaration), and `hipress help` renders it.
 //!
 //! ```text
-//! hipress models
 //! hipress sim --model VGG19 --nodes 16 --strategy casync-ps --algorithm onebit
 //! hipress run --nodes 4 --algorithm onebit --trace rt.json
-//! hipress chaos --plan recoverable --seeds 4
 //! hipress chaos --single --plan crash --victim 1
-//! hipress bench --baseline BENCH_runtime.json --tolerance 25
-//! hipress report BENCH_runtime.json
-//! hipress compare --model Bert-large --nodes 16
-//! hipress plan --model VGG19 --nodes 16 --strategy casync-ps --algorithm onebit
-//! hipress compile path/to/algorithm.dsl
-//! hipress trace-diff sim.json rt.json
+//! hipress help
 //! ```
 
+use hipress::casync::interp::FlowOutcome;
 use hipress::compll::{param_values, CompiledAlgorithm};
 use hipress::metrics::{names, view as metrics_view, MetricValue, Polarity};
 use hipress::prelude::*;
+use hipress::tensor::Tensor;
 use hipress::trace::view;
 use hipress::trace::Trace;
 use hipress::util::table::{Align, Table};
@@ -30,36 +33,18 @@ use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        usage();
+    let Some(name) = args.first() else {
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let result = parse_flags(cmd, &args[1..]).and_then(|(flags, positional)| {
-        let pos = |i: usize| positional.get(i).map(String::as_str);
-        match cmd.as_str() {
-            "models" => cmd_models(),
-            "sim" => cmd_sim(&flags),
-            "run" => cmd_run(&flags),
-            "node" => cmd_node(&flags),
-            "chaos" => cmd_chaos(&flags),
-            "bench" => cmd_bench(&flags),
-            "serve" => cmd_serve(&flags, pos(0)),
-            "scrape" => cmd_scrape(&flags, pos(0), pos(1)),
-            "report" => cmd_report(&flags, pos(0)),
-            "postmortem" => cmd_postmortem(pos(0)),
-            "compare" => cmd_compare(&flags),
-            "plan" => cmd_plan(&flags),
-            "compile" => cmd_compile(pos(0)),
-            "trace-diff" => cmd_trace_diff(pos(0), pos(1)),
-            "lint" => cmd_lint(&flags, pos(0)),
-            "verify" => cmd_verify(&flags),
-            "help" | "--help" | "-h" => {
-                usage();
-                Ok(())
-            }
-            other => Err(format!("unknown command '{other}'")),
-        }
-    });
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => parse_flags(cmd, &args[1..]).and_then(|a| (cmd.run)(&a)),
+        None => Err(format!("unknown command '{name}'")),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -69,167 +54,329 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() {
-    eprintln!(
-        "hipress — compression-aware data parallel DNN training (SOSP'21 reproduction)
-
-USAGE:
-  hipress models
-      List the Table 6 model zoo.
-  hipress sim --model <name> [--nodes N] [--local] [--strategy S] [--algorithm A] [--baseline] [--trace out.json]
-      Simulate one training configuration.
-  hipress run [--nodes N] [--backend threads|processes|sim] [--iters I] [--window W] [--strategy S] [--algorithm A] [--partitions K] [--elems E1,E2,...] [--seed S] [--cross-check] [--kill-node V] [--flight-dump FILE] [--trace out.json] [--json] [--listen ADDR] [--linger-ms MS]
-      Synchronize synthetic gradients for real on CaSync-RT — one OS
-      thread per node, or with --backend processes one OS *process*
-      per node over a loopback TCP mesh — and print the measured
-      runtime report. --iters/--window run multiple pipelined
-      iterations; --cross-check requires the process backend
-      bit-identical to threads (and the interpreter when unpipelined);
-      --kill-node V kills worker V mid-protocol to prove the failure
-      is diagnosed, not hung. On the process backend, --trace merges
-      every worker's timeline into one clock-aligned trace (validated
-      for cross-rank causality), --json folds every worker's metrics
-      into one snapshot, and --flight-dump names a file that receives
-      each rank's last protocol events if the run fails. --listen
-      binds the embedded telemetry server for the duration of the run
-      (plus --linger-ms): GET /metrics, /healthz, /report.json, and
-      the /events NDJSON stream of per-iteration progress records,
-      with the SLO watchdog counting anomalies into
-      alerts_total{{kind}}.
-  hipress run --elastic [--kill-rank R --kill-iter I] [--rejoin-after J] [--cross-check] [--trace out.json] [run flags]
-      Membership-scripted run that *survives* losing a worker:
-      --kill-rank/--kill-iter crash rank R at iteration I; the
-      coordinator drains to the last fully-retired boundary, evicts
-      the dead rank, re-plans chunk ownership over the survivors, and
-      bumps the membership epoch — the run finishes every iteration.
-      --rejoin-after J restarts the victim (`node --join`) and
-      re-admits it at the next epoch boundary. --cross-check proves
-      the continuation bit-identical to a fixed-membership run over
-      the final member set. Backends: processes (default) or threads.
-  hipress serve <BENCH.json> [--listen ADDR]
-      Serve a previously written metrics snapshot file over the
-      embedded telemetry server (/metrics as Prometheus text
-      exposition, /healthz reporting done) until interrupted.
-  hipress scrape <addr> <path> [--lines N]
-      Fetch /metrics, /healthz, /report.json, or /events from a live
-      telemetry server with the built-in std-TCP client and print the
-      body; --lines stops the /events stream after N records.
-  hipress postmortem <dump>
-      Render a flight-recorder dump written by a failed process run:
-      every rank's final protocol events interleaved on one
-      clock-aligned timeline, ending at the diagnosed root cause.
-  hipress node --connect <addr> --rank R (--nodes N | --join)
-      (internal) One worker of a `--backend processes` run; spawned by
-      the coordinator, never useful interactively. With --join,
-      re-attach to a running elastic job and wait for admission at the
-      next epoch boundary.
-  hipress chaos [--nodes N] [--plan P] [--seeds K] [--policy wait|partial|abort] [--victim V] [--deadline-ms D] [--single] [--trace out.json]
-      Synchronize on CaSync-RT over a fault-injecting fabric. By
-      default, runs a survival matrix (plans x fault seeds) and checks
-      every recoverable plan reproduces the fault-free bits exactly;
-      exits non-zero on any violated expectation. With --single, runs
-      one plan once: recoverable plans must come back bit-identical,
-      unrecoverable ones (crash, blackhole) exit non-zero with a
-      structured error naming the failed node.
-  hipress bench [--nodes N] [--dir D] [--snapshot cur.json] [--baseline base.json] [--tolerance PCT] [--require-overlap] [--listen ADDR] [--linger-ms MS]
-      Run the model x algorithm x strategy bench matrix on both the
-      thread engine and the simulator; write schema-versioned
-      BENCH_runtime.json and BENCH_sim.json snapshots to --dir
-      (default .). With --baseline, diff the matching current snapshot
-      (a kind=sim baseline gates the deterministic simulator numbers,
-      any other the measured wall clocks) and exit non-zero on any
-      metric regressed beyond --tolerance percent (default 25); with
-      --snapshot, gate that file instead of re-running the matrix.
-      With --require-overlap, instead gate that pipelined iterations
-      (window 16) beat serial ones (window 1) on median wall time,
-      running real OS processes over the loopback TCP mesh.
-  hipress report <BENCH.json> [--json | --prom]
-      Render a metrics snapshot as a sparkline/table dashboard, or
-      re-emit it as canonical JSON / Prometheus text exposition.
-  hipress compare --model <name> [--nodes N] [--local]
-      Simulate HiPress against all baselines.
-  hipress plan --model <name> [--nodes N] [--strategy S] [--algorithm A]
-      Show the selective compression & partitioning plan per gradient.
-  hipress compile <file.dsl>
-      Compile a CompLL DSL program; print its LoC report and CUDA output.
-  hipress lint [file.dsl] [--strategy S] [--algorithm A] [--nodes N]
-      Statically verify CaSync task graphs across the strategy x
-      algorithm x cluster matrix — each CaSync graph additionally as a
-      pipelined composition at windows 1, 2, and 4 — and dataflow-check
-      the shipped CompLL programs; with a file, dataflow-check that
-      program instead.
-  hipress verify [--mutant M]
-      Exhaust the small-scope model-checking matrix over the CaSync-RT
-      wire/FT protocol (the runtime's real state machines) plus the
-      elastic epoch-transition matrix (drain / evict / re-plan /
-      rejoin interleavings) and print per-scenario exploration
-      statistics. With --mutant, seed a protocol defect; the checker
-      must refute it with a counterexample trace, and the command
-      exits non-zero.
-  hipress trace-diff <a.json> <b.json>
-      Compare two exported traces (e.g. a simulated vs a measured run
-      of one plan): per-category latency table plus side-by-side
-      utilization bars.
-
-FLAGS:
-  --model      VGG19 | ResNet50 | UGATIT | UGATIT-light | Bert-base | Bert-large | LSTM | Transformer
-  --nodes      cluster size (default 16; `run` defaults to 4, `bench` to 3)
-  --json       (`sim`/`run`) dump the report as a metrics snapshot JSON
-               instead of the human-readable summary
-  --dir        (`bench`) directory for BENCH_*.json snapshots (default .)
-  --snapshot   (`bench`) gate an existing snapshot file instead of re-running
-  --baseline   (`bench`) baseline BENCH_*.json for the perf-regression gate
-  --tolerance  (`bench`) regression tolerance in percent (default 25)
-  --local      use the 1080Ti/56Gbps local-cluster preset (default: EC2 V100/100Gbps)
-  --strategy   casync-ps | casync-ring | byteps | ring (default casync-ps)
-  --algorithm  none | onebit | tbq | terngrad[:bits] | dgc[:rate] | graddrop[:rate] (default onebit)
-  --baseline   run the strategy with its baseline runtime (no CaSync optimizations)
-  --trace      export a Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)
-               and print utilization bars + per-category latencies
-  --partitions gradient partition count for `run` (default 2)
-  --elems      comma-separated gradient element counts for `run` (default 65536,4096,512)
-  --seed       stochastic-codec seed for `run` (default 1)
-  --backend    (`run`) threads | processes | sim (default threads)
-  --iters      (`run`) iterations to run back to back (default 1)
-  --window     (`run`) max iterations in flight at once (default 1)
-  --cross-check (`run`) require processes bit-identical to threads
-  --kill-node  (`run`) kill this worker mid-protocol (processes only)
-  --flight-dump (`run`) write every rank's flight-recorder ring here on
-               failure (processes only); render with `hipress postmortem`
-  --listen     (`run`/`bench`/`serve`) bind the embedded telemetry server
-               here (e.g. 127.0.0.1:0 for an ephemeral port); the bound
-               address is printed as `telemetry: listening on ...`
-  --linger-ms  (`run`/`bench`) keep the telemetry server up this long
-               after the run retires so scrapers can collect the final
-               state (default 0)
-  --lines      (`scrape`) stop a streaming endpoint after N lines
-  --plan       (`chaos`) none | recoverable | drop-storm | corrupt-storm |
-               stall[:ms] | crash[:at-task] | blackhole
-               (default: the three survivable storm plans)
-  --seeds      (`chaos`) fault-plan seeds per plan in matrix mode (default 4)
-  --policy     (`chaos`) straggler degradation: wait | partial | abort (default wait)
-  --victim     (`chaos`) node the stall/crash/blackhole plans target (default 1)
-  --deadline-ms (`chaos`) hard receive deadline per node (default 8000)
-  --single     (`chaos`) run one plan once and propagate its outcome
-  --elastic    (`run`) membership-scripted elastic run (see above)
-  --kill-rank  (`run --elastic`) the rank to crash (with --kill-iter)
-  --kill-iter  (`run --elastic`) the global iteration the crash fires at
-  --rejoin-after (`run --elastic`) restart the victim and re-admit it at
-               the first epoch boundary at or after this iteration
-  --mutant     (`verify`) seed a protocol defect: skip-dedup | dedup-before-verify |
-               apply-before-verify | retry-without-bound | drop-heartbeat |
-               forget-rescale; elastic: skip-drain | accept-stale-epoch |
-               reuse-dead-owner | admit-future-join"
-    );
+/// One command: `main` runs `run` on the command line parsed against
+/// `flags`; `usage` renders the rest.
+struct Command {
+    name: &'static str,
+    /// The positional arguments: `<required>` or `[optional]`.
+    synopsis: &'static str,
+    run: Run,
+    about: &'static str,
+    flags: &'static [Flag],
 }
 
-/// Splits a command's arguments into `--flag [value]` pairs and the
-/// positional arguments left over, wherever they appear. A value flag
-/// with no value after it is an error.
-fn parse_flags(
-    cmd: &str,
-    args: &[String],
-) -> Result<(HashMap<String, String>, Vec<String>), String> {
+type Run = fn(&Args) -> Result<(), String>;
+
+impl Command {
+    const fn new(name: &'static str, synopsis: &'static str, run: Run) -> Command {
+        Command {
+            name,
+            synopsis,
+            run,
+            about: "",
+            flags: &[],
+        }
+    }
+
+    const fn about(self, about: &'static str) -> Command {
+        Command { about, ..self }
+    }
+
+    const fn flags(self, flags: &'static [Flag]) -> Command {
+        Command { flags, ..self }
+    }
+}
+
+/// One `--name` flag of a command.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder; `None` for a boolean switch.
+    metavar: Option<&'static str>,
+    required: bool,
+    help: &'static str,
+}
+
+impl Flag {
+    /// An optional flag taking a value.
+    const fn value(name: &'static str, metavar: &'static str) -> Flag {
+        Flag {
+            name,
+            metavar: Some(metavar),
+            required: false,
+            help: "",
+        }
+    }
+
+    /// A flag taking a value that the command cannot run without.
+    const fn required(name: &'static str, metavar: &'static str) -> Flag {
+        Flag {
+            required: true,
+            ..Flag::value(name, metavar)
+        }
+    }
+
+    /// A boolean flag: present or not, never taking a value.
+    const fn switch(name: &'static str) -> Flag {
+        Flag {
+            metavar: None,
+            ..Flag::value(name, "")
+        }
+    }
+
+    /// The flag's one-line help; a shared flag whose default differs
+    /// for one command is restated with that command's help.
+    const fn help(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+
+    /// `--name` or `--name METAVAR`.
+    fn usage(&self) -> String {
+        match self.metavar {
+            Some(m) => format!("--{} {m}", self.name),
+            None => format!("--{}", self.name),
+        }
+    }
+}
+
+const REQUIRED: &str = "parse_flags rejects a command line without its required flags";
+
+// Flags several commands share.
+const MODEL: Flag = Flag::required("model", "NAME").help("a model of `hipress models`");
+const NODES: Flag = Flag::value("nodes", "N").help("cluster size (default 16)");
+const LOCAL: Flag = Flag::switch("local").help("1080Ti/56Gbps local cluster, not EC2 V100/100Gbps");
+const STRATEGY: Flag = Flag::value("strategy", "S")
+    .help("casync-ps | casync-ring | byteps | ring (default casync-ps)");
+const ALGORITHM: Flag = Flag::value("algorithm", "A")
+    .help("none | onebit | tbq | terngrad[:bits] | dgc[:rate] | graddrop[:rate] (default onebit)");
+const SEED: Flag = Flag::value("seed", "S").help("stochastic-codec seed (default 1)");
+const TRACE: Flag = Flag::value("trace", "FILE").help("export a Chrome trace-event JSON here");
+const JSON: Flag = Flag::switch("json").help("print the report as a metrics snapshot JSON");
+const LISTEN: Flag = Flag::value("listen", "ADDR").help("serve live telemetry here (port 0: any)");
+const LINGER_MS: Flag =
+    Flag::value("linger-ms", "MS").help("keep serving MS after the run (default 0)");
+
+/// Every command, in help order.
+static COMMANDS: &[Command] = &[
+    Command::new("models", "", |_| cmd_models()).about("List the Table 6 model zoo."),
+    Command::new("sim", "", cmd_sim)
+        .about("Simulate one training configuration.")
+        .flags(&[
+            MODEL,
+            NODES,
+            LOCAL,
+            STRATEGY,
+            ALGORITHM,
+            Flag::switch("baseline").help("run the strategy's baseline runtime (no CaSync)"),
+            Flag::switch("no-selective").help("compress every gradient, unpartitioned"),
+            TRACE,
+            JSON,
+        ]),
+    Command::new("run", "", cmd_run)
+        .about(
+            "Synchronize synthetic gradients for real on CaSync-RT — one OS
+             thread, or one OS *process* over a loopback TCP mesh, per node —
+             and print the measured runtime report. A process run merges every
+             worker's trace onto one clock-aligned timeline (checked for
+             cross-rank causality) and folds every worker's metrics into one
+             snapshot. The telemetry server answers /metrics, /healthz,
+             /report.json and the /events NDJSON progress stream; its SLO
+             watchdog counts anomalies into alerts_total{kind}. An elastic run
+             survives losing a worker: it drains to the last retired boundary,
+             evicts the dead rank, re-plans over the survivors and bumps the
+             membership epoch, re-admitting a restarted victim at the next
+             epoch boundary (backends: processes, the default, or threads).",
+        )
+        .flags(&[
+            NODES.help("cluster size (default 4)"),
+            Flag::value("backend", "B").help("threads | processes | sim (default threads)"),
+            Flag::value("iters", "I").help("iterations to run back to back (default 1)"),
+            Flag::value("window", "W").help("max iterations in flight at once (default 1)"),
+            STRATEGY,
+            ALGORITHM,
+            Flag::value("partitions", "K").help("gradient partition count (default 2)"),
+            Flag::value("elems", "E1,E2,...").help("element counts (default 65536,4096,512)"),
+            SEED,
+            Flag::switch("cross-check").help("require processes bit-identical to threads"),
+            Flag::value("kill-node", "V").help("kill this worker mid-protocol (processes)"),
+            Flag::value("flight-dump", "FILE").help("dump each rank's flight ring here on failure"),
+            TRACE,
+            JSON,
+            LISTEN,
+            LINGER_MS,
+            Flag::switch("elastic").help("survive a scripted rank loss"),
+            Flag::value("kill-rank", "R").help("with --elastic: the rank to crash"),
+            Flag::value("kill-iter", "I").help("with --elastic: the iteration it crashes at"),
+            Flag::value("rejoin-after", "J").help("with --elastic: re-admit the victim from J"),
+        ]),
+    Command::new("serve", "<BENCH.json>", cmd_serve)
+        .about("Serve a snapshot file's metrics over the telemetry server until killed.")
+        .flags(&[LISTEN.help("bind address (default 127.0.0.1:9464)")]),
+    Command::new("scrape", "<addr> <path>", cmd_scrape)
+        .about("Print /metrics, /healthz, /report.json or /events of a telemetry server.")
+        .flags(&[Flag::value("lines", "N").help("stop a streaming endpoint after N lines")]),
+    Command::new("postmortem", "<dump>", cmd_postmortem)
+        .about("Render a failed process run's flight dump as one cross-rank timeline."),
+    Command::new("node", "", cmd_node)
+        .about("(internal) One worker of a process run; --join re-attaches to an elastic one.")
+        .flags(&[
+            Flag::required("connect", "ADDR").help("the coordinator's address"),
+            Flag::required("rank", "R").help("this worker's rank"),
+            NODES.help("cluster size (required unless --join)"),
+            Flag::switch("join").help("wait for admission at the next epoch boundary"),
+        ]),
+    Command::new("chaos", "", cmd_chaos)
+        .about(
+            "Synchronize on CaSync-RT over a fault-injecting fabric. By default,
+             run a survival matrix (plans x fault seeds) and require every
+             recoverable plan to reproduce the fault-free bits exactly. With
+             --single, run one plan once: a recoverable plan must come back
+             bit-identical, an unrecoverable one (crash, blackhole) exits
+             non-zero with a structured error naming the failed node.",
+        )
+        .flags(&[
+            NODES.help("cluster size (default 3)"),
+            STRATEGY,
+            ALGORITHM,
+            SEED.help("codec seed, and --single's fault seed (default 1)"),
+            Flag::value("elems", "E1,E2,...").help("element counts (default 4096,512)"),
+            Flag::value("plan", "P").help(
+                "none | recoverable | drop-storm | corrupt-storm | stall[:ms] | \
+                 crash[:at-task] | blackhole (default: the three storm plans)",
+            ),
+            Flag::value("seeds", "K").help("fault seeds per plan in matrix mode (default 4)"),
+            Flag::value("policy", "P")
+                .help("on a straggler: wait | partial | abort (default wait)"),
+            Flag::value("victim", "V").help("the stall/crash/blackhole target (default 1)"),
+            Flag::value("deadline-ms", "MS").help("receive deadline per node (default 8000)"),
+            Flag::switch("single").help("run one plan once and propagate its outcome"),
+            TRACE,
+        ]),
+    Command::new("bench", "", cmd_bench)
+        .about(
+            "Run the model x algorithm x strategy bench matrix on the thread
+             engine and the simulator and write BENCH_runtime.json and
+             BENCH_sim.json. With --baseline, exit non-zero on any metric that
+             regressed beyond --tolerance (a kind=sim baseline gates the
+             simulator's numbers, any other the measured wall clocks). With
+             --require-overlap, instead gate that pipelined iterations beat
+             serial ones on median wall time over real OS processes.",
+        )
+        .flags(&[
+            NODES.help("cluster size (default 3; 4 with --require-overlap)"),
+            Flag::value("dir", "DIR").help("where to write BENCH_*.json (default .)"),
+            Flag::value("snapshot", "FILE").help("gate this snapshot instead of re-running"),
+            Flag::value("baseline", "FILE").help("the BENCH_*.json to gate against"),
+            Flag::value("tolerance", "PCT").help("regression tolerance in percent (default 25)"),
+            Flag::switch("require-overlap").help("gate that pipelining beats serial iterations"),
+            LISTEN,
+            LINGER_MS,
+        ]),
+    Command::new("report", "<BENCH.json>", cmd_report)
+        .about("Render a metrics snapshot as a sparkline/table dashboard.")
+        .flags(&[
+            JSON.help("re-emit the snapshot as canonical JSON"),
+            Flag::switch("prom").help("re-emit the snapshot as Prometheus text exposition"),
+        ]),
+    Command::new("compare", "", cmd_compare)
+        .about("Simulate HiPress against all baselines.")
+        .flags(&[
+            MODEL,
+            NODES,
+            LOCAL,
+            ALGORITHM.help("the compressed systems' codec (default onebit)"),
+        ]),
+    Command::new("plan", "", cmd_plan)
+        .about("Show the selective compression & partitioning plan per gradient.")
+        .flags(&[MODEL, NODES, LOCAL, STRATEGY, ALGORITHM]),
+    Command::new("compile", "<file.dsl>", cmd_compile)
+        .about("Compile a CompLL DSL program; print its LoC report and CUDA output."),
+    Command::new("lint", "[file.dsl]", cmd_lint)
+        .about(
+            "Statically verify CaSync task graphs across the strategy x
+             algorithm x cluster matrix — each CaSync graph additionally as a
+             pipelined composition at windows 1, 2, and 4 — and dataflow-check
+             the shipped CompLL programs; with a file, dataflow-check that
+             program instead.",
+        )
+        .flags(&[
+            STRATEGY.help("lint only this strategy (default: all)"),
+            ALGORITHM.help("lint only this algorithm (default: all)"),
+            NODES.help("lint only this cluster size (default: 2, 3 and 5)"),
+        ]),
+    Command::new("verify", "", cmd_verify)
+        .about(
+            "Exhaust the small-scope model-checking matrices of the CaSync-RT
+             wire/FT protocol (the runtime's real state machines) and of the
+             elastic epoch transition, and print per-scenario exploration
+             statistics. With --mutant, the checker must refute the seeded
+             defect with a counterexample trace, and the command exits
+             non-zero.",
+        )
+        .flags(&[Flag::value("mutant", "M").help("seed this protocol defect")]),
+    Command::new("trace-diff", "<a.json> <b.json>", cmd_trace_diff)
+        .about("Compare two exported traces: per-category latencies, utilization bars."),
+    Command::new("help", "", |_| {
+        eprint!("{}", usage());
+        Ok(())
+    })
+    .about("Print this help."),
+];
+
+/// The help text, rendered from [`COMMANDS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "hipress — compression-aware data parallel DNN training (SOSP'21 reproduction)\n\nUSAGE:\n",
+    );
+    for cmd in COMMANDS {
+        let mut words = vec![cmd.name.to_string(), cmd.synopsis.to_string()];
+        words.extend(cmd.flags.iter().filter(|f| f.required).map(Flag::usage));
+        if cmd.flags.iter().any(|f| !f.required) {
+            words.push("[flags]".into());
+        }
+        words.retain(|w| !w.is_empty());
+        out += &format!("\n  hipress {}\n", words.join(" "));
+        for line in cmd.about.lines() {
+            out += &format!("      {}\n", line.trim_start());
+        }
+        let width = cmd.flags.iter().map(|f| f.usage().len()).max().unwrap_or(0);
+        for f in cmd.flags {
+            out += &format!("        {:<width$}  {}\n", f.usage(), f.help);
+        }
+    }
+    out
+}
+
+/// A command line parsed against its command's table entry.
+struct Args {
+    cmd: &'static Command,
+    flags: HashMap<&'static str, String>,
+    /// At least as many as the synopsis has `<required>` ones.
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Flag `--name`'s value as given (`"true"` for a switch); `None`
+    /// when it is absent.
+    fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.name == name),
+            "--{name} is not declared for '{}'",
+            self.cmd.name
+        );
+        self.flags.get(name).map(String::as_str)
+    }
+
+    /// Whether `--name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+}
+
+/// Splits a command's arguments into its declared `--flag [value]`s
+/// and the positional arguments left over, wherever they appear. A
+/// flag the command does not declare, a value flag with no value after
+/// it, and a missing required flag or positional are errors naming it.
+fn parse_flags(cmd: &'static Command, args: &[String]) -> Result<Args, String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut args = args.iter();
@@ -238,58 +385,90 @@ fn parse_flags(
             positional.push(a.clone());
             continue;
         };
-        // `--baseline` is a boolean runtime toggle for `sim` but
-        // takes a snapshot path for `bench`.
-        let boolean = matches!(
-            name,
-            "local"
-                | "no-selective"
-                | "json"
-                | "prom"
-                | "single"
-                | "cross-check"
-                | "require-overlap"
-                | "join"
-                | "elastic"
-        ) || (name == "baseline" && cmd != "bench");
-        let value = if boolean {
-            "true".to_string()
-        } else {
-            match args.next() {
+        let Some(spec) = cmd.flags.iter().find(|f| f.name == name) else {
+            return Err(format!("unknown flag --{name} for '{}'", cmd.name));
+        };
+        let value = match spec.metavar {
+            None => "true".to_string(),
+            Some(_) => match args.next() {
                 Some(v) if !v.starts_with("--") => v.clone(),
                 _ => return Err(format!("--{name} needs a value")),
-            }
+            },
         };
-        flags.insert(name.to_string(), value);
+        flags.insert(spec.name, value);
     }
-    Ok((flags, positional))
+    if let Some(f) = cmd
+        .flags
+        .iter()
+        .find(|f| f.required && !flags.contains_key(f.name))
+    {
+        return Err(format!("--{} is required for '{}'", f.name, cmd.name));
+    }
+    if positional.len() < cmd.synopsis.matches('<').count() {
+        return Err(format!("'{}' needs {}", cmd.name, cmd.synopsis));
+    }
+    Ok(Args {
+        cmd,
+        flags,
+        positional,
+    })
 }
 
 /// Parses flag `--name` with its `FromStr`; `None` when it is absent.
-fn flag<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Result<Option<T>, String>
-where
-    T::Err: Display,
-{
-    flags
-        .get(name)
+fn flag<T: FromStr<Err: Display>>(args: &Args, name: &str) -> Result<Option<T>, String> {
+    args.value(name)
         .map(|v| v.parse().map_err(|e| format!("bad --{name} '{v}': {e}")))
         .transpose()
 }
 
-fn parse_model(flags: &HashMap<String, String>) -> Result<DnnModel, String> {
-    let name = flags
-        .get("model")
-        .ok_or_else(|| "--model is required".to_string())?;
-    DnnModel::by_name(name).ok_or_else(|| format!("unknown model '{name}' (try `hipress models`)"))
+/// `--elems E1,E2,...`: the element count of each synthetic gradient.
+fn elems_flag(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
+    match args.value("elems") {
+        Some(spec) => spec
+            .split(',')
+            .map(|e| e.trim().parse().map_err(|_| format!("bad --elems '{e}'")))
+            .collect(),
+        None => Ok(default.to_vec()),
+    }
 }
 
-fn parse_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
-    let nodes: usize = flag(flags, "nodes")?.unwrap_or(16);
-    Ok(if flags.contains_key("local") {
+/// Every worker's synthetic gradients: worker `w`'s gradient `g` holds
+/// `elems[g]` Gaussian values seeded `w * 1000 + g`.
+fn worker_grads(nodes: usize, elems: &[usize]) -> Vec<Vec<Tensor>> {
+    use hipress::tensor::synth::{generate, GradientShape};
+    let shape = GradientShape::Gaussian { std_dev: 1.0 };
+    let grad = |w: usize, (g, &n): (usize, &usize)| generate(n, shape, (w * 1000 + g) as u64);
+    (0..nodes)
+        .map(|w| elems.iter().enumerate().map(|e| grad(w, e)).collect())
+        .collect()
+}
+
+/// Requires two runs to have installed the same values, flow for flow;
+/// the error names the first flow that differs `between` them.
+fn same_flows(a: &[FlowOutcome], b: &[FlowOutcome], between: &str) -> Result<(), String> {
+    if a.len() != b.len() {
+        return Err(format!("{between} disagree on flow count"));
+    }
+    match a
+        .iter()
+        .zip(b)
+        .find(|(x, y)| x.flow != y.flow || x.per_node != y.per_node)
+    {
+        Some((x, _)) => Err(format!("flow {} diverged between {between}", x.flow)),
+        None => Ok(()),
+    }
+}
+
+/// `--model` and the cluster `--nodes` and `--local` describe.
+fn model_and_cluster(args: &Args) -> Result<(DnnModel, ClusterConfig), String> {
+    let model = flag(args, "model")?.expect(REQUIRED);
+    let nodes: usize = flag(args, "nodes")?.unwrap_or(16);
+    let cluster = if args.on("local") {
         ClusterConfig::local(nodes)
     } else {
         ClusterConfig::ec2(nodes)
-    })
+    };
+    Ok((model, cluster))
 }
 
 fn cmd_models() -> Result<(), String> {
@@ -317,13 +496,12 @@ fn cmd_models() -> Result<(), String> {
     Ok(())
 }
 
-fn job_from_flags(flags: &HashMap<String, String>) -> Result<TrainingJob, String> {
-    let model = parse_model(flags)?;
-    let cluster = parse_cluster(flags)?;
-    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
-    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
-    let mut job = if flags.contains_key("baseline") || !strategy.is_casync() {
-        let cluster = if strategy == Strategy::BytePs && !flags.contains_key("local") {
+fn cmd_sim(args: &Args) -> Result<(), String> {
+    let (model, cluster) = model_and_cluster(args)?;
+    let strategy = flag(args, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(args, "algorithm")?.unwrap_or(Algorithm::OneBit);
+    let mut job = if args.on("baseline") || !strategy.is_casync() {
+        let cluster = if strategy == Strategy::BytePs && !args.on("local") {
             cluster.with_tcp()
         } else {
             cluster
@@ -333,21 +511,16 @@ fn job_from_flags(flags: &HashMap<String, String>) -> Result<TrainingJob, String
         TrainingJob::hipress(model, cluster, strategy)
     };
     job = job.with_algorithm(algorithm);
-    if flags.contains_key("no-selective") {
+    if args.on("no-selective") {
         job.selective = false;
     }
-    Ok(job)
-}
-
-fn cmd_sim(flags: &HashMap<String, String>) -> Result<(), String> {
-    let job = job_from_flags(flags)?;
-    let tracer = flags.get("trace").map(|_| Tracer::new("sim"));
+    let tracer = args.on("trace").then(|| Tracer::new("sim"));
     let r = match &tracer {
         Some(tr) => simulate_with_tracer(&job, tr),
         None => simulate(&job),
     }
     .map_err(|e| e.to_string())?;
-    if flags.contains_key("json") {
+    if args.on("json") {
         let registry = Registry::new();
         r.record_metrics(&registry.scope(&[
             ("model", job.model.name()),
@@ -359,112 +532,83 @@ fn cmd_sim(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_meta("kind", "sim")
             .with_meta("nodes", &job.cluster.nodes.to_string());
         println!("{}", snap.to_json());
-        if let (Some(path), Some(tr)) = (flags.get("trace"), tracer) {
-            export_trace(&tr.finish(), path)?;
-        }
-        return Ok(());
+    } else {
+        println!("model:              {}", job.model.name());
+        println!(
+            "cluster:            {} nodes x {} {} ({:.0} Gbps)",
+            job.cluster.nodes,
+            job.cluster.gpus_per_node,
+            job.cluster.gpu.name,
+            job.cluster.link.bandwidth.as_gbps()
+        );
+        println!("strategy:           {}", job.strategy.label());
+        println!("algorithm:          {}", job.algorithm.label());
+        println!("iteration:          {}", fmt_duration_ns(r.iteration_ns));
+        println!("  compute:          {}", fmt_duration_ns(r.compute_ns));
+        println!(
+            "  sync finish:      {} (from backward start)",
+            fmt_duration_ns(r.sync_finish_ns)
+        );
+        println!("throughput:         {:.0} samples/s", r.throughput);
+        println!("scaling efficiency: {:.3}", r.scaling_efficiency);
+        println!(
+            "communication:      {:.1}% of iteration",
+            r.comm_ratio * 100.0
+        );
+        println!(
+            "coordinator:        {} link batches, {} batched kernel launches",
+            r.stats.link_flushes, r.stats.comp_batch_launches
+        );
     }
-    println!("model:              {}", job.model.name());
-    println!(
-        "cluster:            {} nodes x {} {} ({:.0} Gbps)",
-        job.cluster.nodes,
-        job.cluster.gpus_per_node,
-        job.cluster.gpu.name,
-        job.cluster.link.bandwidth.as_gbps()
-    );
-    println!("strategy:           {}", job.strategy.label());
-    println!("algorithm:          {}", job.algorithm.label());
-    println!("iteration:          {}", fmt_duration_ns(r.iteration_ns));
-    println!("  compute:          {}", fmt_duration_ns(r.compute_ns));
-    println!(
-        "  sync finish:      {} (from backward start)",
-        fmt_duration_ns(r.sync_finish_ns)
-    );
-    println!("throughput:         {:.0} samples/s", r.throughput);
-    println!("scaling efficiency: {:.3}", r.scaling_efficiency);
-    println!(
-        "communication:      {:.1}% of iteration",
-        r.comm_ratio * 100.0
-    );
-    println!(
-        "coordinator:        {} link batches, {} batched kernel launches",
-        r.stats.link_flushes, r.stats.comp_batch_launches
-    );
-    if let (Some(path), Some(tr)) = (flags.get("trace"), tracer) {
+    if let (Some(path), Some(tr)) = (args.value("trace"), tracer) {
         export_trace(&tr.finish(), path)?;
     }
     Ok(())
 }
 
-/// Synchronizes synthetic gradients on the thread engine and prints
-/// the measured report (plus, with `--trace`, the exported timeline).
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    use hipress::tensor::synth::{generate, GradientShape};
-    use hipress::tensor::Tensor;
-    let nodes: usize = flag(flags, "nodes")?.unwrap_or(4);
-    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
-    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
-    let partitions: usize = flag(flags, "partitions")?.unwrap_or(2);
-    let seed: u64 = flag(flags, "seed")?.unwrap_or(1);
-    let elems: Vec<usize> = match flags.get("elems") {
-        Some(spec) => spec
-            .split(',')
-            .map(|e| e.trim().parse().map_err(|_| format!("bad --elems '{e}'")))
-            .collect::<Result<_, _>>()?,
-        None => vec![65536, 4096, 512],
-    };
-    let grads: Vec<Vec<Tensor>> = (0..nodes)
-        .map(|w| {
-            elems
-                .iter()
-                .enumerate()
-                .map(|(g, &n)| {
-                    generate(
-                        n,
-                        GradientShape::Gaussian { std_dev: 1.0 },
-                        (w * 1000 + g) as u64,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let iters: u32 = flag(flags, "iters")?.unwrap_or(1);
-    let window: u32 = flag(flags, "window")?.unwrap_or(1);
-    if flags.contains_key("elastic") {
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let nodes: usize = flag(args, "nodes")?.unwrap_or(4);
+    let strategy = flag(args, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(args, "algorithm")?.unwrap_or(Algorithm::OneBit);
+    let partitions: usize = flag(args, "partitions")?.unwrap_or(2);
+    let seed: u64 = flag(args, "seed")?.unwrap_or(1);
+    let elems = elems_flag(args, &[65536, 4096, 512])?;
+    let grads = worker_grads(nodes, &elems);
+    let iters: u32 = flag(args, "iters")?.unwrap_or(1);
+    let window: u32 = flag(args, "window")?.unwrap_or(1);
+    if args.on("elastic") {
         return cmd_run_elastic(
-            flags, strategy, algorithm, partitions, seed, &grads, iters, window,
+            args, strategy, algorithm, partitions, seed, &grads, iters, window,
         );
     }
-    let backend = match flags.get("backend").map(String::as_str) {
+    let backend = match args.value("backend") {
         None | Some("threads") => Backend::Threads(nodes),
         Some("processes") => Backend::Processes(nodes),
         Some("sim") | Some("simulator") => Backend::Simulator,
         Some(other) => return Err(format!("unknown backend '{other}'")),
     };
-    let kill_node: Option<u32> = flag(flags, "kill-node")?;
-    let flight_dump = flags.get("flight-dump").map(std::path::PathBuf::from);
-    let mut base = HiPress::new(strategy)
+    let kill_node: Option<u32> = flag(args, "kill-node")?;
+    let flight_dump = args.value("flight-dump").map(std::path::PathBuf::from);
+    let base = HiPress::new(strategy)
         .algorithm(algorithm)
         .partitions(partitions)
         .seed(seed)
         .iterations(iters)
-        .pipeline_window(window);
-    if kill_node.is_some() || flight_dump.is_some() {
+        .pipeline_window(window)
         // `--kill-node k`: rank k crashes right after mesh setup, and
         // the fail-on-loss policy turns that into a failure naming it.
-        base = base.process_config(ProcessConfig {
+        .process_config(ProcessConfig {
             membership: kill_node
                 .map(|k| hipress::chaos::MembershipPlan::crash(k, 0))
                 .unwrap_or_default(),
             flight_dump,
             ..ProcessConfig::default()
         });
-    }
 
     // `--cross-check`: run the same job on real OS processes over the
     // loopback TCP mesh and on in-process threads, and require
     // bit-identical flows (plus the interpreter when unpipelined).
-    if flags.contains_key("cross-check") {
+    if args.on("cross-check") {
         let procs = base
             .clone()
             .backend(Backend::Processes(nodes))
@@ -475,14 +619,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
             .backend(Backend::Threads(nodes))
             .sync(&grads)
             .map_err(|e| format!("threads backend: {e}"))?;
-        for (a, b) in threads.flows.iter().zip(&procs.flows) {
-            if a.flow != b.flow || a.per_node != b.per_node {
-                return Err(format!(
-                    "flow {} diverged between threads and processes",
-                    a.flow
-                ));
-            }
-        }
+        same_flows(&threads.flows, &procs.flows, "threads and processes")?;
         let mut against = "threads".to_string();
         if iters == 1 && window == 1 {
             let sim = base
@@ -490,14 +627,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
                 .backend(Backend::Simulator)
                 .sync(&grads)
                 .map_err(|e| format!("simulator backend: {e}"))?;
-            for (a, b) in sim.flows.iter().zip(&procs.flows) {
-                if a.flow != b.flow || a.per_node != b.per_node {
-                    return Err(format!(
-                        "flow {} diverged between interpreter and processes",
-                        a.flow
-                    ));
-                }
-            }
+            same_flows(&sim.flows, &procs.flows, "interpreter and processes")?;
             against = "threads and the interpreter".into();
         }
         let report = procs.report.expect("process backend always reports");
@@ -519,17 +649,16 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    if backend == Backend::Simulator && (flags.contains_key("trace") || flags.contains_key("json"))
-    {
+    if backend == Backend::Simulator && (args.on("trace") || args.on("json")) {
         return Err("--trace/--json need a real backend: threads or processes".into());
     }
-    let listen = flags.get("listen");
+    let listen = args.value("listen");
     if backend == Backend::Simulator && listen.is_some() {
         return Err("--listen needs a real backend: threads or processes".into());
     }
-    let linger_ms: u64 = flag(flags, "linger-ms")?.unwrap_or(0);
-    let tracer = flags.get("trace").map(|_| Tracer::new("casync-rt"));
-    let want_json = flags.contains_key("json");
+    let linger_ms: u64 = flag(args, "linger-ms")?.unwrap_or(0);
+    let tracer = args.on("trace").then(|| Tracer::new("casync-rt"));
+    let want_json = args.on("json");
     // One registry feeds both the --json snapshot and the telemetry
     // server's /metrics endpoint (where alerts_total{kind} also lands).
     let registry = (want_json || listen.is_some()).then(Registry::new);
@@ -602,7 +731,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    if let (Some(path), Some(tr)) = (flags.get("trace"), tracer) {
+    if let (Some(path), Some(tr)) = (args.value("trace"), tracer) {
         let report = out.report.as_ref().expect("real backends report");
         let trace = tr.finish();
         // The trace is a second bookkeeping of the same run; deriving
@@ -644,29 +773,24 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `hipress run --elastic` driver: a membership-scripted run that
-/// survives a scripted rank loss (`--kill-rank R --kill-iter I`) by
-/// draining, evicting, re-planning over the survivors, and bumping
-/// the membership epoch; `--rejoin-after J` restarts the victim and
-/// re-admits it at the next epoch boundary. `--cross-check` compares
-/// the final flows bit for bit against a fixed-membership run over
-/// the expected final member set.
+/// `run --elastic`: the process coordinator, scripted to crash and
+/// re-admit a rank.
 #[allow(clippy::too_many_arguments)]
 fn cmd_run_elastic(
-    flags: &HashMap<String, String>,
+    args: &Args,
     strategy: Strategy,
     algorithm: Algorithm,
     partitions: usize,
     seed: u64,
-    grads: &[Vec<hipress::tensor::Tensor>],
+    grads: &[Vec<Tensor>],
     iters: u32,
     window: u32,
 ) -> Result<(), String> {
     use hipress::chaos::MembershipPlan;
     use hipress::runtime::{run_processes, run_threaded_workers, Instruments};
-    let kill_rank: Option<u32> = flag(flags, "kill-rank")?;
-    let kill_iter: Option<u32> = flag(flags, "kill-iter")?;
-    let rejoin_after: Option<u32> = flag(flags, "rejoin-after")?;
+    let kill_rank: Option<u32> = flag(args, "kill-rank")?;
+    let kill_iter: Option<u32> = flag(args, "kill-iter")?;
+    let rejoin_after: Option<u32> = flag(args, "rejoin-after")?;
     let plan = match (kill_rank, kill_iter) {
         (Some(r), Some(i)) => match rejoin_after {
             Some(j) => MembershipPlan::crash_then_rejoin(r, i, j),
@@ -686,7 +810,7 @@ fn cmd_run_elastic(
         ..Default::default()
     };
     let rconf = RuntimeConfig::default();
-    let tracer = flags.get("trace").map(|_| Tracer::new("casync-rt"));
+    let tracer = args.on("trace").then(|| Tracer::new("casync-rt"));
     let instruments = Instruments {
         tracer: tracer.as_ref(),
         ..Instruments::default()
@@ -694,10 +818,10 @@ fn cmd_run_elastic(
     let pconf = ProcessConfig {
         membership: plan,
         elastic: true,
-        flight_dump: flags.get("flight-dump").map(std::path::PathBuf::from),
+        flight_dump: args.value("flight-dump").map(std::path::PathBuf::from),
         ..ProcessConfig::default()
     };
-    let run = match flags.get("backend").map(String::as_str) {
+    let run = match args.value("backend") {
         None | Some("processes") => run_processes,
         Some("threads") => run_threaded_workers,
         Some(other) => {
@@ -747,22 +871,16 @@ fn cmd_run_elastic(
     );
     println!("{report}");
 
-    if flags.contains_key("cross-check") {
+    if args.on("cross-check") {
         // The fixed-membership reference: the full member set when the
         // run ends at full strength (no kill, or kill + rejoin), the
         // survivor set otherwise. Bit-identical flows or bust.
-        let reference: Vec<Vec<hipress::tensor::Tensor>> = if rejoin_after.is_some() {
-            grads.to_vec()
-        } else if let Some(victim) = kill_rank {
-            grads
-                .iter()
-                .enumerate()
-                .filter(|(w, _)| *w as u32 != victim)
-                .map(|(_, g)| g.clone())
-                .collect()
-        } else {
-            grads.to_vec()
-        };
+        let reference: Vec<Vec<Tensor>> = grads
+            .iter()
+            .zip(0u32..)
+            .filter(|&(_, w)| rejoin_after.is_some() || kill_rank != Some(w))
+            .map(|(g, _)| g.clone())
+            .collect();
         let fixed = run_threaded_workers(
             strategy,
             algorithm,
@@ -775,17 +893,11 @@ fn cmd_run_elastic(
             Instruments::default(),
         )
         .map_err(|e| format!("fixed-membership reference run: {e}"))?;
-        if out.flows.len() != fixed.flows.len() {
-            return Err("elastic run and fixed-membership reference disagree on flow count".into());
-        }
-        for (a, b) in out.flows.iter().zip(&fixed.flows) {
-            if a.flow != b.flow || a.per_node != b.per_node {
-                return Err(format!(
-                    "flow {} diverged between the elastic run and the fixed-membership reference",
-                    a.flow
-                ));
-            }
-        }
+        same_flows(
+            &out.flows,
+            &fixed.flows,
+            "the elastic run and the fixed-membership reference",
+        )?;
         println!(
             "cross-check OK: elastic continuation bit-identical to the fixed-membership run \
              over {} node(s)",
@@ -793,7 +905,7 @@ fn cmd_run_elastic(
         );
     }
 
-    if let (Some(path), Some(tr)) = (flags.get("trace"), tracer) {
+    if let (Some(path), Some(tr)) = (args.value("trace"), tracer) {
         let trace = tr.finish();
         // The membership timeline is double-booked: once in the
         // report, once as trace instants. They must agree.
@@ -806,15 +918,9 @@ fn cmd_run_elastic(
     Ok(())
 }
 
-/// Renders a flight-recorder dump written by a failed
-/// `--backend processes` run: every rank's last protocol events on
-/// one clock-aligned timeline, ending at the diagnosed root cause.
-fn cmd_postmortem(file: Option<&str>) -> Result<(), String> {
+fn cmd_postmortem(args: &Args) -> Result<(), String> {
     use hipress::fabric::WireMsg as _;
-    let path = file.ok_or(
-        "postmortem: a dump file is required (a failed `hipress run --backend processes \
-         --flight-dump FILE` writes one)",
-    )?;
+    let path = &args.positional[0];
     let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     let dump = hipress::runtime::PostmortemDump::from_bytes(&bytes)
         .map_err(|e| format!("parse {path}: {e:?}"))?;
@@ -822,29 +928,15 @@ fn cmd_postmortem(file: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-/// The `hipress node` worker entry point: dialed back into the
-/// coordinator that spawned us ([`Backend::Processes`] re-executes the
-/// current binary). Never useful interactively.
-fn cmd_node(flags: &HashMap<String, String>) -> Result<(), String> {
-    let connect = flags
-        .get("connect")
-        .ok_or("node: --connect <addr> is required")?;
-    let rank: usize = flags
-        .get("rank")
-        .ok_or("node: --rank is required")?
-        .parse()
-        .map_err(|_| "bad --rank".to_string())?;
-    if flags.contains_key("join") {
-        // A restarted worker re-attaching to a running elastic job:
-        // the coordinator's Welcome carries the membership, so
-        // `--nodes` is not needed (and would be stale anyway).
+/// [`Backend::Processes`] re-executes this binary as `node` workers.
+fn cmd_node(args: &Args) -> Result<(), String> {
+    let connect = args.value("connect").expect(REQUIRED);
+    let rank: usize = flag(args, "rank")?.expect(REQUIRED);
+    if args.on("join") {
+        // The coordinator's Welcome carries the membership.
         return hipress::runtime::join_main(connect, rank).map_err(|e| e.to_string());
     }
-    let nodes: usize = flags
-        .get("nodes")
-        .ok_or("node: --nodes is required (or --join to re-attach)")?
-        .parse()
-        .map_err(|_| "bad --nodes".to_string())?;
+    let nodes: usize = flag(args, "nodes")?.ok_or("--nodes is required for 'node' (or --join)")?;
     hipress::runtime::node_main(connect, rank, nodes).map_err(|e| e.to_string())
 }
 
@@ -860,26 +952,19 @@ enum ChaosOutcome {
     Failed(String),
 }
 
-fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_chaos(args: &Args) -> Result<(), String> {
     use hipress::chaos::FaultPlan;
-    use hipress::tensor::synth::{generate, GradientShape};
-    use hipress::tensor::Tensor;
     use std::time::Duration;
-    let nodes: usize = flag(flags, "nodes")?.unwrap_or(3);
-    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
-    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
-    let seed: u64 = flag(flags, "seed")?.unwrap_or(1);
-    let victim: usize = flag(flags, "victim")?.unwrap_or(1);
+    let nodes: usize = flag(args, "nodes")?.unwrap_or(3);
+    let strategy = flag(args, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(args, "algorithm")?.unwrap_or(Algorithm::OneBit);
+    let seed: u64 = flag(args, "seed")?.unwrap_or(1);
+    let victim: usize = flag(args, "victim")?.unwrap_or(1);
     if victim >= nodes {
         return Err(format!("--victim {victim} out of range for {nodes} nodes"));
     }
-    let deadline_ms: u64 = flag(flags, "deadline-ms")?.unwrap_or(8000);
-    let policy = match flags.get("policy").map(String::as_str) {
-        None | Some("wait") => DegradePolicy::Wait,
-        Some("partial") => DegradePolicy::Partial,
-        Some("abort") => DegradePolicy::Abort,
-        Some(other) => Err(format!("unknown policy '{other}'"))?,
-    };
+    let deadline_ms: u64 = flag(args, "deadline-ms")?.unwrap_or(8000);
+    let policy: DegradePolicy = flag(args, "policy")?.unwrap_or_default();
     let ft = FaultTolerance {
         recv_deadline: Duration::from_millis(deadline_ms),
         retry_budget: 8,
@@ -889,28 +974,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         straggler_floor: Duration::from_millis(100),
         policy,
     };
-    let elems: Vec<usize> = match flags.get("elems") {
-        Some(spec) => spec
-            .split(',')
-            .map(|e| e.trim().parse().map_err(|_| format!("bad --elems '{e}'")))
-            .collect::<Result<_, _>>()?,
-        None => vec![4096, 512],
-    };
-    let grads: Vec<Vec<Tensor>> = (0..nodes)
-        .map(|w| {
-            elems
-                .iter()
-                .enumerate()
-                .map(|(g, &n)| {
-                    generate(
-                        n,
-                        GradientShape::Gaussian { std_dev: 1.0 },
-                        (w * 1000 + g) as u64,
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    let grads = worker_grads(nodes, &elems_flag(args, &[4096, 512])?);
     let builder = HiPress::new(strategy)
         .algorithm(algorithm)
         .partitions(2)
@@ -945,20 +1009,20 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
             other => Err(format!("unknown plan '{other}'"))?,
         })
     };
-    let run_one = |plan: &FaultPlan| -> (ChaosOutcome, RuntimeReport) {
-        match builder.clone().chaos(plan).fault_tolerance(ft).sync(&grads) {
+    let run_one = |plan: &FaultPlan, tracer: Option<&Tracer>| -> (ChaosOutcome, RuntimeReport) {
+        let mut chaos = builder.clone().chaos(plan).fault_tolerance(ft);
+        if let Some(tr) = tracer {
+            chaos = chaos.trace(tr);
+        }
+        match chaos.sync(&grads) {
             Err(e) => (
                 ChaosOutcome::Failed(e.to_string()),
                 RuntimeReport::default(),
             ),
             Ok(out) => {
                 let report = out.report.expect("thread backend always reports");
-                let identical = clean
-                    .flows
-                    .iter()
-                    .zip(&out.flows)
-                    .all(|(a, b)| a.per_node == b.per_node);
-                let outcome = if identical {
+                let exact = same_flows(&clean.flows, &out.flows, "the chaos and fault-free runs");
+                let outcome = if exact.is_ok() {
                     ChaosOutcome::Exact
                 } else if report.faults.degraded_chunks > 0 {
                     ChaosOutcome::Degraded
@@ -970,27 +1034,19 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
 
-    if flags.contains_key("single") {
-        let kind = flags
-            .get("plan")
-            .map(String::as_str)
-            .unwrap_or("recoverable");
+    if args.on("single") {
+        let kind = args.value("plan").unwrap_or("recoverable");
         let plan = build_plan(kind, seed)?;
         let recoverable = plan.is_recoverable(ft.retry_budget);
-        // Propagate protocol failures to the exit code: the
-        // structured error (naming node/peer/task) goes to stderr.
-        let out = builder
-            .clone()
-            .chaos(&plan)
-            .fault_tolerance(ft)
-            .sync(&grads)
-            .map_err(|e| e.to_string())?;
-        let report = out.report.expect("thread backend always reports");
-        let identical = clean
-            .flows
-            .iter()
-            .zip(&out.flows)
-            .all(|(a, b)| a.per_node == b.per_node);
+        let tracer = args.on("trace").then(|| Tracer::new("casync-chaos"));
+        let (outcome, report) = run_one(&plan, tracer.as_ref());
+        let identical = match outcome {
+            // Propagate protocol failures to the exit code: the
+            // structured error (naming node/peer/task) goes to stderr.
+            ChaosOutcome::Failed(e) => return Err(e),
+            ChaosOutcome::Exact => true,
+            ChaosOutcome::Degraded | ChaosOutcome::Diverged => false,
+        };
         println!(
             "chaos plan '{kind}' (fault seed {seed}) survived on {nodes} nodes ({} / {})",
             strategy.label(),
@@ -1001,28 +1057,16 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         if recoverable && policy != DegradePolicy::Partial && !identical {
             return Err("recoverable plan did not reproduce the fault-free bits".into());
         }
-        if let Some(path) = flags.get("trace") {
-            // Re-run traced so the timeline carries the same plan.
-            let tracer = Tracer::new("casync-chaos");
-            builder
-                .clone()
-                .chaos(&plan)
-                .fault_tolerance(ft)
-                .trace(&tracer)
-                .sync(&grads)
-                .map_err(|e| e.to_string())?;
-            export_trace(&tracer.finish(), path)?;
+        if let (Some(path), Some(tr)) = (args.value("trace"), tracer) {
+            export_trace(&tr.finish(), path)?;
         }
         return Ok(());
     }
 
-    let seeds: u64 = flag(flags, "seeds")?.unwrap_or(4);
-    let kinds: Vec<String> = match flags.get("plan") {
-        Some(k) => vec![k.clone()],
-        None => ["recoverable", "drop-storm", "corrupt-storm"]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+    let seeds: u64 = flag(args, "seeds")?.unwrap_or(4);
+    let kinds = match args.value("plan") {
+        Some(k) => vec![k],
+        None => vec!["recoverable", "drop-storm", "corrupt-storm"],
     };
     let mut table = Table::new(&[
         ("plan", Align::Left),
@@ -1038,24 +1082,19 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
         for plan_seed in 0..seeds {
             let plan = build_plan(kind, plan_seed)?;
             let recoverable = plan.is_recoverable(ft.retry_budget);
-            let (outcome, report) = run_one(&plan);
-            let violated = match &outcome {
-                ChaosOutcome::Exact => false,
-                ChaosOutcome::Degraded => policy != DegradePolicy::Partial,
-                ChaosOutcome::Diverged => true,
-                ChaosOutcome::Failed(_) => recoverable && policy != DegradePolicy::Abort,
+            let (outcome, report) = run_one(&plan, None);
+            let (label, violated) = match &outcome {
+                ChaosOutcome::Exact => ("exact".into(), false),
+                ChaosOutcome::Degraded => ("degraded".into(), policy != DegradePolicy::Partial),
+                ChaosOutcome::Diverged => ("DIVERGED".into(), true),
+                ChaosOutcome::Failed(e) => (
+                    format!("failed: {}", e.lines().next().unwrap_or_default()),
+                    recoverable && policy != DegradePolicy::Abort,
+                ),
             };
             violations += u32::from(violated);
-            let label = match &outcome {
-                ChaosOutcome::Exact => "exact".to_string(),
-                ChaosOutcome::Degraded => "degraded".to_string(),
-                ChaosOutcome::Diverged => "DIVERGED".to_string(),
-                ChaosOutcome::Failed(e) => {
-                    format!("failed: {}", e.lines().next().unwrap_or_default())
-                }
-            };
             table.row(vec![
-                kind.clone(),
+                kind.to_string(),
                 plan_seed.to_string(),
                 report.faults.total_injected().to_string(),
                 report.faults.retries.to_string(),
@@ -1161,27 +1200,10 @@ fn run_bench_matrix(
     seed: u64,
     runtime: &Registry,
 ) -> Result<(MetricsSnapshot, MetricsSnapshot), String> {
-    use hipress::tensor::synth::{generate, GradientShape};
-    use hipress::tensor::Tensor;
     let sim = Registry::new();
     for name in BENCH_MODELS {
         let model = DnnModel::by_name(name).expect("bench model exists");
-        let elems = bench_elems(model);
-        let grads: Vec<Vec<Tensor>> = (0..nodes)
-            .map(|w| {
-                elems
-                    .iter()
-                    .enumerate()
-                    .map(|(g, &n)| {
-                        generate(
-                            n,
-                            GradientShape::Gaussian { std_dev: 1.0 },
-                            (w * 1000 + g) as u64,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let grads = worker_grads(nodes, &bench_elems(model));
         for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
             for alg in bench_algorithms() {
                 HiPress::new(strat)
@@ -1281,35 +1303,32 @@ fn bench_summary(snap: &MetricsSnapshot) -> Table {
     table
 }
 
-/// Runs the bench matrix, writes `BENCH_runtime.json`/`BENCH_sim.json`
-/// (verified through the crate's own parser), and optionally gates
-/// against a baseline. The baseline's `kind` meta picks which side is
-/// compared: a `kind=sim` baseline gates the deterministic simulator
-/// snapshot (reproducible on any host), anything else gates the
-/// measured runtime snapshot (wall clock — compare on the same host).
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let nodes: usize = flag(flags, "nodes")?.unwrap_or(3);
-    if flags.contains_key("require-overlap") {
+/// A `kind=sim` baseline gates the deterministic simulator snapshot
+/// (reproducible on any host), any other the measured runtime one
+/// (wall clock: compare on the same host).
+fn cmd_bench(args: &Args) -> Result<(), String> {
+    let nodes: usize = flag(args, "nodes")?.unwrap_or(3);
+    if args.on("require-overlap") {
         // The gate has its own default cluster size: the 4-node ring
         // chain leaves enough per-node idle time for pipelining to
         // reclaim; 3 nodes keep everyone too busy to show a margin.
-        let gate_nodes = flag(flags, "nodes")?.unwrap_or(4);
+        let gate_nodes = flag(args, "nodes")?.unwrap_or(4);
         return overlap_gate(gate_nodes);
     }
-    let tolerance: f64 = flag(flags, "tolerance")?.unwrap_or(25.0);
-    let dir = flags.get("dir").map(String::as_str).unwrap_or(".");
-    let baseline = flags
-        .get("baseline")
+    let tolerance: f64 = flag(args, "tolerance")?.unwrap_or(25.0);
+    let dir = args.value("dir").unwrap_or(".");
+    let baseline = args
+        .value("baseline")
         .map(|p| load_snapshot(p).map(|s| (p, s)))
         .transpose()?;
     let want_sim = baseline
         .as_ref()
         .is_some_and(|(_, b)| b.meta.get("kind").map(String::as_str) == Some("sim"));
-    let linger_ms: u64 = flag(flags, "linger-ms")?.unwrap_or(0);
+    let linger_ms: u64 = flag(args, "linger-ms")?.unwrap_or(0);
     // `bench --listen` serves the runtime-side registry while the
     // matrix fills it, so an operator can scrape /metrics mid-bench.
     let matrix_reg = Registry::new();
-    let hub = if let Some(addr) = flags.get("listen") {
+    let hub = if let Some(addr) = args.value("listen") {
         let hub = Telemetry::new(matrix_reg.clone(), WatchConfig::default());
         let server = hipress::obs::Server::bind(addr, hub.clone()).map_err(|e| e.to_string())?;
         println!("telemetry: listening on {}", server.addr());
@@ -1326,7 +1345,7 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         r
     };
-    let current = match flags.get("snapshot") {
+    let current = match args.value("snapshot") {
         // Gate a previously written snapshot without re-running (fold
         // it into the served registry so /metrics still shows it).
         Some(path) => {
@@ -1396,25 +1415,9 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
 /// and show no wall-clock margin on single-core machines even though
 /// their span overlap is just as real.
 fn overlap_gate(nodes: usize) -> Result<(), String> {
-    use hipress::tensor::synth::{generate, GradientShape};
-    use hipress::tensor::Tensor;
     let elems = [512usize];
     let iters = 128u32;
-    let grads: Vec<Vec<Tensor>> = (0..nodes)
-        .map(|w| {
-            elems
-                .iter()
-                .enumerate()
-                .map(|(g, &n)| {
-                    generate(
-                        n,
-                        GradientShape::Gaussian { std_dev: 1.0 },
-                        (w * 1000 + g) as u64,
-                    )
-                })
-                .collect()
-        })
-        .collect();
+    let grads = worker_grads(nodes, &elems);
     let run_once = |window: u32| -> Result<RuntimeReport, String> {
         let out = HiPress::new(Strategy::CaSyncRing)
             .algorithm(Algorithm::None)
@@ -1466,12 +1469,8 @@ fn overlap_gate(nodes: usize) -> Result<(), String> {
     }
 }
 
-/// Serves a previously written metrics snapshot over the embedded
-/// telemetry server: the file is folded into a live [`Registry`] and
-/// exposed at `/metrics` (with `/healthz` reporting `done`) until the
-/// process is interrupted.
-fn cmd_serve(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), String> {
-    let path = file.ok_or("usage: hipress serve <BENCH.json> [--listen ADDR]")?;
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let path = &args.positional[0];
     let snap = load_snapshot(path)?;
     let registry = Registry::new();
     registry.root().absorb_snapshot(&snap);
@@ -1479,10 +1478,7 @@ fn cmd_serve(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), 
     // A snapshot is a finished run: /events terminates immediately and
     // the heartbeat scanner stays quiet.
     hub.mark_done();
-    let addr = flags
-        .get("listen")
-        .map(String::as_str)
-        .unwrap_or("127.0.0.1:9464");
+    let addr = args.value("listen").unwrap_or("127.0.0.1:9464");
     let server = hipress::obs::Server::bind(addr, hub).map_err(|e| e.to_string())?;
     println!(
         "telemetry: listening on {} ({} metric(s) from {path}; ctrl-c to stop)",
@@ -1494,18 +1490,10 @@ fn cmd_serve(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), 
     }
 }
 
-/// Fetches one endpoint from a running telemetry server with the
-/// crate's own std-TCP client and prints the body (the CI smoke step
-/// uses this instead of assuming curl exists).
-fn cmd_scrape(
-    flags: &HashMap<String, String>,
-    addr: Option<&str>,
-    path: Option<&str>,
-) -> Result<(), String> {
-    let usage = "usage: hipress scrape <addr> </metrics|/healthz|/report.json|/events> [--lines N]";
-    let addr = addr.ok_or(usage)?;
-    let path = path.ok_or(usage)?;
-    let lines: Option<usize> = flag(flags, "lines")?;
+/// The CI smoke step scrapes with this instead of assuming curl exists.
+fn cmd_scrape(args: &Args) -> Result<(), String> {
+    let (addr, path) = (&args.positional[0], &args.positional[1]);
+    let lines: Option<usize> = flag(args, "lines")?;
     let (status, body) =
         hipress::obs::serve::fetch(addr, path, lines).map_err(|e| e.to_string())?;
     print!("{body}");
@@ -1518,14 +1506,12 @@ fn cmd_scrape(
     Ok(())
 }
 
-/// Renders a snapshot file as a dashboard, canonical JSON, or
-/// Prometheus text.
-fn cmd_report(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), String> {
-    let path = file.ok_or("usage: hipress report <BENCH.json> [--json | --prom]")?;
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let path = &args.positional[0];
     let snap = load_snapshot(path)?;
-    if flags.contains_key("json") {
+    if args.on("json") {
         println!("{}", snap.to_json());
-    } else if flags.contains_key("prom") {
+    } else if args.on("prom") {
         print!("{}", hipress::metrics::prom::render(&snap));
     } else {
         print!("{}", metrics_view::render(&snap));
@@ -1533,11 +1519,8 @@ fn cmd_report(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(),
     Ok(())
 }
 
-/// Compares two exported traces: per-category latency diff plus
-/// side-by-side utilization bars on a common time scale.
-fn cmd_trace_diff(a: Option<&str>, b: Option<&str>) -> Result<(), String> {
-    let usage = "usage: hipress trace-diff <a.json> <b.json>";
-    let (pa, pb) = (a.ok_or(usage)?, b.ok_or(usage)?);
+fn cmd_trace_diff(args: &Args) -> Result<(), String> {
+    let (pa, pb) = (&args.positional[0], &args.positional[1]);
     let (ta, tb) = (load_trace(pa)?, load_trace(pb)?);
     let diff = TraceDiff::compare(&ta, &tb);
     println!("{diff}");
@@ -1545,16 +1528,13 @@ fn cmd_trace_diff(a: Option<&str>, b: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
-    let model = parse_model(flags)?;
-    let cluster = parse_cluster(flags)?;
-    let alg = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
-    let alg = if alg == Algorithm::None {
-        Algorithm::OneBit
-    } else {
-        alg
+fn cmd_compare(args: &Args) -> Result<(), String> {
+    let (model, cluster) = model_and_cluster(args)?;
+    let alg = match flag(args, "algorithm")? {
+        None | Some(Algorithm::None) => Algorithm::OneBit,
+        Some(alg) => alg,
     };
-    let byteps_cluster = if flags.contains_key("local") {
+    let byteps_cluster = if args.on("local") {
         cluster
     } else {
         cluster.with_tcp()
@@ -1598,11 +1578,10 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
-    let model = parse_model(flags)?;
-    let cluster = parse_cluster(flags)?;
-    let strategy = flag(flags, "strategy")?.unwrap_or(Strategy::CaSyncPs);
-    let algorithm = flag(flags, "algorithm")?.unwrap_or(Algorithm::OneBit);
+fn cmd_plan(args: &Args) -> Result<(), String> {
+    let (model, cluster) = model_and_cluster(args)?;
+    let strategy = flag(args, "strategy")?.unwrap_or(Strategy::CaSyncPs);
+    let algorithm = flag(args, "algorithm")?.unwrap_or(Algorithm::OneBit);
     if algorithm == Algorithm::None {
         return Err("planning needs a compression algorithm".into());
     }
@@ -1638,12 +1617,12 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), String> {
+fn cmd_lint(args: &Args) -> Result<(), String> {
     use hipress::casync::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
     use hipress::compll::algorithms as algs;
 
     // A single DSL file: dataflow-check it and stop.
-    if let Some(path) = file {
+    if let Some(path) = args.positional.first() {
         let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let report = hipress::lint::check_source(&source).map_err(|e| e.to_string())?;
         if !report.is_clean() {
@@ -1664,18 +1643,18 @@ fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), S
     // Plan verification across strategy x algorithm x cluster size x
     // partitioning, over a gradient mix with large, medium, and tiny
     // (zero-chunk-producing) gradients.
-    let strategies: Vec<Strategy> = match flag(flags, "strategy")? {
+    let strategies: Vec<Strategy> = match flag(args, "strategy")? {
         Some(s) => vec![s],
         None => Strategy::all().to_vec(),
     };
-    let algorithms: Vec<Algorithm> = match flag(flags, "algorithm")? {
+    let algorithms: Vec<Algorithm> = match flag(args, "algorithm")? {
         Some(a) => vec![a],
         None => ["none", "onebit", "tbq", "terngrad", "dgc", "graddrop"]
             .into_iter()
             .filter_map(Algorithm::paper_default)
             .collect(),
     };
-    let node_counts: Vec<usize> = match flag(flags, "nodes")? {
+    let node_counts: Vec<usize> = match flag(args, "nodes")? {
         Some(n) => vec![n],
         None => vec![2, 3, 5],
     };
@@ -1753,29 +1732,19 @@ fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), S
     }
 
     // Dataflow analysis of every shipped CompLL program.
-    let programs: Vec<(String, String)> = vec![
-        ("onebit".into(), algs::ONEBIT_DSL.to_string()),
-        ("tbq".into(), algs::TBQ_DSL.to_string()),
-        ("dgc".into(), algs::DGC_DSL.to_string()),
-        ("graddrop".into(), algs::GRADDROP_DSL.to_string()),
-        ("adacomp".into(), algs::ADACOMP_DSL.to_string()),
-        (
-            "terngrad:1".into(),
-            algs::TERNGRAD_DSL_TEMPLATE.replace("{U}", "uint1"),
-        ),
-        (
-            "terngrad:2".into(),
-            algs::TERNGRAD_DSL_TEMPLATE.replace("{U}", "uint2"),
-        ),
-        (
-            "terngrad:4".into(),
-            algs::TERNGRAD_DSL_TEMPLATE.replace("{U}", "uint4"),
-        ),
-        (
-            "terngrad:8".into(),
-            algs::TERNGRAD_DSL_TEMPLATE.replace("{U}", "uint8"),
-        ),
-    ];
+    let mut programs: Vec<(String, String)> = [
+        ("onebit", algs::ONEBIT_DSL),
+        ("tbq", algs::TBQ_DSL),
+        ("dgc", algs::DGC_DSL),
+        ("graddrop", algs::GRADDROP_DSL),
+        ("adacomp", algs::ADACOMP_DSL),
+    ]
+    .map(|(name, dsl)| (name.to_string(), dsl.to_string()))
+    .to_vec();
+    for bits in [1, 2, 4, 8] {
+        let dsl = algs::TERNGRAD_DSL_TEMPLATE.replace("{U}", &format!("uint{bits}"));
+        programs.push((format!("terngrad:{bits}"), dsl));
+    }
     for (name, source) in &programs {
         let report = hipress::lint::check_source(source)
             .map_err(|e| format!("shipped program {name}: {e}"))?;
@@ -1800,7 +1769,7 @@ fn cmd_lint(flags: &HashMap<String, String>, file: Option<&str>) -> Result<(), S
     Ok(())
 }
 
-fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_verify(args: &Args) -> Result<(), String> {
     use hipress::verify::{
         check_config, check_elastic, elastic_matrix, matrix, ElasticMutation, Mutation, Outcome,
         Stats,
@@ -1809,9 +1778,9 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     // `--mutant` names one defect from either family: the wire/FT
     // alphabet is seeded into the wire matrix, the elastic alphabet
     // into the epoch-transition matrix; the other matrix runs clean.
-    let seeded = flags.get("mutant");
-    let mutation = seeded.and_then(|name| Mutation::from_name(name));
-    let elastic_mutation = seeded.and_then(|name| ElasticMutation::from_name(name));
+    let seeded = args.value("mutant");
+    let mutation = seeded.and_then(Mutation::from_name);
+    let elastic_mutation = seeded.and_then(ElasticMutation::from_name);
     if let (Some(name), None, None) = (seeded, mutation, elastic_mutation) {
         let known: Vec<&str> = Mutation::ALL
             .iter()
@@ -1902,8 +1871,8 @@ fn cmd_verify(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn cmd_compile(path: Option<&str>) -> Result<(), String> {
-    let path = path.ok_or("usage: hipress compile <file.dsl>")?;
+fn cmd_compile(args: &Args) -> Result<(), String> {
+    let path = &args.positional[0];
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let alg =
         CompiledAlgorithm::new("cli", &source, param_values(&[])).map_err(|e| e.to_string())?;
@@ -1920,42 +1889,64 @@ fn cmd_compile(path: Option<&str>) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn args(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
+    fn parse(name: &str, line: &str) -> Result<Args, String> {
+        let cmd = COMMANDS.iter().find(|c| c.name == name);
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_flags(cmd.expect("a table command"), &args)
     }
 
     #[test]
     fn positionals_are_seen_wherever_they_stand() {
         for line in ["--json FILE", "FILE --json"] {
-            let (flags, positional) = parse_flags("report", &args(line)).unwrap();
-            assert_eq!(positional, ["FILE"], "{line}");
-            assert_eq!(flags["json"], "true", "{line}");
+            let args = parse("report", line).unwrap();
+            assert_eq!(args.positional, ["FILE"], "{line}");
+            assert!(args.on("json"), "{line}");
         }
-        let (flags, positional) = parse_flags("scrape", &args("--lines 3 ADDR /events")).unwrap();
-        assert_eq!(positional, ["ADDR", "/events"]);
-        assert_eq!(flags["lines"], "3");
+        let args = parse("scrape", "--lines 3 ADDR /events").unwrap();
+        assert_eq!(args.positional, ["ADDR", "/events"]);
+        assert_eq!(args.value("lines"), Some("3"));
     }
 
     #[test]
     fn a_value_flag_without_its_value_is_named() {
         for line in ["--model VGG19 --nodes", "--nodes --local"] {
-            let err = parse_flags("sim", &args(line)).unwrap_err();
-            assert_eq!(err, "--nodes needs a value", "{line}");
+            let err = parse("sim", line).err();
+            assert_eq!(err.as_deref(), Some("--nodes needs a value"), "{line}");
         }
         // `--baseline` is a toggle for `sim` but a path for `bench`.
-        assert!(parse_flags("sim", &args("--baseline")).is_ok());
-        let err = parse_flags("bench", &args("--baseline")).unwrap_err();
-        assert_eq!(err, "--baseline needs a value");
+        let args = parse("sim", "--model VGG19 --baseline").unwrap();
+        assert!(args.on("baseline"));
+        let err = parse("bench", "--baseline").err();
+        assert_eq!(err.as_deref(), Some("--baseline needs a value"));
     }
 
     #[test]
     fn bad_codec_and_strategy_values_are_errors_not_panics() {
-        let line = args("--algorithm dgc:2 --strategy mesh --nodes x");
-        let (flags, _) = parse_flags("run", &line).unwrap();
-        let err = flag::<Algorithm>(&flags, "algorithm").unwrap_err();
+        let args = parse("run", "--algorithm dgc:2 --strategy mesh --nodes x").unwrap();
+        let err = flag::<Algorithm>(&args, "algorithm").unwrap_err();
         assert!(err.contains("dgc rate must be in (0, 1]"), "{err}");
-        assert!(flag::<Strategy>(&flags, "strategy").is_err());
-        assert!(flag::<usize>(&flags, "nodes").is_err());
-        assert_eq!(flag::<u64>(&flags, "seed"), Ok(None));
+        assert!(flag::<Strategy>(&args, "strategy").is_err());
+        assert!(flag::<usize>(&args, "nodes").is_err());
+        assert_eq!(flag::<u64>(&args, "seed"), Ok(None));
+    }
+
+    /// Every command rejects a flag it does not declare, and `usage`
+    /// lists exactly the declared flags, once each, under each command.
+    #[test]
+    fn the_table_is_the_only_flag_declaration() {
+        let help = usage();
+        let sections: Vec<&str> = help.split("\n\n").skip(2).collect();
+        assert_eq!(sections.len(), COMMANDS.len());
+        for (cmd, section) in COMMANDS.iter().zip(sections) {
+            let err = parse_flags(cmd, &["--no-such-flag".into()]).err();
+            let want = format!("unknown flag --no-such-flag for '{}'", cmd.name);
+            assert_eq!(err, Some(want));
+            let head = format!("  hipress {}", cmd.name);
+            assert!(section.starts_with(&head), "{section}");
+            let listed = section.lines().filter_map(|l| l.strip_prefix("        --"));
+            let listed: Vec<&str> = listed.filter_map(|l| l.split(' ').next()).collect();
+            let declared: Vec<&str> = cmd.flags.iter().map(|f| f.name).collect();
+            assert_eq!(listed, declared, "{}", cmd.name);
+        }
     }
 }
