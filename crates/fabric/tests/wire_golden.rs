@@ -10,7 +10,7 @@
 
 use hipress_core::graph::TaskId;
 use hipress_fabric::frame::{self, Frame, FrameKind};
-use hipress_fabric::WireMsg;
+use hipress_fabric::{FlightEvent, FlightKind, WireMsg};
 use hipress_runtime::engine::{Msg, Payload};
 use hipress_util::{Rng64, SplitMix64};
 use std::sync::Arc;
@@ -69,4 +69,99 @@ fn runtime_messages_match_the_parent_commit() {
     let compressed = done(Payload::Compressed(seeded_bytes(517))).to_bytes();
     assert_eq!(compressed.len(), 1 + 4 + 4 + 1 + 4 + 517);
     assert_eq!(fnv1a(&compressed), 0xe9bb_4241_dc79_3b54);
+}
+
+/// Every other `Msg` shape, pinned as digests captured on the commit
+/// before `Msg` became a declared record.
+#[test]
+fn every_msg_variant_matches_the_parent_commit() {
+    let rows = [
+        (
+            "done/none",
+            Msg::Done {
+                task: TaskId(7),
+                payload: None,
+                iter: 3,
+            },
+            0x97b6_e7eb_911d_9808,
+        ),
+        (
+            "done/skipped",
+            done(Payload::Skipped),
+            0x97b6_eaeb_911d_9d21,
+        ),
+        ("abort", Msg::Abort, 0xaf63_bf4c_8601_bb45),
+        (
+            "join",
+            Msg::Join { rank: 5, epoch: 9 },
+            0xafb4_757a_c1d7_604e,
+        ),
+        (
+            "welcome",
+            Msg::Welcome {
+                epoch: 4,
+                from_iter: 12,
+                members: vec![0, 2, 3],
+            },
+            0x7c5d_b42f_e998_ccd9,
+        ),
+        (
+            "bump/evicted",
+            Msg::EpochBump {
+                epoch: 6,
+                evicted: Some(1),
+                from_iter: 20,
+                members: vec![0, 2],
+            },
+            0xdf4a_8147_5a2a_5cd0,
+        ),
+        (
+            "bump/rejoin",
+            Msg::EpochBump {
+                epoch: 7,
+                evicted: None,
+                from_iter: 24,
+                members: vec![0, 1, 2],
+            },
+            0xd7ad_68d5_40ae_798d,
+        ),
+    ];
+    for (name, msg, want) in rows {
+        let bytes = msg.to_bytes();
+        assert_eq!(fnv1a(&bytes), want, "{name}: {:#x}", fnv1a(&bytes));
+    }
+}
+
+/// One flight event per kind, pinned as digests captured on the
+/// commit before `FlightKind` became a declared record: the kind's
+/// tag byte is the only byte that differs between rows.
+#[test]
+fn every_flight_kind_matches_the_parent_commit() {
+    let rows = [
+        (FlightKind::SendData, 0x354a_614e_b9d2_c4d3),
+        (FlightKind::RecvData, 0xaf14_d325_12a2_289a),
+        (FlightKind::DupData, 0x33d0_1afc_d83c_2ab9),
+        (FlightKind::CorruptData, 0x0999_c2a4_b1cc_6388),
+        (FlightKind::AckSent, 0xf56b_7843_7ea7_d0cf),
+        (FlightKind::AckRecv, 0xe523_bfcd_3a59_d116),
+        (FlightKind::NackSent, 0xbf8f_965a_c579_77d5),
+        (FlightKind::NackRecv, 0x9559_3e02_9f09_b0a4),
+        (FlightKind::Retransmit, 0x3091_c227_627c_b23b),
+        (FlightKind::HeartbeatSent, 0x0b14_08f6_9362_fda2),
+        (FlightKind::HeartbeatRecv, 0x8fcf_50ce_58fc_ffc1),
+        (FlightKind::PeerLost, 0x251e_6a7a_f7d3_48d0),
+        (FlightKind::Hello, 0x10f0_2019_c4ae_b617),
+        (FlightKind::Mark, 0x8aba_91f0_1d7e_19de),
+    ];
+    for (kind, want) in rows {
+        let ev = FlightEvent {
+            ts_ns: 1_234_567,
+            kind,
+            peer: 3,
+            seq: 41,
+            bytes: 4096,
+        };
+        let bytes = ev.to_bytes();
+        assert_eq!(fnv1a(&bytes), want, "{kind:?}: {:#x}", fnv1a(&bytes));
+    }
 }

@@ -27,7 +27,7 @@ use std::time::Duration;
 use hipress_metrics::prom;
 use hipress_util::{Error, Result};
 
-use crate::Telemetry;
+use crate::{IterRecord, Telemetry};
 
 /// How long `/events` sleeps between ring polls.
 const EVENT_POLL: Duration = Duration::from_millis(20);
@@ -200,8 +200,7 @@ fn stream_events(stream: &mut TcpStream, t: &Telemetry, from: u64) -> std::io::R
         let (recs, next) = t.read_events(cursor);
         cursor = next;
         for rec in &recs {
-            let mut line = rec.to_json_line();
-            line.push('\n');
+            let line = event_line(rec);
             write!(stream, "{:x}\r\n{line}\r\n", line.len())?;
         }
         if !recs.is_empty() {
@@ -215,6 +214,13 @@ fn stream_events(stream: &mut TcpStream, t: &Telemetry, from: u64) -> std::io::R
     }
     write!(stream, "0\r\n\r\n")?;
     stream.flush()
+}
+
+/// One `/events` line: the record's JSON object and a newline.
+fn event_line(rec: &IterRecord) -> String {
+    let mut line = rec.to_json_line();
+    line.push('\n');
+    line
 }
 
 /// Minimal std-TCP HTTP client for tests and the `hipress scrape`
@@ -315,5 +321,39 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
             return Ok((status, body));
         }
         body_raw.extend_from_slice(&buf[..n]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The exact `/events` line of a record whose fields are all
+    /// distinct, captured on the commit before the line was generated
+    /// from the record's declaration.
+    #[test]
+    fn event_line_matches_the_parent_commit() {
+        let rec = IterRecord {
+            node: 1,
+            iter: 2,
+            ts_ns: 3,
+            span_ns: 4,
+            comp_ns: 5,
+            commu_ns: 6,
+            bytes_wire: 7,
+            messages: 8,
+            retransmits: 9,
+            faults: 10,
+            window: 11,
+            epoch: 12,
+        };
+        assert_eq!(
+            event_line(&rec),
+            concat!(
+                r#"{"node":1,"iter":2,"ts_ns":3,"span_ns":4,"comp_ns":5,"commu_ns":6,"#,
+                r#""bytes_wire":7,"messages":8,"retransmits":9,"faults":10,"window":11,"#,
+                "\"epoch\":12}\n",
+            )
+        );
     }
 }

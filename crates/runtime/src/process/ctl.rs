@@ -572,6 +572,124 @@ mod tests {
         }
     }
 
+    /// A `Job` per strategy and per algorithm, a `Failed` frame per
+    /// sync-failure kind, and a `Waited` straggler verdict, pinned as
+    /// digests captured on the commit before their tag tables became
+    /// declarations.
+    #[test]
+    fn tag_tables_match_the_parent_commit() {
+        let job = |strategy, algorithm| {
+            Ctl::Job(Box::new(Job {
+                strategy,
+                algorithm,
+                ..every_field_job()
+            }))
+        };
+        let failed = |kind| Ctl::Failed {
+            error: Error::sync(SyncFailure {
+                kind,
+                node: 1,
+                peer: Some(3),
+                task: Some(8),
+                detail: "kind row".into(),
+            }),
+            flight: Vec::new(),
+            completed: 2,
+        };
+        let (ps, tbq) = (Strategy::CaSyncPs, Algorithm::Tbq { tau: 0.25 });
+        let rows = [
+            (
+                "strategy/casync-ps",
+                job(Strategy::CaSyncPs, tbq),
+                0x55e2_248b_0d7a_23cb,
+            ),
+            (
+                "strategy/casync-ring",
+                job(Strategy::CaSyncRing, tbq),
+                0x5c25_0536_cd53_a3c2,
+            ),
+            (
+                "strategy/byteps",
+                job(Strategy::BytePs, tbq),
+                0x1667_d67a_92c1_db29,
+            ),
+            (
+                "strategy/ring",
+                job(Strategy::HorovodRing, tbq),
+                0x08ea_c4ba_7f33_2ba8,
+            ),
+            (
+                "algorithm/none",
+                job(ps, Algorithm::None),
+                0x0946_4166_1692_8007,
+            ),
+            (
+                "algorithm/onebit",
+                job(ps, Algorithm::OneBit),
+                0xd591_f46b_0b7a_c596,
+            ),
+            (
+                "algorithm/tbq",
+                job(ps, Algorithm::Tbq { tau: 0.5 }),
+                0xeb74_0057_8710_feda,
+            ),
+            (
+                "algorithm/terngrad",
+                job(ps, Algorithm::TernGrad { bitwidth: 4 }),
+                0x9715_5d94_3f4f_7632,
+            ),
+            (
+                "algorithm/dgc",
+                job(ps, Algorithm::Dgc { rate: 0.001 }),
+                0xf7a1_3351_23ea_dc85,
+            ),
+            (
+                "algorithm/graddrop",
+                job(ps, Algorithm::GradDrop { rate: 0.01 }),
+                0x82df_ff26_088c_55a8,
+            ),
+            (
+                "failed/recv-timeout",
+                failed(SyncFailureKind::RecvTimeout),
+                0xdb8f_2f1d_a3e9_c014,
+            ),
+            (
+                "failed/link-dead",
+                failed(SyncFailureKind::LinkDead),
+                0xfdfc_dc81_82c6_8a17,
+            ),
+            (
+                "failed/straggler",
+                failed(SyncFailureKind::Straggler),
+                0xe6ba_0e16_dfb3_545a,
+            ),
+            (
+                "failed/injected-crash",
+                failed(SyncFailureKind::InjectedCrash),
+                0x518e_8ade_e26a_edfd,
+            ),
+            (
+                "failed/aborted",
+                failed(SyncFailureKind::Aborted),
+                0x0fc0_5ce2_7184_cf98,
+            ),
+        ];
+        for (name, msg, want) in rows {
+            let bytes = msg.to_bytes();
+            assert_eq!(fnv1a(&bytes), want, "{name}: {:#x}", fnv1a(&bytes));
+        }
+        let mut w = Writer::new();
+        StragglerVerdict {
+            node: 4,
+            peer: 1,
+            waited_ns: 777,
+            action: DegradeAction::Waited,
+        }
+        .put(&mut w);
+        let bytes = w.into_vec();
+        assert_eq!(fnv1a(&bytes), 0xf41f_2180_a617_09bb, "{:#x}", fnv1a(&bytes));
+    }
+
     #[test]
     fn report_tlv_and_json_match_the_parent_commit() {
         let rep = every_field_report();
