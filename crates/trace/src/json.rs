@@ -63,15 +63,25 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest (serde_json's default). The
+/// parser recurses once per level, so a hostile document must not set
+/// the recursion depth; nothing the workspace writes nests beyond ~5.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
 /// Returns a configuration error describing the first syntax problem
-/// (with byte offset) or trailing garbage after the document.
+/// (with byte offset), nesting deeper than [`MAX_DEPTH`], or trailing
+/// garbage after the document.
 pub fn parse(src: &str) -> Result<Json> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -87,6 +97,8 @@ pub fn parse(src: &str) -> Result<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -115,8 +127,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -124,6 +136,18 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json> {
@@ -187,13 +211,16 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits, no sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| {
+                                    h.iter().try_fold(0, |code, &b| {
+                                        Some(code * 16 + char::from(b).to_digit(16)?)
+                                    })
+                                })
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not produced by this
                             // crate's writer; map lone surrogates to
                             // the replacement character.
@@ -344,7 +371,35 @@ mod tests {
     #[test]
     fn unicode_escape_parses() {
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+        assert_eq!(parse("\"\\u00e9\\u00E9\"").unwrap(), Json::Str("éé".into()));
         assert_eq!(parse("\"caf\u{e9}\"").unwrap(), Json::Str("café".into()));
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u004g\"",
+        ] {
+            let e = parse(bad).unwrap_err().to_string();
+            assert!(e.contains("bad \\u escape at byte"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(e.contains("nesting deeper than 128 at byte 128"), "{e}");
+        // Deep enough to overflow an unbounded recursive descent.
+        let e = parse(&deep(50_000)).unwrap_err().to_string();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(200), "}".repeat(200));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

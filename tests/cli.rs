@@ -82,3 +82,27 @@ fn commands_read_only_the_flags_they_declare() {
     }
     std::fs::remove_dir_all(&dir).expect("the scratch directory is removed");
 }
+
+/// A hostile JSON file is a structured error, not a stack overflow:
+/// 50,000 nested arrays once aborted `report` and `trace-diff`.
+#[test]
+fn deeply_nested_json_is_an_error_not_a_crash() {
+    let path = std::env::temp_dir().join(format!("hipress-deep-{}.json", std::process::id()));
+    let depth = 50_000;
+    std::fs::write(&path, format!("{}{}", "[".repeat(depth), "]".repeat(depth)))
+        .expect("the file is written");
+    let file = path.display();
+    for line in [
+        format!("report {file}"),
+        format!("trace-diff {file} {file}"),
+    ] {
+        let out = hipress(&line);
+        assert_eq!(out.status.code(), Some(1), "{line}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("nesting deeper than 128 at byte 128"),
+            "{line}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_file(&path).expect("the file is removed");
+}
