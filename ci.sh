@@ -311,7 +311,19 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 "$HIPRESS_BIN" scrape "$TELE_ADDR" /healthz | grep -q '"records":24'
-"$HIPRESS_BIN" scrape "$TELE_ADDR" /events --lines 1 | grep -q '"iter":'
+TELE_EVENT=$(mktemp)
+"$HIPRESS_BIN" scrape "$TELE_ADDR" /events --lines 1 >"$TELE_EVENT"
+# The /events line is IterRecord's generated JSON: every field of the
+# declaration, by name.
+for key in node iter ts_ns span_ns comp_ns commu_ns bytes_wire messages \
+    retransmits faults window epoch; do
+  if ! grep -qF "\"$key\":" "$TELE_EVENT"; then
+    echo "/events line lacks \"$key\":" >&2
+    cat "$TELE_EVENT" >&2
+    exit 1
+  fi
+done
+rm -f "$TELE_EVENT"
 TELE_REPORT=$(mktemp)
 "$HIPRESS_BIN" scrape "$TELE_ADDR" /report.json >"$TELE_REPORT"
 # The report's key set comes from the record declaration: a renamed or

@@ -15,7 +15,7 @@
 use hipress_bench::banner;
 use hipress_bench::Recorder;
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
-use hipress_fabric::{DecodeError, FlightRecorder, Link, Reader, WireMsg, Writer};
+use hipress_fabric::{FlightRecorder, Link};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,18 +32,12 @@ const MAX_ATTEMPTS: usize = 3;
 const MSGS: usize = 16384;
 const PAYLOAD: usize = 8 * 1024;
 
-/// An opaque payload; encoding is a length-prefixed copy, so the run
-/// measures the fabric (framing, checksums, acks, recording), not an
-/// application codec.
-struct Blob(Vec<u8>);
-
-impl WireMsg for Blob {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(&self.0);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Blob(r.bytes()?.to_vec()))
+hipress::util::record! {
+    /// An opaque payload; encoding is a length-prefixed copy, so the run
+    /// measures the fabric (framing, checksums, acks, recording), not an
+    /// application codec.
+    struct Blob {
+        bytes: Vec<u8>,
     }
 }
 
@@ -90,15 +84,20 @@ fn run_exchange(record: bool) -> u64 {
             // most one data frame (plus its ack) is in flight per
             // direction — far below the loopback socket buffers.
             for _ in 0..MSGS {
-                link.send(1 - rank, Blob(vec![rank as u8; PAYLOAD]))
-                    .expect("send");
+                link.send(
+                    1 - rank,
+                    Blob {
+                        bytes: vec![rank as u8; PAYLOAD],
+                    },
+                )
+                .expect("send");
                 let msg = loop {
                     match link.recv_timeout(Duration::from_secs(10)).expect("recv") {
                         Some(msg) => break msg,
                         None => panic!("rank {rank}: peer silent mid-exchange"),
                     }
                 };
-                assert_eq!(msg.0.len(), PAYLOAD);
+                assert_eq!(msg.bytes.len(), PAYLOAD);
             }
             assert_eq!(link.counters().frames, MSGS as u64);
         }));

@@ -138,36 +138,38 @@ pub trait Compressor: Send + Sync {
     fn cost_profile(&self) -> KernelCostProfile;
 }
 
-/// Serializable specification of a compression algorithm and its
-/// parameters; the configuration-level handle used across the
-/// framework (training scripts name an `Algorithm`, not a trait
-/// object).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Algorithm {
-    /// No compression (the baseline configuration).
-    None,
-    /// 1-bit quantization with per-tensor positive/negative means.
-    OneBit,
-    /// Threshold binary quantization with threshold `tau`.
-    Tbq {
-        /// Quantization threshold τ; elements within (−τ, τ) become 0.
-        tau: f32,
-    },
-    /// Stochastic linear quantization with `bitwidth` bits per element.
-    TernGrad {
-        /// Bits per quantized element (1, 2, 4, or 8).
-        bitwidth: u8,
-    },
-    /// Top-k sparsification keeping `rate` of the elements.
-    Dgc {
-        /// Fraction of elements kept (0.001 = 0.1%).
-        rate: f64,
-    },
-    /// Threshold dropping keeping approximately `rate` of the elements.
-    GradDrop {
-        /// Target fraction of elements kept.
-        rate: f64,
-    },
+hipress_util::record! {
+    /// Serializable specification of a compression algorithm and its
+    /// parameters; the configuration-level handle used across the
+    /// framework (training scripts name an `Algorithm`, not a trait
+    /// object).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Algorithm ["algorithm"] {
+        /// No compression (the baseline configuration).
+        None = 0,
+        /// 1-bit quantization with per-tensor positive/negative means.
+        OneBit = 1,
+        /// Threshold binary quantization with threshold `tau`.
+        Tbq {
+            /// Quantization threshold τ; elements within (−τ, τ) become 0.
+            tau: f32,
+        } = 2,
+        /// Stochastic linear quantization with `bitwidth` bits per element.
+        TernGrad {
+            /// Bits per quantized element (1, 2, 4, or 8).
+            bitwidth: u8,
+        } = 3,
+        /// Top-k sparsification keeping `rate` of the elements.
+        Dgc {
+            /// Fraction of elements kept (0.001 = 0.1%).
+            rate: f64,
+        } = 4,
+        /// Threshold dropping keeping approximately `rate` of the elements.
+        GradDrop {
+            /// Target fraction of elements kept.
+            rate: f64,
+        } = 5,
+    }
 }
 
 impl Algorithm {

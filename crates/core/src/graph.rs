@@ -6,6 +6,7 @@
 //! consume; it is also where CaSync's "task manager with a dependency
 //! graph" (§3.1) materializes.
 
+use hipress_util::codec::{DecodeError, Field, Reader, Writer};
 use hipress_util::{Error, Result};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -105,6 +106,17 @@ pub struct ChunkId {
 /// Identifies a task within a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
+
+/// The id's `u32`.
+impl Field for TaskId {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
+        u32::get(r).map(TaskId)
+    }
+}
 
 /// One primitive instance.
 #[derive(Debug, Clone)]

@@ -31,18 +31,20 @@ pub(crate) mod util;
 
 pub use horovod_ring::fusion_groups as horovod_fusion_groups;
 
-/// The synchronization strategy used for an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// CaSync configured as a Parameter Server (co-located
-    /// aggregators, as evaluated in §6).
-    CaSyncPs,
-    /// CaSync configured as Ring-allreduce.
-    CaSyncRing,
-    /// BytePS-style baseline PS.
-    BytePs,
-    /// Horovod-style baseline Ring-allreduce.
-    HorovodRing,
+hipress_util::record! {
+    /// The synchronization strategy used for an experiment.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Strategy ["strategy"] {
+        /// CaSync configured as a Parameter Server (co-located
+        /// aggregators, as evaluated in §6).
+        CaSyncPs = 1,
+        /// CaSync configured as Ring-allreduce.
+        CaSyncRing = 2,
+        /// BytePS-style baseline PS.
+        BytePs = 3,
+        /// Horovod-style baseline Ring-allreduce.
+        HorovodRing = 4,
+    }
 }
 
 impl Strategy {

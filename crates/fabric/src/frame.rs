@@ -39,8 +39,8 @@
 //! never copied on the way in. [`Frame::encode`] remains as the
 //! layout's contiguous reference, built from the same head.
 
-use crate::codec::{read_exact_vec, write_all_vectored, DecodeError, Reader};
-use std::io;
+use hipress_util::codec::{DecodeError, Reader};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// The four bytes every fabric frame starts with (`"HPFB"`).
@@ -427,6 +427,62 @@ impl hipress_chaos::Wire for Frame {
             Arc::make_mut(&mut self.payload)[byte] ^= 1u8 << (bit % 8);
         }
     }
+}
+
+/// Writes `parts` back to back as if they were one contiguous buffer,
+/// without assembling that buffer: one `write_vectored` per call the
+/// sink accepts, resuming mid-part after a short write.
+///
+/// # Errors
+///
+/// Propagates I/O errors; a sink that accepts nothing is
+/// [`io::ErrorKind::WriteZero`].
+pub fn write_all_vectored<const N: usize>(
+    w: &mut impl Write,
+    mut parts: [&[u8]; N],
+) -> io::Result<()> {
+    let mut first = 0;
+    loop {
+        while first < N && parts[first].is_empty() {
+            first += 1;
+        }
+        if first == N {
+            return Ok(());
+        }
+        let iov = parts.map(IoSlice::new);
+        let mut n = match w.write_vectored(&iov[first..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        for part in &mut parts[first..] {
+            let taken = n.min(part.len());
+            *part = &part[taken..];
+            n -= taken;
+        }
+    }
+}
+
+/// Reads exactly `n` bytes into a fresh buffer of exactly that
+/// capacity, straight into its spare capacity — no zero-fill pass
+/// before the read, no copy after it. The caller bounds `n` (a length
+/// prefix must be ceiling-checked *before* it gets here).
+///
+/// # Errors
+///
+/// I/O errors, and [`io::ErrorKind::UnexpectedEof`] when the stream
+/// ends before `n` bytes arrived.
+pub fn read_exact_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(n)?;
+    if r.take(n as u64).read_to_end(&mut buf)? != n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("stream ended {} bytes into a {n}-byte block", buf.len()),
+        ));
+    }
+    Ok(buf)
 }
 
 #[cfg(test)]

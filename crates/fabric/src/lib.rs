@@ -11,10 +11,17 @@
 //!   serialization, no framing — what every threaded run is on.
 //! * [`TcpLink`] (built by [`tcp::connect_mesh`]): a full mesh of
 //!   loopback TCP streams between real OS processes. Messages
-//!   serialize through the [`WireMsg`] codec into checksummed,
-//!   versioned [`frame::Frame`]s, with the chaos envelope discipline
-//!   (sequence numbers, ack/nack, bounded retransmission, heartbeats)
-//!   running at the framing layer ([`rel`]).
+//!   serialize as [`WireMsg`] bytes into checksummed, versioned
+//!   [`frame::Frame`]s, with the chaos envelope discipline (sequence
+//!   numbers, ack/nack, bounded retransmission, heartbeats) running at
+//!   the framing layer ([`rel`]).
+//!
+//! The byte codec itself — `Writer`, `Reader`, `Field`, `record!` —
+//! is `hipress_util::codec`, so crates below the fabric declare their
+//! own wire types; [`WireMsg`] is re-exported from there. This crate
+//! keeps what is specific to a socket: the frame layout and the two
+//! stream helpers that move a frame or control body without staging
+//! copies ([`frame::write_all_vectored`], [`frame::read_exact_vec`]).
 //!
 //! The split mirrors what CGX argues for: the compression stack and
 //! task manager never learn which transport they are on, so swapping
@@ -23,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod frame;
 pub mod recorder;
 pub mod rel;
@@ -32,50 +38,18 @@ pub mod tcp;
 mod channel;
 
 pub use channel::{ChannelFabric, ChannelLink};
-pub use codec::{DecodeError, Reader, Writer};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
 pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict, Sealed};
 pub use tcp::TcpLink;
 
+/// The message bound of a serializing [`Link`]: any codec
+/// `Field` that can cross threads.
+pub use hipress_util::codec::WireMsg;
+
+use hipress_util::codec::DecodeError;
 use hipress_util::SyncFailure;
 use std::fmt;
 use std::time::Duration;
-
-/// A message type that can cross a serializing fabric: encodes into
-/// and decodes from the fabric's byte codec. In-process fabrics move
-/// values directly and never call these.
-pub trait WireMsg: Sized + Send + 'static {
-    /// Appends the message's wire form to `w`.
-    fn encode(&self, w: &mut Writer);
-
-    /// Parses one message.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`DecodeError`] for any malformed input; never
-    /// panics.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
-
-    /// Convenience: the message as a standalone byte vector.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.into_vec()
-    }
-
-    /// Convenience: parses a standalone byte vector, requiring full
-    /// consumption.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireMsg::decode`], plus [`DecodeError::TrailingBytes`].
-    fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let v = Self::decode(&mut r)?;
-        r.finish()?;
-        Ok(v)
-    }
-}
 
 /// Traffic counters one link accumulates; the runtime folds them into
 /// its report's fabric section.

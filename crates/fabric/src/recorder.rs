@@ -21,93 +21,52 @@
 //! the ring is stable — and a torn slot can at worst mislabel one
 //! event, never corrupt memory or panic.
 
-use crate::codec::{DecodeError, Reader, Writer};
-use crate::WireMsg;
+use hipress_util::codec::WireMsg;
+use hipress_util::record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Default number of events one ring retains.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// What a recorded protocol event was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightKind {
-    /// A data frame was handed to the transport.
-    SendData,
-    /// An intact, first-delivery data frame arrived.
-    RecvData,
-    /// An intact but already-seen data frame arrived (re-acked).
-    DupData,
-    /// A data frame arrived with a bad checksum (nacked).
-    CorruptData,
-    /// An ack was sent for a received data frame.
-    AckSent,
-    /// An ack arrived, clearing a pending frame.
-    AckRecv,
-    /// A nack was sent, requesting retransmission.
-    NackSent,
-    /// A nack arrived; the frame will be retransmitted.
-    NackRecv,
-    /// A frame was retransmitted (nack- or timer-driven).
-    Retransmit,
-    /// A liveness ping was sent on an idle link.
-    HeartbeatSent,
-    /// A liveness ping arrived.
-    HeartbeatRecv,
-    /// The peer's stream closed or failed.
-    PeerLost,
-    /// A mesh-construction Hello was exchanged.
-    Hello,
-    /// A runtime-level decision (e.g. a degrade verdict) noted into
-    /// the ring by a layer above the fabric.
-    Mark,
+record! {
+    /// What a recorded protocol event was. The tag is both the wire
+    /// byte and the kind's slot in a ring's `meta` word.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FlightKind ["FlightKind"] {
+        /// A data frame was handed to the transport.
+        SendData = 1,
+        /// An intact, first-delivery data frame arrived.
+        RecvData = 2,
+        /// An intact but already-seen data frame arrived (re-acked).
+        DupData = 3,
+        /// A data frame arrived with a bad checksum (nacked).
+        CorruptData = 4,
+        /// An ack was sent for a received data frame.
+        AckSent = 5,
+        /// An ack arrived, clearing a pending frame.
+        AckRecv = 6,
+        /// A nack was sent, requesting retransmission.
+        NackSent = 7,
+        /// A nack arrived; the frame will be retransmitted.
+        NackRecv = 8,
+        /// A frame was retransmitted (nack- or timer-driven).
+        Retransmit = 9,
+        /// A liveness ping was sent on an idle link.
+        HeartbeatSent = 10,
+        /// A liveness ping arrived.
+        HeartbeatRecv = 11,
+        /// The peer's stream closed or failed.
+        PeerLost = 12,
+        /// A mesh-construction Hello was exchanged.
+        Hello = 13,
+        /// A runtime-level decision (e.g. a degrade verdict) noted into
+        /// the ring by a layer above the fabric.
+        Mark = 14,
+    }
 }
 
 impl FlightKind {
-    fn tag(self) -> u8 {
-        match self {
-            FlightKind::SendData => 1,
-            FlightKind::RecvData => 2,
-            FlightKind::DupData => 3,
-            FlightKind::CorruptData => 4,
-            FlightKind::AckSent => 5,
-            FlightKind::AckRecv => 6,
-            FlightKind::NackSent => 7,
-            FlightKind::NackRecv => 8,
-            FlightKind::Retransmit => 9,
-            FlightKind::HeartbeatSent => 10,
-            FlightKind::HeartbeatRecv => 11,
-            FlightKind::PeerLost => 12,
-            FlightKind::Hello => 13,
-            FlightKind::Mark => 14,
-        }
-    }
-
-    fn from_tag(t: u8) -> Result<Self, DecodeError> {
-        Ok(match t {
-            1 => FlightKind::SendData,
-            2 => FlightKind::RecvData,
-            3 => FlightKind::DupData,
-            4 => FlightKind::CorruptData,
-            5 => FlightKind::AckSent,
-            6 => FlightKind::AckRecv,
-            7 => FlightKind::NackSent,
-            8 => FlightKind::NackRecv,
-            9 => FlightKind::Retransmit,
-            10 => FlightKind::HeartbeatSent,
-            11 => FlightKind::HeartbeatRecv,
-            12 => FlightKind::PeerLost,
-            13 => FlightKind::Hello,
-            14 => FlightKind::Mark,
-            other => {
-                return Err(DecodeError::BadTag {
-                    what: "FlightKind",
-                    tag: u64::from(other),
-                })
-            }
-        })
-    }
-
     /// A short human label for postmortem rendering.
     pub fn label(self) -> &'static str {
         match self {
@@ -129,39 +88,21 @@ impl FlightKind {
     }
 }
 
-/// One event read back out of a ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// Nanoseconds since the recorder's epoch (the owning process's
-    /// trace epoch, so flight events and trace spans share one clock).
-    pub ts_ns: u64,
-    /// What happened.
-    pub kind: FlightKind,
-    /// The peer rank involved (the far end of the link).
-    pub peer: u32,
-    /// The frame sequence number involved, when one applies.
-    pub seq: u64,
-    /// Payload bytes involved, when they apply.
-    pub bytes: u64,
-}
-
-impl WireMsg for FlightEvent {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.ts_ns);
-        w.put_u8(self.kind.tag());
-        w.put_u32(self.peer);
-        w.put_u64(self.seq);
-        w.put_u64(self.bytes);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(FlightEvent {
-            ts_ns: r.u64()?,
-            kind: FlightKind::from_tag(r.u8()?)?,
-            peer: r.u32()?,
-            seq: r.u64()?,
-            bytes: r.u64()?,
-        })
+record! {
+    /// One event read back out of a ring.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FlightEvent {
+        /// Nanoseconds since the recorder's epoch (the owning process's
+        /// trace epoch, so flight events and trace spans share one clock).
+        pub ts_ns: u64,
+        /// What happened.
+        pub kind: FlightKind,
+        /// The peer rank involved (the far end of the link).
+        pub peer: u32,
+        /// The frame sequence number involved, when one applies.
+        pub seq: u64,
+        /// Payload bytes involved, when they apply.
+        pub bytes: u64,
     }
 }
 
@@ -217,10 +158,8 @@ impl FlightRecorder {
         let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
         slot.ts_ns.store(ts_ns, Ordering::Relaxed);
-        slot.meta.store(
-            (u64::from(kind.tag()) << 32) | u64::from(peer),
-            Ordering::Relaxed,
-        );
+        slot.meta
+            .store(((kind as u64) << 32) | u64::from(peer), Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Relaxed);
         slot.bytes.store(bytes, Ordering::Relaxed);
         slot.stamp.store(idx + 1, Ordering::Release);
@@ -243,7 +182,7 @@ impl FlightRecorder {
                 continue;
             }
             let meta = slot.meta.load(Ordering::Relaxed);
-            let Ok(kind) = FlightKind::from_tag((meta >> 32) as u8) else {
+            let Ok(kind) = FlightKind::from_bytes(&[(meta >> 32) as u8]) else {
                 continue;
             };
             stamped.push((
@@ -327,16 +266,19 @@ mod tests {
         };
         let back = FlightEvent::from_bytes(&ev.to_bytes()).unwrap();
         assert_eq!(back, ev);
+        hipress_util::codec::check_record(&ev);
     }
 
     #[test]
     fn every_kind_tag_round_trips() {
         for tag in 1..=14u8 {
-            let kind = FlightKind::from_tag(tag).unwrap();
-            assert_eq!(kind.tag(), tag);
+            let kind = FlightKind::from_bytes(&[tag]).unwrap();
+            assert_eq!(kind as u8, tag);
+            assert_eq!(kind.to_bytes(), [tag]);
             assert!(!kind.label().is_empty());
+            hipress_util::codec::check_record(&kind);
         }
-        assert!(FlightKind::from_tag(0).is_err());
-        assert!(FlightKind::from_tag(15).is_err());
+        assert!(FlightKind::from_bytes(&[0]).is_err());
+        assert!(FlightKind::from_bytes(&[15]).is_err());
     }
 }

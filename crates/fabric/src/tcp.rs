@@ -643,19 +643,19 @@ pub fn connect_mesh<M: WireMsg>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{DecodeError, Reader, Writer};
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Probe(u64, Vec<u8>);
-
-    impl WireMsg for Probe {
-        fn encode(&self, w: &mut Writer) {
-            w.put_u64(self.0);
-            w.put_bytes(&self.1);
+    hipress_util::record! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Probe {
+            rank: u64,
+            body: Vec<u8>,
         }
+    }
 
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            Ok(Probe(r.u64()?, r.bytes()?.to_vec()))
+    fn probe(rank: usize, body: Vec<u8>) -> Probe {
+        Probe {
+            rank: rank as u64,
+            body,
         }
     }
 
@@ -716,15 +716,14 @@ mod tests {
                 // Everyone sends a tagged probe to everyone else...
                 for p in 0..nodes {
                     if p != rank {
-                        link.send(p, Probe(rank as u64, vec![rank as u8; 100]))
-                            .unwrap();
+                        link.send(p, probe(rank, vec![rank as u8; 100])).unwrap();
                     }
                 }
                 // ...and collects one from each peer.
                 let mut got = Vec::new();
                 while got.len() < nodes - 1 {
                     if let Some(m) = link.recv_timeout(Duration::from_secs(5)).unwrap() {
-                        got.push(m.0);
+                        got.push(m.rank);
                     } else {
                         panic!("rank {rank}: timed out waiting for probes");
                     }
@@ -765,10 +764,9 @@ mod tests {
             joins.push(std::thread::spawn(move || {
                 let mut link: TcpLink<Probe> =
                     connect_mesh(rank, nodes, listener, &addrs, &config).unwrap();
-                link.send(1 - rank, Probe(rank as u64, vec![0; 32]))
-                    .unwrap();
+                link.send(1 - rank, probe(rank, vec![0; 32])).unwrap();
                 let got = link.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-                assert_eq!(got.0, (1 - rank) as u64);
+                assert_eq!(got.rank, (1 - rank) as u64);
                 // The ack for our own send races the probe delivery;
                 // hold the link open until it lands in the ring.
                 let deadline = Instant::now() + Duration::from_secs(5);
@@ -875,10 +873,9 @@ mod tests {
                 };
                 let mut link: TcpLink<Probe> =
                     connect_mesh(rank, nodes, listener, &addrs, &config).unwrap();
-                link.send(1 - rank, Probe(rank as u64, vec![0; 16]))
-                    .unwrap();
+                link.send(1 - rank, probe(rank, vec![0; 16])).unwrap();
                 let got = link.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-                assert_eq!(got.0, (1 - rank) as u64);
+                assert_eq!(got.rank, (1 - rank) as u64);
                 done.wait();
             }));
         }

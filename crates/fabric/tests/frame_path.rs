@@ -8,9 +8,9 @@
 //! against per-element references of the same definition, and the
 //! stream parser against hostile and truncated input.
 
-use hipress_fabric::codec::{read_exact_vec, write_all_vectored};
 use hipress_fabric::frame::{self, fnv, fnv_bytes, Frame, FrameKind, FNV_OFFSET, HEAD_BYTES};
-use hipress_fabric::{Reader, Writer};
+use hipress_fabric::frame::{read_exact_vec, write_all_vectored};
+use hipress_util::codec::{Reader, Writer};
 use hipress_util::{Rng64, SplitMix64};
 use std::io::{self, Cursor, IoSlice, Read, Write};
 

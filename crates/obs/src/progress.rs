@@ -18,67 +18,46 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 /// overwritten once more than this many iterations have retired.
 pub const RING_CAPACITY: usize = 1024;
 
-/// One retired pipelined iteration on one rank, as published by the
-/// runtime's progress hook.
-///
-/// All latencies are nanoseconds. `comp_ns` aggregates the busy time
-/// of the compute-side primitives (source, encode, decode, merge,
-/// update, barrier, plus local aggregation); `commu_ns` aggregates the
-/// communication primitives (send, recv). `retransmits` is the
-/// per-iteration delta of the fabric's retransmission counter, not a
-/// running total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IterRecord {
-    /// Rank that retired the iteration.
-    pub node: u32,
-    /// Iteration id (0-based).
-    pub iter: u32,
-    /// Publication timestamp, nanoseconds since the telemetry epoch.
-    /// Stamped by the [`crate::Telemetry`] hub, not the worker, so all
-    /// ranks share one clock.
-    pub ts_ns: u64,
-    /// Wall time from admission to retirement of this iteration.
-    pub span_ns: u64,
-    /// Busy nanoseconds in compute-side primitives this iteration.
-    pub comp_ns: u64,
-    /// Busy nanoseconds in send/recv this iteration.
-    pub commu_ns: u64,
-    /// Bytes put on the wire this iteration (post-compression).
-    pub bytes_wire: u64,
-    /// Gradient messages exchanged this iteration.
-    pub messages: u64,
-    /// Fabric retransmissions attributed to this iteration.
-    pub retransmits: u64,
-    /// Fault-tolerance events (retries, nacks, degraded chunks, ...)
-    /// absorbed this iteration.
-    pub faults: u64,
-    /// Pipeline window the run was configured with.
-    pub window: u32,
-    /// Membership epoch the iteration ran under (0 on fixed runs;
-    /// bumps when an elastic run evicts or re-admits a worker).
-    pub epoch: u64,
-}
-
-impl IterRecord {
-    /// Render the record as a single NDJSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"node\":{},\"iter\":{},\"ts_ns\":{},\"span_ns\":{},\"comp_ns\":{},\
-             \"commu_ns\":{},\"bytes_wire\":{},\"messages\":{},\"retransmits\":{},\
-             \"faults\":{},\"window\":{},\"epoch\":{}}}",
-            self.node,
-            self.iter,
-            self.ts_ns,
-            self.span_ns,
-            self.comp_ns,
-            self.commu_ns,
-            self.bytes_wire,
-            self.messages,
-            self.retransmits,
-            self.faults,
-            self.window,
-            self.epoch
-        )
+hipress_util::record! {
+    /// One retired pipelined iteration on one rank, as published by the
+    /// runtime's progress hook. Its JSON object is the `/events` line.
+    ///
+    /// All latencies are nanoseconds. `comp_ns` aggregates the busy time
+    /// of the compute-side primitives (source, encode, decode, merge,
+    /// update, barrier, plus local aggregation); `commu_ns` aggregates the
+    /// communication primitives (send, recv). `retransmits` is the
+    /// per-iteration delta of the fabric's retransmission counter, not a
+    /// running total.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IterRecord [json] {
+        /// Rank that retired the iteration.
+        pub node: u32,
+        /// Iteration id (0-based).
+        pub iter: u32,
+        /// Publication timestamp, nanoseconds since the telemetry epoch.
+        /// Stamped by the [`crate::Telemetry`] hub, not the worker, so all
+        /// ranks share one clock.
+        pub ts_ns: u64,
+        /// Wall time from admission to retirement of this iteration.
+        pub span_ns: u64,
+        /// Busy nanoseconds in compute-side primitives this iteration.
+        pub comp_ns: u64,
+        /// Busy nanoseconds in send/recv this iteration.
+        pub commu_ns: u64,
+        /// Bytes put on the wire this iteration (post-compression).
+        pub bytes_wire: u64,
+        /// Gradient messages exchanged this iteration.
+        pub messages: u64,
+        /// Fabric retransmissions attributed to this iteration.
+        pub retransmits: u64,
+        /// Fault-tolerance events (retries, nacks, degraded chunks, ...)
+        /// absorbed this iteration.
+        pub faults: u64,
+        /// Pipeline window the run was configured with.
+        pub window: u32,
+        /// Membership epoch the iteration ran under (0 on fixed runs;
+        /// bumps when an elastic run evicts or re-admits a worker).
+        pub epoch: u64,
     }
 }
 
@@ -331,5 +310,23 @@ mod tests {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(ring.published(), 8000);
+    }
+
+    #[test]
+    fn record_survives_hostile_bytes() {
+        hipress_util::codec::check_record(&IterRecord {
+            node: 1,
+            iter: 2,
+            ts_ns: 3,
+            span_ns: 4,
+            comp_ns: 5,
+            commu_ns: 6,
+            bytes_wire: 7,
+            messages: 8,
+            retransmits: 9,
+            faults: 10,
+            window: 11,
+            epoch: 12,
+        });
     }
 }

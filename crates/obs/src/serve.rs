@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hipress_metrics::prom;
+use hipress_util::codec::Json;
 use hipress_util::{Error, Result};
 
 use crate::{IterRecord, Telemetry};
@@ -218,7 +219,8 @@ fn stream_events(stream: &mut TcpStream, t: &Telemetry, from: u64) -> std::io::R
 
 /// One `/events` line: the record's JSON object and a newline.
 fn event_line(rec: &IterRecord) -> String {
-    let mut line = rec.to_json_line();
+    let mut line = String::new();
+    rec.write_json(&mut line);
     line.push('\n');
     line
 }

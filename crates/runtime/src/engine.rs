@@ -39,7 +39,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-hipress_fabric::record! {
+hipress_util::record! {
     /// Tuning knobs for the thread engine.
     #[derive(Debug, Clone, Copy)]
     pub struct RuntimeConfig {
@@ -345,62 +345,66 @@ impl Payload {
     }
 }
 
-/// Inter-node messages: the entire trusted-fabric protocol. Public
-/// so transport fabrics (`hipress-fabric`) can move it between
-/// processes; the in-process engine moves it by value and never
-/// serializes, so a payload reaches its receivers by refcount.
-#[derive(Debug, Clone)]
-pub enum Msg {
-    /// `task` (on some other node) completed. For `Send` tasks the
-    /// payload rides along — the message is the transfer.
-    Done {
-        /// The remote task that finished.
-        task: TaskId,
-        /// The transferred bytes, present for `Send` tasks.
-        payload: Option<Arc<Payload>>,
-        /// Which pipelined iteration the completion belongs to
-        /// (always 0 in a one-iteration run).
-        iter: u32,
-    },
-    /// A peer hit an error; unwind.
-    Abort,
-    /// Rendezvous plane: a restarted (or brand-new) worker asks the
-    /// coordinator to admit it into a running job. `epoch` is the
-    /// last epoch the worker saw (0 for a fresh process); admission
-    /// happens at the next epoch boundary, never mid-segment.
-    Join {
-        /// The global rank the worker claims.
-        rank: u32,
-        /// The last membership epoch the worker participated in.
-        epoch: u64,
-    },
-    /// Rendezvous plane: the coordinator's answer to [`Msg::Join`] —
-    /// the joiner is admitted and will be dispatched work when epoch
-    /// `epoch` begins at iteration `from_iter` over `members`.
-    Welcome {
-        /// The epoch the joiner becomes a member of.
-        epoch: u64,
-        /// The first global iteration of that epoch.
-        from_iter: u32,
-        /// The member set of that epoch (global ranks, ascending).
-        members: Vec<u32>,
-    },
-    /// Rendezvous plane: membership changed. The coordinator bumps
-    /// every member to `epoch`, naming the evicted rank (if the bump
-    /// was a death rather than a join) and the member set the next
-    /// segment runs over. Frames carrying a stale epoch are ignored
-    /// by receivers — the stale-epoch safety rule the model checker
-    /// exhausts.
-    EpochBump {
-        /// The new membership epoch.
-        epoch: u64,
-        /// The rank evicted by this bump, if it was a death.
-        evicted: Option<u32>,
-        /// The first global iteration of the new epoch.
-        from_iter: u32,
-        /// The member set of the new epoch (global ranks, ascending).
-        members: Vec<u32>,
-    },
+hipress_util::record! {
+    /// Inter-node messages: the entire trusted-fabric protocol. Public
+    /// so transport fabrics (`hipress-fabric`) can move it between
+    /// processes; the in-process engine moves it by value and never
+    /// serializes, so a payload reaches its receivers by refcount.
+    /// [`crate::wire`] documents the bytes.
+    #[derive(Debug, Clone)]
+    pub enum Msg ["msg"] {
+        /// `task` (on some other node) completed. For `Send` tasks the
+        /// payload rides along — the message is the transfer.
+        Done {
+            /// The remote task that finished.
+            task: TaskId,
+            /// Which pipelined iteration the completion belongs to
+            /// (always 0 in a one-iteration run).
+            iter: u32,
+            /// The transferred bytes, present for `Send` tasks.
+            payload: Option<Arc<Payload>>
+                => via(crate::wire::put_payload, crate::wire::get_payload),
+        } = 1,
+        /// A peer hit an error; unwind.
+        Abort = 2,
+        /// Rendezvous plane: a restarted (or brand-new) worker asks the
+        /// coordinator to admit it into a running job. `epoch` is the
+        /// last epoch the worker saw (0 for a fresh process); admission
+        /// happens at the next epoch boundary, never mid-segment.
+        Join {
+            /// The global rank the worker claims.
+            rank: u32,
+            /// The last membership epoch the worker participated in.
+            epoch: u64,
+        } = 3,
+        /// Rendezvous plane: the coordinator's answer to [`Msg::Join`] —
+        /// the joiner is admitted and will be dispatched work when epoch
+        /// `epoch` begins at iteration `from_iter` over `members`.
+        Welcome {
+            /// The epoch the joiner becomes a member of.
+            epoch: u64,
+            /// The first global iteration of that epoch.
+            from_iter: u32,
+            /// The member set of that epoch (global ranks, ascending).
+            members: Vec<u32>,
+        } = 4,
+        /// Rendezvous plane: membership changed. The coordinator bumps
+        /// every member to `epoch`, naming the evicted rank (if the bump
+        /// was a death rather than a join) and the member set the next
+        /// segment runs over. Frames carrying a stale epoch are ignored
+        /// by receivers — the stale-epoch safety rule the model checker
+        /// exhausts.
+        EpochBump {
+            /// The new membership epoch.
+            epoch: u64,
+            /// The rank evicted by this bump, if it was a death.
+            evicted: Option<u32>,
+            /// The first global iteration of the new epoch.
+            from_iter: u32,
+            /// The member set of the new epoch (global ranks, ascending).
+            members: Vec<u32>,
+        } = 5,
+    }
 }
 
 /// A chunk accumulator, copy-on-write and shared by refcount.

@@ -52,7 +52,9 @@ pub use engine::{
     RuntimeConfig,
 };
 pub use ft::{DegradePolicy, FaultTolerance};
-pub use observe::{validate_clock_monotonicity, ClockSync, PostmortemDump, RankFlight};
+pub use observe::{
+    validate_clock_monotonicity, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
+};
 pub use pipeline::{run, PipelineConfig, RunOptions};
 pub use process::elastic::join_main;
 pub use process::{node_main, run_processes, run_threaded_workers, ProcessConfig};

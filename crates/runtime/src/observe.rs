@@ -20,10 +20,10 @@
 //! span pair — a receive that ends before its send began (beyond the
 //! two ranks' combined uncertainty) proves the offsets are wrong.
 
-use hipress_fabric::codec::Field;
-pub use hipress_fabric::codec::{unzigzag, zigzag};
-use hipress_fabric::{record, DecodeError, FlightEvent, Reader, WireMsg, Writer};
+use hipress_fabric::FlightEvent;
 use hipress_trace::{Trace, Tracer, TrackKind};
+use hipress_util::codec::{zigzag, DecodeError, Field, Reader, Writer};
+use hipress_util::record;
 use std::collections::HashMap;
 
 record! {
@@ -318,6 +318,8 @@ record! {
     /// failure and rendered by `hipress postmortem`.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct PostmortemDump {
+        /// The file magic, first on disk.
+        pub magic: PostmortemMagic,
         /// Total ranks in the failed run.
         pub nodes: u32,
         /// The diagnosed root-cause rank ([`UNKNOWN_NODE`] when the
@@ -334,22 +336,24 @@ record! {
 /// File magic for serialized postmortem dumps ("HPM1").
 const POSTMORTEM_MAGIC: u32 = 0x4850_4D31;
 
-/// The magic, then the record.
-impl WireMsg for PostmortemDump {
-    fn encode(&self, w: &mut Writer) {
+/// The four bytes a postmortem dump starts with: a field that writes
+/// [`POSTMORTEM_MAGIC`] and rejects any other value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PostmortemMagic;
+
+impl Field for PostmortemMagic {
+    fn put(&self, w: &mut Writer) {
         w.put_u32(POSTMORTEM_MAGIC);
-        self.put(w);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let magic = r.u32()?;
-        if magic != POSTMORTEM_MAGIC {
-            return Err(DecodeError::BadTag {
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.u32()? {
+            POSTMORTEM_MAGIC => Ok(PostmortemMagic),
+            magic => Err(DecodeError::BadTag {
                 what: "postmortem magic",
                 tag: u64::from(magic),
-            });
+            }),
         }
-        Self::get(r)
     }
 }
 
@@ -410,6 +414,7 @@ impl PostmortemDump {
 mod tests {
     use super::*;
     use hipress_fabric::FlightKind;
+    use hipress_util::codec::{check_record, unzigzag, WireMsg};
 
     #[test]
     fn zigzag_round_trips_extremes() {
@@ -564,6 +569,7 @@ mod tests {
 
     fn sample_dump() -> PostmortemDump {
         PostmortemDump {
+            magic: PostmortemMagic,
             nodes: 3,
             failed_node: 1,
             detail: "worker process exited without reporting an outcome".into(),
@@ -627,9 +633,9 @@ mod tests {
     #[test]
     fn records_survive_hostile_bytes() {
         let dump = sample_dump();
-        hipress_fabric::codec::check_record(&dump.ranks[0].sync);
-        hipress_fabric::codec::check_record(&dump.ranks[0]);
-        hipress_fabric::codec::check_record(&dump);
+        check_record(&dump.ranks[0].sync);
+        check_record(&dump.ranks[0]);
+        check_record(&dump);
     }
 
     #[test]

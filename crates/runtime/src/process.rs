@@ -47,7 +47,8 @@ use crate::engine::{
     Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome, RuntimeConfig,
 };
 use crate::observe::{
-    record_clock_meta, replay_into, ClockSync, PostmortemDump, RankFlight, UNKNOWN_NODE,
+    record_clock_meta, replay_into, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
+    UNKNOWN_NODE,
 };
 use crate::pipeline::{drive_node, fabric_err, validate, NodeHooks, PipelineConfig};
 use crate::report::RuntimeReport;
@@ -57,14 +58,13 @@ use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
 };
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
-use hipress_fabric::{
-    record, DecodeError, FlightEvent, FlightRecorder, LinkTuning, Reader, WireMsg, Writer,
-};
+use hipress_fabric::{FlightEvent, FlightRecorder, LinkTuning};
 use hipress_metrics::MetricsSnapshot;
 use hipress_obs::{IterRecord, ProgressSink};
 use hipress_tensor::Tensor;
 use hipress_trace::{Trace, Tracer};
-use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
+use hipress_util::codec::WireMsg;
+use hipress_util::{record, Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -138,8 +138,8 @@ record! {
     /// job: the spec to rebuild the graph from, the runtime knobs, the
     /// mesh topology, and this rank's own gradients.
     struct Job {
-        strategy: Strategy => via(put_strategy, get_strategy),
-        algorithm: Algorithm => via(put_algorithm, get_algorithm),
+        strategy: Strategy,
+        algorithm: Algorithm,
         partitions: u32,
         seed: u64,
         nodes: u32,
@@ -171,66 +171,6 @@ record! {
         /// Crash injection: exit hard (no abort broadcast) once this many
         /// segment-local iterations have retired.
         die_at_iter: Option<u32>,
-    }
-}
-
-fn put_strategy(w: &mut Writer, s: &Strategy) {
-    w.put_u8(match s {
-        Strategy::CaSyncPs => 1,
-        Strategy::CaSyncRing => 2,
-        Strategy::BytePs => 3,
-        Strategy::HorovodRing => 4,
-    });
-}
-
-fn get_strategy(r: &mut Reader<'_>) -> std::result::Result<Strategy, DecodeError> {
-    match r.u8()? {
-        1 => Ok(Strategy::CaSyncPs),
-        2 => Ok(Strategy::CaSyncRing),
-        3 => Ok(Strategy::BytePs),
-        4 => Ok(Strategy::HorovodRing),
-        t => Err(DecodeError::BadTag {
-            what: "strategy",
-            tag: u64::from(t),
-        }),
-    }
-}
-
-fn put_algorithm(w: &mut Writer, a: &Algorithm) {
-    match a {
-        Algorithm::None => w.put_u8(0),
-        Algorithm::OneBit => w.put_u8(1),
-        Algorithm::Tbq { tau } => {
-            w.put_u8(2);
-            w.put_f32(*tau);
-        }
-        Algorithm::TernGrad { bitwidth } => {
-            w.put_u8(3);
-            w.put_u8(*bitwidth);
-        }
-        Algorithm::Dgc { rate } => {
-            w.put_u8(4);
-            w.put_f64(*rate);
-        }
-        Algorithm::GradDrop { rate } => {
-            w.put_u8(5);
-            w.put_f64(*rate);
-        }
-    }
-}
-
-fn get_algorithm(r: &mut Reader<'_>) -> std::result::Result<Algorithm, DecodeError> {
-    match r.u8()? {
-        0 => Ok(Algorithm::None),
-        1 => Ok(Algorithm::OneBit),
-        2 => Ok(Algorithm::Tbq { tau: r.f32()? }),
-        3 => Ok(Algorithm::TernGrad { bitwidth: r.u8()? }),
-        4 => Ok(Algorithm::Dgc { rate: r.f64()? }),
-        5 => Ok(Algorithm::GradDrop { rate: r.f64()? }),
-        t => Err(DecodeError::BadTag {
-            what: "algorithm",
-            tag: u64::from(t),
-        }),
     }
 }
 

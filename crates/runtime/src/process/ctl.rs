@@ -1,280 +1,87 @@
 //! The coordinator-worker control protocol. Each worker's control
-//! stream carries [`Ctl`] frames: a `u32` length prefix, a tag byte,
-//! then the message's fields. The fields are
-//! [`hipress_fabric::record!`] records and other [`Field`] values; only
-//! [`IterRecord`] and [`Error`], which live in crates that cannot see
-//! the record schema, keep hand-written codecs here.
+//! stream carries [`Ctl`] frames: a `u32` length prefix, then the
+//! message as a declared record (`hipress_util::record!`) — a tag
+//! byte, then its fields. Only an outcome's [`Trace`] keeps a
+//! hand-written codec.
 
 use super::Job;
 use crate::engine::Msg;
 use crate::observe::{get_trace, put_trace};
 use crate::report::RuntimeReport;
-use hipress_fabric::codec::{read_exact_vec, write_all_vectored, Field};
-use hipress_fabric::{DecodeError, FlightEvent, Reader, WireMsg, Writer};
+use hipress_fabric::frame::{read_exact_vec, write_all_vectored};
+use hipress_fabric::FlightEvent;
 use hipress_obs::IterRecord;
 use hipress_trace::Trace;
-use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
+use hipress_util::codec::{DecodeError, Field, Reader, WireMsg, Writer};
+use hipress_util::{record, Error, Result};
 use std::io::Read;
 use std::net::TcpStream;
 
-/// One control message.
-pub(super) enum Ctl {
-    /// Worker → coordinator: `rank` is listening for mesh peers on
-    /// `mesh_port`.
-    Hello { rank: u32, mesh_port: u16 },
-    /// Coordinator → worker: the job to run.
-    Job(Box<Job>),
-    /// Worker → coordinator: the protocol completed; here are the
-    /// updated chunk values `(flow, part, elements)`, the measured
-    /// report, the optional per-rank trace and metrics snapshot
-    /// (JSON), and the flight-recorder ring.
-    Outcome {
-        cells: Vec<(u32, u32, Vec<f32>)>,
-        report: RuntimeReport,
-        trace: Option<Trace>,
-        metrics: Option<String>,
-        flight: Vec<FlightEvent>,
-    },
-    /// Worker → coordinator: the segment failed under this worker.
-    /// The flight ring rides along so the postmortem sees the failing
-    /// rank's view; `completed` is how many segment-local iterations
-    /// had fully retired here, so an evict-on-loss coordinator can
-    /// pick the drain boundary.
-    Failed {
-        error: Error,
-        flight: Vec<FlightEvent>,
-        completed: u32,
-    },
-    /// Coordinator → worker: all outcomes collected; tear the mesh
-    /// down and exit.
-    Shutdown,
-    /// Coordinator → worker: clock probe carrying the coordinator's
-    /// clock reading `t1` (NTP-style offset estimation during
-    /// rendezvous).
-    ClockPing { t1: u64 },
-    /// Worker → coordinator: `t1` echoed back plus the worker's own
-    /// clock reading `t2` at the moment of the answer.
-    ClockPong { t1: u64, t2: u64 },
-    /// Worker → coordinator: one iteration retired (live telemetry).
-    /// Sent between `Job` and `Outcome`/`Failed` when the job asked
-    /// for progress; the coordinator restamps `ts_ns` on arrival so
-    /// every rank's records share its one clock.
-    Progress { rec: IterRecord },
-    /// Rendezvous-plane frame in either direction, reusing the
-    /// [`Msg`] wire codec: `Join` (joiner → coordinator),
-    /// `Welcome` (coordinator → joiner), `EpochBump` (coordinator →
-    /// surviving workers between segments).
-    Member(Msg),
-}
-
-const CTL_HELLO: u8 = 1;
-const CTL_JOB: u8 = 2;
-const CTL_OUTCOME: u8 = 3;
-const CTL_FAILED: u8 = 4;
-const CTL_SHUTDOWN: u8 = 5;
-const CTL_CLOCK_PING: u8 = 6;
-const CTL_CLOCK_PONG: u8 = 7;
-const CTL_PROGRESS: u8 = 8;
-const CTL_MEMBER: u8 = 9;
-
-/// Encodes every field of an [`IterRecord`]. The exhaustive
-/// destructuring makes adding a field without extending this codec a
-/// compile error.
-fn put_iter_record(w: &mut Writer, rec: &IterRecord) {
-    let IterRecord {
-        node,
-        iter,
-        ts_ns,
-        span_ns,
-        comp_ns,
-        commu_ns,
-        bytes_wire,
-        messages,
-        retransmits,
-        faults,
-        window,
-        epoch,
-    } = rec;
-    w.put_u32(*node);
-    w.put_u32(*iter);
-    for v in [
-        ts_ns,
-        span_ns,
-        comp_ns,
-        commu_ns,
-        bytes_wire,
-        messages,
-        retransmits,
-        faults,
-    ] {
-        w.put_u64(*v);
-    }
-    w.put_u32(*window);
-    w.put_u64(*epoch);
-}
-
-fn get_iter_record(r: &mut Reader<'_>) -> std::result::Result<IterRecord, DecodeError> {
-    Ok(IterRecord {
-        node: Field::get(r)?,
-        iter: Field::get(r)?,
-        ts_ns: Field::get(r)?,
-        span_ns: Field::get(r)?,
-        comp_ns: Field::get(r)?,
-        commu_ns: Field::get(r)?,
-        bytes_wire: Field::get(r)?,
-        messages: Field::get(r)?,
-        retransmits: Field::get(r)?,
-        faults: Field::get(r)?,
-        window: Field::get(r)?,
-        epoch: Field::get(r)?,
-    })
-}
-
-fn put_error(w: &mut Writer, e: &Error) {
-    let Error::Sync(f) = e else {
-        // Other categories travel as their message.
-        false.put(w);
-        e.to_string().put(w);
-        return;
-    };
-    true.put(w);
-    w.put_u8(match f.kind {
-        SyncFailureKind::RecvTimeout => 0,
-        SyncFailureKind::LinkDead => 1,
-        SyncFailureKind::Straggler => 2,
-        SyncFailureKind::InjectedCrash => 3,
-        SyncFailureKind::Aborted => 4,
-    });
-    f.node.put(w);
-    f.peer.put(w);
-    f.task.put(w);
-    f.detail.put(w);
-}
-
-fn get_error(r: &mut Reader<'_>) -> std::result::Result<Error, DecodeError> {
-    if !bool::get(r)? {
-        return Ok(Error::sim(r.str()?));
-    }
-    let kind = match r.u8()? {
-        0 => SyncFailureKind::RecvTimeout,
-        1 => SyncFailureKind::LinkDead,
-        2 => SyncFailureKind::Straggler,
-        3 => SyncFailureKind::InjectedCrash,
-        4 => SyncFailureKind::Aborted,
-        t => {
-            return Err(DecodeError::BadTag {
-                what: "failure kind",
-                tag: u64::from(t),
-            })
-        }
-    };
-    Ok(Error::sync(SyncFailure {
-        kind,
-        node: Field::get(r)?,
-        peer: Field::get(r)?,
-        task: Field::get(r)?,
-        detail: Field::get(r)?,
-    }))
-}
-
-impl WireMsg for Ctl {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Ctl::Hello { rank, mesh_port } => {
-                w.put_u8(CTL_HELLO);
-                rank.put(w);
-                mesh_port.put(w);
-            }
-            Ctl::Job(job) => {
-                w.put_u8(CTL_JOB);
-                job.put(w);
-            }
-            Ctl::Outcome {
-                cells,
-                report,
-                trace,
-                metrics,
-                flight,
-            } => {
-                w.put_u8(CTL_OUTCOME);
-                cells.put(w);
-                report.put(w);
-                trace.is_some().put(w);
-                if let Some(t) = trace {
-                    put_trace(w, t);
-                }
-                metrics.put(w);
-                flight.put(w);
-            }
-            Ctl::Failed {
-                error,
-                flight,
-                completed,
-            } => {
-                w.put_u8(CTL_FAILED);
-                put_error(w, error);
-                flight.put(w);
-                completed.put(w);
-            }
-            Ctl::Shutdown => w.put_u8(CTL_SHUTDOWN),
-            Ctl::ClockPing { t1 } => {
-                w.put_u8(CTL_CLOCK_PING);
-                t1.put(w);
-            }
-            Ctl::ClockPong { t1, t2 } => {
-                w.put_u8(CTL_CLOCK_PONG);
-                t1.put(w);
-                t2.put(w);
-            }
-            Ctl::Progress { rec } => {
-                w.put_u8(CTL_PROGRESS);
-                put_iter_record(w, rec);
-            }
-            Ctl::Member(m) => {
-                w.put_u8(CTL_MEMBER);
-                m.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
-        match r.u8()? {
-            CTL_HELLO => Ok(Ctl::Hello {
-                rank: Field::get(r)?,
-                mesh_port: Field::get(r)?,
-            }),
-            CTL_JOB => Ok(Ctl::Job(Box::new(Job::get(r)?))),
-            CTL_OUTCOME => Ok(Ctl::Outcome {
-                cells: Field::get(r)?,
-                report: Field::get(r)?,
-                trace: bool::get(r)?.then(|| get_trace(r)).transpose()?,
-                metrics: Field::get(r)?,
-                flight: Field::get(r)?,
-            }),
-            CTL_FAILED => Ok(Ctl::Failed {
-                error: get_error(r)?,
-                flight: Field::get(r)?,
-                completed: Field::get(r)?,
-            }),
-            CTL_SHUTDOWN => Ok(Ctl::Shutdown),
-            CTL_CLOCK_PING => Ok(Ctl::ClockPing { t1: Field::get(r)? }),
-            CTL_CLOCK_PONG => Ok(Ctl::ClockPong {
-                t1: Field::get(r)?,
-                t2: Field::get(r)?,
-            }),
-            CTL_PROGRESS => Ok(Ctl::Progress {
-                rec: get_iter_record(r)?,
-            }),
-            CTL_MEMBER => Ok(Ctl::Member(Msg::decode(r)?)),
-            t => Err(DecodeError::BadTag {
-                what: "ctl",
-                tag: u64::from(t),
-            }),
-        }
+record! {
+    /// One control message.
+    pub(super) enum Ctl ["ctl"] {
+        /// Worker → coordinator: `rank` is listening for mesh peers on
+        /// `mesh_port`.
+        Hello { rank: u32, mesh_port: u16 } = 1,
+        /// Coordinator → worker: the job to run.
+        Job(Box<Job>) = 2,
+        /// Worker → coordinator: the protocol completed; here are the
+        /// updated chunk values `(flow, part, elements)`, the measured
+        /// report, the optional per-rank trace and metrics snapshot
+        /// (JSON), and the flight-recorder ring.
+        Outcome {
+            cells: Vec<(u32, u32, Vec<f32>)>,
+            report: RuntimeReport,
+            trace: Option<Trace> => via(put_opt_trace, get_opt_trace),
+            metrics: Option<String>,
+            flight: Vec<FlightEvent>,
+        } = 3,
+        /// Worker → coordinator: the segment failed under this worker.
+        /// The flight ring rides along so the postmortem sees the failing
+        /// rank's view; `completed` is how many segment-local iterations
+        /// had fully retired here, so an evict-on-loss coordinator can
+        /// pick the drain boundary.
+        Failed {
+            error: Error,
+            flight: Vec<FlightEvent>,
+            completed: u32,
+        } = 4,
+        /// Coordinator → worker: all outcomes collected; tear the mesh
+        /// down and exit.
+        Shutdown = 5,
+        /// Coordinator → worker: clock probe carrying the coordinator's
+        /// clock reading `t1` (NTP-style offset estimation during
+        /// rendezvous).
+        ClockPing { t1: u64 } = 6,
+        /// Worker → coordinator: `t1` echoed back plus the worker's own
+        /// clock reading `t2` at the moment of the answer.
+        ClockPong { t1: u64, t2: u64 } = 7,
+        /// Worker → coordinator: one iteration retired (live telemetry).
+        /// Sent between `Job` and `Outcome`/`Failed` when the job asked
+        /// for progress; the coordinator restamps `ts_ns` on arrival so
+        /// every rank's records share its one clock.
+        Progress { rec: IterRecord } = 8,
+        /// Rendezvous-plane frame in either direction, reusing the
+        /// [`Msg`] wire codec: `Join` (joiner → coordinator),
+        /// `Welcome` (coordinator → joiner), `EpochBump` (coordinator →
+        /// surviving workers between segments).
+        Member(Msg) = 9,
     }
 }
 
-/// Control frames are a plain u32 length prefix + [`WireMsg`] body —
+/// A presence flag, then the trace in its own codec.
+fn put_opt_trace(w: &mut Writer, trace: &Option<Trace>) {
+    trace.is_some().put(w);
+    if let Some(t) = trace {
+        put_trace(w, t);
+    }
+}
+
+fn get_opt_trace(r: &mut Reader<'_>) -> std::result::Result<Option<Trace>, DecodeError> {
+    bool::get(r)?.then(|| get_trace(r)).transpose()
+}
+
+/// Control frames are a plain u32 length prefix + [`Ctl`] body —
 /// the rendezvous channel is point-to-point and short-lived, so the
 /// mesh's checksummed reliability discipline would be dead weight.
 const CTL_MAX_BYTES: u32 = 1 << 30;
@@ -310,7 +117,8 @@ mod tests {
     use crate::report::{DegradeAction, EpochRecord, FaultReport, PrimStat, StragglerVerdict};
     use hipress_compress::Algorithm;
     use hipress_core::Strategy;
-    use hipress_fabric::codec::check_record;
+    use hipress_util::codec::check_record;
+    use hipress_util::{SyncFailure, SyncFailureKind};
     use std::time::Duration;
 
     /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.
@@ -478,6 +286,25 @@ mod tests {
         }
     }
 
+    /// One error of each category.
+    fn every_error() -> Vec<Error> {
+        vec![
+            Error::sim("node 2 wedged"),
+            Error::sync(SyncFailure {
+                kind: SyncFailureKind::LinkDead,
+                node: 2,
+                peer: Some(0),
+                task: Some(5),
+                detail: "8 retransmissions".into(),
+            }),
+            Error::codec("truncated stream"),
+            Error::dsl("bad token"),
+            Error::config("ring of one"),
+            Error::plan("no profile"),
+            Error::lint("race on chunk 3"),
+        ]
+    }
+
     /// One frame of every control message, each field distinct and
     /// non-default.
     fn every_ctl() -> Vec<(&'static str, Ctl)> {
@@ -547,7 +374,9 @@ mod tests {
             0xc410_833f_4e53_4ed3,
             0x99ee_5e96_349c_90dd,
             0xf68e_9cfa_6d47_4206,
-            0xeeb5_f3e1_bda8_72e5,
+            // Re-captured when errors began to travel with their category
+            // (the parent sent this one as rendered text).
+            0x18e0_3242_789c_34c6,
             0xaf63_b84c_8601_af60,
             0x6598_320f_08db_42b4,
             0x3ae6_3321_26dc_bf4b,
@@ -561,13 +390,23 @@ mod tests {
                 assert!(Ctl::from_bytes(&bytes[..cut]).is_err(), "{name} at {cut}");
             }
             let back = Ctl::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-            match &back {
-                // Other error categories travel as their rendered
-                // message, so they come back as a message error.
-                Ctl::Failed { error, .. } if error.as_sync().is_none() => {
-                    assert!(error.to_string().contains("node 2 wedged"), "{error}");
-                }
-                _ => assert_eq!(back.to_bytes(), bytes, "{name}"),
+            assert_eq!(back.to_bytes(), bytes, "{name}");
+        }
+    }
+
+    /// Every error category reaches the coordinator as itself, not as
+    /// its rendered text under another category.
+    #[test]
+    fn every_error_category_round_trips() {
+        for error in every_error() {
+            let msg = Ctl::Failed {
+                error: error.clone(),
+                flight: flight(),
+                completed: 1,
+            };
+            match Ctl::from_bytes(&msg.to_bytes()) {
+                Ok(Ctl::Failed { error: back, .. }) => assert_eq!(back, error),
+                _ => panic!("{error} did not come back as a failure"),
             }
         }
     }
@@ -733,6 +572,25 @@ mod tests {
         check_record(&rep);
         check_record(&every_field_job().config);
         check_record(&every_field_job());
+        for (_, msg) in every_ctl() {
+            check_record(&msg);
+        }
+        for error in every_error() {
+            check_record(&error);
+        }
+        for strategy in Strategy::all() {
+            check_record(&strategy);
+        }
+        for algorithm in [
+            Algorithm::None,
+            Algorithm::OneBit,
+            Algorithm::Tbq { tau: 0.5 },
+            Algorithm::TernGrad { bitwidth: 4 },
+            Algorithm::Dgc { rate: 0.001 },
+            Algorithm::GradDrop { rate: 0.01 },
+        ] {
+            check_record(&algorithm);
+        }
     }
 
     /// An unknown control tag, and a presence or bool flag byte other
@@ -758,11 +616,27 @@ mod tests {
             }
             msg
         };
+        // A sync failure and a message error differ first at the
+        // error's tag byte; a tag no category claims is rejected.
         let other_error = Ctl::Failed {
             error: Error::sim("not a sync failure"),
             flight: flight(),
             completed: 4,
         };
+        let (sync, other) = (
+            sync_failed(Some(1), Some(42)).to_bytes(),
+            other_error.to_bytes(),
+        );
+        let at = sync.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+        for tag in [7, 0xFF] {
+            let mut bytes = other.clone();
+            bytes[at] = tag;
+            let e = Ctl::from_bytes(&bytes).err();
+            assert!(
+                matches!(e, Some(DecodeError::BadTag { what: "error", .. })),
+                "{e:?}"
+            );
+        }
         // Each pair differs first at one flag byte.
         for (i, (msg, edited)) in [
             (job(|_| {}), job(|j| j.config.batch_compression = true)),
@@ -772,7 +646,6 @@ mod tests {
             (job(|_| {}), job(|j| j.die_at_iter = None)),
             (outcome(), outcome_with(|t, _| *t = None)),
             (outcome(), outcome_with(|_, m| *m = None)),
-            (sync_failed(Some(1), Some(42)), other_error),
             (sync_failed(Some(1), Some(42)), sync_failed(None, Some(42))),
             (sync_failed(Some(1), Some(42)), sync_failed(Some(1), None)),
         ]

@@ -607,6 +607,7 @@ pub(super) fn run_segments(
             let worst = root_cause(errors).expect("at least one error");
             if let Some(path) = &pconf.flight_dump {
                 let dump = PostmortemDump {
+                    magic: PostmortemMagic,
                     nodes: nodes as u32,
                     failed_node: worst
                         .as_sync()

@@ -15,9 +15,9 @@
 //! the cross-check that keeps the trace honest.
 
 use hipress_core::Primitive;
-use hipress_fabric::codec::{DecodeError, Field, Json, Reader, Writer};
-use hipress_fabric::record;
 use hipress_trace::Trace;
+use hipress_util::codec::Json;
+use hipress_util::record;
 use hipress_util::table::{Align, Table};
 use hipress_util::units::fmt_duration_ns;
 use std::fmt;
@@ -54,16 +54,18 @@ const PRIMS: [(Primitive, &str); 8] = [
     (Primitive::Barrier, "barrier"),
 ];
 
-/// What a degradation policy did about one diagnosed straggler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeAction {
-    /// The policy kept waiting (the verdict is informational).
-    Waited = 1,
-    /// The peer's outstanding contributions were skipped and the
-    /// aggregates rescaled (bounded-staleness partial aggregation).
-    Skipped = 2,
-    /// The run was aborted with a structured straggler error.
-    Aborted = 3,
+record! {
+    /// What a degradation policy did about one diagnosed straggler.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DegradeAction ["degrade action"] {
+        /// The policy kept waiting (the verdict is informational).
+        Waited = 1,
+        /// The peer's outstanding contributions were skipped and the
+        /// aggregates rescaled (bounded-staleness partial aggregation).
+        Skipped = 2,
+        /// The run was aborted with a structured straggler error.
+        Aborted = 3,
+    }
 }
 
 impl fmt::Display for DegradeAction {
@@ -73,25 +75,6 @@ impl fmt::Display for DegradeAction {
             DegradeAction::Skipped => "skipped",
             DegradeAction::Aborted => "aborted",
         })
-    }
-}
-
-/// One tag byte, the discriminant.
-impl Field for DegradeAction {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(*self as u8);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            1 => Ok(DegradeAction::Waited),
-            2 => Ok(DegradeAction::Skipped),
-            3 => Ok(DegradeAction::Aborted),
-            t => Err(DecodeError::BadTag {
-                what: "degrade action",
-                tag: u64::from(t),
-            }),
-        }
     }
 }
 

@@ -1,6 +1,7 @@
-//! The runtime message on the wire: [`Msg`] encoded through the
-//! fabric codec so it can cross a serializing transport (the TCP
-//! mesh) exactly as it crosses a channel in-process.
+//! The runtime message on the wire: [`Msg`] is a declared record
+//! (`hipress_util::record!`), so it crosses a serializing transport
+//! (the TCP mesh) exactly as it crosses a channel in-process. Only its
+//! payload, whose absence shares the tag byte, is coded by hand here.
 //!
 //! The encoding is a plain tagged union over the little-endian codec:
 //!
@@ -24,44 +25,21 @@
 //! processes-vs-threads cross-validation rests on. Decoding never
 //! panics: every malformed input (truncation, unknown tags, hostile
 //! length prefixes) is a structured [`DecodeError`].
+//!
+//! [`Msg`]: crate::engine::Msg
 
-use crate::engine::{Msg, Payload};
-use hipress_core::graph::TaskId;
-use hipress_fabric::{DecodeError, Reader, WireMsg, Writer};
+use crate::engine::Payload;
+use hipress_util::codec::{DecodeError, Reader, Writer};
 use std::sync::Arc;
-
-const TAG_DONE: u8 = 1;
-const TAG_ABORT: u8 = 2;
-const TAG_JOIN: u8 = 3;
-const TAG_WELCOME: u8 = 4;
-const TAG_EPOCH_BUMP: u8 = 5;
 
 const PAYLOAD_NONE: u8 = 0;
 const PAYLOAD_RAW: u8 = 1;
 const PAYLOAD_COMPRESSED: u8 = 2;
 const PAYLOAD_SKIPPED: u8 = 3;
 
-fn encode_members(members: &[u32], w: &mut Writer) {
-    w.put_u32(members.len() as u32);
-    for &m in members {
-        w.put_u32(m);
-    }
-}
-
-/// Reads a `u32`-count-prefixed rank list, validating the declared
-/// count against the remaining input before allocating (a flipped
-/// count byte must not trigger a huge allocation).
-fn decode_members(r: &mut Reader<'_>) -> Result<Vec<u32>, DecodeError> {
-    let n = r.u32()? as usize;
-    let raw = r.take(n.saturating_mul(4))?;
-    Ok(raw
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn encode_payload(p: Option<&Payload>, w: &mut Writer) {
-    match p {
+/// Writes a [`Msg::Done`](crate::engine::Msg::Done) payload: its tag byte, then its body.
+pub(crate) fn put_payload(w: &mut Writer, p: &Option<Arc<Payload>>) {
+    match p.as_deref() {
         None => w.put_u8(PAYLOAD_NONE),
         Some(Payload::Raw(v)) => {
             w.put_u8(PAYLOAD_RAW);
@@ -75,133 +53,29 @@ fn encode_payload(p: Option<&Payload>, w: &mut Writer) {
     }
 }
 
-fn decode_payload(r: &mut Reader<'_>) -> Result<Option<Payload>, DecodeError> {
-    Ok(match r.u8()? {
-        PAYLOAD_NONE => None,
-        PAYLOAD_RAW => Some(Payload::Raw(r.f32s()?)),
-        PAYLOAD_COMPRESSED => Some(Payload::Compressed(r.bytes()?.to_vec())),
-        PAYLOAD_SKIPPED => Some(Payload::Skipped),
+/// Reads what [`put_payload`] wrote.
+pub(crate) fn get_payload(r: &mut Reader<'_>) -> Result<Option<Arc<Payload>>, DecodeError> {
+    let payload = match r.u8()? {
+        PAYLOAD_NONE => return Ok(None),
+        PAYLOAD_RAW => Payload::Raw(r.f32s()?),
+        PAYLOAD_COMPRESSED => Payload::Compressed(r.bytes()?.to_vec()),
+        PAYLOAD_SKIPPED => Payload::Skipped,
         tag => {
             return Err(DecodeError::BadTag {
                 what: "payload",
                 tag: u64::from(tag),
             })
         }
-    })
-}
-
-impl WireMsg for Msg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Msg::Done {
-                task,
-                payload,
-                iter,
-            } => {
-                w.put_u8(TAG_DONE);
-                w.put_u32(task.0);
-                w.put_u32(*iter);
-                encode_payload(payload.as_deref(), w);
-            }
-            Msg::Abort => w.put_u8(TAG_ABORT),
-            Msg::Join { rank, epoch } => {
-                w.put_u8(TAG_JOIN);
-                w.put_u32(*rank);
-                w.put_u64(*epoch);
-            }
-            Msg::Welcome {
-                epoch,
-                from_iter,
-                members,
-            } => {
-                w.put_u8(TAG_WELCOME);
-                w.put_u64(*epoch);
-                w.put_u32(*from_iter);
-                encode_members(members, w);
-            }
-            Msg::EpochBump {
-                epoch,
-                evicted,
-                from_iter,
-                members,
-            } => {
-                w.put_u8(TAG_EPOCH_BUMP);
-                w.put_u64(*epoch);
-                match evicted {
-                    None => w.put_u8(0),
-                    Some(rank) => {
-                        w.put_u8(1);
-                        w.put_u32(*rank);
-                    }
-                }
-                w.put_u32(*from_iter);
-                encode_members(members, w);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            TAG_DONE => {
-                let task = TaskId(r.u32()?);
-                let iter = r.u32()?;
-                let payload = decode_payload(r)?.map(Arc::new);
-                Msg::Done {
-                    task,
-                    payload,
-                    iter,
-                }
-            }
-            TAG_ABORT => Msg::Abort,
-            TAG_JOIN => {
-                let rank = r.u32()?;
-                let epoch = r.u64()?;
-                Msg::Join { rank, epoch }
-            }
-            TAG_WELCOME => {
-                let epoch = r.u64()?;
-                let from_iter = r.u32()?;
-                let members = decode_members(r)?;
-                Msg::Welcome {
-                    epoch,
-                    from_iter,
-                    members,
-                }
-            }
-            TAG_EPOCH_BUMP => {
-                let epoch = r.u64()?;
-                let evicted = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u32()?),
-                    tag => {
-                        return Err(DecodeError::BadTag {
-                            what: "evicted",
-                            tag: u64::from(tag),
-                        })
-                    }
-                };
-                let from_iter = r.u32()?;
-                let members = decode_members(r)?;
-                Msg::EpochBump {
-                    epoch,
-                    evicted,
-                    from_iter,
-                    members,
-                }
-            }
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "msg",
-                    tag: u64::from(tag),
-                })
-            }
-        })
-    }
+    };
+    Ok(Some(Arc::new(payload)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Msg;
+    use hipress_core::graph::TaskId;
+    use hipress_util::codec::{check_record, WireMsg};
     use hipress_util::{Rng64, SplitMix64};
 
     fn same(a: &Msg, b: &Msg) -> bool {
@@ -407,7 +281,7 @@ mod tests {
             Err(DecodeError::BadTag { what: "msg", .. })
         ));
         let mut w = Writer::new();
-        w.put_u8(TAG_DONE);
+        w.put_u8(1); // Done
         w.put_u32(3);
         w.put_u32(0);
         w.put_u8(7);
@@ -418,17 +292,15 @@ mod tests {
                 ..
             })
         ));
-        // An EpochBump whose evicted marker is neither 0 nor 1.
+        // An EpochBump whose evicted marker is neither 0 nor 1: the
+        // presence flag every `Option` field carries.
         let mut w = Writer::new();
-        w.put_u8(TAG_EPOCH_BUMP);
+        w.put_u8(5); // EpochBump
         w.put_u64(1);
         w.put_u8(7);
         assert!(matches!(
             Msg::from_bytes(&w.into_vec()),
-            Err(DecodeError::BadTag {
-                what: "evicted",
-                ..
-            })
+            Err(DecodeError::BadTag { what: "flag", .. })
         ));
     }
 
@@ -460,12 +332,50 @@ mod tests {
         }
     }
 
+    /// Every variant, and every payload shape, survives hostile bytes
+    /// (see [`check_record`]).
+    #[test]
+    fn every_variant_survives_hostile_bytes() {
+        let done = |payload: Option<Payload>| Msg::Done {
+            task: TaskId(7),
+            iter: 3,
+            payload: payload.map(Arc::new),
+        };
+        for msg in [
+            done(None),
+            done(Some(Payload::Raw(vec![1.5, -0.0, f32::NAN]))),
+            done(Some(Payload::Compressed(vec![9, 8, 7, 6]))),
+            done(Some(Payload::Skipped)),
+            Msg::Abort,
+            Msg::Join { rank: 3, epoch: 4 },
+            Msg::Welcome {
+                epoch: 2,
+                from_iter: 5,
+                members: vec![0, 1, 3],
+            },
+            Msg::EpochBump {
+                epoch: 6,
+                evicted: Some(1),
+                from_iter: 9,
+                members: vec![0, 2],
+            },
+            Msg::EpochBump {
+                epoch: 7,
+                evicted: None,
+                from_iter: 10,
+                members: vec![0, 1, 2],
+            },
+        ] {
+            check_record(&msg);
+        }
+    }
+
     /// A hostile member-count prefix must surface as a structured
     /// truncation error before any allocation happens.
     #[test]
     fn hostile_member_count_is_rejected_without_allocating() {
         let mut w = Writer::new();
-        w.put_u8(TAG_WELCOME);
+        w.put_u8(4); // Welcome
         w.put_u64(4);
         w.put_u32(0);
         w.put_u32(u32::MAX); // claims ~4 billion members, sends none

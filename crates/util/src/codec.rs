@@ -1,28 +1,24 @@
 //! The byte-level codec: little-endian primitive writers and readers
-//! with structured, panic-free decode errors.
+//! with structured, panic-free decode errors, and the [`record!`]
+//! declarations every wire type in the workspace is written in.
 //!
-//! Every wire structure in the workspace — frames, runtime messages,
-//! process-coordinator envelopes — serializes through [`Writer`] and
-//! parses through [`Reader`]. The reader *never* panics and never
-//! allocates more than the input holds: length prefixes are validated
-//! against the remaining input before any allocation, so truncated,
-//! bit-flipped, or garbage inputs yield a [`DecodeError`], not an
-//! abort or an out-of-memory hang.
+//! Every wire structure — frames, runtime messages, the process
+//! control protocol, reports, flight rings — serializes through
+//! [`Writer`] and parses through [`Reader`]. The reader *never* panics
+//! and never allocates more than the input holds: length prefixes are
+//! validated against the remaining input before any allocation, so
+//! truncated, bit-flipped, or garbage inputs yield a [`DecodeError`],
+//! not an abort or an out-of-memory hang.
 //!
-//! Reports and control structs are declared once with [`record!`]:
-//! one field list yields the struct, its TLV codec (a [`Field`]
-//! impl, fields in declaration order), its `absorb` and its JSON
-//! object.
-//!
-//! The two stream helpers at the bottom — [`write_all_vectored`] and
-//! [`read_exact_vec`] — are how a serialized buffer crosses a socket
-//! without being copied into (or zero-filled as) a staging buffer
-//! first; the frame path and the process control channel share them.
+//! A type crosses a process boundary by implementing [`Field`], and
+//! almost every one does so by being declared with [`record!`]: one
+//! field list (or variant list, with a tag byte per variant) yields
+//! the type, its codec, and on request its `absorb` and its JSON
+//! object. [`WireMsg`] is the standalone-bytes form of any `Field`.
+//! The codec lives here, at the bottom of the crate graph, so every
+//! crate can declare its own wire types.
 
-use crate::recorder::FlightEvent;
-use crate::WireMsg;
 use std::fmt;
-use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
 /// A structured decode failure. Every variant names what went wrong
@@ -357,11 +353,26 @@ macro_rules! le_fields {
 }
 
 le_fields! {
-    u8: put_u8, u8;
     u16: put_u16, u16;
     u32: put_u32, u32;
     u64: put_u64, u64;
     f64: put_f64, f64;
+}
+
+/// `Vec<u8>` (an opaque body) travels as one bulk block.
+impl Field for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.u8()
+    }
+    fn put_list(v: &[Self], w: &mut Writer) {
+        w.put_bytes(v);
+    }
+    fn get_list(r: &mut Reader<'_>) -> Result<Vec<Self>, DecodeError> {
+        Ok(r.bytes()?.to_vec())
+    }
 }
 
 /// `Vec<f32>` (a gradient) travels as one bulk block.
@@ -438,12 +449,12 @@ impl Field for String {
     }
 }
 
-impl Field for FlightEvent {
+impl<T: Field> Field for Box<T> {
     fn put(&self, w: &mut Writer) {
-        self.encode(w);
+        T::put(self, w);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Self::decode(r)
+        T::get(r).map(Box::new)
     }
 }
 
@@ -532,14 +543,15 @@ pub fn write_json_object(out: &mut String, fields: &[(&str, &dyn Json)]) {
     out.push('}');
 }
 
-/// Declares a wire record: one field list yields the struct itself
-/// (attributes, docs and visibility as written) and a [`Field`] impl
-/// that writes and reads the fields in declaration order. Options in
-/// brackets after the name add an `absorb` method (`[absorb]`) and a
-/// [`Json`] impl (`[json]`).
+/// Declares a wire record: one field list yields the type itself
+/// (attributes, docs and visibility as written) and a [`Field`] impl.
+///
+/// A `struct` writes and reads its fields in declaration order.
+/// Options in brackets after the name add an `absorb` method
+/// (`[absorb]`) and a [`Json`] impl (`[json]`).
 ///
 /// ```
-/// hipress_fabric::record! {
+/// hipress_util::record! {
 ///     /// Per-peer counters.
 ///     #[derive(Debug, Default)]
 ///     pub struct Tally [absorb, json] {
@@ -554,10 +566,33 @@ pub fn write_json_object(out: &mut String, fields: &[(&str, &dyn Json)]) {
 /// A field's kind, after `=>`, says how `absorb` merges it: `sum`
 /// (`+=`), `keep` (ignored), `append` (extend a `Vec`) or `absorb`
 /// (the field's own `absorb`). It is required only on records that
-/// ask for `absorb`. A field of a type this crate cannot implement
-/// [`Field`] for names its codec instead: `=> via(put_fn, get_fn)`,
-/// with `put_fn(&mut Writer, &T)` and `get_fn(&mut Reader) ->
-/// Result<T, DecodeError>`.
+/// ask for `absorb`. A field whose type has no [`Field`] impl names
+/// its codec instead: `=> via(put_fn, get_fn)`, with
+/// `put_fn(&mut Writer, &T)` and `get_fn(&mut Reader) -> Result<T,
+/// DecodeError>`.
+///
+/// An `enum` writes a tag byte, then the variant's fields in
+/// declaration order. Every variant states its tag after `=`, and the
+/// bracket after the name is the label an unknown tag's
+/// [`DecodeError::BadTag`] carries. Variants may be unit, one-field
+/// tuple or named-field variants; fields take `=> via(..)` as in a
+/// struct. An enum whose variants are all units keeps the tags as its
+/// discriminants.
+///
+/// ```
+/// hipress_util::record! {
+///     /// A request.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Req ["req"] {
+///         /// Stop.
+///         Stop = 1,
+///         /// Read `len` bytes at `at`.
+///         Read { at: u64, len: u32 } = 2,
+///         /// Say something.
+///         Say(String) = 3,
+///     }
+/// }
+/// ```
 #[macro_export]
 macro_rules! record {
     (
@@ -576,31 +611,117 @@ macro_rules! record {
 
         impl $crate::codec::Field for $name {
             fn put(&self, w: &mut $crate::codec::Writer) {
-                $($crate::record!(@put [$($kind $(($($arg)*))?)?] w &self.$field);)*
+                $($crate::record!(@put [$($kind $(($($arg)*))?)?] w &self.$field, $ty);)*
             }
 
             fn get(
                 r: &mut $crate::codec::Reader<'_>,
             ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
                 ::core::result::Result::Ok(Self {
-                    $($field: $crate::record!(@get [$($kind $(($($arg)*))?)?] r)?,)*
+                    $($field: $crate::record!(@get [$($kind $(($($arg)*))?)?] r, $ty)?,)*
                 })
             }
         }
 
         $crate::record!(@opts $name [$($($opt)*)?] {$($field $($kind)?),*});
     };
-    (@put [via($put:path, $get:path)] $w:ident $v:expr) => {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident [$what:literal] {
+            $($(#[$vmeta:meta])* $variant:ident = $tag:literal),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant = $tag,)*
+        }
+
+        impl $crate::codec::Field for $name {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                w.put_u8(match self {
+                    $(Self::$variant => $tag,)*
+                });
+            }
+
+            fn get(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
+                match r.u8()? {
+                    $($tag => ::core::result::Result::Ok(Self::$variant),)*
+                    tag => $crate::record!(@bad_tag $what, tag),
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident [$what:literal] {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $(($tty:ty $(=> $tkind:ident $(($($targ:tt)*))?)?))?
+                $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $fty:ty $(=> $fkind:ident $(($($farg:tt)*))?)?
+                    ),* $(,)?
+                })?
+                = $tag:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(($tty))? $({$($(#[$fmeta])* $field: $fty,)*})?,
+            )*
+        }
+
+        impl $crate::codec::Field for $name {
+            fn put(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $(Self::$variant $(($crate::record!(@bind v $tty)))? $({$($field),*})? => {
+                        w.put_u8($tag);
+                        $($crate::record!(@put [$($tkind $(($($targ)*))?)?] w v, $tty);)?
+                        $($($crate::record!(@put [$($fkind $(($($farg)*))?)?] w $field, $fty);)*)?
+                    })*
+                }
+            }
+
+            fn get(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::codec::DecodeError> {
+                ::core::result::Result::Ok(match r.u8()? {
+                    $($tag => Self::$variant
+                        $(($crate::record!(@get [$($tkind $(($($targ)*))?)?] r, $tty)?))?
+                        $({$($field: $crate::record!(@get [$($fkind $(($($farg)*))?)?] r, $fty)?,)*})?,
+                    )*
+                    tag => return $crate::record!(@bad_tag $what, tag),
+                })
+            }
+        }
+    };
+    (@bind $v:ident $ty:ty) => {
+        $v
+    };
+    (@bad_tag $what:literal, $tag:ident) => {
+        ::core::result::Result::Err($crate::codec::DecodeError::BadTag {
+            what: $what,
+            tag: u64::from($tag),
+        })
+    };
+    (@put [via($put:path, $get:path)] $w:ident $v:expr, $ty:ty) => {
         $put($w, $v)
     };
-    (@put [$($kind:tt)*] $w:ident $v:expr) => {
-        $crate::codec::Field::put($v, $w)
+    (@put [$($kind:tt)*] $w:ident $v:expr, $ty:ty) => {
+        <$ty as $crate::codec::Field>::put($v, $w)
     };
-    (@get [via($put:path, $get:path)] $r:ident) => {
+    (@get [via($put:path, $get:path)] $r:ident, $ty:ty) => {
         $get($r)
     };
-    (@get [$($kind:tt)*] $r:ident) => {
-        $crate::codec::Field::get($r)
+    (@get [$($kind:tt)*] $r:ident, $ty:ty) => {
+        <$ty as $crate::codec::Field>::get($r)
     };
     (@opts $name:ident [] $fields:tt) => {};
     (@opts $name:ident [$opt:ident $($rest:ident)*] $fields:tt) => {
@@ -642,6 +763,33 @@ macro_rules! record {
     };
 }
 
+/// A [`Field`] as a standalone byte vector: what a serializing
+/// fabric moves. Every `Field` that can cross a thread is one.
+pub trait WireMsg: Field + Send + 'static {
+    /// The value's encoding, alone in a fresh buffer.
+    fn to_bytes(&self) -> Vec<u8> {
+        encode(self)
+    }
+
+    /// Parses a standalone byte vector, requiring full consumption.
+    ///
+    /// # Errors
+    ///
+    /// A structured [`DecodeError`] for any malformed input, including
+    /// [`DecodeError::TrailingBytes`]; never panics.
+    fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
+        decode_all(buf)
+    }
+}
+
+impl<T: Field + Send + 'static> WireMsg for T {}
+
+fn encode<T: Field>(v: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    v.put(&mut w);
+    w.into_vec()
+}
+
 /// Decodes `bytes` as exactly one `T`.
 fn decode_all<T: Field>(bytes: &[u8]) -> Result<T, DecodeError> {
     let mut r = Reader::new(bytes);
@@ -661,11 +809,6 @@ fn decode_all<T: Field>(bytes: &[u8]) -> Result<T, DecodeError> {
 /// panicking; and a list claiming `u32::MAX` elements over a short
 /// body fails without allocating for the count.
 pub fn check_record<T: Field>(value: &T) {
-    let encode = |v: &T| {
-        let mut w = Writer::new();
-        v.put(&mut w);
-        w.into_vec()
-    };
     let bytes = encode(value);
     let back = decode_all::<T>(&bytes).expect("the encoding decodes");
     assert_eq!(encode(&back), bytes, "decode then encode changed the bytes");
@@ -684,62 +827,6 @@ pub fn check_record<T: Field>(value: &T) {
     let mut hostile = u32::MAX.to_le_bytes().to_vec();
     hostile.extend_from_slice(&bytes);
     assert!(decode_all::<Vec<T>>(&hostile).is_err());
-}
-
-/// Writes `parts` back to back as if they were one contiguous buffer,
-/// without assembling that buffer: one `write_vectored` per call the
-/// sink accepts, resuming mid-part after a short write.
-///
-/// # Errors
-///
-/// Propagates I/O errors; a sink that accepts nothing is
-/// [`io::ErrorKind::WriteZero`].
-pub fn write_all_vectored<const N: usize>(
-    w: &mut impl Write,
-    mut parts: [&[u8]; N],
-) -> io::Result<()> {
-    let mut first = 0;
-    loop {
-        while first < N && parts[first].is_empty() {
-            first += 1;
-        }
-        if first == N {
-            return Ok(());
-        }
-        let iov = parts.map(IoSlice::new);
-        let mut n = match w.write_vectored(&iov[first..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        for part in &mut parts[first..] {
-            let taken = n.min(part.len());
-            *part = &part[taken..];
-            n -= taken;
-        }
-    }
-}
-
-/// Reads exactly `n` bytes into a fresh buffer of exactly that
-/// capacity, straight into its spare capacity — no zero-fill pass
-/// before the read, no copy after it. The caller bounds `n` (a length
-/// prefix must be ceiling-checked *before* it gets here).
-///
-/// # Errors
-///
-/// I/O errors, and [`io::ErrorKind::UnexpectedEof`] when the stream
-/// ends before `n` bytes arrived.
-pub fn read_exact_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    buf.try_reserve_exact(n)?;
-    if r.take(n as u64).read_to_end(&mut buf)? != n {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("stream ended {} bytes into a {n}-byte block", buf.len()),
-        ));
-    }
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -798,5 +885,73 @@ mod tests {
         assert!(matches!(r.bytes(), Err(DecodeError::Truncated { .. })));
         let mut r = Reader::new(&buf);
         assert!(matches!(r.f32s(), Err(DecodeError::Truncated { .. })));
+    }
+
+    fn put_doubled(w: &mut Writer, v: &u32) {
+        w.put_u32(v * 2);
+    }
+
+    fn get_halved(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+        Ok(r.u32()? / 2)
+    }
+
+    crate::record! {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shape ["shape"] {
+            Empty = 0,
+            Boxed(Box<Vec<u8>>) = 3,
+            Named {
+                a: u16,
+                b: u32 => via(put_doubled, get_halved),
+                c: Option<String>,
+            } = 7,
+        }
+    }
+
+    crate::record! {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Unit ["unit"] {
+            A = 4,
+            B = 9,
+        }
+    }
+
+    #[test]
+    fn enum_records_write_the_tag_then_the_fields() {
+        let named = Shape::Named {
+            a: 1,
+            b: 21,
+            c: Some("x".into()),
+        };
+        let bytes = named.to_bytes();
+        assert_eq!(bytes, [7, 1, 0, 42, 0, 0, 0, 1, 1, 0, 0, 0, b'x']);
+        assert_eq!(Shape::from_bytes(&bytes), Ok(named.clone()));
+        let boxed = Shape::Boxed(Box::new(vec![5, 6]));
+        assert_eq!(boxed.to_bytes(), [3, 2, 0, 0, 0, 5, 6]);
+        assert_eq!(Shape::Empty.to_bytes(), [0]);
+        for v in [Shape::Empty, boxed, named] {
+            check_record(&v);
+        }
+        assert_eq!(Unit::B as u8, 9);
+        assert_eq!(Unit::from_bytes(&[4]), Ok(Unit::A));
+        check_record(&Unit::B);
+    }
+
+    #[test]
+    fn unknown_enum_tags_name_the_enum() {
+        assert_eq!(
+            Shape::from_bytes(&[1]),
+            Err(DecodeError::BadTag {
+                what: "shape",
+                tag: 1
+            })
+        );
+        assert_eq!(
+            Unit::from_bytes(&[5]),
+            Err(DecodeError::BadTag {
+                what: "unit",
+                tag: 5
+            })
+        );
     }
 }

@@ -2,51 +2,56 @@
 
 use std::fmt;
 
-/// Errors produced by HiPress components.
-///
-/// Lower-level crates return these directly; higher-level crates wrap
-/// them with context. Fallible APIs are preferred over panics
-/// throughout the workspace; panics are reserved for programming
-/// errors (violated internal invariants).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// A compressed payload could not be decoded (truncated stream,
-    /// bad magic, inconsistent metadata).
-    Codec(String),
-    /// A CompLL DSL program failed to lex, parse, or type-check.
-    Dsl(String),
-    /// An experiment or component was configured inconsistently
-    /// (e.g., a ring of one node, a negative bandwidth).
-    Config(String),
-    /// The discrete-event simulation reached an invalid state
-    /// (e.g., a dependency cycle between tasks).
-    Sim(String),
-    /// The planner could not produce a plan (e.g., missing profile).
-    Plan(String),
-    /// Static analysis rejected a task graph or CompLL program
-    /// (`hipress-lint` diagnostics rendered into one message).
-    Lint(String),
-    /// The fault-tolerant runtime diagnosed a protocol failure — a
-    /// dead link, a silent peer, a straggler the policy would not
-    /// wait for — and unwound cleanly instead of hanging. Structured:
-    /// it names the node that diagnosed it, the peer/link, and the
-    /// task involved, so callers can act on *where*, not just *that*.
-    Sync(SyncFailure),
+crate::record! {
+    /// Errors produced by HiPress components.
+    ///
+    /// Lower-level crates return these directly; higher-level crates wrap
+    /// them with context. Fallible APIs are preferred over panics
+    /// throughout the workspace; panics are reserved for programming
+    /// errors (violated internal invariants). A worker process sends its
+    /// error to the coordinator as this record, category and all.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Error ["error"] {
+        /// A compressed payload could not be decoded (truncated stream,
+        /// bad magic, inconsistent metadata).
+        Codec(String) = 2,
+        /// A CompLL DSL program failed to lex, parse, or type-check.
+        Dsl(String) = 3,
+        /// An experiment or component was configured inconsistently
+        /// (e.g., a ring of one node, a negative bandwidth).
+        Config(String) = 4,
+        /// The discrete-event simulation reached an invalid state
+        /// (e.g., a dependency cycle between tasks).
+        Sim(String) = 0,
+        /// The planner could not produce a plan (e.g., missing profile).
+        Plan(String) = 5,
+        /// Static analysis rejected a task graph or CompLL program
+        /// (`hipress-lint` diagnostics rendered into one message).
+        Lint(String) = 6,
+        /// The fault-tolerant runtime diagnosed a protocol failure — a
+        /// dead link, a silent peer, a straggler the policy would not
+        /// wait for — and unwound cleanly instead of hanging. Structured:
+        /// it names the node that diagnosed it, the peer/link, and the
+        /// task involved, so callers can act on *where*, not just *that*.
+        Sync(SyncFailure) = 1,
+    }
 }
 
-/// What kind of synchronization failure was diagnosed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncFailureKind {
-    /// No progress within the receive deadline: some peer went silent.
-    RecvTimeout,
-    /// A link exhausted its retransmission budget without an ack.
-    LinkDead,
-    /// A straggling peer tripped the detector under an abort policy.
-    Straggler,
-    /// A node stopped mid-protocol on an injected crash trigger.
-    InjectedCrash,
-    /// The node unwound because a peer broadcast an abort.
-    Aborted,
+crate::record! {
+    /// What kind of synchronization failure was diagnosed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SyncFailureKind ["failure kind"] {
+        /// No progress within the receive deadline: some peer went silent.
+        RecvTimeout = 0,
+        /// A link exhausted its retransmission budget without an ack.
+        LinkDead = 1,
+        /// A straggling peer tripped the detector under an abort policy.
+        Straggler = 2,
+        /// A node stopped mid-protocol on an injected crash trigger.
+        InjectedCrash = 3,
+        /// The node unwound because a peer broadcast an abort.
+        Aborted = 4,
+    }
 }
 
 impl SyncFailureKind {
@@ -67,20 +72,22 @@ impl SyncFailureKind {
     }
 }
 
-/// A structured synchronization failure: what went wrong, observed by
-/// whom, about which peer/link, at which task.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncFailure {
-    /// The failure class.
-    pub kind: SyncFailureKind,
-    /// The node that diagnosed (or suffered) the failure.
-    pub node: usize,
-    /// The peer / far end of the link involved, when known.
-    pub peer: Option<usize>,
-    /// The task id involved, when known.
-    pub task: Option<u32>,
-    /// Free-form detail (timings, budgets).
-    pub detail: String,
+crate::record! {
+    /// A structured synchronization failure: what went wrong, observed by
+    /// whom, about which peer/link, at which task.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SyncFailure {
+        /// The failure class.
+        pub kind: SyncFailureKind,
+        /// The node that diagnosed (or suffered) the failure.
+        pub node: usize,
+        /// The peer / far end of the link involved, when known.
+        pub peer: Option<usize>,
+        /// The task id involved, when known.
+        pub task: Option<u32>,
+        /// Free-form detail (timings, budgets).
+        pub detail: String,
+    }
 }
 
 impl fmt::Display for SyncFailure {
@@ -186,6 +193,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{check_record, WireMsg};
 
     #[test]
     fn display_includes_category_and_message() {
@@ -245,5 +253,34 @@ mod tests {
     fn is_std_error() {
         fn takes_err(_e: &dyn std::error::Error) {}
         takes_err(&Error::codec("x"));
+    }
+
+    #[test]
+    fn every_category_survives_hostile_bytes() {
+        let sync = |kind| {
+            Error::sync(SyncFailure {
+                kind,
+                node: 3,
+                peer: Some(1),
+                task: None,
+                detail: "why".into(),
+            })
+        };
+        for e in [
+            Error::codec("a"),
+            Error::dsl("b"),
+            Error::config("c"),
+            Error::sim("d"),
+            Error::plan("e"),
+            Error::lint("f"),
+            sync(SyncFailureKind::RecvTimeout),
+            sync(SyncFailureKind::LinkDead),
+            sync(SyncFailureKind::Straggler),
+            sync(SyncFailureKind::InjectedCrash),
+            sync(SyncFailureKind::Aborted),
+        ] {
+            check_record(&e);
+            assert_eq!(Error::from_bytes(&e.to_bytes()), Ok(e));
+        }
     }
 }

@@ -8,6 +8,11 @@
 //!   simulation needs reproducible randomness.
 //! * [`bits`] — LSB-first bit-level readers and writers used by the
 //!   quantization compressors and the CompLL packed-array runtime.
+//! * [`codec`] — the byte codec every wire type uses: the
+//!   little-endian [`codec::Writer`] / [`codec::Reader`], the
+//!   [`codec::Field`] trait, and [`record!`], which declares a struct
+//!   or tagged enum once and derives its codec. It lives here so any
+//!   crate can declare the types it sends between processes.
 //! * [`stats`] — streaming statistics (Welford) and percentile helpers
 //!   used by the benchmark harness.
 //! * [`units`] — byte/bandwidth/time unit conversions shared by the
@@ -16,11 +21,13 @@
 //!   compression planner to model `T(m) = a + b*m` cost curves.
 //! * [`table`] — the aligned-column text table shared by every report
 //!   printer (runtime report, CLI summaries, bench tables).
-//! * [`error`] — the common error type.
+//! * [`error`] — the common error type, itself a wire record (a
+//!   worker's error reaches the coordinator with its category).
 
 #![forbid(unsafe_code)]
 
 pub mod bits;
+pub mod codec;
 pub mod error;
 pub mod fit;
 pub mod rng;

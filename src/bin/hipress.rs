@@ -919,7 +919,7 @@ fn cmd_run_elastic(
 }
 
 fn cmd_postmortem(args: &Args) -> Result<(), String> {
-    use hipress::fabric::WireMsg as _;
+    use hipress::util::codec::WireMsg as _;
     let path = &args.positional[0];
     let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     let dump = hipress::runtime::PostmortemDump::from_bytes(&bytes)
