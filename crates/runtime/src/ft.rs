@@ -164,7 +164,7 @@ const FAULTS: [(&str, &str, &str); 10] = [
 /// recording.
 struct FtMetrics {
     faults: [Counter; FAULTS.len()],
-    /// Indexed by [`DegradeAction`].
+    /// Indexed by [`DegradeAction`]'s tag less one.
     verdicts: [Counter; 3],
     stall: Counter,
 }
@@ -631,7 +631,8 @@ impl<'a> FtLink<'a> {
             action,
         });
         if let Some(m) = &self.metrics {
-            m.verdicts[action as usize].inc();
+            // Tags start at 1 (`Waited`); the counters at 0.
+            m.verdicts[action as usize - 1].inc();
         }
         if let Some(tr) = &self.trace {
             let args = [

@@ -470,6 +470,58 @@ fn stall_abort_names_the_straggler() {
     assert_eq!(sync.peer, Some(1), "wrong straggler named: {err}");
 }
 
+/// A straggler verdict counts under its own action's label. The
+/// counters used to be indexed by the action's wire tag, which starts
+/// at 1: an abort verdict indexed past the end and panicked the node.
+#[test]
+fn straggler_verdicts_count_under_their_action() {
+    let sizes = [256];
+    let grads = worker_grads(3, &sizes);
+    let flows = gradient_flows(&grads);
+    let graph = Strategy::CaSyncPs
+        .build(
+            &ClusterConfig::ec2(3),
+            &iter_spec(&sizes, Algorithm::OneBit, 2),
+        )
+        .unwrap();
+    let c = Algorithm::OneBit.build().unwrap();
+    let registry = hipress_metrics::Registry::new();
+    let scope = registry.scope(&[]);
+    let err = run(
+        &graph,
+        3,
+        &replicate(&flows),
+        Some(c.as_ref()),
+        19,
+        &RunOptions {
+            instruments: Instruments {
+                tracer: None,
+                metrics: Some(&scope),
+                progress: None,
+            },
+            chaos: Some((
+                ft(DegradePolicy::Abort),
+                FaultPlan::stall(4, 1, Duration::from_millis(700)),
+            )),
+            ..RunOptions::default()
+        },
+    )
+    .expect_err("abort policy must fail the run");
+    assert_eq!(
+        err.as_sync().map(|f| f.kind),
+        Some(SyncFailureKind::Straggler)
+    );
+    let mut counted = std::collections::BTreeMap::new();
+    for (key, value) in registry.snapshot().iter() {
+        if key.name == hipress_metrics::names::FT_STRAGGLER_VERDICTS {
+            let action = key.labels.get("action").unwrap_or_default().to_string();
+            *counted.entry(action).or_insert(0.0) += value.scalar();
+        }
+    }
+    assert!(counted["aborted"] > 0.0, "{counted:?}");
+    assert_eq!(counted["waited"] + counted["skipped"], 0.0, "{counted:?}");
+}
+
 /// The fault-free envelope path (a `none` plan) matches the fast path
 /// bit-for-bit and injects nothing — the overhead bench's premise.
 #[test]
