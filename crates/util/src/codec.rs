@@ -702,6 +702,8 @@ macro_rules! record {
             }
         }
     };
+    // A tuple variant's binding. It takes the type only so that the
+    // optional group it sits in has a metavariable to repeat on.
     (@bind $v:ident $ty:ty) => {
         $v
     };
