@@ -175,6 +175,11 @@ cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
 # installed bytes must still agree.
 cargo run --release -q --bin hipress -- run --nodes 3 --algorithm none \
   --backend processes --iters 4 --window 4 --cross-check >/dev/null
+# Sparse decodes land in recycled, stale chunk buffers on both real
+# backends; every pipelined iteration must still install the
+# interpreter's bits.
+cargo run --release -q --bin hipress -- run --nodes 3 --algorithm dgc \
+  --backend processes --iters 8 --window 2 --cross-check >/dev/null
 PROC_ERR=$(mktemp)
 if cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
     --backend processes --kill-node 1 >/dev/null 2>"$PROC_ERR"; then

@@ -229,6 +229,14 @@ fn event_line(rec: &IterRecord) -> String {
 /// smoke tool: fetch `path` from `addr`, decoding chunked bodies. For
 /// streaming endpoints pass `max_lines` to stop after that many
 /// newline-terminated lines instead of waiting for the stream to end.
+///
+/// # Errors
+///
+/// A failed connection or read, and any response that breaks its
+/// framing: a head that is not done within 8 KiB, a bad status line,
+/// a chunk size that is not hex or overflows, a chunk not followed by
+/// CRLF, a body that disagrees with its content-length, or a chunked
+/// stream that ends before its last chunk.
 pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)
         .map_err(|e| Error::config(format!("telemetry: connect {addr}: {e}")))?;
@@ -242,12 +250,18 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
     .and_then(|()| stream.flush())
     .map_err(|e| Error::config(format!("telemetry: request: {e}")))?;
 
-    // Read the response head.
+    // Read the response head, bounded like the server's request head.
     let mut raw = Vec::new();
     let mut buf = [0u8; 1024];
     let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+        let seen = &raw[..raw.len().min(MAX_HEAD)];
+        if let Some(pos) = seen.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos + 4;
+        }
+        if raw.len() >= MAX_HEAD {
+            return Err(Error::config(format!(
+                "telemetry: response head exceeds {MAX_HEAD} bytes"
+            )));
         }
         let n = stream
             .read(&mut buf)
@@ -263,9 +277,19 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| Error::config(format!("telemetry: bad status line: {head}")))?;
-    let chunked = head
-        .lines()
-        .any(|l| l.to_ascii_lowercase().starts_with("transfer-encoding:") && l.contains("chunked"));
+    let header = |name: &str| {
+        head.lines().find_map(|l| {
+            let (key, value) = l.split_once(':')?;
+            key.eq_ignore_ascii_case(name).then(|| value.trim())
+        })
+    };
+    let chunked = header("transfer-encoding").is_some_and(|v| v.contains("chunked"));
+    let content_length = header("content-length")
+        .map(|v| {
+            v.parse::<usize>()
+                .map_err(|_| Error::config(format!("telemetry: bad content-length: {v}")))
+        })
+        .transpose()?;
     let mut body_raw = raw[head_end..].to_vec();
 
     if !chunked {
@@ -278,6 +302,12 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
                 break;
             }
             body_raw.extend_from_slice(&buf[..n]);
+        }
+        if let Some(len) = content_length.filter(|&len| len != body_raw.len()) {
+            return Err(Error::config(format!(
+                "telemetry: body of {} bytes, content-length {len}",
+                body_raw.len()
+            )));
         }
         return Ok((status, String::from_utf8_lossy(&body_raw).to_string()));
     }
@@ -303,10 +333,22 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
                 if size == 0 {
                     return Ok((status, body));
                 }
-                let need = nl + 2 + size + 2;
-                if body_raw.len() >= need {
-                    body.push_str(&String::from_utf8_lossy(&body_raw[nl + 2..nl + 2 + size]));
-                    body_raw.drain(..need);
+                // Size line, CRLF, data, CRLF; the size is the peer's.
+                let data = nl + 2;
+                let end = data
+                    .checked_add(size)
+                    .and_then(|e| e.checked_add(2))
+                    .ok_or_else(|| {
+                        Error::config(format!("telemetry: chunk size {size_line} overflows"))
+                    })?;
+                if body_raw.len() >= end {
+                    if body_raw[end - 2..end] != *b"\r\n" {
+                        return Err(Error::config(format!(
+                            "telemetry: chunk of {size} bytes is not followed by CRLF"
+                        )));
+                    }
+                    body.push_str(&String::from_utf8_lossy(&body_raw[data..end - 2]));
+                    body_raw.drain(..end);
                     progressed = true;
                 }
             }
@@ -320,7 +362,9 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
             .read(&mut buf)
             .map_err(|e| Error::config(format!("telemetry: read chunk: {e}")))?;
         if n == 0 {
-            return Ok((status, body));
+            return Err(Error::config(
+                "telemetry: connection closed before the last chunk",
+            ));
         }
         body_raw.extend_from_slice(&buf[..n]);
     }
@@ -329,6 +373,85 @@ pub fn fetch(addr: &str, path: &str, max_lines: Option<usize>) -> Result<(u16, S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `fetch` against a scripted peer that reads the request head,
+    /// answers `response`, then holds the connection open until the
+    /// client hangs up (`hold`) or closes it at once.
+    fn fetch_from(response: &[u8], hold: bool) -> Result<(u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let response = response.to_vec();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Read the whole request first: closing on unread bytes
+            // would reset the connection instead of ending the stream.
+            let mut head = Vec::new();
+            let mut buf = [0u8; 256];
+            while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client hung up mid-request");
+                head.extend_from_slice(&buf[..n]);
+            }
+            stream.write_all(&response).unwrap();
+            if hold {
+                while stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+            }
+        });
+        let out = fetch(&addr, "/events", None);
+        peer.join().unwrap();
+        out
+    }
+
+    fn fetch_err(response: &[u8], hold: bool) -> String {
+        fetch_from(response, hold).unwrap_err().to_string()
+    }
+
+    const CHUNKED: &str = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+
+    #[test]
+    fn fetch_refuses_hostile_chunk_framing() {
+        let huge = format!("{CHUNKED}ffffffffffffffff\r\nabc\r\n0\r\n\r\n");
+        assert!(fetch_err(huge.as_bytes(), false).contains("overflows"));
+        // Fewer and more bytes than the size line claims.
+        for wrong in ["5\r\nabc\r\n0\r\n\r\n", "3\r\nabcdef\r\n0\r\n\r\n"] {
+            let err = fetch_err(format!("{CHUNKED}{wrong}").as_bytes(), false);
+            assert!(err.contains("not followed by CRLF"), "{wrong:?}: {err}");
+        }
+        let err = fetch_err(format!("{CHUNKED}zz\r\n").as_bytes(), false);
+        assert!(err.contains("bad chunk size"), "{err}");
+    }
+
+    #[test]
+    fn fetch_bounds_the_response_head() {
+        let endless = vec![b'X'; MAX_HEAD + 1];
+        assert!(fetch_err(&endless, true).contains("exceeds"));
+        // Terminated, but only past the bound.
+        let mut late = b"HTTP/1.1 200 OK\r\nX-Pad: ".to_vec();
+        late.resize(MAX_HEAD, b'p');
+        late.extend_from_slice(b"\r\n\r\n");
+        assert!(fetch_err(&late, true).contains("exceeds"));
+        // A head just inside it is read.
+        let mut fits = b"HTTP/1.1 200 OK\r\nX-Pad: ".to_vec();
+        fits.resize(MAX_HEAD - 4, b'p');
+        fits.extend_from_slice(b"\r\n\r\nok");
+        assert_eq!(fetch_from(&fits, false).unwrap(), (200, "ok".into()));
+    }
+
+    #[test]
+    fn fetch_names_a_stream_cut_at_any_offset() {
+        let chunked = format!("{CHUNKED}5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n");
+        let last_chunk = chunked.find("0\r\n").unwrap() + 3;
+        let sized = "HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\nhello world";
+        for (response, complete) in [(chunked.as_str(), last_chunk), (sized, sized.len())] {
+            for cut in 0..=response.len() {
+                match fetch_from(&response.as_bytes()[..cut], false) {
+                    Ok(out) if cut >= complete => assert_eq!(out, (200, "hello world".into())),
+                    Ok(out) => panic!("cut at {cut} of {response:?} read as {out:?}"),
+                    Err(e) => assert!(cut < complete, "cut at {cut}: {e}"),
+                }
+            }
+        }
+    }
 
     /// The exact `/events` line of a record whose fields are all
     /// distinct, captured on the commit before the line was generated

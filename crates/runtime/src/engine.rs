@@ -407,6 +407,70 @@ hipress_util::record! {
     }
 }
 
+/// A node loop's spare chunk buffers, keyed by length.
+///
+/// A decode output, a fresh merge sum, an overwritten accumulator and
+/// a multi-reader `Update`'s copy are taken from here, so a run's
+/// iterations reuse the buffers of those before them instead of
+/// faulting fresh gradient-sized allocations in. A buffer comes back
+/// only if it never left the node: a sole-reader decode output after
+/// its `Merge`, an `Owned` accumulator that `Update` replaces or that
+/// a retiring non-final iteration drops, and decode outputs no one
+/// consumed. A buffer that went into an `Arc<Payload>` never comes
+/// back, even once its last peer has dropped it: waiting for that
+/// costs more than the allocation it saves. So the pool holds no
+/// more than the node had live at once, and it is dropped with the
+/// run.
+#[derive(Debug, Default)]
+pub(crate) struct BufPool {
+    free: HashMap<usize, Vec<Vec<f32>>>,
+    /// What the pool served, for the tests that pin its steady state.
+    #[cfg(test)]
+    pub(crate) counts: PoolCounts,
+}
+
+/// A [`BufPool`]'s counters.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PoolCounts {
+    /// The iteration whose task draws from the pool now.
+    pub(crate) iter: u32,
+    /// Takes the pool could not serve: a fresh allocation followed.
+    pub(crate) fresh: u64,
+    /// The iteration of the last such take.
+    pub(crate) last_fresh_iter: Option<u32>,
+    /// Buffers put back.
+    pub(crate) returned: u64,
+}
+
+impl BufPool {
+    /// A free buffer of `len` elements, its contents stale.
+    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
+        let v = self.free.get_mut(&len).and_then(Vec::pop);
+        #[cfg(test)]
+        if v.is_none() {
+            self.counts.fresh += 1;
+            self.counts.last_fresh_iter = Some(self.counts.iter);
+        }
+        v
+    }
+
+    /// A buffer of `len` elements for the caller to overwrite in full:
+    /// a free one, else a fresh one.
+    fn take_or_alloc(&mut self, len: usize) -> Vec<f32> {
+        self.take(len).unwrap_or_else(|| vec![0.0; len])
+    }
+
+    /// Puts back a buffer no one else holds.
+    fn put(&mut self, v: Vec<f32>) {
+        #[cfg(test)]
+        {
+            self.counts.returned += 1;
+        }
+        self.free.entry(v.len()).or_default().push(v);
+    }
+}
+
 /// A chunk accumulator, copy-on-write and shared by refcount.
 ///
 /// `Source` installs a `Shared` handle on the node's input chunk
@@ -415,8 +479,8 @@ hipress_util::record! {
 /// into the one `Arc<Payload>` the message needs and keeps a `Shared`
 /// handle ([`ChunkBuf::share`]); `Update` of a received raw aggregate
 /// keeps the received `Arc`. Writers never copy a held buffer only to
-/// write over the copy: [`ChunkBuf::add_assign`] sums into a fresh
-/// vector in one pass and [`ChunkBuf::overwrite`] hands out a fresh
+/// write over the copy: [`ChunkBuf::add_assign`] sums into a pooled
+/// buffer in one pass and [`ChunkBuf::overwrite`] hands out a pooled
 /// one. Only the rare in-place rescale goes through
 /// [`ChunkBuf::make_mut`], which copies once while someone else still
 /// holds the buffer. Every writer is free on an owned or uniquely
@@ -464,25 +528,38 @@ impl ChunkBuf {
     }
 
     /// Adds `other` element-wise: in place when unshared, else into a
-    /// fresh vector in one pass (`a + b` either way, so the bits are
-    /// the same).
-    pub(crate) fn add_assign(&mut self, other: &[f32]) {
+    /// pooled or fresh vector in one pass (`a + b` either way, so the
+    /// bits are the same).
+    pub(crate) fn add_assign(&mut self, other: &[f32], pool: &mut BufPool) {
         if let Some(v) = self.unique_mut() {
             for (a, b) in v.iter_mut().zip(other) {
                 *a += b;
             }
+        } else if let Some(mut v) = pool.take(self.len()) {
+            for ((s, a), b) in v.iter_mut().zip(self.iter()).zip(other) {
+                *s = a + b;
+            }
+            *self = ChunkBuf::Owned(v);
         } else {
             *self = ChunkBuf::Owned(self.iter().zip(other).map(|(a, b)| a + b).collect());
         }
     }
 
     /// A buffer of the same length for the caller to overwrite in
-    /// full: this one when unshared, else a fresh one.
-    pub(crate) fn overwrite(&mut self) -> &mut [f32] {
+    /// full: this one when unshared, else a pooled or fresh one.
+    pub(crate) fn overwrite(&mut self, pool: &mut BufPool) -> &mut [f32] {
         if self.unique_mut().is_none() {
-            *self = ChunkBuf::Owned(vec![0.0; self.len()]);
+            *self = ChunkBuf::Owned(pool.take_or_alloc(self.len()));
         }
         self.make_mut()
+    }
+
+    /// Installs `value`, putting a replaced private buffer back into
+    /// `pool`. A shared one is only dropped: it may have left the node.
+    fn replace(&mut self, value: ChunkBuf, pool: &mut BufPool) {
+        if let ChunkBuf::Owned(v) = std::mem::replace(self, value) {
+            pool.put(v);
+        }
     }
 
     /// The buffer as a vector: a move when uniquely held, else a copy.
@@ -934,11 +1011,44 @@ impl<'a> NodeCore<'a> {
         }
     }
 
+    /// Whether local task `id` is the only reader of local task `d`'s
+    /// output.
+    fn sole_reader(&self, d: TaskId, id: TaskId) -> bool {
+        self.plan
+            .local_dependents
+            .get(&d.0)
+            .is_some_and(|r| r[..] == [id.0])
+    }
+
+    /// Puts this iteration's private buffers back into `pool` as it
+    /// retires: its `Owned` accumulators and any decode output no one
+    /// consumed.
+    pub(crate) fn recycle(self, pool: &mut BufPool) {
+        for cell in self.cells.into_values() {
+            if let ChunkBuf::Owned(v) = cell.acc {
+                pool.put(v);
+            }
+        }
+        for v in self.dec_out.into_values() {
+            pool.put(v);
+        }
+    }
+
     /// Executes one primitive, recording its measurement into the
     /// report (and trace/metrics when enabled). Returns the outbound
     /// payload for `Send` tasks; the caller owns completion
     /// bookkeeping (dependency resolution and fabric messaging).
-    pub(crate) fn execute_one(&mut self, id: TaskId) -> Result<Option<Arc<Payload>>> {
+    /// Codec outputs and fresh sums are buffers from `pool`, the
+    /// node's for the run.
+    pub(crate) fn execute_one(
+        &mut self,
+        id: TaskId,
+        pool: &mut BufPool,
+    ) -> Result<Option<Arc<Payload>>> {
+        #[cfg(test)]
+        {
+            pool.counts.iter = self.iter;
+        }
         let start_ns = self.trace.as_ref().map(|tr| tr.tracer.now_ns());
         let started = Instant::now();
         let t = self.graph.task(id);
@@ -1008,13 +1118,14 @@ impl<'a> NodeCore<'a> {
                     Some(Payload::Compressed(bytes)) => {
                         // Sized by the layout, never by the stream: a
                         // header that claims another length is a
-                        // codec error, not an allocation.
+                        // codec error, not an allocation. Not zeroed:
+                        // `decode_into` writes every element.
                         let elems = *self
                             .layout
                             .chunk_elems
                             .get(&key)
                             .ok_or_else(|| Error::sim("decode of a chunk with no source"))?;
-                        let mut out = vec![0.0f32; elems];
+                        let mut out = pool.take_or_alloc(elems);
                         self.compressor()?.decode_into(bytes, &mut out)?;
                         self.dec_out.insert(id.0, out);
                     }
@@ -1031,13 +1142,21 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Merge => {
                 // The decoded or received chunk, borrowed where it
-                // already lives; `None` is a degradation hole.
+                // already lives; `None` is a degradation hole. A decode
+                // output this merge alone reads goes back to the pool
+                // once summed.
+                let mut spent: Option<Vec<f32>> = None;
                 let contribution: Option<&[f32]> =
                     if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
                         if self.skipped_out.contains(&d.0) {
                             None
                         } else {
-                            let dec = self.dec_out.get(&d.0);
+                            if self.sole_reader(d, id) {
+                                spent = self.dec_out.remove(&d.0);
+                            }
+                            let dec = spent
+                                .as_deref()
+                                .or(self.dec_out.get(&d.0).map(Vec::as_slice));
                             Some(dec.ok_or_else(|| Error::sim("merge before decode"))?)
                         }
                     } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
@@ -1061,7 +1180,7 @@ impl<'a> NodeCore<'a> {
                         if contribution.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
-                        cell.acc.add_assign(contribution);
+                        cell.acc.add_assign(contribution, pool);
                         cell.merged += 1;
                     }
                     None => {
@@ -1070,6 +1189,9 @@ impl<'a> NodeCore<'a> {
                         // is rescaled before anyone consumes it.
                         cell.missing += 1;
                     }
+                }
+                if let Some(v) = spent {
+                    pool.put(v);
                 }
             }
             Primitive::Send => {
@@ -1125,7 +1247,7 @@ impl<'a> NodeCore<'a> {
                 enum Install<'v> {
                     /// The disseminated aggregate, decoded: the
                     /// decode's own buffer when this `Update` is its
-                    /// only reader, else a copy.
+                    /// only reader, else a copy in a pooled buffer.
                     Decoded(Vec<f32>),
                     /// The disseminated aggregate as received raw.
                     Received(&'v Arc<Payload>),
@@ -1146,11 +1268,14 @@ impl<'a> NodeCore<'a> {
                     if self.skipped_out.contains(&d.0) {
                         Install::Degraded
                     } else {
-                        let readers = self.plan.local_dependents.get(&d.0);
-                        let dec = if readers.is_some_and(|r| r[..] == [id.0]) {
+                        let dec = if self.sole_reader(d, id) {
                             self.dec_out.remove(&d.0)
                         } else {
-                            self.dec_out.get(&d.0).cloned()
+                            self.dec_out.get(&d.0).map(|v| {
+                                let mut copy = pool.take_or_alloc(v.len());
+                                copy.copy_from_slice(v);
+                                copy
+                            })
                         };
                         Install::Decoded(dec.ok_or_else(|| Error::sim("update before decode"))?)
                     }
@@ -1182,20 +1307,21 @@ impl<'a> NodeCore<'a> {
                 // from: a received raw aggregate becomes it by
                 // refcount, a decoded one by move, and the owner
                 // decodes its own bytes straight into it — never into
-                // a copy of a buffer someone else holds.
+                // a copy of a buffer someone else holds. A private
+                // accumulator it replaces goes back to the pool.
                 match install {
                     Install::Decoded(value) => {
                         if value.len() != cell.acc.len() {
                             return Err(Error::sim("update length mismatch"));
                         }
-                        cell.acc = value.into();
+                        cell.acc.replace(value.into(), pool);
                     }
                     Install::Received(p) => {
                         let value = ChunkBuf::Shared(Arc::clone(p));
                         if value.len() != cell.acc.len() {
                             return Err(Error::sim("update length mismatch"));
                         }
-                        cell.acc = value;
+                        cell.acc.replace(value, pool);
                     }
                     Install::Degraded => {
                         cell.scale(crate::protocol::degrade_rescale(
@@ -1205,7 +1331,7 @@ impl<'a> NodeCore<'a> {
                     }
                     Install::OwnBytes(bytes) => compressor
                         .ok_or_else(|| Error::sim("codec task without a compressor"))?
-                        .decode_into(bytes, cell.acc.overwrite())?,
+                        .decode_into(bytes, cell.acc.overwrite(pool))?,
                     Install::Accumulator => cell.settle_degraded(nodes),
                 }
                 cell.updated = true;
@@ -1608,7 +1734,7 @@ mod tests {
         // bits an in-place sum gives.
         let mut buf = ChunkBuf::from(vec![0.1f32, 0.2, 0.3]);
         let held = buf.share();
-        buf.add_assign(&[0.7, 0.4, -0.3]);
+        buf.add_assign(&[0.7, 0.4, -0.3], &mut BufPool::default());
         assert_eq!(held.as_ref(), &Payload::Raw(vec![0.1, 0.2, 0.3]));
         let mut in_place = [0.1f32, 0.2, 0.3];
         for (a, b) in in_place.iter_mut().zip([0.7f32, 0.4, -0.3]) {
@@ -1617,12 +1743,13 @@ mod tests {
         assert_eq!(&*buf, &in_place[..]);
         // Unshared, both writers keep the allocation.
         let ptr = buf.as_ptr();
-        buf.add_assign(&[1.0; 3]);
-        buf.overwrite().copy_from_slice(&[5.0; 3]);
+        buf.add_assign(&[1.0; 3], &mut BufPool::default());
+        buf.overwrite(&mut BufPool::default())
+            .copy_from_slice(&[5.0; 3]);
         assert_eq!((buf.as_ptr(), &*buf), (ptr, &[5.0f32; 3][..]));
         // An overwrite of a held buffer hands out a fresh one.
         let held = buf.share();
-        let fresh = buf.overwrite();
+        let fresh = buf.overwrite(&mut BufPool::default());
         assert_eq!(fresh.len(), 3);
         fresh.copy_from_slice(&[6.0; 3]);
         assert_eq!(held.as_ref(), &Payload::Raw(vec![5.0; 3]));
@@ -1630,7 +1757,8 @@ mod tests {
     }
 
     /// Runs `graph` over the channel fabric, returning every node's
-    /// final cells. `layout` keeps the input chunks the run split.
+    /// final cells and its buffer pool's counters. `layout` keeps the
+    /// input chunks the run split.
     fn drive_all(
         graph: &TaskGraph,
         nodes: usize,
@@ -1638,20 +1766,26 @@ mod tests {
         layout: &FlowLayout,
         compressor: Option<&dyn Compressor>,
         pipeline: crate::PipelineConfig,
-    ) -> Vec<HashMap<(u32, u32), Cell>> {
+    ) -> (Vec<HashMap<(u32, u32), Cell>>, Vec<PoolCounts>) {
+        use hipress_fabric::Link;
         let plan = NodePlan::derive(graph, nodes);
         let config = RuntimeConfig::default();
+        let pools: Vec<std::sync::Mutex<BufPool>> =
+            (0..nodes).map(|_| Default::default()).collect();
         let results = crate::pipeline::on_threads(
             vec![None; nodes],
             vec![None; nodes],
             |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
+                let mut pool = pools[link.me()].lock().unwrap();
                 crate::pipeline::drive_node(
                     &mut link, graph, flows, layout, &plan, compressor, 5, &config, &pipeline,
-                    None, None, None, None,
+                    None, None, None, None, &mut pool,
                 )
             },
         );
-        results.into_iter().map(|r| r.unwrap().0).collect()
+        let cells = results.into_iter().map(|r| r.unwrap().0).collect();
+        let counts = pools.into_iter().map(|p| p.into_inner().unwrap().counts);
+        (cells, counts.collect())
     }
 
     #[test]
@@ -1668,8 +1802,15 @@ mod tests {
                 window,
             };
             let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
-            let cells = drive_all(&graph, nodes, &flows, &layout, None, pipeline);
+            let (cells, pools) = drive_all(&graph, nodes, &flows, &layout, None, pipeline);
             assert_eq!(cells[0].len(), 4);
+            // Every buffer the owners summed into left in a raw `Send`,
+            // so none may come back: recycling a shared buffer once its
+            // peers let go measured slower than allocating.
+            assert!(pools[0].fresh > 0, "the owner's sums draw on the pool");
+            for (node, counts) in pools.iter().enumerate() {
+                assert_eq!(counts.returned, 0, "node {node} pooled a sent buffer");
+            }
             for (key, mine) in &cells[0] {
                 // The owner's `Send` shared its accumulator; the peer's
                 // `Update` kept the received payload — one buffer.
@@ -1681,6 +1822,47 @@ mod tests {
                     "chunk {key:?} at window {window} was copied"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pooled_ring_allocates_a_window_of_buffers_not_a_run() {
+        let nodes = 3;
+        let sizes = [3000usize, 700];
+        let window = 4;
+        let pipeline = crate::PipelineConfig {
+            iterations: 32,
+            window,
+        };
+        let grads = worker_grads(nodes, &sizes);
+        let single = gradient_flows(&grads);
+        let flows = replicate(&single);
+        let alg = Some(Algorithm::OneBit);
+        let graph = Strategy::CaSyncRing
+            .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, alg, nodes))
+            .unwrap();
+        let c = Algorithm::OneBit.build().unwrap();
+        let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+        let (cells, pools) = drive_all(&graph, nodes, &flows, &layout, Some(c.as_ref()), pipeline);
+        // Recycled decode outputs and sums start stale; the installed
+        // bits must not notice.
+        let sim = interpret(&graph, nodes, &single, Some(c.as_ref()), 5).unwrap();
+        for (a, b) in sim.iter().zip(layout.assemble(&cells).unwrap()) {
+            assert_eq!(a.per_node, b.per_node);
+        }
+        for (node, counts) in pools.iter().enumerate() {
+            // An iteration holds at most one accumulator per chunk and
+            // one output per decode, and no more than `window` are in
+            // flight. Which iteration sets the peak depends on thread
+            // interleaving; that the peak bounds the run does not.
+            let decodes = graph
+                .tasks()
+                .iter()
+                .filter(|t| t.node == node && t.prim == Primitive::Decode)
+                .count();
+            let live = u64::from(window) * (layout.chunk_elems.len() + decodes) as u64;
+            assert!(counts.fresh <= live, "node {node}: {counts:?} over {live}");
+            assert!(counts.returned > 0, "node {node} recycled nothing");
         }
     }
 
@@ -1706,7 +1888,7 @@ mod tests {
             let plan = NodePlan::derive(&graph, nodes);
             // A pipelined run: owners merge into, update and decode
             // over accumulators that start as the shared inputs.
-            let cells = drive_all(&graph, nodes, &flows, &layout, c.as_deref(), pipeline);
+            let (cells, _) = drive_all(&graph, nodes, &flows, &layout, c.as_deref(), pipeline);
             let sim = interpret(&graph, nodes, &single, c.as_deref(), 5).unwrap();
             for (a, b) in sim.iter().zip(layout.assemble(&cells).unwrap()) {
                 assert_eq!(a.per_node, b.per_node, "{strategy:?} diverged");
@@ -1747,8 +1929,11 @@ mod tests {
                     .collect();
                 for core in &mut window {
                     for (&key, chunk) in inputs {
-                        core.execute_one(tasks_of(&graph, node, Primitive::Source, key)[0])
-                            .unwrap();
+                        core.execute_one(
+                            tasks_of(&graph, node, Primitive::Source, key)[0],
+                            &mut BufPool::default(),
+                        )
+                        .unwrap();
                         assert!(
                             matches!(&core.cells[&key].acc, ChunkBuf::Shared(p) if Arc::ptr_eq(p, chunk)),
                             "{strategy:?} node {node} copied {key:?}"
@@ -1768,14 +1953,20 @@ mod tests {
         let plan = NodePlan::derive(&graph, 2);
         let key = (0, 0);
         let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
-        core.execute_one(tasks_of(&graph, 1, Primitive::Source, key)[0])
-            .unwrap();
+        core.execute_one(
+            tasks_of(&graph, 1, Primitive::Source, key)[0],
+            &mut BufPool::default(),
+        )
+        .unwrap();
         let recv = tasks_of(&graph, 1, Primitive::Recv, key)[0];
         let send = graph.task(recv).deps[0];
         core.inbound.insert(send.0, Arc::new(Payload::Skipped));
-        core.execute_one(recv).unwrap();
-        core.execute_one(tasks_of(&graph, 1, Primitive::Update, key)[0])
-            .unwrap();
+        core.execute_one(recv, &mut BufPool::default()).unwrap();
+        core.execute_one(
+            tasks_of(&graph, 1, Primitive::Update, key)[0],
+            &mut BufPool::default(),
+        )
+        .unwrap();
         let input = &layout.split_inputs(&flows, 1)[&key];
         let Payload::Raw(v) = input.as_ref() else {
             unreachable!()
@@ -1808,10 +1999,16 @@ mod tests {
         let plan = NodePlan::derive(&graph, 2);
         let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
         let key = (0, 0);
-        core.execute_one(tasks_of(&graph, 1, Primitive::Source, key)[0])
-            .unwrap();
+        core.execute_one(
+            tasks_of(&graph, 1, Primitive::Source, key)[0],
+            &mut BufPool::default(),
+        )
+        .unwrap();
         let send = tasks_of(&graph, 1, Primitive::Send, key)[0];
-        let out = core.execute_one(send).unwrap().expect("send payload");
+        let out = core
+            .execute_one(send, &mut BufPool::default())
+            .unwrap()
+            .expect("send payload");
         let Payload::Raw(v) = out.as_ref() else {
             panic!("raw send shipped {out:?}")
         };
@@ -1841,13 +2038,18 @@ mod tests {
             None,
         );
         for t in [Primitive::Source, Primitive::Encode] {
-            core.execute_one(tasks_of(&graph, 0, t, key)[0]).unwrap();
+            core.execute_one(tasks_of(&graph, 0, t, key)[0], &mut BufPool::default())
+                .unwrap();
         }
         let sends = tasks_of(&graph, 0, Primitive::Send, key);
         assert_eq!(sends.len(), 2);
         let out: Vec<Arc<Payload>> = sends
             .iter()
-            .map(|&s| core.execute_one(s).unwrap().expect("send payload"))
+            .map(|&s| {
+                core.execute_one(s, &mut BufPool::default())
+                    .unwrap()
+                    .expect("send payload")
+            })
             .collect();
         assert!(matches!(out[0].as_ref(), Payload::Compressed(_)));
         assert!(Arc::ptr_eq(&out[0], &out[1]), "one encode, two allocations");
@@ -1872,16 +2074,22 @@ mod tests {
             for len in [0, 47, 49, 4096] {
                 let mut core =
                     NodeCore::new(node, &graph, &flows, &layout, &plan, None, 3, None, None);
-                core.execute_one(tasks_of(&graph, node, Primitive::Source, key)[0])
-                    .unwrap();
+                core.execute_one(
+                    tasks_of(&graph, node, Primitive::Source, key)[0],
+                    &mut BufPool::default(),
+                )
+                .unwrap();
                 let before = core.cells[&key].acc.to_vec();
                 let recv = tasks_of(&graph, node, Primitive::Recv, key)[0];
                 let send = graph.task(recv).deps[0];
                 core.inbound
                     .insert(send.0, Arc::new(Payload::Raw(vec![1.0; len])));
-                core.execute_one(recv).unwrap();
+                core.execute_one(recv, &mut BufPool::default()).unwrap();
                 let err = core
-                    .execute_one(tasks_of(&graph, node, consumer, key)[0])
+                    .execute_one(
+                        tasks_of(&graph, node, consumer, key)[0],
+                        &mut BufPool::default(),
+                    )
                     .unwrap_err();
                 assert!(err.to_string().contains(error), "{consumer:?} {len}: {err}");
                 let cell = &core.cells[&key];

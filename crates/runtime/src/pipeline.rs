@@ -29,7 +29,7 @@
 //! dependency chain. The returned flows are the final iteration's.
 
 use crate::engine::{
-    build_node_metrics, build_node_traces, conclude, record_run_span, Cell, FlowLayout,
+    build_node_metrics, build_node_traces, conclude, record_run_span, BufPool, Cell, FlowLayout,
     Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload,
     ReplicaFlows, RunOutcome, RuntimeConfig,
 };
@@ -324,6 +324,9 @@ struct PipeWorker<'a, L: Link<Msg = Msg>> {
     /// Local tasks executed so far, across iterations (the index the
     /// fault plan's node triggers fire at).
     executed: usize,
+    /// The node's spare chunk buffers, lent to every task of every
+    /// admitted iteration and refilled as iterations retire.
+    pool: &'a mut BufPool,
 }
 
 impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
@@ -469,7 +472,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                     .get_mut(&k)
                     .expect("batched iteration")
                     .core
-                    .execute_one(t)?;
+                    .execute_one(t, self.pool)?;
                 self.finish(k, t, outbound);
             }
             return Ok(());
@@ -479,7 +482,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             .get_mut(&iter)
             .expect("scheduled iteration")
             .core
-            .execute_one(id)?;
+            .execute_one(id, self.pool)?;
         self.finish(iter, id, outbound);
         Ok(())
     }
@@ -609,6 +612,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             if iter + 1 == self.pcfg.iterations {
                 self.final_cells = Some(std::mem::take(&mut st.core.cells));
             }
+            st.core.recycle(self.pool);
             self.completed += 1;
             if let Some(h) = self.hooks.as_deref_mut() {
                 h.retired = self.completed;
@@ -695,6 +699,8 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 /// its final-iteration cells and its accumulated (all-iterations)
 /// report. The loop every run executes: channel-fabric threads,
 /// fault-tolerant envelope-link threads and TCP-mesh processes.
+/// `pool` holds the node's spare chunk buffers for this run; the
+/// caller drops it with the run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     link: &'a mut L,
@@ -710,6 +716,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     metrics: Option<NodeMetrics>,
     progress: Option<&'a dyn ProgressSink>,
     hooks: Option<&'a mut NodeHooks>,
+    pool: &'a mut BufPool,
 ) -> NodeResult {
     // Split once, before the first iteration, so the one copy is not
     // timed as a `Source`: every `Source` is a refcount bump on it.
@@ -736,6 +743,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
         last_counters: LinkCounters::default(),
         hooks,
         executed: 0,
+        pool,
     };
     worker.run()
 }
@@ -865,18 +873,20 @@ pub fn run(
             node_traces,
             node_metrics,
             |mut link: ChannelLink<Msg>, tr, m| {
+                let mut pool = BufPool::default();
                 drive_node(
                     &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
-                    progress, None,
+                    progress, None, &mut pool,
                 )
             },
         ),
         Some(chaos) => on_threads(node_traces, node_metrics, |inner, tr, m| {
             let (mut link, mut hooks) = FtLink::new(inner, graph, plan, chaos, opts, tr.clone());
             let hooks = Some(&mut hooks);
+            let mut pool = BufPool::default();
             let result = drive_node(
                 &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
-                progress, hooks,
+                progress, hooks, &mut pool,
             );
             link.finish(result)
         }),

@@ -43,7 +43,7 @@
 //! evicts it and continues over the survivors.
 
 use crate::engine::{
-    record_run_metrics, record_run_span, root_cause, single_node_trace, Cell, FlowLayout,
+    record_run_metrics, record_run_span, root_cause, single_node_trace, BufPool, Cell, FlowLayout,
     Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome, RuntimeConfig,
 };
 use crate::observe::{
@@ -773,6 +773,7 @@ fn run_job(
         metrics,
         progress_sink.as_ref().map(|s| s as &dyn ProgressSink),
         Some(&mut hooks),
+        &mut BufPool::default(),
     );
     let msg = match outcome {
         Ok((cells, report)) => Ctl::Outcome {

@@ -1,6 +1,7 @@
 //! The flat `f32` gradient buffer.
 
 use hipress_util::rng::Rng64;
+use std::sync::Arc;
 
 /// A flat `f32` gradient tensor.
 ///
@@ -8,29 +9,33 @@ use hipress_util::rng::Rng64;
 /// compression algorithms, partitioning, and synchronization are all
 /// shape-oblivious, exactly as in the paper (the CompLL API takes
 /// `float*` input, Figure 4).
+///
+/// Copy-on-write: a clone shares the buffer by refcount, and the first
+/// write through a handle that is not the only one copies it
+/// (`as_mut_slice`, `add_assign`, `scale`, `fill_gaussian`). Handing
+/// gradients around by value therefore costs nothing until someone
+/// writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
     /// Creates a tensor from raw values.
     pub fn from_vec(data: Vec<f32>) -> Self {
-        Self { data }
+        Self {
+            data: Arc::new(data),
+        }
     }
 
     /// Creates an all-zero tensor with `len` elements.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            data: vec![0.0; len],
-        }
+        Self::from_vec(vec![0.0; len])
     }
 
     /// Creates a tensor by evaluating `f` at each index.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> f32) -> Self {
-        Self {
-            data: (0..len).map(&mut f).collect(),
-        }
+        Self::from_vec((0..len).map(&mut f).collect())
     }
 
     /// Number of elements.
@@ -54,14 +59,16 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the values.
+    /// Mutable view of the values, copied first if another clone
+    /// still shares them.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
+    /// Consumes the tensor and returns the underlying buffer: the
+    /// allocation itself when this is the only handle, else a copy.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// Element-wise addition: `self += other`.
@@ -78,7 +85,7 @@ impl Tensor {
             other.len(),
             "cannot merge tensors of different lengths"
         );
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.data.iter()) {
             *a += b;
         }
     }
@@ -86,7 +93,7 @@ impl Tensor {
     /// Multiplies every element by `s` (used for averaging aggregated
     /// gradients across N workers).
     pub fn scale(&mut self, s: f32) {
-        for a in &mut self.data {
+        for a in self.as_mut_slice() {
             *a *= s;
         }
     }
@@ -130,7 +137,7 @@ impl Tensor {
     /// Fills the tensor with i.i.d. Gaussian values of the given
     /// standard deviation.
     pub fn fill_gaussian<R: Rng64>(&mut self, rng: &mut R, std_dev: f32) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x = (rng.next_gaussian() as f32) * std_dev;
         }
     }
@@ -142,7 +149,7 @@ impl Tensor {
         for p in parts {
             data.extend_from_slice(&p.data);
         }
-        Tensor { data }
+        Tensor::from_vec(data)
     }
 }
 
@@ -232,6 +239,50 @@ mod tests {
             / t.len() as f64;
         assert!(mean.abs() < 0.05);
         assert!((var - 4.0).abs() < 0.15);
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let original = Tensor::from_fn(64, |i| i as f32 * 0.25 - 3.0);
+        let before = bits(&original);
+        let ptr = original.as_slice().as_ptr();
+        assert_eq!(original.clone().as_slice().as_ptr(), ptr);
+
+        // Every writer on a clone copies first; the original keeps its
+        // bits and its allocation.
+        let writes: [fn(&mut Tensor); 4] = [
+            |t| t.as_mut_slice()[5] = 99.0,
+            |t| t.add_assign(&Tensor::from_vec(vec![1.0; 64])),
+            |t| t.scale(-2.0),
+            |t| t.fill_gaussian(&mut SplitMix64::new(7), 1.0),
+        ];
+        for write in writes {
+            let mut clone = original.clone();
+            write(&mut clone);
+            assert_ne!(clone.as_slice().as_ptr(), ptr);
+            assert_ne!(bits(&clone), before);
+            assert_eq!(bits(&original), before);
+            assert_eq!(original.as_slice().as_ptr(), ptr);
+        }
+
+        // A write through the only handle stays in place.
+        let mut unique = original.clone();
+        drop(original);
+        unique.scale(1.0);
+        assert_eq!(unique.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn into_vec_moves_a_unique_buffer_and_copies_a_shared_one() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0]);
+        let ptr = t.as_slice().as_ptr();
+        let held = t.clone();
+        let copied = t.into_vec();
+        assert_ne!(copied.as_ptr(), ptr);
+        assert_eq!(copied, held.as_slice());
+        let moved = held.into_vec();
+        assert_eq!(moved.as_ptr(), ptr);
     }
 
     #[test]

@@ -606,8 +606,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         });
 
     // `--cross-check`: run the same job on real OS processes over the
-    // loopback TCP mesh and on in-process threads, and require
-    // bit-identical flows (plus the interpreter when unpipelined).
+    // loopback TCP mesh, on in-process threads and in the interpreter,
+    // and require bit-identical flows. Every iteration syncs the same
+    // gradients with the same per-task seeds, so the interpreter's one
+    // iteration is the reference at any `--iters` / `--window`.
     if args.on("cross-check") {
         let procs = base
             .clone()
@@ -620,20 +622,17 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .sync(&grads)
             .map_err(|e| format!("threads backend: {e}"))?;
         same_flows(&threads.flows, &procs.flows, "threads and processes")?;
-        let mut against = "threads".to_string();
-        if iters == 1 && window == 1 {
-            let sim = base
-                .clone()
-                .backend(Backend::Simulator)
-                .sync(&grads)
-                .map_err(|e| format!("simulator backend: {e}"))?;
-            same_flows(&sim.flows, &procs.flows, "interpreter and processes")?;
-            against = "threads and the interpreter".into();
-        }
+        let sim = base
+            .iterations(1)
+            .pipeline_window(1)
+            .backend(Backend::Simulator)
+            .sync(&grads)
+            .map_err(|e| format!("simulator backend: {e}"))?;
+        same_flows(&sim.flows, &procs.flows, "interpreter and processes")?;
         let report = procs.report.expect("process backend always reports");
         println!(
-            "cross-check OK: {} process(es) over loopback TCP bit-identical to {against} \
-             ({} / {}, {} gradients, {iters} iteration(s), window {window})",
+            "cross-check OK: {} process(es) over loopback TCP bit-identical to threads and \
+             the interpreter ({} / {}, {} gradients, {iters} iteration(s), window {window})",
             nodes,
             strategy.label(),
             algorithm.label(),

@@ -383,8 +383,10 @@ impl HiPress {
                 (self.fault_tolerance.unwrap_or_default(), plan)
             });
             let (graph, flows) = graph_and_flows()?;
-            // One replica per worker, moved into the runtime's shape:
-            // the flows are this call's only copy of the gradients.
+            // One replica per worker, moved into the runtime's shape.
+            // The flows share the caller's tensors by refcount
+            // (`Tensor` is copy-on-write); each node's split of its
+            // inputs is this call's only copy of the gradients.
             let flows: ReplicaFlows = flows
                 .into_iter()
                 .map(|(f, per_node)| (f, per_node.into_iter().map(|t| vec![t]).collect()))
