@@ -267,18 +267,18 @@ cargo run --release -q --bin hipress -- bench --require-overlap
 
 echo "== bench snapshot + perf gate =="
 # Emit a machine-readable benchmark snapshot, re-read it with the
-# crate's own parser (report --json), and run the --baseline gate as a
-# self-compare at 0% tolerance — deterministic regardless of host
-# speed. The second gate run injects a synthetic 50% slowdown and must
-# trip, proving the gate can actually fail.
+# crate's own parser (report --json), and gate its simulated half
+# against the committed baselines/BENCH_sim.json at 0% tolerance: the
+# simulator is deterministic, so any moved or missing metric fails,
+# whatever the host speed. The second gate run injects a synthetic 50%
+# slowdown and must trip, proving the gate can actually fail.
 BENCH_DIR=$(mktemp -d)
-cargo run --release -q --bin hipress -- bench --nodes 3 --dir "$BENCH_DIR" >/dev/null
+cargo run --release -q --bin hipress -- bench --nodes 3 --dir "$BENCH_DIR" \
+  --baseline baselines/BENCH_sim.json --tolerance 0
 cargo run --release -q --bin hipress -- report "$BENCH_DIR/BENCH_runtime.json" --json >/dev/null
-cargo run --release -q --bin hipress -- bench --snapshot "$BENCH_DIR/BENCH_runtime.json" \
-  --baseline "$BENCH_DIR/BENCH_runtime.json" --tolerance 0
 if HIPRESS_BENCH_SLOWDOWN_PCT=50 cargo run --release -q --bin hipress -- bench \
-    --snapshot "$BENCH_DIR/BENCH_runtime.json" \
-    --baseline "$BENCH_DIR/BENCH_runtime.json" >/dev/null 2>&1; then
+    --snapshot "$BENCH_DIR/BENCH_sim.json" \
+    --baseline baselines/BENCH_sim.json >/dev/null 2>&1; then
   echo "perf gate failed to trip on an injected 50% slowdown" >&2
   exit 1
 fi

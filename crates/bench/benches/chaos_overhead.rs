@@ -17,7 +17,7 @@ use hipress::chaos::FaultPlan;
 use hipress::prelude::*;
 use hipress::tensor::synth::{generate, GradientShape};
 use hipress::tensor::Tensor;
-use hipress_bench::{banner, pct, Recorder};
+use hipress_bench::{banner, cpu_ticks, median, pct, Recorder};
 
 const REPS: usize = 7;
 const BUDGET_PCT: f64 = 5.0;
@@ -41,21 +41,6 @@ fn grads(nodes: usize, sizes: &[usize]) -> Vec<Vec<Tensor>> {
         .collect()
 }
 
-/// User+system CPU time this process has consumed so far, in clock
-/// ticks, from `/proc/self/stat`. Includes reaped worker threads, so
-/// a delta around a sync run captures every node thread's work.
-fn cpu_ticks() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
-    // The comm field may contain spaces; fields resume after ')'.
-    // utime and stime are overall fields 14 and 15 (1-based), i.e.
-    // 11 and 12 after the parenthesized comm.
-    let rest = stat.rsplit(')').next().expect("stat format");
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields[11].parse().expect("utime");
-    let stime: u64 = fields[12].parse().expect("stime");
-    utime + stime
-}
-
 /// One cell's measurements, per path: the median CPU cost of a run,
 /// the median *paired* extra CPU of the envelope run over the fast
 /// run it was interleaved with, the best wall time, and the outcome
@@ -67,11 +52,6 @@ struct Measured {
     wall_env_ns: u64,
     out_fast: SyncOutcome,
     out_env: SyncOutcome,
-}
-
-fn median(mut v: Vec<i64>) -> i64 {
-    v.sort_unstable();
-    v[v.len() / 2]
 }
 
 /// Runs fast/envelope interleaved back to back [`REPS`] times.

@@ -12,8 +12,7 @@
 //! *paired* delta is taken, which cancels ambient drift; the median
 //! over pairs discards the reps a load burst still splits.
 
-use hipress_bench::banner;
-use hipress_bench::Recorder;
+use hipress_bench::{banner, cpu_ticks, median, Recorder};
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
 use hipress_fabric::{FlightRecorder, Link};
 use std::net::{SocketAddr, TcpListener};
@@ -39,18 +38,6 @@ hipress::util::record! {
     struct Blob {
         bytes: Vec<u8>,
     }
-}
-
-/// User+system CPU time this process has consumed so far, in clock
-/// ticks, from `/proc/self/stat`. Includes reaped reader threads, so
-/// a delta around a run captures both endpoints' work.
-fn cpu_ticks() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
-    let rest = stat.rsplit(')').next().expect("stat format");
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields[11].parse().expect("utime");
-    let stime: u64 = fields[12].parse().expect("stime");
-    utime + stime
 }
 
 /// One full exchange: build a fresh two-rank loopback mesh (rank 1 on
@@ -106,11 +93,6 @@ fn run_exchange(record: bool) -> u64 {
         h.join().expect("rank thread panicked");
     }
     recorders.iter().flatten().map(|r| r.recorded()).sum()
-}
-
-fn median(mut v: Vec<i64>) -> i64 {
-    v.sort_unstable();
-    v[v.len() / 2]
 }
 
 fn main() {

@@ -15,11 +15,11 @@
 //! the *paired* delta is taken, which cancels ambient drift; the
 //! median over pairs discards the reps a load burst still splits.
 
-use hipress::obs::{serve, Server, Telemetry, WatchConfig};
+use hipress::obs::{serve, Server, Telemetry};
 use hipress::prelude::*;
 use hipress::tensor::synth::{generate, GradientShape};
 use hipress::tensor::Tensor;
-use hipress_bench::{banner, Recorder};
+use hipress_bench::{banner, cpu_ticks, median, Recorder};
 
 const REPS: usize = 7;
 const BUDGET_PCT: f64 = 5.0;
@@ -33,18 +33,6 @@ const NODES: usize = 2;
 const ITERS: u32 = 96;
 const WINDOW: u32 = 2;
 const ELEMS: [usize; 2] = [131072, 16384];
-
-/// User+system CPU time this process has consumed so far, in clock
-/// ticks, from `/proc/self/stat`. Includes reaped worker, server, and
-/// client threads, so a delta around a run captures the whole plane.
-fn cpu_ticks() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
-    let rest = stat.rsplit(')').next().expect("stat format");
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = fields[11].parse().expect("utime");
-    let stime: u64 = fields[12].parse().expect("stime");
-    utime + stime
-}
 
 /// One full sync on the pipelined thread engine. With `telemetry`,
 /// the run publishes every retired iteration into a hub served over
@@ -62,7 +50,7 @@ fn run_sync(grads: &[Vec<Tensor>], telemetry: bool) -> u64 {
         builder.sync(grads).expect("bare sync");
         return 0;
     }
-    let hub = Telemetry::new(Registry::new(), WatchConfig::default());
+    let hub = Telemetry::new(Registry::new());
     let server = Server::bind("127.0.0.1:0", hub.clone()).expect("bind telemetry");
     let addr = server.addr().to_string();
     let client = std::thread::spawn(move || serve::fetch(&addr, "/events", None));
@@ -81,11 +69,6 @@ fn run_sync(grads: &[Vec<Tensor>], telemetry: bool) -> u64 {
         "the /events subscriber must see every published record"
     );
     published
-}
-
-fn median(mut v: Vec<i64>) -> i64 {
-    v.sort_unstable();
-    v[v.len() / 2]
 }
 
 fn main() {

@@ -55,6 +55,27 @@ pub fn row(cells: &[String], widths: &[usize]) {
     println!("{}", row_line(cells, widths));
 }
 
+/// User+system CPU time this process has consumed so far, in clock
+/// ticks, from `/proc/self/stat`. Includes reaped threads, so a delta
+/// around a run captures every thread the run started.
+pub fn cpu_ticks() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
+    // The comm field may contain spaces; fields resume after ')'.
+    // utime and stime are overall fields 14 and 15 (1-based), i.e.
+    // 11 and 12 after the parenthesized comm.
+    let rest = stat.rsplit(')').next().expect("stat format");
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let utime: u64 = fields[11].parse().expect("utime");
+    let stime: u64 = fields[12].parse().expect("stime");
+    utime + stime
+}
+
+/// The upper median of `v` (the middle element after sorting).
+pub fn median(mut v: Vec<i64>) -> i64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
 /// Collects one bench target's measured-vs-paper values into a
 /// metrics registry and emits them as a `BENCH_<id>.json` snapshot.
 ///

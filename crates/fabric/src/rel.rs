@@ -86,7 +86,22 @@ pub fn classify(intact: bool, already_seen: bool) -> RxVerdict {
     }
 }
 
-/// Retry, backoff, and heartbeat knobs for one link.
+/// Idle interval after which a link pings its peer: a [`RelTx`]'s
+/// frame heartbeat and the fault-tolerant envelope link's liveness
+/// ping. Peers that keep polling stay audible at this period, so
+/// silence marks a stuck or dead one.
+pub const HEARTBEAT: Duration = Duration::from_millis(25);
+
+/// Shortest inbox wait a retransmitting link (the TCP fabric, the
+/// fault-tolerant envelope link) takes between protocol-timer checks:
+/// the floor of its adaptive wait.
+pub const POLL_FLOOR: Duration = Duration::from_micros(200);
+
+/// Longest inbox wait a retransmitting link takes before re-checking
+/// its retransmission (and straggler) timers.
+pub const POLL_CEILING: Duration = Duration::from_millis(10);
+
+/// Retry and backoff knobs for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkTuning {
     /// Retransmissions allowed per item before the link is declared
@@ -96,17 +111,17 @@ pub struct LinkTuning {
     pub base_backoff: Duration,
     /// Ceiling on the per-attempt backoff.
     pub max_backoff: Duration,
-    /// Idle interval after which a ping is sent.
-    pub heartbeat: Duration,
 }
 
 impl Default for LinkTuning {
     fn default() -> Self {
         Self {
             retry_budget: 8,
+            // Generous first RTO: a receiver busy decoding a large
+            // chunk acks late, and a retransmission it did not need
+            // is pure overhead.
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(1),
-            heartbeat: Duration::from_millis(25),
         }
     }
 }
@@ -163,10 +178,10 @@ impl RelTx<Frame> {
         self.admit(now, |seq| Frame::new(FrameKind::Data, src, seq, payload))
     }
 
-    /// A heartbeat ping when the link has been idle past the tuning's
-    /// heartbeat interval; `None` otherwise.
+    /// A heartbeat ping when the link has been idle for
+    /// [`HEARTBEAT`]; `None` otherwise.
     pub fn heartbeat(&mut self, now: Instant) -> Option<Frame> {
-        if now.duration_since(self.last_sent) >= self.tuning.heartbeat {
+        if now.duration_since(self.last_sent) >= HEARTBEAT {
             self.last_sent = now;
             return Some(Frame::control(FrameKind::Ping, self.src, 0));
         }
@@ -398,7 +413,6 @@ mod tests {
             retry_budget: 2,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
-            heartbeat: Duration::from_millis(5),
         }
     }
 
@@ -524,7 +538,7 @@ mod tests {
         let now = Instant::now();
         let mut tx = RelTx::new(3, tuning(), now);
         assert!(tx.heartbeat(now).is_none());
-        let ping = tx.heartbeat(now + Duration::from_millis(6)).unwrap();
+        let ping = tx.heartbeat(now + HEARTBEAT).unwrap();
         assert_eq!(ping.kind, FrameKind::Ping);
         assert_eq!(ping.src, 3);
     }

@@ -30,7 +30,7 @@
 
 use crate::frame::{Frame, FrameKind};
 use crate::recorder::{FlightKind, FlightRecorder};
-use crate::rel::{LinkTuning, RelRx, RelTx, RxVerdict};
+use crate::rel::{LinkTuning, RelRx, RelTx, RxVerdict, POLL_CEILING, POLL_FLOOR};
 use crate::{FabricError, Link, LinkCounters, WireMsg};
 use std::io::BufReader;
 use std::marker::PhantomData;
@@ -39,19 +39,15 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Construction and polling knobs for one mesh endpoint.
-#[derive(Debug, Clone)]
+/// How long mesh construction waits for every peer to dial in.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// What differs between one mesh endpoint and another: the recorder
+/// it notes into and the membership epoch it belongs to. Timers are
+/// the fabric's constants ([`crate::rel::HEARTBEAT`],
+/// [`POLL_FLOOR`], [`POLL_CEILING`], [`LinkTuning::default`]).
+#[derive(Debug, Clone, Default)]
 pub struct MeshConfig {
-    /// Frame-layer retry/backoff/heartbeat tuning.
-    pub tuning: LinkTuning,
-    /// How long mesh construction may wait for peers to dial in.
-    pub connect_timeout: Duration,
-    /// Smallest slice a blocking receive waits between protocol-timer
-    /// polls.
-    pub poll_floor: Duration,
-    /// Largest slice a blocking receive waits between protocol-timer
-    /// polls.
-    pub poll_ceiling: Duration,
     /// Flight recorder every protocol event is noted into (shared
     /// with the link's reader threads). `None` disables recording.
     pub recorder: Option<Arc<FlightRecorder>>,
@@ -62,19 +58,6 @@ pub struct MeshConfig {
     /// segment's reconnect) and is rejected at accept. Fixed runs
     /// leave this 0 on both sides and never reject.
     pub epoch: u64,
-}
-
-impl Default for MeshConfig {
-    fn default() -> Self {
-        Self {
-            tuning: LinkTuning::default(),
-            connect_timeout: Duration::from_secs(10),
-            poll_floor: Duration::from_micros(200),
-            poll_ceiling: Duration::from_millis(10),
-            recorder: None,
-            epoch: 0,
-        }
-    }
 }
 
 /// Notes one event into the optional recorder — a no-op when
@@ -353,9 +336,7 @@ impl<M: WireMsg> Link for TcpLink<M> {
             if now >= deadline {
                 return Ok(None);
             }
-            let slice = (deadline - now)
-                .min(self.config.poll_ceiling)
-                .max(self.config.poll_floor);
+            let slice = (deadline - now).min(POLL_CEILING).max(POLL_FLOOR);
             match self.inbox.recv_timeout(slice) {
                 Ok(ev) => {
                     if let Some(payload) = self.accept_event(ev)? {
@@ -514,7 +495,7 @@ fn dial(addr: SocketAddr, deadline: Instant, peer: usize) -> Result<TcpStream, F
 /// # Errors
 ///
 /// [`FabricError`] when a peer cannot be dialed or does not dial in
-/// before the config's connect timeout, or on any handshake I/O
+/// within the 10 s connect timeout, or on any handshake I/O
 /// failure.
 pub fn connect_mesh<M: WireMsg>(
     rank: usize,
@@ -523,7 +504,7 @@ pub fn connect_mesh<M: WireMsg>(
     peers: &[SocketAddr],
     config: &MeshConfig,
 ) -> Result<TcpLink<M>, FabricError> {
-    let deadline = Instant::now() + config.connect_timeout;
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
     let counters = Arc::new(Mutex::new(LinkCounters::default()));
     let mut streams: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
 
@@ -603,7 +584,7 @@ pub fn connect_mesh<M: WireMsg>(
         });
         let tx = Arc::new(Mutex::new(RelTx::new(
             rank as u32,
-            config.tuning,
+            LinkTuning::default(),
             Instant::now(),
         )));
         let thread_writer = Arc::clone(&writer);

@@ -36,7 +36,6 @@ fn tuning(retry_budget: u32, base_ms: u64, max_ms: u64) -> LinkTuning {
         retry_budget,
         base_backoff: Duration::from_millis(base_ms),
         max_backoff: Duration::from_millis(max_ms),
-        ..LinkTuning::default()
     }
 }
 

@@ -378,7 +378,6 @@ fn env_tx(retry_budget: u32, now: Instant) -> RelTx<Envelope> {
         retry_budget,
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(8),
-        ..LinkTuning::default()
     };
     RelTx::for_items(1, tuning, now)
 }

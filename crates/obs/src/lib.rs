@@ -32,7 +32,7 @@ pub mod watch;
 
 pub use progress::{IterRecord, ProgressRing, ProgressSink, RING_CAPACITY};
 pub use serve::Server;
-pub use watch::{Alert, AlertKind, WatchConfig, Watchdog};
+pub use watch::{Alert, AlertKind, Watchdog};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,14 +75,14 @@ impl std::fmt::Debug for Telemetry {
 impl Telemetry {
     /// New hub counting alerts into `registry` (the same registry the
     /// engines record their metrics into, so one `/metrics` scrape sees
-    /// both), with watchdog thresholds from `cfg`.
-    pub fn new(registry: Registry, cfg: WatchConfig) -> Self {
+    /// both), watched by a fresh [`Watchdog`].
+    pub fn new(registry: Registry) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
                 ring: ProgressRing::new(),
                 registry,
-                watch: Mutex::new(Watchdog::new(cfg)),
+                watch: Mutex::new(Watchdog::new()),
                 alerts: Mutex::new(Vec::new()),
                 beats: Mutex::new(BTreeMap::new()),
                 report_json: Mutex::new(None),
@@ -243,7 +243,7 @@ mod tests {
     use super::*;
 
     fn hub() -> Telemetry {
-        Telemetry::new(Registry::new(), WatchConfig::default())
+        Telemetry::new(Registry::new())
     }
 
     fn rec(node: u32, iter: u32, span_ns: u64) -> IterRecord {

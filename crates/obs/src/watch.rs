@@ -3,7 +3,7 @@
 //!
 //! The detector is a pure state machine: [`Watchdog::observe`] consumes
 //! one [`IterRecord`] and returns the alerts (if any) that this record
-//! caused to fire. All thresholds come from [`WatchConfig`] and all
+//! caused to fire. All thresholds are this module's constants and all
 //! state transitions are deterministic functions of the record stream,
 //! so tests can feed a synthetic stream and assert the exact alert.
 //!
@@ -99,45 +99,26 @@ pub struct Alert {
     pub threshold: u64,
 }
 
-/// Deterministic thresholds for the watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchConfig {
-    /// Records per rank absorbed into the baseline before any
-    /// latency/overlap/straggler alerting.
-    pub warmup: u32,
-    /// Latency threshold multiplier over the span EWMA.
-    pub latency_factor: u64,
-    /// Absolute slack added to the EWMA; keeps microsecond-scale
-    /// baselines from alerting on scheduler jitter.
-    pub latency_margin_ns: u64,
-    /// Consecutive exceeding records required before latching the
-    /// latency or overlap alert.
-    pub consecutive: u32,
-    /// Per-iteration retransmission count that counts as a storm.
-    pub retransmit_burst: u64,
-    /// Straggler threshold multiplier over the peer-median EWMA.
-    pub straggler_factor: u64,
-    /// Floor for `100 * span / retirement_gap` below which a windowed
-    /// rank counts as stalled.
-    pub overlap_floor_pct: u64,
-    /// Maximum tolerated heartbeat age while the job is live.
-    pub heartbeat_gap_ns: u64,
-}
-
-impl Default for WatchConfig {
-    fn default() -> Self {
-        WatchConfig {
-            warmup: 3,
-            latency_factor: 4,
-            latency_margin_ns: 20_000_000,
-            consecutive: 2,
-            retransmit_burst: 64,
-            straggler_factor: 4,
-            overlap_floor_pct: 40,
-            heartbeat_gap_ns: 5_000_000_000,
-        }
-    }
-}
+/// Records per rank absorbed into the baseline before any
+/// latency/overlap/straggler alerting.
+pub const WARMUP: u32 = 3;
+/// Latency threshold multiplier over the span EWMA.
+pub const LATENCY_FACTOR: u64 = 4;
+/// Absolute slack added to the EWMA; keeps microsecond-scale
+/// baselines from alerting on scheduler jitter.
+pub const LATENCY_MARGIN_NS: u64 = 20_000_000;
+/// Consecutive exceeding records required before latching the
+/// latency or overlap alert.
+pub const CONSECUTIVE: u32 = 2;
+/// Per-iteration retransmission count that counts as a storm.
+pub const RETRANSMIT_BURST: u64 = 64;
+/// Straggler threshold multiplier over the peer-median EWMA.
+pub const STRAGGLER_FACTOR: u64 = 4;
+/// Floor for `100 * span / retirement_gap` below which a windowed
+/// rank counts as stalled.
+pub const OVERLAP_FLOOR_PCT: u64 = 40;
+/// Maximum tolerated heartbeat age while the job is live.
+pub const HEARTBEAT_GAP_NS: u64 = 5_000_000_000;
 
 /// Integer EWMA with alpha 0.2 (matches the runtime's fault-tolerance
 /// gap estimator): `ewma' = (4 * ewma + v) / 5`, seeded by the first
@@ -168,40 +149,35 @@ struct RankState {
 /// The SLO watchdog state machine. Feed it the iteration stream with
 /// [`observe`](Watchdog::observe); poke it with a clock via
 /// [`check_heartbeats`](Watchdog::check_heartbeats).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Watchdog {
-    cfg: WatchConfig,
     ranks: BTreeMap<u32, RankState>,
 }
 
 impl Watchdog {
-    /// Fresh watchdog with the given thresholds.
-    pub fn new(cfg: WatchConfig) -> Self {
-        Watchdog {
-            cfg,
-            ranks: BTreeMap::new(),
-        }
+    /// Fresh watchdog with no rank seen yet.
+    pub fn new() -> Self {
+        Watchdog::default()
     }
 
     /// Consume one progress record; return every alert it fired.
     pub fn observe(&mut self, rec: &IterRecord) -> Vec<Alert> {
-        let cfg = self.cfg;
         let mut alerts = Vec::new();
         let st = self.ranks.entry(rec.node).or_default();
         st.seen += 1;
 
         // Iteration latency vs. the rank's own EWMA + log-bucket-p99
         // baseline.
-        if st.seen <= cfg.warmup {
+        if st.seen <= WARMUP {
             st.ewma_span = ewma(st.ewma_span, rec.span_ns);
             st.baseline.record(rec.span_ns);
         } else {
-            let threshold = (st.ewma_span.saturating_mul(cfg.latency_factor))
-                .max(st.ewma_span.saturating_add(cfg.latency_margin_ns))
-                .max(st.baseline.p99().saturating_mul(cfg.latency_factor));
+            let threshold = (st.ewma_span.saturating_mul(LATENCY_FACTOR))
+                .max(st.ewma_span.saturating_add(LATENCY_MARGIN_NS))
+                .max(st.baseline.p99().saturating_mul(LATENCY_FACTOR));
             if rec.span_ns > threshold {
                 st.lat_streak += 1;
-                if st.lat_streak >= cfg.consecutive && !st.lat_latched {
+                if st.lat_streak >= CONSECUTIVE && !st.lat_latched {
                     st.lat_latched = true;
                     alerts.push(Alert {
                         kind: AlertKind::IterationLatencyRegression,
@@ -220,7 +196,7 @@ impl Watchdog {
         }
 
         // Retransmit storm: a single bad iteration is enough.
-        if rec.retransmits >= cfg.retransmit_burst && !st.retr_latched {
+        if rec.retransmits >= RETRANSMIT_BURST && !st.retr_latched {
             st.retr_latched = true;
             alerts.push(Alert {
                 kind: AlertKind::RetransmitStorm,
@@ -228,7 +204,7 @@ impl Watchdog {
                 iter: rec.iter,
                 ts_ns: rec.ts_ns,
                 observed: rec.retransmits,
-                threshold: cfg.retransmit_burst,
+                threshold: RETRANSMIT_BURST,
             });
         }
 
@@ -238,9 +214,9 @@ impl Watchdog {
             if st.last_ts != 0 && rec.ts_ns > st.last_ts {
                 let gap = (rec.ts_ns - st.last_ts).max(1);
                 let ratio_pct = rec.span_ns.saturating_mul(100) / gap;
-                if st.seen > cfg.warmup && ratio_pct < cfg.overlap_floor_pct {
+                if st.seen > WARMUP && ratio_pct < OVERLAP_FLOOR_PCT {
                     st.ov_streak += 1;
-                    if st.ov_streak >= cfg.consecutive && !st.ov_latched {
+                    if st.ov_streak >= CONSECUTIVE && !st.ov_latched {
                         st.ov_latched = true;
                         alerts.push(Alert {
                             kind: AlertKind::OverlapCollapse,
@@ -248,7 +224,7 @@ impl Watchdog {
                             iter: rec.iter,
                             ts_ns: rec.ts_ns,
                             observed: ratio_pct,
-                            threshold: cfg.overlap_floor_pct,
+                            threshold: OVERLAP_FLOOR_PCT,
                         });
                     }
                 } else {
@@ -264,19 +240,19 @@ impl Watchdog {
             let st = &self.ranks[&rec.node];
             (st.seen, st.ewma_span, st.strag_latched)
         };
-        if seen > cfg.warmup && !latched {
+        if seen > WARMUP && !latched {
             let mut peers: Vec<u64> = self
                 .ranks
                 .iter()
-                .filter(|(n, s)| **n != rec.node && s.seen > cfg.warmup)
+                .filter(|(n, s)| **n != rec.node && s.seen > WARMUP)
                 .map(|(_, s)| s.ewma_span)
                 .collect();
             if !peers.is_empty() {
                 peers.sort_unstable();
                 let median = peers[peers.len() / 2];
                 let threshold = median
-                    .saturating_mul(cfg.straggler_factor)
-                    .max(median.saturating_add(cfg.latency_margin_ns));
+                    .saturating_mul(STRAGGLER_FACTOR)
+                    .max(median.saturating_add(LATENCY_MARGIN_NS));
                 if mine > threshold {
                     let st = self.ranks.get_mut(&rec.node).expect("rank state");
                     st.strag_latched = true;
@@ -295,7 +271,7 @@ impl Watchdog {
         alerts
     }
 
-    /// Check per-rank heartbeat ages against the configured gap. `beats`
+    /// Check per-rank heartbeat ages against [`HEARTBEAT_GAP_NS`]. `beats`
     /// maps rank to the telemetry-epoch timestamp of its last sign of
     /// life; `now_ns` is the current telemetry-epoch time. Pure in its
     /// inputs so tests can drive the clock by hand.
@@ -304,7 +280,7 @@ impl Watchdog {
         for &(rank, last) in beats {
             let gap = now_ns.saturating_sub(last);
             let st = self.ranks.entry(rank).or_default();
-            if gap > self.cfg.heartbeat_gap_ns && !st.hb_latched {
+            if gap > HEARTBEAT_GAP_NS && !st.hb_latched {
                 st.hb_latched = true;
                 alerts.push(Alert {
                     kind: AlertKind::HeartbeatGap,
@@ -312,7 +288,7 @@ impl Watchdog {
                     iter: 0,
                     ts_ns: now_ns,
                     observed: gap,
-                    threshold: self.cfg.heartbeat_gap_ns,
+                    threshold: HEARTBEAT_GAP_NS,
                 });
             }
         }
@@ -341,7 +317,7 @@ mod tests {
 
     #[test]
     fn steady_stream_raises_nothing() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         let recs: Vec<_> = (0..50)
             .map(|i| rec(0, i, u64::from(i) * 1_000_000, 900_000 + u64::from(i % 7)))
             .collect();
@@ -350,7 +326,7 @@ mod tests {
 
     #[test]
     fn latency_regression_fires_exactly_once_after_two_consecutive_breaches() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         // Baseline: 5 fast iterations at ~1ms.
         for i in 0..5 {
             assert!(w
@@ -375,7 +351,7 @@ mod tests {
 
     #[test]
     fn single_breach_between_normal_records_does_not_alert() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         for i in 0..5 {
             w.observe(&rec(0, i, u64::from(i) * 1_000_000, 1_000_000));
         }
@@ -387,7 +363,7 @@ mod tests {
 
     #[test]
     fn regression_does_not_poison_its_own_baseline() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         for i in 0..5 {
             w.observe(&rec(0, i, u64::from(i) * 1_000_000, 1_000_000));
         }
@@ -402,7 +378,7 @@ mod tests {
 
     #[test]
     fn retransmit_storm_latches_on_one_bad_iteration() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         let mut r = rec(2, 0, 0, 1_000_000);
         r.retransmits = 64;
         let alerts = w.observe(&r);
@@ -417,7 +393,7 @@ mod tests {
 
     #[test]
     fn overlap_collapse_fires_when_pipe_goes_idle() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         // Healthy window-4 pipeline: spans of 10ms retiring every 2.5ms
         // (ratio 400%).
         let mut ts = 0;
@@ -445,7 +421,7 @@ mod tests {
 
     #[test]
     fn straggler_rank_is_flagged_against_peer_median() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         // Three healthy ranks at 1ms, one rank at 100ms.
         for i in 0..8 {
             for n in 0..3 {
@@ -473,7 +449,7 @@ mod tests {
 
     #[test]
     fn heartbeat_gap_alerts_once_per_silent_rank() {
-        let mut w = Watchdog::new(WatchConfig::default());
+        let mut w = Watchdog::new();
         let beats = [(0u32, 1_000_000_000u64), (1, 7_000_000_000)];
         // At t=7s rank 0 is 6s silent (gap > 5s), rank 1 is fresh.
         let alerts = w.check_heartbeats(7_000_000_000, &beats);

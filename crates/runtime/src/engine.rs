@@ -37,48 +37,7 @@ use hipress_trace::{Counter, Tracer, TrackId};
 use hipress_util::{Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-hipress_util::record! {
-    /// Tuning knobs for the thread engine.
-    #[derive(Debug, Clone, Copy)]
-    pub struct RuntimeConfig {
-        /// Group small ready `Encode` tasks into one launch (the batch
-        /// compression optimization of §3.2). Semantically neutral; the
-        /// report counts launches so the batching is observable.
-        pub batch_compression: bool,
-        /// Encodes at or below this raw size are eligible for batching.
-        pub comp_batch_max_task_bytes: u64,
-        /// How long a node thread waits on a silent inbox before
-        /// declaring the protocol wedged and unwinding with an error
-        /// instead of hanging (a lost peer or malformed graph, not
-        /// ordinary slowness).
-        pub inbox_timeout: Duration,
-        /// Shortest inbox poll a retransmitting link (the fault-tolerant
-        /// envelope link, the TCP fabric) uses between protocol timer
-        /// checks (the floor of its adaptive wait).
-        pub ft_min_wait: Duration,
-        /// Longest inbox poll a retransmitting link allows before
-        /// re-checking its retransmission (and straggler) timers.
-        pub ft_max_wait: Duration,
-        /// Heartbeat period of the fault-tolerant envelope link, and the
-        /// idle interval after which a TCP fabric link pings.
-        pub ft_heartbeat: Duration,
-    }
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            batch_compression: true,
-            comp_batch_max_task_bytes: 256 * 1024,
-            inbox_timeout: Duration::from_secs(30),
-            ft_min_wait: Duration::from_micros(200),
-            ft_max_wait: Duration::from_millis(10),
-            ft_heartbeat: Duration::from_millis(25),
-        }
-    }
-}
+use std::time::Instant;
 
 /// One node thread's tracing handles: its timeline track plus the
 /// queue-depth gauges. `None` on the worker means tracing is off and
@@ -1550,44 +1509,34 @@ mod tests {
 
     #[test]
     fn batch_compression_is_semantically_neutral() {
-        let nodes = 3;
+        // Batching is always on: a pipelined onebit run still installs
+        // the interpreter's result, launches batches, and runs every
+        // encode of every iteration exactly once.
+        let (nodes, iterations) = (3, 4);
         let sizes = [2048usize];
         let grads = worker_grads(nodes, &sizes);
         let iter = iter_spec(&sizes, Some(Algorithm::OneBit), 4);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
-        let flows = replicate(&gradient_flows(&grads));
-        let batched = run(
-            &graph,
-            nodes,
-            &flows,
-            Some(c.as_ref()),
-            5,
-            &RunOptions::default(),
-        )
-        .unwrap();
-        let unbatched = run(
-            &graph,
-            nodes,
-            &flows,
-            Some(c.as_ref()),
-            5,
-            &RunOptions {
-                config: RuntimeConfig {
-                    batch_compression: false,
-                    ..RuntimeConfig::default()
-                },
-                ..RunOptions::default()
+        let sim = interpret(&graph, nodes, &gradient_flows(&grads), Some(c.as_ref()), 5).unwrap();
+        let opts = RunOptions {
+            pipeline: crate::PipelineConfig {
+                iterations,
+                window: 2,
             },
-        )
-        .unwrap();
-        assert_eq!(batched.flows[0].per_node, unbatched.flows[0].per_node);
-        assert!(batched.report.comp_batch_launches > 0);
-        assert_eq!(unbatched.report.comp_batch_launches, 0);
+            ..RunOptions::default()
+        };
+        let flows = replicate(&gradient_flows(&grads));
+        let out = run(&graph, nodes, &flows, Some(c.as_ref()), 5, &opts).unwrap();
+        for (got, want) in out.flows.iter().zip(&sim) {
+            assert_eq!(got.per_node, want.per_node);
+        }
+        assert!(out.report.comp_batch_launches > 0);
         assert_eq!(
-            batched.report.encode.count, unbatched.report.encode.count,
-            "batching must not change how many encodes run"
+            out.report.encode.count,
+            u64::from(iterations) * graph.count(Primitive::Encode) as u64,
+            "batching must run every encode exactly once"
         );
     }
 
@@ -1646,30 +1595,6 @@ mod tests {
         // deadlock — and the codec error, not an abort echo, surfaces.
         let err = run(&graph, nodes, &flows, None, 0, &RunOptions::default()).unwrap_err();
         assert!(err.as_sync().is_none(), "echo outranked its cause: {err}");
-    }
-
-    #[test]
-    fn inbox_timeout_is_configurable() {
-        // A shortened deadline still completes healthy runs; the knob
-        // exists so a lost peer surfaces as an error, not a hang (the
-        // fault-tolerant link in crate::ft exercises the failure
-        // side with its receive deadline).
-        let nodes = 2;
-        let sizes = [128usize];
-        let grads = worker_grads(nodes, &sizes);
-        let iter = iter_spec(&sizes, None, 1);
-        let cluster = ClusterConfig::ec2(nodes);
-        let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let flows = replicate(&gradient_flows(&grads));
-        let opts = RunOptions {
-            config: RuntimeConfig {
-                inbox_timeout: Duration::from_millis(250),
-                ..RuntimeConfig::default()
-            },
-            ..RunOptions::default()
-        };
-        let out = run(&graph, nodes, &flows, None, 7, &opts).unwrap();
-        assert!(out.flows[0].replicas_consistent());
     }
 
     #[test]
@@ -1769,7 +1694,6 @@ mod tests {
     ) -> (Vec<HashMap<(u32, u32), Cell>>, Vec<PoolCounts>) {
         use hipress_fabric::Link;
         let plan = NodePlan::derive(graph, nodes);
-        let config = RuntimeConfig::default();
         let pools: Vec<std::sync::Mutex<BufPool>> =
             (0..nodes).map(|_| Default::default()).collect();
         let results = crate::pipeline::on_threads(
@@ -1778,8 +1702,8 @@ mod tests {
             |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
                 let mut pool = pools[link.me()].lock().unwrap();
                 crate::pipeline::drive_node(
-                    &mut link, graph, flows, layout, &plan, compressor, 5, &config, &pipeline,
-                    None, None, None, None, &mut pool,
+                    &mut link, graph, flows, layout, &plan, compressor, 5, &pipeline, None, None,
+                    None, None, &mut pool,
                 )
             },
         );

@@ -32,12 +32,13 @@
 //! partial aggregation — fast, approximate), or abort with a
 //! structured straggler error.
 
-use crate::engine::{Msg, NodePlan, NodeResult, NodeTrace, Payload, RuntimeConfig};
+use crate::engine::{Msg, NodePlan, NodeResult, NodeTrace, Payload};
 use crate::pipeline::{fabric_err, NodeHooks, RunOptions};
 use crate::protocol::{self, Body, Envelope, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
 use crate::report::{DegradeAction, FaultReport, StragglerVerdict};
 use hipress_chaos::{FaultPlan, Injector, Verdict};
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
+use hipress_fabric::rel::{HEARTBEAT, POLL_CEILING, POLL_FLOOR};
 use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters};
 use hipress_metrics::{names, Counter, Scope};
 use hipress_util::{SyncFailure, SyncFailureKind};
@@ -45,14 +46,14 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// The wait floor/ceiling and heartbeat period are `RuntimeConfig`'s
-// `ft_*` knobs, shared with the socket fabric. Heartbeats tell *stuck*
-// from *slow*: a node whose loop keeps polling its link pings on every
-// timer pass, a stalled or crashed one goes silent. They also pin each
-// peer's inter-arrival EWMA near the period, so thresholds converge to
-// `straggler_factor × ft_heartbeat`; a task blocking the loop longer
-// than that can be misflagged (raise `straggler_floor` for coarse
-// workloads).
+// The wait floor/ceiling and heartbeat period are the fabric's
+// `POLL_FLOOR`, `POLL_CEILING` and `HEARTBEAT`, shared with the socket
+// fabric. Heartbeats tell *stuck* from *slow*: a node whose loop keeps
+// polling its link pings on every timer pass, a stalled or crashed one
+// goes silent. They also pin each peer's inter-arrival EWMA near the
+// period, so thresholds converge to `straggler_factor × HEARTBEAT`; a
+// task blocking the loop longer than that can be misflagged (raise
+// `straggler_floor` for coarse workloads).
 
 /// What to do about a diagnosed straggler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,13 +94,8 @@ pub struct FaultTolerance {
     /// unmet remote dependencies (or an incomplete cluster) unwinds
     /// with a [`SyncFailureKind::RecvTimeout`].
     pub recv_deadline: Duration,
-    /// Retransmissions allowed per envelope before the link is
-    /// declared dead.
-    pub retry_budget: u32,
-    /// First retransmission timeout; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Ceiling on the backed-off retransmission timeout.
-    pub max_backoff: Duration,
+    /// Retry budget and backoff of every envelope link.
+    pub link: LinkTuning,
     /// A peer is a straggler once the time since it was last heard
     /// exceeds `straggler_factor ×` its EWMA inter-arrival gap.
     pub straggler_factor: f64,
@@ -114,12 +110,7 @@ impl Default for FaultTolerance {
     fn default() -> Self {
         Self {
             recv_deadline: Duration::from_secs(10),
-            retry_budget: 8,
-            // Generous first RTO: a receiver busy decoding a large
-            // chunk acks late, and a retransmission it did not need
-            // is pure overhead.
-            base_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
+            link: LinkTuning::default(),
             straggler_factor: 8.0,
             straggler_floor: Duration::from_millis(100),
             policy: DegradePolicy::Wait,
@@ -219,7 +210,6 @@ pub(crate) struct FtLink<'a> {
     graph: &'a TaskGraph,
     fplan: &'a FaultPlan,
     ft: FaultTolerance,
-    config: RuntimeConfig,
     /// Indexed by rank; this node's own slot only carries `done`.
     peers: Vec<Peer>,
     /// Completions ready for the loop (deliveries and skip holes).
@@ -246,17 +236,11 @@ impl<'a> FtLink<'a> {
         opts: &RunOptions<'_>,
         trace: Option<NodeTrace>,
     ) -> (Self, NodeHooks) {
-        let ((ft, fplan), config) = (chaos, &opts.config);
+        let (ft, fplan) = chaos;
         let (me, now) = (inner.me(), Instant::now());
-        let tuning = LinkTuning {
-            retry_budget: ft.retry_budget,
-            base_backoff: ft.base_backoff,
-            max_backoff: ft.max_backoff,
-            heartbeat: config.ft_heartbeat,
-        };
         let mut peers: Vec<Peer> = (0..inner.nodes())
             .map(|peer| Peer {
-                tx: RelTx::for_items(me as u32, tuning, now),
+                tx: RelTx::for_items(me as u32, ft.link, now),
                 rx: RelRx::new(),
                 inject: Injector::new(me, peer),
                 owed: BTreeSet::new(),
@@ -283,7 +267,6 @@ impl<'a> FtLink<'a> {
             graph,
             fplan,
             ft: *ft,
-            config: *config,
             peers,
             inbox: VecDeque::new(),
             last_beat: now,
@@ -476,7 +459,7 @@ impl<'a> FtLink<'a> {
     /// injector-held envelopes, timer retransmissions.
     fn tick(&mut self) -> Result<(), FabricError> {
         let now = Instant::now();
-        if protocol::heartbeat_due(now.duration_since(self.last_beat), self.config.ft_heartbeat) {
+        if protocol::heartbeat_due(now.duration_since(self.last_beat), HEARTBEAT) {
             self.last_beat = now;
             self.broadcast(Body::Ping);
         }
@@ -571,18 +554,17 @@ impl<'a> FtLink<'a> {
 
     /// How long the next blocking receive may sleep: until the
     /// earliest retransmission or injector release, clamped to
-    /// `[ft_min_wait, ft_max_wait]`. Arrivals cut the wait short
+    /// `[POLL_FLOOR, POLL_CEILING]`. Arrivals cut the wait short
     /// regardless, so a long budget costs nothing on the fault-free
     /// path.
     fn wait_budget(&self) -> Duration {
-        let (floor, ceiling) = (self.config.ft_min_wait, self.config.ft_max_wait);
         self.peers
             .iter()
             .flat_map(|p| p.tx.next_due().into_iter().chain(p.inject.next_release()))
             .min()
-            .map_or(ceiling, |due| {
+            .map_or(POLL_CEILING, |due| {
                 due.saturating_duration_since(Instant::now())
-                    .clamp(floor, ceiling)
+                    .clamp(POLL_FLOOR, POLL_CEILING)
             })
     }
 

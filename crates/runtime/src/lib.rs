@@ -49,7 +49,6 @@ pub mod wire;
 
 pub use engine::{
     replicate, sum_replicas, Flows, Instruments, Msg, Payload, ReplicaFlows, RunOutcome,
-    RuntimeConfig,
 };
 pub use ft::{DegradePolicy, FaultTolerance};
 pub use observe::{

@@ -31,7 +31,7 @@
 use crate::engine::{
     build_node_metrics, build_node_traces, conclude, record_run_span, BufPool, Cell, FlowLayout,
     Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload,
-    ReplicaFlows, RunOutcome, RuntimeConfig,
+    ReplicaFlows, RunOutcome,
 };
 use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
 use crate::report::RuntimeReport;
@@ -45,7 +45,17 @@ use hipress_trace::Tracer;
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a node loop waits on a silent inbox before declaring the
+/// protocol wedged and unwinding with an error instead of hanging (a
+/// lost peer or malformed graph, not ordinary slowness).
+pub const INBOX_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Encodes at or below this raw size are batched into one launch
+/// (the batch compression of §3.2). Batching is semantically neutral;
+/// the report counts launches so it is observable.
+pub const BATCH_MAX_TASK_BYTES: u64 = 256 * 1024;
 
 /// How many iterations to run and how many may overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,13 +75,11 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Everything [`run`] takes besides the job itself, grouped: how the
-/// engine is tuned, how many iterations overlap, who observes, and
-/// whether the fabric is trusted.
+/// Everything [`run`] takes besides the job itself, grouped: how many
+/// iterations overlap, who observes, and whether the fabric is
+/// trusted.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions<'a> {
-    /// Engine tuning knobs.
-    pub config: RuntimeConfig,
     /// Iteration count and overlap window (default: one iteration).
     pub pipeline: PipelineConfig,
     /// Optional trace / metrics / telemetry observers.
@@ -294,7 +302,6 @@ struct PipeWorker<'a, L: Link<Msg = Msg>> {
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
     seed: u64,
-    config: RuntimeConfig,
     pcfg: PipelineConfig,
     /// Admitted, incomplete iterations in ascending order.
     iters: BTreeMap<u32, IterState<'a>>,
@@ -422,10 +429,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         // small encodes from *every* admitted iteration so one launch
         // covers work the pipeline made concurrently ready (§3.2
         // batching, extended across overlapping iterations).
-        if task.prim == Primitive::Encode
-            && self.config.batch_compression
-            && task.bytes_raw <= self.config.comp_batch_max_task_bytes
-        {
+        if task.prim == Primitive::Encode && task.bytes_raw <= BATCH_MAX_TASK_BYTES {
             let mut batch = vec![(iter, id)];
             let keys: Vec<u32> = self.iters.keys().copied().collect();
             for k in keys {
@@ -433,9 +437,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 let mut rest = VecDeque::new();
                 while let Some(t) = st.q_comp.pop_front() {
                     let n = self.graph.task(t);
-                    if n.prim == Primitive::Encode
-                        && n.bytes_raw <= self.config.comp_batch_max_task_bytes
-                    {
+                    if n.prim == Primitive::Encode && n.bytes_raw <= BATCH_MAX_TASK_BYTES {
                         batch.push((k, t));
                     } else {
                         rest.push_back(t);
@@ -638,7 +640,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             } else if self.completed < self.pcfg.iterations {
                 match self
                     .link
-                    .recv_timeout(self.config.inbox_timeout)
+                    .recv_timeout(INBOX_TIMEOUT)
                     .map_err(|e| fabric_err(self.me(), e))?
                 {
                     Some(msg) => self.handle(msg)?,
@@ -710,7 +712,6 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
     seed: u64,
-    config: &RuntimeConfig,
     pcfg: &PipelineConfig,
     trace: Option<NodeTrace>,
     metrics: Option<NodeMetrics>,
@@ -729,7 +730,6 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
         plan,
         compressor,
         seed,
-        config: *config,
         pcfg: *pcfg,
         iters: BTreeMap::new(),
         stash: HashMap::new(),
@@ -837,7 +837,7 @@ pub fn run(
     seed: u64,
     opts: &RunOptions<'_>,
 ) -> Result<RunOutcome> {
-    let (config, pcfg, instruments) = (&opts.config, &opts.pipeline, opts.instruments);
+    let (pcfg, instruments) = (&opts.pipeline, opts.instruments);
     validate(pcfg)?;
     if let Some((ft, fplan)) = &opts.chaos {
         fplan.validate(nodes).map_err(Error::config)?;
@@ -875,8 +875,8 @@ pub fn run(
             |mut link: ChannelLink<Msg>, tr, m| {
                 let mut pool = BufPool::default();
                 drive_node(
-                    &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
-                    progress, None, &mut pool,
+                    &mut link, graph, flows, layout, plan, compressor, seed, pcfg, tr, m, progress,
+                    None, &mut pool,
                 )
             },
         ),
@@ -885,8 +885,8 @@ pub fn run(
             let hooks = Some(&mut hooks);
             let mut pool = BufPool::default();
             let result = drive_node(
-                &mut link, graph, flows, layout, plan, compressor, seed, config, pcfg, tr, m,
-                progress, hooks, &mut pool,
+                &mut link, graph, flows, layout, plan, compressor, seed, pcfg, tr, m, progress,
+                hooks, &mut pool,
             );
             link.finish(result)
         }),
@@ -1152,10 +1152,7 @@ mod tests {
         let graph = Strategy::CaSyncRing
             .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
             .unwrap();
-        let hub = hipress_obs::Telemetry::new(
-            hipress_metrics::Registry::new(),
-            hipress_obs::WatchConfig::default(),
-        );
+        let hub = hipress_obs::Telemetry::new(hipress_metrics::Registry::new());
         let iterations = 5u32;
         run(
             &graph,

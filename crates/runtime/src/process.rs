@@ -44,7 +44,7 @@
 
 use crate::engine::{
     record_run_metrics, record_run_span, root_cause, single_node_trace, BufPool, Cell, FlowLayout,
-    Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome, RuntimeConfig,
+    Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome,
 };
 use crate::observe::{
     record_clock_meta, replay_into, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
@@ -58,7 +58,7 @@ use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
 };
 use hipress_fabric::tcp::{connect_mesh, MeshConfig};
-use hipress_fabric::{FlightEvent, FlightRecorder, LinkTuning};
+use hipress_fabric::{FlightEvent, FlightRecorder};
 use hipress_metrics::MetricsSnapshot;
 use hipress_obs::{IterRecord, ProgressSink};
 use hipress_tensor::Tensor;
@@ -78,6 +78,12 @@ use std::time::{Duration, Instant};
 /// again, the guard turns what would be a process fork-bomb into an
 /// immediate configuration error.
 const SPAWN_GUARD_ENV: &str = "HIPRESS_SPAWNED_WORKER";
+
+/// How long workers may take to check in at rendezvous.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long each worker may take to report its outcome.
+const RUN_DEADLINE: Duration = Duration::from_secs(60);
 
 mod ctl;
 pub mod elastic;
@@ -102,12 +108,6 @@ pub struct ProcessConfig {
     /// (evict-on-loss): the run drains, evicts the lost rank, and
     /// continues over the survivors at a new membership epoch.
     pub elastic: bool,
-    /// How long workers may take to check in at rendezvous.
-    /// `Duration::ZERO` means the 10 s default.
-    pub connect_timeout: Duration,
-    /// How long each worker may take to report its outcome.
-    /// `Duration::ZERO` means the 60 s default.
-    pub run_timeout: Duration,
     /// Where to write a serialized [`PostmortemDump`] when the run
     /// fails: every surviving rank's flight-recorder ring plus the
     /// diagnosed root cause, rendered later by `hipress postmortem`.
@@ -115,28 +115,10 @@ pub struct ProcessConfig {
     pub flight_dump: Option<PathBuf>,
 }
 
-impl ProcessConfig {
-    fn connect_deadline(&self) -> Duration {
-        if self.connect_timeout.is_zero() {
-            Duration::from_secs(10)
-        } else {
-            self.connect_timeout
-        }
-    }
-
-    fn run_deadline(&self) -> Duration {
-        if self.run_timeout.is_zero() {
-            Duration::from_secs(60)
-        } else {
-            self.run_timeout
-        }
-    }
-}
-
 record! {
     /// Everything a worker needs to run its share of one synchronization
-    /// job: the spec to rebuild the graph from, the runtime knobs, the
-    /// mesh topology, and this rank's own gradients.
+    /// job: the spec to rebuild the graph from, the iteration schedule,
+    /// the mesh topology, and this rank's own gradients.
     struct Job {
         strategy: Strategy,
         algorithm: Algorithm,
@@ -144,7 +126,6 @@ record! {
         seed: u64,
         nodes: u32,
         rank: u32,
-        config: RuntimeConfig,
         iterations: u32,
         window: u32,
         /// Record a per-rank trace and ship it with the outcome.
@@ -245,7 +226,6 @@ pub fn run_processes(
     partitions: usize,
     worker_grads: &[Vec<Tensor>],
     seed: u64,
-    config: &RuntimeConfig,
     pcfg: &PipelineConfig,
     pconf: &ProcessConfig,
     instruments: Instruments<'_>,
@@ -257,7 +237,6 @@ pub fn run_processes(
         partitions,
         worker_grads,
         seed,
-        config,
         pcfg,
         pconf,
         instruments,
@@ -280,7 +259,6 @@ pub fn run_threaded_workers(
     partitions: usize,
     worker_grads: &[Vec<Tensor>],
     seed: u64,
-    config: &RuntimeConfig,
     pcfg: &PipelineConfig,
     pconf: &ProcessConfig,
     instruments: Instruments<'_>,
@@ -292,7 +270,6 @@ pub fn run_threaded_workers(
         partitions,
         worker_grads,
         seed,
-        config,
         pcfg,
         pconf,
         instruments,
@@ -719,13 +696,6 @@ fn run_job(
         .map(|reg| NodeMetrics::new(&reg.root(), global_rank));
 
     let mesh = MeshConfig {
-        tuning: LinkTuning {
-            heartbeat: job.config.ft_heartbeat,
-            ..LinkTuning::default()
-        },
-        connect_timeout: Duration::from_secs(10),
-        poll_floor: job.config.ft_min_wait,
-        poll_ceiling: job.config.ft_max_wait,
         recorder: Some(Arc::clone(recorder)),
         // Each segment's mesh is stamped with its epoch so a zombie
         // segment's late dial can never splice into the rebuilt mesh.
@@ -767,7 +737,6 @@ fn run_job(
         &plan,
         compressor.as_deref(),
         job.seed,
-        &job.config,
         &pcfg,
         trace,
         metrics,
@@ -846,7 +815,6 @@ mod tests {
             2,
             grads,
             seed,
-            &RuntimeConfig::default(),
             &pcfg,
             pconf,
             Instruments::default(),
@@ -866,7 +834,6 @@ mod tests {
             1,
             &grads,
             1,
-            &RuntimeConfig::default(),
             &PipelineConfig::default(),
             &ProcessConfig::default(),
             Instruments::default(),
@@ -1082,7 +1049,6 @@ mod tests {
                 partitions,
                 &grads,
                 1,
-                &RuntimeConfig::default(),
                 &pcfg,
                 &pconf,
                 Instruments::default(),
@@ -1103,10 +1069,7 @@ mod tests {
     fn progress_frames_reach_the_coordinator_hub() {
         let nodes = 2;
         let grads = worker_grads(nodes, &[96]);
-        let hub = hipress_obs::Telemetry::new(
-            hipress_metrics::Registry::new(),
-            hipress_obs::WatchConfig::default(),
-        );
+        let hub = hipress_obs::Telemetry::new(hipress_metrics::Registry::new());
         let iterations = 3u32;
         run_threaded_workers(
             Strategy::CaSyncPs,
@@ -1114,7 +1077,6 @@ mod tests {
             2,
             &grads,
             5,
-            &RuntimeConfig::default(),
             &PipelineConfig {
                 iterations,
                 window: 2,

@@ -71,14 +71,13 @@ enum SegRes {
 /// interleaved live-progress frames into the hub.
 fn collect_member(
     stream: &mut TcpStream,
-    run_deadline: Duration,
     progress: Option<&hipress_obs::Telemetry>,
 ) -> (SegRes, Option<Vec<FlightEvent>>) {
     let fail = |error| SegRes::Failed {
         error,
         completed: 0,
     };
-    if let Err(e) = stream.set_read_timeout(Some(run_deadline)) {
+    if let Err(e) = stream.set_read_timeout(Some(RUN_DEADLINE)) {
         return (fail(ctl_io(e)), None);
     }
     loop {
@@ -206,14 +205,13 @@ fn accept_next(
 fn accept_initial(
     roster: &mut Roster,
     launcher: &mut Launcher,
-    deadline: Duration,
     clock_epoch: Instant,
 ) -> Result<()> {
     let nodes = launcher.nodes;
     roster.listener.set_nonblocking(true).map_err(ctl_io)?;
-    let hard_deadline = Instant::now() + deadline;
+    let hard_deadline = Instant::now() + CONNECT_DEADLINE;
     while roster.streams.len() < nodes {
-        let mut stream = accept_next(&roster.listener, deadline, || {
+        let mut stream = accept_next(&roster.listener, CONNECT_DEADLINE, || {
             for (rank, worker) in launcher.workers.iter_mut().enumerate() {
                 if let Some(how) = worker
                     .exited()
@@ -355,7 +353,6 @@ pub(super) fn run_segments(
     partitions: usize,
     worker_grads: &[Vec<Tensor>],
     seed: u64,
-    config: &RuntimeConfig,
     pcfg: &PipelineConfig,
     pconf: &ProcessConfig,
     instruments: Instruments<'_>,
@@ -421,12 +418,7 @@ pub(super) fn run_segments(
         ..Default::default()
     };
 
-    accept_initial(
-        &mut roster,
-        &mut launcher,
-        pconf.connect_deadline(),
-        clock_epoch,
-    )?;
+    accept_initial(&mut roster, &mut launcher, clock_epoch)?;
     // Who the last epoch boundary evicted and admitted.
     let (mut evicted, mut joined): (Vec<u32>, Vec<u32>) = Default::default();
     loop {
@@ -465,7 +457,7 @@ pub(super) fn run_segments(
                     .get_mut(&g)
                     .expect("live member has a control stream");
                 stream
-                    .set_read_timeout(Some(pconf.connect_deadline()))
+                    .set_read_timeout(Some(CONNECT_DEADLINE))
                     .map_err(ctl_io)?;
                 let Ok(Ctl::Hello { rank, mesh_port }) = read_ctl(stream) else {
                     return Err(ctl_io(format!(
@@ -497,7 +489,6 @@ pub(super) fn run_segments(
                 seed,
                 nodes: members.len() as u32,
                 rank: slot as u32,
-                config: *config,
                 iterations: seg_iters,
                 window: pcfg.window,
                 want_trace: tracer.is_some(),
@@ -526,7 +517,6 @@ pub(super) fn run_segments(
 
         // ---- Collect ----------------------------------------------
         debug_assert!(roster.streams.keys().eq(members.iter()));
-        let run_deadline = pconf.run_deadline();
         let collected: Vec<(SegRes, Option<Vec<FlightEvent>>)> = if progress.is_some() {
             // One collector per member, so live-progress frames keep
             // draining while slower members still run — a sequential
@@ -536,7 +526,7 @@ pub(super) fn run_segments(
                 let handles: Vec<_> = roster
                     .streams
                     .values_mut()
-                    .map(|stream| s.spawn(move || collect_member(stream, run_deadline, progress)))
+                    .map(|stream| s.spawn(move || collect_member(stream, progress)))
                     .collect();
                 handles
                     .into_iter()
@@ -558,7 +548,7 @@ pub(super) fn run_segments(
             roster
                 .streams
                 .values_mut()
-                .map(|stream| collect_member(stream, run_deadline, None))
+                .map(|stream| collect_member(stream, None))
                 .collect()
         };
         let mut results = Vec::with_capacity(members.len());

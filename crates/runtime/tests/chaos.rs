@@ -25,6 +25,7 @@ use hipress_compress::Algorithm;
 use hipress_core::interp::gradient_flows;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
+use hipress_fabric::LinkTuning;
 use hipress_runtime::{
     replicate, run, DegradeAction, DegradePolicy, FaultTolerance, Instruments, PipelineConfig,
     RunOptions, RunOutcome, RuntimeReport,
@@ -82,9 +83,11 @@ fn iter_spec(sizes: &[usize], alg: Algorithm, partitions: usize) -> IterationSpe
 fn ft(policy: DegradePolicy) -> FaultTolerance {
     FaultTolerance {
         recv_deadline: Duration::from_secs(8),
-        retry_budget: 8,
-        base_backoff: Duration::from_millis(3),
-        max_backoff: Duration::from_millis(100),
+        link: LinkTuning {
+            retry_budget: 8,
+            base_backoff: Duration::from_millis(3),
+            max_backoff: Duration::from_millis(100),
+        },
         straggler_factor: 4.0,
         straggler_floor: Duration::from_millis(50),
         policy,
@@ -225,7 +228,7 @@ fn recoverable_plans_are_bit_identical_across_matrix() {
             let clean = fault_free(strategy, alg, nodes, &sizes, 41);
             for plan_seed in 0..16u64 {
                 let plan = FaultPlan::recoverable(plan_seed);
-                assert!(plan.is_recoverable(tolerance.retry_budget));
+                assert!(plan.is_recoverable(tolerance.link.retry_budget));
                 let out = chaos_run(strategy, alg, nodes, &sizes, 41, &tolerance, &plan)
                     .unwrap_or_else(|e| {
                         panic!("{strategy:?} × {alg:?} × seed {plan_seed} failed: {e}")
@@ -295,7 +298,7 @@ fn crash_fails_fast_with_structured_error() {
     };
     for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
         let plan = FaultPlan::crash(3, 1, 1);
-        assert!(!plan.is_recoverable(tolerance.retry_budget));
+        assert!(!plan.is_recoverable(tolerance.link.retry_budget));
         let started = Instant::now();
         let err = chaos_run(
             strategy,
@@ -631,7 +634,7 @@ fn recoverable_plans_are_bit_identical_when_pipelined() {
                     ("drop storm", FaultPlan::drop_storm(plan_seed)),
                     ("corruption storm", FaultPlan::corruption_storm(plan_seed)),
                 ] {
-                    assert!(plan.is_recoverable(tolerance.retry_budget));
+                    assert!(plan.is_recoverable(tolerance.link.retry_budget));
                     let tag = format!("{name} seed {plan_seed}, pipelined");
                     let out = chaos_run_piped(
                         strategy, alg, nodes, &sizes, 43, &tolerance, &plan, PIPELINED,
@@ -761,10 +764,7 @@ fn chaos_runs_publish_progress_per_retired_iteration() {
         )
         .unwrap();
     let c = Algorithm::OneBit.build().unwrap();
-    let hub = hipress_obs::Telemetry::new(
-        hipress_metrics::Registry::new(),
-        hipress_obs::WatchConfig::default(),
-    );
+    let hub = hipress_obs::Telemetry::new(hipress_metrics::Registry::new());
     let out = run(
         &graph,
         nodes,

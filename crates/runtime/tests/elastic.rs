@@ -15,7 +15,7 @@ use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
 use hipress_core::Strategy;
 use hipress_runtime::{
-    run_threaded_workers, Instruments, PipelineConfig, ProcessConfig, RunOutcome, RuntimeConfig,
+    run_threaded_workers, Instruments, PipelineConfig, ProcessConfig, RunOutcome,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
@@ -67,7 +67,6 @@ fn run_threaded(
         PARTITIONS,
         grads,
         seed,
-        &RuntimeConfig::default(),
         &pcfg(),
         pconf,
         Instruments::default(),

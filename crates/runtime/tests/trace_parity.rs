@@ -13,7 +13,7 @@ use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient}
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{
     replicate, run, run_threaded_workers, validate_clock_monotonicity, Instruments, PipelineConfig,
-    ProcessConfig, RunOptions, RuntimeConfig, RuntimeReport,
+    ProcessConfig, RunOptions, RuntimeReport,
 };
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
@@ -178,7 +178,6 @@ fn processes_merged_trace_report_parity() {
             2,
             &grads,
             seed,
-            &RuntimeConfig::default(),
             &PipelineConfig::default(),
             &ProcessConfig::default(),
             Instruments {

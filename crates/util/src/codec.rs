@@ -19,7 +19,6 @@
 //! crate can declare its own wire types.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A structured decode failure. Every variant names what went wrong
 /// so protocol layers can distinguish framing damage (retransmit)
@@ -419,8 +418,7 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Types that travel as a `u64`: `usize` as is, `i64` zigzagged,
-/// `Duration` as whole nanoseconds.
+/// Types that travel as a `u64`: `usize` as is, `i64` zigzagged.
 macro_rules! u64_fields {
     ($($t:ty: $to:expr, $from:expr;)*) => {$(
         impl Field for $t {
@@ -437,7 +435,6 @@ macro_rules! u64_fields {
 u64_fields! {
     usize: |v: usize| v as u64, |v: u64| v as usize;
     i64: zigzag, unzigzag;
-    Duration: |v: Duration| v.as_nanos() as u64, Duration::from_nanos;
 }
 
 impl Field for String {

@@ -613,7 +613,6 @@ impl Space for Model {
             retry_budget: self.cfg.retry_budget,
             base_backoff: backoff,
             max_backoff: backoff * 64,
-            ..LinkTuning::default()
         };
         let nodes = (0..n)
             .map(|i| NodeState {

@@ -669,7 +669,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         builder = builder.metrics(&reg.root());
     }
     let hub = if let (Some(addr), Some(reg)) = (listen, &registry) {
-        let hub = Telemetry::new(reg.clone(), WatchConfig::default());
+        let hub = Telemetry::new(reg.clone());
         let server = hipress::obs::Server::bind(addr, hub.clone()).map_err(|e| e.to_string())?;
         println!("telemetry: listening on {}", server.addr());
         builder = builder.telemetry(&hub);
@@ -808,7 +808,6 @@ fn cmd_run_elastic(
         window,
         ..Default::default()
     };
-    let rconf = RuntimeConfig::default();
     let tracer = args.on("trace").then(|| Tracer::new("casync-rt"));
     let instruments = Instruments {
         tracer: tracer.as_ref(),
@@ -835,7 +834,6 @@ fn cmd_run_elastic(
         partitions,
         grads,
         seed,
-        &rconf,
         &pcfg,
         &pconf,
         instruments,
@@ -886,7 +884,6 @@ fn cmd_run_elastic(
             partitions,
             &reference,
             seed,
-            &rconf,
             &pcfg,
             &ProcessConfig::default(),
             Instruments::default(),
@@ -953,6 +950,7 @@ enum ChaosOutcome {
 
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     use hipress::chaos::FaultPlan;
+    use hipress::fabric::LinkTuning;
     use std::time::Duration;
     let nodes: usize = flag(args, "nodes")?.unwrap_or(3);
     let strategy = flag(args, "strategy")?.unwrap_or(Strategy::CaSyncPs);
@@ -966,9 +964,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let policy: DegradePolicy = flag(args, "policy")?.unwrap_or_default();
     let ft = FaultTolerance {
         recv_deadline: Duration::from_millis(deadline_ms),
-        retry_budget: 8,
-        base_backoff: Duration::from_millis(3),
-        max_backoff: Duration::from_millis(100),
+        link: LinkTuning {
+            retry_budget: 8,
+            base_backoff: Duration::from_millis(3),
+            max_backoff: Duration::from_millis(100),
+        },
         straggler_factor: 4.0,
         straggler_floor: Duration::from_millis(100),
         policy,
@@ -1036,7 +1036,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if args.on("single") {
         let kind = args.value("plan").unwrap_or("recoverable");
         let plan = build_plan(kind, seed)?;
-        let recoverable = plan.is_recoverable(ft.retry_budget);
+        let recoverable = plan.is_recoverable(ft.link.retry_budget);
         let tracer = args.on("trace").then(|| Tracer::new("casync-chaos"));
         let (outcome, report) = run_one(&plan, tracer.as_ref());
         let identical = match outcome {
@@ -1080,7 +1080,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     for kind in &kinds {
         for plan_seed in 0..seeds {
             let plan = build_plan(kind, plan_seed)?;
-            let recoverable = plan.is_recoverable(ft.retry_budget);
+            let recoverable = plan.is_recoverable(ft.link.retry_budget);
             let (outcome, report) = run_one(&plan, None);
             let (label, violated) = match &outcome {
                 ChaosOutcome::Exact => ("exact".into(), false),
@@ -1328,7 +1328,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     // matrix fills it, so an operator can scrape /metrics mid-bench.
     let matrix_reg = Registry::new();
     let hub = if let Some(addr) = args.value("listen") {
-        let hub = Telemetry::new(matrix_reg.clone(), WatchConfig::default());
+        let hub = Telemetry::new(matrix_reg.clone());
         let server = hipress::obs::Server::bind(addr, hub.clone()).map_err(|e| e.to_string())?;
         println!("telemetry: listening on {}", server.addr());
         Some(hub)
@@ -1381,7 +1381,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let current = apply_slowdown_knob(current)?;
     let diff = MetricsDiff::between(&baseline, &current);
     let regressions = diff.regressions(tolerance);
-    finish(if regressions.is_empty() {
+    // A metric on one side only is a failure too: a snapshot that
+    // stopped emitting a row must not pass by leaving it ungated.
+    let unmatched = diff.only_baseline.len() + diff.only_current.len();
+    finish(if regressions.is_empty() && unmatched == 0 {
         println!(
             "perf gate: {} shared metric(s) within {tolerance}% of {baseline_path}",
             diff.rows.len()
@@ -1391,8 +1394,15 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         for row in &regressions {
             println!("REGRESSED {row}");
         }
+        for key in &diff.only_baseline {
+            println!("MISSING {key} (only in the baseline)");
+        }
+        for key in &diff.only_current {
+            println!("UNEXPECTED {key} (not in the baseline)");
+        }
         Err(format!(
-            "{} metric(s) regressed beyond {tolerance}% vs {baseline_path}",
+            "{} metric(s) regressed beyond {tolerance}% and {unmatched} metric(s) \
+             are on one side only, vs {baseline_path}",
             regressions.len()
         ))
     })
@@ -1473,7 +1483,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let snap = load_snapshot(path)?;
     let registry = Registry::new();
     registry.root().absorb_snapshot(&snap);
-    let hub = Telemetry::new(registry, WatchConfig::default());
+    let hub = Telemetry::new(registry);
     // A snapshot is a finished run: /events terminates immediately and
     // the heartbeat scanner stays quiet.
     hub.mark_done();

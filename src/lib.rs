@@ -77,10 +77,10 @@ pub mod prelude {
     pub use hipress_core::{ClusterConfig, ExecConfig, Executor, GradPlan, Strategy};
     pub use hipress_metrics::{MetricsDiff, MetricsSnapshot, Registry, Scope};
     pub use hipress_models::{DnnModel, GpuClass};
-    pub use hipress_obs::{Telemetry, WatchConfig};
+    pub use hipress_obs::Telemetry;
     pub use hipress_planner::Planner;
     pub use hipress_runtime::{
-        DegradePolicy, FaultTolerance, PipelineConfig, ProcessConfig, RuntimeConfig, RuntimeReport,
+        DegradePolicy, FaultTolerance, PipelineConfig, ProcessConfig, RuntimeReport,
     };
     pub use hipress_simnet::LinkSpec;
     pub use hipress_trace::{chrome, TraceDiff, Tracer};

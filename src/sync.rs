@@ -19,7 +19,7 @@ use hipress_metrics::Scope;
 use hipress_obs::Telemetry;
 use hipress_runtime::{
     FaultTolerance, Instruments, PipelineConfig, ProcessConfig, ReplicaFlows, RunOptions,
-    RunOutcome, RuntimeConfig, RuntimeReport,
+    RunOutcome, RuntimeReport,
 };
 use hipress_tensor::Tensor;
 use hipress_trace::Tracer;
@@ -69,7 +69,6 @@ pub struct HiPress {
     partitions: usize,
     seed: u64,
     backend: Backend,
-    batch_compression: bool,
     tracer: Option<Tracer>,
     metrics: Option<Scope>,
     telemetry: Option<Telemetry>,
@@ -89,7 +88,6 @@ impl HiPress {
             partitions: 1,
             seed: 0,
             backend: Backend::Simulator,
-            batch_compression: true,
             tracer: None,
             metrics: None,
             telemetry: None,
@@ -128,13 +126,6 @@ impl HiPress {
     #[must_use]
     pub fn backend(mut self, b: Backend) -> Self {
         self.backend = b;
-        self
-    }
-
-    /// Enables or disables batch compression on the thread backend.
-    #[must_use]
-    pub fn batch_compression(mut self, on: bool) -> Self {
-        self.batch_compression = on;
         self
     }
 
@@ -360,11 +351,7 @@ impl HiPress {
             });
         }
 
-        // Both real backends take the same tuning and observers.
-        let config = RuntimeConfig {
-            batch_compression: self.batch_compression,
-            ..RuntimeConfig::default()
-        };
+        // Both real backends take the same observers.
         let scope = self.metrics.as_ref().map(|s| {
             s.with(&[
                 ("algorithm", &self.algorithm.label()),
@@ -398,7 +385,6 @@ impl HiPress {
                 compressor.as_deref(),
                 self.seed,
                 &RunOptions {
-                    config,
                     pipeline: pcfg,
                     instruments,
                     chaos,
@@ -416,7 +402,6 @@ impl HiPress {
                 self.partitions,
                 worker_grads,
                 self.seed,
-                &config,
                 &pcfg,
                 &self.process,
                 instruments,

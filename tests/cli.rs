@@ -106,3 +106,29 @@ fn deeply_nested_json_is_an_error_not_a_crash() {
     }
     std::fs::remove_file(&path).expect("the file is removed");
 }
+
+/// The perf gate fails on a metric the snapshot no longer emits,
+/// naming it, instead of passing on the metrics both sides share.
+#[test]
+fn the_perf_gate_fails_on_a_dropped_metric() {
+    use hipress::metrics::MetricsSnapshot;
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/BENCH_sim.json");
+    let full = MetricsSnapshot::from_json(&std::fs::read_to_string(baseline).expect("baseline"))
+        .expect("the baseline parses");
+    let mut dropped = MetricsSnapshot::new();
+    dropped.meta = full.meta.clone();
+    for (key, value) in full.iter().skip(1) {
+        dropped.insert(key.clone(), value.clone());
+    }
+    let gone = full.keys().next().expect("a metric").to_string();
+    let path = std::env::temp_dir().join(format!("hipress-dropped-{}.json", std::process::id()));
+    std::fs::write(&path, dropped.to_json()).expect("the snapshot is written");
+    let out = hipress(&format!(
+        "bench --snapshot {} --baseline {baseline} --tolerance 0",
+        path.display()
+    ));
+    std::fs::remove_file(&path).expect("the snapshot is removed");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("MISSING {gone}")), "{stdout}");
+}
