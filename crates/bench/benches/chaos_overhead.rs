@@ -1,6 +1,7 @@
-//! Overhead of the fault-tolerant envelope path with no faults: the
+//! Overhead of the fault-tolerant frame path with no faults: the
 //! same synchronization run on the trusting fast path and on the
-//! envelope protocol (sequence numbers + checksums + acks + dedup)
+//! frame protocol (serialization + sequence numbers + checksums +
+//! acks + dedup)
 //! under an empty fault plan. The contract is that hardening is
 //! cheap: under 5% extra CPU aggregated over the compressed
 //! configurations the system actually ships (small payloads make
@@ -42,32 +43,32 @@ fn grads(nodes: usize, sizes: &[usize]) -> Vec<Vec<Tensor>> {
 }
 
 /// One cell's measurements, per path: the median CPU cost of a run,
-/// the median *paired* extra CPU of the envelope run over the fast
-/// run it was interleaved with, the best wall time, and the outcome
+/// the median *paired* extra CPU of the fault-tolerant run over the
+/// fast run it was interleaved with, the best wall time, and the outcome
 /// that produced it.
 struct Measured {
     cpu_fast: i64,
     cpu_delta: i64,
     wall_fast_ns: u64,
-    wall_env_ns: u64,
+    wall_ft_ns: u64,
     out_fast: SyncOutcome,
-    out_env: SyncOutcome,
+    out_ft: SyncOutcome,
 }
 
-/// Runs fast/envelope interleaved back to back [`REPS`] times.
+/// Runs fast/fault-tolerant interleaved back to back [`REPS`] times.
 /// Background load here comes in multi-second bursts, so the two
 /// runs of a pair see the same ambient conditions; the per-pair CPU
 /// delta cancels the drift that makes absolute CPU (let alone wall
 /// clock) swing by double digits. The median over pairs discards the
 /// reps a burst boundary still splits.
-fn measure_pair(fast: &HiPress, envelope: &HiPress, workers: &[Vec<Tensor>]) -> Measured {
+fn measure_pair(fast: &HiPress, ft: &HiPress, workers: &[Vec<Tensor>]) -> Measured {
     let mut cpu_f = Vec::new();
     let mut deltas = Vec::new();
     let mut best: [Option<(u64, SyncOutcome)>; 2] = [None, None];
     for rep in 0..REPS {
         // Alternate which path goes first so warmup and frequency
         // drift cannot systematically favor one side.
-        let mut order = [(fast, 0usize), (envelope, 1usize)];
+        let mut order = [(fast, 0usize), (ft, 1usize)];
         if rep % 2 == 1 {
             order.swap(0, 1);
         }
@@ -86,21 +87,21 @@ fn measure_pair(fast: &HiPress, envelope: &HiPress, workers: &[Vec<Tensor>]) -> 
     }
     let [f, e] = best;
     let (wall_fast_ns, out_fast) = f.expect("REPS > 0");
-    let (wall_env_ns, out_env) = e.expect("REPS > 0");
+    let (wall_ft_ns, out_ft) = e.expect("REPS > 0");
     Measured {
         cpu_fast: median(cpu_f),
         cpu_delta: median(deltas),
         wall_fast_ns,
-        wall_env_ns,
+        wall_ft_ns,
         out_fast,
-        out_env,
+        out_ft,
     }
 }
 
 fn main() {
     banner(
         "chaos_overhead",
-        "fault-free cost of the envelope protocol vs the fast path",
+        "fault-free cost of the frame protocol vs the fast path",
     );
     let rec = Recorder::new("chaos_overhead");
     // Two node threads: more would oversubscribe small CI hosts and
@@ -125,7 +126,7 @@ fn main() {
     for attempt in 1..=MAX_ATTEMPTS {
         println!(
             "{:>12} {:>10} {:>11} {:>11} {:>10} {:>10}",
-            "strategy", "algorithm", "fast", "envelope", "cpu ovhd", "wall ovhd"
+            "strategy", "algorithm", "fast", "ft", "cpu ovhd", "wall ovhd"
         );
         let mut gated_delta = 0i64;
         let mut gated_base = 0i64;
@@ -140,28 +141,31 @@ fn main() {
                     .algorithm(alg)
                     .partitions(4)
                     .backend(Backend::Threads(nodes));
-                let envelope = fast
+                let ft = fast
                     .clone()
                     .fault_tolerance(FaultTolerance::default())
                     .chaos(&FaultPlan::none(0));
-                let m = measure_pair(&fast, &envelope, &workers);
+                let m = measure_pair(&fast, &ft, &workers);
                 // Hardening must be invisible to the results, not just
                 // cheap: both paths install the same bits.
-                for (a, b) in m.out_fast.flows.iter().zip(&m.out_env.flows) {
-                    assert_eq!(a.per_node, b.per_node, "envelope path changed the result");
+                for (a, b) in m.out_fast.flows.iter().zip(&m.out_ft.flows) {
+                    assert_eq!(
+                        a.per_node, b.per_node,
+                        "fault-tolerant path changed the result"
+                    );
                 }
                 // Injections must be zero; retries are allowed to be
                 // non-zero (a busy receiver acking late is honest
                 // protocol bookkeeping, not a fault).
                 assert!(
-                    m.out_env
+                    m.out_ft
                         .report
                         .as_ref()
                         .is_some_and(|r| r.faults.total_injected() == 0),
                     "an empty fault plan injected something"
                 );
                 let cpu_overhead = 100.0 * m.cpu_delta as f64 / m.cpu_fast as f64;
-                let wall_overhead = pct(m.wall_env_ns as f64, m.wall_fast_ns as f64);
+                let wall_overhead = pct(m.wall_ft_ns as f64, m.wall_fast_ns as f64);
                 let alg_label = alg.label();
                 let labels = [
                     ("strategy", strategy.label()),
@@ -176,8 +180,8 @@ fn main() {
                 );
                 rec.record(
                     "wall_ns",
-                    &[labels[0], labels[1], labels[2], ("path", "envelope")],
-                    m.wall_env_ns as f64,
+                    &[labels[0], labels[1], labels[2], ("path", "ft")],
+                    m.wall_ft_ns as f64,
                     None,
                 );
                 rec.record("chaos_overhead_pct", &labels, cpu_overhead, None);
@@ -191,7 +195,7 @@ fn main() {
                     format!("{strategy:?}"),
                     alg.label(),
                     m.wall_fast_ns as f64 / 1e6,
-                    m.wall_env_ns as f64 / 1e6,
+                    m.wall_ft_ns as f64 / 1e6,
                     cpu_overhead,
                     wall_overhead,
                     if gated { "" } else { "  (not gated)" }
@@ -216,7 +220,7 @@ fn main() {
     }
     assert!(
         aggregate < BUDGET_PCT,
-        "envelope CPU overhead {aggregate:.1}% blows the {BUDGET_PCT}% budget \
+        "fault-tolerant CPU overhead {aggregate:.1}% blows the {BUDGET_PCT}% budget \
          on every attempt"
     );
     println!(

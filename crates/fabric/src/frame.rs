@@ -1,16 +1,17 @@
 //! The fabric's wire frame: a versioned, checksummed, length-prefixed
 //! envelope around an opaque payload.
 //!
-//! The frame promotes the fault-tolerant envelope discipline of the
-//! runtime's in-process protocol — sequence numbers, FNV-1a
-//! checksums, attempt counters — into the actual framing layer of the
-//! socket fabric. On a stream the frame travels as:
+//! The frame is the one item the reliability layer ([`crate::rel`])
+//! tracks — sequence numbers, FNV-1a checksums, attempt counters — on
+//! the socket fabric and on the runtime's fault-tolerant channel link
+//! alike; only the socket puts it on a stream, where it travels as:
 //!
 //! ```text
 //! u32  body_len           (bytes after this field)
 //! u32  magic  "HPFB"
 //! u16  version            (currently 1)
-//! u8   kind               (Data / Ack / Nack / Ping / Hello)
+//! u8   kind               (Data / Ack / Nack / Ping / Hello /
+//!                          Done / Abort)
 //! u8   reserved           (0)
 //! u32  src                (sender rank)
 //! u64  seq                (per-link sequence number)
@@ -24,8 +25,7 @@
 //! Structural damage (truncation, bad magic, version skew, hostile
 //! lengths) surfaces as a [`DecodeError`]; payload damage surfaces as
 //! a failed [`Frame::verify`], which the reliability layer answers
-//! with a nack rather than an abort — exactly the split the chaos
-//! protocol uses in-process.
+//! with a nack rather than an abort.
 //!
 //! The payload is a shared buffer (`Arc<Vec<u8>>`): the serialized
 //! message is wrapped, never copied, so the copy the reliability
@@ -72,8 +72,8 @@ const FNV_PRIME: u64 = 0x0100_0000_01B3;
 /// xor-multiply per 8 payload bytes keeps checksumming multi-megabyte
 /// gradients off the critical path, and the multiply still diffuses a
 /// single flipped bit anywhere in the word. The one fold every
-/// checksum in the workspace (frames, envelopes, checker
-/// fingerprints) is built from.
+/// checksum in the workspace (frames, checker fingerprints) is built
+/// from.
 pub fn fnv(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(FNV_PRIME)
 }
@@ -111,6 +111,13 @@ pub enum FrameKind {
     Ping,
     /// The first frame on a connection: identifies the sender's rank.
     Hello,
+    /// The sender finished every task and every data frame it sent is
+    /// acknowledged (the fault-tolerant channel link's drain; a
+    /// socket never carries it).
+    Done,
+    /// The sender hit an error; unwind (the fault-tolerant channel
+    /// link's abort; a socket never carries it).
+    Abort,
 }
 
 impl FrameKind {
@@ -121,6 +128,8 @@ impl FrameKind {
             FrameKind::Nack => 3,
             FrameKind::Ping => 4,
             FrameKind::Hello => 5,
+            FrameKind::Done => 6,
+            FrameKind::Abort => 7,
         }
     }
 
@@ -131,6 +140,8 @@ impl FrameKind {
             3 => FrameKind::Nack,
             4 => FrameKind::Ping,
             5 => FrameKind::Hello,
+            6 => FrameKind::Done,
+            7 => FrameKind::Abort,
             other => return Err(DecodeError::BadKind(other)),
         })
     }
@@ -222,7 +233,7 @@ impl Frame {
         f
     }
 
-    /// A payload-free control frame (ack/nack/ping/hello).
+    /// A payload-free control frame (ack/nack/ping/hello/done/abort).
     pub fn control(kind: FrameKind, src: u32, seq: u64) -> Self {
         Self::new(kind, src, seq, Vec::new())
     }
@@ -390,27 +401,9 @@ impl Frame {
     }
 }
 
-impl crate::rel::Sealed for Frame {
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    fn bump(&mut self) {
-        self.attempt += 1;
-    }
-
-    fn verify(&self) -> bool {
-        Frame::verify(self)
-    }
-}
-
 /// Chaos can corrupt a frame's payload bits in transit; the checksum
 /// (and the nack/retransmit discipline above it) is what catches the
-/// damage — same contract as the in-process envelope protocol.
+/// damage, on a socket and on the fault-tolerant channel link alike.
 impl hipress_chaos::Wire for Frame {
     fn payload_bits(&self) -> u64 {
         match self.kind {
@@ -496,11 +489,15 @@ mod tests {
 
     #[test]
     fn body_round_trips() {
-        let f = sample();
-        let body = f.encode_body();
-        let back = Frame::decode_body(&body).unwrap();
-        assert_eq!(back, f);
-        assert!(back.verify());
+        for f in [
+            sample(),
+            Frame::control(FrameKind::Done, 1, 0),
+            Frame::control(FrameKind::Abort, 1, 0),
+        ] {
+            let back = Frame::decode_body(&f.encode_body()).unwrap();
+            assert_eq!(back, f);
+            assert!(back.verify());
+        }
     }
 
     #[test]
@@ -509,6 +506,8 @@ mod tests {
             sample(),
             Frame::control(FrameKind::Ack, 0, 41),
             Frame::control(FrameKind::Ping, 1, 0),
+            Frame::control(FrameKind::Done, 2, 0),
+            Frame::control(FrameKind::Abort, 3, 0),
         ];
         let mut buf = Vec::new();
         for f in &frames {
@@ -532,10 +531,14 @@ mod tests {
 
     #[test]
     fn flipped_payload_bit_fails_verify() {
+        let f = sample();
+        for bit in 0..f.payload_bits() {
+            let mut m = f.clone();
+            m.flip_bit(bit);
+            assert!(!m.verify(), "flip of payload bit {bit} went undetected");
+        }
         let mut f = sample();
-        assert!(f.payload_bits() > 0);
         f.flip_bit(11);
-        assert!(!f.verify());
         // The frame still *decodes* — damage is a verdict, not a
         // parse failure.
         let back = Frame::decode_body(&f.encode_body()).unwrap();

@@ -12,7 +12,7 @@
 //! * [`TcpLink`] (built by [`tcp::connect_mesh`]): a full mesh of
 //!   loopback TCP streams between real OS processes. Messages
 //!   serialize as [`WireMsg`] bytes into checksummed, versioned
-//!   [`frame::Frame`]s, with the chaos envelope discipline (sequence
+//!   [`frame::Frame`]s, with the reliability discipline (sequence
 //!   numbers, ack/nack, bounded retransmission, heartbeats) running at
 //!   the framing layer ([`rel`]).
 //!
@@ -25,7 +25,7 @@
 //!
 //! The split mirrors what CGX argues for: the compression stack and
 //! task manager never learn which transport they are on, so swapping
-//! channels for sockets (or for the runtime's fault-injecting envelope
+//! channels for sockets (or for the runtime's fault-injecting frame
 //! link over channels) is a constructor choice, not a rewrite.
 
 #![forbid(unsafe_code)]
@@ -39,7 +39,7 @@ mod channel;
 
 pub use channel::{ChannelFabric, ChannelLink};
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder};
-pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict, Sealed};
+pub use rel::{LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
 pub use tcp::TcpLink;
 
 /// The message bound of a serializing [`Link`]: any codec

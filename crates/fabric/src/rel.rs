@@ -2,12 +2,10 @@
 //! exponential backoff on the send side, verify-then-dedup on the
 //! receive side, heartbeats on idle links.
 //!
-//! There is exactly one of these in the workspace. [`RelTx`] /
-//! [`RelRx`] are generic over the item they track — anything
-//! [`Sealed`] with a sequence number, an attempt counter and a
-//! checksum — so the socket fabric runs them over [`Frame`]s, the
-//! in-process fault-tolerant runtime runs them over its envelopes,
-//! and `hipress-verify` exhausts the very same state machines. TCP
+//! There is exactly one of these in the workspace, and it tracks
+//! [`Frame`]s: the socket fabric runs it over TCP streams, the
+//! in-process fault-tolerant runtime over channels, and
+//! `hipress-verify` exhausts the very same state machines. TCP
 //! already retransmits lost segments, but it cannot detect payload
 //! corruption above the transport or survive a deliberately faulty
 //! link in tests — the checksums and nacks here can.
@@ -18,31 +16,17 @@
 //! the rules can be pinned (and mutated, by the checker's seeded
 //! defects) independently of the bookkeeping around them.
 //!
-//! Retention is by [`Clone`], and every item the machine tracks keeps
-//! its bulk behind a refcount (a frame's payload, an envelope's
-//! tensor): the in-flight entry and the item handed to the transport
-//! share one buffer, and a retransmission is the same buffer again.
-//! The receive side remembers delivered sequence numbers as a
-//! contiguous watermark plus the few that arrived ahead of a gap, so
-//! its state does not grow with the number of items ever delivered.
+//! Retention is by [`Clone`], and a frame keeps its payload behind a
+//! refcount: the in-flight entry and the frame handed to the
+//! transport share one buffer, and a retransmission is the same
+//! buffer again. The receive side remembers delivered sequence
+//! numbers as a contiguous watermark plus the few that arrived ahead
+//! of a gap, so its state does not grow with the number of frames
+//! ever delivered.
 
 use crate::frame::{Frame, FrameKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
-
-/// What the reliability machine needs from an item it tracks: a
-/// per-link sequence number, a retransmission counter that sits
-/// outside the checksum, and an integrity check.
-pub trait Sealed: Clone {
-    /// The per-link sequence number.
-    fn seq(&self) -> u64;
-    /// Transmissions so far beyond the first (0 = first send).
-    fn attempt(&self) -> u32;
-    /// Counts one more transmission.
-    fn bump(&mut self);
-    /// True when the carried checksum matches the content.
-    fn verify(&self) -> bool;
-}
 
 /// The retransmission timeout for attempt `attempt`:
 /// `base × 2^attempt`, capped at `max` (exponent itself clamped so
@@ -51,7 +35,7 @@ pub fn rto(base: Duration, max: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.min(16)).min(max)
 }
 
-/// What a sender does about an in-flight item that needs another
+/// What a sender does about an in-flight frame that needs another
 /// transmission (timer expiry or nack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryDecision {
@@ -86,14 +70,14 @@ pub fn classify(intact: bool, already_seen: bool) -> RxVerdict {
     }
 }
 
-/// Idle interval after which a link pings its peer: a [`RelTx`]'s
-/// frame heartbeat and the fault-tolerant envelope link's liveness
-/// ping. Peers that keep polling stay audible at this period, so
-/// silence marks a stuck or dead one.
+/// Idle interval after which a link pings its peer
+/// ([`RelTx::heartbeat`], on both the TCP fabric and the
+/// fault-tolerant channel link). Peers that keep polling stay audible
+/// at this period, so silence marks a stuck or dead one.
 pub const HEARTBEAT: Duration = Duration::from_millis(25);
 
 /// Shortest inbox wait a retransmitting link (the TCP fabric, the
-/// fault-tolerant envelope link) takes between protocol-timer checks:
+/// fault-tolerant channel link) takes between protocol-timer checks:
 /// the floor of its adaptive wait.
 pub const POLL_FLOOR: Duration = Duration::from_micros(200);
 
@@ -104,7 +88,7 @@ pub const POLL_CEILING: Duration = Duration::from_millis(10);
 /// Retry and backoff knobs for one link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkTuning {
-    /// Retransmissions allowed per item before the link is declared
+    /// Retransmissions allowed per frame before the link is declared
     /// dead.
     pub retry_budget: u32,
     /// First retransmission timeout; doubles per attempt.
@@ -127,7 +111,7 @@ impl Default for LinkTuning {
 }
 
 /// A link whose retry budget ran out: `seq` went unacknowledged for
-/// `attempts` transmissions. The item stays in flight, so the owner
+/// `attempts` transmissions. The frame stays in flight, so the owner
 /// can still name what it carried ([`RelTx::get`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkDead {
@@ -139,11 +123,11 @@ pub struct LinkDead {
 
 /// Send-side reliability state for one directed link.
 ///
-/// Every item enters the in-flight set with a retransmission timer;
-/// [`RelTx::due`] returns items whose timer expired (with
+/// Every data frame enters the in-flight set with a retransmission
+/// timer; [`RelTx::due`] returns frames whose timer expired (with
 /// exponentially backed-off next deadlines), and [`RelTx::on_ack`] /
 /// [`RelTx::on_nack`] retire or fast-path retransmit them. When one
-/// item exceeds the retry budget the link is declared dead.
+/// frame exceeds the retry budget the link is declared dead.
 ///
 /// The in-flight set is ordered by sequence number, so timer
 /// retransmissions leave oldest-first and a dead link is always
@@ -151,31 +135,41 @@ pub struct LinkDead {
 /// checker can fork a link mid-protocol and explore both branches of
 /// a nondeterministic choice.
 #[derive(Debug, Clone)]
-pub struct RelTx<T = Frame> {
+pub struct RelTx {
     src: u32,
     next_seq: u64,
     tuning: LinkTuning,
-    /// seq → (item, next retransmission deadline).
-    inflight: BTreeMap<u64, (T, Instant)>,
+    /// seq → (frame, next retransmission deadline).
+    inflight: BTreeMap<u64, (Frame, Instant)>,
     /// Retransmissions performed (for fabric counters).
     retransmits: u64,
     last_sent: Instant,
 }
 
-/// The frame-specific surface: the only `new`, so an unannotated
-/// `RelTx::new(..)` is a frame link.
-impl RelTx<Frame> {
+impl RelTx {
     /// Send state for frames originating at rank `src`.
     pub fn new(src: u32, tuning: LinkTuning, now: Instant) -> Self {
-        Self::for_items(src, tuning, now)
+        Self {
+            src,
+            next_seq: 0,
+            tuning,
+            inflight: BTreeMap::new(),
+            retransmits: 0,
+            last_sent: now,
+        }
     }
 
-    /// Wraps `payload` in the next data frame and retains it (the
-    /// same buffer, by refcount) for retransmission until
-    /// acknowledged.
+    /// Wraps `payload` in the next data frame (attempt 0), arms its
+    /// retransmission timer and retains it (the same buffer, by
+    /// refcount) until acknowledged.
     pub fn prepare(&mut self, payload: Vec<u8>, now: Instant) -> Frame {
-        let src = self.src;
-        self.admit(now, |seq| Frame::new(FrameKind::Data, src, seq, payload))
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let frame = Frame::new(FrameKind::Data, self.src, seq, payload);
+        let due = now + rto(self.tuning.base_backoff, self.tuning.max_backoff, 0);
+        self.inflight.insert(seq, (frame.clone(), due));
+        self.last_sent = now;
+        frame
     }
 
     /// A heartbeat ping when the link has been idle for
@@ -187,81 +181,49 @@ impl RelTx<Frame> {
         }
         None
     }
-}
-
-impl<T: Sealed> RelTx<T> {
-    /// Send state for any sealed item type originating at rank `src`.
-    pub fn for_items(src: u32, tuning: LinkTuning, now: Instant) -> Self {
-        Self {
-            src,
-            next_seq: 0,
-            tuning,
-            inflight: BTreeMap::new(),
-            retransmits: 0,
-            last_sent: now,
-        }
-    }
-
-    /// Assigns the next sequence number, lets `seal` build the item
-    /// around it (attempt 0), arms its retransmission timer, and
-    /// returns the item ready to send.
-    pub fn admit(&mut self, now: Instant, seal: impl FnOnce(u64) -> T) -> T {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let item = seal(seq);
-        debug_assert_eq!(
-            item.seq(),
-            seq,
-            "sealed item must carry the seq it was given"
-        );
-        let due = now + rto(self.tuning.base_backoff, self.tuning.max_backoff, 0);
-        self.inflight.insert(seq, (item.clone(), due));
-        self.last_sent = now;
-        item
-    }
 
     /// Restarts `seq`'s retransmission timer from `now`, the instant
-    /// its transmission actually finished. [`RelTx::admit`] arms the
+    /// its transmission actually finished. [`RelTx::prepare`] arms the
     /// timer before the transport has taken a byte; when handing the
-    /// item over takes long (a multi-megabyte write queued behind a
+    /// frame over takes long (a multi-megabyte write queued behind a
     /// busy peer), the owner calls this so the wait for the ack is
     /// measured from the end of the write, not from its start. A seq
     /// already acknowledged is left alone.
     pub fn sent(&mut self, seq: u64, now: Instant) {
-        if let Some((item, due)) = self.inflight.get_mut(&seq) {
+        if let Some((frame, due)) = self.inflight.get_mut(&seq) {
             *due = now
                 + rto(
                     self.tuning.base_backoff,
                     self.tuning.max_backoff,
-                    item.attempt(),
+                    frame.attempt,
                 );
             self.last_sent = now;
         }
     }
 
-    /// Retires an acknowledged item. Returns false for unknown
+    /// Retires an acknowledged frame. Returns false for unknown
     /// (already-retired or forged) sequence numbers.
     pub fn on_ack(&mut self, seq: u64) -> bool {
         self.inflight.remove(&seq).is_some()
     }
 
-    /// Counts one more transmission of an in-flight item and re-arms
+    /// Counts one more transmission of an in-flight frame and re-arms
     /// its timer — the one place the retry budget is enforced.
     fn retransmit(
         tuning: &LinkTuning,
         seq: u64,
-        (item, due): &mut (T, Instant),
+        (frame, due): &mut (Frame, Instant),
         now: Instant,
-    ) -> Result<T, LinkDead> {
-        item.bump();
-        if retry_decision(item.attempt(), tuning.retry_budget) == RetryDecision::Dead {
+    ) -> Result<Frame, LinkDead> {
+        frame.attempt += 1;
+        if retry_decision(frame.attempt, tuning.retry_budget) == RetryDecision::Dead {
             return Err(LinkDead {
                 seq,
-                attempts: item.attempt(),
+                attempts: frame.attempt,
             });
         }
-        *due = now + rto(tuning.base_backoff, tuning.max_backoff, item.attempt());
-        Ok(item.clone())
+        *due = now + rto(tuning.base_backoff, tuning.max_backoff, frame.attempt);
+        Ok(frame.clone())
     }
 
     /// Answers a nack: an immediate retransmission of `seq` (attempt
@@ -270,19 +232,19 @@ impl<T: Sealed> RelTx<T> {
     ///
     /// # Errors
     ///
-    /// [`LinkDead`] when the nack pushed the item past the retry
+    /// [`LinkDead`] when the nack pushed the frame past the retry
     /// budget.
-    pub fn on_nack(&mut self, seq: u64, now: Instant) -> Result<Option<T>, LinkDead> {
+    pub fn on_nack(&mut self, seq: u64, now: Instant) -> Result<Option<Frame>, LinkDead> {
         let Some(slot) = self.inflight.get_mut(&seq) else {
             return Ok(None);
         };
-        let item = Self::retransmit(&self.tuning, seq, slot, now)?;
+        let frame = Self::retransmit(&self.tuning, seq, slot, now)?;
         self.retransmits += 1;
         self.last_sent = now;
-        Ok(Some(item))
+        Ok(Some(frame))
     }
 
-    /// Collects every item whose retransmission timer expired at
+    /// Collects every frame whose retransmission timer expired at
     /// `now`, ascending by seq, bumping attempts and re-arming timers.
     ///
     /// # Errors
@@ -290,7 +252,7 @@ impl<T: Sealed> RelTx<T> {
     /// [`LinkDead`] naming the lowest seq that exhausted the retry
     /// budget. The walk stops there: a dead link sends nothing more,
     /// so which resends were gathered before it no longer matters.
-    pub fn due(&mut self, now: Instant) -> Result<Vec<T>, LinkDead> {
+    pub fn due(&mut self, now: Instant) -> Result<Vec<Frame>, LinkDead> {
         let mut out = Vec::new();
         for (&seq, slot) in self.inflight.iter_mut() {
             if slot.1 <= now {
@@ -314,34 +276,34 @@ impl<T: Sealed> RelTx<T> {
         self.retransmits
     }
 
-    /// Earliest retransmission deadline among in-flight items, if
+    /// Earliest retransmission deadline among in-flight frames, if
     /// any — lets the owner sleep until a timer can actually fire
     /// instead of polling on a fixed tick.
     pub fn next_due(&self) -> Option<Instant> {
         self.inflight.values().map(|(_, due)| *due).min()
     }
 
-    /// The in-flight item with sequence number `seq`, if any.
-    pub fn get(&self, seq: u64) -> Option<&T> {
-        self.inflight.get(&seq).map(|(item, _)| item)
+    /// The in-flight frame with sequence number `seq`, if any.
+    pub fn get(&self, seq: u64) -> Option<&Frame> {
+        self.inflight.get(&seq).map(|(frame, _)| frame)
     }
 
-    /// `(seq, attempt)` for every in-flight item, ascending seq. The
+    /// `(seq, attempt)` for every in-flight frame, ascending seq. The
     /// model checker fingerprints link state through this (timer
     /// deadlines deliberately excluded — the checker is untimed).
     pub fn inflight_meta(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.inflight
             .iter()
-            .map(|(&seq, (item, _))| (seq, item.attempt()))
+            .map(|(&seq, (frame, _))| (seq, frame.attempt))
     }
 
-    /// The sequence number the next [`RelTx::admit`] will assign.
+    /// The sequence number the next [`RelTx::prepare`] will assign.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 }
 
-/// What the receive side decided about an arriving data item.
+/// What the receive side decided about an arriving data frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxVerdict {
     /// Intact and new: deliver the payload, send an ack.
@@ -354,13 +316,13 @@ pub enum RxVerdict {
 }
 
 /// Receive-side reliability state for one directed link:
-/// verify-then-dedup, in that order — a corrupt item is *not* marked
+/// verify-then-dedup, in that order — a corrupt frame is *not* marked
 /// seen, so its clean retransmission still delivers.
 ///
 /// Delivered sequence numbers are kept as a watermark (everything
 /// below it was delivered) plus the delivered ones above it, which
 /// exist only while an earlier seq is still missing — a link that
-/// delivers in order holds no per-item state at all.
+/// delivers in order holds no per-frame state at all.
 #[derive(Debug, Default, Clone)]
 pub struct RelRx {
     /// Every seq below this has been delivered.
@@ -376,12 +338,12 @@ impl RelRx {
         Self::default()
     }
 
-    /// Judges one arriving data item by the pure [`classify`] rule
+    /// Judges one arriving data frame by the pure [`classify`] rule
     /// and marks delivered sequences seen.
-    pub fn accept<T: Sealed>(&mut self, item: &T) -> RxVerdict {
-        let seq = item.seq();
+    pub fn accept(&mut self, frame: &Frame) -> RxVerdict {
+        let seq = frame.seq;
         let seen = seq < self.watermark || self.ahead.contains(&seq);
-        let verdict = classify(item.verify(), seen);
+        let verdict = classify(frame.verify(), seen);
         if verdict == RxVerdict::Deliver {
             if seq == self.watermark {
                 self.watermark += 1;
@@ -510,7 +472,7 @@ mod tests {
             assert_eq!(rx.accept(&frame(seq)), RxVerdict::Duplicate);
         }
         // Filling the gap folds everything contiguous into the
-        // watermark; an in-order link keeps no per-item state.
+        // watermark; an in-order link keeps no per-frame state.
         assert_eq!(rx.accept(&frame(3)), RxVerdict::Deliver);
         assert_eq!(rx.accept(&frame(5)), RxVerdict::Deliver);
         assert_eq!((rx.watermark, rx.ahead.len()), (7, 0));

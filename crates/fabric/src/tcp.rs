@@ -442,7 +442,9 @@ fn reader_loop(
                 FrameKind::Ping => {
                     note(&recorder, FlightKind::HeartbeatRecv, peer, 0, 0);
                 }
-                FrameKind::Hello => {}
+                // The mesh never sends these after the handshake; the
+                // drain and abort kinds belong to the channel link.
+                FrameKind::Hello | FrameKind::Done | FrameKind::Abort => {}
             },
             Ok(None) => {
                 note(&recorder, FlightKind::PeerLost, peer, 0, 0);

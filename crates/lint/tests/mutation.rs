@@ -14,8 +14,9 @@ use hipress_core::{
     TaskId,
 };
 use hipress_lint::{compose, verify_composed, verify_graph, verify_pipelined, Code, PipelineSpec};
-use hipress_runtime::protocol::{Envelope, LinkTuning, RelRx, RelTx, RxVerdict};
-use hipress_runtime::Payload;
+use hipress_runtime::protocol::{Frame, FrameKind, LinkTuning, RelRx, RelTx, RxVerdict};
+use hipress_runtime::{Msg, Payload};
+use hipress_util::codec::WireMsg;
 use hipress_util::rng::{Rng64, Xoshiro256};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -327,20 +328,20 @@ fn every_pipelined_defect_is_detected() {
 }
 
 // -------------------------------------------------------------------
-// Fault-envelope mutations: the wire-integrity analogue of the plan
+// Fault-frame mutations: the wire-integrity analogue of the plan
 // mutations above. Instead of seeding defects into task graphs and
-// asking the verifier to flag them, these seed defects into the
-// runtime's fault-tolerant envelopes and ask the protocol layer
-// (checksum verify, sequence dedup, retry budget) to catch them.
+// asking the verifier to flag them, these seed defects into the data
+// frames the runtime's fault-tolerant link sends and ask the protocol
+// layer (checksum verify, sequence dedup, retry budget) to catch them.
 // -------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
-enum EnvMutation {
-    /// Flip one bit of the carried checksum; the envelope must fail
+enum FrameMutation {
+    /// Flip one bit of the carried checksum; the frame must fail
     /// verification and be nacked, never delivered.
     CorruptChecksum,
-    /// Flip one bit of the payload (raw f32 words or compressed
-    /// bytes); the digest must no longer match.
+    /// Flip one bit of the payload (the serialized completion); the
+    /// digest must no longer match.
     CorruptPayloadBit,
     /// Deliver the same sequence number twice (a late
     /// retransmission); the second arrival must be classified as a
@@ -351,16 +352,16 @@ enum EnvMutation {
     DropAck,
 }
 
-const ENV_MUTATIONS: [EnvMutation; 4] = [
-    EnvMutation::CorruptChecksum,
-    EnvMutation::CorruptPayloadBit,
-    EnvMutation::ReplaySeq,
-    EnvMutation::DropAck,
+const FRAME_MUTATIONS: [FrameMutation; 4] = [
+    FrameMutation::CorruptChecksum,
+    FrameMutation::CorruptPayloadBit,
+    FrameMutation::ReplaySeq,
+    FrameMutation::DropAck,
 ];
 
-/// The payload shapes an envelope can carry: plain completions, raw
-/// gradients (odd element count), compressed bitstreams (length not a
-/// multiple of the 8-byte digest word), and degradation holes.
+/// The payload shapes a completion can carry: bare completion edges,
+/// raw gradients (odd element count), compressed bitstreams (length
+/// not a multiple of the 8-byte digest word), and degradation holes.
 fn payload_variants(rng: &mut Xoshiro256) -> [Option<Arc<Payload>>; 4] {
     let raw: Vec<f32> = (0..97).map(|_| rng.next_f32() * 8.0 - 4.0).collect();
     let compressed: Vec<u8> = (0..61).map(|_| rng.next_u32() as u8).collect();
@@ -372,32 +373,49 @@ fn payload_variants(rng: &mut Xoshiro256) -> [Option<Arc<Payload>>; 4] {
     ]
 }
 
-/// The envelope link under test: a 1 ms first timeout capped at 8 ms.
-fn env_tx(retry_budget: u32, now: Instant) -> RelTx<Envelope> {
+/// The bytes a data frame carries for `task`'s completion: the whole
+/// serialized message, as the fault-tolerant link sends it.
+fn completion(task: TaskId, payload: Option<Arc<Payload>>) -> Vec<u8> {
+    Msg::Done {
+        task,
+        iter: 0,
+        payload,
+    }
+    .to_bytes()
+}
+
+/// The task a retained data frame announces.
+fn announced_task(frame: &Frame) -> Option<TaskId> {
+    match Msg::from_bytes(&frame.payload) {
+        Ok(Msg::Done { task, .. }) => Some(task),
+        _ => None,
+    }
+}
+
+/// The frame link under test: a 1 ms first timeout capped at 8 ms.
+fn frame_tx(retry_budget: u32, now: Instant) -> RelTx {
     let tuning = LinkTuning {
         retry_budget,
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(8),
     };
-    RelTx::for_items(1, tuning, now)
+    RelTx::new(1, tuning, now)
 }
 
-/// Unmutated envelopes are clean across every payload shape: they
+/// Unmutated frames are clean across every payload shape: they
 /// verify, deliver exactly once, and an acknowledged link goes idle
 /// with nothing left to retransmit — zero false positives.
 #[test]
-fn unmutated_envelopes_are_clean() {
+fn unmutated_frames_are_clean() {
     let mut rng = Xoshiro256::new(0xC1EA);
     for (seq, payload) in payload_variants(&mut rng).into_iter().enumerate() {
         let now = Instant::now();
-        let mut tx = env_tx(3, now);
+        let mut tx = frame_tx(3, now);
         let mut rx = RelRx::new();
-        let env = tx.admit(now, |s| {
-            Envelope::data(1, s, TaskId(40 + seq as u32), payload, 0)
-        });
-        assert!(env.verify(), "sealed envelope must verify");
-        assert_eq!(rx.accept(&env), RxVerdict::Deliver);
-        assert!(tx.on_ack(env.seq), "ack must retire the envelope");
+        let frame = tx.prepare(completion(TaskId(40 + seq as u32), payload), now);
+        assert!(frame.verify(), "a fresh frame must verify");
+        assert_eq!(rx.accept(&frame), RxVerdict::Deliver);
+        assert!(tx.on_ack(frame.seq), "ack must retire the frame");
         assert!(tx.idle(), "acked link must hold no in-flight state");
         assert!(
             tx.due(now + Duration::from_secs(60)).unwrap().is_empty(),
@@ -406,48 +424,43 @@ fn unmutated_envelopes_are_clean() {
     }
 }
 
-/// Every seeded envelope defect across payload shapes and seeds is
+/// Every seeded frame defect across payload shapes and seeds is
 /// caught by the integrity layer: corruption is detected (and the
 /// clean retransmission still delivers), replays dedup, and dropped
 /// acks end in a dead link naming the task.
 #[test]
-fn every_seeded_envelope_mutation_is_caught() {
+fn every_seeded_frame_mutation_is_caught() {
     let mut rng = Xoshiro256::new(0xE77E10);
     let mut injections = 0usize;
     for round in 0..4u64 {
         for (pi, payload) in payload_variants(&mut rng).into_iter().enumerate() {
-            for mutation in ENV_MUTATIONS {
+            for mutation in FRAME_MUTATIONS {
                 let task = TaskId((round * 10 + pi as u64) as u32);
-                let env = Envelope::data(pi, round, task, payload.clone(), 0);
+                let bytes = completion(task, payload.clone());
+                let frame = Frame::new(FrameKind::Data, pi as u32, round, bytes.clone());
                 let mut rx = RelRx::new();
                 match mutation {
-                    EnvMutation::CorruptChecksum => {
-                        let mut bad = env.clone();
+                    FrameMutation::CorruptChecksum => {
+                        let mut bad = frame.clone();
                         bad.checksum ^= 1u64 << rng.index(64);
                         assert!(!bad.verify(), "corrupt checksum went undetected");
                         assert_eq!(rx.accept(&bad), RxVerdict::Corrupt);
                         // The clean retransmission must still deliver:
                         // corrupt arrivals are not marked seen.
-                        assert_eq!(rx.accept(&env), RxVerdict::Deliver);
+                        assert_eq!(rx.accept(&frame), RxVerdict::Deliver);
                     }
-                    EnvMutation::CorruptPayloadBit => {
-                        let bits = env.payload_bits();
-                        if bits == 0 {
-                            // No corruptible bits (no payload, or a
-                            // degradation hole): not eligible.
-                            continue;
-                        }
-                        let mut bad = env.clone();
-                        bad.flip_bit(rng.next_below(bits));
+                    FrameMutation::CorruptPayloadBit => {
+                        let mut bad = frame.clone();
+                        bad.flip_bit(rng.next_below(frame.payload_bits()));
                         assert!(!bad.verify(), "payload bitflip went undetected");
                         assert_eq!(rx.accept(&bad), RxVerdict::Corrupt);
-                        assert_eq!(rx.accept(&env), RxVerdict::Deliver);
+                        assert_eq!(rx.accept(&frame), RxVerdict::Deliver);
                     }
-                    EnvMutation::ReplaySeq => {
-                        assert_eq!(rx.accept(&env), RxVerdict::Deliver);
+                    FrameMutation::ReplaySeq => {
+                        assert_eq!(rx.accept(&frame), RxVerdict::Deliver);
                         // A late retransmission carries a bumped
                         // attempt but the original digest.
-                        let mut replay = env.clone();
+                        let mut replay = frame.clone();
                         replay.attempt += 1;
                         assert!(replay.verify(), "retransmission digest must hold");
                         assert_eq!(
@@ -456,12 +469,11 @@ fn every_seeded_envelope_mutation_is_caught() {
                             "replayed seq was delivered twice"
                         );
                     }
-                    EnvMutation::DropAck => {
+                    FrameMutation::DropAck => {
                         let budget = 3u32;
                         let now = Instant::now();
-                        let mut tx = env_tx(budget, now);
-                        let sent =
-                            tx.admit(now, |s| Envelope::data(pi, s, task, payload.clone(), 0));
+                        let mut tx = frame_tx(budget, now);
+                        let sent = tx.prepare(bytes, now);
                         // With every ack dropped, each expiry bumps
                         // the attempt until the budget is exhausted.
                         let mut clock = now;
@@ -475,7 +487,7 @@ fn every_seeded_envelope_mutation_is_caught() {
                         clock += Duration::from_millis(20);
                         let dead = tx.due(clock).expect_err("budget exhausted");
                         assert_eq!(dead.seq, sent.seq);
-                        let unacked = tx.get(dead.seq).and_then(Envelope::data_task);
+                        let unacked = tx.get(dead.seq).and_then(announced_task);
                         assert_eq!(unacked, Some(task), "dead link must name the task");
                         assert_eq!(dead.attempts, budget + 1);
                     }
@@ -484,7 +496,8 @@ fn every_seeded_envelope_mutation_is_caught() {
             }
         }
     }
-    // 4 rounds x 4 payload shapes x 4 mutations, minus the
-    // payload-bitflip cells with nothing to flip (None and Skipped).
-    assert_eq!(injections, 4 * 4 * 4 - 4 * 2, "matrix not fully covered");
+    // 4 rounds x 4 payload shapes x 4 mutations: the frame carries the
+    // whole serialized completion, so even a bare edge or a hole has
+    // payload bits to flip.
+    assert_eq!(injections, 4 * 4 * 4, "matrix not fully covered");
 }

@@ -1,13 +1,14 @@
-//! The fault-tolerant link: the envelope protocol and fault injection
+//! The fault-tolerant link: the frame protocol and fault injection
 //! as a [`Link`].
 //!
 //! [`crate::run`] with [`crate::RunOptions::chaos`] set drives the
 //! same node loop as every other run ([`crate::pipeline`]: pipelining,
 //! §3.2 batching, iteration spans and progress records included), over
 //! an [`FtLink`] instead of a plain channel link. The link trusts
-//! nothing: every message it carries is a sequence-numbered,
-//! checksummed [`Envelope`] ([`crate::protocol`]) that passes the
-//! plan's [`Injector`] on its way out; receivers verify / dedup / ack,
+//! nothing: every message it carries is serialized once into a
+//! sequence-numbered, checksummed data [`Frame`] ([`crate::protocol`])
+//! that passes the plan's [`Injector`] on its way out, and decoded
+//! once on delivery; receivers verify / dedup / ack,
 //! senders retransmit with exponential backoff under a bounded retry
 //! budget, and a per-peer EWMA straggler detector drives a
 //! configurable degradation policy. The node's own stall and crash
@@ -34,26 +35,28 @@
 
 use crate::engine::{Msg, NodePlan, NodeResult, NodeTrace, Payload};
 use crate::pipeline::{fabric_err, NodeHooks, RunOptions};
-use crate::protocol::{self, Body, Envelope, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
+use crate::protocol::{self, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
 use crate::report::{DegradeAction, FaultReport, StragglerVerdict};
 use hipress_chaos::{FaultPlan, Injector, Verdict};
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
-use hipress_fabric::rel::{HEARTBEAT, POLL_CEILING, POLL_FLOOR};
-use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters};
+use hipress_fabric::frame::{Frame, FrameKind};
+use hipress_fabric::rel::{POLL_CEILING, POLL_FLOOR};
+use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters, WireMsg};
 use hipress_metrics::{names, Counter, Scope};
 use hipress_util::{SyncFailure, SyncFailureKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// The wait floor/ceiling and heartbeat period are the fabric's
-// `POLL_FLOOR`, `POLL_CEILING` and `HEARTBEAT`, shared with the socket
-// fabric. Heartbeats tell *stuck* from *slow*: a node whose loop keeps
-// polling its link pings on every timer pass, a stalled or crashed one
-// goes silent. They also pin each peer's inter-arrival EWMA near the
-// period, so thresholds converge to `straggler_factor × HEARTBEAT`; a
-// task blocking the loop longer than that can be misflagged (raise
-// `straggler_floor` for coarse workloads).
+// The wait floor/ceiling and heartbeat rule are the fabric's
+// `POLL_FLOOR`, `POLL_CEILING` and `RelTx::heartbeat`, shared with the
+// socket fabric. Heartbeats tell *stuck* from *slow*: a node whose loop
+// keeps polling its link pings every peer it has sent nothing to for a
+// `HEARTBEAT`, a stalled or crashed one goes silent. They also pin
+// each peer's inter-arrival EWMA near the period, so thresholds
+// converge to `straggler_factor × HEARTBEAT`; a task blocking the loop
+// longer than that can be misflagged (raise `straggler_floor` for
+// coarse workloads).
 
 /// What to do about a diagnosed straggler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,7 +97,7 @@ pub struct FaultTolerance {
     /// unmet remote dependencies (or an incomplete cluster) unwinds
     /// with a [`SyncFailureKind::RecvTimeout`].
     pub recv_deadline: Duration,
-    /// Retry budget and backoff of every envelope link.
+    /// Retry budget and backoff of every peer link.
     pub link: LinkTuning,
     /// A peer is a straggler once the time since it was last heard
     /// exceeds `straggler_factor ×` its EWMA inter-arrival gap.
@@ -182,12 +185,12 @@ impl FtMetrics {
 
 /// One peer as this node's link sees it.
 struct Peer {
-    /// Send-side reliability for envelopes to the peer.
-    tx: RelTx<Envelope>,
-    /// Receive-side integrity for envelopes from it.
+    /// Send-side reliability for frames to the peer.
+    tx: RelTx,
+    /// Receive-side integrity for frames from it.
     rx: RelRx,
     /// The plan's faults on the way to it.
-    inject: Injector<Envelope>,
+    inject: Injector<Frame>,
     /// The completions `(iter, task)` it still owes this node. A
     /// delivery not in here (a late one after a degradation skip) is
     /// acked and ignored, never handed to the loop twice.
@@ -196,17 +199,18 @@ struct Peer {
     ewma_gap_ns: f64,
     /// Carries a straggler verdict (one per peer).
     flagged: bool,
-    /// Said [`Body::Done`] (for this node's own slot: announced it).
+    /// Said [`FrameKind::Done`] (for this node's own slot: announced
+    /// it).
     done: bool,
 }
 
 /// One node's endpoint on the fault-tolerant fabric: a [`Link`] over
-/// a channel link of [`Envelope`]s that seals, injects, verifies,
+/// a channel link of [`Frame`]s that frames, injects, verifies,
 /// acknowledges, retransmits and watches its peers, handing the node
 /// loop the same [`Msg`]s a trusted link would. Drive the loop with
 /// [`crate::pipeline`] as usual, then [`FtLink::finish`] the run.
 pub(crate) struct FtLink<'a> {
-    inner: ChannelLink<Envelope>,
+    inner: ChannelLink<Frame>,
     graph: &'a TaskGraph,
     fplan: &'a FaultPlan,
     ft: FaultTolerance,
@@ -214,10 +218,8 @@ pub(crate) struct FtLink<'a> {
     peers: Vec<Peer>,
     /// Completions ready for the loop (deliveries and skip holes).
     inbox: VecDeque<Msg>,
-    /// When this node last broadcast a liveness [`Body::Ping`].
-    last_beat: Instant,
     last_progress: Instant,
-    /// Data envelopes sent, first transmissions only.
+    /// Data frames sent, first transmissions only.
     frames: u64,
     faults: FaultReport,
     trace: Option<NodeTrace>,
@@ -229,7 +231,7 @@ impl<'a> FtLink<'a> {
     /// tuning and fault plan; the hooks fire the plan's stall and crash
     /// triggers for this node inside its loop.
     pub(crate) fn new(
-        inner: ChannelLink<Envelope>,
+        inner: ChannelLink<Frame>,
         graph: &'a TaskGraph,
         plan: &NodePlan,
         chaos: &'a (FaultTolerance, FaultPlan),
@@ -240,7 +242,7 @@ impl<'a> FtLink<'a> {
         let (me, now) = (inner.me(), Instant::now());
         let mut peers: Vec<Peer> = (0..inner.nodes())
             .map(|peer| Peer {
-                tx: RelTx::for_items(me as u32, ft.link, now),
+                tx: RelTx::new(me as u32, ft.link, now),
                 rx: RelRx::new(),
                 inject: Injector::new(me, peer),
                 owed: BTreeSet::new(),
@@ -269,7 +271,6 @@ impl<'a> FtLink<'a> {
             ft: *ft,
             peers,
             inbox: VecDeque::new(),
-            last_beat: now,
             last_progress: now,
             frames: 0,
             faults: FaultReport::default(),
@@ -297,17 +298,17 @@ impl<'a> FtLink<'a> {
                 Some(SyncFailureKind::InjectedCrash | SyncFailureKind::Aborted)
             );
             if !silent {
-                self.broadcast(Body::Abort);
+                self.broadcast(FrameKind::Abort);
             }
         }
         result
     }
 
     /// Lingers after the node's last task: peers may still need acks
-    /// (or retransmissions) from this node. Announces [`Body::Done`]
-    /// once everything it sent is acknowledged, and returns once every
-    /// peer has announced too — by then every envelope anywhere is
-    /// acknowledged, so nobody needs anyone.
+    /// (or retransmissions) from this node. Announces
+    /// [`FrameKind::Done`] once everything it sent is acknowledged, and
+    /// returns once every peer has announced too — by then every data
+    /// frame anywhere is acknowledged, so nobody needs anyone.
     fn drain(&mut self) -> Result<(), FabricError> {
         let me = self.me();
         self.last_progress = Instant::now();
@@ -316,7 +317,7 @@ impl<'a> FtLink<'a> {
             let settled = |p: &Peer| p.tx.idle() && p.inject.held() == 0;
             if !self.peers[me].done && self.peers.iter().all(settled) {
                 self.peers[me].done = true;
-                self.broadcast(Body::Done);
+                self.broadcast(FrameKind::Done);
                 self.last_progress = Instant::now();
             }
             if self.peers.iter().all(|p| p.done) {
@@ -329,8 +330,8 @@ impl<'a> FtLink<'a> {
                     "cluster incomplete after deadline".into(),
                 ));
             }
-            if let Some(env) = self.inner.recv_timeout(self.wait_budget())? {
-                self.handle(env)?;
+            if let Some(frame) = self.inner.recv_timeout(self.wait_budget())? {
+                self.handle(frame)?;
             }
         }
     }
@@ -338,14 +339,14 @@ impl<'a> FtLink<'a> {
     /// Runs the timers and takes in everything that has arrived.
     fn pump(&mut self) -> Result<(), FabricError> {
         self.tick()?;
-        while let Some(env) = self.inner.try_recv()? {
-            self.handle(env)?;
+        while let Some(frame) = self.inner.try_recv()? {
+            self.handle(frame)?;
         }
         Ok(())
     }
 
-    fn handle(&mut self, env: Envelope) -> Result<(), FabricError> {
-        let from = env.src;
+    fn handle(&mut self, frame: Frame) -> Result<(), FabricError> {
+        let from = frame.src as usize;
         if from != self.me() {
             let p = &mut self.peers[from];
             let now = Instant::now();
@@ -353,17 +354,17 @@ impl<'a> FtLink<'a> {
             p.ewma_gap_ns = protocol::ewma_update(p.ewma_gap_ns, gap);
             p.last_heard = now;
         }
-        match env.body {
-            Body::Abort => {
+        match frame.kind {
+            FrameKind::Abort => {
                 return Err(self.failure(SyncFailureKind::Aborted, Some(from), String::new()));
             }
-            Body::Ack { seq } => {
-                if env.verify() && self.peers[from].tx.on_ack(seq) {
+            FrameKind::Ack => {
+                if frame.verify() && self.peers[from].tx.on_ack(frame.seq) {
                     self.last_progress = Instant::now();
                 }
             }
-            Body::Nack { seq } if env.verify() => {
-                match self.peers[from].tx.on_nack(seq, Instant::now()) {
+            FrameKind::Nack if frame.verify() => {
+                match self.peers[from].tx.on_nack(frame.seq, Instant::now()) {
                     Ok(Some(resend)) => {
                         self.note(Fault::Retry);
                         self.inject(from, resend.seq, resend);
@@ -372,39 +373,41 @@ impl<'a> FtLink<'a> {
                     Err(dead) => return Err(self.dead_link(from, dead)),
                 }
             }
-            Body::Nack { .. } => {}
-            Body::Data { .. } => self.handle_data(env),
-            Body::Done => self.peers[from].done = true,
+            FrameKind::Nack => {}
+            FrameKind::Data => self.handle_data(frame)?,
+            FrameKind::Done => self.peers[from].done = true,
             // Liveness only: the silence clock above is the ping's
             // entire job. Deliberately not progress — a cluster
             // exchanging only heartbeats must still hit the deadline.
-            Body::Ping => {}
+            // No channel link ever sends a Hello.
+            FrameKind::Ping | FrameKind::Hello => {}
         }
         Ok(())
     }
 
-    fn handle_data(&mut self, env: Envelope) {
-        let from = env.src;
-        match self.peers[from].rx.accept(&env) {
+    fn handle_data(&mut self, frame: Frame) -> Result<(), FabricError> {
+        let from = frame.src as usize;
+        match self.peers[from].rx.accept(&frame) {
             RxVerdict::Corrupt => {
                 self.note(Fault::CorruptDetected);
                 self.note(Fault::Nack);
-                self.reply(from, Body::Nack { seq: env.seq }, &env);
+                self.reply(from, FrameKind::Nack, &frame);
             }
             RxVerdict::Duplicate => {
                 self.note(Fault::DupIgnored);
                 // Re-ack: the original ack may have been eaten.
-                self.reply(from, Body::Ack { seq: env.seq }, &env);
+                self.reply(from, FrameKind::Ack, &frame);
             }
             RxVerdict::Deliver => {
-                self.reply(from, Body::Ack { seq: env.seq }, &env);
-                let Body::Data {
+                self.reply(from, FrameKind::Ack, &frame);
+                // The link frames completions only (`send`).
+                let Msg::Done {
                     task,
                     payload,
                     iter,
-                } = env.body
+                } = Msg::from_bytes(&frame.payload).map_err(FabricError::Decode)?
                 else {
-                    unreachable!("handle_data is only called on Data envelopes");
+                    return Ok(());
                 };
                 if self.peers[from].owed.remove(&(iter, task.0)) {
                     self.inbox.push_back(Msg::Done {
@@ -420,58 +423,61 @@ impl<'a> FtLink<'a> {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Sends `env` to `to` through the plan's injector, `seq` being
+    /// Sends `frame` to `to` through the plan's injector, `seq` being
     /// the fault coordinate it is judged by.
-    fn inject(&mut self, to: usize, seq: u64, env: Envelope) {
+    fn inject(&mut self, to: usize, seq: u64, frame: Frame) {
         let inner = &mut self.inner;
         let verdict = self.peers[to]
             .inject
-            .send(self.fplan, seq, env.attempt, env, |e| {
+            .send(self.fplan, seq, frame.attempt, frame, |f| {
                 // A vanished peer is the protocol's to diagnose.
-                let _ = inner.send(to, e);
+                let _ = inner.send(to, f);
             });
         self.note_verdict(verdict);
     }
 
-    /// Answers data envelope `data` with an ack or nack. The reply
+    /// Answers data frame `data` with an ack or nack. The reply
     /// travels through the injector under the data's `(seq, attempt)`,
     /// so the plan's fault cap bounds loss on the reverse path exactly
     /// as on the forward path (the reversed link decorrelates the
     /// draws).
-    fn reply(&mut self, to: usize, body: Body, data: &Envelope) {
-        let mut env = Envelope::control(self.me(), body);
-        env.attempt = data.attempt; // outside the checksum
-        self.inject(to, data.seq, env);
+    fn reply(&mut self, to: usize, kind: FrameKind, data: &Frame) {
+        let mut reply = Frame::control(kind, self.me() as u32, data.seq);
+        reply.attempt = data.attempt; // outside the checksum
+        self.inject(to, data.seq, reply);
     }
 
-    /// Sends a control envelope to every peer past the injector —
-    /// aborts, pings and done announcements are never faulted.
-    fn broadcast(&mut self, body: Body) {
+    /// Sends a payload-free control frame to every peer past the
+    /// injector — aborts and done announcements are never faulted.
+    fn broadcast(&mut self, kind: FrameKind) {
         let me = self.me();
         for peer in (0..self.peers.len()).filter(|&p| p != me) {
-            let _ = self.inner.send(peer, Envelope::control(me, body.clone()));
+            let _ = self.inner.send(peer, Frame::control(kind, me as u32, 0));
         }
     }
 
     /// Drives everything clock-based: liveness heartbeats, releases of
-    /// injector-held envelopes, timer retransmissions.
+    /// injector-held frames, timer retransmissions.
     fn tick(&mut self) -> Result<(), FabricError> {
         let now = Instant::now();
-        if protocol::heartbeat_due(now.duration_since(self.last_beat), HEARTBEAT) {
-            self.last_beat = now;
-            self.broadcast(Body::Ping);
-        }
-        for peer in 0..self.peers.len() {
+        let me = self.me();
+        for peer in (0..self.peers.len()).filter(|&p| p != me) {
             let inner = &mut self.inner;
-            self.peers[peer].inject.release(now, |e| {
-                let _ = inner.send(peer, e);
+            // Pings, like aborts, pass the injector: the fault model
+            // stalls nodes, not probes.
+            if let Some(ping) = self.peers[peer].tx.heartbeat(now) {
+                let _ = inner.send(peer, ping);
+            }
+            self.peers[peer].inject.release(now, |f| {
+                let _ = inner.send(peer, f);
             });
             let resends = self.peers[peer].tx.due(now);
-            for env in resends.map_err(|dead| self.dead_link(peer, dead))? {
+            for frame in resends.map_err(|dead| self.dead_link(peer, dead))? {
                 self.note(Fault::Retry);
-                self.inject(peer, env.seq, env);
+                self.inject(peer, frame.seq, frame);
             }
         }
         Ok(())
@@ -639,14 +645,18 @@ impl<'a> FtLink<'a> {
     }
 
     /// A link out of retries, naming the task its oldest unacknowledged
-    /// envelope announced.
+    /// frame announced.
     fn dead_link(&self, peer: usize, dead: LinkDead) -> FabricError {
         let unacked = self.peers[peer].tx.get(dead.seq);
+        let task = match unacked.map(|f| Msg::from_bytes(&f.payload)) {
+            Some(Ok(Msg::Done { task, .. })) => Some(task.0),
+            _ => None,
+        };
         FabricError::Sync(SyncFailure {
             kind: SyncFailureKind::LinkDead,
             node: self.me(),
             peer: Some(peer),
-            task: unacked.and_then(Envelope::data_task).map(|t| t.0),
+            task,
             detail: format!("{} transmissions unacknowledged", dead.attempts),
         })
     }
@@ -665,21 +675,15 @@ impl Link for FtLink<'_> {
 
     fn send(&mut self, to: usize, msg: Msg) -> Result<(), FabricError> {
         match msg {
-            Msg::Done {
-                task,
-                payload,
-                iter,
-            } => {
-                let (me, now) = (self.me(), Instant::now());
-                let env = self.peers[to]
-                    .tx
-                    .admit(now, |seq| Envelope::data(me, seq, task, payload, iter));
+            Msg::Done { .. } => {
+                let now = Instant::now();
+                let frame = self.peers[to].tx.prepare(msg.to_bytes(), now);
                 self.frames += 1;
                 self.last_progress = now;
-                self.inject(to, env.seq, env);
+                self.inject(to, frame.seq, frame);
             }
             Msg::Abort => {
-                let abort = Envelope::control(self.me(), Body::Abort);
+                let abort = Frame::control(FrameKind::Abort, self.me() as u32, 0);
                 let _ = self.inner.send(to, abort);
             }
             // Rendezvous-plane frames never ride the data mesh.
@@ -716,15 +720,15 @@ impl Link for FtLink<'_> {
                 return Ok(None);
             }
             let wait = self.wait_budget().min(deadline - now);
-            if let Some(env) = self.inner.recv_timeout(wait)? {
-                self.handle(env)?;
+            if let Some(frame) = self.inner.recv_timeout(wait)? {
+                self.handle(frame)?;
             }
         }
     }
 
-    /// Data envelopes and their retransmissions. The inner channel
-    /// link counts every envelope it moves (acks and pings included),
-    /// so its counters are not this fabric's.
+    /// Data frames and their retransmissions. The inner channel link
+    /// counts every frame it moves (acks and pings included), so its
+    /// counters are not this fabric's.
     fn counters(&self) -> LinkCounters {
         LinkCounters {
             frames: self.frames,
@@ -736,7 +740,49 @@ impl Link for FtLink<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::DegradePolicy;
+    use super::*;
+    use hipress_chaos::Wire;
+
+    fn completion(task: u32, iter: u32, payload: Option<Arc<Payload>>) -> Frame {
+        let msg = Msg::Done {
+            task: TaskId(task),
+            iter,
+            payload,
+        };
+        Frame::new(FrameKind::Data, 0, 1, msg.to_bytes())
+    }
+
+    /// A completion's checksum covers the whole serialized message:
+    /// every payload bit of every payload shape (a bare edge included)
+    /// is guarded, and neither the task nor the iteration can change
+    /// under the original checksum.
+    #[test]
+    fn a_completion_frame_checksums_its_task_and_iteration() {
+        for payload in [
+            None,
+            Some(Arc::new(Payload::Raw(vec![0.5, 1.5, -3.25]))),
+            Some(Arc::new(Payload::Compressed(vec![
+                0xAB, 0x00, 0xFF, 0x17, 0x80,
+            ]))),
+            Some(Arc::new(Payload::Skipped)),
+        ] {
+            let f = completion(2, 3, payload.clone());
+            assert!(f.payload_bits() > 0);
+            for bit in 0..f.payload_bits() {
+                let mut m = f.clone();
+                m.flip_bit(bit);
+                assert!(!m.verify(), "flip of payload bit {bit} went undetected");
+            }
+            for (task, iter) in [(2, 4), (9, 3)] {
+                let mut moved = completion(task, iter, payload.clone());
+                moved.checksum = f.checksum;
+                assert!(
+                    !moved.verify(),
+                    "a completion moved to task {task} iter {iter}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn degrade_policy_parses_its_three_spellings() {

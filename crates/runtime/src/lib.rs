@@ -26,12 +26,13 @@
 //! process backend ([`process`]) drives the very same loop over a
 //! loopback TCP mesh. Setting [`RunOptions::chaos`] revokes trust in
 //! the channel fabric by changing only the link under that loop
-//! ([`ft::FtLink`]): payloads travel in sequence-numbered, checksummed
-//! envelopes ([`protocol`]) through a deterministic fault injector
+//! ([`ft::FtLink`]): each message is serialized into a
+//! sequence-numbered, checksummed data frame — the TCP fabric's
+//! frame, tracked by the same [`hipress_fabric::rel`] machine
+//! ([`protocol`]) — that passes a deterministic fault injector
 //! ([`hipress_chaos`]), with per-link retransmission and
-//! receiver-side dedup (the same [`hipress_fabric::rel`] machine the
-//! TCP fabric runs over frames), straggler detection, and
-//! configurable degradation. Recoverable fault plans yield
+//! receiver-side dedup, straggler detection, and configurable
+//! degradation. Recoverable fault plans yield
 //! bit-for-bit the fault-free result; unrecoverable ones produce a
 //! structured [`hipress_util::SyncFailure`] naming the node, peer,
 //! and task — never a hang.

@@ -15,7 +15,7 @@
 //!
 //! The driver ([`drive_node`]) is generic over [`Link`], so the same
 //! loop runs in-process over the channel fabric ([`run`]), over the
-//! fault-tolerant envelope link when a fault plan revokes trust in
+//! fault-tolerant frame link when a fault plan revokes trust in
 //! that fabric ([`crate::ft::FtLink`]), and inside each OS process of
 //! the TCP mesh ([`crate::process`]). Messages carry their iteration
 //! index; arrivals for not-yet-admitted iterations are stashed and
@@ -85,7 +85,7 @@ pub struct RunOptions<'a> {
     /// Optional trace / metrics / telemetry observers.
     pub instruments: Instruments<'a>,
     /// `Some` revokes trust in the fabric: the same loop runs over the
-    /// fault-tolerant envelope link ([`crate::ft`]) under this tuning,
+    /// fault-tolerant frame link ([`crate::ft`]) under this tuning,
     /// with the plan's faults injected ([`FaultPlan::none`] measures
     /// the protocol alone), for any [`RunOptions::pipeline`]. The one
     /// combination refused, as a configuration error, is
@@ -700,7 +700,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 /// Drives one node's full pipelined execution over `link`, returning
 /// its final-iteration cells and its accumulated (all-iterations)
 /// report. The loop every run executes: channel-fabric threads,
-/// fault-tolerant envelope-link threads and TCP-mesh processes.
+/// fault-tolerant frame-link threads and TCP-mesh processes.
 /// `pool` holds the node's spare chunk buffers for this run; the
 /// caller drops it with the run.
 #[allow(clippy::too_many_arguments)]
@@ -805,7 +805,7 @@ pub(crate) fn on_threads<M: Send>(
 /// interpreter's. The report accumulates all iterations and records
 /// the window, iteration count, and per-iteration spans
 /// ([`RuntimeReport::pipeline_overlap`]). With `opts.chaos` set the
-/// fabric's links are fault-tolerant envelope links with the plan's
+/// fabric's links are fault-tolerant frame links with the plan's
 /// faults injected ([`crate::ft`]); the loop is the same.
 ///
 /// Tracing records one `node{i}` thread track per node (primitive

@@ -1,240 +1,22 @@
-//! The fault-tolerant wire protocol for CaSync-RT.
+//! The fault-tolerant protocol's pure rules for CaSync-RT.
 //!
 //! The node loop relies on its channel fabric the way the paper
-//! trusts NCCL: messages arrive, once, intact. This module is what
-//! the link speaks when that trust is revoked (a fault plan in
-//! [`crate::RunOptions`], carried out by [`crate::ft::FtLink`]): every
-//! inter-node message becomes a
-//! sequence-numbered, checksummed [`Envelope`]; receivers verify and
-//! deduplicate ([`RelRx`]), acknowledge good data, and nack corrupt
-//! data; senders keep unacknowledged envelopes in a retransmission
-//! buffer with exponential backoff and a bounded retry budget
-//! ([`RelTx`]). The seq/ack/nack/retry machine itself is
-//! [`hipress_fabric::rel`] — the one the socket fabric runs over
-//! frames — re-exported here so the protocol's rules read as one
-//! module.
+//! trusts NCCL: messages arrive, once, intact. When a fault plan in
+//! [`crate::RunOptions`] revokes that trust, [`crate::ft::FtLink`]
+//! carries every inter-node message as a data [`Frame`] of the
+//! reliability machine the socket fabric runs ([`hipress_fabric::rel`],
+//! re-exported here with the frame): sequence-numbered and
+//! checksummed, verified and deduplicated by [`RelRx`], acknowledged
+//! or nacked, and retransmitted with exponential backoff under a
+//! bounded retry budget by [`RelTx`].
 //!
-//! The checksum covers everything delivery-relevant — source,
-//! sequence number, task, iteration, payload bytes — but *not* the attempt
-//! counter, so a retransmission carries the original digest and the
-//! receiver cannot be confused by which attempt got through.
+//! What lives here is the rest of the protocol's decisions, each a
+//! side-effect-free function: the straggler detector's EWMA and
+//! threshold, the degraded merge's rescale factors, and the elastic
+//! epoch rules.
 
-use crate::engine::Payload;
-use hipress_core::graph::TaskId;
-use hipress_fabric::frame::fnv_bytes;
-use hipress_fabric::rel::Sealed;
-use std::sync::Arc;
-use std::time::Duration;
-
-pub use hipress_fabric::frame::{fnv, FNV_OFFSET};
+pub use hipress_fabric::frame::{fnv, Frame, FrameKind, FNV_OFFSET};
 pub use hipress_fabric::rel::{classify, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
-
-/// What an envelope carries.
-#[derive(Debug, Clone)]
-pub enum Body {
-    /// A remote task completed; for `Send` tasks the payload rides
-    /// along (the message *is* the transfer).
-    Data {
-        /// The completed task.
-        task: TaskId,
-        /// The payload, for `Send` completions.
-        payload: Option<Arc<Payload>>,
-        /// The pipelined iteration the completion belongs to.
-        iter: u32,
-    },
-    /// Data `seq` arrived intact; the sender may drop it from its
-    /// retransmission buffer.
-    Ack {
-        /// The acknowledged data sequence number.
-        seq: u64,
-    },
-    /// Data `seq` arrived corrupt; the sender should retransmit now.
-    Nack {
-        /// The rejected data sequence number.
-        seq: u64,
-    },
-    /// A peer hit an error; unwind. (Control-plane: never injected
-    /// with faults, so an abort always gets through.)
-    Abort,
-    /// The sender has finished every task and every envelope it sent
-    /// is acknowledged; a node exits once all its peers said so.
-    /// (Control-plane, like [`Body::Abort`].)
-    Done,
-    /// Periodic liveness probe. A node that is alive but busy (or
-    /// simply has nothing to send) keeps pinging; a stalled or
-    /// crashed node cannot, which is exactly the distinction the
-    /// straggler detector needs — silence then means *stuck*, not
-    /// *slow*. Control-plane: the fault model stalls nodes, not
-    /// probes.
-    Ping,
-}
-
-/// One message on the fault-tolerant fabric.
-#[derive(Debug, Clone)]
-pub struct Envelope {
-    /// The sending node.
-    pub src: usize,
-    /// Per-link sequence number (data envelopes; 0 for control).
-    pub seq: u64,
-    /// Which attempt this is (0 = first transmission). Excluded from
-    /// the checksum; fault injection uses it for its decision hash.
-    pub attempt: u32,
-    /// The message itself.
-    pub body: Body,
-    /// FNV-1a digest of `src`, `seq`, and the body content.
-    pub checksum: u64,
-}
-
-impl Envelope {
-    /// Builds a sealed data envelope for `task` of iteration `iter`
-    /// (attempt 0).
-    pub fn data(
-        src: usize,
-        seq: u64,
-        task: TaskId,
-        payload: Option<Arc<Payload>>,
-        iter: u32,
-    ) -> Self {
-        let mut e = Self {
-            src,
-            seq,
-            attempt: 0,
-            body: Body::Data {
-                task,
-                payload,
-                iter,
-            },
-            checksum: 0,
-        };
-        e.checksum = e.digest();
-        e
-    }
-
-    /// Builds a sealed control envelope (ack/nack/abort/done/ping).
-    pub fn control(src: usize, body: Body) -> Self {
-        let mut e = Self {
-            src,
-            seq: 0,
-            attempt: 0,
-            body,
-            checksum: 0,
-        };
-        e.checksum = e.digest();
-        e
-    }
-
-    /// The checksum the envelope *should* carry: an FNV-1a fold over
-    /// `src`, `seq`, a body tag, and the body's content (payload
-    /// words included bit-exactly). The attempt counter is excluded —
-    /// retransmissions carry the original digest.
-    pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv(h, self.src as u64);
-        h = fnv(h, self.seq);
-        match &self.body {
-            Body::Data {
-                task,
-                payload,
-                iter,
-            } => {
-                h = fnv(h, 1);
-                h = fnv(h, u64::from(task.0));
-                h = fnv(h, u64::from(*iter));
-                match payload.as_deref() {
-                    None => h = fnv(h, 0),
-                    Some(Payload::Raw(v)) => {
-                        h = fnv(h, 1);
-                        h = fnv(h, v.len() as u64);
-                        for x in v {
-                            h = fnv(h, u64::from(x.to_bits()));
-                        }
-                    }
-                    Some(Payload::Compressed(b)) => {
-                        h = fnv(h, 2);
-                        h = fnv(h, b.len() as u64);
-                        h = fnv_bytes(h, b);
-                    }
-                    Some(Payload::Skipped) => h = fnv(h, 3),
-                }
-            }
-            Body::Ack { seq } => {
-                h = fnv(h, 2);
-                h = fnv(h, *seq);
-            }
-            Body::Nack { seq } => {
-                h = fnv(h, 3);
-                h = fnv(h, *seq);
-            }
-            Body::Abort => h = fnv(h, 4),
-            Body::Done => h = fnv(h, 5),
-            Body::Ping => h = fnv(h, 6),
-        }
-        h
-    }
-
-    /// True when the carried checksum matches the content.
-    pub fn verify(&self) -> bool {
-        self.checksum == self.digest()
-    }
-
-    /// The task a data envelope announces, if it is one.
-    pub fn data_task(&self) -> Option<TaskId> {
-        match &self.body {
-            Body::Data { task, .. } => Some(*task),
-            _ => None,
-        }
-    }
-}
-
-impl Sealed for Envelope {
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    fn bump(&mut self) {
-        self.attempt += 1;
-    }
-
-    fn verify(&self) -> bool {
-        Envelope::verify(self)
-    }
-}
-
-impl hipress_chaos::Wire for Envelope {
-    /// Only data payloads are corruptible: flipping gradient bits is
-    /// the fault the checksum must catch. Control messages are
-    /// loss-faulted but never mangled.
-    fn payload_bits(&self) -> u64 {
-        match &self.body {
-            Body::Data {
-                payload: Some(p), ..
-            } => p.wire_bytes() * 8,
-            _ => 0,
-        }
-    }
-
-    fn flip_bit(&mut self, bit: u64) {
-        if let Body::Data {
-            payload: Some(p), ..
-        } = &mut self.body
-        {
-            match Arc::make_mut(p) {
-                Payload::Raw(v) => {
-                    let i = (bit / 32) as usize;
-                    v[i] = f32::from_bits(v[i].to_bits() ^ (1 << (bit % 32)));
-                }
-                Payload::Compressed(b) => {
-                    b[(bit / 8) as usize] ^= 1 << (bit % 8);
-                }
-                Payload::Skipped => {}
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Pure transition functions.
@@ -262,12 +44,6 @@ pub fn ewma_update(prev_ns: f64, gap_ns: f64) -> f64 {
 /// times the observed EWMA gap, whichever is larger.
 pub fn straggler_threshold_ns(floor_ns: u64, factor: f64, ewma_ns: f64) -> u64 {
     floor_ns.max((factor * ewma_ns) as u64)
-}
-
-/// True when a liveness probe is owed: `since_last` silence has
-/// reached the heartbeat period.
-pub fn heartbeat_due(since_last: Duration, period: Duration) -> bool {
-    since_last >= period
 }
 
 /// The Partial-degrade rescale factor: a merge that gathered
@@ -336,67 +112,6 @@ pub fn member_slot(members: &[u32], rank: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipress_chaos::Wire;
-
-    fn raw(v: Vec<f32>) -> Option<Arc<Payload>> {
-        Some(Arc::new(Payload::Raw(v)))
-    }
-
-    #[test]
-    fn sealed_envelopes_verify() {
-        let e = Envelope::data(1, 7, TaskId(3), raw(vec![1.0, -2.5, 0.0]), 2);
-        assert!(e.verify());
-        let c = Envelope::control(0, Body::Ack { seq: 7 });
-        assert!(c.verify());
-    }
-
-    #[test]
-    fn any_single_payload_bitflip_is_detected() {
-        let e = Envelope::data(0, 1, TaskId(9), raw(vec![0.5, 1.5, -3.25, 8.0]), 0);
-        for bit in 0..e.payload_bits() {
-            let mut m = e.clone();
-            m.flip_bit(bit);
-            assert!(!m.verify(), "flip of payload bit {bit} went undetected");
-        }
-        let e = Envelope::data(
-            0,
-            2,
-            TaskId(9),
-            Some(Arc::new(Payload::Compressed(vec![
-                0xAB, 0x00, 0xFF, 0x17, 0x80,
-            ]))),
-            0,
-        );
-        for bit in 0..e.payload_bits() {
-            let mut m = e.clone();
-            m.flip_bit(bit);
-            assert!(!m.verify(), "flip of compressed bit {bit} went undetected");
-        }
-    }
-
-    #[test]
-    fn attempt_is_outside_the_checksum() {
-        let mut e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 0);
-        e.attempt = 5;
-        assert!(e.verify(), "retransmissions must carry a valid digest");
-    }
-
-    #[test]
-    fn the_iteration_is_inside_the_checksum() {
-        let e = Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 3);
-        let mut m = e.clone();
-        if let Body::Data { iter, .. } = &mut m.body {
-            *iter = 4;
-        }
-        assert!(
-            !m.verify(),
-            "a completion must not move to another iteration"
-        );
-        assert_ne!(
-            e.checksum,
-            Envelope::data(0, 1, TaskId(2), raw(vec![1.0]), 4).checksum
-        );
-    }
 
     /// Pin the pure FT decision rules the link and engine delegate
     /// to (their delegation is by direct call — see `ft.rs` /
@@ -409,10 +124,6 @@ mod tests {
         // Straggler threshold: floor wins until factor × ewma passes it.
         assert_eq!(straggler_threshold_ns(1_000, 8.0, 50.0), 1_000);
         assert_eq!(straggler_threshold_ns(1_000, 8.0, 200.0), 1_600);
-        // Heartbeat: due exactly at the period boundary.
-        let period = Duration::from_millis(50);
-        assert!(!heartbeat_due(Duration::from_millis(49), period));
-        assert!(heartbeat_due(period, period));
         // Degrade rescale: 4 nodes, merged 2 remote + 1 local = 3
         // contributions standing in for 4.
         let f = degrade_rescale(4, 2);
@@ -468,15 +179,5 @@ mod tests {
         assert_eq!(member_slot(&members, 5), Some(2));
         assert_eq!(member_slot(&members, 1), None, "evicted rank has no slot");
         assert_eq!(member_slot(&[], 0), None);
-    }
-
-    #[test]
-    fn skipped_payload_checksums_and_carries_no_bits() {
-        let e = Envelope::data(2, 3, TaskId(8), Some(Arc::new(Payload::Skipped)), 0);
-        assert!(e.verify());
-        assert_eq!(e.payload_bits(), 0);
-        // Distinct from an empty payload.
-        let none = Envelope::data(2, 3, TaskId(8), None, 0);
-        assert_ne!(e.checksum, none.checksum);
     }
 }

@@ -233,7 +233,7 @@ record! {
         /// Per-node total busy ns (all primitives).
         pub per_node_busy_ns: Vec<u64> => keep,
         /// Fault injection and recovery accounting; all-zero on the fast
-        /// path (no plan, no envelopes, nothing to report).
+        /// path (no plan, no fault-tolerant link, nothing to report).
         pub faults: FaultReport => absorb,
         /// Data frames the transport fabric sent. Zero when the run moved
         /// messages by value (the in-process channel fabric).

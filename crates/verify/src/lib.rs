@@ -14,9 +14,9 @@
 //!   transition.
 //! - **No duplicate apply**: no sequence number lands in a
 //!   receiver's apply ledger twice.
-//! - **Corruption detected**: a bit-flipped envelope is always
+//! - **Corruption detected**: a bit-flipped data frame is always
 //!   classified `Corrupt` before the protocol acts on it.
-//! - **Retransmits bounded**: no envelope is transmitted more than
+//! - **Retransmits bounded**: no data frame is transmitted more than
 //!   `1 + retry_budget` times.
 //! - **Structured endings**: every execution terminates with each
 //!   node `Done`, crashed (by injection), or in a structured

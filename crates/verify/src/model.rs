@@ -1,9 +1,9 @@
 //! The small-scope protocol model: N nodes exchanging checksummed,
-//! sequence-numbered data envelopes over unreliable directed links,
+//! sequence-numbered data [`Frame`]s over unreliable directed links,
 //! driven through the *real* reliability state machines
 //! ([`RelTx`]/[`RelRx`] — `hipress_fabric::rel`, the very code the
-//! TCP fabric runs over frames and the fault-tolerant runtime over
-//! envelopes) and the pure transition functions beside them in
+//! TCP fabric runs over sockets and the fault-tolerant runtime over
+//! channels) and the pure transition functions beside them in
 //! `hipress_runtime::protocol` — the checker owns no protocol logic
 //! of its own.
 //!
@@ -11,7 +11,7 @@
 //!
 //! - **Untimed timers.** A retransmission timer "may fire whenever
 //!   the in-flight copy is genuinely gone": the `Timeout` action is
-//!   enabled only when neither the data envelope nor its ack/nack is
+//!   enabled only when neither the data frame nor its ack/nack is
 //!   anywhere in the network, and it drives the same
 //!   attempt/budget/backoff bookkeeping through [`RelTx::on_nack`].
 //!   The real-time rto arithmetic is pinned by the delegation tests
@@ -25,20 +25,17 @@
 //!   untimed shadow of "the straggler threshold elapsed with no
 //!   ping". Removing it (the drop-heartbeat mutation) must deadlock
 //!   pure waiters, which is exactly what the checker proves.
-//! - **Apply = ledger.** Delivering a data envelope appends its seq
+//! - **Apply = ledger.** Delivering a data frame appends its seq
 //!   to the receiver's apply ledger; the merge itself is the
 //!   engine's business. Degrade holes and the shared
 //!   [`protocol::degrade_rescale`] factor are modelled explicitly.
 
 use hipress_chaos::Wire;
-use hipress_core::graph::TaskId;
-use hipress_runtime::engine::Payload;
 use hipress_runtime::protocol::{
-    self, fnv, Body, Envelope, LinkTuning, RelRx, RelTx, RxVerdict, FNV_OFFSET,
+    self, fnv, Frame, FrameKind, LinkTuning, RelRx, RelTx, RxVerdict, FNV_OFFSET,
 };
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::check::Space;
@@ -47,10 +44,10 @@ use crate::mutate::Mutation;
 /// Who sends data to whom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
-    /// Every node sends `chunks` envelopes to every other node
+    /// Every node sends `chunks` data frames to every other node
     /// (gossip / all-reduce shape).
     AllToAll,
-    /// Every non-root node sends `chunks` envelopes to node 0
+    /// Every non-root node sends `chunks` data frames to node 0
     /// (parameter-server push shape). Pure receivers exist here,
     /// which is what exercises straggler skip + degraded rescale.
     Gather,
@@ -64,7 +61,7 @@ pub struct Faults {
     pub drop: bool,
     /// Duplicate any in-flight message.
     pub duplicate: bool,
-    /// Flip one payload bit of an in-flight data envelope.
+    /// Flip one payload bit of an in-flight data frame.
     pub corrupt: bool,
 }
 
@@ -111,9 +108,9 @@ pub enum Policy {
 pub struct Config {
     /// Cluster size (2–3 for exhaustive exploration).
     pub nodes: usize,
-    /// Data envelopes per active directed link (1–2).
+    /// Data frames per active directed link (1–2).
     pub chunks: u32,
-    /// Max unacknowledged envelopes in flight per link (1–2).
+    /// Max unacknowledged data frames in flight per link (1–2).
     pub window: u32,
     /// Retransmissions allowed past the first before a link dies.
     pub retry_budget: u32,
@@ -130,7 +127,7 @@ pub struct Config {
 }
 
 impl Config {
-    /// Data envelopes `src` sends to `dst` in this configuration.
+    /// Data frames `src` sends to `dst` in this configuration.
     pub fn sends(&self, src: usize, dst: usize) -> u32 {
         if src == dst {
             return 0;
@@ -178,13 +175,13 @@ pub struct NodeState {
     pub crashed: bool,
     /// Structured failure, if the node gave up.
     pub failed: Option<FailureKind>,
-    /// Data envelopes not yet originated, per destination.
+    /// Data frames not yet originated, per destination.
     pub remaining: Vec<u32>,
     /// Sender-side reliability state, per destination.
-    pub tx: Vec<RelTx<Envelope>>,
+    pub tx: Vec<RelTx>,
     /// Receiver-side integrity + dedup state, per source.
     pub rx: Vec<RelRx>,
-    /// Envelopes applied, per source.
+    /// Data frames applied, per source.
     pub got: Vec<u32>,
     /// The apply ledger: every seq applied, per source. This is the
     /// monitor for the no-duplicate-apply property, independent of
@@ -206,12 +203,12 @@ impl NodeState {
 }
 
 /// One in-flight message. `corrupted` is the ground-truth bit the
-/// corruption-detection property checks against — the envelope's own
+/// corruption-detection property checks against — the frame's own
 /// checksum is what the protocol under test gets to look at.
 #[derive(Clone)]
 pub struct Flight {
     /// The message itself.
-    pub env: Envelope,
+    pub frame: Frame,
     /// Ground truth: a fault mangled this copy.
     pub corrupted: bool,
 }
@@ -230,7 +227,7 @@ pub struct State {
 /// One enabled protocol or fault transition.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Action {
-    /// Originate the next data envelope on `src → dst`.
+    /// Originate the next data frame on `src → dst`.
     Send {
         /// Sender.
         src: usize,
@@ -333,7 +330,7 @@ pub enum Violation {
         /// The twice-applied sequence number.
         seq: u64,
     },
-    /// A corrupted envelope was not classified `Corrupt` before the
+    /// A corrupted frame was not classified `Corrupt` before the
     /// protocol acted on it.
     CorruptMissed {
         /// The receiver.
@@ -343,7 +340,7 @@ pub enum Violation {
         /// The corrupted sequence number.
         seq: u64,
     },
-    /// An envelope was transmitted more times than the retry budget
+    /// A data frame was transmitted more times than the retry budget
     /// allows.
     UnboundedRetry {
         /// The sender.
@@ -422,14 +419,14 @@ impl Model {
         let forward = &state.net[self.link(src, dst)];
         if forward
             .iter()
-            .any(|fl| fl.env.seq == seq && matches!(fl.env.body, Body::Data { .. }))
+            .any(|fl| fl.frame.seq == seq && fl.frame.kind == FrameKind::Data)
         {
             return true;
         }
         let reverse = &state.net[self.link(dst, src)];
-        reverse.iter().any(
-            |fl| matches!(fl.env.body, Body::Ack { seq: s } | Body::Nack { seq: s } if s == seq),
-        )
+        reverse.iter().any(|fl| {
+            fl.frame.seq == seq && matches!(fl.frame.kind, FrameKind::Ack | FrameKind::Nack)
+        })
     }
 
     /// Data arrival at an alive node: classify, apply, reply.
@@ -440,8 +437,8 @@ impl Model {
         dst: usize,
         flight: Flight,
     ) -> Result<(), Violation> {
-        let env = flight.env;
-        let seq = env.seq;
+        let frame = flight.frame;
+        let seq = frame.seq;
         let node = &mut s.nodes[dst];
         let verdict = match self.mutation {
             // The real receiver: verify-then-dedup through RelRx,
@@ -449,9 +446,9 @@ impl Model {
             None
             | Some(Mutation::RetryWithoutBound)
             | Some(Mutation::DropHeartbeat)
-            | Some(Mutation::ForgetRescale) => node.rx[src].accept(&env),
+            | Some(Mutation::ForgetRescale) => node.rx[src].accept(&frame),
             // Seeded defect: the dedup check was deleted.
-            Some(Mutation::SkipDedup) => protocol::classify(env.verify(), false),
+            Some(Mutation::SkipDedup) => protocol::classify(frame.verify(), false),
             // Seeded defect: dedup runs before verification, so a
             // corrupted retransmission of a delivered seq is waved
             // through as a harmless duplicate.
@@ -459,7 +456,7 @@ impl Model {
                 if node.applied[src].contains(&seq) {
                     RxVerdict::Duplicate
                 } else {
-                    protocol::classify(env.verify(), false)
+                    protocol::classify(frame.verify(), false)
                 }
             }
             // Seeded defect: the payload is applied before the
@@ -473,7 +470,7 @@ impl Model {
             }
         };
         // Property: corruption is always detected before the
-        // protocol acts on the envelope.
+        // protocol acts on the frame.
         if flight.corrupted && verdict != RxVerdict::Corrupt {
             return Err(Violation::CorruptMissed {
                 node: dst,
@@ -482,20 +479,8 @@ impl Model {
             });
         }
         match verdict {
-            RxVerdict::Corrupt => {
-                let reply = Envelope::control(dst, Body::Nack { seq });
-                s.net[self.link(dst, src)].push(Flight {
-                    env: reply,
-                    corrupted: false,
-                });
-            }
-            RxVerdict::Duplicate => {
-                let reply = Envelope::control(dst, Body::Ack { seq });
-                s.net[self.link(dst, src)].push(Flight {
-                    env: reply,
-                    corrupted: false,
-                });
-            }
+            RxVerdict::Corrupt => self.reply(s, dst, src, FrameKind::Nack, seq),
+            RxVerdict::Duplicate => self.reply(s, dst, src, FrameKind::Ack, seq),
             RxVerdict::Deliver => {
                 if node.skipped[src] {
                     // Late arrival from a skipped peer: ack and
@@ -511,23 +496,27 @@ impl Model {
                     }
                     node.got[src] += 1;
                 }
-                let reply = Envelope::control(dst, Body::Ack { seq });
-                s.net[self.link(dst, src)].push(Flight {
-                    env: reply,
-                    corrupted: false,
-                });
+                self.reply(s, dst, src, FrameKind::Ack, seq);
             }
         }
         Ok(())
+    }
+
+    /// Queues `kind`'s answer to data `seq` on `from → to`.
+    fn reply(&self, s: &mut State, from: usize, to: usize, kind: FrameKind, seq: u64) {
+        s.net[self.link(from, to)].push(Flight {
+            frame: Frame::control(kind, from as u32, seq),
+            corrupted: false,
+        });
     }
 
     /// Another transmission of `seq` on `src → dst` (timer fire or
     /// nack), through the runtime's bounded-retry bookkeeping.
     fn retransmit(&self, s: &mut State, src: usize, dst: usize, seq: u64) -> Result<(), Violation> {
         match s.nodes[src].tx[dst].on_nack(seq, self.base) {
-            Ok(Some(env)) => {
+            Ok(Some(frame)) => {
                 s.net[self.link(src, dst)].push(Flight {
-                    env,
+                    frame,
                     corrupted: false,
                 });
             }
@@ -560,7 +549,7 @@ impl Model {
         for peer in 0..self.cfg.nodes {
             if peer != node {
                 s.net[self.link(node, peer)].push(Flight {
-                    env: Envelope::control(node, Body::Abort),
+                    frame: Frame::control(FrameKind::Abort, node as u32, 0),
                     corrupted: false,
                 });
             }
@@ -620,7 +609,7 @@ impl Space for Model {
                 failed: None,
                 remaining: (0..n).map(|j| self.cfg.sends(i, j)).collect(),
                 tx: (0..n)
-                    .map(|_| RelTx::for_items(i as u32, tuning, self.base))
+                    .map(|_| RelTx::new(i as u32, tuning, self.base))
                     .collect(),
                 rx: vec![RelRx::new(); n],
                 got: vec![0; n],
@@ -666,7 +655,7 @@ impl Space for Model {
                     // Aborts are control-plane: the fault model never
                     // touches them (mirrors the runtime's fault-tolerant
                     // link, which sends aborts past its injector).
-                    let faultable = !matches!(link[idx].env.body, Body::Abort);
+                    let faultable = link[idx].frame.kind != FrameKind::Abort;
                     if state.faults_left > 0 && faultable {
                         if self.cfg.faults.drop {
                             out.push(Action::Drop { src, dst, idx });
@@ -676,13 +665,7 @@ impl Space for Model {
                         }
                         if self.cfg.faults.corrupt
                             && !link[idx].corrupted
-                            && matches!(
-                                link[idx].env.body,
-                                Body::Data {
-                                    payload: Some(_),
-                                    ..
-                                }
-                            )
+                            && link[idx].frame.kind == FrameKind::Data
                         {
                             out.push(Action::Corrupt { src, dst, idx });
                         }
@@ -723,14 +706,12 @@ impl Space for Model {
             Action::Send { src, dst } => {
                 let node = &mut s.nodes[src];
                 node.remaining[dst] -= 1;
-                // The payload value is arbitrary; one word keeps the
-                // checksum honest and the state space small.
-                let payload = Some(Arc::new(Payload::Raw(vec![(src * 8 + dst) as f32])));
-                let task = TaskId((dst as u32) << 8 | node.remaining[dst]);
-                let env =
-                    node.tx[dst].admit(self.base, |seq| Envelope::data(src, seq, task, payload, 0));
+                // The payload is opaque to the link machine; one byte
+                // keeps the checksum honest and the state space small.
+                let payload = vec![(src * 8 + dst) as u8];
+                let frame = node.tx[dst].prepare(payload, self.base);
                 s.net[self.link(src, dst)].push(Flight {
-                    env,
+                    frame,
                     corrupted: false,
                 });
             }
@@ -739,24 +720,25 @@ impl Space for Model {
                 if !s.nodes[dst].alive() {
                     return Ok(s); // drained at a crashed/failed node
                 }
-                match flight.env.body {
-                    Body::Data { .. } => self.deliver_data(&mut s, src, dst, flight)?,
-                    Body::Ack { seq } => {
+                let seq = flight.frame.seq;
+                match flight.frame.kind {
+                    FrameKind::Data => self.deliver_data(&mut s, src, dst, flight)?,
+                    FrameKind::Ack => {
                         s.nodes[dst].tx[src].on_ack(seq);
                     }
-                    Body::Nack { seq } => {
+                    FrameKind::Nack => {
                         self.retransmit(&mut s, dst, src, seq)?;
                     }
                     // A peer's failure reaches us: unwind with it.
                     // (No rebroadcast — the original failure already
                     // aborted every peer directly, as the runtime's
                     // broadcast_abort does.)
-                    Body::Abort => {
+                    FrameKind::Abort => {
                         s.nodes[dst].failed = Some(FailureKind::PeerAbort { peer: src });
                     }
-                    // The model never originates Done/Ping wake-ups;
-                    // tolerate and drain.
-                    Body::Done | Body::Ping => {}
+                    // The model never originates Done/Ping wake-ups
+                    // (nor a socket's Hello); tolerate and drain.
+                    FrameKind::Done | FrameKind::Ping | FrameKind::Hello => {}
                 }
             }
             Action::Timeout { src, dst, seq } => {
@@ -775,9 +757,9 @@ impl Space for Model {
             }
             Action::Corrupt { src, dst, idx } => {
                 let flight = &mut s.net[self.link(src, dst)][idx];
-                let bits = flight.env.payload_bits().max(1);
-                let bit = (flight.env.seq * 7 + 3) % bits;
-                flight.env.flip_bit(bit);
+                let bits = flight.frame.payload_bits().max(1);
+                let bit = (flight.frame.seq * 7 + 3) % bits;
+                flight.frame.flip_bit(bit);
                 flight.corrupted = true;
                 s.faults_left -= 1;
             }
@@ -897,7 +879,7 @@ impl Space for Model {
             // bookkeeping, whose dead-link path aborts every channel
             // of the receiver.
             Action::Deliver { src, dst, idx } => {
-                let nack = matches!(state.net[src * n + dst][idx].env.body, Body::Nack { .. });
+                let nack = state.net[src * n + dst][idx].frame.kind == FrameKind::Nack;
                 let extra = if nack { all_chans(dst, n) } else { 0 };
                 (1 << dst) | chan_bit(src, dst) | extra
             }
@@ -927,22 +909,12 @@ impl Space for Model {
 }
 
 fn flight_hash(flight: &Flight) -> u64 {
-    let e = &flight.env;
+    let f = &flight.frame;
     let mut h = FNV_OFFSET;
-    h = fnv(h, e.src as u64);
-    h = fnv(h, e.seq);
-    h = fnv(h, e.attempt as u64);
-    h = fnv(h, e.checksum);
-    h = fnv(
-        h,
-        match e.body {
-            Body::Data { .. } => 1,
-            Body::Ack { seq } => 0x200 | seq,
-            Body::Nack { seq } => 0x300 | seq,
-            Body::Abort => 4,
-            Body::Done => 5,
-            Body::Ping => 6,
-        },
-    );
+    h = fnv(h, u64::from(f.src));
+    h = fnv(h, f.seq);
+    h = fnv(h, u64::from(f.attempt));
+    h = fnv(h, f.checksum);
+    h = fnv(h, f.kind as u64);
     fnv(h, flight.corrupted as u64)
 }

@@ -11,7 +11,7 @@ use crate::model::{Config, Faults, Policy};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// The receiver's dedup check is deleted: retransmissions and
-    /// duplicated envelopes apply twice.
+    /// duplicated frames apply twice.
     SkipDedup,
     /// Dedup runs before checksum verification: a corrupted
     /// retransmission of a delivered seq passes as a duplicate.
@@ -77,7 +77,7 @@ impl Mutation {
             .is_some_and(|v| (0..cfg.nodes).any(|i| i != v && cfg.sends(v, i) > 0));
         match self {
             // A second delivery of one seq needs a duplicated
-            // envelope or a retransmission after a lost ack.
+            // frame or a retransmission after a lost ack.
             Mutation::SkipDedup => duplicate || drop,
             // Needs a *corrupted* copy of an already-delivered seq:
             // one fault to re-materialise the seq (dup, or drop its

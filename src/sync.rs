@@ -177,7 +177,7 @@ impl HiPress {
     /// of it over HTTP while the run is still in flight. On
     /// [`Backend::Processes`] workers stream records back over the
     /// control channel and the coordinator republishes them under its
-    /// own clock. Runs over the fault-tolerant envelope link
+    /// own clock. Runs over the fault-tolerant frame link
     /// ([`Self::chaos`] / [`Self::fault_tolerance`]) publish the same
     /// records; the simulator retires no iterations and publishes
     /// nothing.
@@ -199,7 +199,7 @@ impl HiPress {
     /// the plan's deterministic drop/duplicate/reorder/delay/corrupt
     /// verdicts, and per-node stall/crash triggers apply. Setting a
     /// plan switches [`Backend::Threads`] onto the fault-tolerant
-    /// envelope protocol (as does [`Self::fault_tolerance`]);
+    /// frame protocol (as does [`Self::fault_tolerance`]);
     /// recoverable plans still install bit-identical parameters.
     /// The run is otherwise the same: [`Self::iterations`] and
     /// [`Self::pipeline_window`] apply, except that the
@@ -215,7 +215,7 @@ impl HiPress {
 
     /// Tunes the fault-tolerant protocol (timeouts, retry budget,
     /// backoff, straggler policy) and switches [`Backend::Threads`]
-    /// onto the envelope path even without a fault plan — useful for
+    /// onto the frame path even without a fault plan — useful for
     /// measuring the protocol's overhead or surviving a genuinely
     /// unreliable environment.
     #[must_use]
