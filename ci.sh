@@ -284,6 +284,25 @@ if HIPRESS_BENCH_SLOWDOWN_PCT=50 cargo run --release -q --bin hipress -- bench \
 fi
 rm -rf "$BENCH_DIR"
 
+echo "== paper ledger (the ten paper benches reproduce their committed snapshots byte for byte) =="
+# Each paper bench (Figs 7-13, Tables 1, 5 and 7) drives the
+# deterministic simulator and writes BENCH_<id>.json; the copies
+# committed under baselines/ are the ledger. The comparison is cmp,
+# not a tolerance, so any moved, added or dropped number fails,
+# whatever its polarity. If a change moves a paper number on purpose,
+# re-commit that file with the moved rows named.
+LEDGER_DIR=$(mktemp -d)
+for id in fig7 fig8 fig9 fig10 fig11 fig12 fig13 table1 table5 table7; do
+  HIPRESS_BENCH_DIR="$LEDGER_DIR" cargo bench -q -p hipress-bench --bench "$id" >/dev/null
+  if ! cmp -s "baselines/BENCH_$id.json" "$LEDGER_DIR/BENCH_$id.json"; then
+    echo "paper ledger: $id no longer reproduces baselines/BENCH_$id.json:" >&2
+    diff "baselines/BENCH_$id.json" "$LEDGER_DIR/BENCH_$id.json" >&2 || true
+    rm -rf "$LEDGER_DIR"
+    exit 1
+  fi
+done
+rm -rf "$LEDGER_DIR"
+
 echo "== telemetry smoke (live scrape/stream server + SLO watchdog) =="
 # A fault-free process run with the embedded telemetry server attached
 # must serve /healthz, Prometheus /metrics, and at least one /events

@@ -25,14 +25,17 @@ const REPS: usize = 7;
 const BUDGET_PCT: f64 = 5.0;
 const MAX_ATTEMPTS: usize = 3;
 const NODES: usize = 2;
-/// Iterations per run; with [`ELEMS`] sized so one run costs a good
-/// fraction of a second of CPU, making a single 10ms tick of the CPU
-/// clock the gate reads fine enough to resolve the 5% budget — while
-/// still retiring enough iterations that the per-retirement hook cost
-/// is what dominates the telemetry side of the delta.
-const ITERS: u32 = 96;
+/// Iterations per run: enough that a bare run costs about a second of
+/// CPU ([`MIN_BARE_TICKS`]), so one 10ms tick of the CPU clock the
+/// gate reads is at most 1% and the 5% budget is resolvable, with the
+/// per-retirement hook cost still what dominates the telemetry side
+/// of the delta.
+const ITERS: u32 = 1280;
 const WINDOW: u32 = 2;
 const ELEMS: [usize; 2] = [131072, 16384];
+/// The smallest bare median, in CPU ticks, at which one tick is at
+/// most 1% of it.
+const MIN_BARE_TICKS: i64 = 100;
 
 /// One full sync on the pipelined thread engine. With `telemetry`,
 /// the run publishes every retired iteration into a hub served over
@@ -126,7 +129,12 @@ fn main() {
             bare.push(spent[0]);
             deltas.push(spent[1] - spent[0]);
         }
-        let base = median(bare).max(1);
+        let base = median(bare);
+        assert!(
+            base >= MIN_BARE_TICKS,
+            "bare median {base} ticks: one tick is over 1%, too coarse for the \
+             {BUDGET_PCT}% budget"
+        );
         let delta = median(deltas);
         aggregate = 100.0 * delta as f64 / base as f64;
         let att = attempt.to_string();

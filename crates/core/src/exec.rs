@@ -33,6 +33,26 @@ use hipress_trace::Tracer;
 use hipress_util::{Error, Result};
 use std::collections::HashMap;
 
+/// Coordinator flush threshold per link batch (bulk synchronization,
+/// §3.2).
+pub const LINK_BATCH_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Coordinator flush timeout per link batch.
+pub const LINK_BATCH_TIMEOUT_NS: u64 = 100_000;
+
+/// Codec tasks at or below this raw size are batched into one launch
+/// (batch compression, §3.2) — here and in the runtime's node loop.
+pub const BATCH_MAX_TASK_BYTES: u64 = 256 * 1024;
+
+/// Codec batch flush threshold.
+pub const COMP_BATCH_BYTES: u64 = 2 * 1024 * 1024;
+
+/// Codec batch flush timeout.
+pub const COMP_BATCH_TIMEOUT_NS: u64 = 30_000;
+
+/// Kernel streams per GPU used for synchronization work.
+pub const GPU_STREAMS: usize = 2;
+
 /// Executor tuning knobs; the Figure 11 ablation toggles these.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
@@ -57,18 +77,6 @@ pub struct ExecConfig {
     /// registration, RPC marshalling, ZMQ push/pull in BytePS's
     /// engine; effectively zero for NCCL point-to-point).
     pub rpc_overhead_ns: u64,
-    /// Coordinator flush threshold per link batch.
-    pub link_batch_bytes: u64,
-    /// Coordinator flush timeout per link batch.
-    pub link_batch_timeout_ns: u64,
-    /// Codec tasks smaller than this are batched.
-    pub comp_batch_max_task_bytes: u64,
-    /// Codec batch flush threshold.
-    pub comp_batch_bytes: u64,
-    /// Codec batch flush timeout.
-    pub comp_batch_timeout_ns: u64,
-    /// Kernel streams per GPU used for synchronization work.
-    pub gpu_streams: usize,
 }
 
 impl ExecConfig {
@@ -82,12 +90,6 @@ impl ExecConfig {
             cpu_servers: false,
             codec_extra_passes: 0.0,
             rpc_overhead_ns: 0,
-            link_batch_bytes: 4 * 1024 * 1024,
-            link_batch_timeout_ns: 100_000,
-            comp_batch_max_task_bytes: 256 * 1024,
-            comp_batch_bytes: 2 * 1024 * 1024,
-            comp_batch_timeout_ns: 30_000,
-            gpu_streams: 2,
         }
     }
 
@@ -377,7 +379,7 @@ impl Scheduler {
                     && is_codec
                     && !on_cpu
                     && self.cfg.pipelining
-                    && bytes <= self.cfg.comp_batch_max_task_bytes
+                    && bytes <= BATCH_MAX_TASK_BYTES
                 {
                     self.enqueue_comp_batch(ctx, id, now);
                 } else {
@@ -461,13 +463,13 @@ impl Scheduler {
         let batch = &mut self.comp_batches[node];
         batch.tasks.push((id, body));
         batch.bytes += bytes;
-        if batch.bytes >= self.cfg.comp_batch_bytes || gpu_idle {
+        if batch.bytes >= COMP_BATCH_BYTES || gpu_idle {
             self.flush_comp(ctx, node, now);
         } else if !batch.armed {
             batch.armed = true;
             let gen = batch.gen;
             ctx.send_self_after(
-                self.cfg.comp_batch_timeout_ns,
+                COMP_BATCH_TIMEOUT_NS,
                 Ev::FlushComp {
                     node: node as u32,
                     gen,
@@ -521,13 +523,13 @@ impl Scheduler {
         let batch = self.link_batches.entry(key).or_default();
         batch.sends.push(id);
         batch.bytes += t.bytes_wire;
-        if batch.bytes >= self.cfg.link_batch_bytes || idle {
+        if batch.bytes >= LINK_BATCH_BYTES || idle {
             self.flush_link(ctx, key, now);
         } else if !batch.armed {
             batch.armed = true;
             let gen = batch.gen;
             ctx.send_self_after(
-                self.cfg.link_batch_timeout_ns,
+                LINK_BATCH_TIMEOUT_NS,
                 Ev::FlushLink {
                     src: key.0,
                     dst: key.1,
@@ -788,7 +790,7 @@ impl Executor {
         let n = self.cluster.nodes;
         let fabric = Fabric::homogeneous(n, self.cluster.effective_link())?;
         let gpus = (0..n)
-            .map(|_| GpuDevice::new(self.cluster.gpu, self.cfg.gpu_streams.max(1)))
+            .map(|_| GpuDevice::new(self.cluster.gpu, GPU_STREAMS))
             .collect();
         let tasks = graph.len();
         let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); tasks];

@@ -37,6 +37,7 @@ use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
 use crate::report::RuntimeReport;
 use hipress_chaos::{FaultPlan, NodeFaults};
 use hipress_compress::Compressor;
+use hipress_core::exec::BATCH_MAX_TASK_BYTES;
 use hipress_core::graph::{TaskGraph, TaskId};
 use hipress_core::Primitive;
 use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link, LinkCounters};
@@ -51,11 +52,6 @@ use std::time::{Duration, Instant};
 /// protocol wedged and unwinding with an error instead of hanging (a
 /// lost peer or malformed graph, not ordinary slowness).
 pub const INBOX_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Encodes at or below this raw size are batched into one launch
-/// (the batch compression of §3.2). Batching is semantically neutral;
-/// the report counts launches so it is observable.
-pub const BATCH_MAX_TASK_BYTES: u64 = 256 * 1024;
 
 /// How many iterations to run and how many may overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

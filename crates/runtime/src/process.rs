@@ -155,10 +155,16 @@ record! {
     }
 }
 
-/// Rebuilds the synchronization graph every backend agrees on from a
-/// job spec — byte counts and plan flags exactly as the facade derives
-/// them from the tensors themselves.
-fn build_graph(
+/// The synchronization graph every backend runs: gradient `g` of
+/// `grad_lens[g]` elements is `g{g}`, ready at once, compressed with
+/// `algorithm` (if any) in `partitions` partitions, on an EC2 cluster
+/// of `nodes`. The facade builds it from the tensors, a process worker
+/// from the job it was sent.
+///
+/// # Errors
+///
+/// Whatever the strategy's builder rejects.
+pub fn build_graph(
     strategy: Strategy,
     algorithm: Algorithm,
     partitions: usize,
@@ -421,7 +427,14 @@ impl Drop for Launcher {
     }
 }
 
-fn validate_grads(worker_grads: &[Vec<Tensor>]) -> Result<()> {
+/// Checks that `worker_grads[w][g]` describes a synchronization: at
+/// least 2 workers, all holding the same gradient shapes.
+///
+/// # Errors
+///
+/// [`Error::Config`] naming the first worker whose shapes differ
+/// from worker 0's.
+pub fn validate_grads(worker_grads: &[Vec<Tensor>]) -> Result<()> {
     if worker_grads.len() < 2 {
         return Err(Error::config("synchronization needs at least 2 workers"));
     }

@@ -12,11 +12,10 @@
 use hipress_chaos::FaultPlan;
 use hipress_compress::Algorithm;
 use hipress_core::interp::{gradient_flows, interpret, FlowOutcome};
-use hipress_core::{
-    ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
-};
+use hipress_core::Strategy;
 use hipress_metrics::Scope;
 use hipress_obs::Telemetry;
+use hipress_runtime::process::{build_graph, validate_grads};
 use hipress_runtime::{
     FaultTolerance, Instruments, PipelineConfig, ProcessConfig, ReplicaFlows, RunOptions,
     RunOutcome, RuntimeReport,
@@ -270,10 +269,8 @@ impl HiPress {
         // Make the static analyzers load-bearing: debug builds verify
         // every graph built/interpreted below (no-op in release).
         hipress_lint::install();
+        validate_grads(worker_grads)?;
         let nodes = worker_grads.len();
-        if nodes < 2 {
-            return Err(Error::config("synchronization needs at least 2 workers"));
-        }
         if self.iterations == 0 || self.window == 0 {
             return Err(Error::config(format!(
                 "pipeline needs at least 1 iteration and a window of at least 1 \
@@ -294,14 +291,6 @@ impl HiPress {
             }
             _ => {}
         }
-        let first = &worker_grads[0];
-        for (w, g) in worker_grads.iter().enumerate() {
-            if g.len() != first.len() || g.iter().zip(first).any(|(a, b)| a.len() != b.len()) {
-                return Err(Error::config(format!(
-                    "worker {w} gradient shapes differ from worker 0"
-                )));
-            }
-        }
         let pcfg = PipelineConfig {
             iterations: self.iterations,
             window: self.window,
@@ -313,23 +302,14 @@ impl HiPress {
         // workers rebuild the graph from the spec and each owns only
         // its own tensors — so both are built on demand.
         let graph_and_flows = || -> Result<_> {
-            let iter = IterationSpec {
-                gradients: first
-                    .iter()
-                    .enumerate()
-                    .map(|(g, t)| SyncGradient {
-                        name: format!("g{g}"),
-                        bytes: t.byte_size(),
-                        ready_offset_ns: 0,
-                        plan: GradPlan {
-                            compress: compressor.is_some(),
-                            partitions: self.partitions,
-                        },
-                    })
-                    .collect(),
-                compression: compressor.as_deref().map(CompressionSpec::of),
-            };
-            let graph = self.strategy.build(&ClusterConfig::ec2(nodes), &iter)?;
+            let grad_lens: Vec<u32> = worker_grads[0].iter().map(|t| t.len() as u32).collect();
+            let graph = build_graph(
+                self.strategy,
+                self.algorithm,
+                self.partitions,
+                &grad_lens,
+                nodes,
+            )?;
             Ok((graph, gradient_flows(worker_grads)))
         };
         if self.backend == Backend::Simulator {
