@@ -5,7 +5,7 @@
 //!
 //! The bare stream is what the kernel charges for moving the bytes;
 //! everything the mesh adds — serialization, digest, retention,
-//! framing, the reader thread, deserialization, acks — is software
+//! framing, the reader threads, deserialization, acks — is software
 //! overhead. The paper's premise (Table 1, §2.5) is that
 //! synchronization cost should be the bytes moved, so the ratio of
 //! the two is the number to hold down.
@@ -26,10 +26,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Ceiling on mesh time / bare-stream time for the same bytes.
-/// Measured on the 2-core reference host, ten runs each: 2.2–3.0 with
-/// the one-pass frame path, 5.3–6.9 with the assemble-then-copy path
-/// it replaced (six user-space passes per payload on send, four on
-/// receive).
+/// Measured on a 2-core shared host, twelve alternating runs each:
+/// 2.5–3.7 (median 3.0) with two connections per pair of ranks and one
+/// writer thread per socket direction, 2.7–3.8 (median 3.05) with the
+/// one shared connection per pair it replaced; 5.3–6.9 with the
+/// assemble-then-copy frame path (six user-space passes per payload on
+/// send, four on receive).
 const MAX_OVERHEAD_RATIO: f64 = 4.6;
 
 /// `f32` elements per message: a 2 MiB chunk, the size `big4`'s

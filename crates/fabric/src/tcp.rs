@@ -1,42 +1,56 @@
 //! The loopback TCP fabric: a full mesh of framed socket streams
 //! between real OS processes (or threads, in tests).
 //!
-//! Every rank owns one [`TcpLink`]: a stream per peer, one reader
-//! thread per stream decoding [`Frame`]s into a single merged inbox,
-//! and the reliability layer ([`crate::rel`]) running at the framing
-//! layer — data frames are checksummed, acknowledged, nacked when
-//! they arrive damaged, retransmitted with bounded exponential
+//! Every rank owns one [`TcpLink`] and joins each peer with two
+//! connections, one per data direction: the one it dialed (`out`)
+//! carries its data frames to the peer and the peer's acks back; the
+//! one the peer dialed (`inbound`) carries the peer's data in and this
+//! rank's acks out. The reliability layer ([`crate::rel`]) runs at the
+//! framing layer — data frames are checksummed, acknowledged, nacked
+//! when they arrive damaged, retransmitted with bounded exponential
 //! backoff, and deduplicated on arrival. TCP alone already orders and
 //! retransmits bytes; the frame discipline adds what TCP cannot:
 //! end-to-end payload integrity above the transport, explicit
 //! liveness (heartbeats, dead-link verdicts with a named peer), and a
 //! protocol the chaos fabric can attack deterministically in tests.
 //!
+//! Each direction of each socket has exactly one writer thread, so no
+//! write takes a lock. The owner — the thread holding the link —
+//! writes `out`: data frames, timer retransmissions and pings. A data
+//! reader per peer reads `inbound`, verifies, dedups and delivers into
+//! one merged inbox, and writes each ack or nack back on `inbound`. A
+//! reply reader per peer reads the acks and nacks on `out` and never
+//! writes: it retires acknowledged seqs and hands a nack's
+//! retransmission to the owner through the inbox. Deadlock freedom
+//! follows: an owner's write waits only on the peer's data reader,
+//! whose ack writes wait only on this rank's reply reader, which
+//! waits only on the [`RelTx`] lock — held by no thread across I/O.
+//!
 //! A payload crosses this module without being copied. On send the
 //! message is serialized once ([`WireMsg::to_bytes`]), digested once
 //! ([`Frame::new`]), retained for retransmission by refcount
 //! ([`RelTx::prepare`]) and handed to the kernel as one vectored
 //! write of head, payload and checksum ([`Frame::write_to`]). On
-//! receive the reader thread — behind a `BufReader`, so an ack or a
-//! small frame costs one `read` — lands the payload directly in the
-//! buffer that travels through the inbox to [`WireMsg::from_bytes`],
-//! digesting it once on the way.
+//! receive the data reader — behind a `BufReader`, so a small frame
+//! costs one `read` — lands the payload directly in the buffer that
+//! travels through the inbox to [`WireMsg::from_bytes`], digesting it
+//! once on the way.
 //!
 //! Mesh construction is rendezvous-ordered: every rank binds its
-//! listener *before* any address is shared, each rank dials every
-//! lower rank and accepts from every higher rank, and the first frame
-//! on a connection is a [`FrameKind::Hello`] naming the dialer — so
+//! listener *before* any address is shared, then dials every peer and
+//! accepts one connection from every peer. The first frame on a
+//! connection is a [`FrameKind::Hello`] naming the dialer, so
 //! construction cannot deadlock and needs no global lock step.
 
 use crate::frame::{Frame, FrameKind};
 use crate::recorder::{FlightKind, FlightRecorder};
 use crate::rel::{LinkTuning, RelRx, RelTx, RxVerdict, POLL_CEILING, POLL_FLOOR};
 use crate::{FabricError, Link, LinkCounters, WireMsg};
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long mesh construction waits for every peer to dial in.
@@ -76,9 +90,12 @@ fn note(
 
 /// What a reader thread reports into the merged inbox.
 enum Event {
-    /// An intact, first-delivery payload, in the buffer the reader
-    /// thread read it into.
+    /// An intact, first-delivery payload, in the buffer the data
+    /// reader read it into.
     Deliver { payload: Arc<Vec<u8>> },
+    /// A nack asked for `frame` again; the owner writes it, being the
+    /// only writer of the connection it travels on.
+    Resend { peer: usize, frame: Frame },
     /// `peer`'s stream closed or failed.
     PeerLost { peer: usize, detail: String },
     /// The send state for `peer` exhausted its retry budget.
@@ -89,98 +106,37 @@ enum Event {
     },
 }
 
-/// Per-peer send-side handles: the stream and the reliability state
-/// (shared with the peer's reader thread, which clears acks and
-/// answers nacks).
+/// Per-peer handles: the connection this rank dialed, which only the
+/// owner writes; the one the peer dialed, which only the data reader
+/// writes (held here to be shut down); and the send-side reliability
+/// state, shared with the reply reader.
 struct PeerHandle {
-    stream: Arc<PeerStream>,
+    out: TcpStream,
+    inbound: TcpStream,
     tx: Arc<Mutex<RelTx>>,
 }
 
-/// One peer stream's write side; every frame is written whole under
-/// `stream`. The reader thread never waits for that lock: a frame it
-/// sends while the stream is busy is parked, and the holder writes it
-/// before letting go. A reader that waited could wedge two ranks for
-/// good — each blocked writing a large frame to the other while its
-/// own reader, the thread that would drain the peer's write, waits
-/// for the lock that write holds.
-struct PeerStream {
-    stream: Mutex<TcpStream>,
-    parked: Mutex<Vec<Frame>>,
-}
-
-impl PeerStream {
-    /// Writes `frame`, waiting for the stream.
-    fn write(&self, frame: &Frame) -> std::io::Result<()> {
-        let mut s = self.stream.lock().expect("stream lock poisoned");
-        let written = frame.write_to(&mut *s);
-        self.release(s);
-        written
-    }
-
-    /// Writes `frame` now if the stream is free, else parks it for
-    /// the holder. Never waits for the lock.
-    fn write_or_park(&self, frame: Frame) {
-        self.parked.lock().expect("park lock poisoned").push(frame);
-        if let Ok(s) = self.stream.try_lock() {
-            self.release(s);
-        }
-    }
-
-    /// Writes the parked frames, then unlocks — and relocks to repeat
-    /// if a frame was parked after the drain while the stream is free,
-    /// so none is left behind: a parker that found the stream held
-    /// pushed before this check, or tries the lock after this unlock.
-    fn release<'a>(&'a self, mut s: MutexGuard<'a, TcpStream>) {
-        loop {
-            let parked = std::mem::take(&mut *self.parked.lock().expect("park lock poisoned"));
-            for f in &parked {
-                // Best effort, like any write the reader thread makes:
-                // a broken stream surfaces on the receive path.
-                let _ = f.write_to(&mut *s);
-            }
-            drop(s);
-            if self.parked.lock().expect("park lock poisoned").is_empty() {
-                return;
-            }
-            match self.stream.try_lock() {
-                Ok(again) => s = again,
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// Counts one frame (a single counter update covers everything it
-/// adds: framed bytes, and for a data frame either its first send or
-/// a retransmission).
-fn count_frame(counters: &Mutex<LinkCounters>, frame: &Frame) {
-    let mut c = counters.lock().expect("counter lock poisoned");
-    c.bytes_framed += frame.wire_len() as u64;
-    if frame.kind == FrameKind::Data {
-        if frame.attempt == 0 {
-            c.frames += 1;
-            c.bytes_payload += frame.payload.len() as u64;
-        } else {
-            c.retransmits += 1;
-        }
-    }
-}
-
-/// Counts one frame and writes it, vectored, under the stream lock.
+/// Counts one frame and writes it, vectored. A single counter update
+/// covers everything the frame adds: framed bytes, and for a data
+/// frame either its first send or a retransmission.
 fn write_frame(
-    stream: &PeerStream,
+    mut stream: &TcpStream,
     counters: &Mutex<LinkCounters>,
     frame: &Frame,
 ) -> std::io::Result<()> {
-    count_frame(counters, frame);
-    stream.write(frame)
-}
-
-/// The reader thread's send: counts `frame` and writes or parks it.
-fn send_from_reader(stream: &PeerStream, counters: &Mutex<LinkCounters>, frame: Frame) {
-    count_frame(counters, &frame);
-    stream.write_or_park(frame);
+    {
+        let mut c = counters.lock().expect("counter lock poisoned");
+        c.bytes_framed += frame.wire_len() as u64;
+        if frame.kind == FrameKind::Data {
+            if frame.attempt == 0 {
+                c.frames += 1;
+                c.bytes_payload += frame.payload.len() as u64;
+            } else {
+                c.retransmits += 1;
+            }
+        }
+    }
+    frame.write_to(&mut stream)
 }
 
 /// One rank's endpoint on the TCP mesh. Build with [`connect_mesh`].
@@ -194,10 +150,10 @@ pub struct TcpLink<M> {
     _msg: PhantomData<fn() -> M>,
 }
 
-impl<M> TcpLink<M> {
+impl<M: WireMsg> TcpLink<M> {
     /// Drives the protocol timers: timer-due retransmissions and
-    /// idle-link heartbeats, for every peer.
-    fn tick(&mut self) -> Result<(), FabricError> {
+    /// idle-link heartbeats ([`RelTx::heartbeat`]), for every peer.
+    fn tick(&self) -> Result<(), FabricError> {
         let now = Instant::now();
         for (peer, handle) in self.peers.iter().enumerate() {
             let Some(h) = handle else { continue };
@@ -208,37 +164,45 @@ impl<M> TcpLink<M> {
                     seq: d.seq,
                     attempts: d.attempts,
                 })?;
-                let ping = if resend.is_empty() && tx.idle() {
-                    tx.heartbeat(now)
-                } else {
-                    None
-                };
-                (resend, ping)
+                (resend, tx.heartbeat(now))
             };
             for f in &resend {
-                note(
-                    &self.config.recorder,
-                    FlightKind::Retransmit,
-                    peer,
-                    f.seq,
-                    f.payload.len() as u64,
-                );
-                let _ = write_frame(&h.stream, &self.counters, f);
+                self.retransmit(peer, f);
             }
             if let Some(p) = ping {
                 note(&self.config.recorder, FlightKind::HeartbeatSent, peer, 0, 0);
-                let _ = write_frame(&h.stream, &self.counters, &p);
+                let _ = write_frame(&h.out, &self.counters, &p);
             }
         }
         Ok(())
     }
 
-    fn accept_event(&mut self, ev: Event) -> Result<Option<Arc<Vec<u8>>>, FabricError>
-    where
-        M: WireMsg,
-    {
+    /// Writes a retransmission of `frame` to `peer`. Best effort, like
+    /// every timer-driven write: a broken stream surfaces as the data
+    /// reader's `PeerLost`.
+    fn retransmit(&self, peer: usize, frame: &Frame) {
+        let Some(h) = &self.peers[peer] else { return };
+        note(
+            &self.config.recorder,
+            FlightKind::Retransmit,
+            peer,
+            frame.seq,
+            frame.payload.len() as u64,
+        );
+        let _ = write_frame(&h.out, &self.counters, frame);
+    }
+
+    /// Acts on one inbox event: a delivery decodes into a message, a
+    /// nack's resend is written, a loss is an error.
+    fn accept_event(&self, ev: Event) -> Result<Option<M>, FabricError> {
         match ev {
-            Event::Deliver { payload } => Ok(Some(payload)),
+            Event::Deliver { payload } => M::from_bytes(&payload)
+                .map(Some)
+                .map_err(FabricError::Decode),
+            Event::Resend { peer, frame } => {
+                self.retransmit(peer, &frame);
+                Ok(None)
+            }
             Event::PeerLost { peer, detail } => Err(FabricError::PeerLost { peer, detail }),
             Event::Dead {
                 peer,
@@ -251,13 +215,6 @@ impl<M> TcpLink<M> {
             }),
         }
     }
-
-    fn decode_payload(payload: &[u8]) -> Result<M, FabricError>
-    where
-        M: WireMsg,
-    {
-        M::from_bytes(payload).map_err(FabricError::Decode)
-    }
 }
 
 impl<M> Drop for TcpLink<M> {
@@ -267,9 +224,8 @@ impl<M> Drop for TcpLink<M> {
     /// and lets every side unwind.
     fn drop(&mut self) {
         for h in self.peers.iter().flatten() {
-            if let Ok(s) = h.stream.stream.lock() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
+            let _ = h.out.shutdown(std::net::Shutdown::Both);
+            let _ = h.inbound.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -304,7 +260,7 @@ impl<M: WireMsg> Link for TcpLink<M> {
             frame.seq,
             frame.payload.len() as u64,
         );
-        let written = write_frame(&h.stream, &self.counters, &frame);
+        let written = write_frame(&h.out, &self.counters, &frame);
         // The ack cannot have been due before the bytes were out:
         // time its wait from here, not from `prepare`.
         h.tx.lock()
@@ -318,8 +274,8 @@ impl<M: WireMsg> Link for TcpLink<M> {
         loop {
             match self.inbox.try_recv() {
                 Ok(ev) => {
-                    if let Some(payload) = self.accept_event(ev)? {
-                        return Ok(Some(Self::decode_payload(&payload)?));
+                    if let Some(msg) = self.accept_event(ev)? {
+                        return Ok(Some(msg));
                     }
                 }
                 Err(TryRecvError::Empty) => return Ok(None),
@@ -339,8 +295,8 @@ impl<M: WireMsg> Link for TcpLink<M> {
             let slice = (deadline - now).min(POLL_CEILING).max(POLL_FLOOR);
             match self.inbox.recv_timeout(slice) {
                 Ok(ev) => {
-                    if let Some(payload) = self.accept_event(ev)? {
-                        return Ok(Some(Self::decode_payload(&payload)?));
+                    if let Some(msg) = self.accept_event(ev)? {
+                        return Ok(Some(msg));
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -354,114 +310,119 @@ impl<M: WireMsg> Link for TcpLink<M> {
     }
 }
 
-/// The reader loop for one peer stream: decode frames, run the
-/// receive-side reliability verdicts, answer acks/nacks, and feed
-/// intact first deliveries into the merged inbox.
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
+/// The data reader for one peer: reads the connection the peer
+/// dialed, runs the receive-side reliability verdicts, answers each
+/// data frame with an ack or nack on that same connection, and feeds
+/// intact first deliveries into the merged inbox. It is the only
+/// thread that reports the peer lost, so the loss arrives after the
+/// peer's last delivered frame.
+fn data_loop(
     peer: usize,
     me: usize,
     stream: TcpStream,
-    writer: Arc<PeerStream>,
-    tx: Arc<Mutex<RelTx>>,
     counters: Arc<Mutex<LinkCounters>>,
     events: Sender<Event>,
     recorder: Option<Arc<FlightRecorder>>,
 ) {
     let mut rx = RelRx::new();
+    let mut reader = BufReader::new(&stream);
+    let detail = loop {
+        let frame = match Frame::read_from(&mut reader) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break "stream closed".to_string(),
+            Err(e) => break e.to_string(),
+        };
+        match frame.kind {
+            FrameKind::Data => {
+                let verdict = rx.accept(&frame);
+                let (seen, reply) = match verdict {
+                    RxVerdict::Deliver => (FlightKind::RecvData, FrameKind::Ack),
+                    RxVerdict::Duplicate => (FlightKind::DupData, FrameKind::Ack),
+                    RxVerdict::Corrupt => (FlightKind::CorruptData, FrameKind::Nack),
+                };
+                let (bytes, sent) = match verdict {
+                    RxVerdict::Deliver => (frame.payload.len() as u64, FlightKind::AckSent),
+                    RxVerdict::Duplicate => (0, FlightKind::AckSent),
+                    RxVerdict::Corrupt => (0, FlightKind::NackSent),
+                };
+                note(&recorder, seen, peer, frame.seq, bytes);
+                note(&recorder, sent, peer, frame.seq, 0);
+                // Best effort: a broken stream ends the read below.
+                let reply = Frame::control(reply, me as u32, frame.seq);
+                let _ = write_frame(&stream, &counters, &reply);
+                if verdict == RxVerdict::Deliver
+                    && events
+                        .send(Event::Deliver {
+                            payload: frame.payload,
+                        })
+                        .is_err()
+                {
+                    return;
+                }
+            }
+            FrameKind::Ping => note(&recorder, FlightKind::HeartbeatRecv, peer, 0, 0),
+            // Acks and nacks travel on the connection this rank
+            // dialed; the mesh never sends the rest after the
+            // handshake (the drain and abort kinds belong to the
+            // channel link).
+            FrameKind::Ack
+            | FrameKind::Nack
+            | FrameKind::Hello
+            | FrameKind::Done
+            | FrameKind::Abort => {}
+        }
+    };
+    note(&recorder, FlightKind::PeerLost, peer, 0, 0);
+    let _ = events.send(Event::PeerLost { peer, detail });
+}
+
+/// The reply reader for one peer: reads the acks and nacks the peer's
+/// data reader writes back on the connection this rank dialed, and
+/// never writes. Like the fault-tolerant channel link, it acts only on
+/// replies whose checksum verifies: a damaged ack could retire the
+/// wrong seq. A closed or failed stream ends the loop quietly; the
+/// data reader reports the loss.
+fn reply_loop(
+    peer: usize,
+    stream: impl Read,
+    tx: &Mutex<RelTx>,
+    events: &Sender<Event>,
+    recorder: &Option<Arc<FlightRecorder>>,
+) {
     let mut stream = BufReader::new(stream);
-    loop {
-        match Frame::read_from(&mut stream) {
-            Ok(Some(frame)) => match frame.kind {
-                FrameKind::Data => match rx.accept(&frame) {
-                    RxVerdict::Deliver => {
-                        note(
-                            &recorder,
-                            FlightKind::RecvData,
+    while let Ok(Some(frame)) = Frame::read_from(&mut stream) {
+        match frame.kind {
+            FrameKind::Ack if frame.verify() => {
+                note(recorder, FlightKind::AckRecv, peer, frame.seq, 0);
+                tx.lock().expect("rel-tx lock poisoned").on_ack(frame.seq);
+            }
+            FrameKind::Nack if frame.verify() => {
+                note(recorder, FlightKind::NackRecv, peer, frame.seq, 0);
+                let resend = tx
+                    .lock()
+                    .expect("rel-tx lock poisoned")
+                    .on_nack(frame.seq, Instant::now());
+                match resend {
+                    Ok(Some(frame)) => {
+                        if events.send(Event::Resend { peer, frame }).is_err() {
+                            return;
+                        }
+                    }
+                    Ok(None) => {}
+                    Err(d) => {
+                        let _ = events.send(Event::Dead {
                             peer,
-                            frame.seq,
-                            frame.payload.len() as u64,
-                        );
-                        let ack = Frame::control(FrameKind::Ack, me as u32, frame.seq);
-                        note(&recorder, FlightKind::AckSent, peer, frame.seq, 0);
-                        send_from_reader(&writer, &counters, ack);
-                        if events
-                            .send(Event::Deliver {
-                                payload: frame.payload,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    RxVerdict::Duplicate => {
-                        note(&recorder, FlightKind::DupData, peer, frame.seq, 0);
-                        let ack = Frame::control(FrameKind::Ack, me as u32, frame.seq);
-                        note(&recorder, FlightKind::AckSent, peer, frame.seq, 0);
-                        send_from_reader(&writer, &counters, ack);
-                    }
-                    RxVerdict::Corrupt => {
-                        note(&recorder, FlightKind::CorruptData, peer, frame.seq, 0);
-                        let nack = Frame::control(FrameKind::Nack, me as u32, frame.seq);
-                        note(&recorder, FlightKind::NackSent, peer, frame.seq, 0);
-                        send_from_reader(&writer, &counters, nack);
-                    }
-                },
-                FrameKind::Ack => {
-                    note(&recorder, FlightKind::AckRecv, peer, frame.seq, 0);
-                    tx.lock().expect("rel-tx lock poisoned").on_ack(frame.seq);
-                }
-                FrameKind::Nack => {
-                    note(&recorder, FlightKind::NackRecv, peer, frame.seq, 0);
-                    let resend = {
-                        let mut t = tx.lock().expect("rel-tx lock poisoned");
-                        t.on_nack(frame.seq, Instant::now())
-                    };
-                    match resend {
-                        Ok(Some(f)) => {
-                            note(
-                                &recorder,
-                                FlightKind::Retransmit,
-                                peer,
-                                f.seq,
-                                f.payload.len() as u64,
-                            );
-                            send_from_reader(&writer, &counters, f);
-                        }
-                        Ok(None) => {}
-                        Err(d) => {
-                            let _ = events.send(Event::Dead {
-                                peer,
-                                seq: d.seq,
-                                attempts: d.attempts,
-                            });
-                            return;
-                        }
+                            seq: d.seq,
+                            attempts: d.attempts,
+                        });
+                        // Keep reading until the owner drops the link,
+                        // so the peer's ack writes never stall on us.
+                        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+                        return;
                     }
                 }
-                FrameKind::Ping => {
-                    note(&recorder, FlightKind::HeartbeatRecv, peer, 0, 0);
-                }
-                // The mesh never sends these after the handshake; the
-                // drain and abort kinds belong to the channel link.
-                FrameKind::Hello | FrameKind::Done | FrameKind::Abort => {}
-            },
-            Ok(None) => {
-                note(&recorder, FlightKind::PeerLost, peer, 0, 0);
-                let _ = events.send(Event::PeerLost {
-                    peer,
-                    detail: "stream closed".into(),
-                });
-                return;
             }
-            Err(e) => {
-                note(&recorder, FlightKind::PeerLost, peer, 0, 0);
-                let _ = events.send(Event::PeerLost {
-                    peer,
-                    detail: e.to_string(),
-                });
-                return;
-            }
+            _ => {}
         }
     }
 }
@@ -489,10 +450,23 @@ fn dial(addr: SocketAddr, deadline: Instant, peer: usize) -> Result<TcpStream, F
     }
 }
 
+/// Starts one of the link's reader threads.
+fn spawn(
+    name: String,
+    peer: usize,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<(), FabricError> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .map(drop)
+        .map_err(|e| io_err(peer, e))
+}
+
 /// Builds rank `rank`'s endpoint of an `nodes`-way mesh: dials every
-/// lower rank at `peers[p]`, accepts from every higher rank on
+/// peer at `peers[p]`, accepts one connection from every peer on
 /// `listener`, identifies each accepted stream by its Hello frame,
-/// then spawns the per-peer reader threads.
+/// then spawns each peer's data reader and reply reader.
 ///
 /// # Errors
 ///
@@ -507,32 +481,32 @@ pub fn connect_mesh<M: WireMsg>(
     config: &MeshConfig,
 ) -> Result<TcpLink<M>, FabricError> {
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let counters = Arc::new(Mutex::new(LinkCounters::default()));
-    let mut streams: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
+    let mut outs: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
+    let mut inbounds: Vec<Option<TcpStream>> = (0..nodes).map(|_| None).collect();
 
-    // Dial every lower rank, introducing ourselves with a Hello.
-    for (p, &addr) in peers.iter().enumerate().take(rank) {
+    // Dial every peer, introducing ourselves with a Hello. The peer's
+    // listener is bound before its address was shared, so the dial
+    // completes in its backlog whether or not it is accepting yet.
+    for (p, &addr) in peers.iter().enumerate().filter(|&(p, _)| p != rank) {
         let stream = dial(addr, deadline, p)?;
         stream.set_nodelay(true).map_err(|e| io_err(p, e))?;
         let hello = Frame::control(FrameKind::Hello, rank as u32, config.epoch);
-        let mut s = stream.try_clone().map_err(|e| io_err(p, e))?;
-        hello.write_to(&mut s).map_err(|e| io_err(p, e))?;
+        hello.write_to(&mut &stream).map_err(|e| io_err(p, e))?;
         note(&config.recorder, FlightKind::Hello, p, 0, 0);
-        streams[p] = Some(stream);
+        outs[p] = Some(stream);
     }
 
-    // Accept every higher rank; the Hello frame names the dialer.
+    // Accept every peer's dial; the Hello frame names the dialer.
     listener
         .set_nonblocking(true)
         .map_err(|e| io_err(rank, e))?;
     let mut accepted = 0;
-    while accepted < nodes - 1 - rank {
+    while accepted < nodes - 1 {
         match listener.accept() {
             Ok((stream, _)) => {
                 stream.set_nonblocking(false).map_err(|e| io_err(rank, e))?;
                 stream.set_nodelay(true).map_err(|e| io_err(rank, e))?;
-                let mut s = stream.try_clone().map_err(|e| io_err(rank, e))?;
-                let hello = Frame::read_from(&mut s)
+                let hello = Frame::read_from(&mut &stream)
                     .map_err(|e| io_err(rank, e))?
                     .ok_or_else(|| io_err(rank, "stream closed before Hello"))?;
                 if hello.kind != FrameKind::Hello {
@@ -551,21 +525,18 @@ pub fn connect_mesh<M: WireMsg>(
                     ));
                 }
                 let p = hello.src as usize;
-                if p <= rank || p >= nodes {
+                if p == rank || p >= nodes || inbounds[p].is_some() {
                     return Err(io_err(rank, format!("Hello from unexpected rank {p}")));
                 }
                 note(&config.recorder, FlightKind::Hello, p, 0, 0);
-                streams[p] = Some(stream);
+                inbounds[p] = Some(stream);
                 accepted += 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
                     return Err(io_err(
                         rank,
-                        format!(
-                            "timed out with {accepted} of {} peers accepted",
-                            nodes - 1 - rank
-                        ),
+                        format!("timed out with {accepted} of {} peers accepted", nodes - 1),
                     ));
                 }
                 std::thread::sleep(Duration::from_millis(2));
@@ -574,42 +545,32 @@ pub fn connect_mesh<M: WireMsg>(
         }
     }
 
-    // Wire up per-peer reliability state and reader threads.
+    // Wire up per-peer reliability state and the two reader threads.
+    let counters = Arc::new(Mutex::new(LinkCounters::default()));
     let (events_tx, events_rx) = mpsc::channel();
     let mut handles: Vec<Option<PeerHandle>> = (0..nodes).map(|_| None).collect();
-    for (p, slot) in streams.into_iter().enumerate() {
-        let Some(stream) = slot else { continue };
-        let read_half = stream.try_clone().map_err(|e| io_err(p, e))?;
-        let writer = Arc::new(PeerStream {
-            stream: Mutex::new(stream),
-            parked: Mutex::new(Vec::new()),
-        });
+    for (p, pair) in outs.into_iter().zip(inbounds).enumerate() {
+        let (Some(out), Some(inbound)) = pair else {
+            continue;
+        };
         let tx = Arc::new(Mutex::new(RelTx::new(
             rank as u32,
             LinkTuning::default(),
             Instant::now(),
         )));
-        let thread_writer = Arc::clone(&writer);
-        let thread_tx = Arc::clone(&tx);
-        let thread_counters = Arc::clone(&counters);
-        let thread_events = events_tx.clone();
-        let thread_recorder = config.recorder.clone();
-        std::thread::Builder::new()
-            .name(format!("fabric-rx-{rank}-{p}"))
-            .spawn(move || {
-                reader_loop(
-                    p,
-                    rank,
-                    read_half,
-                    thread_writer,
-                    thread_tx,
-                    thread_counters,
-                    thread_events,
-                    thread_recorder,
-                )
-            })
-            .map_err(|e| io_err(p, e))?;
-        handles[p] = Some(PeerHandle { stream: writer, tx });
+        let data = inbound.try_clone().map_err(|e| io_err(p, e))?;
+        let counters = Arc::clone(&counters);
+        let (events, recorder) = (events_tx.clone(), config.recorder.clone());
+        spawn(format!("fabric-rx-{rank}-{p}"), p, move || {
+            data_loop(p, rank, data, counters, events, recorder)
+        })?;
+        let replies = out.try_clone().map_err(|e| io_err(p, e))?;
+        let reply_tx = Arc::clone(&tx);
+        let (events, recorder) = (events_tx.clone(), config.recorder.clone());
+        spawn(format!("fabric-ack-{rank}-{p}"), p, move || {
+            reply_loop(p, replies, &reply_tx, &events, &recorder)
+        })?;
+        handles[p] = Some(PeerHandle { out, inbound, tx });
     }
 
     Ok(TcpLink {
@@ -648,35 +609,83 @@ mod tests {
         (l, a)
     }
 
+    /// The stream of replies a peer's data reader would write.
+    fn replies(frames: &[Frame]) -> std::io::Cursor<Vec<u8>> {
+        let mut bytes = Vec::new();
+        for f in frames {
+            f.write_to(&mut bytes).unwrap();
+        }
+        std::io::Cursor::new(bytes)
+    }
+
+    /// A reply to `seq` from rank 1, its checksum broken if `damaged`.
+    fn reply(kind: FrameKind, seq: u64, damaged: bool) -> Frame {
+        let mut f = Frame::control(kind, 1, seq);
+        if damaged {
+            f.checksum ^= 1;
+        }
+        f
+    }
+
     #[test]
-    fn reader_frames_never_wait_for_a_busy_stream() {
-        let (listener, addr) = local_listener();
-        let out = Arc::new(PeerStream {
-            stream: Mutex::new(TcpStream::connect(addr).unwrap()),
-            parked: Mutex::new(Vec::new()),
-        });
-        let (mut far, _) = listener.accept().unwrap();
-        // The main thread is mid-write: the stream is held.
-        let held = out.stream.lock().unwrap();
-        let (done_tx, done_rx) = mpsc::channel();
-        let reader = Arc::clone(&out);
-        let parker = std::thread::spawn(move || {
-            reader.write_or_park(Frame::control(FrameKind::Ack, 1, 7));
-            done_tx.send(()).unwrap();
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the reader's ack waited for the held stream");
-        parker.join().unwrap();
-        // The holder writes the parked ack before letting go.
-        out.release(held);
-        let ack = Frame::read_from(&mut far).unwrap().unwrap();
-        assert_eq!((ack.kind, ack.seq), (FrameKind::Ack, 7));
-        // A free stream takes the frame at once.
-        out.write_or_park(Frame::control(FrameKind::Nack, 1, 8));
-        let nack = Frame::read_from(&mut far).unwrap().unwrap();
-        assert_eq!((nack.kind, nack.seq), (FrameKind::Nack, 8));
-        assert!(out.parked.lock().unwrap().is_empty());
+    fn a_damaged_ack_retires_nothing() {
+        let tx = Mutex::new(RelTx::new(0, LinkTuning::default(), Instant::now()));
+        let seq = tx
+            .lock()
+            .unwrap()
+            .prepare(vec![1, 2, 3], Instant::now())
+            .seq;
+        let (events, _inbox) = mpsc::channel();
+        reply_loop(
+            1,
+            replies(&[reply(FrameKind::Ack, seq, true)]),
+            &tx,
+            &events,
+            &None,
+        );
+        assert!(
+            tx.lock().unwrap().get(seq).is_some(),
+            "a damaged ack retired"
+        );
+        reply_loop(
+            1,
+            replies(&[reply(FrameKind::Ack, seq, false)]),
+            &tx,
+            &events,
+            &None,
+        );
+        assert!(tx.lock().unwrap().idle(), "an intact ack left the seq");
+    }
+
+    #[test]
+    fn a_damaged_nack_resends_nothing() {
+        let tx = Mutex::new(RelTx::new(0, LinkTuning::default(), Instant::now()));
+        let seq = tx
+            .lock()
+            .unwrap()
+            .prepare(vec![1, 2, 3], Instant::now())
+            .seq;
+        let (events, inbox) = mpsc::channel();
+        reply_loop(
+            1,
+            replies(&[reply(FrameKind::Nack, seq, true)]),
+            &tx,
+            &events,
+            &None,
+        );
+        assert!(inbox.try_recv().is_err(), "a damaged nack resent");
+        assert_eq!(tx.lock().unwrap().get(seq).unwrap().attempt, 0);
+        reply_loop(
+            1,
+            replies(&[reply(FrameKind::Nack, seq, false)]),
+            &tx,
+            &events,
+            &None,
+        );
+        let Ok(Event::Resend { peer: 1, frame }) = inbox.try_recv() else {
+            panic!("an intact nack did not reach the owner as a resend");
+        };
+        assert_eq!((frame.seq, frame.attempt), (seq, 1));
     }
 
     #[test]

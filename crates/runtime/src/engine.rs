@@ -326,43 +326,6 @@ hipress_util::record! {
         } = 1,
         /// A peer hit an error; unwind.
         Abort = 2,
-        /// Rendezvous plane: a restarted (or brand-new) worker asks the
-        /// coordinator to admit it into a running job. `epoch` is the
-        /// last epoch the worker saw (0 for a fresh process); admission
-        /// happens at the next epoch boundary, never mid-segment.
-        Join {
-            /// The global rank the worker claims.
-            rank: u32,
-            /// The last membership epoch the worker participated in.
-            epoch: u64,
-        } = 3,
-        /// Rendezvous plane: the coordinator's answer to [`Msg::Join`] —
-        /// the joiner is admitted and will be dispatched work when epoch
-        /// `epoch` begins at iteration `from_iter` over `members`.
-        Welcome {
-            /// The epoch the joiner becomes a member of.
-            epoch: u64,
-            /// The first global iteration of that epoch.
-            from_iter: u32,
-            /// The member set of that epoch (global ranks, ascending).
-            members: Vec<u32>,
-        } = 4,
-        /// Rendezvous plane: membership changed. The coordinator bumps
-        /// every member to `epoch`, naming the evicted rank (if the bump
-        /// was a death rather than a join) and the member set the next
-        /// segment runs over. Frames carrying a stale epoch are ignored
-        /// by receivers — the stale-epoch safety rule the model checker
-        /// exhausts.
-        EpochBump {
-            /// The new membership epoch.
-            epoch: u64,
-            /// The rank evicted by this bump, if it was a death.
-            evicted: Option<u32>,
-            /// The first global iteration of the new epoch.
-            from_iter: u32,
-            /// The member set of the new epoch (global ranks, ascending).
-            members: Vec<u32>,
-        } = 5,
     }
 }
 

@@ -686,8 +686,6 @@ impl Link for FtLink<'_> {
                 let abort = Frame::control(FrameKind::Abort, self.me() as u32, 0);
                 let _ = self.inner.send(to, abort);
             }
-            // Rendezvous-plane frames never ride the data mesh.
-            Msg::Join { .. } | Msg::Welcome { .. } | Msg::EpochBump { .. } => {}
         }
         Ok(())
     }

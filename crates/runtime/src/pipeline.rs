@@ -286,10 +286,10 @@ impl<'a> IterState<'a> {
 
 /// One node's pipelined task manager, generic over the transport.
 /// Borrows the link rather than owning it: a process-fabric child
-/// must keep its `TcpLink` (and its ack-servicing reader threads)
-/// alive after the protocol completes, until the coordinator calls
-/// time — dropping it early would tear the sockets down under peers
-/// still finishing.
+/// must keep its `TcpLink` (and the data readers that ack its peers'
+/// frames) alive after the protocol completes, until the coordinator
+/// calls time — dropping it early would tear the sockets down under
+/// peers still finishing.
 struct PipeWorker<'a, L: Link<Msg = Msg>> {
     link: &'a mut L,
     graph: &'a TaskGraph,
@@ -389,10 +389,6 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 task: None,
                 detail: String::new(),
             })),
-            // Rendezvous-plane frames never belong on the data mesh;
-            // a straggling one from a stale epoch is dropped, which
-            // is exactly the stale-epoch safety rule.
-            Msg::Join { .. } | Msg::Welcome { .. } | Msg::EpochBump { .. } => Ok(()),
             Msg::Done {
                 task,
                 payload,

@@ -21,8 +21,8 @@
 //! 4. Each child reports [`Ctl::Outcome`] (its updated chunks and
 //!    measured report) or [`Ctl::Failed`], then *holds its mesh link
 //!    open* until the coordinator's verdict — [`Ctl::Shutdown`], or an
-//!    epoch bump into the next segment — so reader threads keep
-//!    servicing peers' acks and a fast finisher never tears the
+//!    epoch bump into the next segment — so its data readers keep
+//!    acking peers' frames and a fast finisher never tears the
 //!    sockets down under a slow one.
 //!
 //! The child rebuilds its graph from the same inputs the in-process
@@ -88,7 +88,7 @@ const RUN_DEADLINE: Duration = Duration::from_secs(60);
 mod ctl;
 pub mod elastic;
 
-use ctl::{ctl_io, read_ctl, write_ctl, Ctl};
+use ctl::{ctl_io, read_ctl, write_ctl, Ctl, Member};
 
 /// How the coordinator launches and supervises worker processes, and
 /// what it does when one is lost.
@@ -568,7 +568,7 @@ impl ProgressSink for CtlSink {
 /// One worker's full protocol over an established control stream.
 ///
 /// Every run loops over segments: Hello → Job → drive → `Outcome` or
-/// `Failed` → the coordinator's verdict. [`Msg::EpochBump`]
+/// `Failed` → the coordinator's verdict. [`Member::EpochBump`]
 /// (membership changed) re-announces on a fresh mesh listener and
 /// takes the next segment's Job; `Shutdown` or EOF ends the run, which
 /// for a fixed-membership run is the first verdict. The worker keeps
@@ -626,7 +626,7 @@ fn run_node(mut ctl: TcpStream, rank: usize, nodes: usize) -> Result<NodeRun> {
         // draining. EOF or timeout counts as permission to leave.
         let next = read_ctl(&mut ctl);
         drop(link);
-        if !matches!(next, Ok(Ctl::Member(Msg::EpochBump { .. }))) {
+        if !matches!(next, Ok(Ctl::Member(Member::EpochBump { .. }))) {
             return Ok(NodeRun::Completed);
         }
     }

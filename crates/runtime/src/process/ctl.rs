@@ -5,7 +5,6 @@
 //! hand-written codec.
 
 use super::Job;
-use crate::engine::Msg;
 use crate::observe::{get_trace, put_trace};
 use crate::report::RuntimeReport;
 use hipress_fabric::frame::{read_exact_vec, write_all_vectored};
@@ -61,11 +60,52 @@ record! {
         /// for progress; the coordinator restamps `ts_ns` on arrival so
         /// every rank's records share its one clock.
         Progress { rec: IterRecord } = 8,
-        /// Rendezvous-plane frame in either direction, reusing the
-        /// [`Msg`] wire codec: `Join` (joiner → coordinator),
-        /// `Welcome` (coordinator → joiner), `EpochBump` (coordinator →
-        /// surviving workers between segments).
-        Member(Msg) = 9,
+        /// Rendezvous-plane frame in either direction.
+        Member(Member) = 9,
+    }
+}
+
+record! {
+    /// The rendezvous plane: membership changes, which travel only on
+    /// the control stream, never on the data mesh. Its tags continue
+    /// the data mesh's message tags (`Done = 1`, `Abort = 2`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(super) enum Member ["member"] {
+        /// Joiner → coordinator: a restarted (or brand-new) worker asks
+        /// to be admitted into a running job. `epoch` is the last epoch
+        /// the worker saw (0 for a fresh process); admission happens at
+        /// the next epoch boundary, never mid-segment.
+        Join {
+            /// The global rank the worker claims.
+            rank: u32,
+            /// The last membership epoch the worker participated in.
+            epoch: u64,
+        } = 3,
+        /// Coordinator → joiner: the answer to [`Member::Join`] — the
+        /// joiner is admitted and will be dispatched work when epoch
+        /// `epoch` begins at iteration `from_iter` over `members`.
+        Welcome {
+            /// The epoch the joiner becomes a member of.
+            epoch: u64,
+            /// The first global iteration of that epoch.
+            from_iter: u32,
+            /// The member set of that epoch (global ranks, ascending).
+            members: Vec<u32>,
+        } = 4,
+        /// Coordinator → surviving workers between segments: membership
+        /// changed. Bumps every member to `epoch`, naming the evicted
+        /// rank (if the bump was a death rather than a join) and the
+        /// member set the next segment runs over.
+        EpochBump {
+            /// The new membership epoch.
+            epoch: u64,
+            /// The rank evicted by this bump, if it was a death.
+            evicted: Option<u32>,
+            /// The first global iteration of the new epoch.
+            from_iter: u32,
+            /// The member set of the new epoch (global ranks, ascending).
+            members: Vec<u32>,
+        } = 5,
     }
 }
 
@@ -342,7 +382,7 @@ mod tests {
             ),
             (
                 "member",
-                Ctl::Member(Msg::Welcome {
+                Ctl::Member(Member::Welcome {
                     epoch: 2,
                     from_iter: 9,
                     members: vec![0, 2, 3],
@@ -651,5 +691,85 @@ mod tests {
                 "case {i}: {e:?}"
             );
         }
+    }
+
+    /// Every membership frame, pinned as the digests it had while it
+    /// was a variant of the data mesh's `Msg` (same tags, same fields),
+    /// and each checked against hostile bytes.
+    #[test]
+    fn member_frames_match_the_parent_commit() {
+        let rows = [
+            (
+                "join",
+                Member::Join { rank: 5, epoch: 9 },
+                0xafb4_757a_c1d7_604e_u64,
+            ),
+            (
+                "welcome",
+                Member::Welcome {
+                    epoch: 4,
+                    from_iter: 12,
+                    members: vec![0, 2, 3],
+                },
+                0x7c5d_b42f_e998_ccd9,
+            ),
+            (
+                "bump/evicted",
+                Member::EpochBump {
+                    epoch: 6,
+                    evicted: Some(1),
+                    from_iter: 20,
+                    members: vec![0, 2],
+                },
+                0xdf4a_8147_5a2a_5cd0,
+            ),
+            (
+                "bump/rejoin",
+                Member::EpochBump {
+                    epoch: 7,
+                    evicted: None,
+                    from_iter: 24,
+                    members: vec![0, 1, 2],
+                },
+                0xd7ad_68d5_40ae_798d,
+            ),
+        ];
+        for (name, member, want) in rows {
+            let bytes = member.to_bytes();
+            assert_eq!(fnv1a(&bytes), want, "{name}: {:#x}", fnv1a(&bytes));
+            assert_eq!(
+                Member::from_bytes(&bytes).ok(),
+                Some(member.clone()),
+                "{name}"
+            );
+            check_record(&member);
+        }
+    }
+
+    /// An evicted marker other than 0 or 1, and a member count that
+    /// claims more than the body holds, are structured errors.
+    #[test]
+    fn bad_member_bytes_are_rejected() {
+        let mut w = Writer::new();
+        w.put_u8(5); // EpochBump
+        w.put_u64(1);
+        w.put_u8(7);
+        assert!(matches!(
+            Member::from_bytes(&w.into_vec()),
+            Err(DecodeError::BadTag { what: "flag", .. })
+        ));
+        let mut w = Writer::new();
+        w.put_u8(4); // Welcome
+        w.put_u64(4);
+        w.put_u32(0);
+        w.put_u32(u32::MAX); // claims ~4 billion members, sends none
+        assert!(matches!(
+            Member::from_bytes(&w.into_vec()),
+            Err(DecodeError::Truncated { .. })
+        ));
+        assert!(matches!(
+            Member::from_bytes(&[1]),
+            Err(DecodeError::BadTag { what: "member", .. })
+        ));
     }
 }

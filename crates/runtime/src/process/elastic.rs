@@ -33,9 +33,9 @@
 //! write.
 //!
 //! A restarted worker dials the same rendezvous address and opens
-//! with [`Msg::Join`]; the coordinator admits it only at an epoch
-//! boundary, answers [`Msg::Welcome`] naming the epoch it joins, and
-//! tells the incumbents with [`Msg::EpochBump`]. Each segment's mesh
+//! with [`Member::Join`]; the coordinator admits it only at an epoch
+//! boundary, answers [`Member::Welcome`] naming the epoch it joins, and
+//! tells the incumbents with [`Member::EpochBump`]. Each segment's mesh
 //! is stamped with its epoch (the Hello frame's sequence field), so a
 //! zombie segment's late dial can never splice into the rebuilt mesh.
 
@@ -246,13 +246,13 @@ fn accept_initial(
 }
 
 /// Accepts one respawned joiner at an epoch boundary: its connection
-/// opens with [`Msg::Join`]; answer with [`Msg::Welcome`] naming the
+/// opens with [`Member::Join`]; answer with [`Member::Welcome`] naming the
 /// epoch, handoff iteration, and member set it joins.
 fn admit_joiner(
     roster: &mut Roster,
     expect_rank: u32,
     current_epoch: u64,
-    welcome: &Msg,
+    welcome: &Member,
 ) -> Result<()> {
     let hard_deadline = Instant::now() + JOIN_DEADLINE;
     let mut stream = accept_next(&roster.listener, JOIN_DEADLINE, || {
@@ -263,7 +263,7 @@ fn admit_joiner(
         }
         Ok(())
     })?;
-    let Ctl::Member(Msg::Join { rank, epoch }) = read_ctl(&mut stream)? else {
+    let Ctl::Member(Member::Join { rank, epoch }) = read_ctl(&mut stream)? else {
         return Err(ctl_io("joiner spoke before asking to Join"));
     };
     if rank != expect_rank {
@@ -738,7 +738,7 @@ pub(super) fn run_segments(
             joined.push(r);
         }
         members.sort_unstable();
-        let welcome = Msg::Welcome {
+        let welcome = Member::Welcome {
             epoch,
             from_iter: from,
             members: members.clone(),
@@ -747,7 +747,7 @@ pub(super) fn run_segments(
             launcher.launch(r, true)?;
             admit_joiner(&mut roster, r, epoch, &welcome)?;
         }
-        let bump = Ctl::Member(Msg::EpochBump {
+        let bump = Ctl::Member(Member::EpochBump {
             epoch,
             evicted: lost.first().copied(),
             from_iter: from,
@@ -762,8 +762,8 @@ pub(super) fn run_segments(
     }
 }
 
-/// The joiner's rendezvous: dial the coordinator, ask to [`Msg::Join`]
-/// as `rank`, and block until the [`Msg::Welcome`] that admits us at
+/// The joiner's rendezvous: dial the coordinator, ask to [`Member::Join`]
+/// as `rank`, and block until the [`Member::Welcome`] that admits us at
 /// the next epoch boundary. Returns the control stream (ready for the
 /// normal per-segment protocol) and the member set joined.
 pub(super) fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)> {
@@ -772,7 +772,7 @@ pub(super) fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)
     ctl.set_nodelay(true).map_err(ctl_io)?;
     write_ctl(
         &mut ctl,
-        &Ctl::Member(Msg::Join {
+        &Ctl::Member(Member::Join {
             rank: rank as u32,
             epoch: 0,
         }),
@@ -782,7 +782,7 @@ pub(super) fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)
     ctl.set_read_timeout(Some(Duration::from_secs(600)))
         .map_err(ctl_io)?;
     let members = match read_ctl(&mut ctl)? {
-        Ctl::Member(Msg::Welcome { members, .. }) => members,
+        Ctl::Member(Member::Welcome { members, .. }) => members,
         _ => return Err(ctl_io(format!("node {rank}: expected a Welcome"))),
     };
     if !members.contains(&(rank as u32)) {
@@ -795,7 +795,7 @@ pub(super) fn attach(connect: &str, rank: usize) -> Result<(TcpStream, Vec<u32>)
 
 /// Entry point for the `hipress node --join` subcommand: a restarted
 /// worker re-attaching to a running elastic job. Dials `connect`,
-/// asks to join as `rank`, and on [`Msg::Welcome`] enters the normal
+/// asks to join as `rank`, and on [`Member::Welcome`] enters the normal
 /// per-segment worker protocol.
 ///
 /// # Errors

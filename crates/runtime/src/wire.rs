@@ -8,16 +8,10 @@
 //! ```text
 //! Msg::Done      = u8 1 | u32 task | u32 iter | payload
 //! Msg::Abort     = u8 2
-//! Msg::Join      = u8 3 | u32 rank | u64 epoch
-//! Msg::Welcome   = u8 4 | u64 epoch | u32 from_iter | members
-//! Msg::EpochBump = u8 5 | u64 epoch | evicted | u32 from_iter | members
 //! payload        = u8 0                       (none)
 //!                | u8 1 | u32 n | n × f32     (raw)
 //!                | u8 2 | u32 n | n bytes     (compressed)
 //!                | u8 3                       (skipped)
-//! members        = u32 n | n × u32
-//! evicted        = u8 0                       (none)
-//!                | u8 1 | u32 rank
 //! ```
 //!
 //! Floats travel as IEEE-754 bit patterns, so a decoded gradient is
@@ -107,49 +101,8 @@ mod tests {
                         _ => false,
                     }
             }
-            (
-                Msg::Join {
-                    rank: ra,
-                    epoch: ea,
-                },
-                Msg::Join {
-                    rank: rb,
-                    epoch: eb,
-                },
-            ) => ra == rb && ea == eb,
-            (
-                Msg::Welcome {
-                    epoch: ea,
-                    from_iter: fa,
-                    members: ma,
-                },
-                Msg::Welcome {
-                    epoch: eb,
-                    from_iter: fb,
-                    members: mb,
-                },
-            ) => ea == eb && fa == fb && ma == mb,
-            (
-                Msg::EpochBump {
-                    epoch: ea,
-                    evicted: va,
-                    from_iter: fa,
-                    members: ma,
-                },
-                Msg::EpochBump {
-                    epoch: eb,
-                    evicted: vb,
-                    from_iter: fb,
-                    members: mb,
-                },
-            ) => ea == eb && va == vb && fa == fb && ma == mb,
             _ => false,
         }
-    }
-
-    fn arbitrary_members(rng: &mut SplitMix64) -> Vec<u32> {
-        let n = rng.index(9);
-        (0..n).map(|_| rng.next_u32() % 64).collect()
     }
 
     /// A seeded arbitrary message covering every variant and payload
@@ -157,27 +110,6 @@ mod tests {
     fn arbitrary(rng: &mut SplitMix64) -> Msg {
         if rng.bernoulli(0.1) {
             return Msg::Abort;
-        }
-        if rng.bernoulli(0.1) {
-            return Msg::Join {
-                rank: rng.next_u32(),
-                epoch: rng.next_u64(),
-            };
-        }
-        if rng.bernoulli(0.1) {
-            return Msg::Welcome {
-                epoch: rng.next_u64(),
-                from_iter: rng.next_u32(),
-                members: arbitrary_members(rng),
-            };
-        }
-        if rng.bernoulli(0.1) {
-            return Msg::EpochBump {
-                epoch: rng.next_u64(),
-                evicted: rng.bernoulli(0.5).then(|| rng.next_u32()),
-                from_iter: rng.next_u32(),
-                members: arbitrary_members(rng),
-            };
         }
         let payload = match rng.index(4) {
             0 => None,
@@ -276,10 +208,14 @@ mod tests {
 
     #[test]
     fn unknown_tags_name_the_enum() {
-        assert!(matches!(
-            Msg::from_bytes(&[9]),
-            Err(DecodeError::BadTag { what: "msg", .. })
-        ));
+        // 3–5 are the control stream's membership frames, which never
+        // travel on the data mesh.
+        for tag in [3, 4, 5, 9] {
+            assert!(matches!(
+                Msg::from_bytes(&[tag]),
+                Err(DecodeError::BadTag { what: "msg", .. })
+            ));
+        }
         let mut w = Writer::new();
         w.put_u8(1); // Done
         w.put_u32(3);
@@ -292,44 +228,6 @@ mod tests {
                 ..
             })
         ));
-        // An EpochBump whose evicted marker is neither 0 nor 1: the
-        // presence flag every `Option` field carries.
-        let mut w = Writer::new();
-        w.put_u8(5); // EpochBump
-        w.put_u64(1);
-        w.put_u8(7);
-        assert!(matches!(
-            Msg::from_bytes(&w.into_vec()),
-            Err(DecodeError::BadTag { what: "flag", .. })
-        ));
-    }
-
-    #[test]
-    fn membership_frames_round_trip_exactly() {
-        let frames = [
-            Msg::Join { rank: 3, epoch: 0 },
-            Msg::Welcome {
-                epoch: 2,
-                from_iter: 5,
-                members: vec![0, 1, 2, 3],
-            },
-            Msg::EpochBump {
-                epoch: 1,
-                evicted: Some(1),
-                from_iter: 3,
-                members: vec![0, 2, 3],
-            },
-            Msg::EpochBump {
-                epoch: 2,
-                evicted: None,
-                from_iter: 6,
-                members: vec![0, 1, 2, 3],
-            },
-        ];
-        for msg in &frames {
-            let back = Msg::from_bytes(&msg.to_bytes()).unwrap();
-            assert!(same(msg, &back), "round trip changed {msg:?}");
-        }
     }
 
     /// Every variant, and every payload shape, survives hostile bytes
@@ -347,41 +245,8 @@ mod tests {
             done(Some(Payload::Compressed(vec![9, 8, 7, 6]))),
             done(Some(Payload::Skipped)),
             Msg::Abort,
-            Msg::Join { rank: 3, epoch: 4 },
-            Msg::Welcome {
-                epoch: 2,
-                from_iter: 5,
-                members: vec![0, 1, 3],
-            },
-            Msg::EpochBump {
-                epoch: 6,
-                evicted: Some(1),
-                from_iter: 9,
-                members: vec![0, 2],
-            },
-            Msg::EpochBump {
-                epoch: 7,
-                evicted: None,
-                from_iter: 10,
-                members: vec![0, 1, 2],
-            },
         ] {
             check_record(&msg);
         }
-    }
-
-    /// A hostile member-count prefix must surface as a structured
-    /// truncation error before any allocation happens.
-    #[test]
-    fn hostile_member_count_is_rejected_without_allocating() {
-        let mut w = Writer::new();
-        w.put_u8(4); // Welcome
-        w.put_u64(4);
-        w.put_u32(0);
-        w.put_u32(u32::MAX); // claims ~4 billion members, sends none
-        assert!(matches!(
-            Msg::from_bytes(&w.into_vec()),
-            Err(DecodeError::Truncated { .. })
-        ));
     }
 }
