@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use hipress::metrics::{MetricsSnapshot, Registry};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Prints a bench banner.
 pub fn banner(id: &str, what: &str) {
@@ -121,28 +121,51 @@ impl Recorder {
             .with_meta("bench", &self.id)
     }
 
-    /// Writes `BENCH_<id>.json` into `$HIPRESS_BENCH_DIR` and returns
-    /// the path; a no-op returning `None` when the variable is unset
-    /// or the write fails (benches must not die on bookkeeping).
+    /// Writes `BENCH_<id>.json` into `$HIPRESS_BENCH_DIR` (resolved by
+    /// [`bench_path`]) and returns the path; `None` when the variable
+    /// is unset. When it is set and the write fails, the process exits
+    /// non-zero naming the path: a ledger run that wrote nothing must
+    /// not pass.
     pub fn finish(&self) -> Option<PathBuf> {
         let dir = std::env::var_os("HIPRESS_BENCH_DIR")?;
-        let path = PathBuf::from(dir).join(format!("BENCH_{}.json", self.id));
-        match std::fs::write(&path, self.snapshot().to_json()) {
-            Ok(()) => {
-                println!("wrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("could not write {}: {e}", path.display());
-                None
-            }
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("the bench crate sits two levels below the workspace root");
+        let path = bench_path(Path::new(&dir), root, &self.id);
+        if let Err(e) = std::fs::write(&path, self.snapshot().to_json()) {
+            eprintln!("could not write {}: {e}", path.display());
+            std::process::exit(1);
         }
+        println!("wrote {}", path.display());
+        Some(path)
     }
+}
+
+/// Where `BENCH_<id>.json` goes for `HIPRESS_BENCH_DIR=dir`: `dir`
+/// itself when absolute, else `dir` under the workspace `root`. Cargo
+/// runs a bench in its crate's directory, where a relative directory
+/// would name nothing the caller meant.
+pub fn bench_path(dir: &Path, root: &Path, id: &str) -> PathBuf {
+    root.join(dir).join(format!("BENCH_{id}.json"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_dir_resolves_against_the_workspace_root() {
+        let root = Path::new("/ws");
+        assert_eq!(
+            bench_path(Path::new("out"), root, "fig7"),
+            Path::new("/ws/out/BENCH_fig7.json")
+        );
+        assert_eq!(
+            bench_path(Path::new("/tmp/ledger"), root, "fig7"),
+            Path::new("/tmp/ledger/BENCH_fig7.json")
+        );
+    }
 
     #[test]
     fn pct_math() {
