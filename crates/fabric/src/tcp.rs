@@ -21,7 +21,9 @@
 //! one merged inbox, and writes each ack or nack back on `inbound`. A
 //! reply reader per peer reads the acks and nacks on `out` and never
 //! writes: it retires acknowledged seqs and hands a nack's
-//! retransmission to the owner through the inbox. Deadlock freedom
+//! retransmission to the owner through the inbox, so a resend, like a
+//! timer's, goes out only when the owner next calls into the link.
+//! Deadlock freedom
 //! follows: an owner's write waits only on the peer's data reader,
 //! whose ack writes wait only on this rank's reply reader, which
 //! waits only on the [`RelTx`] lock — held by no thread across I/O.
@@ -380,8 +382,10 @@ fn data_loop(
 /// data reader writes back on the connection this rank dialed, and
 /// never writes. Like the fault-tolerant channel link, it acts only on
 /// replies whose checksum verifies: a damaged ack could retire the
-/// wrong seq. A closed or failed stream ends the loop quietly; the
-/// data reader reports the loss.
+/// wrong seq. However the loop ends — a closed or failed stream, a
+/// malformed frame, a dead-link verdict or a dropped owner — the
+/// reader keeps draining the stream until it closes, so the peer's ack
+/// writes never stall on it; the data reader reports the loss.
 fn reply_loop(
     peer: usize,
     stream: impl Read,
@@ -402,29 +406,24 @@ fn reply_loop(
                     .lock()
                     .expect("rel-tx lock poisoned")
                     .on_nack(frame.seq, Instant::now());
-                match resend {
-                    Ok(Some(frame)) => {
-                        if events.send(Event::Resend { peer, frame }).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(d) => {
-                        let _ = events.send(Event::Dead {
-                            peer,
-                            seq: d.seq,
-                            attempts: d.attempts,
-                        });
-                        // Keep reading until the owner drops the link,
-                        // so the peer's ack writes never stall on us.
-                        let _ = std::io::copy(&mut stream, &mut std::io::sink());
-                        return;
-                    }
+                let event = match resend {
+                    Ok(Some(frame)) => Event::Resend { peer, frame },
+                    Ok(None) => continue,
+                    Err(d) => Event::Dead {
+                        peer,
+                        seq: d.seq,
+                        attempts: d.attempts,
+                    },
+                };
+                let dead = matches!(event, Event::Dead { .. });
+                if events.send(event).is_err() || dead {
+                    break;
                 }
             }
             _ => {}
         }
     }
+    let _ = std::io::copy(&mut stream, &mut std::io::sink());
 }
 
 fn io_err(peer: usize, e: impl std::fmt::Display) -> FabricError {
@@ -686,6 +685,29 @@ mod tests {
             panic!("an intact nack did not reach the owner as a resend");
         };
         assert_eq!((frame.seq, frame.attempt), (seq, 1));
+    }
+
+    /// A malformed frame ends the loop, but the reader still drains the
+    /// stream to its end, so a peer writing acks behind it never stalls.
+    #[test]
+    fn a_malformed_reply_ends_the_loop_and_drains_the_stream() {
+        let tx = Mutex::new(RelTx::new(0, LinkTuning::default(), Instant::now()));
+        let seq = tx
+            .lock()
+            .unwrap()
+            .prepare(vec![1, 2, 3], Instant::now())
+            .seq;
+        let mut bytes = 1u32.to_le_bytes().to_vec(); // shorter than any frame
+        bytes.extend(replies(&[reply(FrameKind::Ack, seq, false)]).into_inner());
+        bytes.resize(bytes.len() + (64 << 10), 0); // past any read buffer
+        let mut stream = std::io::Cursor::new(bytes);
+        let (events, _inbox) = mpsc::channel();
+        reply_loop(1, &mut stream, &tx, &events, &None);
+        assert!(
+            tx.lock().unwrap().get(seq).is_some(),
+            "an ack after a malformed frame was acted on"
+        );
+        assert_eq!(stream.position() as usize, stream.get_ref().len());
     }
 
     #[test]

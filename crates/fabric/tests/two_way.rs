@@ -12,7 +12,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-const MESSAGES: u32 = 64;
+/// 48 MiB a direction: more than a loopback socket's send and receive
+/// buffers hold together under common `tcp_wmem` / `tcp_rmem` ceilings
+/// (4 MiB, and 6–32 MiB), so both owners block in `write` while acks
+/// flow back.
+const MESSAGES: u32 = 24;
 const ELEMS: usize = 512 * 1024; // 2 MiB of f32
 const REPEATS: usize = 5;
 const DEADLINE: Duration = Duration::from_secs(30);

@@ -623,7 +623,10 @@ fn run_node(mut ctl: TcpStream, rank: usize, nodes: usize) -> Result<NodeRun> {
         };
         // Hold the mesh link until the coordinator has everyone's
         // report: our reader threads keep acking peers that are still
-        // draining. EOF or timeout counts as permission to leave.
+        // draining. Our own resends (timer- or nack-driven) wait for a
+        // link call that no longer comes; on TCP they need a checksum
+        // failure, and the peer's deadline bounds the wait. EOF or
+        // timeout counts as permission to leave.
         let next = read_ctl(&mut ctl);
         drop(link);
         if !matches!(next, Ok(Ctl::Member(Member::EpochBump { .. }))) {

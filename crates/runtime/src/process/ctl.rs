@@ -157,7 +157,7 @@ mod tests {
     use hipress_compress::Algorithm;
     use hipress_core::Strategy;
     use hipress_util::codec::check_record;
-    use hipress_util::{SyncFailure, SyncFailureKind};
+    use hipress_util::{Rng64, SplitMix64, SyncFailure, SyncFailureKind};
 
     /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -743,6 +743,73 @@ mod tests {
                 "{name}"
             );
             check_record(&member);
+        }
+    }
+
+    fn arbitrary_members(rng: &mut SplitMix64) -> Vec<u32> {
+        let n = rng.index(9);
+        (0..n).map(|_| rng.next_u32() % 64).collect()
+    }
+
+    /// A seeded arbitrary membership frame of any variant, with random
+    /// epochs and member lists.
+    fn arbitrary_member(rng: &mut SplitMix64) -> Member {
+        match rng.index(3) {
+            0 => Member::Join {
+                rank: rng.next_u32(),
+                epoch: rng.next_u64(),
+            },
+            1 => Member::Welcome {
+                epoch: rng.next_u64(),
+                from_iter: rng.next_u32(),
+                members: arbitrary_members(rng),
+            },
+            _ => Member::EpochBump {
+                epoch: rng.next_u64(),
+                evicted: rng.bernoulli(0.5).then(|| rng.next_u32()),
+                from_iter: rng.next_u32(),
+                members: arbitrary_members(rng),
+            },
+        }
+    }
+
+    #[test]
+    fn every_member_variant_round_trips() {
+        let mut rng = SplitMix64::new(0x5EED_F00D);
+        for _ in 0..500 {
+            let member = arbitrary_member(&mut rng);
+            let back = Member::from_bytes(&member.to_bytes()).unwrap();
+            assert_eq!(back, member);
+        }
+    }
+
+    #[test]
+    fn every_member_truncation_is_a_structured_error() {
+        let mut rng = SplitMix64::new(0xDEAD_5EED);
+        for _ in 0..50 {
+            let bytes = arbitrary_member(&mut rng).to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    Member::from_bytes(&bytes[..cut]).is_err(),
+                    "truncation at {cut} of {} decoded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn member_bit_flips_never_panic() {
+        let mut rng = SplitMix64::new(0xB17_F11B5);
+        for _ in 0..50 {
+            let bytes = arbitrary_member(&mut rng).to_bytes();
+            for _ in 0..64 {
+                let mut hurt = bytes.clone();
+                let bit = rng.index(hurt.len() * 8);
+                hurt[bit / 8] ^= 1 << (bit % 8);
+                // Some frame or a structured error; never a panic.
+                let _ = Member::from_bytes(&hurt);
+            }
         }
     }
 
