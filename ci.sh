@@ -180,6 +180,13 @@ cargo run --release -q --bin hipress -- run --nodes 3 --algorithm none \
 # interpreter's bits.
 cargo run --release -q --bin hipress -- run --nodes 3 --algorithm dgc \
   --backend processes --iters 8 --window 2 --cross-check >/dev/null
+# The two baselines, with the default three gradients: Horovod-Ring
+# fuses them into one flow, which every backend must lay out from the
+# graph; BytePS runs its own partitioned PS.
+cargo run --release -q --bin hipress -- run --strategy ring \
+  --backend processes --iters 4 --window 2 --cross-check >/dev/null
+cargo run --release -q --bin hipress -- run --strategy byteps \
+  --backend processes --cross-check >/dev/null
 PROC_ERR=$(mktemp)
 if cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
     --backend processes --kill-node 1 >/dev/null 2>"$PROC_ERR"; then

@@ -6,9 +6,12 @@
 //! consume; it is also where CaSync's "task manager with a dependency
 //! graph" (§3.1) materializes.
 
+use crate::interp::FlowOutcome;
+use hipress_tensor::Tensor;
 use hipress_util::codec::{DecodeError, Field, Reader, Writer};
 use hipress_util::{Error, Result};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The signature of an installed plan verifier: analyzes a graph for
@@ -283,6 +286,180 @@ impl TaskGraph {
     }
 }
 
+/// One flow's layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlowChunks {
+    /// The flow id (the `grad` field of its chunks).
+    pub flow: u32,
+    /// The gradients it carries, in concatenation order.
+    pub members: Vec<u32>,
+    /// (part, element range) in part order, tiling `0..len`.
+    pub parts: Vec<(u32, Range<usize>)>,
+    /// Total elements.
+    pub len: usize,
+}
+
+/// The chunk geometry of every flow a graph synchronizes, derived from
+/// the graph alone: `Source` tasks size the chunks, and
+/// [`TaskGraph::flow_members`] names the gradients each flow carries.
+/// Every backend lays flows out by it, and [`FlowGeometry::inputs`] is
+/// the one way gradients become flows.
+#[derive(Debug, Clone)]
+pub struct FlowGeometry {
+    /// Sorted by flow id.
+    flows: Vec<FlowChunks>,
+}
+
+impl FlowGeometry {
+    /// Derives the geometry of `graph`.
+    pub fn of(graph: &TaskGraph) -> Self {
+        let mut chunks: Vec<(u32, u32, usize)> = graph
+            .tasks()
+            .iter()
+            .filter(|t| t.prim == Primitive::Source)
+            .map(|t| (t.chunk.grad, t.chunk.part, (t.bytes_raw / 4) as usize))
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup_by_key(|&mut (flow, part, _)| (flow, part));
+        let flow_of = |chunks: &[(u32, u32, usize)]| {
+            let (flow, mut len) = (chunks[0].0, 0);
+            let mut parts = Vec::with_capacity(chunks.len());
+            for &(_, part, n) in chunks {
+                parts.push((part, len..len + n));
+                len += n;
+            }
+            let members = graph.flow_members(flow);
+            FlowChunks {
+                flow,
+                members,
+                parts,
+                len,
+            }
+        };
+        let flows = chunks.chunk_by(|a, b| a.0 == b.0).map(flow_of).collect();
+        Self { flows }
+    }
+
+    /// Every flow, in flow-id order.
+    pub fn flows(&self) -> &[FlowChunks] {
+        &self.flows
+    }
+
+    /// The element range of chunk `part` of `flow`, if it exists.
+    pub fn chunk(&self, flow: u32, part: u32) -> Option<Range<usize>> {
+        let f = &self.flows[self.flows.binary_search_by_key(&flow, |f| f.flow).ok()?];
+        let i = f.parts.binary_search_by_key(&part, |(p, _)| *p).ok()?;
+        Some(f.parts[i].1.clone())
+    }
+
+    /// The flows of `worker_grads[w][g]`, worker `w`'s gradient `g`:
+    /// flow id → per worker, its member gradients concatenated in
+    /// member order. A one-gradient flow shares its tensor by
+    /// refcount.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] when a worker holds other gradients than the
+    /// flows carry.
+    pub fn inputs(&self, worker_grads: &[Vec<Tensor>]) -> Result<HashMap<u32, Vec<Tensor>>> {
+        let carried: usize = self.flows.iter().map(|f| f.members.len()).sum();
+        let mut out = HashMap::with_capacity(self.flows.len());
+        for f in &self.flows {
+            let mut per_worker = Vec::with_capacity(worker_grads.len());
+            for (w, grads) in worker_grads.iter().enumerate() {
+                let members: Option<Vec<Tensor>> = f
+                    .members
+                    .iter()
+                    .map(|&g| grads.get(g as usize).cloned())
+                    .collect();
+                let flow = members.as_deref().map(|m| match m {
+                    [one] => one.clone(),
+                    many => Tensor::concat(many),
+                });
+                let Some(t) = flow.filter(|t| grads.len() == carried && t.len() == f.len) else {
+                    let (flow, len) = (f.flow, f.len);
+                    return Err(Error::config(format!(
+                        "worker {w}'s gradients do not fill flow {flow} ({len} elements of {carried} gradients)"
+                    )));
+                };
+                per_worker.push(t);
+            }
+            out.insert(f.flow, per_worker);
+        }
+        Ok(out)
+    }
+
+    /// Checks caller-supplied flows: every flow has `nodes` entries,
+    /// and each entry's tensors (`tensors(entry)`, at least one) have
+    /// the flow's length.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] naming the first flow that does not fit.
+    pub fn check<T>(
+        &self,
+        nodes: usize,
+        flows: &HashMap<u32, Vec<T>>,
+        tensors: impl Fn(&T) -> &[Tensor],
+    ) -> Result<()> {
+        for f in &self.flows {
+            let fits = |e| {
+                let ts = tensors(e);
+                !ts.is_empty() && ts.iter().all(|t| t.len() == f.len)
+            };
+            if !flows
+                .get(&f.flow)
+                .is_some_and(|d| d.len() == nodes && d.iter().all(fits))
+            {
+                return Err(Error::config(format!(
+                    "flow {}: each of {nodes} nodes needs tensors of its {} elements",
+                    f.flow, f.len
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Reassembles every flow's dense per-node result from its chunks:
+    /// `installed(node, flow, part)` is what `node` installed for the
+    /// chunk, `None` if it installed nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Sim`] naming the first chunk a node never installed, or
+    /// installed at the wrong length.
+    pub fn assemble<'a>(
+        &self,
+        nodes: usize,
+        installed: impl Fn(usize, u32, u32) -> Option<&'a [f32]>,
+    ) -> Result<Vec<FlowOutcome>> {
+        let mut outcomes = Vec::with_capacity(self.flows.len());
+        for f in &self.flows {
+            let mut per_node = Vec::with_capacity(nodes);
+            for node in 0..nodes {
+                let mut dense = Vec::with_capacity(f.len);
+                for (part, range) in &f.parts {
+                    let value = installed(node, f.flow, *part)
+                        .filter(|v| v.len() == range.len())
+                        .ok_or_else(|| {
+                            Error::sim(format!(
+                                "node {node} never updated chunk ({},{part})",
+                                f.flow
+                            ))
+                        })?;
+                    dense.extend_from_slice(value);
+                }
+                per_node.push(dense);
+            }
+            outcomes.push(FlowOutcome {
+                flow: f.flow,
+                per_node,
+            });
+        }
+        Ok(outcomes)
+    }
+}
+
 /// Convenience constructor for [`TaskNode`] with defaults.
 pub fn task(node: usize, prim: Primitive, chunk: ChunkId) -> TaskNode {
     TaskNode {
@@ -371,5 +548,41 @@ mod tests {
             deps: vec![TaskId(7)],
             ..task(0, Primitive::Encode, chunk())
         });
+    }
+
+    /// A fusion flow concatenates its members in member order, a
+    /// one-gradient flow is its own tensor, and a worker whose
+    /// gradients do not fill the flows is refused.
+    #[test]
+    fn inputs_follow_the_recorded_members() {
+        let source = |grad, elems: u64| TaskNode {
+            bytes_raw: elems * 4,
+            ..task(0, Primitive::Source, ChunkId { grad, part: 0 })
+        };
+        let mut g = TaskGraph::new();
+        g.add(source(2, 5));
+        g.add(source(0, 3));
+        g.set_flow_members(2, vec![2, 1]);
+        let geometry = FlowGeometry::of(&g);
+        assert_eq!(geometry.chunk(2, 0), Some(0..5));
+        let grads = vec![vec![
+            Tensor::from_vec(vec![0.0; 3]),
+            Tensor::from_vec(vec![1.0; 2]),
+            Tensor::from_vec(vec![2.0; 3]),
+        ]];
+        let flows = geometry.inputs(&grads).unwrap();
+        assert_eq!(flows[&2][0].as_slice(), &[2.0, 2.0, 2.0, 1.0, 1.0]);
+        assert_eq!(
+            flows[&0][0].as_slice().as_ptr(),
+            grads[0][0].as_slice().as_ptr()
+        );
+        let long = Tensor::from_vec(vec![2.0; 4]);
+        for bad in [
+            grads[0][..2].to_vec(),
+            vec![grads[0][0].clone(), grads[0][1].clone(), long],
+        ] {
+            let err = geometry.inputs(&[bad]).unwrap_err();
+            assert!(err.to_string().contains("do not fill flow"), "{err}");
+        }
     }
 }

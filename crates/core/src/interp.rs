@@ -20,11 +20,12 @@
 //! The unit of interpretation is a **flow**: one independently
 //! synchronized tensor, identified by the `grad` field of the graph's
 //! chunk ids. For CaSync and BytePS a flow is a gradient; for the
-//! Horovod baseline a flow is a fusion buffer (the concatenation of
-//! its member gradients, see
-//! [`crate::strategy::horovod_fusion_groups`]).
+//! Horovod baseline a flow is a fusion buffer, the concatenation of
+//! the member gradients the graph records for it. Callers build flows
+//! from gradients with [`FlowGeometry::inputs`], whatever the
+//! strategy.
 
-use crate::graph::{Primitive, SendSrc, TaskGraph};
+use crate::graph::{FlowGeometry, Primitive, SendSrc, TaskGraph};
 use hipress_compress::Compressor;
 use hipress_tensor::Tensor;
 use hipress_util::{Error, Result};
@@ -73,45 +74,6 @@ impl FlowOutcome {
     }
 }
 
-/// Builds the per-flow input map for strategies whose flows are
-/// plain gradients (CaSync-PS, CaSync-Ring, BytePS):
-/// `worker_grads[w][g]` becomes flow `g`'s data on node `w`.
-pub fn gradient_flows(worker_grads: &[Vec<Tensor>]) -> HashMap<u32, Vec<Tensor>> {
-    let mut flows = HashMap::new();
-    if worker_grads.is_empty() {
-        return flows;
-    }
-    for g in 0..worker_grads[0].len() {
-        flows.insert(
-            g as u32,
-            worker_grads.iter().map(|w| w[g].clone()).collect(),
-        );
-    }
-    flows
-}
-
-/// Builds the per-flow input map for the Horovod baseline: each
-/// fusion group becomes one flow (identified by its lead gradient)
-/// holding the concatenation of the members.
-pub fn fused_flows(
-    worker_grads: &[Vec<Tensor>],
-    groups: &[Vec<usize>],
-) -> HashMap<u32, Vec<Tensor>> {
-    let mut flows = HashMap::new();
-    for group in groups {
-        let lead = group[0] as u32;
-        let per_node: Vec<Tensor> = worker_grads
-            .iter()
-            .map(|w| {
-                let parts: Vec<Tensor> = group.iter().map(|&g| w[g].clone()).collect();
-                Tensor::concat(&parts)
-            })
-            .collect();
-        flows.insert(lead, per_node);
-    }
-    flows
-}
-
 /// Executes `graph` with the given per-flow, per-node input tensors.
 ///
 /// # Errors
@@ -130,49 +92,8 @@ pub fn interpret(
     // `hipress-lint` analyzer; a no-op when nothing is installed).
     #[cfg(debug_assertions)]
     crate::graph::run_debug_verifier(graph, nodes)?;
-    // Chunk boundaries per flow, derived from Source tasks: chunk
-    // `part` covers a contiguous range, in part order.
-    let mut chunk_elems: HashMap<(u32, u32), usize> = HashMap::new();
-    for t in graph.tasks() {
-        if t.prim == Primitive::Source {
-            chunk_elems.insert((t.chunk.grad, t.chunk.part), (t.bytes_raw / 4) as usize);
-        }
-    }
-    let mut flow_ids: Vec<u32> = {
-        let mut v: Vec<u32> = chunk_elems.keys().map(|&(f, _)| f).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let mut chunk_start: HashMap<(u32, u32), usize> = HashMap::new();
-    for &f in &flow_ids {
-        let mut parts: Vec<u32> = chunk_elems
-            .keys()
-            .filter(|(ff, _)| *ff == f)
-            .map(|&(_, p)| p)
-            .collect();
-        parts.sort_unstable();
-        let mut start = 0usize;
-        for p in parts {
-            chunk_start.insert((f, p), start);
-            start += chunk_elems[&(f, p)];
-        }
-        let data = flows
-            .get(&f)
-            .ok_or_else(|| Error::config(format!("missing data for flow {f}")))?;
-        if data.len() != nodes {
-            return Err(Error::config(format!(
-                "flow {f}: {} node tensors for {nodes} nodes",
-                data.len()
-            )));
-        }
-        if data[0].len() != start {
-            return Err(Error::sim(format!(
-                "flow {f}: chunks cover {start} elements but the flow has {}",
-                data[0].len()
-            )));
-        }
-    }
+    let geometry = FlowGeometry::of(graph);
+    geometry.check(nodes, flows, std::slice::from_ref)?;
 
     // Dataflow values keyed by producing task: what each `Recv`
     // delivered, what each `Encode` and `Decode` produced. Keying by
@@ -207,11 +128,11 @@ pub fn interpret(
         let key = (t.node, t.chunk.grad, t.chunk.part);
         match t.prim {
             Primitive::Source => {
-                let start = chunk_start[&(t.chunk.grad, t.chunk.part)];
-                let len = (t.bytes_raw / 4) as usize;
+                let range = geometry
+                    .chunk(t.chunk.grad, t.chunk.part)
+                    .expect("every source is a chunk of the geometry");
                 let data = &flows[&t.chunk.grad][t.node];
-                let cell = cells.entry(key).or_default();
-                cell.acc = data.as_slice()[start..start + len].to_vec();
+                cells.entry(key).or_default().acc = data.as_slice()[range].to_vec();
             }
             Primitive::Encode => {
                 let c = compressor.ok_or_else(|| Error::sim("encode without compressor"))?;
@@ -348,32 +269,9 @@ pub fn interpret(
         }
     }
 
-    // Reassemble per-flow, per-node dense results.
-    flow_ids.sort_unstable();
-    let mut outcomes = Vec::with_capacity(flow_ids.len());
-    for &f in &flow_ids {
-        let elems = flows[&f][0].len();
-        let mut per_node = Vec::with_capacity(nodes);
-        for node in 0..nodes {
-            let mut dense = vec![0.0f32; elems];
-            for (&(ff, p), &start) in &chunk_start {
-                if ff != f {
-                    continue;
-                }
-                let len = chunk_elems[&(ff, p)];
-                let cell = cells.get(&(node, ff, p)).ok_or_else(|| {
-                    Error::sim(format!("node {node} never touched chunk ({ff},{p})"))
-                })?;
-                let value = cell.updated.as_ref().ok_or_else(|| {
-                    Error::sim(format!("node {node} never updated chunk ({ff},{p})"))
-                })?;
-                dense[start..start + len].copy_from_slice(value);
-            }
-            per_node.push(dense);
-        }
-        outcomes.push(FlowOutcome { flow: f, per_node });
-    }
-    Ok(outcomes)
+    geometry.assemble(nodes, |node, f, p| {
+        cells.get(&(node, f, p)).and_then(|c| c.updated.as_deref())
+    })
 }
 
 /// Reference result: the element-wise sum of a flow's tensors across
@@ -394,7 +292,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
-    use crate::strategy::{horovod_fusion_groups, Strategy};
+    use crate::strategy::Strategy;
     use hipress_compress::Algorithm;
     use hipress_tensor::synth::{generate, GradientShape};
 
@@ -435,17 +333,6 @@ mod tests {
         }
     }
 
-    fn flows_for(
-        strat: Strategy,
-        iter: &IterationSpec,
-        grads: &[Vec<Tensor>],
-    ) -> HashMap<u32, Vec<Tensor>> {
-        match strat {
-            Strategy::HorovodRing => fused_flows(grads, &horovod_fusion_groups(iter)),
-            _ => gradient_flows(grads),
-        }
-    }
-
     /// Without compression, every strategy computes the exact sum on
     /// every node.
     #[test]
@@ -457,7 +344,7 @@ mod tests {
             let iter = iter_spec(&sizes, None, 3);
             let cluster = ClusterConfig::ec2(nodes);
             let graph = strat.build(&cluster, &iter).unwrap();
-            let flows = flows_for(strat, &iter, &grads);
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let out = interpret(&graph, nodes, &flows, None, 7).unwrap();
             assert!(!out.is_empty());
             for o in &out {
@@ -492,7 +379,7 @@ mod tests {
                 let cluster = ClusterConfig::ec2(nodes);
                 let graph = strat.build(&cluster, &iter).unwrap();
                 let c = alg.build().unwrap();
-                let flows = flows_for(strat, &iter, &grads);
+                let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
                 let out = interpret(&graph, nodes, &flows, Some(c.as_ref()), 11).unwrap();
                 for o in &out {
                     assert!(
@@ -518,7 +405,7 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
         let c = alg.build().unwrap();
-        let flows = gradient_flows(&grads);
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let out = interpret(&graph, nodes, &flows, Some(c.as_ref()), 3).unwrap();
         let reference = reference_sum(&flows[&0]);
         let ref_norm: f64 = reference
@@ -550,7 +437,7 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
-        let flows = gradient_flows(&grads);
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let out = interpret(&graph, nodes, &flows, Some(c.as_ref()), 5).unwrap();
         // The raw gradient must be exact.
         let reference = reference_sum(&flows[&0]);
@@ -573,7 +460,7 @@ mod tests {
         for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
             let graph = strat.build(&cluster, &iter).unwrap();
             let c = alg.build().unwrap();
-            let flows = gradient_flows(&grads);
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let out = interpret(&graph, nodes, &flows, Some(c.as_ref()), 999).unwrap();
             assert!(out[0].replicas_consistent(), "{strat:?}");
         }

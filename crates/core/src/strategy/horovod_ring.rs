@@ -69,13 +69,6 @@ fn fuse(iter: &IterationSpec) -> Vec<Buffer> {
     buffers
 }
 
-/// The fusion layout for an iteration: each group is the gradient
-/// indices of one fusion buffer, in fusion order (readiness order).
-/// The first member identifies the buffer's flow in the task graph.
-pub fn fusion_groups(iter: &IterationSpec) -> Vec<Vec<usize>> {
-    fuse(iter).into_iter().map(|b| b.grads).collect()
-}
-
 /// Builds the Horovod-Ring task graph for one iteration on `n` nodes.
 pub(crate) fn build(n: usize, iter: &IterationSpec) -> TaskGraph {
     let mut graph = TaskGraph::new();

@@ -29,8 +29,6 @@ use hipress_util::{Error, Result};
 
 pub(crate) mod util;
 
-pub use horovod_ring::fusion_groups as horovod_fusion_groups;
-
 hipress_util::record! {
     /// The synchronization strategy used for an experiment.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,8 +8,8 @@
 //! no external dependencies.
 
 use hipress_compress::Algorithm;
-use hipress_core::interp::{fused_flows, gradient_flows, interpret, reference_sum};
-use hipress_core::strategy::horovod_fusion_groups;
+use hipress_core::graph::FlowGeometry;
+use hipress_core::interp::{interpret, reference_sum};
 use hipress_core::Strategy as SyncStrategy;
 use hipress_core::{
     ClusterConfig, CompressionSpec, ExecConfig, Executor, GradPlan, IterationSpec, SyncGradient,
@@ -17,7 +17,6 @@ use hipress_core::{
 use hipress_tensor::synth::{generate, GradientShape};
 use hipress_tensor::Tensor;
 use hipress_util::rng::{Rng64, Xoshiro256};
-use std::collections::HashMap;
 
 const CASES: usize = 24;
 
@@ -77,17 +76,6 @@ fn worker_grads(nodes: usize, grads: &[(usize, usize, bool)], seed: u64) -> Vec<
         .collect()
 }
 
-fn flows_for(
-    strat: SyncStrategy,
-    iter: &IterationSpec,
-    grads: &[Vec<Tensor>],
-) -> HashMap<u32, Vec<Tensor>> {
-    match strat {
-        SyncStrategy::HorovodRing => fused_flows(grads, &horovod_fusion_groups(iter)),
-        _ => gradient_flows(grads),
-    }
-}
-
 /// Uncompressed: every strategy computes the exact sum everywhere,
 /// for arbitrary gradient mixes and cluster sizes.
 #[test]
@@ -103,7 +91,7 @@ fn uncompressed_sum_exact() {
             let graph = strat.build(&cluster, &iter).unwrap();
             let lint = hipress_lint::verify_graph(&graph, nodes);
             assert!(lint.is_clean(), "{strat:?}:\n{}", lint.render());
-            let flows = flows_for(strat, &iter, &data);
+            let flows = FlowGeometry::of(&graph).inputs(&data).unwrap();
             let out = interpret(&graph, nodes, &flows, None, seed).unwrap();
             for o in &out {
                 assert!(o.replicas_consistent(), "{strat:?}");
@@ -132,7 +120,7 @@ fn compressed_replicas_identical() {
         let data = worker_grads(nodes, &grads, seed);
         for strat in SyncStrategy::all() {
             let graph = strat.build(&cluster, &iter).unwrap();
-            let flows = flows_for(strat, &iter, &data);
+            let flows = FlowGeometry::of(&graph).inputs(&data).unwrap();
             let out = interpret(&graph, nodes, &flows, Some(c.as_ref()), seed).unwrap();
             for o in &out {
                 assert!(o.replicas_consistent(), "{strat:?} flow {}", o.flow);

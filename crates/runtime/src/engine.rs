@@ -29,7 +29,7 @@
 
 use crate::report::RuntimeReport;
 use hipress_compress::Compressor;
-use hipress_core::graph::{Primitive, SendSrc, TaskGraph, TaskId};
+use hipress_core::graph::{FlowGeometry, Primitive, SendSrc, TaskGraph, TaskId};
 use hipress_core::interp::FlowOutcome;
 use hipress_metrics::names;
 use hipress_tensor::Tensor;
@@ -656,17 +656,11 @@ pub(crate) fn conclude(
     })
 }
 
-/// Chunk geometry shared by the workers and the result assembly.
+/// The graph's chunk geometry as the runtime uses it: shared by the
+/// workers and the result assembly, plus each node's input chunks.
 pub(crate) struct FlowLayout {
     pub(crate) nodes: usize,
-    /// (flow, part) → element count.
-    chunk_elems: HashMap<(u32, u32), usize>,
-    /// (flow, part) → start element within the flow.
-    chunk_start: HashMap<(u32, u32), usize>,
-    /// Sorted flow ids.
-    flow_ids: Vec<u32>,
-    /// flow → total elements.
-    flow_len: HashMap<u32, usize>,
+    pub(crate) geometry: FlowGeometry,
     /// Per node, its input chunks, split once per run
     /// ([`FlowLayout::split_inputs`]).
     inputs: Vec<OnceLock<InputChunks>>,
@@ -675,83 +669,45 @@ pub(crate) struct FlowLayout {
 /// (flow, part) → one node's input chunk, a [`Payload::Raw`].
 type InputChunks = HashMap<(u32, u32), Arc<Payload>>;
 
+/// One node's inputs: flow → its local replicas.
+pub(crate) type NodeInputs = HashMap<u32, Vec<Tensor>>;
+
+/// `node`'s share of `flows`, sharing the tensors by refcount.
+pub(crate) fn node_inputs(flows: &ReplicaFlows, node: usize) -> NodeInputs {
+    flows
+        .iter()
+        .map(|(&f, per_node)| (f, per_node[node].clone()))
+        .collect()
+}
+
 impl FlowLayout {
-    pub(crate) fn derive(graph: &TaskGraph, nodes: usize, flows: &ReplicaFlows) -> Result<Self> {
-        let mut chunk_elems: HashMap<(u32, u32), usize> = HashMap::new();
-        for t in graph.tasks() {
-            if t.prim == Primitive::Source {
-                chunk_elems.insert((t.chunk.grad, t.chunk.part), (t.bytes_raw / 4) as usize);
-            }
-        }
-        let mut flow_ids: Vec<u32> = chunk_elems.keys().map(|&(f, _)| f).collect();
-        flow_ids.sort_unstable();
-        flow_ids.dedup();
-        let mut chunk_start = HashMap::new();
-        let mut flow_len = HashMap::new();
-        for &f in &flow_ids {
-            let mut parts: Vec<u32> = chunk_elems
-                .keys()
-                .filter(|(ff, _)| *ff == f)
-                .map(|&(_, p)| p)
-                .collect();
-            parts.sort_unstable();
-            let mut start = 0usize;
-            for p in parts {
-                chunk_start.insert((f, p), start);
-                start += chunk_elems[&(f, p)];
-            }
-            let data = flows
-                .get(&f)
-                .ok_or_else(|| Error::config(format!("missing data for flow {f}")))?;
-            if data.len() != nodes {
-                return Err(Error::config(format!(
-                    "flow {f}: {} node entries for {nodes} nodes",
-                    data.len()
-                )));
-            }
-            for (node, reps) in data.iter().enumerate() {
-                if reps.is_empty() {
-                    return Err(Error::config(format!(
-                        "flow {f}: node {node} has zero replicas"
-                    )));
-                }
-                if reps.iter().any(|r| r.len() != start) {
-                    return Err(Error::sim(format!(
-                        "flow {f}: chunks cover {start} elements but node {node} holds a \
-                         different length"
-                    )));
-                }
-            }
-            flow_len.insert(f, start);
-        }
-        Ok(Self {
+    pub(crate) fn new(graph: &TaskGraph, nodes: usize) -> Self {
+        Self {
             nodes,
-            chunk_elems,
-            chunk_start,
-            flow_ids,
-            flow_len,
+            geometry: FlowGeometry::of(graph),
             inputs: (0..nodes).map(|_| OnceLock::new()).collect(),
-        })
+        }
     }
 
     /// `node`'s input chunks as shared raw buffers, split out of
-    /// `flows` (the run's flows, the ones the layout was derived from)
-    /// on the first call and reused by every iteration after it. The
-    /// table keeps one reference for the whole run, so a write to a
-    /// chunk copies it and never reaches the inputs. A node with local
-    /// replicas has no entries: it sums them afresh each iteration.
-    pub(crate) fn split_inputs(&self, flows: &ReplicaFlows, node: usize) -> &InputChunks {
+    /// `inputs` (the node's inputs for the run) on the first call and
+    /// reused by every iteration after it. The table keeps one
+    /// reference for the whole run, so a write to a chunk copies it
+    /// and never reaches the inputs. A flow with local replicas has no
+    /// entries: the node sums them afresh each iteration.
+    pub(crate) fn split_inputs(&self, inputs: &NodeInputs, node: usize) -> &InputChunks {
         self.inputs[node].get_or_init(|| {
-            self.chunk_start
-                .iter()
-                .filter_map(|(&key, &start)| {
-                    let [rep] = &flows[&key.0][node][..] else {
-                        return None;
-                    };
-                    let chunk = &rep.as_slice()[start..start + self.chunk_elems[&key]];
-                    Some((key, Arc::new(Payload::Raw(chunk.to_vec()))))
-                })
-                .collect()
+            let mut chunks = HashMap::new();
+            for f in self.geometry.flows() {
+                let [rep] = &inputs[&f.flow][..] else {
+                    continue;
+                };
+                for (part, range) in &f.parts {
+                    let chunk = rep.as_slice()[range.clone()].to_vec();
+                    chunks.insert((f.flow, *part), Arc::new(Payload::Raw(chunk)));
+                }
+            }
+            chunks
         })
     }
 
@@ -760,32 +716,12 @@ impl FlowLayout {
         &self,
         cells_per_node: &[HashMap<(u32, u32), Cell>],
     ) -> Result<Vec<FlowOutcome>> {
-        let mut outcomes = Vec::with_capacity(self.flow_ids.len());
-        for &f in &self.flow_ids {
-            let elems = self.flow_len[&f];
-            let mut per_node = Vec::with_capacity(self.nodes);
-            for node in 0..self.nodes {
-                let mut dense = vec![0.0f32; elems];
-                for (&(ff, p), &start) in &self.chunk_start {
-                    if ff != f {
-                        continue;
-                    }
-                    let len = self.chunk_elems[&(ff, p)];
-                    let cell = cells_per_node[node].get(&(ff, p)).ok_or_else(|| {
-                        Error::sim(format!("node {node} never touched chunk ({ff},{p})"))
-                    })?;
-                    if !cell.updated {
-                        return Err(Error::sim(format!(
-                            "node {node} never updated chunk ({ff},{p})"
-                        )));
-                    }
-                    dense[start..start + len].copy_from_slice(&cell.acc);
-                }
-                per_node.push(dense);
-            }
-            outcomes.push(FlowOutcome { flow: f, per_node });
-        }
-        Ok(outcomes)
+        self.geometry.assemble(self.nodes, |node, f, p| {
+            cells_per_node[node]
+                .get(&(f, p))
+                .filter(|c| c.updated)
+                .map(|c| &*c.acc)
+        })
     }
 }
 
@@ -844,7 +780,8 @@ impl NodePlan {
 pub(crate) struct NodeCore<'a> {
     pub(crate) node: usize,
     pub(crate) graph: &'a TaskGraph,
-    pub(crate) flows: &'a ReplicaFlows,
+    /// This node's inputs.
+    pub(crate) inputs: &'a NodeInputs,
     pub(crate) layout: &'a FlowLayout,
     plan: &'a NodePlan,
     pub(crate) compressor: Option<&'a dyn Compressor>,
@@ -876,7 +813,7 @@ impl<'a> NodeCore<'a> {
     pub(crate) fn new(
         node: usize,
         graph: &'a TaskGraph,
-        flows: &'a ReplicaFlows,
+        inputs: &'a NodeInputs,
         layout: &'a FlowLayout,
         plan: &'a NodePlan,
         compressor: Option<&'a dyn Compressor>,
@@ -887,7 +824,7 @@ impl<'a> NodeCore<'a> {
         Self {
             node,
             graph,
-            flows,
+            inputs,
             layout,
             plan,
             compressor,
@@ -983,18 +920,21 @@ impl<'a> NodeCore<'a> {
             Primitive::Source => {
                 // The input chunk itself, by refcount; local replicas
                 // are summed into a buffer of this iteration's own.
-                let inputs = self.layout.split_inputs(self.flows, self.node);
+                let inputs = self.layout.split_inputs(self.inputs, self.node);
                 if let Some(chunk) = inputs.get(&key) {
                     self.cells.entry(key).or_default().acc = ChunkBuf::Shared(Arc::clone(chunk));
                 } else {
-                    let start = self.layout.chunk_start[&key];
-                    let len = (t.bytes_raw / 4) as usize;
-                    let reps = &self.flows[&t.chunk.grad][self.node];
-                    let mut acc = reps[0].as_slice()[start..start + len].to_vec();
+                    let range = self
+                        .layout
+                        .geometry
+                        .chunk(key.0, key.1)
+                        .expect("every source is a chunk of the layout");
+                    let reps = &self.inputs[&t.chunk.grad];
+                    let mut acc = reps[0].as_slice()[range.clone()].to_vec();
                     let agg_start_ns = self.trace.as_ref().map(|tr| tr.tracer.now_ns());
                     let agg_started = Instant::now();
                     for r in &reps[1..] {
-                        let slice = &r.as_slice()[start..start + len];
+                        let slice = &r.as_slice()[range.clone()];
                         for (a, &b) in acc.iter_mut().zip(slice) {
                             *a += b;
                         }
@@ -1042,11 +982,12 @@ impl<'a> NodeCore<'a> {
                         // header that claims another length is a
                         // codec error, not an allocation. Not zeroed:
                         // `decode_into` writes every element.
-                        let elems = *self
+                        let elems = self
                             .layout
-                            .chunk_elems
-                            .get(&key)
-                            .ok_or_else(|| Error::sim("decode of a chunk with no source"))?;
+                            .geometry
+                            .chunk(key.0, key.1)
+                            .ok_or_else(|| Error::sim("decode of a chunk with no source"))?
+                            .len();
                         let mut out = pool.take_or_alloc(elems);
                         self.compressor()?.decode_into(bytes, &mut out)?;
                         self.dec_out.insert(id.0, out);
@@ -1320,7 +1261,7 @@ mod tests {
     use super::*;
     use crate::{run, RunOptions};
     use hipress_compress::Algorithm;
-    use hipress_core::interp::{gradient_flows, interpret, reference_sum};
+    use hipress_core::interp::{interpret, reference_sum};
     use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
     use hipress_core::{ClusterConfig, Strategy};
     use hipress_tensor::synth::{generate, GradientShape};
@@ -1341,6 +1282,11 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// `grads` as `graph`'s flows, one replica per node.
+    fn replicas(graph: &TaskGraph, grads: &[Vec<Tensor>]) -> ReplicaFlows {
+        replicate(&FlowGeometry::of(graph).inputs(grads).unwrap())
     }
 
     fn iter_spec(sizes: &[usize], alg: Option<Algorithm>, k: usize) -> IterationSpec {
@@ -1369,9 +1315,9 @@ mod tests {
         let grads = worker_grads(nodes, &sizes);
         let iter = iter_spec(&sizes, None, 3);
         let cluster = ClusterConfig::ec2(nodes);
-        for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
+        for strat in Strategy::all() {
             let graph = strat.build(&cluster, &iter).unwrap();
-            let flows = gradient_flows(&grads);
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let out = run(
                 &graph,
                 nodes,
@@ -1407,7 +1353,7 @@ mod tests {
                 let cluster = ClusterConfig::ec2(nodes);
                 let graph = strat.build(&cluster, &iter).unwrap();
                 let c = alg.build().unwrap();
-                let flows = gradient_flows(&grads);
+                let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
                 let sim = interpret(&graph, nodes, &flows, Some(c.as_ref()), 11).unwrap();
                 let rt = run(
                     &graph,
@@ -1482,7 +1428,8 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
-        let sim = interpret(&graph, nodes, &gradient_flows(&grads), Some(c.as_ref()), 5).unwrap();
+        let single = FlowGeometry::of(&graph).inputs(&grads).unwrap();
+        let sim = interpret(&graph, nodes, &single, Some(c.as_ref()), 5).unwrap();
         let opts = RunOptions {
             pipeline: crate::PipelineConfig {
                 iterations,
@@ -1490,8 +1437,15 @@ mod tests {
             },
             ..RunOptions::default()
         };
-        let flows = replicate(&gradient_flows(&grads));
-        let out = run(&graph, nodes, &flows, Some(c.as_ref()), 5, &opts).unwrap();
+        let out = run(
+            &graph,
+            nodes,
+            &replicate(&single),
+            Some(c.as_ref()),
+            5,
+            &opts,
+        )
+        .unwrap();
         for (got, want) in out.flows.iter().zip(&sim) {
             assert_eq!(got.per_node, want.per_node);
         }
@@ -1511,8 +1465,8 @@ mod tests {
         let cluster = ClusterConfig::ec2(nodes);
         let raw_iter = iter_spec(&sizes, None, 2);
         let cmp_iter = iter_spec(&sizes, Some(Algorithm::OneBit), 2);
-        let flows = replicate(&gradient_flows(&grads));
         let raw_graph = Strategy::CaSyncRing.build(&cluster, &raw_iter).unwrap();
+        let flows = replicas(&raw_graph, &grads);
         let cmp_graph = Strategy::CaSyncRing.build(&cluster, &cmp_iter).unwrap();
         let c = Algorithm::OneBit.build().unwrap();
         let raw = run(&raw_graph, nodes, &flows, None, 1, &RunOptions::default()).unwrap();
@@ -1553,7 +1507,7 @@ mod tests {
         let iter = iter_spec(&sizes, Some(Algorithm::OneBit), 1);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
-        let flows = replicate(&gradient_flows(&grads));
+        let flows = replicas(&graph, &grads);
         // Compressed graph, no compressor: every node must unwind, not
         // deadlock — and the codec error, not an abort echo, surfaces.
         let err = run(&graph, nodes, &flows, None, 0, &RunOptions::default()).unwrap_err();
@@ -1664,8 +1618,9 @@ mod tests {
             vec![None; nodes],
             |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
                 let mut pool = pools[link.me()].lock().unwrap();
+                let inputs = node_inputs(flows, link.me());
                 crate::pipeline::drive_node(
-                    &mut link, graph, flows, layout, &plan, compressor, 5, &pipeline, None, None,
+                    &mut link, graph, &inputs, layout, &plan, compressor, 5, &pipeline, None, None,
                     None, None, &mut pool,
                 )
             },
@@ -1679,16 +1634,16 @@ mod tests {
     fn dense_ps_installs_one_shared_allocation_per_chunk() {
         let nodes = 2;
         let sizes = [300usize, 64];
-        let flows = replicate(&gradient_flows(&worker_grads(nodes, &sizes)));
         let graph = Strategy::CaSyncPs
             .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, None, 2))
             .unwrap();
+        let flows = replicas(&graph, &worker_grads(nodes, &sizes));
         for window in [1, 4] {
             let pipeline = crate::PipelineConfig {
                 iterations: 6,
                 window,
             };
-            let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+            let layout = FlowLayout::new(&graph, nodes);
             let (cells, pools) = drive_all(&graph, nodes, &flows, &layout, None, pipeline);
             assert_eq!(cells[0].len(), 4);
             // Every buffer the owners summed into left in a raw `Send`,
@@ -1722,14 +1677,14 @@ mod tests {
             window,
         };
         let grads = worker_grads(nodes, &sizes);
-        let single = gradient_flows(&grads);
-        let flows = replicate(&single);
         let alg = Some(Algorithm::OneBit);
         let graph = Strategy::CaSyncRing
             .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, alg, nodes))
             .unwrap();
+        let single = FlowGeometry::of(&graph).inputs(&grads).unwrap();
+        let flows = replicate(&single);
         let c = Algorithm::OneBit.build().unwrap();
-        let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+        let layout = FlowLayout::new(&graph, nodes);
         let (cells, pools) = drive_all(&graph, nodes, &flows, &layout, Some(c.as_ref()), pipeline);
         // Recycled decode outputs and sums start stale; the installed
         // bits must not notice.
@@ -1747,7 +1702,8 @@ mod tests {
                 .iter()
                 .filter(|t| t.node == node && t.prim == Primitive::Decode)
                 .count();
-            let live = u64::from(window) * (layout.chunk_elems.len() + decodes) as u64;
+            let chunks: usize = layout.geometry.flows().iter().map(|f| f.parts.len()).sum();
+            let live = u64::from(window) * (chunks + decodes) as u64;
             assert!(counts.fresh <= live, "node {node}: {counts:?} over {live}");
             assert!(counts.returned > 0, "node {node} recycled nothing");
         }
@@ -1765,13 +1721,13 @@ mod tests {
             (Strategy::CaSyncRing, 3, Some(Algorithm::OneBit)),
         ] {
             let grads = worker_grads(nodes, &sizes);
-            let single = gradient_flows(&grads);
-            let flows = replicate(&single);
             let graph = strategy
                 .build(&ClusterConfig::ec2(nodes), &iter_spec(&sizes, alg, nodes))
                 .unwrap();
+            let single = FlowGeometry::of(&graph).inputs(&grads).unwrap();
+            let flows = replicate(&single);
             let c = alg.map(|a| a.build().unwrap());
-            let layout = FlowLayout::derive(&graph, nodes, &flows).unwrap();
+            let layout = FlowLayout::new(&graph, nodes);
             let plan = NodePlan::derive(&graph, nodes);
             // A pipelined run: owners merge into, update and decode
             // over accumulators that start as the shared inputs.
@@ -1782,10 +1738,12 @@ mod tests {
             }
             for (node, grads) in grads.iter().enumerate() {
                 // The chunks the run split, still the caller's bits.
-                let inputs = layout.split_inputs(&flows, node);
-                assert_eq!(inputs.len(), layout.chunk_start.len());
+                let mine = node_inputs(&flows, node);
+                let inputs = layout.split_inputs(&mine, node);
+                let chunks: usize = layout.geometry.flows().iter().map(|f| f.parts.len()).sum();
+                assert_eq!(inputs.len(), chunks);
                 for (&key, chunk) in inputs {
-                    let start = layout.chunk_start[&key];
+                    let start = layout.geometry.chunk(key.0, key.1).unwrap().start;
                     let Payload::Raw(v) = chunk.as_ref() else {
                         panic!("input chunk {key:?} is {chunk:?}")
                     };
@@ -1804,7 +1762,7 @@ mod tests {
                         NodeCore::new(
                             node,
                             &graph,
-                            &flows,
+                            &mine,
                             &layout,
                             &plan,
                             c.as_deref(),
@@ -1832,14 +1790,15 @@ mod tests {
 
         // A degraded update rescales a copy, never the input: node 1 of
         // a dense PS installs a skipped aggregate for chunk (0, 0).
-        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
         let graph = Strategy::CaSyncPs
             .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
             .unwrap();
-        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let flows = replicas(&graph, &worker_grads(2, &sizes));
+        let layout = FlowLayout::new(&graph, 2);
         let plan = NodePlan::derive(&graph, 2);
         let key = (0, 0);
-        let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
+        let mine = node_inputs(&flows, 1);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &plan, None, 3, None, None);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
             &mut BufPool::default(),
@@ -1854,7 +1813,7 @@ mod tests {
             &mut BufPool::default(),
         )
         .unwrap();
-        let input = &layout.split_inputs(&flows, 1)[&key];
+        let input = &layout.split_inputs(&mine, 1)[&key];
         let Payload::Raw(v) = input.as_ref() else {
             unreachable!()
         };
@@ -1878,13 +1837,14 @@ mod tests {
         // Raw: a 2-node uncompressed PS; node 1 ships chunk (0, 0) to
         // its owner, node 0, and the payload is its accumulator.
         let sizes = [96usize];
-        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
         let graph = Strategy::CaSyncPs
             .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
             .unwrap();
-        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let flows = replicas(&graph, &worker_grads(2, &sizes));
+        let layout = FlowLayout::new(&graph, 2);
         let plan = NodePlan::derive(&graph, 2);
-        let mut core = NodeCore::new(1, &graph, &flows, &layout, &plan, None, 3, None, None);
+        let mine = node_inputs(&flows, 1);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &plan, None, 3, None, None);
         let key = (0, 0);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
@@ -1903,20 +1863,21 @@ mod tests {
 
         // Encoded: a 3-node compressed PS; the owner's one `Encode`
         // feeds N - 1 = 2 `Send`s, which carry one allocation.
-        let flows = replicate(&gradient_flows(&worker_grads(3, &sizes)));
         let graph = Strategy::CaSyncPs
             .build(
                 &ClusterConfig::ec2(3),
                 &iter_spec(&sizes, Some(Algorithm::OneBit), 3),
             )
             .unwrap();
-        let layout = FlowLayout::derive(&graph, 3, &flows).unwrap();
+        let flows = replicas(&graph, &worker_grads(3, &sizes));
+        let layout = FlowLayout::new(&graph, 3);
         let plan = NodePlan::derive(&graph, 3);
         let c = Algorithm::OneBit.build().unwrap();
+        let mine = node_inputs(&flows, 0);
         let mut core = NodeCore::new(
             0,
             &graph,
-            &flows,
+            &mine,
             &layout,
             &plan,
             Some(c.as_ref()),
@@ -1947,11 +1908,11 @@ mod tests {
         // Chunk (0, 0) of a 2-node uncompressed PS is owned by node 0:
         // node 0 merges node 1's chunk, node 1 installs node 0's.
         let sizes = [96usize];
-        let flows = replicate(&gradient_flows(&worker_grads(2, &sizes)));
         let graph = Strategy::CaSyncPs
             .build(&ClusterConfig::ec2(2), &iter_spec(&sizes, None, 2))
             .unwrap();
-        let layout = FlowLayout::derive(&graph, 2, &flows).unwrap();
+        let flows = replicas(&graph, &worker_grads(2, &sizes));
+        let layout = FlowLayout::new(&graph, 2);
         let plan = NodePlan::derive(&graph, 2);
         let key = (0, 0);
         for (node, consumer, error) in [
@@ -1959,8 +1920,9 @@ mod tests {
             (1, Primitive::Update, "update length mismatch"),
         ] {
             for len in [0, 47, 49, 4096] {
+                let mine = node_inputs(&flows, node);
                 let mut core =
-                    NodeCore::new(node, &graph, &flows, &layout, &plan, None, 3, None, None);
+                    NodeCore::new(node, &graph, &mine, &layout, &plan, None, 3, None, None);
                 core.execute_one(
                     tasks_of(&graph, node, Primitive::Source, key)[0],
                     &mut BufPool::default(),

@@ -29,9 +29,9 @@
 //! dependency chain. The returned flows are the final iteration's.
 
 use crate::engine::{
-    build_node_metrics, build_node_traces, conclude, record_run_span, BufPool, Cell, FlowLayout,
-    Instruments, Msg, NodeCore, NodeMetrics, NodePlan, NodeResult, NodeTrace, Payload,
-    ReplicaFlows, RunOutcome,
+    build_node_metrics, build_node_traces, conclude, node_inputs, record_run_span, BufPool, Cell,
+    FlowLayout, Instruments, Msg, NodeCore, NodeInputs, NodeMetrics, NodePlan, NodeResult,
+    NodeTrace, Payload, ReplicaFlows, RunOutcome,
 };
 use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
 use crate::report::RuntimeReport;
@@ -293,7 +293,7 @@ impl<'a> IterState<'a> {
 struct PipeWorker<'a, L: Link<Msg = Msg>> {
     link: &'a mut L,
     graph: &'a TaskGraph,
-    flows: &'a ReplicaFlows,
+    inputs: &'a NodeInputs,
     layout: &'a FlowLayout,
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
@@ -352,7 +352,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             let mut core = NodeCore::new(
                 self.link.me(),
                 self.graph,
-                self.flows,
+                self.inputs,
                 self.layout,
                 self.plan,
                 self.compressor,
@@ -699,7 +699,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     link: &'a mut L,
     graph: &'a TaskGraph,
-    flows: &'a ReplicaFlows,
+    inputs: &'a NodeInputs,
     layout: &'a FlowLayout,
     plan: &'a NodePlan,
     compressor: Option<&'a dyn Compressor>,
@@ -713,11 +713,11 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
 ) -> NodeResult {
     // Split once, before the first iteration, so the one copy is not
     // timed as a `Source`: every `Source` is a refcount bump on it.
-    layout.split_inputs(flows, link.me());
+    layout.split_inputs(inputs, link.me());
     let mut worker = PipeWorker {
         link,
         graph,
-        flows,
+        inputs,
         layout,
         plan,
         compressor,
@@ -844,7 +844,9 @@ pub fn run(
     // diagnostic instead of corrupting replicas or wedging.
     #[cfg(debug_assertions)]
     hipress_lint::plan::verify(graph, nodes).into_result()?;
-    let layout = FlowLayout::derive(graph, nodes, flows)?;
+    let layout = FlowLayout::new(graph, nodes);
+    layout.geometry.check(nodes, flows, |reps| &reps[..])?;
+    let inputs: Vec<NodeInputs> = (0..nodes).map(|n| node_inputs(flows, n)).collect();
     let plan = NodePlan::derive(graph, nodes);
     let node_traces = build_node_traces(instruments.tracer, nodes);
     let node_metrics = build_node_metrics(instruments.metrics, nodes);
@@ -866,9 +868,10 @@ pub fn run(
             node_metrics,
             |mut link: ChannelLink<Msg>, tr, m| {
                 let mut pool = BufPool::default();
+                let inputs = &inputs[link.me()];
                 drive_node(
-                    &mut link, graph, flows, layout, plan, compressor, seed, pcfg, tr, m, progress,
-                    None, &mut pool,
+                    &mut link, graph, inputs, layout, plan, compressor, seed, pcfg, tr, m,
+                    progress, None, &mut pool,
                 )
             },
         ),
@@ -876,8 +879,9 @@ pub fn run(
             let (mut link, mut hooks) = FtLink::new(inner, graph, plan, chaos, opts, tr.clone());
             let hooks = Some(&mut hooks);
             let mut pool = BufPool::default();
+            let inputs = &inputs[link.me()];
             let result = drive_node(
-                &mut link, graph, flows, layout, plan, compressor, seed, pcfg, tr, m, progress,
+                &mut link, graph, inputs, layout, plan, compressor, seed, pcfg, tr, m, progress,
                 hooks, &mut pool,
             );
             link.finish(result)
@@ -901,7 +905,8 @@ mod tests {
     use super::*;
     use crate::engine::{replicate, sum_replicas};
     use hipress_compress::Algorithm;
-    use hipress_core::interp::{gradient_flows, interpret};
+    use hipress_core::graph::FlowGeometry;
+    use hipress_core::interp::interpret;
     use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
     use hipress_core::{ClusterConfig, Strategy};
     use hipress_tensor::synth::{generate, GradientShape};
@@ -956,7 +961,6 @@ mod tests {
         let nodes = 3;
         let sizes = [512usize, 96];
         let grads = worker_grads(nodes, &sizes);
-        let flows = gradient_flows(&grads);
         let alg = Algorithm::OneBit;
         let c = alg.build().unwrap();
         let cluster = ClusterConfig::ec2(nodes);
@@ -964,6 +968,7 @@ mod tests {
             let graph = strat
                 .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
                 .unwrap();
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             // The reference is the interpreter — an independent
             // implementation, not this loop at another setting.
             let single = interpret(&graph, nodes, &flows, Some(c.as_ref()), 9).unwrap();
@@ -1008,11 +1013,11 @@ mod tests {
         let nodes = 2;
         let sizes = [128usize];
         let grads = worker_grads(nodes, &sizes);
-        let flows = gradient_flows(&grads);
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncRing
             .build(&cluster, &iter_spec(&sizes, None, 2))
             .unwrap();
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let single = interpret(&graph, nodes, &flows, None, 5).unwrap();
         let piped = run(&graph, nodes, &replicate(&flows), None, 5, &piped(3, 2)).unwrap();
         for (a, b) in single.iter().zip(&piped.flows) {
@@ -1077,11 +1082,11 @@ mod tests {
         let nodes = 2;
         let sizes = [64usize];
         let grads = worker_grads(nodes, &sizes);
-        let flows = replicate(&gradient_flows(&grads));
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncPs
             .build(&cluster, &iter_spec(&sizes, None, 1))
             .unwrap();
+        let flows = replicate(&FlowGeometry::of(&graph).inputs(&grads).unwrap());
         let chaotic = |iterations, window, policy, plan| RunOptions {
             chaos: Some((
                 FaultTolerance {
@@ -1137,13 +1142,13 @@ mod tests {
         let nodes = 2;
         let sizes = [128usize, 32];
         let grads = worker_grads(nodes, &sizes);
-        let flows = gradient_flows(&grads);
         let alg = Algorithm::OneBit;
         let c = alg.build().unwrap();
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncRing
             .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
             .unwrap();
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let hub = hipress_obs::Telemetry::new(hipress_metrics::Registry::new());
         let iterations = 5u32;
         run(
@@ -1190,13 +1195,13 @@ mod tests {
         let nodes = 2;
         let sizes = [256usize, 64];
         let grads = worker_grads(nodes, &sizes);
-        let flows = gradient_flows(&grads);
         let alg = Algorithm::OneBit;
         let c = alg.build().unwrap();
         let cluster = ClusterConfig::ec2(nodes);
         let graph = Strategy::CaSyncRing
             .build(&cluster, &iter_spec(&sizes, Some(alg), 2))
             .unwrap();
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let tracer = hipress_trace::Tracer::new("casync-rt");
         let piped = run(
             &graph,

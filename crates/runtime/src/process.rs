@@ -26,12 +26,12 @@
 //!    sockets down under a slow one.
 //!
 //! The child rebuilds its graph from the same inputs the in-process
-//! backends use, and every node's flow lengths are known from the
-//! spec (ranks zero-fill the tensors they do not own; the dataflow
-//! only ever reads a node's own flows at `Source`). Together with the
-//! per-task codec seeding this makes the process backend bit-for-bit
-//! identical to [`Backend::Threads`][crate::Backend::Threads] and the
-//! interpreter.
+//! backends use and builds only its own flows from it; the coordinator
+//! lays the results out by the graph alone. Together with the per-task
+//! codec seeding this makes the process backend bit-for-bit identical
+//! to [`Backend::Threads`][crate::Backend::Threads] and the
+//! interpreter. A worker that cannot set its job up reports why as its
+//! [`Ctl::Failed`].
 //!
 //! A worker that dies mid-protocol (crash, kill, or a crash scripted
 //! by [`ProcessConfig::membership`]) surfaces twice: survivors
@@ -44,7 +44,7 @@
 
 use crate::engine::{
     record_run_metrics, record_run_span, root_cause, single_node_trace, BufPool, Cell, FlowLayout,
-    Instruments, Msg, NodeMetrics, NodePlan, ReplicaFlows, RunOutcome,
+    Instruments, Msg, NodeMetrics, NodePlan, RunOutcome,
 };
 use crate::observe::{
     record_clock_meta, replay_into, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
@@ -635,41 +635,13 @@ fn run_node(mut ctl: TcpStream, rank: usize, nodes: usize) -> Result<NodeRun> {
     }
 }
 
-/// The replicated flows a segment's layout and dataflow read: `own`'s
-/// gradients `(slot, grads)` at its slot and zeros of the spec'd length
-/// everywhere else — everywhere when `own` is `None`, which is all the
-/// coordinator needs to derive the chunk layout. The dataflow only
-/// reads a node's own flows (at `Source`), so the zeros are never
-/// observed; they exist to satisfy the layout's shape validation.
-fn segment_flows(
-    grad_lens: &[u32],
-    nodes: usize,
-    own: Option<(usize, Vec<Vec<f32>>)>,
-) -> ReplicaFlows {
-    let (slot, mut grads) = own.unwrap_or((usize::MAX, Vec::new()));
-    grad_lens
-        .iter()
-        .enumerate()
-        .map(|(g, &len)| {
-            let per_node = (0..nodes)
-                .map(|w| {
-                    vec![if w == slot {
-                        Tensor::from_vec(std::mem::take(&mut grads[g]))
-                    } else {
-                        Tensor::zeros(len as usize)
-                    }]
-                })
-                .collect();
-            (g as u32, per_node)
-        })
-        .collect()
-}
-
-/// Drives a single job segment: build the graph, connect the mesh
-/// over the job's slot numbering, run the pipelined protocol, and
-/// report back. Returns the mesh link so the caller can hold it open
-/// through the post-segment control read — or `None` when this
-/// worker's scripted crash fired and it must vanish without a word.
+/// Drives a single job segment: build the graph and this worker's
+/// flows, connect the mesh over the job's slot numbering, run the
+/// pipelined protocol, and report back. Returns the mesh link so the
+/// caller can hold it open through the post-segment control read —
+/// `Some(None)` when setup failed and no link was built, and `None`
+/// when this worker's scripted crash fired and it must vanish without
+/// a word.
 fn run_job(
     ctl: &mut TcpStream,
     job: Job,
@@ -677,26 +649,59 @@ fn run_job(
     mesh_listener: TcpListener,
     epoch: Instant,
     recorder: &Arc<FlightRecorder>,
-) -> Result<Option<hipress_fabric::tcp::TcpLink<Msg>>> {
+) -> Result<Option<Option<hipress_fabric::tcp::TcpLink<Msg>>>> {
     // `job.rank` is this worker's *slot* in the segment's dense
     // 0..nodes numbering; the global rank is only used for labels the
     // coordinator sees.
     let slot = job.rank as usize;
     let nodes = job.nodes as usize;
 
+    // Setup: everything that can fail before the pipeline starts. A
+    // failure here is this worker's own, and goes home as `Failed`.
+    let setup = || -> Result<_> {
+        let graph = build_graph(
+            job.strategy,
+            job.algorithm,
+            job.partitions as usize,
+            &job.grad_lens,
+            nodes,
+        )?;
+        #[cfg(debug_assertions)]
+        hipress_lint::plan::verify(&graph, nodes).into_result()?;
+        // This worker's own flows: one replica per flow.
+        let layout = FlowLayout::new(&graph, nodes);
+        let own: Vec<Tensor> = job.grads.into_iter().map(Tensor::from_vec).collect();
+        let inputs = layout.geometry.inputs(&[own])?;
+        let peers: Vec<SocketAddr> = job
+            .mesh_ports
+            .iter()
+            .map(|&p| SocketAddr::from(([127, 0, 0, 1], p)))
+            .collect();
+        let mesh = MeshConfig {
+            recorder: Some(Arc::clone(recorder)),
+            // Each segment's mesh is stamped with its epoch so a
+            // zombie segment's late dial can never splice into the
+            // rebuilt mesh.
+            epoch: job.epoch,
+        };
+        let link = connect_mesh::<Msg>(slot, nodes, mesh_listener, &peers, &mesh)
+            .map_err(|e| fabric_err(slot, e))?;
+        Ok((graph, layout, inputs, link))
+    };
+    let failed = |error, completed| Ctl::Failed {
+        error,
+        flight: recorder.dump(),
+        completed,
+    };
+    let (graph, layout, inputs, mut link) = match setup() {
+        Ok(s) => s,
+        Err(e) => {
+            let error = e.context(format!("rank {global_rank} could not set up its job"));
+            write_ctl(ctl, &failed(error, 0))?;
+            return Ok(Some(None));
+        }
+    };
     let compressor = job.algorithm.build();
-    let graph = build_graph(
-        job.strategy,
-        job.algorithm,
-        job.partitions as usize,
-        &job.grad_lens,
-        nodes,
-    )?;
-    #[cfg(debug_assertions)]
-    hipress_lint::plan::verify(&graph, nodes).into_result()?;
-
-    let flows = segment_flows(&job.grad_lens, nodes, Some((slot, job.grads)));
-    let layout = FlowLayout::derive(&graph, nodes, &flows)?;
     let plan = NodePlan::derive(&graph, nodes);
 
     // Per-worker instrumentation, built only when the coordinator
@@ -710,20 +715,6 @@ fn run_job(
     let metrics = registry
         .as_ref()
         .map(|reg| NodeMetrics::new(&reg.root(), global_rank));
-
-    let mesh = MeshConfig {
-        recorder: Some(Arc::clone(recorder)),
-        // Each segment's mesh is stamped with its epoch so a zombie
-        // segment's late dial can never splice into the rebuilt mesh.
-        epoch: job.epoch,
-    };
-    let peers: Vec<SocketAddr> = job
-        .mesh_ports
-        .iter()
-        .map(|&p| SocketAddr::from(([127, 0, 0, 1], p)))
-        .collect();
-    let mut link = connect_mesh::<Msg>(slot, nodes, mesh_listener, &peers, &mesh)
-        .map_err(|e| fabric_err(slot, e))?;
 
     let pcfg = PipelineConfig {
         iterations: job.iterations,
@@ -748,7 +739,7 @@ fn run_job(
     let outcome = drive_node(
         &mut link,
         &graph,
-        &flows,
+        &inputs,
         &layout,
         &plan,
         compressor.as_deref(),
@@ -780,21 +771,17 @@ fn run_job(
         {
             return Ok(None);
         }
-        Err(error) => Ctl::Failed {
-            error,
-            flight: recorder.dump(),
-            completed: hooks.retired,
-        },
+        Err(error) => failed(error, hooks.retired),
     };
     write_ctl(ctl, &msg)?;
-    Ok(Some(link))
+    Ok(Some(Some(link)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{replicate, run, RunOptions};
-    use hipress_core::interp::gradient_flows;
+    use hipress_core::graph::FlowGeometry;
     use hipress_tensor::synth::{generate, GradientShape};
 
     fn worker_grads(nodes: usize, sizes: &[usize]) -> Vec<Vec<Tensor>> {
@@ -863,12 +850,12 @@ mod tests {
     fn socket_mesh_matches_threads_bit_for_bit() {
         let nodes = 3;
         let grads = worker_grads(nodes, &[256, 64]);
-        let flows = gradient_flows(&grads);
         let algorithm = Algorithm::OneBit;
         let c = algorithm.build().unwrap();
         let grad_lens: Vec<u32> = grads[0].iter().map(|t| t.len() as u32).collect();
         for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
             let graph = build_graph(strategy, algorithm, 2, &grad_lens, nodes).unwrap();
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let threads = run(
                 &graph,
                 nodes,
@@ -978,11 +965,11 @@ mod tests {
     fn edge_pipeline_configs_match_serial_over_tcp() {
         let nodes = 2;
         let grads = worker_grads(nodes, &[96]);
-        let flows = gradient_flows(&grads);
         let algorithm = Algorithm::OneBit;
         let c = algorithm.build().unwrap();
         let grad_lens: Vec<u32> = grads[0].iter().map(|t| t.len() as u32).collect();
         let graph = build_graph(Strategy::CaSyncPs, algorithm, 2, &grad_lens, nodes).unwrap();
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let serial = run(
             &graph,
             nodes,

@@ -504,6 +504,8 @@ pub(super) fn run_segments(
                 base_iter: from,
                 die_at_iter,
             };
+            #[cfg(test)]
+            let job = tests::tampered(job);
             let stream = roster.streams.get_mut(&g).expect("member stream");
             write_ctl(stream, &Ctl::Job(Box::new(job)))?;
         }
@@ -653,18 +655,17 @@ pub(super) fn run_segments(
                 cells_per_slot.push(cells);
             }
             if last {
-                // The layout only checks flow lengths, so it is
-                // derived from zero-filled flows, not the gradients.
-                let regraph;
-                let graph = if members.len() == nodes {
-                    &graph
+                // The final member set's graph lays the cells out; no
+                // tensor is needed for that.
+                let layout = if members.len() == nodes {
+                    FlowLayout::new(&graph, nodes)
                 } else {
-                    regraph =
-                        build_graph(strategy, algorithm, partitions, &grad_lens, members.len())?;
-                    &regraph
+                    let n = members.len();
+                    FlowLayout::new(
+                        &build_graph(strategy, algorithm, partitions, &grad_lens, n)?,
+                        n,
+                    )
                 };
-                let flows = segment_flows(&grad_lens, members.len(), None);
-                let layout = FlowLayout::derive(graph, members.len(), &flows)?;
                 record_run_span(
                     tracer,
                     run_start_ns,
@@ -806,13 +807,66 @@ pub fn join_main(connect: &str, rank: usize) -> Result<()> {
     exit_if_killed(rank, run_worker(connect, rank, None))
 }
 
-/// Asserts the slot-reassignment rule the dispatch loop relies on:
-/// the slot a member gets in the Job equals the pure
-/// [`member_slot`] decision over the sorted member list.
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::protocol::member_slot;
+    use std::cell::Cell;
 
+    thread_local! {
+        /// How a coordinator on this thread rewrites every job it
+        /// dispatches; `None` sends them as built.
+        static TAMPER: Cell<Option<fn(&mut Job)>> = const { Cell::new(None) };
+    }
+
+    /// `job` as this thread's tamper rewrites it.
+    pub(super) fn tampered(mut job: Job) -> Job {
+        if let Some(tamper) = TAMPER.get() {
+            tamper(&mut job);
+        }
+        job
+    }
+
+    /// Workers handed a job they cannot set up report why: under
+    /// either loss policy the run fails with the setup error, its
+    /// category kept and the worker named — not as a dead link, and
+    /// not by evicting the workers that said so.
+    #[test]
+    fn a_job_the_workers_cannot_set_up_fails_naming_worker_and_cause() {
+        TAMPER.set(Some(|job| job.partitions = 0));
+        let grads: Vec<Vec<Tensor>> = (0..3)
+            .map(|w| vec![Tensor::from_vec(vec![w as f32; 64])])
+            .collect();
+        for elastic in [false, true] {
+            let pconf = ProcessConfig {
+                elastic,
+                ..ProcessConfig::default()
+            };
+            let err = run_threaded_workers(
+                Strategy::CaSyncPs,
+                Algorithm::None,
+                1,
+                &grads,
+                0,
+                &PipelineConfig::default(),
+                &pconf,
+                Instruments::default(),
+            )
+            .unwrap_err();
+            let text = err.to_string();
+            assert!(matches!(err, Error::Config(_)), "elastic {elastic}: {text}");
+            assert!(
+                text.contains("rank 0 could not set up its job")
+                    && text.contains("'g0' has zero partitions"),
+                "elastic {elastic}: {text}"
+            );
+        }
+        TAMPER.set(None);
+    }
+
+    /// Asserts the slot-reassignment rule the dispatch loop relies on:
+    /// the slot a member gets in the Job equals the pure
+    /// [`member_slot`] decision over the sorted member list.
     #[test]
     fn dispatch_slots_match_the_pure_reassignment_rule() {
         let members = [0u32, 2, 3, 5];

@@ -22,7 +22,7 @@
 
 use hipress_chaos::FaultPlan;
 use hipress_compress::Algorithm;
-use hipress_core::interp::gradient_flows;
+use hipress_core::graph::FlowGeometry;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_fabric::LinkTuning;
@@ -134,9 +134,9 @@ fn chaos_run_piped(
     pipeline: PipelineConfig,
 ) -> hipress_util::Result<RunOutcome> {
     let grads = worker_grads(nodes, sizes);
-    let flows = gradient_flows(&grads);
     let iter = iter_spec(sizes, alg, 2);
     let graph = strategy.build(&ClusterConfig::ec2(nodes), &iter).unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = alg.build();
     run(
         &graph,
@@ -171,9 +171,9 @@ fn fault_free_piped(
     pipeline: PipelineConfig,
 ) -> RunOutcome {
     let grads = worker_grads(nodes, sizes);
-    let flows = gradient_flows(&grads);
     let iter = iter_spec(sizes, alg, 2);
     let graph = strategy.build(&ClusterConfig::ec2(nodes), &iter).unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = alg.build();
     run(
         &graph,
@@ -480,13 +480,13 @@ fn stall_abort_names_the_straggler() {
 fn straggler_verdicts_count_under_their_action() {
     let sizes = [256];
     let grads = worker_grads(3, &sizes);
-    let flows = gradient_flows(&grads);
     let graph = Strategy::CaSyncPs
         .build(
             &ClusterConfig::ec2(3),
             &iter_spec(&sizes, Algorithm::OneBit, 2),
         )
         .unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let registry = hipress_metrics::Registry::new();
     let scope = registry.scope(&[]);
@@ -561,11 +561,11 @@ fn envelope_path_with_no_faults_matches_fast_path() {
 #[test]
 fn fault_events_round_trip_through_the_trace() {
     let grads = worker_grads(3, &[200, 80]);
-    let flows = gradient_flows(&grads);
     let iter = iter_spec(&[200, 80], Algorithm::OneBit, 2);
     let graph = Strategy::CaSyncPs
         .build(&ClusterConfig::ec2(3), &iter)
         .unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     for pipeline in [PipelineConfig::default(), PIPELINED] {
         let tracer = Tracer::new("casync-chaos");
@@ -756,13 +756,13 @@ fn out_of_range_fault_plans_are_config_errors() {
 fn chaos_runs_publish_progress_per_retired_iteration() {
     let nodes = 3;
     let grads = worker_grads(nodes, &[200, 80]);
-    let flows = gradient_flows(&grads);
     let graph = Strategy::CaSyncRing
         .build(
             &ClusterConfig::ec2(nodes),
             &iter_spec(&[200, 80], Algorithm::OneBit, 2),
         )
         .unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let hub = hipress_obs::Telemetry::new(hipress_metrics::Registry::new());
     let out = run(
@@ -810,11 +810,11 @@ fn chaos_runs_publish_progress_per_retired_iteration() {
 #[test]
 fn malformed_input_errors_are_not_sync_failures() {
     let grads = worker_grads(2, &[64]);
-    let flows = gradient_flows(&grads);
     let iter = iter_spec(&[64], Algorithm::None, 1);
     let graph = Strategy::CaSyncPs
         .build(&ClusterConfig::ec2(2), &iter)
         .unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     // Wrong node count for the graph: rejected before any thread runs.
     let err = run(
         &graph,

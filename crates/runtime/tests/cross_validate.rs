@@ -1,10 +1,11 @@
 //! Cross-validation: the thread engine and the discrete-event
 //! interpreter must install byte-identical parameters for every
-//! compression algorithm on both CaSync strategies — the invariant
+//! compression algorithm on every strategy — the invariant
 //! that lets the simulator and the runtime vouch for each other.
 
 use hipress_compress::Algorithm;
-use hipress_core::interp::{gradient_flows, interpret};
+use hipress_core::graph::FlowGeometry;
+use hipress_core::interp::interpret;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{replicate, run, RunOptions};
@@ -53,16 +54,14 @@ fn spec(sizes: &[usize], alg: Algorithm, partitions: usize) -> IterationSpec {
     }
 }
 
-/// All five paper algorithms × both CaSync strategies × several
-/// cluster sizes: byte-identical outcomes between the two executions.
+/// All five paper algorithms × every strategy × several cluster
+/// sizes: byte-identical outcomes between the two executions.
 #[test]
 fn all_algorithms_bit_identical_to_interpreter() {
     let sizes = [700usize, 123];
     for nodes in [2usize, 3, 5] {
         let grads = workers(nodes, &sizes);
-        let flows = gradient_flows(&grads);
-        let replicated = replicate(&flows);
-        for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
+        for strategy in Strategy::all() {
             for alg in [
                 Algorithm::OneBit,
                 Algorithm::Tbq { tau: 0.05 },
@@ -73,12 +72,13 @@ fn all_algorithms_bit_identical_to_interpreter() {
                 let iter = spec(&sizes, alg, 2);
                 let cluster = ClusterConfig::ec2(nodes);
                 let graph = strategy.build(&cluster, &iter).unwrap();
+                let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
                 let c = alg.build().unwrap();
                 let sim = interpret(&graph, nodes, &flows, Some(c.as_ref()), 77).unwrap();
                 let rt = run(
                     &graph,
                     nodes,
-                    &replicated,
+                    &replicate(&flows),
                     Some(c.as_ref()),
                     77,
                     &RunOptions::default(),
@@ -107,15 +107,22 @@ fn uncompressed_bit_identical_across_partitions() {
     let sizes = [997usize];
     let nodes = 4;
     let grads = workers(nodes, &sizes);
-    let flows = gradient_flows(&grads);
-    let replicated = replicate(&flows);
     for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
         for partitions in [1usize, 3, 7] {
             let iter = spec(&sizes, Algorithm::None, partitions);
             let cluster = ClusterConfig::ec2(nodes);
             let graph = strategy.build(&cluster, &iter).unwrap();
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let sim = interpret(&graph, nodes, &flows, None, 0).unwrap();
-            let rt = run(&graph, nodes, &replicated, None, 0, &RunOptions::default()).unwrap();
+            let rt = run(
+                &graph,
+                nodes,
+                &replicate(&flows),
+                None,
+                0,
+                &RunOptions::default(),
+            )
+            .unwrap();
             for (a, b) in sim.iter().zip(&rt.flows) {
                 assert_eq!(
                     a.per_node, b.per_node,
@@ -132,12 +139,13 @@ fn uncompressed_bit_identical_across_partitions() {
 fn thread_backend_is_run_to_run_deterministic() {
     let sizes = [4096usize];
     let nodes = 4;
-    let replicated = replicate(&gradient_flows(&workers(nodes, &sizes)));
+    let grads = workers(nodes, &sizes);
     let iter = spec(&sizes, Algorithm::TernGrad { bitwidth: 2 }, 4);
     let cluster = ClusterConfig::ec2(nodes);
     let c = Algorithm::TernGrad { bitwidth: 2 }.build().unwrap();
     for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
         let graph = strategy.build(&cluster, &iter).unwrap();
+        let replicated = replicate(&FlowGeometry::of(&graph).inputs(&grads).unwrap());
         let first = run(
             &graph,
             nodes,

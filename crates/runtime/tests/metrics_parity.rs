@@ -11,7 +11,7 @@
 //! run's trace is `trace_parity.rs`'s check.
 
 use hipress_compress::Algorithm;
-use hipress_core::interp::gradient_flows;
+use hipress_core::graph::FlowGeometry;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_metrics::{names, MetricValue, MetricsSnapshot, Registry};
@@ -110,7 +110,6 @@ fn instrumented_matrix_metrics_match_report() {
     let nodes = 3;
     let sizes = [768usize, 96];
     let grads = worker_grads(nodes, &sizes);
-    let flows = gradient_flows(&grads);
     let cluster = ClusterConfig::ec2(nodes);
     let algorithms = [
         Algorithm::OneBit,
@@ -124,6 +123,7 @@ fn instrumented_matrix_metrics_match_report() {
             let ctx = format!("{strat:?}/{}", alg.label());
             let iter = iter_spec(&sizes, alg, 2);
             let graph = strat.build(&cluster, &iter).unwrap();
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let c = alg.build().unwrap();
 
             let registry = Registry::new();
@@ -183,10 +183,10 @@ fn engine_metrics_carry_scope_and_node_labels() {
     let nodes = 2;
     let sizes = [256usize];
     let grads = worker_grads(nodes, &sizes);
-    let flows = gradient_flows(&grads);
     let cluster = ClusterConfig::ec2(nodes);
     let iter = iter_spec(&sizes, Algorithm::OneBit, 1);
     let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let registry = Registry::new();
     let scope = registry.scope(&[("algorithm", "onebit"), ("model", "unit")]);

@@ -8,7 +8,7 @@
 //! the crate's own reader without loss.
 
 use hipress_compress::Algorithm;
-use hipress_core::interp::gradient_flows;
+use hipress_core::graph::FlowGeometry;
 use hipress_core::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 use hipress_core::{ClusterConfig, Strategy};
 use hipress_runtime::{
@@ -72,7 +72,6 @@ fn traced_matrix_report_parity_and_chrome_round_trip() {
     let nodes = 3;
     let sizes = [768usize, 96];
     let grads = worker_grads(nodes, &sizes);
-    let flows = gradient_flows(&grads);
     let cluster = ClusterConfig::ec2(nodes);
     let algorithms = [
         Algorithm::OneBit,
@@ -85,6 +84,7 @@ fn traced_matrix_report_parity_and_chrome_round_trip() {
         for alg in algorithms {
             let iter = iter_spec(&sizes, alg, 2);
             let graph = strat.build(&cluster, &iter).unwrap();
+            let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
             let c = alg.build().unwrap();
             let tracer = Tracer::new("casync-rt");
             let out = run(
@@ -125,10 +125,10 @@ fn traced_and_untraced_runs_agree_on_results() {
     let nodes = 3;
     let sizes = [256usize];
     let grads = worker_grads(nodes, &sizes);
-    let flows = gradient_flows(&grads);
     let cluster = ClusterConfig::ec2(nodes);
     let iter = iter_spec(&sizes, Algorithm::OneBit, 2);
     let graph = Strategy::CaSyncRing.build(&cluster, &iter).unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let c = Algorithm::OneBit.build().unwrap();
     let tracer = Tracer::new("casync-rt");
     let traced = run(
@@ -225,10 +225,10 @@ fn queue_depth_counters_return_to_zero() {
     let nodes = 2;
     let sizes = [128usize];
     let grads = worker_grads(nodes, &sizes);
-    let flows = gradient_flows(&grads);
     let cluster = ClusterConfig::ec2(nodes);
     let iter = iter_spec(&sizes, Algorithm::None, 1);
     let graph = Strategy::CaSyncPs.build(&cluster, &iter).unwrap();
+    let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
     let tracer = Tracer::new("casync-rt");
     run(&graph, nodes, &replicate(&flows), None, 1, &traced(&tracer)).unwrap();
     let trace = tracer.finish();

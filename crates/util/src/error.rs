@@ -153,6 +153,20 @@ impl Error {
         Self::Sync(failure)
     }
 
+    /// The same error with `prefix: ` before its message and its
+    /// category kept; a sync failure takes the prefix into its detail.
+    pub fn context(mut self, prefix: impl fmt::Display) -> Self {
+        let (Error::Codec(m)
+        | Error::Dsl(m)
+        | Error::Config(m)
+        | Error::Sim(m)
+        | Error::Plan(m)
+        | Error::Lint(m)
+        | Error::Sync(SyncFailure { detail: m, .. })) = &mut self;
+        *m = format!("{prefix}: {m}");
+        self
+    }
+
     /// The structured synchronization failure, if this is one.
     pub fn as_sync(&self) -> Option<&SyncFailure> {
         match self {

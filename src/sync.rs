@@ -11,14 +11,15 @@
 
 use hipress_chaos::FaultPlan;
 use hipress_compress::Algorithm;
-use hipress_core::interp::{gradient_flows, interpret, FlowOutcome};
+use hipress_core::graph::FlowGeometry;
+use hipress_core::interp::{interpret, FlowOutcome};
 use hipress_core::Strategy;
 use hipress_metrics::Scope;
 use hipress_obs::Telemetry;
 use hipress_runtime::process::{build_graph, validate_grads};
 use hipress_runtime::{
-    FaultTolerance, Instruments, PipelineConfig, ProcessConfig, ReplicaFlows, RunOptions,
-    RunOutcome, RuntimeReport,
+    replicate, FaultTolerance, Instruments, PipelineConfig, ProcessConfig, RunOptions, RunOutcome,
+    RuntimeReport,
 };
 use hipress_tensor::Tensor;
 use hipress_trace::Tracer;
@@ -310,7 +311,8 @@ impl HiPress {
                 &grad_lens,
                 nodes,
             )?;
-            Ok((graph, gradient_flows(worker_grads)))
+            let flows = FlowGeometry::of(&graph).inputs(worker_grads)?;
+            Ok((graph, flows))
         };
         if self.backend == Backend::Simulator {
             if untrusted {
@@ -350,18 +352,14 @@ impl HiPress {
                 (self.fault_tolerance.unwrap_or_default(), plan)
             });
             let (graph, flows) = graph_and_flows()?;
-            // One replica per worker, moved into the runtime's shape.
-            // The flows share the caller's tensors by refcount
-            // (`Tensor` is copy-on-write); each node's split of its
-            // inputs is this call's only copy of the gradients.
-            let flows: ReplicaFlows = flows
-                .into_iter()
-                .map(|(f, per_node)| (f, per_node.into_iter().map(|t| vec![t]).collect()))
-                .collect();
+            // One replica per worker. The flows share the caller's
+            // tensors by refcount (`Tensor` is copy-on-write); each
+            // node's split of its inputs is this call's only copy of
+            // the gradients.
             hipress_runtime::run(
                 &graph,
                 nodes,
-                &flows,
+                &replicate(&flows),
                 compressor.as_deref(),
                 self.seed,
                 &RunOptions {

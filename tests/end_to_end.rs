@@ -12,7 +12,8 @@ use hipress::tensor::Tensor;
 /// §4.3 "automated integration" story.
 #[test]
 fn compll_algorithm_through_casync_protocol() {
-    use hipress::casync::interp::{gradient_flows, interpret};
+    use hipress::casync::graph::FlowGeometry;
+    use hipress::casync::interp::interpret;
     use hipress::casync::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
 
     let alg = algorithms::onebit().expect("DSL onebit compiles");
@@ -41,7 +42,7 @@ fn compll_algorithm_through_casync_protocol() {
     let cluster = ClusterConfig::ec2(nodes);
     for strat in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
         let graph = strat.build(&cluster, &iter).unwrap();
-        let flows = gradient_flows(&grads);
+        let flows = FlowGeometry::of(&graph).inputs(&grads).unwrap();
         let out = interpret(&graph, nodes, &flows, Some(&alg), 5).unwrap();
         assert!(out[0].replicas_consistent(), "{strat:?}");
     }
@@ -215,8 +216,8 @@ fn sync_matrix_replicas_identical_on_both_backends() {
     }
 }
 
-/// The same matrix across a real process boundary: for each CaSync
-/// strategy and each of the five compression algorithms, three OS
+/// The same matrix across a real process boundary: for each strategy
+/// and each of the five compression algorithms (and none), three OS
 /// processes synchronizing over a loopback TCP mesh must install the
 /// same bytes as the in-process thread engine — and both must agree
 /// with the semantic interpreter. The serialized wire protocol, the
@@ -237,8 +238,9 @@ fn sync_matrix_survives_the_process_boundary() {
         binary: Some(env!("CARGO_BIN_EXE_hipress").into()),
         ..Default::default()
     };
-    for strategy in [Strategy::CaSyncPs, Strategy::CaSyncRing] {
+    for strategy in Strategy::all() {
         for alg in [
+            Algorithm::None,
             Algorithm::OneBit,
             Algorithm::Tbq { tau: 0.05 },
             Algorithm::TernGrad { bitwidth: 2 },
