@@ -19,13 +19,16 @@
 //!   communication through one resource, reproducing the
 //!   coarse-grained execution of conventional synchronization.
 //!
-//! Dependencies are tracked exactly as in Figure 2: a completed task
-//! clears its dependents' pending edges and promotes any task whose
-//! edges are all clear.
+//! Dependencies are tracked exactly as in Figure 2, by the task
+//! manager CaSync-RT runs too ([`crate::sched`]): one node machine per
+//! node at one iteration and window 1. A completed task clears its
+//! dependents' pending edges in ascending task order and starts any
+//! task whose edges are all clear.
 
 use crate::cluster::ClusterConfig;
 use crate::graph::{Primitive, TaskGraph, TaskId};
 use crate::plan::{CompressionSpec, IterationSpec};
+use crate::sched::{DepIndex, Machine};
 use hipress_simevent::{Actor, Ctx, Engine, FifoResource, SimTime};
 use hipress_simgpu::{CopyPath, DeviceSpec, GpuDevice};
 use hipress_simnet::{Fabric, NodeId};
@@ -229,22 +232,6 @@ struct TraceRec {
     instants: Vec<InstantRec>,
 }
 
-/// Trace category for a primitive — the same names CaSync-RT records,
-/// which is what lets a simulated and a measured trace of one plan
-/// align track-for-track in views and `trace-diff`.
-fn prim_category(p: Primitive) -> &'static str {
-    match p {
-        Primitive::Source => "source",
-        Primitive::Encode => "encode",
-        Primitive::Decode => "decode",
-        Primitive::Merge => "merge",
-        Primitive::Send => "send",
-        Primitive::Recv => "recv",
-        Primitive::Update => "update",
-        Primitive::Barrier => "barrier",
-    }
-}
-
 /// The scheduler actor: owns all executor state.
 struct Scheduler {
     graph: TaskGraph,
@@ -257,11 +244,11 @@ struct Scheduler {
     cpus: Vec<FifoResource>,
     /// One serial resource per node used when pipelining is off.
     serial: Vec<FifoResource>,
-    indeg: Vec<u32>,
-    dependents: Vec<Vec<u32>>,
+    ix: DepIndex,
+    /// Per node, its task manager over the one iteration.
+    machines: Vec<Machine<()>>,
     ready_at: Vec<u64>,
     finish_at: Vec<u64>,
-    done: Vec<bool>,
     /// For each `Send` task: the arrival time of its transfer, once
     /// scheduled.
     arrival: HashMap<TaskId, u64>,
@@ -270,7 +257,6 @@ struct Scheduler {
     grad_finish: Vec<u64>,
     link_flushes: u64,
     comp_batch_launches: u64,
-    finished_tasks: usize,
     /// Recvs that executed before their batched transfer was flushed:
     /// send task → waiting recv task.
     pending_recvs: HashMap<TaskId, TaskId>,
@@ -286,7 +272,7 @@ impl Scheduler {
             return;
         }
         let t = self.graph.task(id);
-        let (node, category) = (t.node, prim_category(t.prim));
+        let (node, category) = (t.node, t.prim.name());
         let mut args = vec![
             ("grad", u64::from(t.chunk.grad)),
             ("part", u64::from(t.chunk.part)),
@@ -413,11 +399,7 @@ impl Scheduler {
             Primitive::Recv => {
                 let send_dep = self
                     .graph
-                    .task(id)
-                    .deps
-                    .iter()
-                    .copied()
-                    .find(|d| self.graph.task(*d).prim == Primitive::Send)
+                    .find_dep(id, Primitive::Send)
                     .expect("validated graphs pair each recv with a send");
                 match self.arrival.get(&send_dep) {
                     Some(&arr) => {
@@ -619,12 +601,7 @@ impl Scheduler {
 
     /// Marks `id` done and promotes dependents (Figure 2 steps 2–3).
     fn complete(&mut self, ctx: &mut Ctx<'_, Ev>, id: TaskId, now: u64) {
-        if self.done[id.0 as usize] {
-            return;
-        }
-        self.done[id.0 as usize] = true;
         self.finish_at[id.0 as usize] = now;
-        self.finished_tasks += 1;
         let prim = self.graph.task(id).prim;
         if matches!(
             prim,
@@ -641,23 +618,24 @@ impl Scheduler {
                 self.grad_finish[g] = self.grad_finish[g].max(now);
             }
         }
-        for i in 0..self.dependents[id.0 as usize].len() {
-            let dep = self.dependents[id.0 as usize][i];
-            self.indeg[dep as usize] -= 1;
-            let ready = self.ready_at[dep as usize].max(now);
-            self.ready_at[dep as usize] = ready;
-            if self.indeg[dep as usize] == 0 {
-                let dep_id = TaskId(dep);
+        // Edge by edge, across nodes: a dependent that starts at once
+        // runs before the next dependent's edge clears.
+        for i in 0..self.ix.dependents(id).len() {
+            let dep = self.ix.dependents(id)[i];
+            let ready = self.ready_at[dep.0 as usize].max(now);
+            self.ready_at[dep.0 as usize] = ready;
+            if self.machines[self.ix.owner(dep)].clear(0, dep) {
                 debug_assert!(ready >= now, "readiness cannot precede completion");
                 if ready > now {
                     // A gradient not yet produced by backward (its
                     // earliest time is in the future): start later.
-                    ctx.send_after(ready - now, ctx.self_id(), Ev::Start(dep_id));
+                    ctx.send_after(ready - now, ctx.self_id(), Ev::Start(dep));
                 } else {
-                    self.execute(ctx, dep_id, ready);
+                    self.execute(ctx, dep, ready);
                 }
             }
         }
+        self.machines[self.ix.owner(id)].done(0);
     }
 }
 
@@ -668,8 +646,8 @@ impl Actor<Ev> for Scheduler {
                 // Seed: every zero-indegree task starts at its
                 // earliest time.
                 for i in 0..self.graph.len() {
-                    if self.indeg[i] == 0 {
-                        let id = TaskId(i as u32);
+                    let id = TaskId(i as u32);
+                    if self.ix.indeg(id) == 0 {
                         ctx.send_self_after(self.ready_at[i], Ev::Start(id));
                     }
                 }
@@ -772,17 +750,11 @@ impl Executor {
                         return Err(Error::sim(format!("send {:?} has bad peer {peer}", t.id)));
                     }
                 }
-                Primitive::Recv => {
-                    if !t
-                        .deps
-                        .iter()
-                        .any(|d| graph.task(*d).prim == Primitive::Send)
-                    {
-                        return Err(Error::sim(format!(
-                            "recv {:?} has no send dependency",
-                            t.id
-                        )));
-                    }
+                Primitive::Recv if graph.find_dep(t.id, Primitive::Send).is_none() => {
+                    return Err(Error::sim(format!(
+                        "recv {:?} has no send dependency",
+                        t.id
+                    )));
                 }
                 _ => {}
             }
@@ -793,14 +765,14 @@ impl Executor {
             .map(|_| GpuDevice::new(self.cluster.gpu, GPU_STREAMS))
             .collect();
         let tasks = graph.len();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); tasks];
-        let mut indeg = vec![0u32; tasks];
-        for t in graph.tasks() {
-            for d in &t.deps {
-                dependents[d.0 as usize].push(t.id.0);
-                indeg[t.id.0 as usize] += 1;
-            }
-        }
+        let ix = DepIndex::of(graph);
+        let machines = (0..n)
+            .map(|node| {
+                let mut m = Machine::new(&ix, node, 1, 1);
+                m.admit(&ix);
+                m
+            })
+            .collect();
         let scheduler = Scheduler {
             graph: graph.clone(),
             cfg: self.cfg,
@@ -811,18 +783,16 @@ impl Executor {
             gpus,
             cpus: vec![FifoResource::new(); n],
             serial: vec![FifoResource::new(); n],
-            indeg,
-            dependents,
+            ix,
+            machines,
             ready_at: graph.tasks().iter().map(|t| t.earliest_ns).collect(),
             finish_at: vec![u64::MAX; tasks],
-            done: vec![false; tasks],
             arrival: HashMap::new(),
             link_batches: HashMap::new(),
             comp_batches: (0..n).map(|_| CompBatch::default()).collect(),
             grad_finish: vec![0; iter.gradients.len()],
             link_flushes: 0,
             comp_batch_launches: 0,
-            finished_tasks: 0,
             pending_recvs: HashMap::new(),
             rec: tracer.map(|_| TraceRec::default()),
         };
@@ -832,10 +802,11 @@ impl Executor {
         engine.run(None)?;
         let events = engine.events_handled();
         let s = engine.actor::<Scheduler>(actor);
-        if s.finished_tasks != tasks {
+        let finished = s.finish_at.iter().filter(|&&t| t != u64::MAX).count();
+        if finished != tasks {
             return Err(Error::sim(format!(
                 "executor stalled: {}/{} tasks completed (deadlocked dependencies?)",
-                s.finished_tasks, tasks
+                finished, tasks
             )));
         }
         let makespan = s.finish_at.iter().copied().max().unwrap_or(0);

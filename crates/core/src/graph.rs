@@ -7,10 +7,11 @@
 //! graph" (§3.1) materializes.
 
 use crate::interp::FlowOutcome;
+use crate::sched::DepIndex;
 use hipress_tensor::Tensor;
 use hipress_util::codec::{DecodeError, Field, Reader, Writer};
 use hipress_util::{Error, Result};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -72,6 +73,35 @@ pub enum Primitive {
 }
 
 impl Primitive {
+    /// Every primitive, in report order: the order of the runtime
+    /// report's buckets and of `hipress_metrics::names::PRIM_NS`.
+    pub const ALL: [Primitive; 8] = [
+        Primitive::Source,
+        Primitive::Encode,
+        Primitive::Decode,
+        Primitive::Merge,
+        Primitive::Send,
+        Primitive::Recv,
+        Primitive::Update,
+        Primitive::Barrier,
+    ];
+
+    /// The primitive's name: the span name and category both engines
+    /// trace it under, which is what lets a simulated and a measured
+    /// trace of one plan align track for track.
+    pub fn name(self) -> &'static str {
+        match self {
+            Primitive::Source => "source",
+            Primitive::Encode => "encode",
+            Primitive::Decode => "decode",
+            Primitive::Merge => "merge",
+            Primitive::Send => "send",
+            Primitive::Recv => "recv",
+            Primitive::Update => "update",
+            Primitive::Barrier => "barrier",
+        }
+    }
+
     /// Whether this primitive executes on the compute queue
     /// (`Q_comp`) as opposed to the communication queue (`Q_commu`).
     pub fn is_compute(&self) -> bool {
@@ -158,9 +188,10 @@ pub struct TaskNode {
 pub struct TaskGraph {
     tasks: Vec<TaskNode>,
     /// For flows that carry more than one gradient (the Horovod
-    /// baseline's fusion buffers): flow id → member gradient indices.
-    /// Flows absent here represent exactly their own gradient.
-    flow_members: Vec<(u32, Vec<u32>)>,
+    /// baseline's fusion buffers): flow id → `(gradient, elements)` per
+    /// member, in concatenation order. Flows absent here represent
+    /// exactly their own gradient.
+    flow_members: Vec<(u32, Vec<(u32, usize)>)>,
 }
 
 impl TaskGraph {
@@ -222,67 +253,66 @@ impl TaskGraph {
         self.tasks.iter().filter(|t| t.prim == prim).count()
     }
 
-    /// Declares that flow `flow` carries the gradients `members`
-    /// (fusion buffers). Used by the executor to attribute the flow's
-    /// completion to every member gradient.
-    pub fn set_flow_members(&mut self, flow: u32, members: Vec<u32>) {
+    /// Declares that flow `flow` carries the gradients `members`, each
+    /// `(gradient, elements)`, concatenated in this order (fusion
+    /// buffers). The executor attributes the flow's completion to every
+    /// member gradient; [`FlowGeometry::inputs`] fuses by it.
+    pub fn set_flow_members(&mut self, flow: u32, members: Vec<(u32, usize)>) {
         self.flow_members.push((flow, members));
     }
 
     /// The gradients carried by `flow` (defaults to the flow itself).
     pub fn flow_members(&self, flow: u32) -> Vec<u32> {
-        self.flow_members
-            .iter()
-            .find(|(f, _)| *f == flow)
-            .map(|(_, m)| m.clone())
-            .unwrap_or_else(|| vec![flow])
+        self.fused(flow)
+            .map_or_else(|| vec![flow], |m| m.iter().map(|&(g, _)| g).collect())
+    }
+
+    /// The recorded members of a fusion flow, if `flow` is one.
+    fn fused(&self, flow: u32) -> Option<&[(u32, usize)]> {
+        let found = self.flow_members.iter().find(|(f, _)| *f == flow);
+        found.map(|(_, m)| m.as_slice())
     }
 
     /// A topological order of the tasks.
     ///
     /// Because `add` only permits dependencies on earlier tasks, the
     /// insertion order *is* topological; this verifies it and returns
-    /// Kahn order for interpreters that want explicit readiness.
+    /// Kahn order ([`DepIndex::kahn`]) for interpreters that want
+    /// explicit readiness.
     ///
     /// # Errors
     ///
     /// Returns an error if any dependency edge is inconsistent.
     pub fn topo_order(&self) -> Result<Vec<TaskId>> {
-        let n = self.tasks.len();
-        let mut indeg = vec![0usize; n];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
         for t in &self.tasks {
-            for d in &t.deps {
-                if d.0 as usize >= n || *d == t.id {
-                    return Err(Error::sim(format!("bad dependency {d:?} on {:?}", t.id)));
-                }
-                indeg[t.id.0 as usize] += 1;
-                out[d.0 as usize].push(t.id.0);
+            if let Some(d) = t
+                .deps
+                .iter()
+                .find(|d| d.0 as usize >= self.len() || **d == t.id)
+            {
+                return Err(Error::sim(format!("bad dependency {d:?} on {:?}", t.id)));
             }
         }
-        let mut q: VecDeque<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = q.pop_front() {
-            order.push(TaskId(i));
-            for &s in &out[i as usize] {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    q.push_back(s);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(Error::sim("dependency cycle in task graph"));
-        }
-        Ok(order)
+        DepIndex::of(self)
+            .kahn()
+            .map_err(|_| Error::sim("dependency cycle in task graph"))
     }
 
-    /// Sync completion tasks: the `Update` (or final `Merge` for the
-    /// chunk owner) whose completion marks a gradient fully
-    /// synchronized on a node. Used by the executor to compute
-    /// per-gradient finish times.
-    pub fn is_completion(&self, t: &TaskNode) -> bool {
-        t.prim == Primitive::Update
+    /// The dependency of `id` that is a `want` task, looking through
+    /// zero-cost barriers, last dependency first: where a task finds
+    /// what it consumes, in every engine and the plan verifier.
+    pub fn find_dep(&self, id: TaskId, want: Primitive) -> Option<TaskId> {
+        let mut stack = self.task(id).deps.clone();
+        while let Some(d) = stack.pop() {
+            let dt = self.task(d);
+            if dt.prim == want {
+                return Some(d);
+            }
+            if dt.prim == Primitive::Barrier {
+                stack.extend(dt.deps.iter().copied());
+            }
+        }
+        None
     }
 }
 
@@ -291,8 +321,9 @@ impl TaskGraph {
 pub struct FlowChunks {
     /// The flow id (the `grad` field of its chunks).
     pub flow: u32,
-    /// The gradients it carries, in concatenation order.
-    pub members: Vec<u32>,
+    /// The gradients it carries, each `(gradient, elements)`, in
+    /// concatenation order.
+    pub members: Vec<(u32, usize)>,
     /// (part, element range) in part order, tiling `0..len`.
     pub parts: Vec<(u32, Range<usize>)>,
     /// Total elements.
@@ -328,7 +359,9 @@ impl FlowGeometry {
                 parts.push((part, len..len + n));
                 len += n;
             }
-            let members = graph.flow_members(flow);
+            let members = graph
+                .fused(flow)
+                .map_or_else(|| vec![(flow, len)], <[_]>::to_vec);
             FlowChunks {
                 flow,
                 members,
@@ -360,7 +393,8 @@ impl FlowGeometry {
     /// # Errors
     ///
     /// [`Error::Config`] when a worker holds other gradients than the
-    /// flows carry.
+    /// flows carry, or a member gradient of another length than the
+    /// flow recorded for it.
     pub fn inputs(&self, worker_grads: &[Vec<Tensor>]) -> Result<HashMap<u32, Vec<Tensor>>> {
         let carried: usize = self.flows.iter().map(|f| f.members.len()).sum();
         let mut out = HashMap::with_capacity(self.flows.len());
@@ -370,7 +404,7 @@ impl FlowGeometry {
                 let members: Option<Vec<Tensor>> = f
                     .members
                     .iter()
-                    .map(|&g| grads.get(g as usize).cloned())
+                    .map(|&(g, n)| grads.get(g as usize).filter(|t| t.len() == n).cloned())
                     .collect();
                 let flow = members.as_deref().map(|m| match m {
                     [one] => one.clone(),
@@ -552,7 +586,8 @@ mod tests {
 
     /// A fusion flow concatenates its members in member order, a
     /// one-gradient flow is its own tensor, and a worker whose
-    /// gradients do not fill the flows is refused.
+    /// gradients do not fill the flows is refused, as is one whose
+    /// fused members have each other's lengths.
     #[test]
     fn inputs_follow_the_recorded_members() {
         let source = |grad, elems: u64| TaskNode {
@@ -562,7 +597,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add(source(2, 5));
         g.add(source(0, 3));
-        g.set_flow_members(2, vec![2, 1]);
+        g.set_flow_members(2, vec![(2, 3), (1, 2)]);
         let geometry = FlowGeometry::of(&g);
         assert_eq!(geometry.chunk(2, 0), Some(0..5));
         let grads = vec![vec![
@@ -577,9 +612,15 @@ mod tests {
             grads[0][0].as_slice().as_ptr()
         );
         let long = Tensor::from_vec(vec![2.0; 4]);
+        let swapped = vec![
+            grads[0][0].clone(),
+            Tensor::from_vec(vec![1.0; 3]),
+            Tensor::from_vec(vec![2.0; 2]),
+        ];
         for bad in [
             grads[0][..2].to_vec(),
             vec![grads[0][0].clone(), grads[0][1].clone(), long],
+            swapped,
         ] {
             let err = geometry.inputs(&[bad]).unwrap_err();
             assert!(err.to_string().contains("do not fill flow"), "{err}");

@@ -105,22 +105,6 @@ pub fn interpret(
     let mut dec_out: HashMap<u32, Vec<f32>> = HashMap::new();
     let mut send_payload: HashMap<u32, Payload> = HashMap::new();
 
-    // Finds the transitive dependency of `id` matching `pred`,
-    // looking through zero-cost barriers.
-    let find_dep = |id: crate::graph::TaskId, pred: &dyn Fn(Primitive) -> bool| {
-        let mut stack: Vec<crate::graph::TaskId> = graph.task(id).deps.clone();
-        while let Some(d) = stack.pop() {
-            let dt = graph.task(d);
-            if pred(dt.prim) {
-                return Some(d);
-            }
-            if dt.prim == Primitive::Barrier {
-                stack.extend(dt.deps.iter().copied());
-            }
-        }
-        None
-    };
-
     let mut cells: HashMap<(usize, u32, u32), Cell> = HashMap::new();
     let order = graph.topo_order()?;
     for id in order {
@@ -144,7 +128,8 @@ pub fn interpret(
             }
             Primitive::Decode => {
                 let c = compressor.ok_or_else(|| Error::sim("decode without compressor"))?;
-                let recv = find_dep(id, &|p| p == Primitive::Recv)
+                let recv = graph
+                    .find_dep(id, Primitive::Recv)
                     .ok_or_else(|| Error::sim("decode without a recv dependency"))?;
                 match recv_payload.get(&recv.0) {
                     Some(Payload::Compressed(bytes)) => {
@@ -159,23 +144,23 @@ pub fn interpret(
             Primitive::Merge => {
                 // The contribution is the decode (or raw recv) this
                 // merge depends on; the accumulator is the node's cell.
-                let contribution: Vec<f32> =
-                    if let Some(d) = find_dep(id, &|p| p == Primitive::Decode) {
-                        dec_out
-                            .get(&d.0)
-                            .cloned()
-                            .ok_or_else(|| Error::sim("merge before decode"))?
-                    } else if let Some(r) = find_dep(id, &|p| p == Primitive::Recv) {
-                        match recv_payload.get(&r.0) {
-                            Some(Payload::Raw(v)) => v.clone(),
-                            Some(Payload::Compressed(_)) => {
-                                return Err(Error::sim("raw merge of compressed payload"));
-                            }
-                            None => return Err(Error::sim("merge before recv delivered")),
+                let contribution: Vec<f32> = if let Some(d) = graph.find_dep(id, Primitive::Decode)
+                {
+                    dec_out
+                        .get(&d.0)
+                        .cloned()
+                        .ok_or_else(|| Error::sim("merge before decode"))?
+                } else if let Some(r) = graph.find_dep(id, Primitive::Recv) {
+                    match recv_payload.get(&r.0) {
+                        Some(Payload::Raw(v)) => v.clone(),
+                        Some(Payload::Compressed(_)) => {
+                            return Err(Error::sim("raw merge of compressed payload"));
                         }
-                    } else {
-                        return Err(Error::sim("merge with nothing to merge"));
-                    };
+                        None => return Err(Error::sim("merge before recv delivered")),
+                    }
+                } else {
+                    return Err(Error::sim("merge with nothing to merge"));
+                };
                 let cell = cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("merge with no accumulator"))?;
@@ -195,7 +180,8 @@ pub fn interpret(
                         Payload::Raw(cell.acc.clone())
                     }
                     SendSrc::Encoded => {
-                        let e = find_dep(id, &|p| p == Primitive::Encode)
+                        let e = graph
+                            .find_dep(id, Primitive::Encode)
                             .ok_or_else(|| Error::sim("encoded send without encode"))?;
                         Payload::Compressed(
                             enc_out
@@ -205,7 +191,8 @@ pub fn interpret(
                         )
                     }
                     SendSrc::Forward => {
-                        let r = find_dep(id, &|p| p == Primitive::Recv)
+                        let r = graph
+                            .find_dep(id, Primitive::Recv)
                             .ok_or_else(|| Error::sim("forward without recv"))?;
                         recv_payload
                             .get(&r.0)
@@ -216,7 +203,8 @@ pub fn interpret(
                 send_payload.insert(id.0, payload);
             }
             Primitive::Recv => {
-                let send = find_dep(id, &|p| p == Primitive::Send)
+                let send = graph
+                    .find_dep(id, Primitive::Send)
                     .ok_or_else(|| Error::sim("recv without its send"))?;
                 let payload = send_payload
                     .get(&send.0)
@@ -226,12 +214,12 @@ pub fn interpret(
             }
             Primitive::Barrier => {}
             Primitive::Update => {
-                let value: Vec<f32> = if let Some(d) = find_dep(id, &|p| p == Primitive::Decode) {
+                let value: Vec<f32> = if let Some(d) = graph.find_dep(id, Primitive::Decode) {
                     dec_out
                         .get(&d.0)
                         .cloned()
                         .ok_or_else(|| Error::sim("update before decode"))?
-                } else if let Some(r) = find_dep(id, &|p| p == Primitive::Recv) {
+                } else if let Some(r) = graph.find_dep(id, Primitive::Recv) {
                     match recv_payload.get(&r.0) {
                         Some(Payload::Raw(v)) => v.clone(),
                         Some(Payload::Compressed(_)) => {
@@ -239,7 +227,7 @@ pub fn interpret(
                         }
                         None => return Err(Error::sim("update before recv delivered")),
                     }
-                } else if let Some(e) = find_dep(id, &|p| p == Primitive::Encode) {
+                } else if let Some(e) = graph.find_dep(id, Primitive::Encode) {
                     // The aggregate's owner installs the reconstruction
                     // of the bytes it disseminated, staying consistent
                     // with every decoding replica.

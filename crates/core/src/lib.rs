@@ -4,8 +4,9 @@
 //! CaSync decomposes gradient synchronization into five primitives —
 //! `encode`, `decode`, `merge`, `send`, `recv` — arranged into a task
 //! DAG per gradient by a *strategy* (CaSync-PS or CaSync-Ring), and
-//! executed asynchronously by a task manager that tracks dependencies
-//! and two task queues (computing and communication). On top of that
+//! executed asynchronously by a task manager ([`sched`]) that tracks
+//! dependencies and two task queues (computing and communication). On
+//! top of that
 //! sit the paper's three optimizations:
 //!
 //! * **pipelining** (§3.1): tasks from different gradients/partitions
@@ -40,6 +41,7 @@ pub mod exec;
 pub mod graph;
 pub mod interp;
 pub mod plan;
+pub mod sched;
 pub mod strategy;
 pub mod topology;
 

@@ -84,8 +84,11 @@ pub(crate) fn build(n: usize, iter: &IterationSpec) -> TaskGraph {
         // The buffer is identified by its first gradient; chunk index
         // enumerates the ring chunks.
         let lead = buf.grads[0];
-        e.graph
-            .set_flow_members(lead as u32, buf.grads.iter().map(|&g| g as u32).collect());
+        let members = buf
+            .grads
+            .iter()
+            .map(|&g| (g as u32, (iter.gradients[g].bytes / 4) as usize));
+        e.graph.set_flow_members(lead as u32, members.collect());
         let chunks = chunk_sizes(buf.bytes, n);
         // Sources of the fused buffer on each node, one per ring
         // chunk: ready when the last member gradient is ready AND the

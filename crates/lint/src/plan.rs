@@ -21,9 +21,10 @@
 //! The diagnostic catalogue (`P001`–`P019`) is documented on
 //! [`Code`] and in `DESIGN.md`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hipress_core::graph::{task, ChunkId, Primitive, SendSrc, TaskGraph, TaskId, TaskNode};
+use hipress_core::sched::DepIndex;
 
 use crate::diag::{Code, Diagnostic, Report, Site};
 
@@ -61,7 +62,8 @@ pub fn verify(graph: &TaskGraph, cluster_nodes: usize) -> Report {
     if !deps_ok {
         return report;
     }
-    let Some(topo) = topo_or_cycle(graph, &mut report) else {
+    let ix = DepIndex::of(graph);
+    let Some(topo) = topo_or_cycle(graph, &ix, &mut report) else {
         return report;
     };
     if graph.len() > DEEP_ANALYSIS_LIMIT {
@@ -76,10 +78,9 @@ pub fn verify(graph: &TaskGraph, cluster_nodes: usize) -> Report {
         return report;
     }
     let hb = Closure::build(graph, &topo);
-    let pairing = Pairing::build(graph);
-    value_sources(graph, &hb, &pairing, &mut report);
+    value_sources(graph, &hb, &ix, &mut report);
     races(graph, &hb, &mut report);
-    fifo_order(graph, &hb, &pairing, &mut report);
+    fifo_order(graph, &hb, &ix, &mut report);
     completion(graph, &hb, &mut report);
     chunk_sizes(graph, &mut report);
     report
@@ -201,42 +202,22 @@ fn structural(graph: &TaskGraph, cluster_nodes: usize, report: &mut Report) -> b
     true
 }
 
-/// Kahn order, or a cycle diagnostic.
-fn topo_or_cycle(graph: &TaskGraph, report: &mut Report) -> Option<Vec<TaskId>> {
-    let n = graph.len();
-    let mut indeg = vec![0usize; n];
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for t in graph.tasks() {
-        for d in &t.deps {
-            indeg[t.id.0 as usize] += 1;
-            out[d.0 as usize].push(t.id.0);
-        }
-    }
-    let mut q: VecDeque<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = q.pop_front() {
-        order.push(TaskId(i));
-        for &s in &out[i as usize] {
-            indeg[s as usize] -= 1;
-            if indeg[s as usize] == 0 {
-                q.push_back(s);
-            }
-        }
-    }
-    if order.len() != n {
-        let stuck = (0..n).filter(|&i| indeg[i] > 0).count();
-        let witness = (0..n).find(|&i| indeg[i] > 0).unwrap();
+/// Kahn order ([`DepIndex::kahn`]), or a cycle diagnostic naming the
+/// tasks it leaves stuck.
+fn topo_or_cycle(graph: &TaskGraph, ix: &DepIndex, report: &mut Report) -> Option<Vec<TaskId>> {
+    let stuck = ix.kahn().map_err(|stuck| {
+        let witness = graph.task(stuck[0]);
         report.push(Diagnostic::new(
             Code::DependencyCycle,
-            Site::Task(TaskId(witness as u32)),
+            Site::Task(stuck[0]),
             format!(
-                "dependency cycle: {stuck} tasks can never run, e.g. {}",
-                describe(graph.task(TaskId(witness as u32)))
+                "dependency cycle: {} tasks can never run, e.g. {}",
+                stuck.len(),
+                describe(witness)
             ),
         ));
-        return None;
-    }
-    Some(order)
+    });
+    stuck.ok()
 }
 
 /// Transitive closure of the dependency relation as per-task ancestor
@@ -290,51 +271,21 @@ fn split_rows(rows: &mut [u64], i: usize, j: usize, words: usize) -> (&mut [u64]
     }
 }
 
-/// The fabric view: which recvs consume which sends.
-struct Pairing {
-    /// send id → recvs listing it as a direct dependency.
-    consumers: HashMap<TaskId, Vec<TaskId>>,
+/// The recvs consuming `send`: those listing it as a direct
+/// dependency.
+fn recvs_of<'a>(
+    graph: &'a TaskGraph,
+    ix: &'a DepIndex,
+    send: TaskId,
+) -> impl Iterator<Item = TaskId> + 'a {
+    let deps = ix.dependents(send).iter().copied();
+    deps.filter(|&r| graph.task(r).prim == Primitive::Recv)
 }
 
-impl Pairing {
-    fn build(graph: &TaskGraph) -> Self {
-        let mut consumers: HashMap<TaskId, Vec<TaskId>> = HashMap::new();
-        for t in graph.tasks() {
-            if t.prim != Primitive::Recv {
-                continue;
-            }
-            for d in &t.deps {
-                if graph.task(*d).prim == Primitive::Send {
-                    consumers.entry(*d).or_default().push(t.id);
-                }
-            }
-        }
-        Self { consumers }
-    }
-
-    /// The recv consuming this send, when unique.
-    fn recv_of(&self, send: TaskId) -> Option<TaskId> {
-        match self.consumers.get(&send).map(Vec::as_slice) {
-            Some([r]) => Some(*r),
-            _ => None,
-        }
-    }
-}
-
-/// Mirrors the interpreter's `find_dep`: depth-first over direct
-/// dependencies, looking through `Barrier` pseudo-tasks only.
-fn find_dep(graph: &TaskGraph, t: &TaskNode, want: Primitive) -> Option<TaskId> {
-    let mut stack: Vec<TaskId> = t.deps.clone();
-    while let Some(d) = stack.pop() {
-        let dt = graph.task(d);
-        if dt.prim == want {
-            return Some(d);
-        }
-        if dt.prim == Primitive::Barrier {
-            stack.extend(dt.deps.iter().copied());
-        }
-    }
-    None
+/// The recv consuming `send`, when unique.
+fn recv_of(graph: &TaskGraph, ix: &DepIndex, send: TaskId) -> Option<TaskId> {
+    let mut recvs = recvs_of(graph, ix, send);
+    recvs.next().filter(|_| recvs.next().is_none())
 }
 
 /// The payload kind a send puts on the wire (`None` when the forward
@@ -345,7 +296,7 @@ fn send_kind(graph: &TaskGraph, send: TaskId) -> Option<Kind> {
         SendSrc::Raw => Some(Kind::Raw),
         SendSrc::Encoded => Some(Kind::Compressed),
         SendSrc::Forward => {
-            let recv = find_dep(graph, t, Primitive::Recv)?;
+            let recv = graph.find_dep(t.id, Primitive::Recv)?;
             let upstream = graph
                 .task(recv)
                 .deps
@@ -384,7 +335,7 @@ fn cell_sources(graph: &TaskGraph) -> HashMap<Cell, Vec<TaskId>> {
 /// Statically replays the interpreter's per-primitive value-source
 /// resolution: every task must be able to find the data it consumes,
 /// of the kind it expects (`P008`, `P009`, `P007`).
-fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mut Report) {
+fn value_sources(graph: &TaskGraph, hb: &Closure, ix: &DepIndex, report: &mut Report) {
     let sources = cell_sources(graph);
     let initialized = |t: &TaskNode| {
         sources
@@ -405,7 +356,7 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                     missing(report, t, "encodes a chunk no Source initialized before it");
                 }
             }
-            Primitive::Decode => match find_dep(graph, t, Primitive::Recv) {
+            Primitive::Decode => match graph.find_dep(t.id, Primitive::Recv) {
                 None => missing(report, t, "decode without a recv dependency"),
                 Some(r) => {
                     if recv_kind(graph, r) == Some(Kind::Raw) {
@@ -425,8 +376,8 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                         "merges into an accumulator no Source initialized",
                     );
                 }
-                if find_dep(graph, t, Primitive::Decode).is_none() {
-                    match find_dep(graph, t, Primitive::Recv) {
+                if graph.find_dep(t.id, Primitive::Decode).is_none() {
+                    match graph.find_dep(t.id, Primitive::Recv) {
                         None => missing(report, t, "merge with nothing to merge"),
                         Some(r) => {
                             if recv_kind(graph, r) == Some(Kind::Compressed) {
@@ -451,17 +402,17 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                         }
                     }
                     SendSrc::Encoded => {
-                        if find_dep(graph, t, Primitive::Encode).is_none() {
+                        if graph.find_dep(t.id, Primitive::Encode).is_none() {
                             missing(report, t, "encoded send without an encode dependency");
                         }
                     }
                     SendSrc::Forward => {
-                        if find_dep(graph, t, Primitive::Recv).is_none() {
+                        if graph.find_dep(t.id, Primitive::Recv).is_none() {
                             missing(report, t, "forward send without a recv dependency");
                         }
                     }
                 }
-                if !pairing.consumers.contains_key(&t.id) {
+                if recvs_of(graph, ix, t.id).next().is_none() {
                     report.push(Diagnostic::new(
                         Code::UnconsumedSend,
                         Site::Task(t.id),
@@ -472,9 +423,9 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
             Primitive::Update => {
                 if !sources.contains_key(&(t.node, t.chunk.grad, t.chunk.part)) {
                     missing(report, t, "commits a chunk replica that has no Source");
-                } else if find_dep(graph, t, Primitive::Decode).is_some() {
+                } else if graph.find_dep(t.id, Primitive::Decode).is_some() {
                     // Installs the decoded payload.
-                } else if let Some(r) = find_dep(graph, t, Primitive::Recv) {
+                } else if let Some(r) = graph.find_dep(t.id, Primitive::Recv) {
                     if recv_kind(graph, r) == Some(Kind::Compressed) {
                         report.push(Diagnostic::new(
                             Code::PayloadKindMismatch,
@@ -485,7 +436,7 @@ fn value_sources(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mu
                             ),
                         ));
                     }
-                } else if find_dep(graph, t, Primitive::Encode).is_some() {
+                } else if graph.find_dep(t.id, Primitive::Encode).is_some() {
                     // Installs the decode∘encode reconstruction.
                 } else if !initialized(t) {
                     missing(report, t, "commits an accumulator no Source initialized");
@@ -507,9 +458,9 @@ fn access_of(graph: &TaskGraph, t: &TaskNode) -> Option<Access> {
         Primitive::Merge => Some(Access::Write),
         Primitive::Send if t.send_src == SendSrc::Raw => Some(Access::Read),
         Primitive::Update => {
-            let foreign = find_dep(graph, t, Primitive::Decode).is_some()
-                || find_dep(graph, t, Primitive::Recv).is_some()
-                || find_dep(graph, t, Primitive::Encode).is_some();
+            let foreign = graph.find_dep(t.id, Primitive::Decode).is_some()
+                || graph.find_dep(t.id, Primitive::Recv).is_some()
+                || graph.find_dep(t.id, Primitive::Encode).is_some();
             Some(if foreign { Access::Write } else { Access::Read })
         }
         _ => None,
@@ -560,7 +511,7 @@ fn races(graph: &TaskGraph, hb: &Closure, report: &mut Report) {
 /// Per-channel FIFO consistency (`P012`): if two sends on one
 /// `from → to` channel are ordered, their receives must complete in
 /// the same order, or a FIFO fabric wedges/crosses payloads.
-fn fifo_order(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mut Report) {
+fn fifo_order(graph: &TaskGraph, hb: &Closure, ix: &DepIndex, report: &mut Report) {
     let mut channels: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
     for t in graph.tasks() {
         if t.prim == Primitive::Send {
@@ -571,11 +522,11 @@ fn fifo_order(graph: &TaskGraph, hb: &Closure, pairing: &Pairing, report: &mut R
     }
     for ((from, to), sends) in channels {
         for (i, &s1) in sends.iter().enumerate() {
-            let Some(r1) = pairing.recv_of(s1) else {
+            let Some(r1) = recv_of(graph, ix, s1) else {
                 continue;
             };
             for &s2 in &sends[i + 1..] {
-                let Some(r2) = pairing.recv_of(s2) else {
+                let Some(r2) = recv_of(graph, ix, s2) else {
                     continue;
                 };
                 let inverted = (hb.before(s1, s2) && hb.before(r2, r1))
@@ -838,7 +789,8 @@ pub fn verify_composed(composed: &Composed) -> Report {
 }
 
 fn verify_composed_into(c: &Composed, report: &mut Report) {
-    let Some(topo) = topo_or_cycle(&c.graph, report) else {
+    let ix = DepIndex::of(&c.graph);
+    let Some(topo) = topo_or_cycle(&c.graph, &ix, report) else {
         return;
     };
     if c.graph.len() > DEEP_ANALYSIS_LIMIT {
@@ -854,9 +806,8 @@ fn verify_composed_into(c: &Composed, report: &mut Report) {
         return;
     }
     let hb = Closure::build(&c.graph, &topo);
-    let pairing = Pairing::build(&c.graph);
     cross_iter_races(c, &hb, report);
-    queue_growth(c, &hb, &pairing, report);
+    queue_growth(c, &hb, &ix, report);
     admission_order(c, &hb, report);
 }
 
@@ -923,7 +874,7 @@ fn cross_iter_races(c: &Composed, hb: &Closure, report: &mut Report) {
 /// far back is not gated at any lag. Unrollings shorter than the
 /// window (`iterations <= window + 1`) cannot outrun their own
 /// horizon and are vacuously bounded.
-fn queue_growth(c: &Composed, hb: &Closure, pairing: &Pairing, report: &mut Report) {
+fn queue_growth(c: &Composed, hb: &Closure, ix: &DepIndex, report: &mut Report) {
     let lag = c.instances - 1;
     if lag <= c.spec.window {
         return;
@@ -948,7 +899,7 @@ fn queue_growth(c: &Composed, hb: &Closure, pairing: &Pairing, report: &mut Repo
             continue;
         };
         for (&s1, &s2) in first.iter().zip(last) {
-            let Some(r1) = pairing.recv_of(s1) else {
+            let Some(r1) = recv_of(&c.graph, ix, s1) else {
                 continue;
             };
             if !hb.before(r1, s2) {

@@ -4,14 +4,14 @@
 //! Each node runs the paper's task manager (§3.1) for real: its share
 //! of the task DAG, two queues — `Q_comp` for computing primitives,
 //! `Q_commu` for communication primitives — and dependency-count
-//! promotion driven by actual completion events. Local dependencies
-//! are cleared when the node finishes a task; remote dependencies are
-//! cleared by completion messages arriving on the node's inbox, with
-//! `Send` completions carrying the payload itself (so the message
-//! *is* the transfer). The task manager and the loop around it live
-//! in [`crate::pipeline`]; this module holds what they operate on —
-//! the static [`NodePlan`], the chunk geometry ([`FlowLayout`]), the
-//! message and payload types, the instrumentation handles, and
+//! promotion ([`hipress_core::sched`]) driven by actual completion
+//! events. Local dependencies are cleared when the node finishes a
+//! task; remote dependencies are cleared by completion messages
+//! arriving on the node's inbox, with `Send` completions carrying the
+//! payload itself (so the message *is* the transfer). The loop that
+//! drives the task manager lives in [`crate::pipeline`]; this module
+//! holds what it operates on — the chunk geometry ([`FlowLayout`]),
+//! the message and payload types, the instrumentation handles, and
 //! [`NodeCore`], which executes one primitive.
 //!
 //! The dataflow semantics are exactly those of
@@ -31,6 +31,7 @@ use crate::report::RuntimeReport;
 use hipress_compress::Compressor;
 use hipress_core::graph::{FlowGeometry, Primitive, SendSrc, TaskGraph, TaskId};
 use hipress_core::interp::FlowOutcome;
+use hipress_core::sched::DepIndex;
 use hipress_metrics::names;
 use hipress_tensor::Tensor;
 use hipress_trace::{Counter, Tracer, TrackId};
@@ -244,34 +245,11 @@ pub(crate) fn record_run_metrics(scope: &hipress_metrics::Scope, report: &Runtim
     }
 }
 
-/// The index of a primitive's histogram in [`NodeMetrics::prims`]
-/// (same order as [`names::PRIM_NS`] and the report's buckets).
+/// The index of a primitive's histogram in [`NodeMetrics::prims`]:
+/// its place in [`Primitive::ALL`], which is the order of
+/// [`names::PRIM_NS`] and of the report's buckets.
 fn prim_index(p: Primitive) -> usize {
-    match p {
-        Primitive::Source => 0,
-        Primitive::Encode => 1,
-        Primitive::Decode => 2,
-        Primitive::Merge => 3,
-        Primitive::Send => 4,
-        Primitive::Recv => 5,
-        Primitive::Update => 6,
-        Primitive::Barrier => 7,
-    }
-}
-
-/// The span category used for each primitive (also the span name).
-/// [`RuntimeReport::from_trace`] keys its buckets on these.
-fn prim_category(p: Primitive) -> &'static str {
-    match p {
-        Primitive::Source => "source",
-        Primitive::Encode => "encode",
-        Primitive::Decode => "decode",
-        Primitive::Merge => "merge",
-        Primitive::Send => "send",
-        Primitive::Recv => "recv",
-        Primitive::Update => "update",
-        Primitive::Barrier => "barrier",
-    }
+    p as usize
 }
 
 /// A value on the wire: raw tensor data or a compressed stream.
@@ -725,55 +703,6 @@ impl FlowLayout {
     }
 }
 
-/// The static execution plan: per-node dependency counts and edge
-/// maps, computed once on the main thread.
-pub(crate) struct NodePlan {
-    /// pending[node][task.0] = unresolved dependency count (only
-    /// meaningful for tasks owned by `node`).
-    pub(crate) pending: Vec<HashMap<u32, usize>>,
-    /// local_dependents[task.0] = same-node tasks depending on it.
-    pub(crate) local_dependents: HashMap<u32, Vec<u32>>,
-    /// remote_notify[task.0] = distinct other nodes hosting dependents.
-    pub(crate) remote_notify: HashMap<u32, Vec<usize>>,
-    /// remote_edges_in[node][remote_task.0] = local dependents.
-    pub(crate) remote_edges_in: Vec<HashMap<u32, Vec<u32>>>,
-    /// Number of tasks each node owns.
-    pub(crate) local_counts: Vec<usize>,
-}
-
-impl NodePlan {
-    pub(crate) fn derive(graph: &TaskGraph, nodes: usize) -> Self {
-        let mut pending: Vec<HashMap<u32, usize>> = vec![HashMap::new(); nodes];
-        let mut local_dependents: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut remote_notify: HashMap<u32, Vec<usize>> = HashMap::new();
-        let mut remote_edges_in: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); nodes];
-        let mut local_counts = vec![0usize; nodes];
-        for t in graph.tasks() {
-            local_counts[t.node] += 1;
-            pending[t.node].insert(t.id.0, t.deps.len());
-            for d in &t.deps {
-                let dep_node = graph.task(*d).node;
-                if dep_node == t.node {
-                    local_dependents.entry(d.0).or_default().push(t.id.0);
-                } else {
-                    let notify = remote_notify.entry(d.0).or_default();
-                    if !notify.contains(&t.node) {
-                        notify.push(t.node);
-                    }
-                    remote_edges_in[t.node].entry(d.0).or_default().push(t.id.0);
-                }
-            }
-        }
-        Self {
-            pending,
-            local_dependents,
-            remote_notify,
-            remote_edges_in,
-            local_counts,
-        }
-    }
-}
-
 /// One node's dataflow state and primitive execution for one
 /// iteration: cells, codec outputs, received payloads, measurements.
 /// Whatever link the loop runs on, the computation is this one.
@@ -783,7 +712,7 @@ pub(crate) struct NodeCore<'a> {
     /// This node's inputs.
     pub(crate) inputs: &'a NodeInputs,
     pub(crate) layout: &'a FlowLayout,
-    plan: &'a NodePlan,
+    ix: &'a DepIndex,
     pub(crate) compressor: Option<&'a dyn Compressor>,
     pub(crate) seed: u64,
     pub(crate) cells: HashMap<(u32, u32), Cell>,
@@ -815,7 +744,7 @@ impl<'a> NodeCore<'a> {
         graph: &'a TaskGraph,
         inputs: &'a NodeInputs,
         layout: &'a FlowLayout,
-        plan: &'a NodePlan,
+        ix: &'a DepIndex,
         compressor: Option<&'a dyn Compressor>,
         seed: u64,
         trace: Option<NodeTrace>,
@@ -826,7 +755,7 @@ impl<'a> NodeCore<'a> {
             graph,
             inputs,
             layout,
-            plan,
+            ix,
             compressor,
             seed,
             cells: HashMap::new(),
@@ -840,22 +769,6 @@ impl<'a> NodeCore<'a> {
             metrics,
             iter: 0,
         }
-    }
-
-    /// Finds the transitive dependency of `id` matching `pred`,
-    /// looking through zero-cost barriers (mirrors the interpreter).
-    pub(crate) fn find_dep(&self, id: TaskId, pred: impl Fn(Primitive) -> bool) -> Option<TaskId> {
-        let mut stack: Vec<TaskId> = self.graph.task(id).deps.clone();
-        while let Some(d) = stack.pop() {
-            let dt = self.graph.task(d);
-            if pred(dt.prim) {
-                return Some(d);
-            }
-            if dt.prim == Primitive::Barrier {
-                stack.extend(dt.deps.iter().copied());
-            }
-        }
-        None
     }
 
     fn compressor(&self) -> Result<&dyn Compressor> {
@@ -873,10 +786,9 @@ impl<'a> NodeCore<'a> {
     /// Whether local task `id` is the only reader of local task `d`'s
     /// output.
     fn sole_reader(&self, d: TaskId, id: TaskId) -> bool {
-        self.plan
-            .local_dependents
-            .get(&d.0)
-            .is_some_and(|r| r[..] == [id.0])
+        let readers = self.ix.dependents(d).iter();
+        let mut local = readers.filter(|&&r| self.ix.owner(r) == self.node);
+        local.next() == Some(&id) && local.next().is_none()
     }
 
     /// Puts this iteration's private buffers back into `pool` as it
@@ -974,7 +886,8 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Decode => {
                 let recv = self
-                    .find_dep(id, |p| p == Primitive::Recv)
+                    .graph
+                    .find_dep(id, Primitive::Recv)
                     .ok_or_else(|| Error::sim("decode without a recv dependency"))?;
                 match self.recv_payload.get(&recv.0).map(|p| p.as_ref()) {
                     Some(Payload::Compressed(bytes)) => {
@@ -1010,7 +923,7 @@ impl<'a> NodeCore<'a> {
                 // once summed.
                 let mut spent: Option<Vec<f32>> = None;
                 let contribution: Option<&[f32]> =
-                    if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
+                    if let Some(d) = self.graph.find_dep(id, Primitive::Decode) {
                         if self.skipped_out.contains(&d.0) {
                             None
                         } else {
@@ -1022,7 +935,7 @@ impl<'a> NodeCore<'a> {
                                 .or(self.dec_out.get(&d.0).map(Vec::as_slice));
                             Some(dec.ok_or_else(|| Error::sim("merge before decode"))?)
                         }
-                    } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
+                    } else if let Some(r) = self.graph.find_dep(id, Primitive::Recv) {
                         match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
                             Some(Payload::Raw(v)) => Some(v),
                             Some(Payload::Compressed(_)) => {
@@ -1072,14 +985,16 @@ impl<'a> NodeCore<'a> {
                     }
                     SendSrc::Encoded => {
                         let e = self
-                            .find_dep(id, |p| p == Primitive::Encode)
+                            .graph
+                            .find_dep(id, Primitive::Encode)
                             .ok_or_else(|| Error::sim("encoded send without encode"))?;
                         let p = self.enc_out.get(&e.0);
                         Arc::clone(p.ok_or_else(|| Error::sim("send before encode ran"))?)
                     }
                     SendSrc::Forward => {
                         let r = self
-                            .find_dep(id, |p| p == Primitive::Recv)
+                            .graph
+                            .find_dep(id, Primitive::Recv)
                             .ok_or_else(|| Error::sim("forward without recv"))?;
                         let p = self.recv_payload.get(&r.0);
                         Arc::clone(p.ok_or_else(|| Error::sim("forward before recv delivered"))?)
@@ -1092,7 +1007,8 @@ impl<'a> NodeCore<'a> {
             }
             Primitive::Recv => {
                 let send = self
-                    .find_dep(id, |p| p == Primitive::Send)
+                    .graph
+                    .find_dep(id, Primitive::Send)
                     .ok_or_else(|| Error::sim("recv without its send"))?;
                 recv_from = Some(send.0 as u64);
                 let payload = self
@@ -1127,7 +1043,7 @@ impl<'a> NodeCore<'a> {
                     /// aggregate already.
                     Accumulator,
                 }
-                let install = if let Some(d) = self.find_dep(id, |p| p == Primitive::Decode) {
+                let install = if let Some(d) = self.graph.find_dep(id, Primitive::Decode) {
                     if self.skipped_out.contains(&d.0) {
                         Install::Degraded
                     } else {
@@ -1142,7 +1058,7 @@ impl<'a> NodeCore<'a> {
                         };
                         Install::Decoded(dec.ok_or_else(|| Error::sim("update before decode"))?)
                     }
-                } else if let Some(r) = self.find_dep(id, |p| p == Primitive::Recv) {
+                } else if let Some(r) = self.graph.find_dep(id, Primitive::Recv) {
                     let p = self.recv_payload.get(&r.0);
                     let p = p.ok_or_else(|| Error::sim("update before recv delivered"))?;
                     match p.as_ref() {
@@ -1152,7 +1068,7 @@ impl<'a> NodeCore<'a> {
                         }
                         Payload::Skipped => Install::Degraded,
                     }
-                } else if let Some(e) = self.find_dep(id, |p| p == Primitive::Encode) {
+                } else if let Some(e) = self.graph.find_dep(id, Primitive::Encode) {
                     match self.enc_out.get(&e.0).map(|p| p.as_ref()) {
                         Some(Payload::Compressed(bytes)) => Install::OwnBytes(bytes),
                         _ => return Err(Error::sim("update before encode ran")),
@@ -1215,7 +1131,7 @@ impl<'a> NodeCore<'a> {
             // The span duration is the very `ns` the report recorded
             // above — one measurement, two consumers — so a report
             // derived from the trace matches this one exactly.
-            let name = prim_category(t.prim);
+            let name = t.prim.name();
             let mut args = vec![
                 ("grad", t.chunk.grad as u64),
                 ("part", t.chunk.part as u64),
@@ -1610,7 +1526,7 @@ mod tests {
         pipeline: crate::PipelineConfig,
     ) -> (Vec<HashMap<(u32, u32), Cell>>, Vec<PoolCounts>) {
         use hipress_fabric::Link;
-        let plan = NodePlan::derive(graph, nodes);
+        let ix = DepIndex::of(graph);
         let pools: Vec<std::sync::Mutex<BufPool>> =
             (0..nodes).map(|_| Default::default()).collect();
         let results = crate::pipeline::on_threads(
@@ -1620,7 +1536,7 @@ mod tests {
                 let mut pool = pools[link.me()].lock().unwrap();
                 let inputs = node_inputs(flows, link.me());
                 crate::pipeline::drive_node(
-                    &mut link, graph, &inputs, layout, &plan, compressor, 5, &pipeline, None, None,
+                    &mut link, graph, &inputs, layout, &ix, compressor, 5, &pipeline, None, None,
                     None, None, &mut pool,
                 )
             },
@@ -1728,7 +1644,7 @@ mod tests {
             let flows = replicate(&single);
             let c = alg.map(|a| a.build().unwrap());
             let layout = FlowLayout::new(&graph, nodes);
-            let plan = NodePlan::derive(&graph, nodes);
+            let ix = DepIndex::of(&graph);
             // A pipelined run: owners merge into, update and decode
             // over accumulators that start as the shared inputs.
             let (cells, _) = drive_all(&graph, nodes, &flows, &layout, c.as_deref(), pipeline);
@@ -1764,7 +1680,7 @@ mod tests {
                             &graph,
                             &mine,
                             &layout,
-                            &plan,
+                            &ix,
                             c.as_deref(),
                             5,
                             None,
@@ -1795,10 +1711,10 @@ mod tests {
             .unwrap();
         let flows = replicas(&graph, &worker_grads(2, &sizes));
         let layout = FlowLayout::new(&graph, 2);
-        let plan = NodePlan::derive(&graph, 2);
+        let ix = DepIndex::of(&graph);
         let key = (0, 0);
         let mine = node_inputs(&flows, 1);
-        let mut core = NodeCore::new(1, &graph, &mine, &layout, &plan, None, 3, None, None);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3, None, None);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
             &mut BufPool::default(),
@@ -1822,6 +1738,16 @@ mod tests {
         assert_eq!(v[..], flows[&0][1][0].as_slice()[..v.len()]);
     }
 
+    /// The metric histograms and the span names follow one primitive
+    /// order.
+    #[test]
+    fn primitive_histograms_follow_the_name_catalogue() {
+        for (i, p) in Primitive::ALL.into_iter().enumerate() {
+            assert_eq!(prim_index(p), i);
+            assert_eq!(names::PRIM_NS[i], format!("{}_ns", p.name()));
+        }
+    }
+
     /// The ids of `node`'s `prim` tasks on chunk `key`, in graph order.
     fn tasks_of(graph: &TaskGraph, node: usize, prim: Primitive, key: (u32, u32)) -> Vec<TaskId> {
         graph
@@ -1842,9 +1768,9 @@ mod tests {
             .unwrap();
         let flows = replicas(&graph, &worker_grads(2, &sizes));
         let layout = FlowLayout::new(&graph, 2);
-        let plan = NodePlan::derive(&graph, 2);
+        let ix = DepIndex::of(&graph);
         let mine = node_inputs(&flows, 1);
-        let mut core = NodeCore::new(1, &graph, &mine, &layout, &plan, None, 3, None, None);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3, None, None);
         let key = (0, 0);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
@@ -1871,7 +1797,7 @@ mod tests {
             .unwrap();
         let flows = replicas(&graph, &worker_grads(3, &sizes));
         let layout = FlowLayout::new(&graph, 3);
-        let plan = NodePlan::derive(&graph, 3);
+        let ix = DepIndex::of(&graph);
         let c = Algorithm::OneBit.build().unwrap();
         let mine = node_inputs(&flows, 0);
         let mut core = NodeCore::new(
@@ -1879,7 +1805,7 @@ mod tests {
             &graph,
             &mine,
             &layout,
-            &plan,
+            &ix,
             Some(c.as_ref()),
             3,
             None,
@@ -1913,7 +1839,7 @@ mod tests {
             .unwrap();
         let flows = replicas(&graph, &worker_grads(2, &sizes));
         let layout = FlowLayout::new(&graph, 2);
-        let plan = NodePlan::derive(&graph, 2);
+        let ix = DepIndex::of(&graph);
         let key = (0, 0);
         for (node, consumer, error) in [
             (0, Primitive::Merge, "merge length mismatch"),
@@ -1922,7 +1848,7 @@ mod tests {
             for len in [0, 47, 49, 4096] {
                 let mine = node_inputs(&flows, node);
                 let mut core =
-                    NodeCore::new(node, &graph, &mine, &layout, &plan, None, 3, None, None);
+                    NodeCore::new(node, &graph, &mine, &layout, &ix, None, 3, None, None);
                 core.execute_one(
                     tasks_of(&graph, node, Primitive::Source, key)[0],
                     &mut BufPool::default(),

@@ -33,12 +33,13 @@
 //! partial aggregation — fast, approximate), or abort with a
 //! structured straggler error.
 
-use crate::engine::{Msg, NodePlan, NodeResult, NodeTrace, Payload};
+use crate::engine::{Msg, NodeResult, NodeTrace, Payload};
 use crate::pipeline::{fabric_err, NodeHooks, RunOptions};
 use crate::protocol::{self, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
 use crate::report::{DegradeAction, FaultReport, StragglerVerdict};
 use hipress_chaos::{FaultPlan, Injector, Verdict};
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
+use hipress_core::sched::DepIndex;
 use hipress_fabric::frame::{Frame, FrameKind};
 use hipress_fabric::rel::{POLL_CEILING, POLL_FLOOR};
 use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters, WireMsg};
@@ -233,7 +234,7 @@ impl<'a> FtLink<'a> {
     pub(crate) fn new(
         inner: ChannelLink<Frame>,
         graph: &'a TaskGraph,
-        plan: &NodePlan,
+        ix: &DepIndex,
         chaos: &'a (FaultTolerance, FaultPlan),
         opts: &RunOptions<'_>,
         trace: Option<NodeTrace>,
@@ -252,11 +253,12 @@ impl<'a> FtLink<'a> {
                 done: false,
             })
             .collect();
-        for &task in plan.remote_edges_in[me].keys() {
-            let owner = &mut peers[graph.task(TaskId(task)).node];
+        let ids = (0..graph.len() as u32).map(TaskId);
+        for task in ids.filter(|&t| ix.notify(t).contains(&me)) {
+            let owner = &mut peers[ix.owner(task)];
             owner
                 .owed
-                .extend((0..opts.pipeline.iterations).map(|iter| (iter, task)));
+                .extend((0..opts.pipeline.iterations).map(|iter| (iter, task.0)));
         }
         let metrics = opts.instruments.metrics.map(|s| FtMetrics::new(s, me));
         let hooks = NodeHooks {

@@ -18,9 +18,11 @@
 //! fault-tolerant frame link when a fault plan revokes trust in
 //! that fabric ([`crate::ft::FtLink`]), and inside each OS process of
 //! the TCP mesh ([`crate::process`]). Messages carry their iteration
-//! index; arrivals for not-yet-admitted iterations are stashed and
-//! replayed at admission, so a fast peer racing ahead never wedges a
-//! slow one.
+//! index. Promotion, admission and retirement are the node's
+//! [`hipress_core::sched::Machine`]: arrivals for not-yet-admitted
+//! iterations wait in its stash and are replayed at admission, so a
+//! fast peer racing ahead never wedges a slow one. The loop keeps the
+//! queue discipline and the §3.2 batching.
 //!
 //! Bit-for-bit: every iteration runs the same graph on the same
 //! inputs with the same seed, so each iteration's installed
@@ -30,8 +32,8 @@
 
 use crate::engine::{
     build_node_metrics, build_node_traces, conclude, node_inputs, record_run_span, BufPool, Cell,
-    FlowLayout, Instruments, Msg, NodeCore, NodeInputs, NodeMetrics, NodePlan, NodeResult,
-    NodeTrace, Payload, ReplicaFlows, RunOutcome,
+    FlowLayout, Instruments, Msg, NodeCore, NodeInputs, NodeMetrics, NodeResult, NodeTrace,
+    Payload, ReplicaFlows, RunOutcome,
 };
 use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
 use crate::report::RuntimeReport;
@@ -39,6 +41,7 @@ use hipress_chaos::{FaultPlan, NodeFaults};
 use hipress_compress::Compressor;
 use hipress_core::exec::BATCH_MAX_TASK_BYTES;
 use hipress_core::graph::{TaskGraph, TaskId};
+use hipress_core::sched::{DepIndex, Machine};
 use hipress_core::Primitive;
 use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link, LinkCounters};
 use hipress_obs::{IterRecord, ProgressSink};
@@ -94,19 +97,20 @@ pub struct RunOptions<'a> {
 /// each task: a hard death once enough iterations have retired
 /// (elastic membership) and a fault plan's stall and crash triggers,
 /// indexed by local execution count. The hooks also count retired
-/// iterations, which a failed segment still has to report (a returned
-/// `Err` loses the driver state) so an evict-on-loss coordinator can
-/// pick the drain boundary.
+/// iterations (the retired prefix), which a failed segment still has
+/// to report (a returned `Err` loses the loop's state) so an
+/// evict-on-loss coordinator can pick the drain boundary.
 #[derive(Debug, Default)]
 pub(crate) struct NodeHooks {
     /// Crash (hard process death, no abort broadcast) once this many
-    /// iterations have fully retired. `None` never crashes.
+    /// iterations have retired. `None` never crashes.
     pub die_at_iter: Option<u32>,
     /// The fault plan's stall / crash triggers for this node.
     pub faults: NodeFaults,
     /// Counts the injected stall, when metrics are on.
     pub stall_metric: Option<hipress_metrics::Counter>,
-    /// Fully retired iterations, updated at every retirement.
+    /// Retired iterations: every one below this count finished on the
+    /// node. Updated at every retirement.
     pub retired: u32,
 }
 
@@ -154,49 +158,30 @@ fn telemetry_slowdown_ms() -> u64 {
     })
 }
 
-/// One admitted iteration's private task-manager state: its own
-/// cells, ready queues (`Q_comp` / `Q_commu`), and dependency counts
-/// — iterations share nothing but the link.
+/// One admitted iteration's private state: its own cells, ready
+/// queues (`Q_comp` / `Q_commu`) and timing — iterations share nothing
+/// but the link and the node's [`Machine`].
 struct IterState<'a> {
     core: NodeCore<'a>,
-    /// Remaining dependency counts for local tasks.
-    pending: HashMap<u32, usize>,
     /// Ready computing tasks (encode/decode/merge/update + source).
     q_comp: VecDeque<TaskId>,
     /// Ready communication tasks (send/recv).
     q_commu: VecDeque<TaskId>,
-    /// Local tasks completed so far.
-    done: usize,
     admitted: Instant,
     /// Trace-clock admission time, for the retired `iter_span` span.
     admitted_ns: Option<u64>,
 }
 
 impl<'a> IterState<'a> {
-    /// Admits one iteration around `core`: every local dependency
-    /// count from the plan, the queues seeded with the
-    /// dependency-free tasks (Sources) in deterministic order.
-    fn new(core: NodeCore<'a>, plan: &NodePlan) -> Self {
-        let pending = plan.pending[core.node].clone();
-        let mut ready: Vec<u32> = pending
-            .iter()
-            .filter(|&(_, &n)| n == 0)
-            .map(|(&t, _)| t)
-            .collect();
-        ready.sort_unstable();
-        let mut st = IterState {
+    /// Admits one iteration around `core`, its queues empty.
+    fn new(core: NodeCore<'a>) -> Self {
+        IterState {
             admitted_ns: core.trace.as_ref().map(|tr| tr.tracer.now_ns()),
             core,
-            pending,
             q_comp: VecDeque::new(),
             q_commu: VecDeque::new(),
-            done: 0,
             admitted: Instant::now(),
-        };
-        for t in ready {
-            st.enqueue(TaskId(t));
         }
-        st
     }
 
     fn enqueue(&mut self, t: TaskId) {
@@ -225,36 +210,6 @@ impl<'a> IterState<'a> {
         }
     }
 
-    /// Clears one dependency edge of local task `t`, promoting it into
-    /// its queue when the count reaches zero (Figure 2's promotion).
-    fn resolve_dep(&mut self, t: u32) {
-        let n = self
-            .pending
-            .get_mut(&t)
-            .expect("resolve_dep on a task this node does not own");
-        *n -= 1;
-        if *n == 0 {
-            self.enqueue(TaskId(t));
-        }
-    }
-
-    /// A completion message for remote task `task` arrived: accounts
-    /// for it, stores the payload a `Send` carried (`None` for a bare
-    /// completion edge) and clears the edge of every local task
-    /// waiting on it.
-    fn deliver(&mut self, plan: &NodePlan, task: TaskId, payload: Option<Arc<Payload>>) {
-        self.core
-            .note_message(task, payload.as_deref().map(Payload::wire_bytes));
-        if let Some(p) = payload {
-            self.core.inbound.insert(task.0, p);
-        }
-        if let Some(deps) = plan.remote_edges_in[self.core.node].get(&task.0) {
-            for &d in deps {
-                self.resolve_dep(d);
-            }
-        }
-    }
-
     /// Pops the next ready task, communication first: a completed
     /// send unblocks another node, which is what keeps the pipeline
     /// full.
@@ -271,17 +226,6 @@ impl<'a> IterState<'a> {
         }
         Some(t)
     }
-
-    /// Marks local task `id` complete and clears its same-node
-    /// dependents' edges; the caller ships the remote completions.
-    fn complete(&mut self, plan: &NodePlan, id: TaskId) {
-        self.done += 1;
-        if let Some(deps) = plan.local_dependents.get(&id.0) {
-            for &d in deps {
-                self.resolve_dep(d);
-            }
-        }
-    }
 }
 
 /// One node's pipelined task manager, generic over the transport.
@@ -295,17 +239,15 @@ struct PipeWorker<'a, L: Link<Msg = Msg>> {
     graph: &'a TaskGraph,
     inputs: &'a NodeInputs,
     layout: &'a FlowLayout,
-    plan: &'a NodePlan,
+    ix: &'a DepIndex,
     compressor: Option<&'a dyn Compressor>,
     seed: u64,
     pcfg: PipelineConfig,
-    /// Admitted, incomplete iterations in ascending order.
+    /// Promotion, admission, the stash of early arrivals (with their
+    /// payloads) and retirement.
+    machine: Machine<Option<Arc<Payload>>>,
+    /// Admitted iterations with tasks left here, in ascending order.
     iters: BTreeMap<u32, IterState<'a>>,
-    /// Arrivals for iterations not yet admitted, replayed at
-    /// admission.
-    stash: HashMap<u32, Vec<(TaskId, Option<Arc<Payload>>)>>,
-    next_admit: u32,
-    completed: u32,
     report: RuntimeReport,
     final_cells: Option<HashMap<(u32, u32), Cell>>,
     /// Shared tracing handles cloned into every admitted iteration's
@@ -340,35 +282,46 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     /// Admits iterations while the window has room, seeding each with
     /// its dependency-free tasks and replaying any stashed arrivals.
     fn admit_ready(&mut self) {
-        loop {
-            let lowest_incomplete = self.iters.keys().next().copied().unwrap_or(self.next_admit);
-            if self.next_admit >= self.pcfg.iterations
-                || self.next_admit >= lowest_incomplete + self.pcfg.window
-            {
-                return;
-            }
-            let iter = self.next_admit;
-            self.next_admit += 1;
+        while let Some((iter, stashed)) = self.machine.admit(self.ix) {
+            let me = self.link.me();
             let mut core = NodeCore::new(
-                self.link.me(),
+                me,
                 self.graph,
                 self.inputs,
                 self.layout,
-                self.plan,
+                self.ix,
                 self.compressor,
                 self.seed,
                 self.trace.clone(),
                 self.metrics.clone(),
             );
             core.iter = iter;
-            let mut st = IterState::new(core, self.plan);
-            if let Some(msgs) = self.stash.remove(&iter) {
-                for (task, payload) in msgs {
-                    st.deliver(self.plan, task, payload);
-                }
+            let mut st = IterState::new(core);
+            // Seeded with the dependency-free tasks, ascending.
+            for t in self.ix.tasks_of(me).filter(|&t| self.ix.indeg(t) == 0) {
+                st.enqueue(t);
             }
             self.iters.insert(iter, st);
+            for (task, payload) in stashed {
+                self.deliver(iter, task, payload);
+            }
         }
+    }
+
+    /// Takes in the completion of remote task `task` of admitted
+    /// iteration `iter`: counts it, stores the payload a `Send` carried
+    /// (`None` for a bare completion edge) and clears the edge of every
+    /// local task waiting on it.
+    fn deliver(&mut self, iter: u32, task: TaskId, payload: Option<Arc<Payload>>) {
+        let Some(st) = self.iters.get_mut(&iter) else {
+            return; // its tasks here all ran: a duplicate
+        };
+        st.core
+            .note_message(task, payload.as_deref().map(Payload::wire_bytes));
+        if let Some(p) = payload {
+            st.core.inbound.insert(task.0, p);
+        }
+        self.machine.release(self.ix, iter, task, |t| st.enqueue(t));
     }
 
     fn broadcast_abort(&mut self) {
@@ -382,26 +335,18 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 
     fn handle(&mut self, msg: Msg) -> Result<()> {
         match msg {
-            Msg::Abort => Err(Error::sync(SyncFailure {
-                kind: SyncFailureKind::Aborted,
-                node: self.me(),
-                peer: None,
-                task: None,
-                detail: String::new(),
-            })),
+            Msg::Abort => Err(Error::sync_at(SyncFailureKind::Aborted, self.me(), "")),
             Msg::Done {
                 task,
                 payload,
                 iter,
             } => {
-                if let Some(st) = self.iters.get_mut(&iter) {
-                    st.deliver(self.plan, task, payload);
-                } else if iter >= self.next_admit {
-                    self.stash.entry(iter).or_default().push((task, payload));
-                }
                 // A message for a completed iteration cannot occur on
                 // a deduplicating fabric (completion requires every
-                // remote edge consumed); tolerate and drop it anyway.
+                // remote edge consumed); it is dropped anyway.
+                if let Some(payload) = self.machine.arrive(iter, task, payload) {
+                    self.deliver(iter, task, payload);
+                }
                 Ok(())
             }
         }
@@ -485,13 +430,13 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     /// (no abort broadcast — peers discover the loss the way they would
     /// a real one), or the one-off stall peers must notice by silence.
     fn gate(&mut self) -> Result<()> {
-        let (me, completed, executed) = (self.me(), self.completed, self.executed);
+        let (me, retired, executed) = (self.me(), self.machine.retired(), self.executed);
         let Some(h) = self.hooks.as_deref_mut() else {
             return Ok(());
         };
         let crash = match (h.die_at_iter, h.faults.crash) {
-            (Some(d), _) if completed >= d => Some(format!(
-                "elastic crash injection after {completed} retired iterations"
+            (Some(d), _) if retired >= d => Some(format!(
+                "elastic crash injection after {retired} retired iterations"
             )),
             (_, Some(c)) if executed >= c.at_task => {
                 Some(format!("injected crash before local task {}", c.at_task))
@@ -499,13 +444,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             _ => None,
         };
         if let Some(detail) = crash {
-            return Err(Error::sync(SyncFailure {
-                kind: SyncFailureKind::InjectedCrash,
-                node: me,
-                peer: None,
-                task: None,
-                detail,
-            }));
+            return Err(Error::sync_at(SyncFailureKind::InjectedCrash, me, detail));
         }
         if let Some(stall) = h.faults.stall.take_if(|s| executed >= s.at_task) {
             self.report.faults.injected_stalls += 1;
@@ -521,31 +460,28 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         Ok(())
     }
 
-    /// Marks `id` of iteration `iter` complete: resolves local
+    /// Marks `id` of iteration `iter` complete: promotes local
     /// dependents, ships completion events to remote nodes, and — when
     /// the iteration's last local task lands — retires the iteration
-    /// and admits the next.
+    /// and admits what the window then has room for.
     fn finish(&mut self, iter: u32, id: TaskId, payload: Option<Arc<Payload>>) {
-        let plan = self.plan;
         self.executed += 1;
         let st = self.iters.get_mut(&iter).expect("finishing iteration");
-        st.complete(plan, id);
-        let done = st.done;
-        if let Some(nodes) = plan.remote_notify.get(&id.0) {
-            for &n in nodes {
-                // A lost peer surfaces on the receive path with its
-                // rank; completion only needs the sends attempted.
-                let _ = self.link.send(
-                    n,
-                    Msg::Done {
-                        task: id,
-                        payload: payload.clone(),
-                        iter,
-                    },
-                );
-            }
+        self.machine.release(self.ix, iter, id, |t| st.enqueue(t));
+        let last = self.machine.done(iter);
+        for &n in self.ix.notify(id) {
+            // A lost peer surfaces on the receive path with its rank;
+            // completion only needs the sends attempted.
+            let _ = self.link.send(
+                n,
+                Msg::Done {
+                    task: id,
+                    payload: payload.clone(),
+                    iter,
+                },
+            );
         }
-        if done == plan.local_counts[self.link.me()] {
+        if last {
             let mut st = self.iters.remove(&iter).expect("retiring iteration");
             if self.progress.is_some() {
                 let ms = telemetry_slowdown_ms();
@@ -607,9 +543,8 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 self.final_cells = Some(std::mem::take(&mut st.core.cells));
             }
             st.core.recycle(self.pool);
-            self.completed += 1;
             if let Some(h) = self.hooks.as_deref_mut() {
-                h.retired = self.completed;
+                h.retired = self.machine.retired();
             }
             self.admit_ready();
         }
@@ -617,7 +552,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
 
     fn run(&mut self) -> NodeResult {
         self.admit_ready();
-        while self.completed < self.pcfg.iterations {
+        while self.machine.retired() < self.pcfg.iterations {
             // Drain the inbox without blocking: completion events
             // promote tasks into the queues.
             while let Some(msg) = self.link.try_recv().map_err(|e| fabric_err(self.me(), e))? {
@@ -629,7 +564,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                     self.broadcast_abort();
                     return Err(e);
                 }
-            } else if self.completed < self.pcfg.iterations {
+            } else {
                 match self
                     .link
                     .recv_timeout(INBOX_TIMEOUT)
@@ -638,17 +573,10 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                     Some(msg) => self.handle(msg)?,
                     None => {
                         self.broadcast_abort();
-                        let (lowest, done) = self
-                            .iters
-                            .iter()
-                            .next()
-                            .map(|(&k, s)| (k, s.done))
-                            .unwrap_or((self.next_admit, 0));
                         return Err(Error::sim(format!(
-                            "node {} wedged: iteration {lowest} at {done} of {} tasks done, \
-                             inbox silent",
+                            "node {} wedged: iteration {} unretired, inbox silent",
                             self.me(),
-                            self.plan.local_counts[self.me()]
+                            self.machine.retired()
                         )));
                     }
                 }
@@ -701,7 +629,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     graph: &'a TaskGraph,
     inputs: &'a NodeInputs,
     layout: &'a FlowLayout,
-    plan: &'a NodePlan,
+    ix: &'a DepIndex,
     compressor: Option<&'a dyn Compressor>,
     seed: u64,
     pcfg: &PipelineConfig,
@@ -714,19 +642,18 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     // Split once, before the first iteration, so the one copy is not
     // timed as a `Source`: every `Source` is a refcount bump on it.
     layout.split_inputs(inputs, link.me());
+    let machine = Machine::new(ix, link.me(), pcfg.iterations, pcfg.window);
     let mut worker = PipeWorker {
         link,
         graph,
         inputs,
         layout,
-        plan,
+        ix,
         compressor,
         seed,
         pcfg: *pcfg,
+        machine,
         iters: BTreeMap::new(),
-        stash: HashMap::new(),
-        next_admit: 0,
-        completed: 0,
         report: RuntimeReport::default(),
         final_cells: None,
         trace,
@@ -847,7 +774,7 @@ pub fn run(
     let layout = FlowLayout::new(graph, nodes);
     layout.geometry.check(nodes, flows, |reps| &reps[..])?;
     let inputs: Vec<NodeInputs> = (0..nodes).map(|n| node_inputs(flows, n)).collect();
-    let plan = NodePlan::derive(graph, nodes);
+    let ix = DepIndex::of(graph);
     let node_traces = build_node_traces(instruments.tracer, nodes);
     let node_metrics = build_node_metrics(instruments.metrics, nodes);
     let mut report = RuntimeReport {
@@ -858,7 +785,7 @@ pub fn run(
         ..Default::default()
     };
     let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
-    let (layout, plan) = (&layout, &plan);
+    let (layout, ix) = (&layout, &ix);
 
     let run_start_ns = instruments.tracer.map(Tracer::now_ns);
     let started = Instant::now();
@@ -870,18 +797,18 @@ pub fn run(
                 let mut pool = BufPool::default();
                 let inputs = &inputs[link.me()];
                 drive_node(
-                    &mut link, graph, inputs, layout, plan, compressor, seed, pcfg, tr, m,
-                    progress, None, &mut pool,
+                    &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, tr, m, progress,
+                    None, &mut pool,
                 )
             },
         ),
         Some(chaos) => on_threads(node_traces, node_metrics, |inner, tr, m| {
-            let (mut link, mut hooks) = FtLink::new(inner, graph, plan, chaos, opts, tr.clone());
+            let (mut link, mut hooks) = FtLink::new(inner, graph, ix, chaos, opts, tr.clone());
             let hooks = Some(&mut hooks);
             let mut pool = BufPool::default();
             let inputs = &inputs[link.me()];
             let result = drive_node(
-                &mut link, graph, inputs, layout, plan, compressor, seed, pcfg, tr, m, progress,
+                &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, tr, m, progress,
                 hooks, &mut pool,
             );
             link.finish(result)

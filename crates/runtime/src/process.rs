@@ -44,16 +44,17 @@
 
 use crate::engine::{
     record_run_metrics, record_run_span, root_cause, single_node_trace, BufPool, Cell, FlowLayout,
-    Instruments, Msg, NodeMetrics, NodePlan, RunOutcome,
+    Instruments, Msg, NodeMetrics, RunOutcome,
 };
 use crate::observe::{
     record_clock_meta, replay_into, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
     UNKNOWN_NODE,
 };
-use crate::pipeline::{drive_node, fabric_err, validate, NodeHooks, PipelineConfig};
+use crate::pipeline::{drive_node, validate, NodeHooks, PipelineConfig};
 use crate::report::RuntimeReport;
 use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
+use hipress_core::sched::DepIndex;
 use hipress_core::{
     ClusterConfig, CompressionSpec, GradPlan, IterationSpec, Strategy, SyncGradient,
 };
@@ -64,7 +65,7 @@ use hipress_obs::{IterRecord, ProgressSink};
 use hipress_tensor::Tensor;
 use hipress_trace::{Trace, Tracer};
 use hipress_util::codec::WireMsg;
-use hipress_util::{record, Error, Result, SyncFailure, SyncFailureKind};
+use hipress_util::{record, Error, Result, SyncFailureKind};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -684,8 +685,10 @@ fn run_job(
             // rebuilt mesh.
             epoch: job.epoch,
         };
+        // A mesh that cannot form echoes the rank that could not join
+        // it: an abort, which that rank's own failure outranks.
         let link = connect_mesh::<Msg>(slot, nodes, mesh_listener, &peers, &mesh)
-            .map_err(|e| fabric_err(slot, e))?;
+            .map_err(|e| Error::sync_at(SyncFailureKind::Aborted, slot, e.to_string()))?;
         Ok((graph, layout, inputs, link))
     };
     let failed = |error, completed| Ctl::Failed {
@@ -702,7 +705,7 @@ fn run_job(
         }
     };
     let compressor = job.algorithm.build();
-    let plan = NodePlan::derive(&graph, nodes);
+    let ix = DepIndex::of(&graph);
 
     // Per-worker instrumentation, built only when the coordinator
     // asked: the trace rides home inside `Outcome`, the metrics as a
@@ -741,7 +744,7 @@ fn run_job(
         &graph,
         &inputs,
         &layout,
-        &plan,
+        &ix,
         compressor.as_deref(),
         job.seed,
         &pcfg,

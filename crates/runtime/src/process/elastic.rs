@@ -588,13 +588,11 @@ pub(super) fn run_segments(
                 SegRes::Done { .. } => None,
                 SegRes::Failed { error, .. } => Some(error),
                 // The survivors' rings will show its silence.
-                SegRes::Lost => Some(Error::sync(SyncFailure {
-                    kind: SyncFailureKind::LinkDead,
-                    node: g as usize,
-                    peer: None,
-                    task: None,
-                    detail: "worker process exited without reporting an outcome".into(),
-                })),
+                SegRes::Lost => Some(Error::sync_at(
+                    SyncFailureKind::LinkDead,
+                    g as usize,
+                    "worker process exited without reporting an outcome",
+                )),
             });
             let worst = root_cause(errors).expect("at least one error");
             if let Some(path) = &pconf.flight_dump {
@@ -827,13 +825,18 @@ mod tests {
         job
     }
 
-    /// Workers handed a job they cannot set up report why: under
-    /// either loss policy the run fails with the setup error, its
-    /// category kept and the worker named — not as a dead link, and
-    /// not by evicting the workers that said so.
+    /// A worker handed a job it cannot set up reports why: under
+    /// either loss policy the run fails with that setup error, its
+    /// category kept and the worker named — not as the mesh its peers
+    /// then could not form, and not by evicting the worker that said
+    /// so.
     #[test]
-    fn a_job_the_workers_cannot_set_up_fails_naming_worker_and_cause() {
-        TAMPER.set(Some(|job| job.partitions = 0));
+    fn a_job_a_worker_cannot_set_up_fails_naming_worker_and_cause() {
+        TAMPER.set(Some(|job| {
+            if job.rank == 1 {
+                job.partitions = 0;
+            }
+        }));
         let grads: Vec<Vec<Tensor>> = (0..3)
             .map(|w| vec![Tensor::from_vec(vec![w as f32; 64])])
             .collect();
@@ -856,7 +859,7 @@ mod tests {
             let text = err.to_string();
             assert!(matches!(err, Error::Config(_)), "elastic {elastic}: {text}");
             assert!(
-                text.contains("rank 0 could not set up its job")
+                text.contains("rank 1 could not set up its job")
                     && text.contains("'g0' has zero partitions"),
                 "elastic {elastic}: {text}"
             );

@@ -41,19 +41,6 @@ impl PrimStat {
     }
 }
 
-/// The primitive kinds in report/display order, paired with the span
-/// category names the tracing engine uses for them.
-const PRIMS: [(Primitive, &str); 8] = [
-    (Primitive::Source, "source"),
-    (Primitive::Encode, "encode"),
-    (Primitive::Decode, "decode"),
-    (Primitive::Merge, "merge"),
-    (Primitive::Send, "send"),
-    (Primitive::Recv, "recv"),
-    (Primitive::Update, "update"),
-    (Primitive::Barrier, "barrier"),
-];
-
 record! {
     /// What a degradation policy did about one diagnosed straggler.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,9 +296,9 @@ impl RuntimeReport {
     /// the accumulated one exactly.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut r = RuntimeReport::default();
-        for (p, cat) in PRIMS {
+        for p in Primitive::ALL {
             let s = r.prim_mut(p);
-            for e in trace.events_of(cat) {
+            for e in trace.events_of(p.name()) {
                 s.record(e.dur_ns);
             }
         }
@@ -390,7 +377,7 @@ impl RuntimeReport {
                             .track(id)
                             .events
                             .iter()
-                            .filter(|e| PRIMS.iter().any(|(_, c)| e.category == *c))
+                            .filter(|e| Primitive::ALL.iter().any(|p| e.category == p.name()))
                             .map(|e| e.dur_ns)
                             .sum()
                     })
@@ -439,7 +426,7 @@ impl RuntimeReport {
 
     /// Total busy time across primitives and nodes.
     pub fn total_busy_ns(&self) -> u64 {
-        PRIMS.iter().map(|&(p, _)| self.prim(p).busy_ns).sum()
+        Primitive::ALL.iter().map(|&p| self.prim(p).busy_ns).sum()
     }
 
     /// How much iteration time the pipeline hid, in `[0, 1)`: the
@@ -480,11 +467,11 @@ impl fmt::Display for RuntimeReport {
             ("count", Align::Right),
             ("busy", Align::Right),
         ]);
-        for (p, name) in PRIMS {
+        for p in Primitive::ALL {
             let s = self.prim(p);
             if s.count > 0 {
                 table.row(vec![
-                    name.to_string(),
+                    p.name().to_string(),
                     s.count.to_string(),
                     fmt_duration_ns(s.busy_ns),
                 ]);

@@ -153,6 +153,18 @@ impl Error {
         Self::Sync(failure)
     }
 
+    /// A structured failure of `kind` at `node`, naming no peer or
+    /// task.
+    pub fn sync_at(kind: SyncFailureKind, node: usize, detail: impl Into<String>) -> Self {
+        Self::Sync(SyncFailure {
+            kind,
+            node,
+            peer: None,
+            task: None,
+            detail: detail.into(),
+        })
+    }
+
     /// The same error with `prefix: ` before its message and its
     /// category kept; a sync failure takes the prefix into its detail.
     pub fn context(mut self, prefix: impl fmt::Display) -> Self {
