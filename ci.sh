@@ -34,11 +34,12 @@ echo "== benchmark unit tests (statistics, catalogue == BENCHMARK.json == emitte
 # never runs these.
 cargo test -q --locked --manifest-path benchmark/Cargo.toml --target-dir target
 
-echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x, DGC encode >= 40x their OSS baselines) =="
+echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x, DGC encode >= 40x their OSS baselines; DGC merge_into >= 1.15x decode_into + add) =="
 # SS4.4 as a same-process wall-clock ratio: the byte-at-a-time
 # quantizer kernels must stay well ahead of the per-bit reference
-# encoders, and DGC's sampled-threshold selector ahead of the full
-# sort (the bench asserts both, and the simulated pass counts).
+# encoders, DGC's sampled-threshold selector ahead of the full sort,
+# and DGC's sparse merge ahead of a dense decode and add (the bench
+# asserts all three, and the simulated pass counts).
 cargo bench -q -p hipress-bench --bench sec44_speedups >/dev/null
 
 echo "== fabric frame-path gate (loopback mesh <= 4.6x a bare TcpStream for the same bytes) =="

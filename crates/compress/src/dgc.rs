@@ -30,8 +30,8 @@
 //! Indices ascend strictly; a decoder rejects a stream where they do
 //! not.
 
-use crate::header::{read_f32, read_u32, AlgoId, Header, HEADER_LEN};
-use crate::{AlgorithmKind, Compressor, KernelCostProfile};
+use crate::header::{read_u32, AlgoId, Header, HEADER_LEN};
+use crate::{check_acc_len, AlgorithmKind, Compressor, KernelCostProfile};
 use hipress_util::{Error, Result};
 use std::ops::RangeInclusive;
 
@@ -86,24 +86,33 @@ pub(crate) fn magnitude_key(x: f32) -> u32 {
 }
 
 /// The ascending indices of the elements whose [`magnitude_key`] lies
-/// in `keys`, in one streaming pass: a branch-free block maximum skips
-/// the blocks that cannot hold one, and a block that may is compacted
+/// in `keys`, in one streaming pass: a branch-free test skips the
+/// blocks that cannot hold one, and a block that may is compacted
 /// without a per-element branch.
 pub(crate) fn indices_with_key_in(grad: &[f32], keys: RangeInclusive<u32>) -> Vec<u32> {
     let mut out = Vec::new();
+    // Keys have the sign bit clear, so as `i32` they keep their order,
+    // and a start past `i32::MAX` admits none.
+    let Ok(lo) = i32::try_from(*keys.start()) else {
+        return out;
+    };
     if keys.is_empty() {
         return out;
     }
     // `lo <= key <= hi` as one unsigned comparison.
-    let (lo, span) = (*keys.start(), keys.end() - keys.start());
+    let span = keys.end() - keys.start();
     for (b, block) in grad.chunks(BLOCK).enumerate() {
-        let max = block.iter().fold(0, |m, &x| m.max(magnitude_key(x)));
-        if max >= lo {
+        // Whether any key reaches `lo`: an OR of signed compares, which
+        // SSE2 does four lanes at a time (it has no unsigned maximum).
+        let reaches = block
+            .iter()
+            .fold(false, |any, &x| any | (magnitude_key(x) as i32 >= lo));
+        if reaches {
             let mut hits = [0u32; BLOCK];
             let mut n = 0;
             for (j, &x) in block.iter().enumerate() {
                 hits[n] = (b * BLOCK + j) as u32;
-                n += usize::from(magnitude_key(x).wrapping_sub(lo) <= span);
+                n += usize::from(magnitude_key(x).wrapping_sub(lo as u32) <= span);
             }
             out.extend_from_slice(&hits[..n]);
         }
@@ -180,43 +189,59 @@ pub(crate) fn write_sparse(out: &mut Vec<u8>, grad: &[f32], indices: &[u32]) {
     }
 }
 
-/// The survivor count `k` of a sparse stream section, once the section
-/// is known to be long enough to hold `k` (index, value) pairs.
-fn survivor_count(rest: &[u8]) -> Result<usize> {
-    let k = read_u32(rest, 0)? as usize;
-    let need = 4 + k * 8;
-    if rest.len() < need {
-        return Err(Error::codec(format!(
-            "sparse stream truncated: need {need} bytes, have {}",
-            rest.len()
-        )));
-    }
-    Ok(k)
+/// The survivors of a sparse stream section, checked whole before
+/// anyone writes by them: the section holds its `k` (index, value)
+/// pairs, and the indices ascend strictly, as every encoder emits
+/// them, and stay below `elems`. A duplicate or a descent would let
+/// two different streams decode to one tensor.
+struct Survivors<'a> {
+    indices: &'a [u8],
+    values: &'a [u8],
 }
 
-/// Scatters the `k` survivors of a sparse section over an all-zero
-/// `out`, whose length bounds the indices. They must ascend strictly,
-/// as every encoder emits them: a duplicate or a descent would let two
-/// different streams decode to one tensor.
-fn scatter(rest: &[u8], k: usize, out: &mut [f32]) -> Result<()> {
-    let elems = out.len();
-    let mut prev = None;
-    for j in 0..k {
-        let idx = read_u32(rest, 4 + j * 4)? as usize;
-        if prev.is_some_and(|p| idx <= p) {
+impl<'a> Survivors<'a> {
+    fn read(rest: &'a [u8], elems: usize) -> Result<Self> {
+        let k = read_u32(rest, 0)? as usize;
+        let need = 4 + k * 8;
+        if rest.len() < need {
             return Err(Error::codec(format!(
-                "sparse index {idx} at position {j} does not ascend"
+                "sparse stream truncated: need {need} bytes, have {}",
+                rest.len()
             )));
         }
-        prev = Some(idx);
-        let slot = out.get_mut(idx).ok_or_else(|| {
-            Error::codec(format!(
-                "sparse index {idx} out of bounds for {elems} elements"
-            ))
-        })?;
-        *slot = read_f32(rest, 4 + k * 4 + j * 4)?;
+        let s = Survivors {
+            indices: &rest[4..4 + k * 4],
+            values: &rest[4 + k * 4..need],
+        };
+        let mut prev = None;
+        for (j, (idx, _)) in s.iter().enumerate() {
+            if prev.is_some_and(|p| idx <= p) {
+                return Err(Error::codec(format!(
+                    "sparse index {idx} at position {j} does not ascend"
+                )));
+            }
+            if idx >= elems {
+                return Err(Error::codec(format!(
+                    "sparse index {idx} out of bounds for {elems} elements"
+                )));
+            }
+            prev = Some(idx);
+        }
+        Ok(s)
     }
-    Ok(())
+
+    /// The (index, value) pairs, in stream order.
+    fn iter(&self) -> impl Iterator<Item = (usize, f32)> + 'a {
+        let word = |b: &[u8]| <[u8; 4]>::try_from(b).expect("4-byte chunks");
+        let indices = self.indices.chunks_exact(4);
+        let values = self.values.chunks_exact(4);
+        indices.zip(values).map(move |(i, v)| {
+            (
+                u32::from_le_bytes(word(i)) as usize,
+                f32::from_le_bytes(word(v)),
+            )
+        })
+    }
 }
 
 /// [`Compressor::decode`] for the sparse layout under `algo`. Only the
@@ -224,21 +249,52 @@ fn scatter(rest: &[u8], k: usize, out: &mut [f32]) -> Result<()> {
 /// knows the length goes through [`decode_sparse_into`].
 pub(crate) fn decode_sparse(data: &[u8], algo: AlgoId) -> Result<Vec<f32>> {
     let (h, rest) = Header::read_expecting(data, algo)?;
-    let k = survivor_count(rest)?;
+    let survivors = Survivors::read(rest, h.elems as usize)?;
     let mut out = vec![0.0; h.elems as usize];
-    scatter(rest, k, &mut out)?;
+    for (i, v) in survivors.iter() {
+        out[i] = v;
+    }
     Ok(out)
 }
 
 /// [`Compressor::decode_into`] for the sparse layout under `algo`: a
-/// header that does not describe exactly `out.len()` elements is
-/// rejected before anything is sized or written by it.
+/// stream that does not describe exactly `out.len()` elements, or
+/// whose survivors are not valid for them, is rejected before
+/// anything is sized or written by it.
 pub(crate) fn decode_sparse_into(data: &[u8], algo: AlgoId, out: &mut [f32]) -> Result<()> {
     let (h, rest) = Header::read_expecting(data, algo)?;
     h.expect_elems(out.len())?;
-    let k = survivor_count(rest)?;
+    let survivors = Survivors::read(rest, out.len())?;
     out.fill(0.0);
-    scatter(rest, k, out)
+    for (i, v) in survivors.iter() {
+        out[i] = v;
+    }
+    Ok(())
+}
+
+/// [`Compressor::merge_into`] for the sparse layout under `algo`, with
+/// [`decode_sparse_into`]'s checks, all made before anything is
+/// written. One dense pass adds `+0.0` to every element of `acc`, the
+/// absent survivors of a zero-filled decode; then each survivor is
+/// added to the *original* `acc[i]`, not to `acc[i] + 0.0`, which
+/// differs from it when `acc[i]` is `-0.0`.
+pub(crate) fn merge_sparse_into(
+    data: &[u8],
+    algo: AlgoId,
+    acc: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    let (h, rest) = Header::read_expecting(data, algo)?;
+    h.expect_elems(out.len())?;
+    check_acc_len(acc, out)?;
+    let survivors = Survivors::read(rest, out.len())?;
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = a + 0.0;
+    }
+    for (i, v) in survivors.iter() {
+        out[i] = acc[i] + v;
+    }
+    Ok(())
 }
 
 impl Compressor for Dgc {
@@ -268,6 +324,10 @@ impl Compressor for Dgc {
 
     fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
         decode_sparse_into(data, AlgoId::Dgc, out)
+    }
+
+    fn merge_into(&self, data: &[u8], acc: &[f32], out: &mut [f32]) -> Result<()> {
+        merge_sparse_into(data, AlgoId::Dgc, acc, out)
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

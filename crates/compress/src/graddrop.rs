@@ -12,7 +12,8 @@
 //! DGC, under its own algorithm id.
 
 use crate::dgc::{
-    decode_sparse, decode_sparse_into, indices_with_key_in, magnitude_key, write_sparse,
+    decode_sparse, decode_sparse_into, indices_with_key_in, magnitude_key, merge_sparse_into,
+    write_sparse,
 };
 use crate::header::{AlgoId, Header, HEADER_LEN};
 use crate::{AlgorithmKind, Compressor, KernelCostProfile};
@@ -103,6 +104,10 @@ impl Compressor for GradDrop {
 
     fn decode_into(&self, data: &[u8], out: &mut [f32]) -> Result<()> {
         decode_sparse_into(data, AlgoId::GradDrop, out)
+    }
+
+    fn merge_into(&self, data: &[u8], acc: &[f32], out: &mut [f32]) -> Result<()> {
+        merge_sparse_into(data, AlgoId::GradDrop, acc, out)
     }
 
     fn compressed_size(&self, elems: usize) -> u64 {

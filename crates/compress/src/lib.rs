@@ -120,6 +120,34 @@ pub trait Compressor: Send + Sync {
         Ok(())
     }
 
+    /// Merges a stream into an accumulator: `out = acc + decode(data)`,
+    /// element by element and bit for bit, written to the consumer's
+    /// own buffer. This is the aggregator's decode → merge step of
+    /// CaSync (§3.1) as one call.
+    ///
+    /// Fails, with the errors [`Compressor::decode_into`] gives, unless
+    /// the stream describes exactly `out.len()` elements and `acc` holds
+    /// as many. `acc` is never written; after an error the contents of
+    /// `out` are unspecified.
+    ///
+    /// The default decodes into `out` and adds `acc` there, one pass
+    /// each. The sparse codecs ([`dgc`], [`graddrop`]) never densify the
+    /// stream: they write `acc[i] + 0.0` everywhere and then
+    /// `acc[i] + v` at each survivor `(i, v)`. Adding `+0.0` rather than
+    /// copying is what keeps the bits those of the dense sum: `-0.0`
+    /// becomes `+0.0` and a signaling NaN is quieted, exactly as adding
+    /// a zero-filled decode does.
+    // `acc + dec`, the operand order of every other sum in the runtime.
+    #[allow(clippy::assign_op_pattern)]
+    fn merge_into(&self, data: &[u8], acc: &[f32], out: &mut [f32]) -> Result<()> {
+        check_acc_len(acc, out)?;
+        self.decode_into(data, out)?;
+        for (o, &a) in out.iter_mut().zip(acc) {
+            *o = a + *o;
+        }
+        Ok(())
+    }
+
     /// Exact compressed size in bytes for an `elems`-element gradient,
     /// when the size is data-independent. Data-dependent algorithms
     /// (threshold sparsifiers) return their expected size.
@@ -136,6 +164,19 @@ pub trait Compressor: Send + Sync {
 
     /// Relative kernel cost used by the simulated GPU.
     fn cost_profile(&self) -> KernelCostProfile;
+}
+
+/// [`Compressor::merge_into`]'s length rule for the accumulator: it
+/// holds exactly as many elements as the destination.
+pub(crate) fn check_acc_len(acc: &[f32], out: &[f32]) -> Result<()> {
+    if acc.len() != out.len() {
+        return Err(Error::codec(format!(
+            "merge accumulator holds {} elements, destination holds {}",
+            acc.len(),
+            out.len()
+        )));
+    }
+    Ok(())
 }
 
 hipress_util::record! {

@@ -433,20 +433,38 @@ fn io_err(peer: usize, e: impl std::fmt::Display) -> FabricError {
     }
 }
 
-/// Dials `addr` until it answers or `deadline` passes (rendezvous
-/// guarantees the listener exists, but the accept loop may lag).
+/// Dials `addr` until it answers or `deadline` passes. The peer's
+/// listener is bound before its address is shared, so a refused dial
+/// means the peer is gone and fails at once; any other error is
+/// retried.
 fn dial(addr: SocketAddr, deadline: Instant, peer: usize) -> Result<TcpStream, FabricError> {
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => {
-                if Instant::now() >= deadline {
+                if e.kind() == std::io::ErrorKind::ConnectionRefused || Instant::now() >= deadline {
                     return Err(io_err(peer, format!("connect {addr}: {e}")));
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
     }
+}
+
+/// Whether the peer has closed or reset `stream`, looked at without
+/// blocking. A peer writes nothing on a stream it has not yet
+/// accepted, so end-of-stream or an error means it is gone.
+fn closed(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let peeked = stream.peek(&mut [0u8]);
+    let restored = stream.set_nonblocking(false).is_ok();
+    !restored
+        || match peeked {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        }
 }
 
 /// Starts one of the link's reader threads.
@@ -532,6 +550,14 @@ pub fn connect_mesh<M: WireMsg>(
                 accepted += 1;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                // A dial that beat the peer's failed setup sat in its
+                // backlog; the peer's listener is gone now.
+                if let Some(p) = (0..nodes).find(|&p| outs[p].as_ref().is_some_and(closed)) {
+                    return Err(io_err(
+                        p,
+                        "peer closed its listener before joining the mesh",
+                    ));
+                }
                 if Instant::now() >= deadline {
                     return Err(io_err(
                         rank,
@@ -606,6 +632,40 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let a = l.local_addr().unwrap();
         (l, a)
+    }
+
+    /// A peer whose listener is gone refuses the dial, and the dial
+    /// fails at once instead of retrying until the deadline.
+    #[test]
+    fn a_dial_to_a_dropped_listener_fails_well_inside_the_deadline() {
+        let (listener, addr) = local_listener();
+        drop(listener);
+        let started = Instant::now();
+        let err = dial(addr, started + CONNECT_TIMEOUT, 3).unwrap_err();
+        assert!(
+            started.elapsed() < CONNECT_TIMEOUT / 10,
+            "refused dial took {:?}",
+            started.elapsed()
+        );
+        let FabricError::Io { peer: 3, detail } = err else {
+            panic!("{err:?}");
+        };
+        assert!(detail.contains(&format!("connect {addr}")), "{detail}");
+    }
+
+    /// A dial the peer never accepted reads as open while its listener
+    /// lives, and as closed once the listener is dropped.
+    #[test]
+    fn a_dial_left_in_a_dropped_backlog_reads_as_closed() {
+        let (listener, addr) = local_listener();
+        let stream = TcpStream::connect(addr).unwrap();
+        assert!(!closed(&stream));
+        drop(listener);
+        let started = Instant::now();
+        while !closed(&stream) {
+            assert!(started.elapsed() < Duration::from_secs(1), "still open");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// The stream of replies a peer's data reader would write.

@@ -16,8 +16,10 @@
 //!
 //! The dataflow semantics are exactly those of
 //! [`hipress_core::interp`]: the same per-task encode seeds, the same
-//! serial merge chains, the same owner-installs-`decode(encode(sum))`
-//! rule for replica consistency. A graph executed here and in the
+//! serial merge chains (a compressed contribution is summed by
+//! [`Compressor::merge_into`], the interpreter's decode and add bit for
+//! bit, without densifying a sparse stream), the same
+//! owner-installs-`decode(encode(sum))` rule for replica consistency. A graph executed here and in the
 //! discrete-event interpreter produces bit-identical installed
 //! parameters — that cross-validation is what lets the simulator and
 //! the runtime vouch for each other.
@@ -313,12 +315,12 @@ hipress_util::record! {
 /// a multi-reader `Update`'s copy are taken from here, so a run's
 /// iterations reuse the buffers of those before them instead of
 /// faulting fresh gradient-sized allocations in. A buffer comes back
-/// only if it never left the node: a sole-reader decode output after
-/// its `Merge`, an `Owned` accumulator that `Update` replaces or that
-/// a retiring non-final iteration drops, and decode outputs no one
-/// consumed. A buffer that went into an `Arc<Payload>` never comes
-/// back, even once its last peer has dropped it: waiting for that
-/// costs more than the allocation it saves. So the pool holds no
+/// only if it never left the node: an `Owned` accumulator that a
+/// `Merge` sum or `Update` replaces or that a retiring non-final
+/// iteration drops, and decode outputs no one consumed. A buffer that
+/// went into an `Arc<Payload>` never comes back, even once its last
+/// peer has dropped it: waiting for that costs more than the
+/// allocation it saves. So the pool holds no
 /// more than the node had live at once, and it is dropped with the
 /// run.
 #[derive(Debug, Default)]
@@ -724,7 +726,7 @@ pub(crate) struct NodeCore<'a> {
     /// Payloads delivered by remote `Send` completions, keyed by the
     /// sending task.
     pub(crate) inbound: HashMap<u32, Arc<Payload>>,
-    /// Recv/Decode tasks whose output is a degradation hole.
+    /// Decode tasks whose output is a degradation hole.
     skipped_out: HashSet<u32>,
     pub(crate) report: RuntimeReport,
     /// Tracing handles; `None` keeps the hot path allocation-free.
@@ -789,6 +791,14 @@ impl<'a> NodeCore<'a> {
         let readers = self.ix.dependents(d).iter();
         let mut local = readers.filter(|&&r| self.ix.owner(r) == self.node);
         local.next() == Some(&id) && local.next().is_none()
+    }
+
+    /// Whether every local reader of decode `d`'s output is a `Merge`,
+    /// which sums the stream itself: then `d` decodes nothing.
+    fn merge_only(&self, d: TaskId) -> bool {
+        let readers = self.ix.dependents(d).iter();
+        let mut local = readers.filter(|&&r| self.ix.owner(r) == self.node);
+        local.all(|&r| self.graph.task(r).prim == Primitive::Merge)
     }
 
     /// Puts this iteration's private buffers back into `pool` as it
@@ -890,6 +900,10 @@ impl<'a> NodeCore<'a> {
                     .find_dep(id, Primitive::Recv)
                     .ok_or_else(|| Error::sim("decode without a recv dependency"))?;
                 match self.recv_payload.get(&recv.0).map(|p| p.as_ref()) {
+                    Some(Payload::Compressed(_)) if self.merge_only(id) => {
+                        // Left in `recv_payload`: the `Merge` reads the
+                        // stream itself and sums it without densifying.
+                    }
                     Some(Payload::Compressed(bytes)) => {
                         // Sized by the layout, never by the stream: a
                         // header that claims another length is a
@@ -917,57 +931,53 @@ impl<'a> NodeCore<'a> {
                 }
             }
             Primitive::Merge => {
-                // The decoded or received chunk, borrowed where it
-                // already lives; `None` is a degradation hole. A decode
-                // output this merge alone reads goes back to the pool
-                // once summed.
-                let mut spent: Option<Vec<f32>> = None;
-                let contribution: Option<&[f32]> =
-                    if let Some(d) = self.graph.find_dep(id, Primitive::Decode) {
-                        if self.skipped_out.contains(&d.0) {
-                            None
-                        } else {
-                            if self.sole_reader(d, id) {
-                                spent = self.dec_out.remove(&d.0);
-                            }
-                            let dec = spent
-                                .as_deref()
-                                .or(self.dec_out.get(&d.0).map(Vec::as_slice));
-                            Some(dec.ok_or_else(|| Error::sim("merge before decode"))?)
-                        }
-                    } else if let Some(r) = self.graph.find_dep(id, Primitive::Recv) {
-                        match self.recv_payload.get(&r.0).map(|p| p.as_ref()) {
-                            Some(Payload::Raw(v)) => Some(v),
-                            Some(Payload::Compressed(_)) => {
-                                return Err(Error::sim("raw merge of compressed payload"));
-                            }
-                            Some(Payload::Skipped) => None,
-                            None => return Err(Error::sim("merge before recv delivered")),
-                        }
-                    } else {
-                        return Err(Error::sim("merge with nothing to merge"));
-                    };
+                // The contribution as it arrived: a raw chunk straight
+                // from its `Recv`, or the stream its `Decode` left
+                // undecoded.
+                let decode = self.graph.find_dep(id, Primitive::Decode);
+                let recv = match decode {
+                    Some(d) => self.graph.find_dep(d, Primitive::Recv),
+                    None => self.graph.find_dep(id, Primitive::Recv),
+                };
+                let recv = recv.ok_or_else(|| Error::sim("merge with nothing to merge"))?;
+                let payload = self.recv_payload.get(&recv.0);
+                let payload = payload.ok_or_else(|| Error::sim("merge before recv delivered"))?;
+                let compressor = self.compressor;
                 let cell = self
                     .cells
                     .get_mut(&key)
                     .ok_or_else(|| Error::sim("merge with no accumulator"))?;
-                match contribution {
-                    Some(contribution) => {
-                        if contribution.len() != cell.acc.len() {
+                match (payload.as_ref(), decode) {
+                    (Payload::Raw(v), None) => {
+                        if v.len() != cell.acc.len() {
                             return Err(Error::sim("merge length mismatch"));
                         }
-                        cell.acc.add_assign(contribution, pool);
+                        cell.acc.add_assign(v, pool);
                         cell.merged += 1;
                     }
-                    None => {
+                    (Payload::Compressed(bytes), Some(_)) => {
+                        // The sum goes to a pooled buffer that becomes
+                        // the accumulator; a private one it replaces
+                        // goes back to the pool.
+                        let mut sum = pool.take_or_alloc(cell.acc.len());
+                        compressor
+                            .ok_or_else(|| Error::sim("codec task without a compressor"))?
+                            .merge_into(bytes, &cell.acc, &mut sum)?;
+                        cell.acc.replace(sum.into(), pool);
+                        cell.merged += 1;
+                    }
+                    (Payload::Skipped, _) => {
                         // The contribution was skipped by degradation:
                         // nothing to add; remember the gap so the acc
                         // is rescaled before anyone consumes it.
                         cell.missing += 1;
                     }
-                }
-                if let Some(v) = spent {
-                    pool.put(v);
+                    (Payload::Compressed(_), None) => {
+                        return Err(Error::sim("raw merge of compressed payload"));
+                    }
+                    (Payload::Raw(_), Some(_)) => {
+                        return Err(Error::sim("decode of a raw payload"));
+                    }
                 }
             }
             Primitive::Send => {
@@ -1015,9 +1025,6 @@ impl<'a> NodeCore<'a> {
                     .inbound
                     .remove(&send.0)
                     .ok_or_else(|| Error::sim("recv promoted before its payload arrived"))?;
-                if matches!(payload.as_ref(), Payload::Skipped) {
-                    self.skipped_out.insert(id.0);
-                }
                 self.recv_payload.insert(id.0, payload);
             }
             Primitive::Barrier => {}
