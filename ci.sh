@@ -118,8 +118,10 @@ echo "== trace smoke (sim + runtime export, read back by the crate's own parser)
 # must then load the pair.
 cargo run --release -q --bin hipress -- sim --model ResNet50 --nodes 4 \
   --trace /tmp/hipress-ci-sim.json >/dev/null
+# Pipelined, so the CLI's trace-derived-report check covers the
+# per-iteration spans, batch launches and queue gauges too.
 cargo run --release -q --bin hipress -- run --nodes 3 --algorithm onebit \
-  --trace /tmp/hipress-ci-rt.json >/dev/null
+  --iters 4 --window 2 --trace /tmp/hipress-ci-rt.json >/dev/null
 cargo run --release -q --bin hipress -- trace-diff \
   /tmp/hipress-ci-sim.json /tmp/hipress-ci-rt.json >/dev/null
 rm -f /tmp/hipress-ci-sim.json /tmp/hipress-ci-rt.json
@@ -131,6 +133,17 @@ echo "== chaos smoke (recoverable plan reproduces, crash plan fails structurally
 # crash) must exit non-zero with a structured error naming a node.
 cargo run --release -q --bin hipress -- chaos --single --plan recoverable \
   --seed 7 >/dev/null
+# Traced, the same plan's fault instants must survive the Chrome
+# export and the re-import the CLI checks it against.
+CHAOS_TRACE=$(mktemp)
+cargo run --release -q --bin hipress -- chaos --single --plan recoverable \
+  --seed 7 --trace "$CHAOS_TRACE" >/dev/null
+if ! grep -q '"cat":"chaos"' "$CHAOS_TRACE"; then
+  echo "traced chaos run exported no fault instants" >&2
+  rm -f "$CHAOS_TRACE"
+  exit 1
+fi
+rm -f "$CHAOS_TRACE"
 CHAOS_ERR=$(mktemp)
 if cargo run --release -q --bin hipress -- chaos --single --plan crash \
     --victim 1 --deadline-ms 1500 >/dev/null 2>"$CHAOS_ERR"; then

@@ -302,17 +302,15 @@ impl TaskGraph {
     /// zero-cost barriers, last dependency first: where a task finds
     /// what it consumes, in every engine and the plan verifier.
     pub fn find_dep(&self, id: TaskId, want: Primitive) -> Option<TaskId> {
-        let mut stack = self.task(id).deps.clone();
-        while let Some(d) = stack.pop() {
-            let dt = self.task(d);
-            if dt.prim == want {
-                return Some(d);
-            }
-            if dt.prim == Primitive::Barrier {
-                stack.extend(dt.deps.iter().copied());
-            }
-        }
-        None
+        self.task(id)
+            .deps
+            .iter()
+            .rev()
+            .find_map(|&d| match self.task(d).prim {
+                p if p == want => Some(d),
+                Primitive::Barrier => self.find_dep(d, want),
+                _ => None,
+            })
     }
 }
 
@@ -549,6 +547,61 @@ mod tests {
         let pos = |id: TaskId| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(a) < pos(b));
         assert!(pos(b) < pos(c));
+    }
+
+    /// `find_dep` as an explicit stack of the task's dependencies,
+    /// a barrier's pushed on top when met: the oracle for the
+    /// allocation-free walk.
+    fn find_dep_by_stack(g: &TaskGraph, id: TaskId, want: Primitive) -> Option<TaskId> {
+        let mut stack = g.task(id).deps.clone();
+        while let Some(d) = stack.pop() {
+            let dt = g.task(d);
+            if dt.prim == want {
+                return Some(d);
+            }
+            if dt.prim == Primitive::Barrier {
+                stack.extend(dt.deps.iter().copied());
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn find_dep_matches_the_stack_walk_on_every_shipped_builder() {
+        use crate::plan::{CompressionSpec, GradPlan, IterationSpec, SyncGradient};
+        use crate::{ClusterConfig, Strategy};
+        let alg = hipress_compress::Algorithm::OneBit;
+        let iter = IterationSpec {
+            gradients: [4096u64, 1 << 20, 256]
+                .iter()
+                .enumerate()
+                .map(|(i, &bytes)| SyncGradient {
+                    name: format!("g{i}"),
+                    bytes,
+                    ready_offset_ns: 0,
+                    plan: GradPlan {
+                        compress: true,
+                        partitions: 2,
+                    },
+                })
+                .collect(),
+            compression: Some(CompressionSpec::of(alg.build().unwrap().as_ref())),
+        };
+        let mut barriers_met = 0;
+        for strat in Strategy::all() {
+            let g = strat.build(&ClusterConfig::ec2(4), &iter).unwrap();
+            barriers_met += g.count(Primitive::Barrier);
+            for id in (0..g.len() as u32).map(TaskId) {
+                for want in Primitive::ALL {
+                    assert_eq!(
+                        g.find_dep(id, want),
+                        find_dep_by_stack(&g, id, want),
+                        "{strat:?} task {id:?} {want:?}"
+                    );
+                }
+            }
+        }
+        assert!(barriers_met > 0, "no builder exercised a barrier");
     }
 
     #[test]

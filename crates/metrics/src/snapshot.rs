@@ -16,7 +16,7 @@
 //! exceeds 2^53 and every number survives the `f64` JSON dialect.
 
 use crate::registry::{Key, LabelSet};
-use hipress_trace::hist::bucket_bounds;
+use hipress_trace::hist;
 use hipress_trace::json::{self, Json};
 use hipress_util::{Error, Result};
 use std::collections::BTreeMap;
@@ -50,34 +50,12 @@ impl HistSummary {
         }
     }
 
-    /// The `q`-quantile, or `None` if empty — the same interpolation
-    /// as [`hipress_trace::LatencyHistogram::quantile`]: the
-    /// fractional rank is located in the cumulative bucket counts,
-    /// interpolated linearly within the containing bucket, and
-    /// clamped to the exact observed `[min, max]`.
+    /// The `q`-quantile, or `None` if empty: [`hist::quantile`] over
+    /// the buckets, the interpolation
+    /// [`hipress_trace::LatencyHistogram::quantile`] uses too.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        if q == 0.0 {
-            return Some(self.min);
-        }
-        if q == 1.0 {
-            return Some(self.max);
-        }
-        let target = q * (self.count - 1) as f64 + 1.0;
-        let mut cum = 0u64;
-        for &(b, c) in &self.buckets {
-            if (cum + c) as f64 >= target {
-                let (lo, hi) = bucket_bounds(b);
-                let frac = (target - cum as f64) / c as f64;
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return Some((v.round() as u64).clamp(self.min, self.max));
-            }
-            cum += c;
-        }
-        Some(self.max)
+        let buckets = self.buckets.iter().copied();
+        hist::quantile(buckets, self.count, self.min, self.max, q)
     }
 
     /// Convenience: p50 (0 if empty).

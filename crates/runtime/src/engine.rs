@@ -11,8 +11,9 @@
 //! payload itself (so the message *is* the transfer). The loop that
 //! drives the task manager lives in [`crate::pipeline`]; this module
 //! holds what it operates on — the chunk geometry ([`FlowLayout`]),
-//! the message and payload types, the instrumentation handles, and
-//! [`NodeCore`], which executes one primitive.
+//! the message and payload types, the run's [`Instruments`], and
+//! [`NodeCore`], which executes one primitive (and records it through
+//! its node's recorder).
 //!
 //! The dataflow semantics are exactly those of
 //! [`hipress_core::interp`]: the same per-task encode seeds, the same
@@ -29,31 +30,17 @@
 //! messages travel, never what gets computed — only whether it
 //! completes.
 
+use crate::recorder::{record_run_metrics, Executed, NodeRecorder};
 use crate::report::RuntimeReport;
 use hipress_compress::Compressor;
 use hipress_core::graph::{FlowGeometry, Primitive, SendSrc, TaskGraph, TaskId};
 use hipress_core::interp::FlowOutcome;
 use hipress_core::sched::DepIndex;
-use hipress_metrics::names;
 use hipress_tensor::Tensor;
-use hipress_trace::{Counter, Tracer, TrackId};
+use hipress_trace::Tracer;
 use hipress_util::{Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// One node thread's tracing handles: its timeline track plus the
-/// queue-depth gauges. `None` on the worker means tracing is off and
-/// the hot path records nothing (and allocates nothing). Cloneable so
-/// the pipelined driver can hand every in-flight iteration's core the
-/// same shared handles.
-#[derive(Clone)]
-pub(crate) struct NodeTrace {
-    pub(crate) tracer: Tracer,
-    pub(crate) track: TrackId,
-    pub(crate) q_comp: Counter,
-    pub(crate) q_commu: Counter,
-}
 
 /// Optional observers for one run. All are borrowed: the engine
 /// records into them but owns none, and a `None` field keeps the
@@ -70,188 +57,6 @@ pub struct Instruments<'a> {
     /// records, heartbeats, and the SLO watchdog. Costs one ring
     /// publish per *retired iteration*, never per task.
     pub progress: Option<&'a hipress_obs::Telemetry>,
-}
-
-/// One node thread's metric handles, all pre-resolved on the main
-/// thread so the hot path is pure atomic recording. Every handle
-/// carries the `node` label; names come from the shared catalogue
-/// ([`hipress_metrics::names`]) so snapshots line up with
-/// trace-lowered and simulated runs.
-#[derive(Clone)]
-pub(crate) struct NodeMetrics {
-    /// Per-primitive latency histograms, indexed by [`prim_index`].
-    prims: [hipress_metrics::Histogram; 8],
-    local_agg: hipress_metrics::Histogram,
-    bytes_wire: hipress_metrics::Counter,
-    bytes_raw: hipress_metrics::Counter,
-    pub(crate) messages: hipress_metrics::Counter,
-    pub(crate) batch_launches: hipress_metrics::Counter,
-    pub(crate) q_comp_depth: hipress_metrics::Histogram,
-    pub(crate) q_commu_depth: hipress_metrics::Histogram,
-    /// Per-node link traffic as the fabric counted it (byte counts
-    /// stay zero on the channel fabric, which never frames).
-    pub(crate) fabric_frames: hipress_metrics::Counter,
-    pub(crate) fabric_bytes_framed: hipress_metrics::Counter,
-    pub(crate) fabric_bytes_payload: hipress_metrics::Counter,
-    pub(crate) fabric_retransmits: hipress_metrics::Counter,
-}
-
-impl NodeMetrics {
-    pub(crate) fn new(scope: &hipress_metrics::Scope, node: usize) -> Self {
-        let s = scope.with(&[("node", &node.to_string())]);
-        Self {
-            prims: std::array::from_fn(|i| s.histogram(names::PRIM_NS[i], &[])),
-            local_agg: s.histogram(names::LOCAL_AGG_NS, &[]),
-            bytes_wire: s.counter(names::BYTES_WIRE, &[]),
-            bytes_raw: s.counter(names::BYTES_RAW, &[]),
-            messages: s.counter(names::MESSAGES, &[]),
-            batch_launches: s.counter(names::COMP_BATCH_LAUNCHES, &[]),
-            q_comp_depth: s.histogram(names::Q_COMP_DEPTH, &[]),
-            q_commu_depth: s.histogram(names::Q_COMMU_DEPTH, &[]),
-            fabric_frames: s.counter(names::FABRIC_FRAMES, &[]),
-            fabric_bytes_framed: s.counter(names::FABRIC_BYTES_FRAMED, &[]),
-            fabric_bytes_payload: s.counter(names::FABRIC_BYTES_PAYLOAD, &[]),
-            fabric_retransmits: s.counter(names::FABRIC_RETRANSMITS, &[]),
-        }
-    }
-}
-
-/// Builds the per-node tracing handles (and registers every track up
-/// front on the main thread, so the layout is deterministic: engine
-/// first, then each node's timeline and queue gauges in node order).
-pub(crate) fn build_node_traces(tracer: Option<&Tracer>, nodes: usize) -> Vec<Option<NodeTrace>> {
-    let mut node_traces: Vec<Option<NodeTrace>> = Vec::with_capacity(nodes);
-    if let Some(tr) = tracer {
-        tr.thread_track("engine");
-        for node in 0..nodes {
-            let track = tr.thread_track(&format!("node{node}"));
-            let q_comp = tr.counter(tr.counter_track(&format!("node{node}/Q_comp")));
-            let q_commu = tr.counter(tr.counter_track(&format!("node{node}/Q_commu")));
-            node_traces.push(Some(NodeTrace {
-                tracer: tr.clone(),
-                track,
-                q_comp,
-                q_commu,
-            }));
-        }
-    } else {
-        node_traces.resize_with(nodes, || None);
-    }
-    node_traces
-}
-
-/// Builds one rank's tracing handles for a worker process that only
-/// hosts that rank (no `engine` track — the coordinator owns the run
-/// span, and an empty track would fail trace validation). Track names
-/// carry the *global* rank, so merged traces never collide.
-pub(crate) fn single_node_trace(tracer: &Tracer, node: usize) -> NodeTrace {
-    let track = tracer.thread_track(&format!("node{node}"));
-    let q_comp = tracer.counter(tracer.counter_track(&format!("node{node}/Q_comp")));
-    let q_commu = tracer.counter(tracer.counter_track(&format!("node{node}/Q_commu")));
-    NodeTrace {
-        tracer: tracer.clone(),
-        track,
-        q_comp,
-        q_commu,
-    }
-}
-
-/// Builds the per-node metric handles (resolved up front for the same
-/// reason: the worker hot path then touches only atomics).
-pub(crate) fn build_node_metrics(
-    scope: Option<&hipress_metrics::Scope>,
-    nodes: usize,
-) -> Vec<Option<NodeMetrics>> {
-    let mut node_metrics: Vec<Option<NodeMetrics>> = Vec::with_capacity(nodes);
-    if let Some(scope) = scope {
-        for node in 0..nodes {
-            node_metrics.push(Some(NodeMetrics::new(scope, node)));
-        }
-    } else {
-        node_metrics.resize_with(nodes, || None);
-    }
-    node_metrics
-}
-
-/// Records the run-wall span on the engine track (carrying the same
-/// wall measurement the report stores, keeping trace-derived reports
-/// exact).
-pub(crate) fn record_run_span(
-    tracer: Option<&Tracer>,
-    run_start_ns: Option<u64>,
-    wall_ns: u64,
-    nodes: usize,
-    iterations: u64,
-    pipeline_window: u64,
-    epochs: u64,
-) {
-    if let Some(tr) = tracer {
-        let engine = tr.thread_track("engine");
-        let mut args = vec![
-            ("nodes", nodes as u64),
-            ("iterations", iterations),
-            ("window", pipeline_window),
-        ];
-        if epochs > 0 {
-            // Elastic runs only; fixed-membership runs carry no epoch
-            // arg so their traces stay byte-identical to before.
-            args.push(("epochs", epochs));
-        }
-        tr.record_span(
-            engine,
-            "run",
-            "run",
-            run_start_ns.unwrap_or(0),
-            wall_ns,
-            &args,
-        );
-    }
-}
-
-/// Records the run-level metric gauges derived from the assembled
-/// report, at the scope's own labels (no `node`): wall time,
-/// throughput in raw gradient bytes synchronized per second, and the
-/// wire-volume reduction factor.
-pub(crate) fn record_run_metrics(scope: &hipress_metrics::Scope, report: &RuntimeReport) {
-    scope.gauge(names::WALL_NS, &[]).set(report.wall_ns as f64);
-    scope.gauge(names::NODES, &[]).set(report.nodes as f64);
-    if report.wall_ns > 0 {
-        scope
-            .gauge(names::THROUGHPUT, &[])
-            .set(report.bytes_raw as f64 / (report.wall_ns as f64 / 1e9));
-    }
-    scope
-        .gauge(names::COMPRESSION_SAVINGS, &[])
-        .set(report.compression_savings());
-    scope
-        .timeseries(names::ITERATION_NS, &[])
-        .push(report.wall_ns as f64);
-    if report.fabric_frames > 0 {
-        scope
-            .counter(names::FABRIC_FRAMES, &[])
-            .add(report.fabric_frames);
-        scope
-            .counter(names::FABRIC_BYTES_FRAMED, &[])
-            .add(report.fabric_bytes_framed);
-        scope
-            .counter(names::FABRIC_BYTES_PAYLOAD, &[])
-            .add(report.fabric_bytes_payload);
-        scope
-            .counter(names::FABRIC_RETRANSMITS, &[])
-            .add(report.fabric_retransmits);
-    }
-    if report.iterations > 1 {
-        scope
-            .gauge(names::PIPELINE_OVERLAP, &[])
-            .set(report.pipeline_overlap());
-    }
-}
-
-/// The index of a primitive's histogram in [`NodeMetrics::prims`]:
-/// its place in [`Primitive::ALL`], which is the order of
-/// [`names::PRIM_NS`] and of the report's buckets.
-fn prim_index(p: Primitive) -> usize {
-    p as usize
 }
 
 /// A value on the wire: raw tensor data or a compressed stream.
@@ -627,9 +432,7 @@ pub(crate) fn conclude(
     if let Some(e) = root_cause(errors) {
         return Err(e);
     }
-    if let Some(scope) = metrics {
-        record_run_metrics(scope, &report);
-    }
+    record_run_metrics(metrics, &report);
     Ok(RunOutcome {
         flows: layout.assemble(&cells_per_node)?,
         report,
@@ -729,10 +532,6 @@ pub(crate) struct NodeCore<'a> {
     /// Decode tasks whose output is a degradation hole.
     skipped_out: HashSet<u32>,
     pub(crate) report: RuntimeReport,
-    /// Tracing handles; `None` keeps the hot path allocation-free.
-    pub(crate) trace: Option<NodeTrace>,
-    /// Live metric handles; `None` keeps the hot path recording-free.
-    pub(crate) metrics: Option<NodeMetrics>,
     /// Which pipelined iteration this core executes (0 in a
     /// one-iteration run). Stamped onto traced spans so
     /// cross-rank Send→Recv pairs match unambiguously.
@@ -740,7 +539,6 @@ pub(crate) struct NodeCore<'a> {
 }
 
 impl<'a> NodeCore<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: usize,
         graph: &'a TaskGraph,
@@ -749,8 +547,6 @@ impl<'a> NodeCore<'a> {
         ix: &'a DepIndex,
         compressor: Option<&'a dyn Compressor>,
         seed: u64,
-        trace: Option<NodeTrace>,
-        metrics: Option<NodeMetrics>,
     ) -> Self {
         Self {
             node,
@@ -767,8 +563,6 @@ impl<'a> NodeCore<'a> {
             inbound: HashMap::new(),
             skipped_out: HashSet::new(),
             report: RuntimeReport::default(),
-            trace,
-            metrics,
             iter: 0,
         }
     }
@@ -815,29 +609,28 @@ impl<'a> NodeCore<'a> {
         }
     }
 
-    /// Executes one primitive, recording its measurement into the
-    /// report (and trace/metrics when enabled). Returns the outbound
-    /// payload for `Send` tasks; the caller owns completion
-    /// bookkeeping (dependency resolution and fabric messaging).
-    /// Codec outputs and fresh sums are buffers from `pool`, the
-    /// node's for the run.
+    /// Executes one primitive, recording its measurement through `rec`
+    /// into the report. Returns the outbound payload for `Send` tasks;
+    /// the caller owns completion bookkeeping (dependency resolution
+    /// and fabric messaging). Codec outputs and fresh sums are buffers
+    /// from `pool`, the node's for the run.
     pub(crate) fn execute_one(
         &mut self,
         id: TaskId,
         pool: &mut BufPool,
+        rec: &NodeRecorder<'_>,
     ) -> Result<Option<Arc<Payload>>> {
         #[cfg(test)]
         {
             pool.counts.iter = self.iter;
         }
-        let start_ns = self.trace.as_ref().map(|tr| tr.tracer.now_ns());
-        let started = Instant::now();
+        let start = rec.stamp();
         let t = self.graph.task(id);
         debug_assert_eq!(t.node, self.node, "task scheduled on the wrong node");
         let key = (t.chunk.grad, t.chunk.part);
         let mut outbound: Option<Arc<Payload>> = None;
-        let mut sent_bytes: Option<(u64, u64)> = None;
-        let mut recv_from: Option<u64> = None;
+        let mut sent: Option<u64> = None;
+        let mut send_task: Option<TaskId> = None;
         match t.prim {
             Primitive::Source => {
                 // The input chunk itself, by refcount; local replicas
@@ -853,30 +646,14 @@ impl<'a> NodeCore<'a> {
                         .expect("every source is a chunk of the layout");
                     let reps = &self.inputs[&t.chunk.grad];
                     let mut acc = reps[0].as_slice()[range.clone()].to_vec();
-                    let agg_start_ns = self.trace.as_ref().map(|tr| tr.tracer.now_ns());
-                    let agg_started = Instant::now();
+                    let agg = rec.stamp();
                     for r in &reps[1..] {
                         let slice = &r.as_slice()[range.clone()];
                         for (a, &b) in acc.iter_mut().zip(slice) {
                             *a += b;
                         }
                     }
-                    let agg_ns = agg_started.elapsed().as_nanos() as u64;
-                    self.report.local_agg_ns += agg_ns;
-                    if let Some(m) = &self.metrics {
-                        m.local_agg.record(agg_ns);
-                    }
-                    if let Some(tr) = &self.trace {
-                        // Nested inside the enclosing source span.
-                        tr.tracer.record_span(
-                            tr.track,
-                            "local_agg",
-                            "local_agg",
-                            agg_start_ns.unwrap_or(0),
-                            agg_ns,
-                            &[("replicas", reps.len() as u64)],
-                        );
-                    }
+                    rec.local_agg(&mut self.report, agg, reps.len());
                     self.cells.entry(key).or_default().acc = acc.into();
                 }
             }
@@ -1010,9 +787,7 @@ impl<'a> NodeCore<'a> {
                         Arc::clone(p.ok_or_else(|| Error::sim("forward before recv delivered"))?)
                     }
                 };
-                self.report.bytes_wire += payload.wire_bytes();
-                self.report.bytes_raw += t.bytes_raw;
-                sent_bytes = Some((payload.wire_bytes(), t.bytes_raw));
+                sent = Some(payload.wire_bytes());
                 outbound = Some(payload);
             }
             Primitive::Recv => {
@@ -1020,7 +795,7 @@ impl<'a> NodeCore<'a> {
                     .graph
                     .find_dep(id, Primitive::Send)
                     .ok_or_else(|| Error::sim("recv without its send"))?;
-                recv_from = Some(send.0 as u64);
+                send_task = Some(send);
                 let payload = self
                     .inbound
                     .remove(&send.0)
@@ -1123,59 +898,16 @@ impl<'a> NodeCore<'a> {
                 cell.updated = true;
             }
         }
-        let ns = started.elapsed().as_nanos() as u64;
-        self.report.prim_mut(t.prim).record(ns);
-        if let Some(m) = &self.metrics {
-            // Same single measurement the report just recorded, so
-            // metrics-vs-report parity holds by construction.
-            m.prims[prim_index(t.prim)].record(ns);
-            if let Some((wire, raw)) = sent_bytes {
-                m.bytes_wire.add(wire);
-                m.bytes_raw.add(raw);
-            }
-        }
-        if let Some(tr) = &self.trace {
-            // The span duration is the very `ns` the report recorded
-            // above — one measurement, two consumers — so a report
-            // derived from the trace matches this one exactly.
-            let name = t.prim.name();
-            let mut args = vec![
-                ("grad", t.chunk.grad as u64),
-                ("part", t.chunk.part as u64),
-                ("task", id.0 as u64),
-                ("iter", u64::from(self.iter)),
-            ];
-            if let Some((wire, raw)) = sent_bytes {
-                args.push(("bytes_wire", wire));
-                args.push(("bytes_raw", raw));
-            }
-            if let Some(s) = recv_from {
-                // The matching Send task: merged multi-process traces
-                // pair Send→Recv spans across ranks on this link for
-                // the clock-monotonicity check.
-                args.push(("send_task", s));
-            }
-            tr.tracer
-                .record_span(tr.track, name, name, start_ns.unwrap_or(0), ns, &args);
-        }
+        let e = Executed {
+            id,
+            task: t,
+            iter: self.iter,
+            start,
+            sent,
+            send_task,
+        };
+        rec.task(&mut self.report, e);
         Ok(outbound)
-    }
-
-    /// Records a fabric-message instant and the message counter (one
-    /// delivered inter-node message).
-    pub(crate) fn note_message(&mut self, task: TaskId, wire_bytes: Option<u64>) {
-        self.report.messages += 1;
-        if let Some(m) = &self.metrics {
-            m.messages.inc();
-        }
-        if let Some(tr) = &self.trace {
-            let mut args = vec![("task", task.0 as u64)];
-            if let Some(b) = wire_bytes {
-                args.push(("bytes", b));
-            }
-            tr.tracer
-                .instant(tr.track, "msg", "fabric", tr.tracer.now_ns(), &args);
-        }
     }
 }
 
@@ -1536,15 +1268,15 @@ mod tests {
         let ix = DepIndex::of(graph);
         let pools: Vec<std::sync::Mutex<BufPool>> =
             (0..nodes).map(|_| Default::default()).collect();
+        let recs = (0..nodes).map(|n| NodeRecorder::new(None, None, None, n, false));
         let results = crate::pipeline::on_threads(
-            vec![None; nodes],
-            vec![None; nodes],
-            |mut link: hipress_fabric::ChannelLink<Msg>, _, _| {
+            recs.collect(),
+            |mut link: hipress_fabric::ChannelLink<Msg>, rec| {
                 let mut pool = pools[link.me()].lock().unwrap();
                 let inputs = node_inputs(flows, link.me());
                 crate::pipeline::drive_node(
-                    &mut link, graph, &inputs, layout, &ix, compressor, 5, &pipeline, None, None,
-                    None, None, &mut pool,
+                    &mut link, graph, &inputs, layout, &ix, compressor, 5, &pipeline, rec, None,
+                    &mut pool,
                 )
             },
         );
@@ -1681,25 +1413,14 @@ mod tests {
                 // A window of iterations, each `Source` the input chunk
                 // itself.
                 let mut window: Vec<NodeCore> = (0..pipeline.window)
-                    .map(|_| {
-                        NodeCore::new(
-                            node,
-                            &graph,
-                            &mine,
-                            &layout,
-                            &ix,
-                            c.as_deref(),
-                            5,
-                            None,
-                            None,
-                        )
-                    })
+                    .map(|_| NodeCore::new(node, &graph, &mine, &layout, &ix, c.as_deref(), 5))
                     .collect();
                 for core in &mut window {
                     for (&key, chunk) in inputs {
                         core.execute_one(
                             tasks_of(&graph, node, Primitive::Source, key)[0],
                             &mut BufPool::default(),
+                            &NodeRecorder::default(),
                         )
                         .unwrap();
                         assert!(
@@ -1721,19 +1442,22 @@ mod tests {
         let ix = DepIndex::of(&graph);
         let key = (0, 0);
         let mine = node_inputs(&flows, 1);
-        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3, None, None);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
             &mut BufPool::default(),
+            &NodeRecorder::default(),
         )
         .unwrap();
         let recv = tasks_of(&graph, 1, Primitive::Recv, key)[0];
         let send = graph.task(recv).deps[0];
         core.inbound.insert(send.0, Arc::new(Payload::Skipped));
-        core.execute_one(recv, &mut BufPool::default()).unwrap();
+        core.execute_one(recv, &mut BufPool::default(), &NodeRecorder::default())
+            .unwrap();
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Update, key)[0],
             &mut BufPool::default(),
+            &NodeRecorder::default(),
         )
         .unwrap();
         let input = &layout.split_inputs(&mine, 1)[&key];
@@ -1747,14 +1471,6 @@ mod tests {
 
     /// The metric histograms and the span names follow one primitive
     /// order.
-    #[test]
-    fn primitive_histograms_follow_the_name_catalogue() {
-        for (i, p) in Primitive::ALL.into_iter().enumerate() {
-            assert_eq!(prim_index(p), i);
-            assert_eq!(names::PRIM_NS[i], format!("{}_ns", p.name()));
-        }
-    }
-
     /// The ids of `node`'s `prim` tasks on chunk `key`, in graph order.
     fn tasks_of(graph: &TaskGraph, node: usize, prim: Primitive, key: (u32, u32)) -> Vec<TaskId> {
         graph
@@ -1777,16 +1493,17 @@ mod tests {
         let layout = FlowLayout::new(&graph, 2);
         let ix = DepIndex::of(&graph);
         let mine = node_inputs(&flows, 1);
-        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3, None, None);
+        let mut core = NodeCore::new(1, &graph, &mine, &layout, &ix, None, 3);
         let key = (0, 0);
         core.execute_one(
             tasks_of(&graph, 1, Primitive::Source, key)[0],
             &mut BufPool::default(),
+            &NodeRecorder::default(),
         )
         .unwrap();
         let send = tasks_of(&graph, 1, Primitive::Send, key)[0];
         let out = core
-            .execute_one(send, &mut BufPool::default())
+            .execute_one(send, &mut BufPool::default(), &NodeRecorder::default())
             .unwrap()
             .expect("send payload");
         let Payload::Raw(v) = out.as_ref() else {
@@ -1807,27 +1524,21 @@ mod tests {
         let ix = DepIndex::of(&graph);
         let c = Algorithm::OneBit.build().unwrap();
         let mine = node_inputs(&flows, 0);
-        let mut core = NodeCore::new(
-            0,
-            &graph,
-            &mine,
-            &layout,
-            &ix,
-            Some(c.as_ref()),
-            3,
-            None,
-            None,
-        );
+        let mut core = NodeCore::new(0, &graph, &mine, &layout, &ix, Some(c.as_ref()), 3);
         for t in [Primitive::Source, Primitive::Encode] {
-            core.execute_one(tasks_of(&graph, 0, t, key)[0], &mut BufPool::default())
-                .unwrap();
+            core.execute_one(
+                tasks_of(&graph, 0, t, key)[0],
+                &mut BufPool::default(),
+                &NodeRecorder::default(),
+            )
+            .unwrap();
         }
         let sends = tasks_of(&graph, 0, Primitive::Send, key);
         assert_eq!(sends.len(), 2);
         let out: Vec<Arc<Payload>> = sends
             .iter()
             .map(|&s| {
-                core.execute_one(s, &mut BufPool::default())
+                core.execute_one(s, &mut BufPool::default(), &NodeRecorder::default())
                     .unwrap()
                     .expect("send payload")
             })
@@ -1854,11 +1565,11 @@ mod tests {
         ] {
             for len in [0, 47, 49, 4096] {
                 let mine = node_inputs(&flows, node);
-                let mut core =
-                    NodeCore::new(node, &graph, &mine, &layout, &ix, None, 3, None, None);
+                let mut core = NodeCore::new(node, &graph, &mine, &layout, &ix, None, 3);
                 core.execute_one(
                     tasks_of(&graph, node, Primitive::Source, key)[0],
                     &mut BufPool::default(),
+                    &NodeRecorder::default(),
                 )
                 .unwrap();
                 let before = core.cells[&key].acc.to_vec();
@@ -1866,11 +1577,13 @@ mod tests {
                 let send = graph.task(recv).deps[0];
                 core.inbound
                     .insert(send.0, Arc::new(Payload::Raw(vec![1.0; len])));
-                core.execute_one(recv, &mut BufPool::default()).unwrap();
+                core.execute_one(recv, &mut BufPool::default(), &NodeRecorder::default())
+                    .unwrap();
                 let err = core
                     .execute_one(
                         tasks_of(&graph, node, consumer, key)[0],
                         &mut BufPool::default(),
+                        &NodeRecorder::default(),
                     )
                     .unwrap_err();
                 assert!(err.to_string().contains(error), "{consumer:?} {len}: {err}");

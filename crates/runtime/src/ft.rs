@@ -33,9 +33,10 @@
 //! partial aggregation — fast, approximate), or abort with a
 //! structured straggler error.
 
-use crate::engine::{Msg, NodeResult, NodeTrace, Payload};
+use crate::engine::{Msg, NodeResult, Payload};
 use crate::pipeline::{fabric_err, NodeHooks, RunOptions};
 use crate::protocol::{self, LinkDead, LinkTuning, RelRx, RelTx, RxVerdict};
+use crate::recorder::{Fault, NodeRecorder};
 use crate::report::{DegradeAction, FaultReport, StragglerVerdict};
 use hipress_chaos::{FaultPlan, Injector, Verdict};
 use hipress_core::graph::{Primitive, TaskGraph, TaskId};
@@ -43,7 +44,6 @@ use hipress_core::sched::DepIndex;
 use hipress_fabric::frame::{Frame, FrameKind};
 use hipress_fabric::rel::{POLL_CEILING, POLL_FLOOR};
 use hipress_fabric::{ChannelLink, FabricError, Link, LinkCounters, WireMsg};
-use hipress_metrics::{names, Counter, Scope};
 use hipress_util::{SyncFailure, SyncFailureKind};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -122,68 +122,6 @@ impl Default for FaultTolerance {
     }
 }
 
-/// The link-level fault events: what the plan injected, and what the
-/// protocol did about it.
-#[derive(Debug, Clone, Copy)]
-enum Fault {
-    Drop,
-    Dup,
-    Reorder,
-    Delay,
-    Corrupt,
-    Retry,
-    Nack,
-    DupIgnored,
-    CorruptDetected,
-    Skip,
-}
-
-/// Per [`Fault`], in order: the trace instant `(category, name)` that
-/// [`crate::RuntimeReport::from_trace`] counts (`chaos` injections,
-/// `ft` recoveries), and the metric that counts it.
-const FAULTS: [(&str, &str, &str); 10] = [
-    ("chaos", "drop", names::CHAOS_INJECTED),
-    ("chaos", "dup", names::CHAOS_INJECTED),
-    ("chaos", "reorder", names::CHAOS_INJECTED),
-    ("chaos", "delay", names::CHAOS_INJECTED),
-    ("chaos", "corrupt", names::CHAOS_INJECTED),
-    ("ft", "retry", names::FT_RETRIES),
-    ("ft", "nack", names::FT_NACKS),
-    ("ft", "dup_ignored", names::FT_DUPLICATES_IGNORED),
-    ("ft", "corrupt_detected", names::FT_CORRUPTIONS_DETECTED),
-    ("ft", "skip", names::FT_DEGRADED_CHUNKS),
-];
-
-/// Per-node metric handles for fault accounting, pre-resolved like
-/// the engine's node metrics so the protocol path is pure atomic
-/// recording.
-struct FtMetrics {
-    faults: [Counter; FAULTS.len()],
-    /// Indexed by [`DegradeAction`]'s tag less one.
-    verdicts: [Counter; 3],
-    stall: Counter,
-}
-
-impl FtMetrics {
-    fn new(scope: &Scope, node: usize) -> Self {
-        let s = scope.with(&[("node", &node.to_string())]);
-        let injected = |kind| s.counter(names::CHAOS_INJECTED, &[("kind", kind)]);
-        Self {
-            faults: FAULTS.map(|(category, name, metric)| match category {
-                "chaos" => injected(name),
-                _ => s.counter(metric, &[]),
-            }),
-            verdicts: [
-                DegradeAction::Waited,
-                DegradeAction::Skipped,
-                DegradeAction::Aborted,
-            ]
-            .map(|a| s.counter(names::FT_STRAGGLER_VERDICTS, &[("action", &a.to_string())])),
-            stall: injected("stall"),
-        }
-    }
-}
-
 /// One peer as this node's link sees it.
 struct Peer {
     /// Send-side reliability for frames to the peer.
@@ -223,8 +161,7 @@ pub(crate) struct FtLink<'a> {
     /// Data frames sent, first transmissions only.
     frames: u64,
     faults: FaultReport,
-    trace: Option<NodeTrace>,
-    metrics: Option<FtMetrics>,
+    rec: NodeRecorder<'a>,
 }
 
 impl<'a> FtLink<'a> {
@@ -237,7 +174,7 @@ impl<'a> FtLink<'a> {
         ix: &DepIndex,
         chaos: &'a (FaultTolerance, FaultPlan),
         opts: &RunOptions<'_>,
-        trace: Option<NodeTrace>,
+        rec: NodeRecorder<'a>,
     ) -> (Self, NodeHooks) {
         let (ft, fplan) = chaos;
         let (me, now) = (inner.me(), Instant::now());
@@ -260,10 +197,8 @@ impl<'a> FtLink<'a> {
                 .owed
                 .extend((0..opts.pipeline.iterations).map(|iter| (iter, task.0)));
         }
-        let metrics = opts.instruments.metrics.map(|s| FtMetrics::new(s, me));
         let hooks = NodeHooks {
             faults: fplan.node_faults(me).copied().unwrap_or_default(),
-            stall_metric: metrics.as_ref().map(|m| m.stall.clone()),
             ..NodeHooks::default()
         };
         let link = Self {
@@ -276,8 +211,7 @@ impl<'a> FtLink<'a> {
             last_progress: now,
             frames: 0,
             faults: FaultReport::default(),
-            trace,
-            metrics,
+            rec,
         };
         (link, hooks)
     }
@@ -577,15 +511,7 @@ impl<'a> FtLink<'a> {
     }
 
     fn note(&mut self, f: Fault) {
-        let (category, name, _) = FAULTS[f as usize];
-        self.faults.count(name);
-        if let Some(m) = &self.metrics {
-            m.faults[f as usize].inc();
-        }
-        if let Some(tr) = &self.trace {
-            tr.tracer
-                .instant(tr.track, name, category, tr.tracer.now_ns(), &[]);
-        }
+        self.rec.fault(&mut self.faults, f);
     }
 
     /// Records what the injector did to a message.
@@ -614,26 +540,13 @@ impl<'a> FtLink<'a> {
             DegradePolicy::Abort => DegradeAction::Aborted,
         };
         self.peers[peer].flagged = true;
-        self.faults.verdicts.push(StragglerVerdict {
+        let v = StragglerVerdict {
             node,
             peer,
             waited_ns,
             action,
-        });
-        if let Some(m) = &self.metrics {
-            // Tags start at 1 (`Waited`); the counters at 0.
-            m.verdicts[action as usize - 1].inc();
-        }
-        if let Some(tr) = &self.trace {
-            let args = [
-                ("node", node as u64),
-                ("peer", peer as u64),
-                ("waited_ns", waited_ns),
-            ];
-            let name = action.to_string();
-            tr.tracer
-                .instant(tr.track, &name, "straggler", tr.tracer.now_ns(), &args);
-        }
+        };
+        self.rec.verdict(&mut self.faults, v);
     }
 
     fn failure(&self, kind: SyncFailureKind, peer: Option<usize>, detail: String) -> FabricError {

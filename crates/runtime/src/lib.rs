@@ -45,6 +45,7 @@ pub mod observe;
 pub mod pipeline;
 pub mod process;
 pub mod protocol;
+mod recorder;
 pub mod report;
 pub mod wire;
 

@@ -76,77 +76,6 @@ impl ClockSync {
     }
 }
 
-const TRACK_THREAD: u8 = 1;
-const TRACK_COUNTER: u8 = 2;
-
-/// Appends a full [`Trace`] in the workspace TLV idiom: the process
-/// name, then each track's name, kind, events (name, category,
-/// timestamps, instant flag, sorted args), and counter samples.
-pub fn put_trace(w: &mut Writer, trace: &Trace) {
-    w.put_str(&trace.process);
-    w.put_u32(trace.tracks().len() as u32);
-    for track in trace.tracks() {
-        w.put_str(&track.name);
-        w.put_u8(match track.kind {
-            TrackKind::Thread => TRACK_THREAD,
-            TrackKind::Counter => TRACK_COUNTER,
-        });
-        w.put_u32(track.events.len() as u32);
-        for e in &track.events {
-            e.name.put(w);
-            e.category.put(w);
-            e.ts_ns.put(w);
-            e.dur_ns.put(w);
-            e.instant.put(w);
-            e.args.put(w);
-        }
-        track.samples.put(w);
-    }
-}
-
-/// Parses one [`Trace`] written by [`put_trace`]. Rebuilds through
-/// the public `Trace` recording API, so a round trip is equal to the
-/// original (args arrive already in the canonical sorted order).
-///
-/// # Errors
-///
-/// A structured [`DecodeError`] for any malformed input.
-pub fn get_trace(r: &mut Reader<'_>) -> Result<Trace, DecodeError> {
-    let process = r.str()?.to_string();
-    let mut trace = Trace::new(&process);
-    for _ in 0..r.u32()? {
-        let name = r.str()?.to_string();
-        let id = match r.u8()? {
-            TRACK_THREAD => trace.thread_track(&name),
-            TRACK_COUNTER => trace.counter_track(&name),
-            t => {
-                return Err(DecodeError::BadTag {
-                    what: "track kind",
-                    tag: u64::from(t),
-                })
-            }
-        };
-        for _ in 0..r.u32()? {
-            let name = r.str()?.to_string();
-            let category = r.str()?.to_string();
-            let ts_ns = r.u64()?;
-            let dur_ns = r.u64()?;
-            let instant = bool::get(r)?;
-            let args: Vec<(String, u64)> = Field::get(r)?;
-            let arg_refs: Vec<(&str, u64)> = args.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-            if instant {
-                trace.push_instant(id, &name, &category, ts_ns, &arg_refs);
-            } else {
-                trace.push_span(id, &name, &category, ts_ns, dur_ns, &arg_refs);
-            }
-        }
-        for (ts, v) in Vec::<(u64, f64)>::get(r)? {
-            trace.push_sample(id, ts, v);
-        }
-    }
-    Ok(trace)
-}
-
 /// The thread track carrying per-rank clock-alignment metadata in a
 /// merged trace.
 pub const CLOCK_TRACK: &str = "clock";
@@ -443,13 +372,8 @@ mod tests {
         let q = t.counter_track("node2/Q_comp");
         t.push_sample(q, 90, 1.0);
         t.push_sample(q, 110, 0.5);
-        let mut w = Writer::new();
-        put_trace(&mut w, &t);
-        let buf = w.into_vec();
-        let mut r = Reader::new(&buf);
-        let back = get_trace(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, t);
+        check_record(&t);
+        assert_eq!(Trace::from_bytes(&t.to_bytes()).unwrap(), t);
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! dependency chain. The returned flows are the final iteration's.
 
 use crate::engine::{
-    build_node_metrics, build_node_traces, conclude, node_inputs, record_run_span, BufPool, Cell,
-    FlowLayout, Instruments, Msg, NodeCore, NodeInputs, NodeMetrics, NodeResult, NodeTrace,
-    Payload, ReplicaFlows, RunOutcome,
+    conclude, node_inputs, BufPool, Cell, FlowLayout, Instruments, Msg, NodeCore, NodeInputs,
+    NodeResult, Payload, ReplicaFlows, RunOutcome,
 };
 use crate::ft::{DegradePolicy, FaultTolerance, FtLink};
+use crate::recorder::{node_recorders, record_run_span, Fault, NodeRecorder, Queue, Stamp};
 use crate::report::RuntimeReport;
 use hipress_chaos::{FaultPlan, NodeFaults};
 use hipress_compress::Compressor;
@@ -43,12 +43,11 @@ use hipress_core::exec::BATCH_MAX_TASK_BYTES;
 use hipress_core::graph::{TaskGraph, TaskId};
 use hipress_core::sched::{DepIndex, Machine};
 use hipress_core::Primitive;
-use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link, LinkCounters};
-use hipress_obs::{IterRecord, ProgressSink};
+use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link};
 use hipress_trace::Tracer;
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a node loop waits on a silent inbox before declaring the
@@ -107,8 +106,6 @@ pub(crate) struct NodeHooks {
     pub die_at_iter: Option<u32>,
     /// The fault plan's stall / crash triggers for this node.
     pub faults: NodeFaults,
-    /// Counts the injected stall, when metrics are on.
-    pub stall_metric: Option<hipress_metrics::Counter>,
     /// Retired iterations: every one below this count finished on the
     /// node. Updated at every retirement.
     pub retired: u32,
@@ -142,22 +139,6 @@ pub(crate) fn fabric_err(me: usize, e: FabricError) -> Error {
     }
 }
 
-/// Test-only injected slowdown, for exercising the SLO watchdog end to
-/// end: `HIPRESS_TELEMETRY_SLOWDOWN_MS` stretches every retired
-/// iteration in the second half of a run by this many milliseconds,
-/// which the latency-regression detector must flag. Zero (the default,
-/// and any unparsable value) is free; the knob is only consulted when a
-/// progress sink is attached, so ordinary runs never read it.
-fn telemetry_slowdown_ms() -> u64 {
-    static KNOB: OnceLock<u64> = OnceLock::new();
-    *KNOB.get_or_init(|| {
-        std::env::var("HIPRESS_TELEMETRY_SLOWDOWN_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 /// One admitted iteration's private state: its own cells, ready
 /// queues (`Q_comp` / `Q_commu`) and timing — iterations share nothing
 /// but the link and the node's [`Machine`].
@@ -167,63 +148,39 @@ struct IterState<'a> {
     q_comp: VecDeque<TaskId>,
     /// Ready communication tasks (send/recv).
     q_commu: VecDeque<TaskId>,
-    admitted: Instant,
-    /// Trace-clock admission time, for the retired `iter_span` span.
-    admitted_ns: Option<u64>,
+    admitted: Stamp,
 }
 
 impl<'a> IterState<'a> {
     /// Admits one iteration around `core`, its queues empty.
-    fn new(core: NodeCore<'a>) -> Self {
+    fn new(core: NodeCore<'a>, rec: &NodeRecorder<'_>) -> Self {
         IterState {
-            admitted_ns: core.trace.as_ref().map(|tr| tr.tracer.now_ns()),
             core,
             q_comp: VecDeque::new(),
             q_commu: VecDeque::new(),
-            admitted: Instant::now(),
+            admitted: rec.stamp(),
         }
     }
 
-    fn enqueue(&mut self, t: TaskId) {
-        if matches!(
-            self.core.graph.task(t).prim,
-            Primitive::Send | Primitive::Recv
-        ) {
-            self.q_commu.push_back(t);
-            // The gauges are shared across admitted iterations (the
-            // handles are clones of one counter), so they read as the
-            // node's total in-flight depth across the window.
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(1);
-            }
-            if let Some(m) = &self.core.metrics {
-                m.q_commu_depth.record(self.q_commu.len() as u64);
-            }
-        } else {
-            self.q_comp.push_back(t);
-            if let Some(tr) = &self.core.trace {
-                tr.q_comp.add(1);
-            }
-            if let Some(m) = &self.core.metrics {
-                m.q_comp_depth.record(self.q_comp.len() as u64);
-            }
-        }
+    fn enqueue(&mut self, t: TaskId, rec: &NodeRecorder<'_>) {
+        let prim = self.core.graph.task(t).prim;
+        let (q, queue) = match prim {
+            Primitive::Send | Primitive::Recv => (Queue::Commu, &mut self.q_commu),
+            _ => (Queue::Comp, &mut self.q_comp),
+        };
+        queue.push_back(t);
+        rec.queued(q, queue.len());
     }
 
     /// Pops the next ready task, communication first: a completed
     /// send unblocks another node, which is what keeps the pipeline
     /// full.
-    fn pop_ready(&mut self) -> Option<TaskId> {
-        if let Some(t) = self.q_commu.pop_front() {
-            if let Some(tr) = &self.core.trace {
-                tr.q_commu.add(-1);
-            }
-            return Some(t);
-        }
-        let t = self.q_comp.pop_front()?;
-        if let Some(tr) = &self.core.trace {
-            tr.q_comp.add(-1);
-        }
+    fn pop_ready(&mut self, rec: &NodeRecorder<'_>) -> Option<TaskId> {
+        let (q, t) = match self.q_commu.pop_front() {
+            Some(t) => (Queue::Commu, t),
+            None => (Queue::Comp, self.q_comp.pop_front()?),
+        };
+        rec.dequeued(q);
         Some(t)
     }
 }
@@ -250,19 +207,8 @@ struct PipeWorker<'a, L: Link<Msg = Msg>> {
     iters: BTreeMap<u32, IterState<'a>>,
     report: RuntimeReport,
     final_cells: Option<HashMap<(u32, u32), Cell>>,
-    /// Shared tracing handles cloned into every admitted iteration's
-    /// core; `None` keeps the hot path recording-free.
-    trace: Option<NodeTrace>,
-    /// Shared metric handles, likewise cloned per iteration.
-    metrics: Option<NodeMetrics>,
-    /// Live-telemetry progress sink; one [`IterRecord`] is published
-    /// per *retired iteration* (never per task), so `None` keeps the
-    /// hot path publication-free.
-    progress: Option<&'a dyn ProgressSink>,
-    /// Fabric counters at the previous retirement, so each published
-    /// record carries this iteration's retransmission delta rather
-    /// than a running total.
-    last_counters: LinkCounters,
+    /// Where every measurement of the loop goes.
+    rec: NodeRecorder<'a>,
     /// Scripted faults of this node (elastic crashes, a fault plan's
     /// stall and crash); `None` on every other run.
     hooks: Option<&'a mut NodeHooks>,
@@ -292,14 +238,12 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 self.ix,
                 self.compressor,
                 self.seed,
-                self.trace.clone(),
-                self.metrics.clone(),
             );
             core.iter = iter;
-            let mut st = IterState::new(core);
+            let mut st = IterState::new(core, &self.rec);
             // Seeded with the dependency-free tasks, ascending.
             for t in self.ix.tasks_of(me).filter(|&t| self.ix.indeg(t) == 0) {
-                st.enqueue(t);
+                st.enqueue(t, &self.rec);
             }
             self.iters.insert(iter, st);
             for (task, payload) in stashed {
@@ -316,12 +260,14 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         let Some(st) = self.iters.get_mut(&iter) else {
             return; // its tasks here all ran: a duplicate
         };
-        st.core
-            .note_message(task, payload.as_deref().map(Payload::wire_bytes));
+        let wire_bytes = payload.as_deref().map(Payload::wire_bytes);
+        self.rec.message(&mut st.core.report, task, wire_bytes);
         if let Some(p) = payload {
             st.core.inbound.insert(task.0, p);
         }
-        self.machine.release(self.ix, iter, task, |t| st.enqueue(t));
+        let rec = &self.rec;
+        self.machine
+            .release(self.ix, iter, task, |t| st.enqueue(t, rec));
     }
 
     fn broadcast_abort(&mut self) {
@@ -355,9 +301,10 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     /// Pops the next ready task, oldest iteration first and
     /// communication before computing within it.
     fn next_ready(&mut self) -> Option<(u32, TaskId)> {
+        let rec = &self.rec;
         self.iters
             .iter_mut()
-            .find_map(|(&iter, st)| st.pop_ready().map(|t| (iter, t)))
+            .find_map(|(&iter, st)| st.pop_ready(rec).map(|t| (iter, t)))
     }
 
     fn execute(&mut self, iter: u32, id: TaskId) -> Result<()> {
@@ -382,36 +329,15 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 }
                 st.q_comp = rest;
             }
-            self.iters
-                .get_mut(&iter)
-                .expect("initiating iteration")
-                .core
-                .report
-                .comp_batch_launches += 1;
-            if let Some(m) = &self.metrics {
-                m.batch_launches.inc();
-            }
-            if let Some(tr) = &self.trace {
-                // The gathered encodes (all but the initiating one,
-                // which next_ready already counted) left their queues
-                // without individual pops; the shared gauge absorbs
-                // them in one step.
-                tr.q_comp.add(-(batch.len() as i64 - 1));
-                tr.tracer.instant(
-                    tr.track,
-                    "batch",
-                    "batch",
-                    tr.tracer.now_ns(),
-                    &[("size", batch.len() as u64)],
-                );
-            }
+            let st = self.iters.get_mut(&iter).expect("initiating iteration");
+            self.rec.batch(&mut st.core.report, batch.len());
             for (k, t) in batch {
                 let outbound = self
                     .iters
                     .get_mut(&k)
                     .expect("batched iteration")
                     .core
-                    .execute_one(t, self.pool)?;
+                    .execute_one(t, self.pool, &self.rec)?;
                 self.finish(k, t, outbound);
             }
             return Ok(());
@@ -421,7 +347,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             .get_mut(&iter)
             .expect("scheduled iteration")
             .core
-            .execute_one(id, self.pool)?;
+            .execute_one(id, self.pool, &self.rec)?;
         self.finish(iter, id, outbound);
         Ok(())
     }
@@ -447,14 +373,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
             return Err(Error::sync_at(SyncFailureKind::InjectedCrash, me, detail));
         }
         if let Some(stall) = h.faults.stall.take_if(|s| executed >= s.at_task) {
-            self.report.faults.injected_stalls += 1;
-            if let Some(m) = &h.stall_metric {
-                m.inc();
-            }
-            if let Some(tr) = &self.trace {
-                tr.tracer
-                    .instant(tr.track, "stall", "chaos", tr.tracer.now_ns(), &[]);
-            }
+            self.rec.fault(&mut self.report.faults, Fault::Stall);
             std::thread::sleep(std::time::Duration::from_nanos(stall.dur_ns));
         }
         Ok(())
@@ -467,7 +386,9 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
     fn finish(&mut self, iter: u32, id: TaskId, payload: Option<Arc<Payload>>) {
         self.executed += 1;
         let st = self.iters.get_mut(&iter).expect("finishing iteration");
-        self.machine.release(self.ix, iter, id, |t| st.enqueue(t));
+        let rec = &self.rec;
+        self.machine
+            .release(self.ix, iter, id, |t| st.enqueue(t, rec));
         let last = self.machine.done(iter);
         for &n in self.ix.notify(id) {
             // A lost peer surfaces on the receive path with its rank;
@@ -483,62 +404,11 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
         }
         if last {
             let mut st = self.iters.remove(&iter).expect("retiring iteration");
-            if self.progress.is_some() {
-                let ms = telemetry_slowdown_ms();
-                if ms > 0 && iter >= self.pcfg.iterations / 2 {
-                    // Injected before the span is measured, so the
-                    // stretch lands inside `span_ns` and the watchdog
-                    // sees it as a genuine iteration slowdown.
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-            }
-            let span_ns = st.admitted.elapsed().as_nanos() as u64;
-            self.report.iter_span_ns_total += span_ns;
-            if let Some(tr) = &self.trace {
-                // The single measured span feeds both the report and
-                // the trace, so trace-derived reports stay exact.
-                tr.tracer.record_span(
-                    tr.track,
-                    "iter_span",
-                    "iter_span",
-                    st.admitted_ns.unwrap_or(0),
-                    span_ns,
-                    &[("iter", u64::from(iter))],
-                );
-            }
-            if let Some(sink) = self.progress {
-                // The per-iteration delta is exactly the retiring
-                // iteration's private report, read before it is folded
-                // into the node aggregate below.
-                let r = &st.core.report;
-                let c = self.link.counters();
-                sink.publish(IterRecord {
-                    node: self.link.me() as u32,
-                    iter,
-                    ts_ns: 0, // stamped by the hub on publication
-                    span_ns,
-                    comp_ns: r.source.busy_ns
-                        + r.encode.busy_ns
-                        + r.decode.busy_ns
-                        + r.merge.busy_ns
-                        + r.update.busy_ns
-                        + r.barrier.busy_ns
-                        + r.local_agg_ns,
-                    commu_ns: r.send.busy_ns + r.recv.busy_ns,
-                    bytes_wire: r.bytes_wire,
-                    messages: r.messages,
-                    retransmits: c.retransmits - self.last_counters.retransmits,
-                    faults: r.faults.retries
-                        + r.faults.nacks
-                        + r.faults.duplicates_ignored
-                        + r.faults.corruptions_detected
-                        + r.faults.degraded_chunks,
-                    window: self.pcfg.window,
-                    epoch: 0, // stamped by the elastic sink, if any
-                });
-                self.last_counters = c;
-            }
-            self.report.absorb(&std::mem::take(&mut st.core.report));
+            let retired = std::mem::take(&mut st.core.report);
+            let counters = || self.link.counters();
+            let report = &mut self.report;
+            self.rec
+                .retire(report, iter, st.admitted, retired, &self.pcfg, counters);
             if iter + 1 == self.pcfg.iterations {
                 self.final_cells = Some(std::mem::take(&mut st.core.cells));
             }
@@ -582,33 +452,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 }
             }
         }
-        let c = self.link.counters();
-        self.report.fabric_frames += c.frames;
-        self.report.fabric_bytes_framed += c.bytes_framed;
-        self.report.fabric_bytes_payload += c.bytes_payload;
-        self.report.fabric_retransmits += c.retransmits;
-        if let Some(tr) = &self.trace {
-            // One `link` instant per node carrying the folded
-            // counters; trace-derived reports sum them back.
-            tr.tracer.instant(
-                tr.track,
-                "link",
-                "link",
-                tr.tracer.now_ns(),
-                &[
-                    ("frames", c.frames),
-                    ("bytes_framed", c.bytes_framed),
-                    ("bytes_payload", c.bytes_payload),
-                    ("retransmits", c.retransmits),
-                ],
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.fabric_frames.add(c.frames);
-            m.fabric_bytes_framed.add(c.bytes_framed);
-            m.fabric_bytes_payload.add(c.bytes_payload);
-            m.fabric_retransmits.add(c.retransmits);
-        }
+        self.rec.link(&mut self.report, self.link.counters());
         let cells = self
             .final_cells
             .take()
@@ -633,9 +477,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
     compressor: Option<&'a dyn Compressor>,
     seed: u64,
     pcfg: &PipelineConfig,
-    trace: Option<NodeTrace>,
-    metrics: Option<NodeMetrics>,
-    progress: Option<&'a dyn ProgressSink>,
+    rec: NodeRecorder<'a>,
     hooks: Option<&'a mut NodeHooks>,
     pool: &'a mut BufPool,
 ) -> NodeResult {
@@ -656,10 +498,7 @@ pub(crate) fn drive_node<'a, L: Link<Msg = Msg>>(
         iters: BTreeMap::new(),
         report: RuntimeReport::default(),
         final_cells: None,
-        trace,
-        metrics,
-        progress,
-        last_counters: LinkCounters::default(),
+        rec,
         hooks,
         executed: 0,
         pool,
@@ -680,24 +519,22 @@ pub(crate) fn validate(pcfg: &PipelineConfig) -> Result<()> {
 }
 
 /// Runs `body` once per node on a thread of its own, handing each its
-/// endpoint on a fresh channel fabric of `M` and its instruments.
-/// Results come back in node order; a panicked node becomes an error
-/// naming it.
-pub(crate) fn on_threads<M: Send>(
-    traces: Vec<Option<NodeTrace>>,
-    metrics: Vec<Option<NodeMetrics>>,
-    body: impl Fn(ChannelLink<M>, Option<NodeTrace>, Option<NodeMetrics>) -> NodeResult + Sync,
+/// endpoint on a fresh channel fabric of `M` and its recorder. Results
+/// come back in node order; a panicked node becomes an error naming
+/// it.
+pub(crate) fn on_threads<'a, M: Send>(
+    recs: Vec<NodeRecorder<'a>>,
+    body: impl Fn(ChannelLink<M>, NodeRecorder<'a>) -> NodeResult + Sync,
 ) -> Vec<NodeResult> {
-    let mut fabric = ChannelFabric::new(traces.len());
+    let mut fabric = ChannelFabric::new(recs.len());
     let body = &body;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = traces
+        let handles: Vec<_> = recs
             .into_iter()
-            .zip(metrics)
             .enumerate()
-            .map(|(node, (trace, metrics))| {
+            .map(|(node, rec)| {
                 let link = fabric.link(node).expect("fresh fabric link");
-                scope.spawn(move || body(link, trace, metrics))
+                scope.spawn(move || body(link, rec))
             })
             .collect();
         handles
@@ -775,8 +612,7 @@ pub fn run(
     layout.geometry.check(nodes, flows, |reps| &reps[..])?;
     let inputs: Vec<NodeInputs> = (0..nodes).map(|n| node_inputs(flows, n)).collect();
     let ix = DepIndex::of(graph);
-    let node_traces = build_node_traces(instruments.tracer, nodes);
-    let node_metrics = build_node_metrics(instruments.metrics, nodes);
+    let recs = node_recorders(&instruments, nodes, opts.chaos.is_some());
     let mut report = RuntimeReport {
         nodes,
         per_node_busy_ns: vec![0; nodes],
@@ -784,32 +620,25 @@ pub fn run(
         pipeline_window: u64::from(pcfg.window),
         ..Default::default()
     };
-    let progress = instruments.progress.map(|t| t as &dyn ProgressSink);
     let (layout, ix) = (&layout, &ix);
 
     let run_start_ns = instruments.tracer.map(Tracer::now_ns);
     let started = Instant::now();
     let results = match &opts.chaos {
-        None => on_threads(
-            node_traces,
-            node_metrics,
-            |mut link: ChannelLink<Msg>, tr, m| {
-                let mut pool = BufPool::default();
-                let inputs = &inputs[link.me()];
-                drive_node(
-                    &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, tr, m, progress,
-                    None, &mut pool,
-                )
-            },
-        ),
-        Some(chaos) => on_threads(node_traces, node_metrics, |inner, tr, m| {
-            let (mut link, mut hooks) = FtLink::new(inner, graph, ix, chaos, opts, tr.clone());
+        None => on_threads(recs, |mut link: ChannelLink<Msg>, rec| {
+            let mut pool = BufPool::default();
+            let inputs = &inputs[link.me()];
+            drive_node(
+                &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, rec, None, &mut pool,
+            )
+        }),
+        Some(chaos) => on_threads(recs, |inner, rec| {
+            let (mut link, mut hooks) = FtLink::new(inner, graph, ix, chaos, opts, rec.clone());
             let hooks = Some(&mut hooks);
             let mut pool = BufPool::default();
             let inputs = &inputs[link.me()];
             let result = drive_node(
-                &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, tr, m, progress,
-                hooks, &mut pool,
+                &mut link, graph, inputs, layout, ix, compressor, seed, pcfg, rec, hooks, &mut pool,
             );
             link.finish(result)
         }),

@@ -42,15 +42,13 @@
 //! node — never a hang; with [`ProcessConfig::elastic`] the run
 //! evicts it and continues over the survivors.
 
-use crate::engine::{
-    record_run_metrics, record_run_span, root_cause, single_node_trace, BufPool, Cell, FlowLayout,
-    Instruments, Msg, NodeMetrics, RunOutcome,
-};
+use crate::engine::{root_cause, BufPool, Cell, FlowLayout, Instruments, Msg, RunOutcome};
 use crate::observe::{
     record_clock_meta, replay_into, ClockSync, PostmortemDump, PostmortemMagic, RankFlight,
     UNKNOWN_NODE,
 };
 use crate::pipeline::{drive_node, validate, NodeHooks, PipelineConfig};
+use crate::recorder::{record_run_metrics, record_run_span, NodeRecorder};
 use crate::report::RuntimeReport;
 use hipress_chaos::MembershipPlan;
 use hipress_compress::Algorithm;
@@ -713,11 +711,8 @@ fn run_job(
     let tracer = job
         .want_trace
         .then(|| Tracer::at_epoch(&format!("casync-rt/node{global_rank}"), epoch));
-    let trace = tracer.as_ref().map(|t| single_node_trace(t, global_rank));
     let registry = job.want_metrics.then(hipress_metrics::Registry::new);
-    let metrics = registry
-        .as_ref()
-        .map(|reg| NodeMetrics::new(&reg.root(), global_rank));
+    let scope = registry.as_ref().map(hipress_metrics::Registry::root);
 
     let pcfg = PipelineConfig {
         iterations: job.iterations,
@@ -733,6 +728,16 @@ fn run_job(
     } else {
         None
     };
+    // This rank's tracks alone, named by its global rank so merged
+    // traces never collide; the coordinator owns the `engine` track.
+    let progress = progress_sink.as_ref().map(|s| s as &dyn ProgressSink);
+    let rec = NodeRecorder::new(
+        tracer.as_ref(),
+        scope.as_ref(),
+        progress,
+        global_rank,
+        false,
+    );
     // The hooks arm the scripted crash and count retirements, which a
     // failed segment reports so the coordinator can drain.
     let mut hooks = NodeHooks {
@@ -748,9 +753,7 @@ fn run_job(
         compressor.as_deref(),
         job.seed,
         &pcfg,
-        trace,
-        metrics,
-        progress_sink.as_ref().map(|s| s as &dyn ProgressSink),
+        rec,
         Some(&mut hooks),
         &mut BufPool::default(),
     );

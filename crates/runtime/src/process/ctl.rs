@@ -1,17 +1,15 @@
 //! The coordinator-worker control protocol. Each worker's control
 //! stream carries [`Ctl`] frames: a `u32` length prefix, then the
 //! message as a declared record (`hipress_util::record!`) — a tag
-//! byte, then its fields. Only an outcome's [`Trace`] keeps a
-//! hand-written codec.
+//! byte, then its fields.
 
 use super::Job;
-use crate::observe::{get_trace, put_trace};
 use crate::report::RuntimeReport;
 use hipress_fabric::frame::{read_exact_vec, write_all_vectored};
 use hipress_fabric::FlightEvent;
 use hipress_obs::IterRecord;
 use hipress_trace::Trace;
-use hipress_util::codec::{DecodeError, Field, Reader, WireMsg, Writer};
+use hipress_util::codec::WireMsg;
 use hipress_util::{record, Error, Result};
 use std::io::Read;
 use std::net::TcpStream;
@@ -31,7 +29,7 @@ record! {
         Outcome {
             cells: Vec<(u32, u32, Vec<f32>)>,
             report: RuntimeReport,
-            trace: Option<Trace> => via(put_opt_trace, get_opt_trace),
+            trace: Option<Trace>,
             metrics: Option<String>,
             flight: Vec<FlightEvent>,
         } = 3,
@@ -109,18 +107,6 @@ record! {
     }
 }
 
-/// A presence flag, then the trace in its own codec.
-fn put_opt_trace(w: &mut Writer, trace: &Option<Trace>) {
-    trace.is_some().put(w);
-    if let Some(t) = trace {
-        put_trace(w, t);
-    }
-}
-
-fn get_opt_trace(r: &mut Reader<'_>) -> std::result::Result<Option<Trace>, DecodeError> {
-    bool::get(r)?.then(|| get_trace(r)).transpose()
-}
-
 /// Control frames are a plain u32 length prefix + [`Ctl`] body —
 /// the rendezvous channel is point-to-point and short-lived, so the
 /// mesh's checksummed reliability discipline would be dead weight.
@@ -156,7 +142,7 @@ mod tests {
     use crate::report::{DegradeAction, EpochRecord, FaultReport, PrimStat, StragglerVerdict};
     use hipress_compress::Algorithm;
     use hipress_core::Strategy;
-    use hipress_util::codec::check_record;
+    use hipress_util::codec::{check_record, DecodeError, Field, Writer};
     use hipress_util::{Rng64, SplitMix64, SyncFailure, SyncFailureKind};
 
     /// Byte-at-a-time FNV-1a, independent of the fabric's own digest.

@@ -519,40 +519,32 @@ pub(super) fn run_segments(
 
         // ---- Collect ----------------------------------------------
         debug_assert!(roster.streams.keys().eq(members.iter()));
-        let collected: Vec<(SegRes, Option<Vec<FlightEvent>>)> = if progress.is_some() {
-            // One collector per member, so live-progress frames keep
-            // draining while slower members still run — a sequential
-            // reader would let a fast member's frames back up in
-            // kernel buffers.
-            std::thread::scope(|s| {
-                let handles: Vec<_> = roster
-                    .streams
-                    .values_mut()
-                    .map(|stream| s.spawn(move || collect_member(stream, progress)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            let error = Error::sim("a collector thread panicked");
-                            (
-                                SegRes::Failed {
-                                    error,
-                                    completed: 0,
-                                },
-                                None,
-                            )
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            roster
+        // One collector per member, so each member's outcome (and any
+        // live-progress frames before it) drains while slower members
+        // still run — a sequential reader would let a fast member's
+        // frames back up in kernel buffers.
+        let collected: Vec<(SegRes, Option<Vec<FlightEvent>>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = roster
                 .streams
                 .values_mut()
-                .map(|stream| collect_member(stream, None))
+                .map(|stream| s.spawn(move || collect_member(stream, progress)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        let error = Error::sim("a collector thread panicked");
+                        (
+                            SegRes::Failed {
+                                error,
+                                completed: 0,
+                            },
+                            None,
+                        )
+                    })
+                })
                 .collect()
-        };
+        });
         let mut results = Vec::with_capacity(members.len());
         let mut flights = Vec::new();
         for (&g, (res, flight)) in members.iter().zip(collected) {
@@ -673,9 +665,7 @@ pub(super) fn run_segments(
                     u64::from(pcfg.window),
                     report.membership.len() as u64,
                 );
-                if let Some(scope) = instruments.metrics {
-                    record_run_metrics(scope, &report);
-                }
+                record_run_metrics(instruments.metrics, &report);
                 return Ok(RunOutcome {
                     flows: layout.assemble(&cells_per_slot)?,
                     report,

@@ -51,6 +51,49 @@ pub fn bucket_bounds(b: usize) -> (u64, u64) {
     }
 }
 
+/// The `q`-quantile (`0 ≤ q ≤ 1`) of `count` observations spread over
+/// `buckets` (`(bucket index, count)` pairs in ascending index order),
+/// whose exact extremes are `min` and `max`; `None` if `count` is 0.
+///
+/// The fractional rank `q·(n-1)` is located in the cumulative bucket
+/// counts; the value interpolates linearly within the containing
+/// bucket's `[lo, hi)` range and is clamped to `[min, max]`. Shared
+/// by [`LatencyHistogram`] and `hipress-metrics`' snapshots, so a
+/// live-recorded and a trace-derived distribution read alike.
+pub fn quantile(
+    buckets: impl IntoIterator<Item = (usize, u64)>,
+    count: u64,
+    min: u64,
+    max: u64,
+    q: f64,
+) -> Option<u64> {
+    if count == 0 {
+        return None;
+    }
+    let q = q.clamp(0.0, 1.0);
+    // The extremes are tracked exactly on the side; return them
+    // directly rather than interpolating within their buckets.
+    if q == 0.0 {
+        return Some(min);
+    }
+    if q == 1.0 {
+        return Some(max);
+    }
+    // 1-indexed fractional rank in [1, n].
+    let target = q * (count - 1) as f64 + 1.0;
+    let mut cum = 0u64;
+    for (b, c) in buckets.into_iter().filter(|&(_, c)| c > 0) {
+        if (cum + c) as f64 >= target {
+            let (lo, hi) = bucket_bounds(b);
+            let frac = (target - cum as f64) / c as f64; // in (0, 1]
+            let v = lo as f64 + frac * (hi - lo) as f64;
+            return Some((v.round() as u64).clamp(min, max));
+        }
+        cum += c;
+    }
+    Some(max)
+}
+
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
@@ -109,42 +152,11 @@ impl LatencyHistogram {
         (self.stats.mean() * self.stats.count() as f64).round() as u64
     }
 
-    /// The `q`-quantile (`0 ≤ q ≤ 1`), or `None` if empty.
-    ///
-    /// The fractional rank `q·(n-1)` is located in the cumulative
-    /// bucket counts; the value interpolates linearly within the
-    /// containing bucket's `[lo, hi)` range and is clamped to the
-    /// exact observed `[min, max]`.
+    /// The `q`-quantile (`0 ≤ q ≤ 1`), or `None` if empty: the free
+    /// [`quantile`] over this histogram's buckets and exact extremes.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // The extremes are tracked exactly on the side; return them
-        // directly rather than interpolating within their buckets.
-        if q == 0.0 {
-            return Some(self.min_ns());
-        }
-        if q == 1.0 {
-            return Some(self.max_ns());
-        }
-        // 1-indexed fractional rank in [1, n].
-        let target = q * (n - 1) as f64 + 1.0;
-        let mut cum = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if (cum + c) as f64 >= target {
-                let (lo, hi) = bucket_bounds(b);
-                let frac = (target - cum as f64) / c as f64; // in (0, 1]
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return Some((v.round() as u64).clamp(self.min_ns(), self.max_ns()));
-            }
-            cum += c;
-        }
-        Some(self.max_ns())
+        let buckets = self.counts.iter().copied().enumerate();
+        quantile(buckets, self.count(), self.min_ns(), self.max_ns(), q)
     }
 
     /// Convenience: p50 (0 if empty).

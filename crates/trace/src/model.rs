@@ -20,34 +20,38 @@ impl TrackId {
     }
 }
 
-/// What kind of data a track carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrackKind {
-    /// A timeline of spans and instant events (one per node thread).
-    Thread,
-    /// A sampled numeric series (queue depths).
-    Counter,
+hipress_util::record! {
+    /// What kind of data a track carries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TrackKind ["track kind"] {
+        /// A timeline of spans and instant events (one per node thread).
+        Thread = 1,
+        /// A sampled numeric series (queue depths).
+        Counter = 2,
+    }
 }
 
-/// One recorded event: a span (`dur_ns > 0` or a zero-length mark) or
-/// an instant (`instant == true`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Display name ("encode", "msg", "run").
-    pub name: String,
-    /// Grouping category; per-primitive statistics key on this
-    /// ("encode", "send", "fabric", "local_agg", "batch", "run").
-    pub category: String,
-    /// Start, in nanoseconds from the trace origin.
-    pub ts_ns: u64,
-    /// Duration in nanoseconds (0 for instants).
-    pub dur_ns: u64,
-    /// True for point events (message arrivals, batch launches).
-    pub instant: bool,
-    /// Numeric arguments ("bytes_wire", "grad", …), sorted by name —
-    /// a canonical order shared with the Chrome JSON reader, which
-    /// keeps export → import byte-for-byte lossless.
-    pub args: Vec<(String, u64)>,
+hipress_util::record! {
+    /// One recorded event: a span (`dur_ns > 0` or a zero-length mark) or
+    /// an instant (`instant == true`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Event {
+        /// Display name ("encode", "msg", "run").
+        pub name: String,
+        /// Grouping category; per-primitive statistics key on this
+        /// ("encode", "send", "fabric", "local_agg", "batch", "run").
+        pub category: String,
+        /// Start, in nanoseconds from the trace origin.
+        pub ts_ns: u64,
+        /// Duration in nanoseconds (0 for instants).
+        pub dur_ns: u64,
+        /// True for point events (message arrivals, batch launches).
+        pub instant: bool,
+        /// Numeric arguments ("bytes_wire", "grad", …), sorted by name —
+        /// a canonical order shared with the Chrome JSON reader, which
+        /// keeps export → import byte-for-byte lossless.
+        pub args: Vec<(String, u64)>,
+    }
 }
 
 impl Event {
@@ -62,26 +66,32 @@ impl Event {
     }
 }
 
-/// One named track: a thread timeline or a counter series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Track {
-    /// Track name ("node0", "node0/Q_comp", "engine").
-    pub name: String,
-    /// Thread timeline or counter series.
-    pub kind: TrackKind,
-    /// Spans and instants, in recording order ([`TrackKind::Thread`]).
-    pub events: Vec<Event>,
-    /// `(ts_ns, value)` samples, in recording order
-    /// ([`TrackKind::Counter`]).
-    pub samples: Vec<(u64, f64)>,
+hipress_util::record! {
+    /// One named track: a thread timeline or a counter series.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Track {
+        /// Track name ("node0", "node0/Q_comp", "engine").
+        pub name: String,
+        /// Thread timeline or counter series.
+        pub kind: TrackKind,
+        /// Spans and instants, in recording order ([`TrackKind::Thread`]).
+        pub events: Vec<Event>,
+        /// `(ts_ns, value)` samples, in recording order
+        /// ([`TrackKind::Counter`]).
+        pub samples: Vec<(u64, f64)>,
+    }
 }
 
-/// A complete recorded trace: one process, many tracks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Trace {
-    /// Which engine produced the trace ("casync-rt", "sim").
-    pub process: String,
-    tracks: Vec<Track>,
+hipress_util::record! {
+    /// A complete recorded trace: one process, many tracks. A record,
+    /// so a worker process ships its trace home in the workspace's
+    /// binary codec; Chrome JSON ([`crate::chrome`]) is the export.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Trace {
+        /// Which engine produced the trace ("casync-rt", "sim").
+        pub process: String,
+        tracks: Vec<Track>,
+    }
 }
 
 impl Trace {
