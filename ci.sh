@@ -34,6 +34,12 @@ echo "== benchmark unit tests (statistics, catalogue == BENCHMARK.json == emitte
 # never runs these.
 cargo test -q --locked --manifest-path benchmark/Cargo.toml --target-dir target
 
+echo "== benches compile (cargo build and cargo test skip bench targets) =="
+# Only the benches the steps below run would be compiled otherwise, so
+# a bench no step runs (compression_micro, instruments_overhead) could
+# break unnoticed.
+cargo bench --no-run -q -p hipress-bench
+
 echo "== codec kernel gate (optimized onebit/TBQ encode >= 3x, DGC encode >= 40x their OSS baselines; DGC merge_into >= 1.15x decode_into + add) =="
 # SS4.4 as a same-process wall-clock ratio: the byte-at-a-time
 # quantizer kernels must stay well ahead of the per-bit reference

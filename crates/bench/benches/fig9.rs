@@ -7,33 +7,41 @@
 //! HiPress keeps the GPU doing useful work.
 
 use hipress::prelude::*;
-use hipress::simevent::{SimTime, Timeline};
 use hipress_bench::{banner, Recorder};
+
+/// Characters per rendered strip.
+const BUCKETS: u64 = 72;
 
 /// Renders `iters` iterations of a configuration as an ASCII strip
 /// ('#' = GPU busy with DNN compute) and returns the utilization.
-fn strip(job: &TrainingJob, iters: usize) -> (String, f64) {
+fn strip(job: &TrainingJob, iters: u64) -> (String, f64) {
     let r = simulate(job).expect("simulation runs");
-    let compute = job.model.spec().compute(job.gpu_class);
-    let busy = compute.iteration_ns();
+    let busy = job.model.spec().compute(job.gpu_class).iteration_ns();
     let iter = r.iteration_ns;
-    let mut tl = Timeline::new();
-    let track = tl.track("gpu");
-    for i in 0..iters as u64 {
-        let start = i * iter;
-        // Forward+backward occupy the GPU back to back; the sync tail
-        // (if any) leaves it idle until the next iteration.
-        tl.record(
-            track,
-            SimTime::from_ns(start),
-            SimTime::from_ns(start + busy),
-        );
-    }
-    let horizon = SimTime::from_ns(iter * iters as u64);
-    (
-        tl.ascii_strip(track, horizon, 72),
-        tl.utilization(track, horizon),
-    )
+    // Forward+backward occupy the GPU back to back from each
+    // iteration's start; the sync tail (if any) leaves it idle until
+    // the next iteration. Busy time is the union of those intervals.
+    let busy_ns = (iters - 1) * busy.min(iter) + busy;
+    let horizon = iter * iters;
+    let width = horizon as f64 / BUCKETS as f64;
+    let strip = (0..BUCKETS)
+        .map(|b| {
+            let (lo, hi) = (b as f64 * width, (b + 1) as f64 * width);
+            let covered: f64 = (0..iters)
+                .map(|i| {
+                    let start = (i * iter) as f64;
+                    ((start + busy as f64).min(hi) - start.max(lo)).max(0.0)
+                })
+                .sum();
+            match covered / width {
+                u if u > 0.66 => '#',
+                u if u > 0.33 => '+',
+                u if u > 0.01 => '-',
+                _ => '.',
+            }
+        })
+        .collect();
+    (strip, busy_ns as f64 / horizon as f64)
 }
 
 fn compare(rec: &Recorder, model: DnnModel, alg: Algorithm, strategy: Strategy) {

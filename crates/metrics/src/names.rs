@@ -90,10 +90,6 @@ pub const COMPUTE_NS: &str = "compute_ns";
 /// from the start of backward, ns.
 pub const SYNC_FINISH_NS: &str = "sync_finish_ns";
 
-/// Histogram: busy-interval durations on a simulated component track
-/// (labelled `track`), lowered from `hipress-simevent`'s `Timeline`.
-pub const BUSY_NS: &str = "busy_ns";
-
 /// Counter: batched network flushes the simulated coordinator
 /// performed.
 pub const LINK_FLUSHES: &str = "link_flushes";

@@ -16,11 +16,14 @@
 //! * counters are monotone;
 //! * the snapshot serializes and re-parses losslessly while writers
 //!   are still running.
+//!
+//! The writers start only after the reader's first snapshot, so the
+//! reader takes at least one snapshot before the writes and one after.
 
 use hipress_metrics::{MetricValue, MetricsSnapshot, Registry};
 use hipress_trace::hist::bucket_bounds;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const WRITERS: usize = 4;
 const OBS_PER_WRITER: u64 = 10_000;
@@ -29,6 +32,7 @@ const OBS_PER_WRITER: u64 = 10_000;
 fn snapshots_stay_internally_consistent_under_write_load() {
     let reg = Registry::new();
     let stop = Arc::new(AtomicBool::new(false));
+    let start = &Barrier::new(WRITERS + 1);
 
     std::thread::scope(|s| {
         let mut writers = Vec::new();
@@ -39,6 +43,7 @@ fn snapshots_stay_internally_consistent_under_write_load() {
                 let shared = scope.registry().root().counter("messages", &[]);
                 let h = scope.histogram("lat_ns", &[]);
                 let merged = scope.registry().root().histogram("merged_ns", &[]);
+                start.wait();
                 for i in 0..OBS_PER_WRITER {
                     // Values spread over many log buckets, bounded so
                     // the [min, max] envelope is known.
@@ -62,6 +67,11 @@ fn snapshots_stay_internally_consistent_under_write_load() {
                 let done = stop_r.load(Ordering::Acquire);
                 let snap = reg.snapshot();
                 snaps += 1;
+                if snaps == 1 {
+                    // Release the writers before checking, so a failed
+                    // check on this snapshot fails the test, not hangs it.
+                    start.wait();
+                }
 
                 // Serialization round-trips mid-run.
                 let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parse own json");

@@ -5,12 +5,13 @@
 //! The record is snapshotted into a fixed-capacity [`ProgressRing`]
 //! whose writer path is wait-free (one `fetch_add` plus a handful of
 //! relaxed stores) so the hot path never blocks on a reader. Readers
-//! (the HTTP `/events` stream, the watchdog) poll the ring and skip
-//! slots that are mid-write, using the same claim/stamp idiom as the
-//! fabric's flight recorder: a writer claims a slot by bumping the
-//! cursor, zeroes the slot's stamp, stores the payload, then publishes
-//! the stamp with `Release`; a reader accepts a slot only when the
-//! stamp reads as `seq + 1` both before and after copying the payload.
+//! (the HTTP `/events` stream, the watchdog) poll the ring, using the
+//! same claim/stamp idiom as the fabric's flight recorder: a writer
+//! claims a slot by bumping the cursor, zeroes the slot's stamp, stores
+//! the payload, then publishes the stamp with `Release`; a reader
+//! accepts a slot only when the stamp reads as `seq + 1` both before
+//! and after copying the payload. A slot still mid-write ends the read
+//! there, so the next poll picks the record up instead of losing it.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -135,7 +136,11 @@ impl ProgressRing {
     /// Publish one record. Wait-free: claims a sequence number, then
     /// stores the payload into the slot it maps to.
     pub fn push(&self, rec: &IterRecord) {
-        let seq = self.cursor.fetch_add(1, Ordering::AcqRel);
+        self.fill(self.cursor.fetch_add(1, Ordering::AcqRel), rec);
+    }
+
+    /// Stores `rec` as the claimed sequence number `seq`.
+    fn fill(&self, seq: u64, rec: &IterRecord) {
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         // Invalidate the slot first so a concurrent reader of the
         // previous occupant cannot mistake a half-written payload for
@@ -161,8 +166,9 @@ impl ProgressRing {
     /// Copy out every record with sequence number in `[from, published)`
     /// that is still resident and consistent, returning the records in
     /// sequence order together with the next `from` value to resume at.
-    /// Records overwritten by lap-ahead writers (or caught mid-write)
-    /// are silently skipped.
+    /// Records overwritten by lap-ahead writers are silently skipped.
+    /// A record a writer has claimed but not yet stored ends the read:
+    /// the returned cursor points at it, so the next read returns it.
     pub fn read_since(&self, from: u64) -> (Vec<IterRecord>, u64) {
         let head = self.published();
         let cap = self.slots.len() as u64;
@@ -170,7 +176,13 @@ impl ProgressRing {
         let mut out = Vec::new();
         for seq in lo..head {
             let slot = &self.slots[(seq % cap) as usize];
-            if slot.stamp.load(Ordering::Acquire) != seq + 1 {
+            let stamp = slot.stamp.load(Ordering::Acquire);
+            if stamp < seq + 1 {
+                // Claimed, not yet stored (or being lapped, which the
+                // next read's lower bound then skips).
+                return (out, seq);
+            }
+            if stamp != seq + 1 {
                 continue;
             }
             let ids = slot.ids.load(Ordering::Relaxed);
@@ -237,6 +249,21 @@ mod tests {
         let (more, next2) = ring.read_since(next);
         assert!(more.is_empty());
         assert_eq!(next2, 5);
+    }
+
+    #[test]
+    fn a_record_still_being_written_is_read_later_not_skipped() {
+        let ring = ProgressRing::new();
+        ring.push(&rec(0, 0));
+        // A writer claims sequence 1 and stalls before storing it while
+        // another publishes sequence 2.
+        let slow = ring.cursor.fetch_add(1, Ordering::AcqRel);
+        ring.push(&rec(0, 2));
+        let (got, next) = ring.read_since(0);
+        assert_eq!((got, next), (vec![rec(0, 0)], 1));
+        ring.fill(slow, &rec(0, 1));
+        let (got, next) = ring.read_since(next);
+        assert_eq!((got, next), (vec![rec(0, 1), rec(0, 2)], 3));
     }
 
     #[test]

@@ -12,19 +12,15 @@
 //! * events at equal timestamps are delivered in schedule order
 //!   (FIFO), making runs bit-reproducible,
 //! * [`FifoResource`] models serially-shared hardware (a NIC
-//!   direction, a GPU stream) as a busy-until timeline,
-//! * [`Timeline`] records named busy intervals for utilization plots
-//!   (Figure 9 of the paper).
+//!   direction, a GPU stream) as a busy-until timeline.
 
 #![forbid(unsafe_code)]
 
 mod resource;
 mod time;
-mod timeline;
 
 pub use resource::FifoResource;
 pub use time::SimTime;
-pub use timeline::{Timeline, TrackId};
 
 use hipress_util::{Error, Result};
 use std::any::Any;
@@ -46,12 +42,11 @@ pub trait Actor<M: 'static>: Any {
 }
 
 /// What an actor can do while handling an event: read the clock,
-/// schedule messages, and record trace intervals.
+/// schedule messages, and stop the run.
 pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: ActorId,
     pending: &'a mut Vec<(SimTime, ActorId, M)>,
-    timeline: &'a mut Timeline,
     stop_requested: &'a mut bool,
 }
 
@@ -96,11 +91,6 @@ impl<M> Ctx<'_, M> {
         self.send_at(self.now, target, msg);
     }
 
-    /// The shared trace timeline.
-    pub fn timeline(&mut self) -> &mut Timeline {
-        self.timeline
-    }
-
     /// Asks the engine to stop after this event is handled. Remaining
     /// queued events are discarded.
     pub fn stop(&mut self) {
@@ -122,7 +112,6 @@ pub struct Engine<M> {
     payloads: Vec<Option<(ActorId, M)>>,
     free_payload_slots: Vec<usize>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    timeline: Timeline,
     events_handled: u64,
     max_events: u64,
 }
@@ -143,7 +132,6 @@ impl<M: 'static> Engine<M> {
             payloads: Vec::new(),
             free_payload_slots: Vec::new(),
             actors: Vec::new(),
-            timeline: Timeline::new(),
             events_handled: 0,
             // A generous default backstop against runaway event loops.
             max_events: 200_000_000,
@@ -170,17 +158,6 @@ impl<M: 'static> Engine<M> {
     /// Number of events processed so far.
     pub fn events_handled(&self) -> u64 {
         self.events_handled
-    }
-
-    /// The shared trace timeline.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
-    }
-
-    /// Mutable access to the trace timeline (for registering tracks
-    /// before the run).
-    pub fn timeline_mut(&mut self) -> &mut Timeline {
-        &mut self.timeline
     }
 
     /// Schedules `msg` for `target` at absolute time `at` (must not be
@@ -246,7 +223,6 @@ impl<M: 'static> Engine<M> {
                     now: self.now,
                     self_id: target,
                     pending: &mut pending,
-                    timeline: &mut self.timeline,
                     stop_requested: &mut stop,
                 };
                 actor.on_event(&mut ctx, msg);
