@@ -205,6 +205,14 @@ cargo run --release -q --bin hipress -- run --nodes 3 --algorithm dgc \
 # graph; BytePS runs its own partitioned PS.
 cargo run --release -q --bin hipress -- run --strategy ring \
   --backend processes --iters 4 --window 2 --cross-check >/dev/null
+# Tiny frames: 32 small gradients make hundreds of ~150-byte frames an
+# iteration, which the mesh batches into few writes. A rank whose last
+# sends stayed queued would stall its peer until the inbox timeout
+# and fail the run.
+TINY_ELEMS=$(printf '2048,%.0s' $(seq 32))
+cargo run --release -q --bin hipress -- run --nodes 2 --algorithm onebit \
+  --backend processes --elems "${TINY_ELEMS%,}" --iters 8 --window 4 \
+  --cross-check >/dev/null
 cargo run --release -q --bin hipress -- run --strategy byteps \
   --backend processes --cross-check >/dev/null
 PROC_ERR=$(mktemp)

@@ -36,16 +36,10 @@ use hipress_trace::Tracer;
 use hipress_util::{Error, Result};
 use std::collections::HashMap;
 
-/// Coordinator flush threshold per link batch (bulk synchronization,
-/// §3.2).
-pub const LINK_BATCH_BYTES: u64 = 4 * 1024 * 1024;
-
-/// Coordinator flush timeout per link batch.
-pub const LINK_BATCH_TIMEOUT_NS: u64 = 100_000;
-
-/// Codec tasks at or below this raw size are batched into one launch
-/// (batch compression, §3.2) — here and in the runtime's node loop.
-pub const BATCH_MAX_TASK_BYTES: u64 = 256 * 1024;
+/// The coordinator's per-link flush threshold and timeout (bulk
+/// synchronization, §3.2) and the batch compression bound, the same
+/// constants the runtime's node loop and the TCP mesh batch by.
+pub use hipress_util::bulk::{BATCH_MAX_TASK_BYTES, LINK_BATCH_BYTES, LINK_BATCH_TIMEOUT_NS};
 
 /// Codec batch flush threshold.
 pub const COMP_BATCH_BYTES: u64 = 2 * 1024 * 1024;

@@ -33,7 +33,8 @@
 //! socket are one allocation. Everything before the payload — the
 //! first 32 bytes — has exactly one encoder ([`Frame::head`]) and one
 //! parser (`Header::parse`). [`Frame::write_to`] sends
-//! `[head, payload, checksum]` as one vectored write, so a frame is
+//! `[head, payload, checksum]` as one vectored write, and
+//! [`write_frames`] a whole batch of frames as one, so a frame is
 //! never assembled on the way out; [`Frame::read_from`] reads the
 //! payload straight into the buffer the frame will own, so it is
 //! never copied on the way in. [`Frame::encode`] remains as the
@@ -424,37 +425,58 @@ impl hipress_chaos::Wire for Frame {
 
 /// Writes `parts` back to back as if they were one contiguous buffer,
 /// without assembling that buffer: one `write_vectored` per call the
-/// sink accepts, resuming mid-part after a short write.
+/// sink accepts (the kernel takes at most `IOV_MAX` parts a call),
+/// resuming mid-part after a short write.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; a sink that accepts nothing is
 /// [`io::ErrorKind::WriteZero`].
-pub fn write_all_vectored<const N: usize>(
+pub fn write_all_vectored<'a>(
     w: &mut impl Write,
-    mut parts: [&[u8]; N],
+    parts: impl IntoIterator<Item = &'a [u8]>,
 ) -> io::Result<()> {
-    let mut first = 0;
-    loop {
-        while first < N && parts[first].is_empty() {
-            first += 1;
-        }
-        if first == N {
-            return Ok(());
-        }
-        let iov = parts.map(IoSlice::new);
-        let mut n = match w.write_vectored(&iov[first..]) {
+    let mut iov: Vec<IoSlice<'_>> = parts.into_iter().map(IoSlice::new).collect();
+    let mut left = &mut iov[..];
+    IoSlice::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match w.write_vectored(left) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
-        };
-        for part in &mut parts[first..] {
-            let taken = n.min(part.len());
-            *part = &part[taken..];
-            n -= taken;
         }
     }
+    Ok(())
+}
+
+/// Writes `frames` back to back — each one's head, payload and
+/// checksum — as one vectored write, resumed after a short write. No
+/// frame is assembled and no payload copied: the stream receives
+/// exactly the concatenated [`Frame::encode`] of `frames`.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<()> {
+    let heads: Vec<[u8; HEAD_BYTES]> = frames.iter().map(Frame::head).collect();
+    let sums: Vec<[u8; TRAILER_BYTES]> = frames.iter().map(|f| f.checksum.to_le_bytes()).collect();
+    let parts = frames
+        .iter()
+        .zip(heads.iter().zip(&sums))
+        .flat_map(|(f, (head, sum))| [&head[..], &f.payload[..], &sum[..]]);
+    write_all_vectored(w, parts)?;
+    w.flush()
+}
+
+/// Whether `buf` begins with at least one whole stream frame, so that
+/// [`Frame::read_from`] over a reader holding `buf` needs no further
+/// read from its source.
+pub fn holds_frame(buf: &[u8]) -> bool {
+    buf.get(..4).is_some_and(|prefix| {
+        let body_len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]);
+        4 + body_len as usize <= buf.len()
+    })
 }
 
 /// Reads exactly `n` bytes into a fresh buffer of exactly that

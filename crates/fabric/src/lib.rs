@@ -180,6 +180,18 @@ pub trait Link: Send {
     /// As [`Link::try_recv`].
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Self::Msg>, FabricError>;
 
+    /// Writes out every send the link is still holding back to batch
+    /// it with others. A link that sends at once has nothing to do.
+    /// Callers flush after their last send when nothing else of
+    /// theirs (a receive, a drop) will.
+    ///
+    /// # Errors
+    ///
+    /// As [`Link::send`].
+    fn flush(&mut self) -> Result<(), FabricError> {
+        Ok(())
+    }
+
     /// Traffic this endpoint has generated.
     fn counters(&self) -> LinkCounters;
 }

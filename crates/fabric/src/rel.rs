@@ -144,6 +144,13 @@ pub struct RelTx {
     /// Retransmissions performed (for fabric counters).
     retransmits: u64,
     last_sent: Instant,
+    /// A lower bound on every in-flight deadline, `None` when the
+    /// last scan found nothing in flight and nothing was armed since.
+    /// Lowered wherever a deadline is set, made exact by each scan in
+    /// [`RelTx::due`], and otherwise left stale-low (an ack, or a
+    /// timer restarted later, only removes or delays deadlines), so
+    /// `due` before it returns without walking the in-flight set.
+    earliest: Option<Instant>,
 }
 
 impl RelTx {
@@ -156,7 +163,14 @@ impl RelTx {
             inflight: BTreeMap::new(),
             retransmits: 0,
             last_sent: now,
+            earliest: None,
         }
+    }
+
+    /// Keeps [`RelTx::earliest`] a lower bound after a deadline is set
+    /// to `due`.
+    fn armed(&mut self, due: Instant) {
+        self.earliest = Some(self.earliest.map_or(due, |e| e.min(due)));
     }
 
     /// Wraps `payload` in the next data frame (attempt 0), arms its
@@ -168,6 +182,7 @@ impl RelTx {
         let frame = Frame::new(FrameKind::Data, self.src, seq, payload);
         let due = now + rto(self.tuning.base_backoff, self.tuning.max_backoff, 0);
         self.inflight.insert(seq, (frame.clone(), due));
+        self.armed(due);
         self.last_sent = now;
         frame
     }
@@ -197,6 +212,8 @@ impl RelTx {
                     self.tuning.max_backoff,
                     frame.attempt,
                 );
+            let due = *due;
+            self.armed(due);
             self.last_sent = now;
         }
     }
@@ -239,6 +256,8 @@ impl RelTx {
             return Ok(None);
         };
         let frame = Self::retransmit(&self.tuning, seq, slot, now)?;
+        let due = slot.1;
+        self.armed(due);
         self.retransmits += 1;
         self.last_sent = now;
         Ok(Some(frame))
@@ -246,6 +265,8 @@ impl RelTx {
 
     /// Collects every frame whose retransmission timer expired at
     /// `now`, ascending by seq, bumping attempts and re-arming timers.
+    /// Before the earliest deadline it returns at once, without
+    /// walking the in-flight set.
     ///
     /// # Errors
     ///
@@ -253,12 +274,18 @@ impl RelTx {
     /// budget. The walk stops there: a dead link sends nothing more,
     /// so which resends were gathered before it no longer matters.
     pub fn due(&mut self, now: Instant) -> Result<Vec<Frame>, LinkDead> {
+        if self.earliest.is_none_or(|e| now < e) {
+            return Ok(Vec::new());
+        }
         let mut out = Vec::new();
+        let mut earliest: Option<Instant> = None;
         for (&seq, slot) in self.inflight.iter_mut() {
             if slot.1 <= now {
                 out.push(Self::retransmit(&self.tuning, seq, slot, now)?);
             }
+            earliest = Some(earliest.map_or(slot.1, |e| e.min(slot.1)));
         }
+        self.earliest = earliest;
         if !out.is_empty() {
             self.retransmits += out.len() as u64;
             self.last_sent = now;
@@ -441,6 +468,50 @@ mod tests {
         assert!(tx.on_ack(f.seq));
         tx.sent(f.seq, written + rto * 10);
         assert!(tx.idle() && tx.next_due().is_none());
+    }
+
+    /// `due`'s early-out changes no answer: the same operations on a
+    /// twin forced to scan every time give the same resends, the same
+    /// dead verdict and the same in-flight set.
+    #[test]
+    fn due_answers_as_a_full_scan_would() {
+        use hipress_util::{Rng64, Xoshiro256};
+        let t0 = Instant::now();
+        let mut rng = Xoshiro256::new(0xD0E);
+        let tuning = LinkTuning {
+            retry_budget: u32::MAX,
+            ..tuning()
+        };
+        let (mut fast, mut scan) = (RelTx::new(0, tuning, t0), RelTx::new(0, tuning, t0));
+        let (mut now, mut resent) = (t0, 0);
+        for _ in 0..4_000 {
+            now += Duration::from_micros(rng.next_below(400));
+            let pick = rng.next_below(fast.next_seq().max(1));
+            match rng.next_below(6) {
+                0 | 1 => {
+                    fast.prepare(vec![1], now);
+                    scan.prepare(vec![1], now);
+                }
+                2 => {
+                    fast.sent(pick, now);
+                    scan.sent(pick, now);
+                }
+                3 => assert_eq!(fast.on_ack(pick), scan.on_ack(pick)),
+                4 => assert_eq!(fast.on_nack(pick, now), scan.on_nack(pick, now)),
+                _ => {
+                    scan.earliest = Some(t0);
+                    let got = fast.due(now).unwrap();
+                    assert_eq!(got, scan.due(now).unwrap());
+                    resent += got.len();
+                }
+            }
+            assert!(fast.inflight_meta().eq(scan.inflight_meta()));
+            let bound = fast.earliest;
+            assert!(fast
+                .next_due()
+                .is_none_or(|d| bound.is_some_and(|e| e <= d)));
+        }
+        assert!(resent > 100, "only {resent} resends exercised");
     }
 
     #[test]

@@ -27,16 +27,33 @@
 //! follows: an owner's write waits only on the peer's data reader,
 //! whose ack writes wait only on this rank's reply reader, which
 //! waits only on the [`RelTx`] lock — held by no thread across I/O.
+//! Batching (below) keeps it: an owner never blocks on its inbox
+//! while holding queued frames, and a data reader never blocks on a
+//! read while holding unwritten acks.
+//!
+//! Small frames travel in bulk, as §3.2's coordinator sends them. A
+//! data frame of at most [`BATCH_MAX_TASK_BYTES`] joins its peer's
+//! queue; the queue is written as one vectored write when it reaches
+//! [`LINK_BATCH_BYTES`], when its oldest frame has waited
+//! [`LINK_BATCH_TIMEOUT_NS`] at a link call, when a larger frame (never
+//! held back) goes to that peer behind it, before the owner waits in
+//! [`Link::recv_timeout`], on [`Link::flush`] and on drop. A frame
+//! counts as sent — counters, ack timer, flight recorder — when it is
+//! written, not when it is queued. The data reader collects the acks
+//! for every frame its buffer already holds and writes them at once,
+//! before its next read that could block. Frames, acks, seqs and
+//! digests are byte for byte what unbatched sends would carry; only
+//! the number of writes changes.
 //!
 //! A payload crosses this module without being copied. On send the
 //! message is serialized once ([`WireMsg::to_bytes`]), digested once
 //! ([`Frame::new`]), retained for retransmission by refcount
-//! ([`RelTx::prepare`]) and handed to the kernel as one vectored
-//! write of head, payload and checksum ([`Frame::write_to`]). On
-//! receive the data reader — behind a `BufReader`, so a small frame
-//! costs one `read` — lands the payload directly in the buffer that
-//! travels through the inbox to [`WireMsg::from_bytes`], digesting it
-//! once on the way.
+//! ([`RelTx::prepare`]) and handed to the kernel in one vectored
+//! write per flush of head, payload and checksum of each frame
+//! ([`crate::frame::write_frames`]). On receive the data reader —
+//! behind a `BufReader`, so a run of small frames costs one `read` —
+//! lands the payload directly in the buffer that travels through the
+//! inbox to [`WireMsg::from_bytes`], digesting it once on the way.
 //!
 //! Mesh construction is rendezvous-ordered: every rank binds its
 //! listener *before* any address is shared, then dials every peer and
@@ -44,11 +61,13 @@
 //! connection is a [`FrameKind::Hello`] naming the dialer, so
 //! construction cannot deadlock and needs no global lock step.
 
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{holds_frame, write_frames, Frame, FrameKind};
 use crate::recorder::{FlightKind, FlightRecorder};
 use crate::rel::{LinkTuning, RelRx, RelTx, RxVerdict, POLL_CEILING, POLL_FLOOR};
 use crate::{FabricError, Link, LinkCounters, WireMsg};
-use std::io::{BufReader, Read};
+use hipress_util::backoff::Backoff;
+use hipress_util::bulk::{BATCH_MAX_TASK_BYTES, LINK_BATCH_BYTES, LINK_BATCH_TIMEOUT_NS};
+use std::io::{BufReader, Read, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -57,6 +76,9 @@ use std::time::{Duration, Instant};
 
 /// How long mesh construction waits for every peer to dial in.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a queued data frame may wait for the rest of its batch.
+const BATCH_TIMEOUT: Duration = Duration::from_nanos(LINK_BATCH_TIMEOUT_NS);
 
 /// What differs between one mesh endpoint and another: the recorder
 /// it notes into and the membership epoch it belongs to. Timers are
@@ -110,35 +132,58 @@ enum Event {
 
 /// Per-peer handles: the connection this rank dialed, which only the
 /// owner writes; the one the peer dialed, which only the data reader
-/// writes (held here to be shut down); and the send-side reliability
-/// state, shared with the reply reader.
+/// writes (held here to be shut down); the send-side reliability
+/// state, shared with the reply reader; and the data frames the owner
+/// holds back for one batched write.
 struct PeerHandle {
     out: TcpStream,
     inbound: TcpStream,
     tx: Arc<Mutex<RelTx>>,
+    queue: SendQueue,
 }
 
-/// Counts one frame and writes it, vectored. A single counter update
-/// covers everything the frame adds: framed bytes, and for a data
-/// frame either its first send or a retransmission.
-fn write_frame(
+/// Prepared data frames for one peer that have not been written yet
+/// (§3.2's per-link batch).
+#[derive(Default)]
+struct SendQueue {
+    frames: Vec<Frame>,
+    /// Their bytes on the stream.
+    bytes: u64,
+    /// When the oldest of them was queued.
+    since: Option<Instant>,
+}
+
+impl SendQueue {
+    /// Whether the batch has waited [`BATCH_TIMEOUT`] at `now`.
+    fn aged(&self, now: Instant) -> bool {
+        self.since
+            .is_some_and(|t| now.saturating_duration_since(t) >= BATCH_TIMEOUT)
+    }
+}
+
+/// Counts `frames` and writes them, vectored, in one write. A single
+/// counter update covers everything they add: framed bytes, and for
+/// each data frame either its first send or a retransmission.
+fn write_counted(
     mut stream: &TcpStream,
     counters: &Mutex<LinkCounters>,
-    frame: &Frame,
+    frames: &[Frame],
 ) -> std::io::Result<()> {
     {
         let mut c = counters.lock().expect("counter lock poisoned");
-        c.bytes_framed += frame.wire_len() as u64;
-        if frame.kind == FrameKind::Data {
-            if frame.attempt == 0 {
-                c.frames += 1;
-                c.bytes_payload += frame.payload.len() as u64;
-            } else {
-                c.retransmits += 1;
+        for frame in frames {
+            c.bytes_framed += frame.wire_len() as u64;
+            if frame.kind == FrameKind::Data {
+                if frame.attempt == 0 {
+                    c.frames += 1;
+                    c.bytes_payload += frame.payload.len() as u64;
+                } else {
+                    c.retransmits += 1;
+                }
             }
         }
     }
-    frame.write_to(&mut stream)
+    write_frames(&mut stream, frames)
 }
 
 /// One rank's endpoint on the TCP mesh. Build with [`connect_mesh`].
@@ -173,7 +218,7 @@ impl<M: WireMsg> TcpLink<M> {
             }
             if let Some(p) = ping {
                 note(&self.config.recorder, FlightKind::HeartbeatSent, peer, 0, 0);
-                let _ = write_frame(&h.out, &self.counters, &p);
+                let _ = write_counted(&h.out, &self.counters, &[p]);
             }
         }
         Ok(())
@@ -191,7 +236,7 @@ impl<M: WireMsg> TcpLink<M> {
             frame.seq,
             frame.payload.len() as u64,
         );
-        let _ = write_frame(&h.out, &self.counters, frame);
+        let _ = write_counted(&h.out, &self.counters, std::slice::from_ref(frame));
     }
 
     /// Acts on one inbox event: a delivery decodes into a message, a
@@ -219,12 +264,78 @@ impl<M: WireMsg> TcpLink<M> {
     }
 }
 
+impl<M> TcpLink<M> {
+    /// Writes `peer`'s queued data frames, if any, as one vectored
+    /// write. Each frame is noted as sent, counted, and has its ack
+    /// timer restarted only now that it is on the wire.
+    fn flush_peer(&mut self, peer: usize) -> Result<(), FabricError> {
+        let Some(h) = self.peers[peer].as_mut() else {
+            return Ok(());
+        };
+        if h.queue.frames.is_empty() {
+            return Ok(());
+        }
+        let mut frames = std::mem::take(&mut h.queue.frames);
+        for f in &frames {
+            let bytes = f.payload.len() as u64;
+            note(
+                &self.config.recorder,
+                FlightKind::SendData,
+                peer,
+                f.seq,
+                bytes,
+            );
+        }
+        let written = write_counted(&h.out, &self.counters, &frames);
+        // No ack can have been due before the bytes were out: time
+        // each wait from here, not from `prepare`.
+        let now = Instant::now();
+        {
+            let mut tx = h.tx.lock().expect("rel-tx lock poisoned");
+            for f in &frames {
+                tx.sent(f.seq, now);
+            }
+        }
+        frames.clear();
+        h.queue = SendQueue {
+            frames,
+            bytes: 0,
+            since: None,
+        };
+        written.map_err(|e| io_err(peer, e))
+    }
+
+    /// Flushes every peer's queue; reports the first failure after
+    /// trying them all.
+    fn flush_all(&mut self) -> Result<(), FabricError> {
+        (0..self.peers.len()).fold(Ok(()), |first, p| {
+            let flushed = self.flush_peer(p);
+            first.and(flushed)
+        })
+    }
+
+    /// Flushes every queue whose oldest frame has waited
+    /// [`BATCH_TIMEOUT`]. Best effort, like every timer-driven write:
+    /// a broken stream surfaces as the data reader's `PeerLost`.
+    fn flush_aged(&mut self) {
+        let now = Instant::now();
+        for p in 0..self.peers.len() {
+            if self.peers[p].as_ref().is_some_and(|h| h.queue.aged(now)) {
+                let _ = self.flush_peer(p);
+            }
+        }
+    }
+}
+
 impl<M> Drop for TcpLink<M> {
-    /// Shuts the sockets down (not merely drops them): reader
-    /// threads — ours and the peers' — hold cloned descriptors, so
-    /// only an explicit shutdown reliably propagates end-of-stream
-    /// and lets every side unwind.
+    /// Writes out what is still queued (best effort: every frame the
+    /// owner sent leaves, as it would have unbatched), then shuts the
+    /// sockets down (not merely drops them): reader threads — ours
+    /// and the peers' — hold cloned descriptors, so only an explicit
+    /// shutdown reliably propagates end-of-stream and lets every side
+    /// unwind.
     fn drop(&mut self) {
+        let _ = self.flush_all();
         for h in self.peers.iter().flatten() {
             let _ = h.out.shutdown(std::net::Shutdown::Both);
             let _ = h.inbound.shutdown(std::net::Shutdown::Both);
@@ -243,35 +354,46 @@ impl<M: WireMsg> Link for TcpLink<M> {
         self.nodes
     }
 
+    /// Prepares the frame (its one digest, its seq) at once and queues
+    /// it for `to`. The queue is written when it reaches
+    /// [`LINK_BATCH_BYTES`], when a frame larger than
+    /// [`BATCH_MAX_TASK_BYTES`] joins it (that one is never held
+    /// back), when its oldest frame has waited [`BATCH_TIMEOUT`] at a
+    /// link call, before the owner blocks in `recv_timeout`, on
+    /// [`Link::flush`] and on drop.
     fn send(&mut self, to: usize, msg: M) -> Result<(), FabricError> {
-        let Some(h) = self.peers.get(to).and_then(Option::as_ref) else {
+        self.flush_aged();
+        let Some(h) = self.peers.get_mut(to).and_then(Option::as_mut) else {
             return Err(FabricError::Io {
                 peer: to,
                 detail: "no stream to that rank".into(),
             });
         };
         let payload = msg.to_bytes();
-        let frame = {
-            let mut tx = h.tx.lock().expect("rel-tx lock poisoned");
-            tx.prepare(payload, Instant::now())
-        };
-        note(
-            &self.config.recorder,
-            FlightKind::SendData,
-            to,
-            frame.seq,
-            frame.payload.len() as u64,
-        );
-        let written = write_frame(&h.out, &self.counters, &frame);
-        // The ack cannot have been due before the bytes were out:
-        // time its wait from here, not from `prepare`.
-        h.tx.lock()
-            .expect("rel-tx lock poisoned")
-            .sent(frame.seq, Instant::now());
-        written.map_err(|e| io_err(to, e))
+        let now = Instant::now();
+        let frame =
+            h.tx.lock()
+                .expect("rel-tx lock poisoned")
+                .prepare(payload, now);
+        let large = frame.payload.len() as u64 > BATCH_MAX_TASK_BYTES;
+        let q = &mut h.queue;
+        q.bytes += frame.wire_len() as u64;
+        q.since.get_or_insert(now);
+        q.frames.push(frame);
+        if large || q.bytes >= LINK_BATCH_BYTES {
+            self.flush_peer(to)?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), FabricError> {
+        self.flush_all()
     }
 
     fn try_recv(&mut self) -> Result<Option<M>, FabricError> {
+        // Before the timers: a frame written now has its ack timer
+        // restarted before any retransmission test looks at it.
+        self.flush_aged();
         self.tick()?;
         loop {
             match self.inbox.try_recv() {
@@ -287,6 +409,10 @@ impl<M: WireMsg> Link for TcpLink<M> {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<M>, FabricError> {
+        // The owner never waits on its inbox while holding frames a
+        // peer may be waiting on. Best effort: a broken stream
+        // surfaces as the data reader's `PeerLost`.
+        let _ = self.flush_all();
         let deadline = Instant::now() + timeout;
         loop {
             self.tick()?;
@@ -315,9 +441,11 @@ impl<M: WireMsg> Link for TcpLink<M> {
 /// The data reader for one peer: reads the connection the peer
 /// dialed, runs the receive-side reliability verdicts, answers each
 /// data frame with an ack or nack on that same connection, and feeds
-/// intact first deliveries into the merged inbox. It is the only
-/// thread that reports the peer lost, so the loss arrives after the
-/// peer's last delivered frame.
+/// intact first deliveries into the merged inbox. The answers to a run
+/// of frames that arrived together leave in one write, made before
+/// any read that could block. It is the only thread that reports the
+/// peer lost, so the loss arrives after the peer's last delivered
+/// frame.
 fn data_loop(
     peer: usize,
     me: usize,
@@ -328,7 +456,14 @@ fn data_loop(
 ) {
     let mut rx = RelRx::new();
     let mut reader = BufReader::new(&stream);
+    let mut replies = Vec::new();
     let detail = loop {
+        if !replies.is_empty() && !holds_frame(reader.buffer()) {
+            // Best effort: a broken stream ends the read below.
+            counters.lock().expect("counter lock poisoned").bytes_framed += replies.len() as u64;
+            let _ = (&stream).write_all(&replies);
+            replies.clear();
+        }
         let frame = match Frame::read_from(&mut reader) {
             Ok(Some(frame)) => frame,
             Ok(None) => break "stream closed".to_string(),
@@ -349,9 +484,9 @@ fn data_loop(
                 };
                 note(&recorder, seen, peer, frame.seq, bytes);
                 note(&recorder, sent, peer, frame.seq, 0);
-                // Best effort: a broken stream ends the read below.
-                let reply = Frame::control(reply, me as u32, frame.seq);
-                let _ = write_frame(&stream, &counters, &reply);
+                Frame::control(reply, me as u32, frame.seq)
+                    .write_to(&mut replies)
+                    .expect("writing to a Vec cannot fail");
                 if verdict == RxVerdict::Deliver
                     && events
                         .send(Event::Deliver {
@@ -518,6 +653,7 @@ pub fn connect_mesh<M: WireMsg>(
         .set_nonblocking(true)
         .map_err(|e| io_err(rank, e))?;
     let mut accepted = 0;
+    let mut wait = Backoff::new(Duration::from_millis(2));
     while accepted < nodes - 1 {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -548,6 +684,7 @@ pub fn connect_mesh<M: WireMsg>(
                 note(&config.recorder, FlightKind::Hello, p, 0, 0);
                 inbounds[p] = Some(stream);
                 accepted += 1;
+                wait = Backoff::new(Duration::from_millis(2));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 // A dial that beat the peer's failed setup sat in its
@@ -564,7 +701,7 @@ pub fn connect_mesh<M: WireMsg>(
                         format!("timed out with {accepted} of {} peers accepted", nodes - 1),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                wait.sleep();
             }
             Err(e) => return Err(io_err(rank, e)),
         }
@@ -595,7 +732,12 @@ pub fn connect_mesh<M: WireMsg>(
         spawn(format!("fabric-ack-{rank}-{p}"), p, move || {
             reply_loop(p, replies, &reply_tx, &events, &recorder)
         })?;
-        handles[p] = Some(PeerHandle { out, inbound, tx });
+        handles[p] = Some(PeerHandle {
+            out,
+            inbound,
+            tx,
+            queue: SendQueue::default(),
+        });
     }
 
     Ok(TcpLink {
@@ -768,6 +910,125 @@ mod tests {
             "an ack after a malformed frame was acted on"
         );
         assert_eq!(stream.position() as usize, stream.get_ref().len());
+    }
+
+    /// A 2-rank mesh inside this thread.
+    fn pair() -> (TcpLink<Probe>, TcpLink<Probe>) {
+        let (l0, a0) = local_listener();
+        let (l1, a1) = local_listener();
+        let addrs = [a0, a1];
+        let config = MeshConfig::default();
+        std::thread::scope(|s| {
+            let dialer = s.spawn(|| connect_mesh(1, 2, l1, &addrs, &config).unwrap());
+            let a = connect_mesh(0, 2, l0, &addrs, &config).unwrap();
+            (a, dialer.join().unwrap())
+        })
+    }
+
+    /// The next message `link` receives within 5 s.
+    fn next(link: &mut TcpLink<Probe>) -> Probe {
+        link.recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("no message within 5 s")
+    }
+
+    /// Waits until every frame `link` sent to `peer` is acknowledged.
+    fn await_idle(link: &TcpLink<Probe>, peer: usize) {
+        let tx = &link.peers[peer].as_ref().unwrap().tx;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !tx.lock().unwrap().idle() {
+            assert!(Instant::now() < deadline, "frames left unacknowledged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_burst_of_small_sends_arrives_whole_and_in_order() {
+        let (mut a, mut b) = pair();
+        for i in 0..200 {
+            a.send(1, probe(i, vec![i as u8; 100])).unwrap();
+        }
+        assert!(!a.peers[1].as_ref().unwrap().queue.frames.is_empty());
+        // Waiting on its own inbox, the owner first writes its queue.
+        assert!(a.recv_timeout(Duration::from_millis(1)).unwrap().is_none());
+        for i in 0..200 {
+            assert_eq!(next(&mut b), probe(i, vec![i as u8; 100]));
+        }
+        await_idle(&a, 1);
+        let c = a.counters();
+        assert_eq!((c.frames, c.retransmits), (200, 0));
+        assert_eq!(
+            c.bytes_payload,
+            200 * probe(0, vec![0; 100]).to_bytes().len() as u64
+        );
+    }
+
+    #[test]
+    fn flush_and_drop_write_out_what_is_queued() {
+        let (mut a, mut b) = pair();
+        a.send(1, probe(1, vec![1])).unwrap();
+        // Queued: no call on `a` has written it yet.
+        assert!(b.recv_timeout(Duration::from_millis(20)).unwrap().is_none());
+        a.flush().unwrap();
+        assert_eq!(next(&mut b).rank, 1);
+        a.send(1, probe(2, vec![2])).unwrap();
+        drop(a);
+        assert_eq!(next(&mut b).rank, 2);
+    }
+
+    #[test]
+    fn a_large_frame_keeps_seq_order_with_the_small_ones_around_it() {
+        let (mut a, mut b) = pair();
+        let large = vec![7; BATCH_MAX_TASK_BYTES as usize + 1];
+        a.send(1, probe(0, vec![0; 8])).unwrap();
+        a.send(1, probe(1, large.clone())).unwrap();
+        assert!(a.peers[1].as_ref().unwrap().queue.frames.is_empty());
+        a.send(1, probe(2, vec![2; 8])).unwrap();
+        a.flush().unwrap();
+        assert_eq!(next(&mut b), probe(0, vec![0; 8]));
+        assert_eq!(next(&mut b), probe(1, large));
+        assert_eq!(next(&mut b), probe(2, vec![2; 8]));
+        await_idle(&a, 1);
+    }
+
+    #[test]
+    fn a_queued_frame_leaves_at_the_first_link_call_past_the_timeout() {
+        let (mut a, mut b) = pair();
+        a.send(1, probe(5, vec![5])).unwrap();
+        std::thread::sleep(BATCH_TIMEOUT);
+        assert!(a.try_recv().unwrap().is_none());
+        assert_eq!(next(&mut b).rank, 5);
+    }
+
+    /// A batch is the concatenation of its frames' encodings: the
+    /// stream carries the bytes unbatched sends would have, in the
+    /// same order, whatever the number of writes.
+    #[test]
+    fn a_raw_peer_reads_exactly_the_encoded_frames() {
+        let (l0, a0) = local_listener();
+        let (l1, a1) = local_listener();
+        let mesh = std::thread::spawn(move || {
+            connect_mesh::<Probe>(0, 2, l0, &[a0, a1], &MeshConfig::default()).unwrap()
+        });
+        let (mut from0, _) = l1.accept().unwrap();
+        let hello = Frame::read_from(&mut from0).unwrap().unwrap();
+        assert_eq!((hello.kind, hello.src), (FrameKind::Hello, 0));
+        let to0 = TcpStream::connect(a0).unwrap();
+        Frame::control(FrameKind::Hello, 1, 0)
+            .write_to(&mut &to0)
+            .unwrap();
+        let mut link = mesh.join().unwrap();
+        let sizes = [0, 1, 150, 4096, BATCH_MAX_TASK_BYTES as usize + 8, 3, 150];
+        let mut want = Vec::new();
+        for (seq, &n) in sizes.iter().enumerate() {
+            let msg = probe(seq, vec![seq as u8; n]);
+            want.extend(Frame::new(FrameKind::Data, 0, seq as u64, msg.to_bytes()).encode());
+            link.send(1, msg).unwrap();
+        }
+        link.flush().unwrap();
+        let mut got = vec![0; want.len()];
+        from0.read_exact(&mut got).unwrap();
+        assert!(got == want, "the stream differs from the encoded frames");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The zero-copy frame path against its references.
 //!
-//! `Frame::write_to` never assembles a frame and `Frame::read_from`
-//! never stages one, so both are checked differentially against the
+//! `Frame::write_to` never assembles a frame, `frame::write_frames`
+//! never assembles a batch and `Frame::read_from` never stages a
+//! frame, so all three are checked differentially against the
 //! contiguous forms (`Frame::encode` / `Frame::decode_body`) over
 //! sinks and sources that split the stream at every possible point.
 //! The bulk codec kernels (`put_f32s`, `fnv_bytes`) are checked
@@ -119,6 +120,32 @@ fn vectored_write_equals_encode_at_every_resume_point() {
             assert!(sink.out == want, "len {len}, first write of {first:?}");
         }
     }
+}
+
+/// A batch written as one vectored write is the concatenation of its
+/// frames' encodings, wherever the sink cuts it, and every frame reads
+/// back with its boundaries intact; `holds_frame` says whether the
+/// bytes left over still hold a whole frame.
+#[test]
+fn a_batch_write_equals_the_concatenated_encodings() {
+    let frames: Vec<Frame> = [0, 1, 150, 9, 4099, 0, 130, 65_537]
+        .into_iter()
+        .map(data)
+        .chain([Frame::control(FrameKind::Ack, 1, 7)])
+        .collect();
+    let want: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+    for seed in 0..32 {
+        let mut sink = Dribble::new(None, seed);
+        frame::write_frames(&mut sink, &frames).unwrap();
+        assert!(sink.out == want, "seed {seed}");
+    }
+    let mut rest = &want[..];
+    for f in &frames {
+        assert!(frame::holds_frame(rest));
+        assert!(!frame::holds_frame(&rest[..f.wire_len() - 1]));
+        assert_eq!(&Frame::read_from(&mut rest).unwrap().unwrap(), f);
+    }
+    assert!(!frame::holds_frame(rest));
 }
 
 #[test]

@@ -39,12 +39,12 @@ use crate::recorder::{node_recorders, record_run_span, Fault, NodeRecorder, Queu
 use crate::report::RuntimeReport;
 use hipress_chaos::{FaultPlan, NodeFaults};
 use hipress_compress::Compressor;
-use hipress_core::exec::BATCH_MAX_TASK_BYTES;
 use hipress_core::graph::{TaskGraph, TaskId};
 use hipress_core::sched::{DepIndex, Machine};
 use hipress_core::Primitive;
 use hipress_fabric::{ChannelFabric, ChannelLink, Fabric, FabricError, Link};
 use hipress_trace::Tracer;
+use hipress_util::bulk::BATCH_MAX_TASK_BYTES;
 use hipress_util::{Error, Result, SyncFailure, SyncFailureKind};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -277,6 +277,7 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 let _ = self.link.send(n, Msg::Abort);
             }
         }
+        let _ = self.link.flush();
     }
 
     fn handle(&mut self, msg: Msg) -> Result<()> {
@@ -452,6 +453,10 @@ impl<'a, L: Link<Msg = Msg>> PipeWorker<'a, L> {
                 }
             }
         }
+        // The last sends can be what a peer still waits on, and the
+        // link is held until the coordinator calls time; they are
+        // also counted only once written.
+        let _ = self.link.flush();
         self.rec.link(&mut self.report, self.link.counters());
         let cells = self
             .final_cells

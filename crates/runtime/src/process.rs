@@ -62,6 +62,7 @@ use hipress_metrics::MetricsSnapshot;
 use hipress_obs::{IterRecord, ProgressSink};
 use hipress_tensor::Tensor;
 use hipress_trace::{Trace, Tracer};
+use hipress_util::backoff::Backoff;
 use hipress_util::codec::WireMsg;
 use hipress_util::{record, Error, Result, SyncFailureKind};
 use std::collections::HashMap;
@@ -398,9 +399,11 @@ impl Drop for Launcher {
     /// Waits for every worker: threads are joined; processes get a
     /// brief grace to exit on their own (they were just released)
     /// before stragglers are killed — the coordinator never leaks
-    /// processes, even on error paths.
+    /// processes, even on error paths. The wait polls on a doubling
+    /// backoff, so a worker that exits at once is reaped at once.
     fn drop(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(5);
+        let mut wait = Backoff::new(Duration::from_millis(5));
         for worker in self.workers.drain(..) {
             match worker {
                 // A worker that panicked already failed the run
@@ -411,9 +414,7 @@ impl Drop for Launcher {
                 Worker::Process(mut child) => loop {
                     match child.try_wait() {
                         Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
+                        Ok(None) if Instant::now() < deadline => wait.sleep(),
                         _ => {
                             let _ = child.kill();
                             let _ = child.wait();

@@ -173,12 +173,14 @@ impl Drop for Roster {
 
 /// Accepts the next worker to dial the nonblocking rendezvous
 /// `listener`, giving it `read_timeout` per read. `idle` runs between
-/// polls and ends the wait by failing — at its deadline, or sooner.
+/// polls, which back off from 50 µs to 2 ms, and ends the wait by
+/// failing — at its deadline, or sooner.
 fn accept_next(
     listener: &TcpListener,
     read_timeout: Duration,
     mut idle: impl FnMut() -> Result<()>,
 ) -> Result<TcpStream> {
+    let mut wait = Backoff::new(Duration::from_millis(2));
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -191,7 +193,7 @@ fn accept_next(
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 idle()?;
-                std::thread::sleep(Duration::from_millis(2));
+                wait.sleep();
             }
             Err(e) => return Err(ctl_io(e)),
         }
@@ -474,6 +476,7 @@ pub(super) fn run_segments(
 
         // ---- Dispatch: the spec plus each member's own tensors -----
         let mesh_ports: Vec<u16> = members.iter().map(|g| roster.ports[g]).collect();
+        let mut jobs = Vec::with_capacity(members.len());
         for (slot, &g) in members.iter().enumerate() {
             // Arm the earliest scripted crash for this rank that lands
             // inside the segment, translated to a segment-local count.
@@ -506,9 +509,24 @@ pub(super) fn run_segments(
             };
             #[cfg(test)]
             let job = tests::tampered(job);
-            let stream = roster.streams.get_mut(&g).expect("member stream");
-            write_ctl(stream, &Ctl::Job(Box::new(job)))?;
+            jobs.push(Ctl::Job(Box::new(job)));
         }
+        // One writer per member, as for collection below: a member
+        // starts on its job without waiting for the others' to be
+        // serialized and written ahead of it.
+        debug_assert!(roster.streams.keys().eq(members.iter()));
+        std::thread::scope(|s| {
+            let writers: Vec<_> = roster
+                .streams
+                .values_mut()
+                .zip(&jobs)
+                .map(|(stream, job)| s.spawn(move || write_ctl(stream, job)))
+                .collect();
+            writers.into_iter().try_for_each(|w| {
+                w.join()
+                    .unwrap_or_else(|_| Err(Error::sim("a job writer thread panicked")))
+            })
+        })?;
         if let Some(t) = progress {
             // Every member just took a job; seed its heartbeat so
             // /healthz shows it before its first iteration retires.
@@ -518,7 +536,6 @@ pub(super) fn run_segments(
         }
 
         // ---- Collect ----------------------------------------------
-        debug_assert!(roster.streams.keys().eq(members.iter()));
         // One collector per member, so each member's outcome (and any
         // live-progress frames before it) drains while slower members
         // still run — a sequential reader would let a fast member's

@@ -6,6 +6,9 @@
 //! * [`rng`] — deterministic, seed-stable pseudo random number
 //!   generators (SplitMix64 and Xoshiro256**) used everywhere the
 //!   simulation needs reproducible randomness.
+//! * [`backoff`] — the doubling sleep of polling loops.
+//! * [`bulk`] — the §3.2 batching constants every batching layer
+//!   reads (the simulator, batch compression, the TCP send queue).
 //! * [`bits`] — LSB-first bit-level readers and writers used by the
 //!   quantization compressors and the CompLL packed-array runtime.
 //! * [`codec`] — the byte codec every wire type uses: the
@@ -26,7 +29,9 @@
 
 #![forbid(unsafe_code)]
 
+pub mod backoff;
 pub mod bits;
+pub mod bulk;
 pub mod codec;
 pub mod error;
 pub mod fit;

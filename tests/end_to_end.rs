@@ -289,6 +289,65 @@ fn sync_matrix_survives_the_process_boundary() {
     }
 }
 
+/// Many tiny frames per iteration: the TCP mesh batches them into
+/// few writes, and the pipelined window keeps several iterations'
+/// frames in its queues at once. 2 and 3 processes must still install
+/// the thread engine's bits exactly.
+#[test]
+fn tiny_frames_batched_over_tcp_install_the_threads_bits() {
+    let pconf = ProcessConfig {
+        binary: Some(env!("CARGO_BIN_EXE_hipress").into()),
+        ..Default::default()
+    };
+    for nodes in [2, 3] {
+        let workers: Vec<Vec<Tensor>> = (0..nodes)
+            .map(|w| {
+                (0..32)
+                    .map(|g| {
+                        let seed = 1_000 * w as u64 + g;
+                        generate(2_048, GradientShape::Gaussian { std_dev: 1.0 }, seed)
+                    })
+                    .collect()
+            })
+            .collect();
+        let build = || {
+            HiPress::new(Strategy::CaSyncPs)
+                .algorithm(Algorithm::OneBit)
+                .iterations(8)
+                .pipeline_window(4)
+                .seed(5)
+        };
+        let threads = build()
+            .backend(Backend::Threads(nodes))
+            .sync(&workers)
+            .unwrap_or_else(|e| panic!("{nodes} threads: {e}"));
+        let procs = build()
+            .backend(Backend::Processes(nodes))
+            .process_config(pconf.clone())
+            .sync(&workers)
+            .unwrap_or_else(|e| panic!("{nodes} processes: {e}"));
+        assert_eq!(procs.flows.len(), 32);
+        let bits = |out: &SyncOutcome| -> Vec<Vec<Vec<u32>>> {
+            out.flows
+                .iter()
+                .map(|f| {
+                    let node = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect();
+                    f.per_node.iter().map(node).collect()
+                })
+                .collect()
+        };
+        assert!(
+            bits(&procs) == bits(&threads),
+            "{nodes} processes installed other bits"
+        );
+        let report = procs.report.expect("process backend measures");
+        assert!(
+            report.fabric_frames >= 8 * 32,
+            "{nodes} processes framed too little"
+        );
+    }
+}
+
 /// Every (strategy × algorithm) combination simulates cleanly on a
 /// small model — the generality claim (§3: "not tied to specific
 /// algorithms and synchronization strategies").
